@@ -17,6 +17,7 @@ import scipy.sparse as sp
 from .elements import (
     CellGeometry,
     build_dofs,
+    dof_matrix,
     entity_dof_counts,
     local_element,
     phys_curl,
@@ -24,7 +25,6 @@ from .elements import (
     phys_grad,
     validate_family,
 )
-from .polyalg.poly import jacobian
 from .quadrature import alfeld_composite
 
 
@@ -46,6 +46,18 @@ def cell_geometries(mesh):
         geoms = [CellGeometry(mesh, ci) for ci in range(mesh.n_cells)]
         mesh.derived["cell_geometries"] = geoms
     return geoms
+
+
+def class_partition(mesh):
+    """Cell ids (one int array per congruence class), shared by all spaces on a mesh."""
+    classes = mesh.derived.get("class_partition")
+    if classes is None:
+        groups = {}
+        for geom in cell_geometries(mesh):
+            groups.setdefault(geom.signature(), []).append(geom.cell_id)
+        classes = [np.array(cells) for cells in groups.values()]
+        mesh.derived["class_partition"] = classes
+    return classes
 
 
 class GlobalSpace:
@@ -70,9 +82,10 @@ class GlobalSpace:
         self.elements = [
             local_element(kind, r, k, geom, select=select) for geom in self.cells_geom
         ]
-        self.local_to_global = [
-            self._cell_map(ci) for ci in range(mesh.n_cells)
-        ]
+        self.local_to_global = np.array([self._cell_map(ci) for ci in range(mesh.n_cells)])
+        self.classes = class_partition(mesh)
+        self.shifts = np.array([geom.amap.shift_f for geom in self.cells_geom])
+        self._tables = {}
         self.boundary_mask = self._boundary_mask()
         distinct = {id(el): el for el in self.elements}.values()
         self.basis_degree = max(max(b.degree for b in el.basis) for el in distinct)
@@ -113,14 +126,15 @@ class GlobalSpace:
     def interior_dim(self):
         return int((~self.boundary_mask).sum())
 
-    # -- per-congruence-class tables -------------------------------------
+    # -- per-congruence-class evaluation --------------------------------
 
-    def class_partition(self):
-        """Cell ids grouped by congruence class signature."""
-        groups = {}
-        for ci, geom in enumerate(self.cells_geom):
-            groups.setdefault(geom.signature(), []).append(ci)
-        return list(groups.values())
+    def class_tables(self, degree):
+        """ClassTables of each of ``classes`` at one quadrature degree, built once."""
+        tables = self._tables.get(degree)
+        if tables is None:
+            tables = [ClassTables(self, cells[0], degree) for cells in self.classes]
+            self._tables[degree] = tables
+        return tables
 
     def interpolate(self, sample, quad):
         """Global coefficient vector of the canonical interpolant.
@@ -130,25 +144,20 @@ class GlobalSpace:
         stencil use covers the stencil points of all of its cells.
         """
         out = np.zeros(self.dim)
-        for group in self.class_partition():
-            first = self.cells_geom[group[0]]
+        for cells in self.classes:
+            first = self.cells_geom[cells[0]]
             stencils = [d.stencil(quad) for d in build_dofs(self.kind, first, self.r, self.k)]
-            shifts = np.stack([self.cells_geom[ci].amap.shift_f for ci in group])
-            shifts -= first.amap.shift_f
-            gmaps = np.stack([self.local_to_global[ci] for ci in group])
             for use in sorted({use for use, _, _ in stencils}):
                 locs = [i for i, st in enumerate(stencils) if st[0] == use]
                 pts = np.concatenate([stencils[i][1] for i in locs])
-                step = max(1, _POINT_CHUNK // len(pts))
-                for lo in range(0, len(group), step):
-                    moved = shifts[lo:lo + step, None, :] + pts[None, :, :]
+                for chunk, moved in _chunks(self, cells, pts):
                     vals = getattr(sample, use)(moved.reshape(-1, 3))
                     vals = vals.reshape(moved.shape[:2] + vals.shape[1:])
                     start = 0
                     for i in locs:
                         wts = stencils[i][2]
                         part = vals[:, start:start + len(wts)]
-                        out[gmaps[lo:lo + step, i]] = np.tensordot(part, wts, axes=wts.ndim)
+                        out[self.local_to_global[chunk, i]] = np.tensordot(part, wts, axes=wts.ndim)
                         start += len(wts)
         return out
 
@@ -190,99 +199,79 @@ def export_vector_text(vec, path):
 
 
 class ClassTables:
-    """Float tables of one congruence class at split-rule points."""
+    """Float tables of one congruence class at split-rule points.
+
+    Built on the class's cell ``cell_id``: ``points`` are that cell's
+    physical quadrature points, which the other cells of the class see
+    moved by their translation.
+    """
 
     def __init__(self, space, cell_id, degree):
         el = space.elements[cell_id]
         geom = space.cells_geom[cell_id]
-        pts, wts = alfeld_composite(degree)
-        self.ref_points = pts
-        self.weights = wts
+        self.ref_points, self.weights = alfeld_composite(degree)
+        self.points = geom.amap.apply(self.ref_points)
         self.det = geom.amap.det_f
-        nq = len(wts)
-        nb = el.dimension
-        scalar = space.kind in ("lagrange", "pressure")
-        base = len(pts) // 4
+        blocks = np.split(self.ref_points, 4)  # the rule's points, one block per subtet
 
-        def blocks(pw):
-            """Evaluate one piecewise field on the subtet-blocked points."""
-            fl = pw.to_float()
-            out = np.empty(nq) if scalar else np.empty((nq, 3))
-            for i in range(4):
-                sl = slice(i * base, (i + 1) * base)
-                out[sl] = fl.pieces[i].eval_many(pts[sl])
-            return out
+        def table(fields, jac=False):
+            """Nodal-basis table of piecewise fields on the subtet-blocked points.
 
-        raw_vals = np.stack([blocks(b) for b in el.basis])
-        if scalar:
-            self.values = np.einsum("jq,jm->mq", raw_vals, el.nodal)
-        else:
-            self.values = np.einsum("jqc,jm->mqc", raw_vals, el.nodal)
-        self.curl = None
-        self.grad_curl = None
-        self.div = None
-        self.grad = None
+            Values, or with ``jac`` physical Jacobians (reference Jacobian
+            rows times B^{-1}; a scalar field gives its gradient).
+            """
+            raw = []
+            for pw in fields:
+                parts = []
+                for piece, pts in zip(pw.to_float().pieces, blocks):
+                    if not jac:
+                        parts.append(piece.eval_many(pts))
+                        continue
+                    comps = getattr(piece, "comps", None)
+                    partials = [c.derivative(b) for c in comps or (piece,) for b in range(3)]
+                    d = np.stack([p.eval_many(pts) for p in partials], axis=-1)
+                    parts.append(d.reshape(len(pts), 3, 3) if comps else d)
+                raw.append(np.concatenate(parts))
+            raw = np.stack(raw)
+            if jac:
+                raw = raw @ geom.amap.inverse_f
+            return np.einsum("j...,jm->m...", raw, el.nodal)
+
+        self.values = table(el.basis)
+        self.curl = self.grad_curl = self.grad = self.div = None
         if space.kind == "gradcurl":
             curls = el.curls or [phys_curl(geom, b) for b in el.basis]
-            raw_curl = np.stack([blocks(c) for c in curls])
-            self.curl = np.einsum("jqc,jm->mqc", raw_curl, el.nodal)
-            binv = geom.amap.inverse_f
-            raw_gc = np.empty((nb, nq, 3, 3))
-            for j, c in enumerate(curls):
-                fl = c.to_float()
-                for piece_i in range(4):
-                    sl = slice(piece_i * base, (piece_i + 1) * base)
-                    jac = jacobian(fl.pieces[piece_i])
-                    for a in range(3):
-                        for b in range(3):
-                            raw_gc[j, sl, a, b] = jac[a][b].eval_many(pts[sl])
-            raw_gc = raw_gc @ binv  # physical derivative: Jhat . B^{-1}
-            self.grad_curl = np.einsum("jqab,jm->mqab", raw_gc, el.nodal)
+            self.curl = table(curls)
+            self.grad_curl = table(curls, jac=True)
+        elif space.kind in ("velocity", "lagrange"):
+            self.grad = table(el.basis, jac=True)
         if space.kind == "velocity":
-            divs = [phys_div(geom, b) for b in el.basis]
-            raw_div = np.stack(
-                [
-                    np.concatenate(
-                        [
-                            d.to_float().pieces[i].eval_many(pts[i * base:(i + 1) * base])
-                            for i in range(4)
-                        ]
-                    )
-                    for d in divs
-                ]
-            )
-            self.div = np.einsum("jq,jm->mq", raw_div, el.nodal)
-            binv = geom.amap.inverse_f
-            raw_grad = np.empty((nb, nq, 3, 3))
-            for j, b in enumerate(el.basis):
-                fl = b.to_float()
-                for piece_i in range(4):
-                    sl = slice(piece_i * base, (piece_i + 1) * base)
-                    jac = jacobian(fl.pieces[piece_i])
-                    for a in range(3):
-                        for bb in range(3):
-                            raw_grad[j, sl, a, bb] = jac[a][bb].eval_many(pts[sl])
-            raw_grad = raw_grad @ binv
-            self.grad = np.einsum("jqab,jm->mqab", raw_grad, el.nodal)
-        if space.kind == "lagrange":
-            raw_g = np.empty((nb, nq, 3))
-            for j, b in enumerate(el.basis):
-                fl = b.to_float()
-                for piece_i in range(4):
-                    sl = slice(piece_i * base, (piece_i + 1) * base)
-                    g = [fl.pieces[piece_i].derivative(d) for d in range(3)]
-                    for d in range(3):
-                        raw_g[j, sl, d] = g[d].eval_many(pts[sl])
-            raw_g = raw_g @ geom.amap.inverse_f  # physical gradient rows
-            self.grad = np.einsum("jqc,jm->mqc", raw_g, el.nodal)
+            self.div = np.einsum("mqaa->mq", self.grad)
 
 
-def _class_tables(space, degree):
-    tables = {}
-    partition = space.class_partition()
-    for group in partition:
-        tables[id(group)] = (group, ClassTables(space, group[0], degree))
-    return [tables[id(g)] for g in partition]
+def _by_point(table, nq):
+    """A table (n, nq, ...) viewed as (n, nq, components); a scalar has one component."""
+    return table.reshape(len(table), nq, -1)
+
+
+def _chunks(space, cells, points):
+    """Split one congruence class into chunks of at most ``_POINT_CHUNK`` points.
+
+    Yields (cell ids, physical points of shape (cells, len(points), 3)):
+    ``points`` belong to the class's first cell, and every other cell's
+    points are these moved by its translation.
+    """
+    shifts = space.shifts[cells] - space.shifts[cells[0]]
+    step = max(1, _POINT_CHUNK // len(points))
+    for lo in range(0, len(cells), step):
+        yield cells[lo:lo + step], shifts[lo:lo + step, None, :] + points
+
+
+def _class_chunks(space, degree):
+    """(tables, cell ids, physical quadrature points) over the chunks of every class."""
+    for cells, tab in zip(space.classes, space.class_tables(degree)):
+        for chunk, pts in _chunks(space, cells, tab.points):
+            yield tab, chunk, pts
 
 
 # ---------------------------------------------------------------------------
@@ -318,48 +307,36 @@ def assemble(form, space, quad_degree=None, pressure_space=None):
         raise ValueError(
             f"quadrature degree {quad_degree} below the exactness requirement {needed}"
         )
+    row_space = pressure_space if form == "div_pressure" else space
     rows, cols, vals = [], [], []
-    if form == "div_pressure":
-        p_tables = {}
-        for group, tab in _class_tables(pressure_space, quad_degree):
-            for ci in group:
-                p_tables[ci] = tab
-    for group, tab in _class_tables(space, quad_degree):
-        w = tab.weights
+    for cells, tab, rtab in zip(
+        space.classes, space.class_tables(quad_degree), row_space.class_tables(quad_degree)
+    ):
         if form == "mass":
-            if space.kind in ("lagrange", "pressure"):
-                local = np.einsum("mq,nq,q->mn", tab.values, tab.values, w) * tab.det
-            else:
-                local = np.einsum("mqc,nqc,q->mn", tab.values, tab.values, w) * tab.det
+            pairs = ((tab.values, tab.values),)
         elif form == "gradcurl_stiffness":
-            local = (
-                np.einsum("mqab,nqab,q->mn", tab.grad_curl, tab.grad_curl, w)
-                + np.einsum("mqc,nqc,q->mn", tab.values, tab.values, w)
-            ) * tab.det
+            pairs = ((tab.grad_curl, tab.grad_curl), (tab.values, tab.values))
         elif form == "h1":
-            local = np.einsum("mqab,nqab,q->mn", tab.grad, tab.grad, w) * tab.det
-        elif form == "div_pressure":
-            ptab = p_tables[group[0]]
-            local = np.einsum("mq,nq,q->mn", ptab.values, tab.div, w) * tab.det
-        local = np.asarray(local)
-        for ci in group:
-            g_row = (
-                pressure_space.local_to_global[ci]
-                if form == "div_pressure"
-                else space.local_to_global[ci]
-            )
-            g_col = space.local_to_global[ci]
-            rows.append(np.repeat(g_row, len(g_col)))
-            cols.append(np.tile(g_col, len(g_row)))
-            vals.append(local.ravel())
-    shape = (
-        (pressure_space.dim, space.dim) if form == "div_pressure" else (space.dim, space.dim)
-    )
+            pairs = ((tab.grad, tab.grad),)
+        else:
+            pairs = ((rtab.values, tab.div),)
+        w = tab.weights
+        local = sum(
+            np.einsum("mqc,nqc,q->mn", _by_point(a, len(w)), _by_point(b, len(w)), w)
+            for a, b in pairs
+        ) * tab.det
+        g_row = row_space.local_to_global[cells][:, :, None]
+        g_col = space.local_to_global[cells][:, None, :]
+        shape = (len(cells),) + local.shape
+        rows.append(np.broadcast_to(g_row, shape).ravel())
+        cols.append(np.broadcast_to(g_col, shape).ravel())
+        vals.append(np.broadcast_to(local, shape).ravel())
     matrix = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=shape
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(row_space.dim, space.dim),
     ).tocsr()
     sym = form in ("mass", "gradcurl_stiffness", "h1")
-    op = SparseOperator(matrix, pressure_space if form == "div_pressure" else space, space, sym)
+    op = SparseOperator(matrix, row_space, space, sym)
     if sym and not op.check_symmetry():
         raise ArithmeticError(f"assembled {form} operator lost symmetry")
     return op
@@ -368,20 +345,11 @@ def assemble(form, space, quad_degree=None, pressure_space=None):
 def assemble_load(space, sample, quad_degree):
     """Load vector (f, v) over the nodal basis of ``space``."""
     out = np.zeros(space.dim)
-    for group, tab in _class_tables(space, quad_degree):
+    for tab, cells, pts in _class_chunks(space, quad_degree):
         w = tab.weights
-        step = max(1, _POINT_CHUNK // len(w))
-        for lo in range(0, len(group), step):
-            cells = group[lo:lo + step]
-            pts = np.stack([space.cells_geom[ci].amap.apply(tab.ref_points) for ci in cells])
-            fv = sample.value(pts.reshape(-1, 3))
-            fv = fv.reshape(pts.shape[:2] + fv.shape[1:])
-            if space.kind in ("lagrange", "pressure"):
-                local = np.einsum("cq,mq,q->cm", fv, tab.values, w) * tab.det
-            else:
-                local = np.einsum("cqk,mqk,q->cm", fv, tab.values, w) * tab.det
-            gmaps = np.stack([space.local_to_global[ci] for ci in cells])
-            np.add.at(out, gmaps, local)
+        fv = sample.value(pts.reshape(-1, 3)).reshape(len(cells), len(w), -1)
+        local = np.einsum("cqk,mqk,q->cm", fv, _by_point(tab.values, len(w)), w) * tab.det
+        np.add.at(out, space.local_to_global[cells], local)
     return out
 
 
@@ -393,48 +361,32 @@ def discrete_d(which, source, target, check_consistency=False, tol=1e-9):
     """Matrix of grad/curl/div from source-space coefficients to target DOFs.
 
     Entry (i, j) applies target DOF i to the derivative of the j-th source
-    nodal basis function; conformity makes the per-cell values of shared
-    DOFs agree, which ``check_consistency`` verifies.
+    nodal basis function.  Every cell sharing the entry computes it, and
+    conformity makes those values agree: the matrix keeps one of them, and
+    ``check_consistency`` verifies that the others match it.
     """
-    ops = {"grad": phys_grad, "curl": phys_curl, "div": phys_div}
-    op = ops[which]
-    entries = {}
-    class_cache = {}
-    for ci in range(source.mesh.n_cells):
-        geom_s = source.cells_geom[ci]
-        sig = geom_s.signature()
-        if sig not in class_cache:
-            el_s = source.elements[ci]
-            el_t = target.elements[ci]
-            derived = [op(geom_s, b) for b in el_s.basis]
-            from .elements import dof_matrix
-
-            raw = dof_matrix(el_t.dofs, derived, geom_s)
-            class_cache[sig] = raw @ el_s.nodal
-        local = class_cache[sig]
-        g_row = target.local_to_global[ci]
-        g_col = source.local_to_global[ci]
-        for li in range(local.shape[0]):
-            gi = g_row[li]
-            for lj in range(local.shape[1]):
-                v = local[li, lj]
-                if v == 0.0:
-                    continue
-                key = (gi, g_col[lj])
-                if check_consistency and key in entries:
-                    if abs(entries[key] - v) > tol * max(1.0, abs(v)):
-                        raise ArithmeticError(
-                            f"inconsistent shared DOF value for {which} at {key}"
-                        )
-                entries[key] = v
-    if entries:
-        keys = np.array(list(entries.keys()), dtype=np.int64)
-        data = np.fromiter(entries.values(), dtype=float, count=len(entries))
-        matrix = sp.coo_matrix(
-            (data, (keys[:, 0], keys[:, 1])), shape=(target.dim, source.dim)
-        ).tocsr()
-    else:
-        matrix = sp.csr_matrix((target.dim, source.dim))
+    op = {"grad": phys_grad, "curl": phys_curl, "div": phys_div}[which]
+    rows, cols, vals = [], [], []
+    for cells in source.classes:
+        geom = source.cells_geom[cells[0]]
+        el_s, el_t = source.elements[cells[0]], target.elements[cells[0]]
+        local = dof_matrix(el_t.dofs, [op(geom, b) for b in el_s.basis], geom) @ el_s.nodal
+        li, lj = np.nonzero(local)
+        rows.append(target.local_to_global[cells][:, li].ravel())
+        cols.append(source.local_to_global[cells][:, lj].ravel())
+        vals.append(np.tile(local[li, lj], len(cells)))
+    vals = np.concatenate(vals)
+    keys = np.concatenate(rows) * source.dim + np.concatenate(cols)
+    keys, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    kept = vals[first]
+    if check_consistency:
+        bad = np.abs(vals - kept[inverse]) > tol * np.maximum(1.0, np.abs(vals))
+        if bad.any():
+            key = divmod(int(keys[inverse[np.argmax(bad)]]), source.dim)
+            raise ArithmeticError(f"inconsistent shared DOF value for {which} at {key}")
+    matrix = sp.coo_matrix(
+        (kept, (keys // source.dim, keys % source.dim)), shape=(target.dim, source.dim)
+    ).tocsr()
     return SparseOperator(matrix, target, source)
 
 
@@ -467,42 +419,27 @@ def extend_vector(vec, mask):
 
 
 def error_norms(space, coeffs, exact, quad_degree=None):
-    """(L2, curl-seminorm, grad-curl-seminorm) of exact - represented field."""
+    """(L2, curl-seminorm, grad-curl-seminorm) of exact - represented field.
+
+    A seminorm reads 0 where the space has no table for it (scalar spaces
+    have none) or ``exact`` has no evaluator.
+    """
     if quad_degree is None:
         quad_degree = default_quadrature_degree(space.r, space.k, space.basis_degree)
     acc = np.zeros(3)
     coeffs = np.asarray(coeffs)
-    for group, tab in _class_tables(space, quad_degree):
+    for tab, cells, pts in _class_chunks(space, quad_degree):
         w = tab.weights
-        step = max(1, _POINT_CHUNK // len(w))
-        for lo in range(0, len(group), step):
-            cells = group[lo:lo + step]
-            local = coeffs[np.stack([space.local_to_global[ci] for ci in cells])]
-            uh = np.einsum("cl,lqk->cqk", local, tab.values)
-            pts = np.stack([space.cells_geom[ci].amap.apply(tab.ref_points) for ci in cells])
-            flat = pts.reshape(-1, 3)
-            ue = exact.value(flat).reshape(uh.shape)
-            acc[0] += tab.det * float(np.einsum("cqk,q->", (uh - ue) ** 2, w))
-            if tab.curl is not None and exact.curl is not None:
-                curlh = np.einsum("cl,lqk->cqk", local, tab.curl)
-                ce = exact.curl(flat).reshape(curlh.shape)
-                acc[1] += tab.det * float(np.einsum("cqk,q->", (curlh - ce) ** 2, w))
-            if tab.grad_curl is not None and exact.grad_curl is not None:
-                ch = np.einsum("cl,lqab->cqab", local, tab.grad_curl)
-                ge = exact.grad_curl(flat).reshape(ch.shape)
-                acc[2] += tab.det * float(np.einsum("cqab,q->", (ch - ge) ** 2, w))
+        flat = pts.reshape(-1, 3)
+        local = coeffs[space.local_to_global[cells]]
+        pairs = ((tab.values, exact.value), (tab.curl, exact.curl), (tab.grad_curl, exact.grad_curl))
+        for i, (table, field) in enumerate(pairs):
+            if table is None or field is None:
+                continue
+            uh = _by_point(np.einsum("cl,lq...->cq...", local, table), len(w))
+            err = uh - field(flat).reshape(uh.shape)
+            acc[i] += tab.det * float(np.einsum("cqk,q->", err**2, w))
     return tuple(np.sqrt(np.maximum(acc, 0.0)))
-
-
-def field_norms(space, coeffs, quad_degree=None):
-    """(L2, curl, grad-curl) norms of a represented field itself."""
-
-    class _Zero:
-        value = staticmethod(lambda pts: np.zeros((len(pts), 3)))
-        curl = staticmethod(lambda pts: np.zeros((len(pts), 3)))
-        grad_curl = staticmethod(lambda pts: np.zeros((len(pts), 3, 3)))
-
-    return error_norms(space, coeffs, _Zero, quad_degree)
 
 
 def divergence_norm(space, coeffs, quad_degree=None):
@@ -512,10 +449,7 @@ def divergence_norm(space, coeffs, quad_degree=None):
         quad_degree = default_quadrature_degree(space.r, space.k, space.basis_degree)
     total = 0.0
     coeffs = np.asarray(coeffs)
-    for group, tab in _class_tables(space, quad_degree):
-        w = tab.weights
-        cells = np.array(group)
-        local = coeffs[np.stack([space.local_to_global[ci] for ci in cells])]
-        dh = np.einsum("cl,lq->cq", local, tab.div)
-        total += tab.det * float(np.einsum("cq,q->", dh**2, w))
+    for tab, cells, _ in _class_chunks(space, quad_degree):
+        dh = coeffs[space.local_to_global[cells]] @ tab.div
+        total += tab.det * float(np.einsum("cq,q->", dh**2, tab.weights))
     return float(np.sqrt(max(total, 0.0)))

@@ -21,6 +21,8 @@ EXIT_VERIFICATION = 1
 EXIT_SOLVER = 2
 EXIT_CONFIG = 3
 
+_UNSET = object()  # parse-time default of every option
+
 
 def _setup_logging():
     level = os.environ.get("TETCOMPLEX_LOG", "warning").upper()
@@ -35,7 +37,7 @@ def _apply_threads(n):
     if n is None:
         return
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(var, str(n))
+        os.environ[var] = str(n)
 
 
 def _load_config_file(path):
@@ -52,23 +54,30 @@ def _load_config_file(path):
     return values
 
 
+def _defer_defaults(parser):
+    """Swap every option's default for ``_UNSET``; returns {dest: (default, type)}.
+
+    An option still ``_UNSET`` after parsing was not given on the command
+    line, whatever value it would default to.
+    """
+    deferred = {}
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                deferred.update(_defer_defaults(sub))
+        elif action.option_strings and action.default is not argparse.SUPPRESS:
+            deferred[action.dest] = (action.default, action.type)
+            action.default = _UNSET
+    return deferred
+
+
 def _merge_config(args, parser_defaults):
-    if not getattr(args, "config", None):
-        return args
-    file_values = _load_config_file(args.config)
-    for key, raw in file_values.items():
-        if not hasattr(args, key):
-            continue
-        current = getattr(args, key)
-        default = parser_defaults.get(key)
-        if current == default:  # flag not set explicitly: config wins
-            cast = type(default) if default is not None else str
-            if cast is bool:
-                setattr(args, key, raw.lower() in ("1", "true", "yes"))
-            elif cast in (int, float):
-                setattr(args, key, cast(raw))
-            else:
-                setattr(args, key, raw)
+    """Fill the options not given as flags: from the config file, else their defaults."""
+    file_values = _load_config_file(args.config) if args.config is not _UNSET else {}
+    for key, (default, cast) in parser_defaults.items():
+        if getattr(args, key, None) is _UNSET:
+            raw = file_values.get(key)
+            setattr(args, key, default if raw is None else (cast or str)(raw))
     return args
 
 
@@ -221,14 +230,14 @@ def cmd_convergence(args):
 def main(argv=None):
     _setup_logging()
     parser = build_parser()
-    defaults = {a.dest: a.default for a in parser._actions}
+    defaults = _defer_defaults(parser)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
-    _apply_threads(args.threads)
     try:
         args = _merge_config(args, defaults)
+        _apply_threads(args.threads)
         if args.command == "mesh":
             return cmd_mesh_info(args)
         if args.command == "element":

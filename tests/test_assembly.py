@@ -18,7 +18,7 @@ from tetcomplex.assembly import (
     restrict_operator,
     restrict_vector,
 )
-from tetcomplex.elements import SPACE_KINDS, build_dofs
+from tetcomplex.elements import SPACE_KINDS, build_dofs, dof_matrix, phys_curl, phys_div, phys_grad
 from tetcomplex.mesh import MeshTopology, build_structured_cube
 from tetcomplex.polyalg import Polynomial, VectorField, curl, div, monomial_exponents
 from tetcomplex.problems import ManufacturedSolution
@@ -119,7 +119,57 @@ class TestForms:
         assert diff <= 1e-13 * max(1.0, abs(a1).max())
 
 
+def _per_entry_discrete_d(which, source, target):
+    """Reference for discrete_d: a cell-by-cell, entry-by-entry assembly."""
+    op = {"grad": phys_grad, "curl": phys_curl, "div": phys_div}[which]
+    locals_by_class = {}
+    entries = {}
+    for ci, geom in enumerate(source.cells_geom):
+        el_s, el_t = source.elements[ci], target.elements[ci]
+        sig = geom.signature()
+        if sig not in locals_by_class:
+            derived = [op(geom, b) for b in el_s.basis]
+            locals_by_class[sig] = dof_matrix(el_t.dofs, derived, geom) @ el_s.nodal
+        local = locals_by_class[sig]
+        for li, gi in enumerate(target.local_to_global[ci]):
+            for lj, gj in enumerate(source.local_to_global[ci]):
+                if local[li, lj] != 0.0:
+                    entries[gi, gj] = local[li, lj]
+    out = np.zeros((target.dim, source.dim))
+    for (gi, gj), v in entries.items():
+        out[gi, gj] = v
+    return out
+
+
 class TestDiscreteComplex:
+    @pytest.mark.parametrize("rk", [(1, 1), (2, 2)])
+    def test_batched_matches_per_entry(self, rk):
+        mesh = build_structured_cube(2)
+        spaces = {kind: GlobalSpace(mesh, kind, *rk) for kind in SPACE_KINDS}
+        for which, source, target in (
+            ("grad", "lagrange", "gradcurl"),
+            ("curl", "gradcurl", "velocity"),
+            ("div", "velocity", "pressure"),
+        ):
+            ref = _per_entry_discrete_d(which, spaces[source], spaces[target])
+            got = discrete_d(which, spaces[source], spaces[target]).matrix.toarray()
+            assert np.abs(got - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max()), which
+
+    def test_consistency_check_catches_perturbed_entry(self, spaces1, monkeypatch):
+        calls = []
+
+        def perturbed(dofs, basis, cell, curls=None):
+            m = dof_matrix(dofs, basis, cell, curls)
+            calls.append(cell)
+            return m * (1 + 1e-6) if len(calls) == 2 else m  # one class disagrees
+
+        monkeypatch.setattr(assembly_module, "dof_matrix", perturbed)
+        args = ("curl", spaces1["gradcurl"], spaces1["velocity"])
+        discrete_d(*args)  # without the check the matrix is assembled
+        calls.clear()
+        with pytest.raises(ArithmeticError, match="inconsistent shared DOF"):
+            discrete_d(*args, check_consistency=True)
+
     @pytest.mark.parametrize("n", [1, 2])
     def test_products_vanish(self, n):
         mesh = build_structured_cube(n)
@@ -270,6 +320,38 @@ class TestInterpolationAndNorms:
         monkeypatch.setattr(assembly_module, "_POINT_CHUNK", 1000)
         for a, b in zip(evaluate(), whole):
             np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12 * np.abs(b).max())
+
+    def test_class_tables_built_once_per_space_and_degree(self, monkeypatch):
+        space = GlobalSpace(build_structured_cube(2), "gradcurl", 1, 1)
+        ms = ManufacturedSolution()
+        built = []
+
+        def counted(*args):
+            built.append(args[1])
+            return ClassTables(*args)
+
+        monkeypatch.setattr(assembly_module, "ClassTables", counted)
+        assemble("gradcurl_stiffness", space, 8)
+        assemble_load(space, ms.forcing_sample(), 8)
+        error_norms(space, np.zeros(space.dim), ms.solution_sample(), 8)
+        assert len(built) == len(space.classes) == 6
+        assert sorted(built) == sorted(cells[0] for cells in space.classes)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_velocity_div_table_is_exact_divergence(self, k):
+        space = GlobalSpace(build_structured_cube(1), "velocity", k, k)
+        for cells, tab in zip(space.classes, space.class_tables(8)):
+            el, geom = space.elements[cells[0]], space.cells_geom[cells[0]]
+            blocks = np.split(tab.ref_points, 4)
+            raw = np.stack([
+                np.concatenate([
+                    piece.eval_many(pts)
+                    for piece, pts in zip(phys_div(geom, b).to_float().pieces, blocks)
+                ])
+                for b in el.basis
+            ])
+            exact = np.einsum("jq,jm->mq", raw, el.nodal)
+            np.testing.assert_allclose(tab.div, exact, rtol=0, atol=1e-12 * np.abs(exact).max())
 
     def test_export_roundtrip(self, spaces1, tmp_path):
         m = assemble("mass", spaces1["pressure"])

@@ -9,6 +9,7 @@ from tetcomplex.problems import (
     ConvergenceReport,
     ManufacturedSolution,
     QuadCurlProblem,
+    SolverFailure,
     StokesProblem,
     get_spaces,
     inf_sup_constant,
@@ -196,6 +197,36 @@ class TestStokes:
         p, _ = _cg_operator(schur, proj(-(b0 @ lu.solve(f0))), tol=1e-12)
         u0 = lu.solve(f0 + b0.T @ proj(p))
         assert np.abs(u0).max() < 1e-10
+
+
+class TestSchurCg:
+    def test_indefinite_operator_raises(self):
+        from tetcomplex.problems import _cg_operator
+
+        a = np.diag([1.0, -2.0])
+        with pytest.raises(SolverFailure) as info:
+            _cg_operator(lambda v: a @ v, np.ones(2), tol=1e-12)
+        assert info.value.iterations == 0
+        assert info.value.residual == pytest.approx(1.0)
+
+    def test_maxiter_raises_with_true_residual(self):
+        from tetcomplex.problems import _cg_operator
+
+        a = np.diag(np.arange(1.0, 11.0))
+        rhs = np.ones(10)
+        applied = []
+
+        def apply_op(v):
+            applied.append(v.copy())
+            return a @ v
+
+        with pytest.raises(SolverFailure) as info:
+            _cg_operator(apply_op, rhs, tol=1e-12, maxiter=2)
+        assert info.value.iterations == 2
+        x = applied[-1]  # the residual is evaluated at the returned iterate
+        true = np.linalg.norm(a @ x - rhs) / np.linalg.norm(rhs)
+        assert info.value.residual == pytest.approx(true, rel=1e-12)
+        assert info.value.residual > 1e-3
 
 
 class TestInfSup:

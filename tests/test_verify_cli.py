@@ -1,12 +1,14 @@
 """Verification claims and the command-line surface."""
 
 import json
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+from tetcomplex import cli
 from tetcomplex.cli import main
 from tetcomplex.verify import (
     check_bubbles,
@@ -139,6 +141,25 @@ class TestCli:
         assert code == 0
         data = json.loads(capsys.readouterr().out)
         assert data["N"] == 2  # explicit flag wins over the config file
+
+    def test_explicit_flag_equal_to_default_wins(self, tmp_path, monkeypatch):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("tol=1e-3\nsolver=cg\n")
+        seen = {}
+        monkeypatch.setattr(cli, "cmd_solve", lambda args: seen.update(vars(args)) or 0)
+        argv = ["--config", str(cfg), "solve", "quadcurl", "--N", "1", "--k", "1"]
+        assert main(argv + ["--tol", "1e-10"]) == 0
+        assert seen["tol"] == 1e-10 and seen["solver"] == "cg"
+        assert main(argv) == 0
+        assert seen["tol"] == 1e-3
+
+    def test_threads_override_inherited_environment(self, capsys, monkeypatch):
+        names = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+        for name in names:
+            monkeypatch.setenv(name, "7")
+        assert main(["--threads", "2", "mesh", "info", "--N", "1"]) == 0
+        assert [os.environ[name] for name in names] == ["2", "2", "2"]
+        capsys.readouterr()
 
     def test_verify_single_group(self, capsys, tmp_path):
         out = tmp_path / "verify.json"
