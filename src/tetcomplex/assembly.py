@@ -433,11 +433,20 @@ def error_norms(space, coeffs, exact, quad_degree=None):
         flat = pts.reshape(-1, 3)
         local = coeffs[space.local_to_global[cells]]
         pairs = ((tab.values, exact.value), (tab.curl, exact.curl), (tab.grad_curl, exact.grad_curl))
-        for i, (table, field) in enumerate(pairs):
-            if table is None or field is None:
-                continue
+        used = [
+            (i, table, field)
+            for i, (table, field) in enumerate(pairs)
+            if table is not None and field is not None
+        ]
+        shared = () if exact.shared is None else (exact.shared(flat),)
+        for i, table, field in used:
+            exact_vals = field(flat, *shared)
+            if i == used[-1][0]:
+                # the shared evaluation state is as large as the error arrays
+                # that follow; drop it before they are made
+                shared = ()
             uh = _by_point(np.einsum("cl,lq...->cq...", local, table), len(w))
-            err = uh - field(flat).reshape(uh.shape)
+            err = uh - exact_vals.reshape(uh.shape)
             acc[i] += tab.det * float(np.einsum("cqk,q->", err**2, w))
     return tuple(np.sqrt(np.maximum(acc, 0.0)))
 

@@ -17,8 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
-from .polyalg.poly import Polynomial, VectorField, div, grad
+from .polyalg.poly import Polynomial, VectorField, _det3, div, grad, integrate_unit_simplex
 from .polyalg.spaces import (
     Embedding,
     layered_mean_zero_basis,
@@ -172,6 +173,20 @@ class _ExactLinearSolver:
         return x
 
 
+class _DivSolver(NamedTuple):
+    space: SplitC0Space
+    vec_basis: list  # component-wise: scalar index a, component c -> 3a + c
+    emb: Embedding
+    solver: _ExactLinearSolver
+    null: list  # nullspace of the divergence, in vec_basis coordinates
+    gram_null: list  # H1-seminorm Gram matrix times each null vector
+    reduced_solver: _ExactLinearSolver | None  # None when the nullspace is trivial
+
+
+def _dot(u, v):
+    return sum((a * b for a, b in zip(u, v) if a and b), Fraction(0))
+
+
 @lru_cache(maxsize=None)
 def _div_solver(k):
     """Cached machinery for the zero-trace divergence problem at degree k."""
@@ -182,43 +197,61 @@ def _div_solver(k):
     matrix = [[cols[j][i] for j in range(len(cols))] for i in range(emb.size)]
     solver = _ExactLinearSolver(matrix)
 
-    # H1-seminorm Gram of the scalar basis, expanded to components
+    # H1-seminorm Gram of the scalar basis; each gradient is pulled back to
+    # the unit simplex once per subtet
     ns = space.dimension
-    gram_scalar = [[Fraction(0)] * ns for _ in range(ns)]
     grads = [phi.map(grad) for phi in space.scalar_basis]
+    pulled = []
+    for piece in range(4):
+        matrix_s, shift_s = subtet_affine(piece)
+        pulled.append(
+            (
+                [g.pieces[piece].compose_affine(matrix_s, shift_s) for g in grads],
+                abs(_det3(matrix_s)),
+            )
+        )
+    gram_scalar = [[Fraction(0)] * ns for _ in range(ns)]
     for a in range(ns):
         for b in range(a, ns):
             val = Fraction(0)
-            for piece in range(4):
-                ga = grads[a].pieces[piece]
-                gb = grads[b].pieces[piece]
-                prod = ga.dot(gb)
-                matrix_s, shift_s = subtet_affine(piece)
-                from .polyalg.poly import _det3, integrate_unit_simplex
-
-                val += integrate_unit_simplex(prod.compose_affine(matrix_s, shift_s)) * abs(
-                    _det3(matrix_s)
-                )
+            for composed, det in pulled:
+                val += integrate_unit_simplex(composed[a].dot(composed[b])) * det
             gram_scalar[a][b] = gram_scalar[b][a] = val
 
+    # the Gram matrix of the component-wise basis is gram_scalar on each
+    # component; applied to a null vector n it gives (G n)[3b + c]
     null = solver.null_basis
+    gram_null = [
+        [
+            _dot([gram_scalar[a][b] for a in range(ns)], n[c::3])
+            for b in range(ns)
+            for c in range(3)
+        ]
+        for n in null
+    ]
+    reduced_gram = [[_dot(gn, n) for n in null] for gn in gram_null]
+    reduced_solver = _ExactLinearSolver(reduced_gram) if null else None
+    return _DivSolver(space, vec_basis, emb, solver, null, gram_null, reduced_solver)
 
-    def gram_dot(z1, z2):
-        # basis order: (scalar index a, component c) -> 3a + c
-        acc = Fraction(0)
-        for a in range(ns):
-            for b in range(ns):
-                g = gram_scalar[a][b]
-                if g == 0:
-                    continue
-                for c in range(3):
-                    acc += g * z1[3 * a + c] * z2[3 * b + c]
-        return acc
 
-    nn = len(null)
-    reduced_gram = [[gram_dot(null[i], null[j]) for j in range(nn)] for i in range(nn)]
-    reduced_solver = _ExactLinearSolver(reduced_gram) if nn else None
-    return space, vec_basis, emb, solver, null, reduced_solver, gram_dot
+def div_coefficients(target, k):
+    """Coefficients in the zero-trace vector basis of the minimal-H1 solution.
+
+    The particular solution is corrected within the divergence nullspace so
+    that the result is H1-orthogonal to every null vector.
+    """
+    ds = _div_solver(k)
+    z0 = ds.solver.solve(ds.emb.coords(target))
+    if z0 is None:
+        raise ArithmeticError("divergence target is outside the attainable range")
+    if not ds.null:
+        return z0
+    q = ds.reduced_solver.solve([-_dot(gn, z0) for gn in ds.gram_null])
+    z = list(z0)
+    for qi, n in zip(q, ds.null):
+        if qi != 0:
+            z = [zz + qi * nn for zz, nn in zip(z, n)]
+    return z
 
 
 def solve_div(target, k):
@@ -233,22 +266,9 @@ def solve_div(target, k):
         raise ValueError("divergence target degree exceeds k-1")
     if target.integrate() != 0:
         raise ValueError("divergence target must have zero mean")
-    space, vec_basis, emb, solver, null, reduced_solver, gram_dot = _div_solver(k)
-    rhs = emb.coords(target)
-    z0 = solver.solve(rhs)
-    if z0 is None:
-        raise ArithmeticError("divergence target is outside the attainable range")
-    if null:
-        b = [-gram_dot(n, z0) for n in null]
-        q = reduced_solver.solve(b)
-        z = list(z0)
-        for qi, n in zip(q, null):
-            if qi != 0:
-                z = [zz + qi * nn for zz, nn in zip(z, n)]
-    else:
-        z = z0
+    z = div_coefficients(target, k)
     out = None
-    for coef, basis_field in zip(z, vec_basis):
+    for coef, basis_field in zip(z, _div_solver(k).vec_basis):
         if coef == 0:
             continue
         term = basis_field * coef

@@ -18,6 +18,8 @@ cell incident to a shared entity evaluates the identical functional.
 
 from __future__ import annotations
 
+import logging
+import time
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import lru_cache
@@ -55,6 +57,8 @@ from .polyalg.split import (
 )
 
 SPACE_KINDS = ("lagrange", "gradcurl", "velocity", "pressure")
+
+_log = logging.getLogger("tetcomplex.elements")
 
 # subtet containing a given parent edge / vertex (any valid choice works for
 # the continuous fields DOFs are applied to)
@@ -158,11 +162,29 @@ class CellGeometry:
 
     def signature(self):
         """Cache key: matrix plus the ascending-id patterns of the entities."""
+        return (self.amap.signature(),) + self._patterns()
+
+    def _patterns(self):
         edge_pattern = tuple(
             (e["locals"], e["ref_lo"]) for e in self.edges
         )
         face_pattern = tuple(f["ref_anchors"] for f in self.faces)
-        return (self.amap.signature(), edge_pattern, face_pattern)
+        return edge_pattern, face_pattern
+
+    @property
+    def scale(self):
+        """Largest absolute matrix entry: the mesh size h on a Kuhn mesh."""
+        return max(abs(v) for row in self.amap.matrix for v in row)
+
+    def scale_free_signature(self):
+        """Class key that a homothety ``x -> t x`` leaves unchanged.
+
+        The matrix is divided by :attr:`scale`; translations and the entity
+        id patterns are left out or kept as in :meth:`signature`.
+        """
+        s = self.scale
+        matrix = tuple(tuple(v / s for v in row) for row in self.amap.matrix)
+        return (matrix,) + self._patterns()
 
 
 @lru_cache(maxsize=1)
@@ -227,22 +249,37 @@ def physical_face_bubble(cell: CellGeometry, local_face: int):
     return beta, mean
 
 
+# Scaling a cell by t (matrix B -> t B) multiplies each raw basis field by a
+# fixed power of t: t^-1 for gradients (B^-T grad), t^0 for vector monomials,
+# t^2 for face bubbles (the face direction is a cross product of edges),
+# t^-2 for interior bubbles (B field / det B); a vector potential has its
+# source's power plus one, and a physical curl the field's power minus one.
+GRADIENT_POWER, MONOMIAL_POWER, FACE_BUBBLE_POWER, INTERIOR_BUBBLE_POWER = -1, 0, 2, -2
+
+
 def velocity_raw(cell: CellGeometry, k):
-    """Vector P_k plus face bubbles (k <= 2) and interior bubbles."""
+    """Vector P_k plus face bubbles (k <= 2) and interior bubbles.
+
+    Returns the fields, whether each is a bubble, and the power of the cell
+    scale by which each field scales.
+    """
     fields = [as_piecewise(v) for v in vector_monomials(k)]
     is_bubble = [False] * len(fields)
+    powers = [MONOMIAL_POWER] * len(fields)
     if k <= 2:
         for i in range(4):
             beta, _ = physical_face_bubble(cell, i)
             fields.append(beta)
             is_bubble.append(True)
+            powers.append(FACE_BUBBLE_POWER)
     order = k - 1 if k >= 3 else (1 if k == 2 else None)
     if order is not None:
         inv_det = Fraction(1, 1) / cell.amap.det
         for ib in interior_bubbles(order):
             fields.append(ib.field.matmul(cell.amap.matrix) * inv_det)
             is_bubble.append(True)
-    return fields, is_bubble
+            powers.append(INTERIOR_BUBBLE_POWER)
+    return fields, is_bubble, powers
 
 
 def gradcurl_raw(cell: CellGeometry, r, k, select="exact"):
@@ -252,6 +289,8 @@ def gradcurl_raw(cell: CellGeometry, r, k, select="exact"):
     generators, the reference origin for polynomial generators.  A
     rank-revealing selection drops the dependent generators; the surviving
     dimension must equal dim velocity + dim P_r - dim P_{k-1} - 1.
+
+    Returns the selected fields and their scale powers.
     """
     validate_family(r, k)
     gens = []
@@ -259,11 +298,13 @@ def gradcurl_raw(cell: CellGeometry, r, k, select="exact"):
         if sum(e) == 0:
             continue
         gens.append(as_piecewise(grad(Polynomial.monomial(e)).matmul(cell.b_invT)))
-    vel_fields, vel_bubble = velocity_raw(cell, k)
+    powers = [GRADIENT_POWER] * len(gens)
+    vel_fields, vel_bubble, vel_powers = velocity_raw(cell, k)
     origin = (Fraction(0), Fraction(0), Fraction(0))
-    for psi, is_bub in zip(vel_fields, vel_bubble):
+    for psi, is_bub, power in zip(vel_fields, vel_bubble, vel_powers):
         base = REF_CENTER if is_bub else origin
         gens.append(piecewise_poincare2(psi, base, matrix=cell.amap.matrix))
+        powers.append(power + 1)
 
     expected = (
         len(vel_fields) + dim_poly(r) - dim_poly(k - 1) - 1
@@ -285,7 +326,7 @@ def gradcurl_raw(cell: CellGeometry, r, k, select="exact"):
         raise ArithmeticError(
             f"grad-curl space rank {len(chosen)} != expected {expected} for (r,k)=({r},{k})"
         )
-    return [gens[i] for i in chosen]
+    return [gens[i] for i in chosen], [powers[i] for i in chosen]
 
 
 # ---------------------------------------------------------------------------
@@ -775,15 +816,22 @@ def build_dofs(kind, cell, r, k):
 
 
 def build_raw_basis(kind, cell, r, k, select="exact"):
-    if kind == "lagrange":
-        return lagrange_raw(r)
+    """Raw basis fields of a space on a cell, and the scale power of each.
+
+    Scalar spaces live in reference coordinates and do not scale.
+    """
     if kind == "gradcurl":
         return gradcurl_raw(cell, r, k, select=select)
     if kind == "velocity":
-        return velocity_raw(cell, k)[0]
-    if kind == "pressure":
-        return pressure_raw(k)
-    raise ValueError(f"unknown space kind {kind!r}")
+        fields, _, powers = velocity_raw(cell, k)
+        return fields, powers
+    if kind == "lagrange":
+        fields = lagrange_raw(r)
+    elif kind == "pressure":
+        fields = pressure_raw(k)
+    else:
+        raise ValueError(f"unknown space kind {kind!r}")
+    return fields, [0] * len(fields)
 
 
 def entity_dof_counts(kind, r, k):
@@ -864,29 +912,68 @@ def dof_matrix(dofs, basis, cell, curls=None):
     return m
 
 
-_element_cache = {}
+class ElementCache:
+    """Local elements by cell signature, with one exact build per class.
+
+    ``elements`` maps ``(kind, r, k, select, cell.signature())`` to its
+    element.  ``first`` maps the scale-free key of a class to the first
+    element built for it, with the cell scale and the scale powers of its
+    raw basis.  A cell of the same class at another scale derives its raw
+    basis and curls from that element by exact rational scaling; only the
+    DOFs, the DOF matrix and its inverse are computed for it.  The float
+    selection pivots on column norms, which scaling changes, so it gets
+    one build per signature.  ``built``, ``derived`` and ``hits`` count the
+    three outcomes of a lookup.
+    """
+
+    def __init__(self):
+        self.elements = {}
+        self.first = {}
+        self.built = self.derived = self.hits = 0
+
+    def __len__(self):
+        return len(self.elements)
+
+
+_element_cache = ElementCache()
+
+
+def _scaled(fields, powers, t):
+    return [f if a == 0 else f * t**a for f, a in zip(fields, powers)]
 
 
 def local_element(kind, r, k, cell=None, select="exact"):
-    """Build (or fetch) the local element bundle for a cell.
+    """Build, derive or fetch the local element bundle for a cell.
 
     Cells in the same congruence class with the same entity id patterns
-    share the construction (translations do not change any of it).
+    share the construction (translations do not change any of it), and a
+    class met again at another scale derives its raw basis by homothety.
     """
     validate_family(r, k)
     if cell is None:
         cell = reference_cell()
+    cache = _element_cache
     key = (kind, r, k, select, cell.signature())
-    hit = _element_cache.get(key)
+    hit = cache.elements.get(key)
     if hit is not None:
+        cache.hits += 1
         return hit
-    basis = build_raw_basis(kind, cell, r, k, select=select)
+    start = time.perf_counter()
+    class_key = (kind, r, k, cell.scale_free_signature()) if select == "exact" else None
+    first = cache.first.get(class_key) if class_key is not None else None
+    if first is None:
+        basis, powers = build_raw_basis(kind, cell, r, k, select=select)
+        curls = [phys_curl(cell, b) for b in basis] if kind == "gradcurl" else None
+    else:
+        el0, scale0, powers = first
+        t = cell.scale / scale0
+        basis = _scaled(el0.basis, powers, t)
+        curls = None if el0.curls is None else _scaled(el0.curls, [a - 1 for a in powers], t)
     dofs = build_dofs(kind, cell, r, k)
     if len(dofs) != len(basis):
         raise ArithmeticError(
             f"{kind}({r},{k}): {len(dofs)} functionals vs {len(basis)} basis fields"
         )
-    curls = [phys_curl(cell, b) for b in basis] if kind == "gradcurl" else None
     m = dof_matrix(dofs, basis, cell, curls=curls)
     cond = float(np.linalg.cond(m))
     try:
@@ -894,7 +981,17 @@ def local_element(kind, r, k, cell=None, select="exact"):
     except np.linalg.LinAlgError as exc:
         raise ArithmeticError(f"{kind}({r},{k}): singular DOF matrix") from exc
     el = LocalElement(kind, r, k, cell, basis, dofs, m, nodal, cond, curls)
-    _element_cache[key] = el
+    cache.elements[key] = el
+    if first is None:
+        cache.built += 1
+        if class_key is not None:
+            cache.first[class_key] = (el, cell.scale, powers)
+    else:
+        cache.derived += 1
+    _log.debug(
+        "%s %s(%d,%d) element in %.3f s",
+        "built" if first is None else "derived", kind, r, k, time.perf_counter() - start,
+    )
     return el
 
 
@@ -938,10 +1035,7 @@ def local_complex_matrices(r, k):
     """Exact matrices of grad/curl/div between the raw local bases."""
     validate_family(r, k)
     cell = reference_cell()
-    lag = build_raw_basis("lagrange", cell, r, k)
-    gc = build_raw_basis("gradcurl", cell, r, k)
-    vel = build_raw_basis("velocity", cell, r, k)
-    pre = build_raw_basis("pressure", cell, r, k)
+    lag, gc, vel, pre = (build_raw_basis(kind, cell, r, k)[0] for kind in SPACE_KINDS)
 
     deg_gc = max(f.degree for f in gc)
     emb_gc = Embedding(deg_gc, vector=True)

@@ -10,6 +10,7 @@ comparisons after restriction to the shared interface planes.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
 from .poly import Polynomial, VectorField, grad, curl, div, integrate_unit_simplex
@@ -48,6 +49,16 @@ def _affine_cols(points):
 def subtet_affine(i):
     """Map of the unit tet onto subtet ``i`` (matrix columns, shift)."""
     return _affine_cols(SUBTET_VERTICES[i])
+
+
+@lru_cache(maxsize=None)
+def subtet_moment(i, exps):
+    """Exact integral of the monomial ``x^exps`` over subtet ``i``."""
+    from .poly import _det3
+
+    matrix, shift = subtet_affine(i)
+    pulled = Polynomial.monomial(exps).compose_affine(matrix, shift)
+    return integrate_unit_simplex(pulled) * abs(_det3(matrix))
 
 
 def face_param(points):
@@ -193,20 +204,16 @@ class PiecewiseField:
 
         Vector fields integrate component-wise to a tuple.
         """
-        from .poly import _det3
-
         if self.is_vector:
             totals = [Fraction(0)] * 3
         else:
             totals = [Fraction(0)]
         for i in range(4):
-            matrix, shift = subtet_affine(i)
-            scale = abs(_det3(matrix))
             piece = self.pieces[i]
             comps = piece.comps if self.is_vector else (piece,)
             for c, comp in enumerate(comps):
-                composed = comp.compose_affine(matrix, shift)
-                totals[c] += integrate_unit_simplex(composed) * scale
+                for e, v in comp.coeffs.items():
+                    totals[c] += v * subtet_moment(i, e)
         return tuple(totals) if self.is_vector else totals[0]
 
     def evaluate(self, point):

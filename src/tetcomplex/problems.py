@@ -160,8 +160,8 @@ class ManufacturedSolution:
     def _p(self, comp, alpha, sc):
         return self.comps[comp].partial(alpha, sc)
 
-    def value(self, pts):
-        sc = _SinCos(pts)
+    def value(self, pts, sc=None):
+        sc = _SinCos(pts) if sc is None else sc
         return np.stack([self._p(i, (0, 0, 0), sc) for i in range(3)], axis=1)
 
     def divergence(self, pts):
@@ -169,8 +169,8 @@ class ManufacturedSolution:
         e = np.eye(3, dtype=int)
         return sum(self._p(i, tuple(e[i]), sc) for i in range(3))
 
-    def curl(self, pts):
-        sc = _SinCos(pts)
+    def curl(self, pts, sc=None):
+        sc = _SinCos(pts) if sc is None else sc
         return self._curl_sc(sc)
 
     def _curl_sc(self, sc):
@@ -186,8 +186,8 @@ class ManufacturedSolution:
             out.append(acc)
         return np.stack(out, axis=1)
 
-    def grad_curl(self, pts):
-        sc = _SinCos(pts)
+    def grad_curl(self, pts, sc=None):
+        sc = _SinCos(pts) if sc is None else sc
         e = np.eye(3, dtype=int)
         n = len(np.asarray(pts))
         out = np.zeros((n, 3, 3))
@@ -270,7 +270,7 @@ class ManufacturedSolution:
     # -- packaged samples ---------------------------------------------------
 
     def solution_sample(self):
-        return FieldSample(self.value, self.curl, self.grad_curl, self.divergence)
+        return FieldSample(self.value, self.curl, self.grad_curl, self.divergence, shared=_SinCos)
 
     def forcing_sample(self):
         return FieldSample(self.forcing)

@@ -25,6 +25,9 @@ class FieldSample:
     div: callable = None
     gradient: callable = None  # for scalar samples
     scalar: bool = False
+    # point set -> evaluation state that value, curl and grad_curl accept
+    # as a second argument, so several evaluators at one point set share it
+    shared: callable = None
 
     @classmethod
     def from_vector_polynomial(cls, u: VectorField):

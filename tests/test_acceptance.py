@@ -24,9 +24,9 @@ def _line(num, ok, detail):
 
 
 def test_criterion_01_dimension_fingerprints():
-    t0 = time.time()
+    t0 = time.perf_counter()
     dims = tuple(space_dimension(kind, 1, 1) for kind in SPACE_KINDS)
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     ok = dims == (4, 18, 16, 1) and elapsed < 1.0
     _line(1, ok, f"lowest-order dims {dims} in {elapsed:.3f}s")
     assert dims == (4, 18, 16, 1)
@@ -95,9 +95,9 @@ def test_criterion_05_unisolvence():
 def test_criterion_06_global_exactness():
     from tetcomplex.verify import check_global_exactness
 
-    t0 = time.time()
+    t0 = time.perf_counter()
     results = check_global_exactness(configs=((1, 1),), levels=(1, 2))
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     ok = all(r.status for r in results) and elapsed < 30.0
     _line(6, ok, f"products <= 1e-12, exact rank identities free+restricted, {elapsed:.1f}s < 30s")
     assert all(r.status for r in results), [r.as_dict() for r in results if not r.status]

@@ -6,7 +6,10 @@ import numpy as np
 import pytest
 
 from tetcomplex.bubbles import (
+    _div_solver,
+    _dot,
     build_split_space,
+    div_coefficients,
     interior_bubbles,
     modified_face_bubble,
     solve_div,
@@ -14,6 +17,7 @@ from tetcomplex.bubbles import (
 from tetcomplex.polyalg import (
     PiecewiseField,
     Polynomial,
+    VectorField,
     as_piecewise,
     grad,
     layered_mean_zero_basis,
@@ -106,6 +110,33 @@ class TestSolveDiv:
                 h1 += float(gsq.integrate()) + float(sq.integrate())
             worst = max(worst, h1**0.5 / norm_p)
         assert worst < 50.0  # single constant across all targets
+
+    def test_minimal_h1_orthogonal_to_divergence_nullspace(self):
+        # the minimal-H1 property: the solution is H1-seminorm orthogonal,
+        # exactly, to every zero-trace divergence-free field of the space
+        # (degree 3 is the lowest with a nonzero divergence nullspace)
+        k = 3
+        ds = _div_solver(k)
+        assert ds.null
+        zero = PiecewiseField.from_single(VectorField.zero())
+        null_fields = [sum((f * c for c, f in zip(n, ds.vec_basis) if c), zero) for n in ds.null]
+
+        def h1_inner(u, v):
+            pieces = [
+                sum(
+                    (grad(a).dot(grad(b)) for a, b in zip(pu.comps, pv.comps)),
+                    Polynomial.zero(),
+                )
+                for pu, pv in zip(u.pieces, v.pieces)
+            ]
+            return PiecewiseField(pieces, "L2").integrate()
+
+        targets = [as_piecewise(g) for g in layered_mean_zero_basis(k - 1)]
+        for target in targets:
+            z = div_coefficients(target, k)
+            assert all(_dot(gn, z) == 0 for gn in ds.gram_null)
+            u = solve_div(target, k)
+            assert all(h1_inner(u, nf) == 0 for nf in null_fields)
 
 
 class TestFaceBubbles:

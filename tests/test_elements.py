@@ -129,8 +129,8 @@ class TestConformity:
         from tetcomplex.polyalg.spaces import solve_exact
 
         cell = reference_cell()
-        gc = build_raw_basis("gradcurl", cell, r, k)
-        vel = build_raw_basis("velocity", cell, r, k)
+        gc, _ = build_raw_basis("gradcurl", cell, r, k)
+        vel, _ = build_raw_basis("velocity", cell, r, k)
         deg = max(max(f.degree for f in vel), max(f.degree for f in gc))
         emb = Embedding(deg, vector=True)
         cols = [emb.coords(v) for v in vel]
@@ -145,7 +145,7 @@ class TestConformity:
         from tetcomplex.polyalg import Polynomial
 
         cell = reference_cell()
-        gc = build_raw_basis("gradcurl", cell, 2, 1)
+        gc, _ = build_raw_basis("gradcurl", cell, 2, 1)
         emb = Embedding(max(f.degree for f in gc), vector=True)
         cols = [emb.coords(g) for g in gc]
         matrix = [[cols[j][i] for j in range(len(cols))] for i in range(emb.size)]
@@ -167,3 +167,103 @@ def test_element_info_shape():
     assert info["dimensions"]["gradcurl"] == 18
     assert info["exactness"]["exact"]
     assert set(info["entity_dofs"]) == set(SPACE_KINDS)
+
+
+def _class_representatives(n):
+    from tetcomplex.assembly import cell_geometries, class_partition
+    from tetcomplex.mesh import build_structured_cube
+
+    mesh = build_structured_cube(n)
+    geoms = cell_geometries(mesh)
+    return [geoms[int(cells[0])] for cells in class_partition(mesh)]
+
+
+@pytest.fixture
+def fresh_cache(monkeypatch):
+    from tetcomplex import elements
+
+    cache = elements.ElementCache()
+    monkeypatch.setattr(elements, "_element_cache", cache)
+    return cache
+
+
+class TestHomothety:
+    """Finer Kuhn levels derive their elements from the first level's build."""
+
+    @pytest.mark.parametrize(
+        "kind,r,k",
+        [
+            ("gradcurl", 1, 1),
+            ("gradcurl", 2, 1),
+            ("gradcurl", 2, 2),
+            ("gradcurl", 3, 3),
+            ("velocity", 1, 1),
+            ("velocity", 2, 2),
+            ("velocity", 3, 3),
+        ],
+    )
+    def test_derived_equals_direct_build(self, kind, r, k, monkeypatch, fresh_cache):
+        from tetcomplex import elements
+
+        # one class per level (the first at N=2, the last at N=3) keeps the
+        # cost of the direct builds down
+        picks = {2: 0, 3: -1}
+        coarse = _class_representatives(1)
+        for i in picks.values():
+            local_element(kind, r, k, coarse[i])
+        for n, i in picks.items():
+            cell = _class_representatives(n)[i]
+            derived = local_element(kind, r, k, cell)
+            monkeypatch.setattr(elements, "_element_cache", elements.ElementCache())
+            direct = local_element(kind, r, k, cell)
+            monkeypatch.setattr(elements, "_element_cache", fresh_cache)
+            assert derived.basis == direct.basis
+            assert derived.curls == direct.curls
+            scale = np.abs(direct.nodal).max()
+            assert np.abs(derived.nodal - direct.nodal).max() <= 1e-12 * scale
+        assert (fresh_cache.built, fresh_cache.derived) == (2, 2)
+
+    def test_scaled_cell_reuses_first_build(self, monkeypatch, fresh_cache):
+        from fractions import Fraction
+
+        from tetcomplex import elements
+
+        raw_builds = []
+        build = elements.build_raw_basis
+        monkeypatch.setattr(
+            elements,
+            "build_raw_basis",
+            lambda *args, **kwargs: raw_builds.append(args[0]) or build(*args, **kwargs),
+        )
+        verts = [
+            (Fraction(0), Fraction(0), Fraction(0)),
+            (Fraction(1), Fraction(0), Fraction(0)),
+            (Fraction(1, 2), Fraction(1), Fraction(0)),
+            (Fraction(1, 3), Fraction(1, 4), Fraction(1)),
+        ]
+        first = local_element("gradcurl", 1, 1, CellGeometry.standalone(verts))
+        doubled = local_element(
+            "gradcurl", 1, 1, CellGeometry.standalone([tuple(2 * c for c in v) for v in verts])
+        )
+        assert len(raw_builds) == 1
+        assert (fresh_cache.built, fresh_cache.derived) == (1, 1)
+        _, powers = build(first.kind, doubled.cell, 1, 1)
+        assert doubled.basis == [b * Fraction(2) ** a for b, a in zip(first.basis, powers)]
+
+        reflected = [(-x, y, z) for x, y, z in verts]
+        sheared = [(x + y, y, z) for x, y, z in verts]
+        for other in (reflected, sheared):
+            local_element("gradcurl", 1, 1, CellGeometry.standalone(other))
+        assert len(raw_builds) == 3
+        assert (fresh_cache.built, fresh_cache.derived, fresh_cache.hits) == (3, 1, 0)
+        local_element("gradcurl", 1, 1, CellGeometry.standalone(sheared))
+        assert fresh_cache.hits == 1 and len(fresh_cache) == 4
+
+    def test_build_and_derivation_are_logged(self, caplog, fresh_cache):
+        cells = [_class_representatives(n)[0] for n in (1, 2)]
+        with caplog.at_level("DEBUG", logger="tetcomplex.elements"):
+            for cell in cells:
+                local_element("velocity", 1, 1, cell)
+        messages = [rec.getMessage() for rec in caplog.records if rec.name == "tetcomplex.elements"]
+        assert len(messages) == 2
+        assert messages[0].startswith("built ") and messages[1].startswith("derived ")
