@@ -39,31 +39,34 @@ def default_quadrature_degree(r, k, basis_degree=None):
 _POINT_CHUNK = 200_000
 
 
-def cell_geometries(mesh):
-    """CellGeometry of every cell of a mesh, shared by all spaces on it."""
-    geoms = mesh.derived.get("cell_geometries")
-    if geoms is None:
-        geoms = [CellGeometry(mesh, ci) for ci in range(mesh.n_cells)]
-        mesh.derived["cell_geometries"] = geoms
-    return geoms
-
-
 def class_partition(mesh):
     """Cell ids (one int array per congruence class), shared by all spaces on a mesh."""
     classes = mesh.derived.get("class_partition")
     if classes is None:
-        groups = {}
-        for geom in cell_geometries(mesh):
-            groups.setdefault(geom.signature(), []).append(geom.cell_id)
-        classes = [np.array(cells) for cells in groups.values()]
+        classes = [np.flatnonzero(mesh.cell_class == c) for c in range(mesh.cell_class.max() + 1)]
         mesh.derived["class_partition"] = classes
     return classes
 
 
-class GlobalSpace:
-    """Entity-blocked global numbering of one space kind on a mesh."""
+def class_geometries(mesh):
+    """CellGeometry of each class's first cell, by cell id, shared by all spaces on a mesh."""
+    geoms = mesh.derived.get("class_geometries")
+    if geoms is None:
+        firsts = [int(cells[0]) for cells in class_partition(mesh)]
+        geoms = {ci: CellGeometry(mesh, ci) for ci in firsts}
+        mesh.derived["class_geometries"] = geoms
+    return geoms
 
-    def __init__(self, mesh, kind, r, k, select="exact"):
+
+class GlobalSpace:
+    """Entity-blocked global numbering of one space kind on a mesh.
+
+    Geometry and local element exist once per congruence class, keyed by
+    the class's first cell id; every cell's DOF numbering is gathered from
+    the mesh's connectivity arrays.
+    """
+
+    def __init__(self, mesh, kind, r, k):
         validate_family(r, k)
         self.mesh = mesh
         self.kind = kind
@@ -78,49 +81,39 @@ class GlobalSpace:
         self.cell_base = self.face_base + nf * counts["face"]
         self.dim = self.cell_base + nc * counts["cell"]
 
-        self.cells_geom = cell_geometries(mesh)
-        self.elements = [
-            local_element(kind, r, k, geom, select=select) for geom in self.cells_geom
-        ]
-        self.local_to_global = np.array([self._cell_map(ci) for ci in range(mesh.n_cells)])
         self.classes = class_partition(mesh)
-        self.shifts = np.array([geom.amap.shift_f for geom in self.cells_geom])
+        self.cells_geom = class_geometries(mesh)
+        self.elements = {ci: local_element(kind, r, k, g) for ci, g in self.cells_geom.items()}
+        self.local_to_global = self._numbering()
         self._tables = {}
-        self.boundary_mask = self._boundary_mask()
-        distinct = {id(el): el for el in self.elements}.values()
-        self.basis_degree = max(max(b.degree for b in el.basis) for el in distinct)
-
-    def _global_index(self, geom, entity, slot):
-        kind, local = entity
-        c = self.counts
-        if kind == "vertex":
-            return self.vertex_base + geom.ref_to_global[local] * c["vertex"] + slot
-        if kind == "edge":
-            return self.edge_base + geom.edges[local]["global"] * c["edge"] + slot
-        if kind == "face":
-            return self.face_base + geom.faces[local]["global"] * c["face"] + slot
-        return self.cell_base + geom.cell_id * c["cell"] + slot
-
-    def _cell_map(self, ci):
-        geom = self.cells_geom[ci]
-        el = self.elements[ci]
-        return np.array(
-            [self._global_index(geom, d.entity, d.slot) for d in el.dofs], dtype=np.int64
+        boundary = {
+            "vertex": mesh.vertex_boundary,
+            "edge": [e.boundary for e in mesh.edges],
+            "face": [f.boundary for f in mesh.faces],
+            "cell": np.zeros(nc, dtype=bool),
+        }
+        self.boundary_mask = np.concatenate(
+            [np.repeat(np.asarray(flags, dtype=bool), counts[e]) for e, flags in boundary.items()]
         )
+        self.basis_degree = max(b.degree for el in self.elements.values() for b in el.basis)
 
-    def _boundary_mask(self):
-        mask = np.zeros(self.dim, dtype=bool)
-        c = self.counts
-        for v in range(self.mesh.n_vertices):
-            if self.mesh.vertex_boundary[v] and c["vertex"]:
-                mask[self.vertex_base + v * c["vertex"]:self.vertex_base + (v + 1) * c["vertex"]] = True
-        for ei, e in enumerate(self.mesh.edges):
-            if e.boundary and c["edge"]:
-                mask[self.edge_base + ei * c["edge"]:self.edge_base + (ei + 1) * c["edge"]] = True
-        for fi, f in enumerate(self.mesh.faces):
-            if f.boundary and c["face"]:
-                mask[self.face_base + fi * c["face"]:self.face_base + (fi + 1) * c["face"]] = True
-        return mask
+    def _numbering(self):
+        """Global DOF ids (n_cells, n_local): one gather per class and local DOF."""
+        mesh = self.mesh
+        entities = {
+            "vertex": (self.vertex_base, mesh.cell_vertices),
+            "edge": (self.edge_base, mesh.cell_edges),
+            "face": (self.face_base, mesh.cell_faces),
+            "cell": (self.cell_base, np.arange(mesh.n_cells)[:, None]),
+        }
+        n_local = len(self.elements[self.classes[0][0]].dofs)
+        out = np.empty((mesh.n_cells, n_local), dtype=np.int64)
+        for cells in self.classes:
+            for i, d in enumerate(self.elements[cells[0]].dofs):
+                entity, local = d.entity
+                base, ids = entities[entity]
+                out[cells, i] = base + ids[cells, local] * self.counts[entity] + d.slot
+        return out
 
     @property
     def interior_dim(self):
@@ -261,7 +254,7 @@ def _chunks(space, cells, points):
     ``points`` belong to the class's first cell, and every other cell's
     points are these moved by its translation.
     """
-    shifts = space.shifts[cells] - space.shifts[cells[0]]
+    shifts = space.mesh.cell_shifts[cells] - space.mesh.cell_shifts[cells[0]]
     step = max(1, _POINT_CHUNK // len(points))
     for lo in range(0, len(cells), step):
         yield cells[lo:lo + step], shifts[lo:lo + step, None, :] + points

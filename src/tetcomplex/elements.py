@@ -27,7 +27,7 @@ from functools import lru_cache
 import numpy as np
 
 from .bubbles import interior_bubbles, scalar_face_bubble, solve_div
-from .mesh import MeshTopology, REF_EDGE_VERTICES, REF_FACE_VERTICES
+from .mesh import MeshTopology, REF_EDGE_VERTICES
 from .polyalg.poly import (
     Polynomial,
     VectorField,
@@ -96,9 +96,7 @@ class CellGeometry:
         self.mesh = mesh
         self.cell_id = cell_id
         self.amap = mesh.cell_maps[cell_id]
-        cell = mesh.cells[cell_id]
-        self.ref_to_global = tuple(cell[self.amap.vertex_order[r]] for r in range(4))
-        slot_of_global = {g: s for s, g in enumerate(cell)}
+        self.ref_to_global = tuple(mesh.cell_vertices[cell_id].tolist())
 
         self.vertices = []
         for r in range(4):
@@ -112,15 +110,15 @@ class CellGeometry:
             )
 
         self.edges = []
-        for (a, b) in REF_EDGE_VERTICES:
+        for (a, b), eidx in zip(REF_EDGE_VERTICES, mesh.cell_edges[cell_id].tolist()):
             ga, gb = self.ref_to_global[a], self.ref_to_global[b]
-            key = (min(ga, gb), max(ga, gb))
-            geo = mesh.edge_geometry(mesh.edge_index[key])
+            key = mesh.edges[eidx].vertices
+            geo = mesh.edge_geometry(eidx)
             lo_ref = REF_VERTICES[a] if ga < gb else REF_VERTICES[b]
             hi_ref = REF_VERTICES[b] if ga < gb else REF_VERTICES[a]
             self.edges.append(
                 {
-                    "global": mesh.edge_index[key],
+                    "global": eidx,
                     "locals": (a, b),
                     "ref_lo": lo_ref,
                     "ref_hi": hi_ref,
@@ -132,9 +130,8 @@ class CellGeometry:
             )
 
         self.faces = []
-        for fi, tri in enumerate(REF_FACE_VERTICES):
-            globals_sorted = tuple(sorted(self.ref_to_global[t] for t in tri))
-            fidx = mesh.face_index[globals_sorted]
+        for fidx in mesh.cell_faces[cell_id].tolist():
+            globals_sorted = mesh.faces[fidx].vertices
             ref_anchors = []
             phys_anchors = []
             for g in globals_sorted:
@@ -161,15 +158,8 @@ class CellGeometry:
         return cls(MeshTopology(vertices, [(0, 1, 2, 3)]), 0)
 
     def signature(self):
-        """Cache key: matrix plus the ascending-id patterns of the entities."""
-        return (self.amap.signature(),) + self._patterns()
-
-    def _patterns(self):
-        edge_pattern = tuple(
-            (e["locals"], e["ref_lo"]) for e in self.edges
-        )
-        face_pattern = tuple(f["ref_anchors"] for f in self.faces)
-        return edge_pattern, face_pattern
+        """Cache key: the congruence class of the cell's affine map."""
+        return self.amap.signature()
 
     @property
     def scale(self):
@@ -179,12 +169,12 @@ class CellGeometry:
     def scale_free_signature(self):
         """Class key that a homothety ``x -> t x`` leaves unchanged.
 
-        The matrix is divided by :attr:`scale`; translations and the entity
-        id patterns are left out or kept as in :meth:`signature`.
+        The matrix is divided by :attr:`scale`; the vertex order is kept as
+        in :meth:`signature`.
         """
         s = self.scale
         matrix = tuple(tuple(v / s for v in row) for row in self.amap.matrix)
-        return (matrix,) + self._patterns()
+        return matrix, self.amap.vertex_order
 
 
 @lru_cache(maxsize=1)
@@ -945,9 +935,9 @@ def _scaled(fields, powers, t):
 def local_element(kind, r, k, cell=None, select="exact"):
     """Build, derive or fetch the local element bundle for a cell.
 
-    Cells in the same congruence class with the same entity id patterns
-    share the construction (translations do not change any of it), and a
-    class met again at another scale derives its raw basis by homothety.
+    Cells of one congruence class (same matrix and vertex order) share the
+    construction (translations do not change any of it), and a class met
+    again at another scale derives its raw basis by homothety.
     """
     validate_family(r, k)
     if cell is None:

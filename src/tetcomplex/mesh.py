@@ -74,8 +74,12 @@ class AffineMap:
         return tuple(sum(self.inverse[i][j] * d[j] for j in range(3)) for i in range(3))
 
     def signature(self):
-        """Congruence-class key: the matrix alone (translations factored out)."""
-        return tuple(tuple(row) for row in self.matrix)
+        """Congruence-class key: the matrix and the vertex order (translations factored out).
+
+        Cell tuples are sorted, so the vertex order fixes which reference
+        vertex is the lower-id end of every edge and face.
+        """
+        return tuple(tuple(row) for row in self.matrix), self.vertex_order
 
 
 def affine_map_for(vertices):
@@ -177,8 +181,6 @@ class MeshTopology:
                 face_set.add(tri)
         self.edges = [EdgeData(e) for e in sorted(edge_set)]
         self.faces = [FaceData(f) for f in sorted(face_set)]
-        self.edge_index = {e.vertices: i for i, e in enumerate(self.edges)}
-        self.face_index = {f.vertices: i for i, f in enumerate(self.faces)}
 
         face_cells = {f: [] for f in face_set}
         for ci, cell in enumerate(self.cells):
@@ -200,42 +202,30 @@ class MeshTopology:
         self.vertex_boundary = [i in boundary_vertices for i in range(len(self.vertices))]
 
     def _build_cell_maps(self):
-        self.cell_maps = []
-        self.cell_edges = []  # per cell: 6 global edge ids in REF_EDGE order
-        self.cell_faces = []  # per cell: 4 global face ids in REF_FACE order
-        self.cell_edge_signs = []
-        self.cell_face_outward = []
-        for cell in self.cells:
-            pts = [self.vertices[v] for v in cell]
-            amap = affine_map_for(pts)
-            self.cell_maps.append(amap)
-            # global id of the cell vertex that reference vertex r maps to
-            ref_to_global = [cell[amap.vertex_order[r]] for r in range(4)]
-            edges = []
-            signs = []
-            for (a, b) in REF_EDGE_VERTICES:
-                ga, gb = ref_to_global[a], ref_to_global[b]
-                key = (min(ga, gb), max(ga, gb))
-                edges.append(self.edge_index[key])
-                signs.append(1 if ga < gb else -1)
-            faces = []
-            outward = []
-            for fi, tri in enumerate(REF_FACE_VERTICES):
-                g = tuple(sorted(ref_to_global[t] for t in tri))
-                faces.append(self.face_index[g])
-                outward.append(self._face_outward_sign(len(self.cell_maps) - 1, g))
-            self.cell_edges.append(tuple(edges))
-            self.cell_faces.append(tuple(faces))
-            self.cell_edge_signs.append(tuple(signs))
-            self.cell_face_outward.append(tuple(outward))
+        self.cell_maps = [affine_map_for([self.vertices[v] for v in cell]) for cell in self.cells]
+        order = np.array([amap.vertex_order for amap in self.cell_maps])
+        # per cell: global vertex ids hit by the reference vertices, in order
+        self.cell_vertices = np.take_along_axis(np.array(self.cells), order, axis=1)
+        self.cell_shifts = self.vertices_f[self.cell_vertices[:, 0]]
+        # per cell: 6 global edge ids in REF_EDGE order, 4 face ids in REF_FACE order
+        self.cell_edges = self._entity_ids(self.edges, REF_EDGE_VERTICES)
+        self.cell_faces = self._entity_ids(self.faces, REF_FACE_VERTICES)
+        # per cell: congruence class, numbered by first appearance of its signature
+        classes = {}
+        self.cell_class = np.array(
+            [classes.setdefault(amap.signature(), len(classes)) for amap in self.cell_maps]
+        )
 
-    def _face_outward_sign(self, cell_id, face_vertices):
-        d = self.face_direction(self.face_index[face_vertices])
-        opposite = [v for v in self.cells[cell_id] if v not in face_vertices][0]
-        p0 = self.vertices[face_vertices[0]]
-        po = self.vertices[opposite]
-        inward = sum(d[i] * (po[i] - p0[i]) for i in range(3))
-        return -1 if inward > 0 else 1
+    def _entity_ids(self, entities, ref_entities):
+        """Global ids of every cell's entities, one column per reference entity.
+
+        Entities are sorted tuples of ascending vertex ids, so their keys in
+        base ``n_vertices`` ascend with the entity index.
+        """
+        powers = self.n_vertices ** np.arange(len(ref_entities[0]))[::-1]
+        known = np.array([e.vertices for e in entities]) @ powers
+        local = np.sort(self.cell_vertices[:, ref_entities], axis=-1)
+        return np.searchsorted(known, local @ powers)
 
     # -- queries ----------------------------------------------------------
 
@@ -346,18 +336,12 @@ def build_structured_cube(n):
     def vid(i, j, k):
         return i + stride * (j + stride * k)
 
-    vertices = [
+    vertices = [  # i fastest, as vid() numbers them
         (Fraction(i, n), Fraction(j, n), Fraction(k, n))
         for k in range(stride)
         for j in range(stride)
         for i in range(stride)
     ]
-    # reorder so that vid() indexes correctly (i fastest)
-    vertices = [None] * stride**3
-    for k in range(stride):
-        for j in range(stride):
-            for i in range(stride):
-                vertices[vid(i, j, k)] = (Fraction(i, n), Fraction(j, n), Fraction(k, n))
 
     axes = np.eye(3, dtype=int)
     cells = []

@@ -1,6 +1,7 @@
 """Global numbering, assembled operators, discrete complex, interpolation."""
 
 from fractions import Fraction as F
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,14 +13,29 @@ from tetcomplex.assembly import (
     SparseOperator,
     assemble,
     assemble_load,
+    class_partition,
     discrete_d,
     error_norms,
     extend_vector,
     restrict_operator,
     restrict_vector,
 )
-from tetcomplex.elements import SPACE_KINDS, build_dofs, dof_matrix, phys_curl, phys_div, phys_grad
-from tetcomplex.mesh import MeshTopology, build_structured_cube
+from tetcomplex.elements import (
+    SPACE_KINDS,
+    CellGeometry,
+    build_dofs,
+    dof_matrix,
+    local_element,
+    phys_curl,
+    phys_div,
+    phys_grad,
+)
+from tetcomplex.mesh import (
+    REF_EDGE_VERTICES,
+    REF_FACE_VERTICES,
+    MeshTopology,
+    build_structured_cube,
+)
 from tetcomplex.polyalg import Polynomial, VectorField, curl, div, monomial_exponents
 from tetcomplex.problems import ManufacturedSolution
 from tetcomplex.quadrature import QuadratureRule
@@ -44,6 +60,53 @@ def _numeric_rank(matrix, tol=1e-8):
     return int((s > tol * max(s[0], 1.0)).sum())
 
 
+def _numbering_meshes():
+    """N=2 Kuhn mesh, the same with its cells permuted, and with its interior vertex moved."""
+    mesh = build_structured_cube(2)
+    perm = np.random.default_rng(1).permutation(mesh.n_cells)
+    moved = list(mesh.vertices)
+    moved[13] = (F(9, 16), F(15, 32), F(33, 64))  # vertex (1/2, 1/2, 1/2), off the lattice
+    return {
+        "kuhn": mesh,
+        "permuted": MeshTopology(mesh.vertices, [mesh.cells[i] for i in perm]),
+        "jittered": MeshTopology(moved, mesh.cells),
+    }
+
+
+def _check_numbering(space, geoms, label):
+    """Compare the gathered numbering and boundary mask with per-cell, per-entity loops."""
+    mesh, c = space.mesh, space.counts
+    base = {
+        "vertex": space.vertex_base,
+        "edge": space.edge_base,
+        "face": space.face_base,
+        "cell": space.cell_base,
+    }
+    for geom in geoms:
+        ids = {
+            "vertex": geom.ref_to_global,
+            "edge": [e["global"] for e in geom.edges],
+            "face": [f["global"] for f in geom.faces],
+            "cell": [geom.cell_id],
+        }
+        expected = [
+            base[entity] + ids[entity][local] * c[entity] + dof.slot
+            for dof in build_dofs(space.kind, geom, space.r, space.k)
+            for entity, local in [dof.entity]
+        ]
+        assert space.local_to_global[geom.cell_id].tolist() == expected, label
+    mask = np.zeros(space.dim, dtype=bool)
+    for entity, flags in (
+        ("vertex", mesh.vertex_boundary),
+        ("edge", [e.boundary for e in mesh.edges]),
+        ("face", [f.boundary for f in mesh.faces]),
+    ):
+        n = c[entity]
+        for i, flag in enumerate(flags):
+            mask[base[entity] + i * n:base[entity] + (i + 1) * n] = flag
+    assert np.array_equal(space.boundary_mask, mask), label
+
+
 class TestNumbering:
     def test_lagrange_level_one(self, spaces1):
         assert spaces1["lagrange"].dim == 8
@@ -59,17 +122,42 @@ class TestNumbering:
                 -1 + dims["lagrange"] - dims["gradcurl"] + dims["velocity"] - dims["pressure"]
             ) == 0
 
-    def test_shared_dofs_identical_indices(self, spaces1):
-        space = spaces1["gradcurl"]
-        seen = {}
-        for ci in range(space.mesh.n_cells):
-            geom = space.cells_geom[ci]
-            for loc, dof in enumerate(space.elements[ci].dofs):
-                kind, local = dof.entity
-                if kind == "edge":
-                    key = (geom.edges[local]["global"], dof.slot)
-                    g = space.local_to_global[ci][loc]
-                    assert seen.setdefault(key, g) == g
+    def test_shared_dofs_identical_indices(self, monkeypatch):
+        # the numbering reads only the DOFs of each class's element, so the
+        # exact construction (minutes on 30 jittered classes) is left out
+        monkeypatch.setattr(
+            assembly_module,
+            "local_element",
+            lambda kind, r, k, cell: SimpleNamespace(
+                dofs=build_dofs(kind, cell, r, k), basis=[SimpleNamespace(degree=0)]
+            ),
+        )
+        for variant, mesh in _numbering_meshes().items():
+            geoms = [CellGeometry(mesh, ci) for ci in range(mesh.n_cells)]
+            groups = {}
+            for geom in geoms:
+                ref_to_global = tuple(mesh.cells[geom.cell_id][v] for v in geom.amap.vertex_order)
+                assert geom.ref_to_global == ref_to_global
+                for entities, owners, ref in (
+                    (geom.edges, mesh.edges, REF_EDGE_VERTICES),
+                    (geom.faces, mesh.faces, REF_FACE_VERTICES),
+                ):
+                    assert [owners[e["global"]].vertices for e in entities] == [
+                        tuple(sorted(ref_to_global[v] for v in local)) for local in ref
+                    ]
+                patterns = (
+                    tuple((e["locals"], e["ref_lo"]) for e in geom.edges),
+                    tuple(f["ref_anchors"] for f in geom.faces),
+                )
+                groups.setdefault((geom.amap.matrix, patterns), []).append(geom.cell_id)
+            partition = [cells.tolist() for cells in class_partition(mesh)]
+            assert partition == list(groups.values()), variant
+            assert len(groups) == (30 if variant == "jittered" else 6)
+
+            for rk in ((1, 1), (2, 2), (3, 3)):
+                for kind in SPACE_KINDS:
+                    space = GlobalSpace(mesh, kind, *rk)
+                    _check_numbering(space, geoms, (variant, rk, kind))
 
     def test_interior_counts_level_one(self, spaces1):
         assert spaces1["gradcurl"].interior_dim == 1  # only the body diagonal
@@ -124,8 +212,10 @@ def _per_entry_discrete_d(which, source, target):
     op = {"grad": phys_grad, "curl": phys_curl, "div": phys_div}[which]
     locals_by_class = {}
     entries = {}
-    for ci, geom in enumerate(source.cells_geom):
-        el_s, el_t = source.elements[ci], target.elements[ci]
+    for ci in range(source.mesh.n_cells):
+        geom = CellGeometry(source.mesh, ci)
+        el_s = local_element(source.kind, source.r, source.k, geom)
+        el_t = local_element(target.kind, target.r, target.k, geom)
         sig = geom.signature()
         if sig not in locals_by_class:
             derived = [op(geom, b) for b in el_s.basis]
@@ -231,10 +321,10 @@ class TestConformity:
                 )[None, :]
                 vals = []
                 for ci in face.cells:
-                    geom = space.cells_geom[ci]
+                    geom = CellGeometry(mesh, ci)
                     local = coeffs[space.local_to_global[ci]]
                     ref = (pts_phys - geom.amap.shift_f) @ geom.amap.inverse_f.T
-                    el = space.elements[ci]
+                    el = local_element(kind, space.r, space.k, geom)
                     fields = el.basis
                     raw = el.nodal @ local
                     acc = np.zeros(3)
@@ -272,7 +362,8 @@ class TestConformity:
             normal = mesh.face_geometry(fi)["normal"]
             vals = []
             for ci in face.cells:
-                geom, el = space.cells_geom[ci], space.elements[ci]
+                geom = CellGeometry(mesh, ci)
+                el = local_element(space.kind, space.r, space.k, geom)
                 ref = (pts - geom.amap.shift_f) @ geom.amap.inverse_f.T
                 raw = el.nodal @ coeffs[space.local_to_global[ci]]
                 vals.append(sum(c * _eval_pw_vector(b, ref) for c, b in zip(raw, el.basis)))
@@ -321,7 +412,8 @@ class TestInterpolationAndNorms:
         sample = ms.pressure_sample() if scalar else ms.solution_sample()
         quad = QuadratureRule(8)
         coeffs = space.interpolate(sample, quad)
-        for ci, geom in enumerate(space.cells_geom):
+        for ci in range(space.mesh.n_cells):
+            geom = CellGeometry(space.mesh, ci)
             local = [d.apply_sample(sample, quad) for d in build_dofs(kind, geom, 1, 1)]
             np.testing.assert_allclose(
                 coeffs[space.local_to_global[ci]], local, rtol=0, atol=1e-12
@@ -333,8 +425,11 @@ class TestInterpolationAndNorms:
         load = assemble_load(space, sample, 8)
         expected = np.zeros(space.dim)
         tables = {}
-        for ci, geom in enumerate(space.cells_geom):
-            tab = tables.setdefault(geom.signature(), ClassTables(space, ci, 8))
+        for ci in range(space.mesh.n_cells):
+            geom = CellGeometry(space.mesh, ci)
+            if geom.signature() not in tables:  # a class's first cell carries its tables
+                tables[geom.signature()] = ClassTables(space, ci, 8)
+            tab = tables[geom.signature()]
             fv = sample.value(geom.amap.apply(tab.ref_points))
             local = np.einsum("qc,mqc,q->m", fv, tab.values, tab.weights) * tab.det
             np.add.at(expected, space.local_to_global[ci], local)

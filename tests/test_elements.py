@@ -170,12 +170,11 @@ def test_element_info_shape():
 
 
 def _class_representatives(n):
-    from tetcomplex.assembly import cell_geometries, class_partition
+    from tetcomplex.assembly import class_partition
     from tetcomplex.mesh import build_structured_cube
 
     mesh = build_structured_cube(n)
-    geoms = cell_geometries(mesh)
-    return [geoms[int(cells[0])] for cells in class_partition(mesh)]
+    return [CellGeometry(mesh, int(cells[0])) for cells in class_partition(mesh)]
 
 
 @pytest.fixture

@@ -57,16 +57,6 @@ class TestOrientation:
                 assert abs(np.linalg.norm(g[key]) - 1) < 1e-14
             # frame depends only on global ids, so both incident cells see it
 
-    def test_interior_faces_opposite_outward(self):
-        m = build_structured_cube(2)
-        for fi, f in enumerate(m.faces):
-            if f.boundary:
-                continue
-            signs = [
-                m.cell_face_outward[ci][m.cell_faces[ci].index(fi)] for ci in f.cells
-            ]
-            assert signs[0] == -signs[1]
-
     def test_edge_tangent_lo_to_hi(self):
         m = build_structured_cube(1)
         for e in m.edges:
