@@ -134,7 +134,8 @@ class GlobalSpace:
 
         The DOF stencils of a congruence class are those of its first cell
         moved by each cell's translation, so one sample call per class and
-        stencil use covers the stencil points of all of its cells.
+        stencil use covers the stencil points of all of its cells.  A sample
+        with ``shared`` state gets it built from each chunk of those points.
         """
         out = np.zeros(self.dim)
         for cells in self.classes:
@@ -144,7 +145,7 @@ class GlobalSpace:
                 locs = [i for i, st in enumerate(stencils) if st[0] == use]
                 pts = np.concatenate([stencils[i][1] for i in locs])
                 for chunk, moved in _chunks(self, cells, pts):
-                    vals = getattr(sample, use)(moved.reshape(-1, 3))
+                    vals = getattr(sample, use)(moved.reshape(-1, 3), *_shared(sample, moved))
                     vals = vals.reshape(moved.shape[:2] + vals.shape[1:])
                     start = 0
                     for i in locs:
@@ -260,6 +261,11 @@ def _chunks(space, cells, points):
         yield cells[lo:lo + step], shifts[lo:lo + step, None, :] + points
 
 
+def _shared(sample, chunk):
+    """Arguments after the flat points for the evaluators of ``sample`` at a chunk."""
+    return () if sample.shared is None else (sample.shared(chunk),)
+
+
 def _class_chunks(space, degree):
     """(tables, cell ids, physical quadrature points) over the chunks of every class."""
     for cells, tab in zip(space.classes, space.class_tables(degree)):
@@ -336,12 +342,17 @@ def assemble(form, space, quad_degree=None, pressure_space=None):
 
 
 def assemble_load(space, sample, quad_degree):
-    """Load vector (f, v) over the nodal basis of ``space``."""
+    """Load vector (f, v) over the nodal basis of ``space``.
+
+    Per chunk, one matrix product of the weighted sample values
+    (cells, points x components) with the basis table.
+    """
     out = np.zeros(space.dim)
     for tab, cells, pts in _class_chunks(space, quad_degree):
-        w = tab.weights
-        fv = sample.value(pts.reshape(-1, 3)).reshape(len(cells), len(w), -1)
-        local = np.einsum("cqk,mqk,q->cm", fv, _by_point(tab.values, len(w)), w) * tab.det
+        fv = sample.value(pts.reshape(-1, 3), *_shared(sample, pts))
+        fv = fv.reshape(len(cells), len(tab.weights), -1) * tab.weights[:, None]
+        local = fv.reshape(len(cells), -1) @ tab.values.reshape(len(tab.values), -1).T
+        local *= tab.det
         np.add.at(out, space.local_to_global[cells], local)
     return out
 
@@ -412,35 +423,44 @@ def extend_vector(vec, mask):
 
 
 def error_norms(space, coeffs, exact, quad_degree=None):
-    """(L2, curl-seminorm, grad-curl-seminorm) of exact - represented field.
+    """(L2, curl-, grad-curl-, H1-seminorm) of exact - represented field.
 
-    A seminorm reads 0 where the space has no table for it (scalar spaces
-    have none) or ``exact`` has no evaluator.
+    A seminorm reads 0 where the space has no table for it or ``exact``
+    has no evaluator: the curl and grad-curl seminorms need a grad-curl
+    space, the H1 seminorm (the Jacobian's L2 norm) a velocity space and
+    ``exact.jacobian``.  Per chunk and quantity, the represented values
+    are one matrix product of the cells' coefficients with the table.
     """
     if quad_degree is None:
         quad_degree = default_quadrature_degree(space.r, space.k, space.basis_degree)
-    acc = np.zeros(3)
+    pairs = (
+        ("values", exact.value),
+        ("curl", exact.curl),
+        ("grad_curl", exact.grad_curl),
+        ("grad", exact.jacobian),
+    )
+    acc = np.zeros(len(pairs))
     coeffs = np.asarray(coeffs)
     for tab, cells, pts in _class_chunks(space, quad_degree):
-        w = tab.weights
         flat = pts.reshape(-1, 3)
         local = coeffs[space.local_to_global[cells]]
-        pairs = ((tab.values, exact.value), (tab.curl, exact.curl), (tab.grad_curl, exact.grad_curl))
         used = [
-            (i, table, field)
-            for i, (table, field) in enumerate(pairs)
-            if table is not None and field is not None
+            (i, getattr(tab, name), field)
+            for i, (name, field) in enumerate(pairs)
+            if getattr(tab, name) is not None and field is not None
         ]
-        shared = () if exact.shared is None else (exact.shared(flat),)
+        shared = _shared(exact, pts) if used else ()
         for i, table, field in used:
             exact_vals = field(flat, *shared)
             if i == used[-1][0]:
                 # the shared evaluation state is as large as the error arrays
                 # that follow; drop it before they are made
                 shared = ()
-            uh = _by_point(np.einsum("cl,lq...->cq...", local, table), len(w))
-            err = uh - exact_vals.reshape(uh.shape)
-            acc[i] += tab.det * float(np.einsum("cqk,q->", err**2, w))
+            err = local @ table.reshape(len(table), -1)
+            err -= exact_vals.reshape(err.shape)
+            err *= err
+            w = np.repeat(tab.weights, err.shape[1] // len(tab.weights))
+            acc[i] += tab.det * float((err @ w).sum())
     return tuple(np.sqrt(np.maximum(acc, 0.0)))
 
 

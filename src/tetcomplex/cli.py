@@ -188,7 +188,9 @@ def cmd_solve(args):
     else:
         problem = StokesProblem(n=args.N, k=args.k, quad_degree=args.quad_degree)
         _, _, row = solve_stokes(problem)
-        columns = ["N", "dofs", "velocity_l2", "pressure_l2", "div_norm", "seconds"]
+        columns = [
+            "N", "dofs", "velocity_l2", "velocity_h1", "pressure_l2", "div_norm", "seconds"
+        ]
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(",".join(columns) + "\n")

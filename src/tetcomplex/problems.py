@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -80,9 +81,11 @@ class SeparableProduct:
             self.tables.append(tab)
 
     def partial(self, alpha, sc):
-        out = np.full(sc.s[0].shape, self.coef)
-        for i in range(3):
-            out = out * sc.factor(self.tables[i][alpha[i]], i)
+        f1, f2, f3 = (sc.factor(self.tables[i][alpha[i]], i) for i in range(3))
+        out = np.multiply(f1, f2)
+        out *= f3
+        if self.coef != 1.0:
+            out *= self.coef
         return out
 
 
@@ -90,19 +93,39 @@ _EPS = np.zeros((3, 3, 3))
 for _perm, _sign in ((((0, 1, 2)), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
                      ((2, 1, 0), -1), ((0, 2, 1), -1), ((1, 0, 2), -1)):
     _EPS[_perm] = _sign
+_E = np.eye(3, dtype=int)
+# (curl u)_a is the sum of sign * d u_c / d x_b over (sign, c, e_b) in _CURL[a]
+_CURL = [
+    [(int(_EPS[a, b, c]), c, _E[b]) for b in range(3) for c in range(3) if _EPS[a, b, c]]
+    for a in range(3)
+]
 
 
 class _SinCos:
-    """sin(pi x_i), cos(pi x_i) at a point set.
+    """sin(pi x_i), cos(pi x_i) and their univariate factors at a point set.
 
-    Each univariate factor, and each power of a sine or cosine, is
-    evaluated once per axis however many partials share it.
+    ``pts`` is a class chunk of shape (cells, points, 3), one row of points
+    per cell, or flat (m, 3) points taken as a single row.  Per axis, the
+    rows are grouped by the coordinate of their first point, and the
+    grouping is kept only if every row equals its group's first row;
+    otherwise each row is its own group.  Sines, cosines, their powers and
+    each univariate factor are evaluated once per group and axis, and a
+    factor is gathered to all points (cell-major, as the flat points of
+    the chunk) once however many partials share it.
     """
 
     def __init__(self, pts):
         pts = np.asarray(pts, float)
-        self.s = [np.sin(np.pi * pts[:, i]) for i in range(3)]
-        self.c = [np.cos(np.pi * pts[:, i]) for i in range(3)]
+        rows = pts if pts.ndim == 3 else pts[None]
+        self.groups, self.s, self.c = [], [], []
+        for axis in range(3):
+            x = rows[:, :, axis]
+            _, first, group = np.unique(x[:, 0], return_index=True, return_inverse=True)
+            if not np.array_equal(x[first[group]], x):
+                first = group = np.arange(len(x))
+            self.groups.append(group)
+            self.s.append(np.sin(np.pi * x[first]))
+            self.c.append(np.cos(np.pi * x[first]))
         self._memo = {}
 
     def _power(self, axis, cosine, n):
@@ -120,12 +143,14 @@ class _SinCos:
         return val
 
     def factor(self, f, axis):
+        """The factor ``f`` of coordinate ``axis`` at every point, as a flat array."""
         key = ("factor", tuple(f.terms.items()), axis)
         val = self._memo.get(key)
         if val is None:
             val = np.zeros_like(self.s[axis])
             for (a, b), coeff in f.terms.items():
                 val += coeff * self._power(axis, False, a) * self._power(axis, True, b)
+            val = val[self.groups[axis]].ravel()
             self._memo[key] = val
         return val
 
@@ -142,6 +167,14 @@ class ManufacturedSolution:
     The forcing of the fourth-order problem, -curl(lap(curl u)) + u, and
     the Stokes forcing -lap(u) + grad(p) with p = c1 c2 c3 are evaluated
     from the same univariate derivative tables.
+
+    Every packaged sample evaluates through one _SinCos state per class
+    chunk.  The chunk's rows are one cell's points moved by each cell's
+    translation, so along one axis the rows take few distinct values (N
+    on a Kuhn mesh of level N): the state groups equal rows per axis,
+    evaluates the univariate factors once per group, and gathers them to
+    every cell.  Rows that the grouping check does not confirm (a jittered
+    mesh, or rows equal only at their first point) are each their own group.
     """
 
     def __init__(self):
@@ -156,130 +189,120 @@ class ManufacturedSolution:
         self.pressure_product = SeparableProduct(1.0, c1, c1, c1, max_order=1)
 
     # -- raw partial evaluators ------------------------------------------
+    # Each takes flat (m, 3) points and, optionally, the _SinCos state of
+    # those points, which several evaluators at one point set share.
 
     def _p(self, comp, alpha, sc):
         return self.comps[comp].partial(alpha, sc)
 
     def value(self, pts, sc=None):
-        sc = _SinCos(pts) if sc is None else sc
+        sc = sc or _SinCos(pts)
         return np.stack([self._p(i, (0, 0, 0), sc) for i in range(3)], axis=1)
 
-    def divergence(self, pts):
-        sc = _SinCos(pts)
-        e = np.eye(3, dtype=int)
-        return sum(self._p(i, tuple(e[i]), sc) for i in range(3))
+    def divergence(self, pts, sc=None):
+        sc = sc or _SinCos(pts)
+        return sum(self._p(i, tuple(_E[i]), sc) for i in range(3))
 
-    def curl(self, pts, sc=None):
-        sc = _SinCos(pts) if sc is None else sc
-        return self._curl_sc(sc)
-
-    def _curl_sc(self, sc):
-        e = np.eye(3, dtype=int)
-        out = []
-        for a in range(3):
-            acc = 0.0
-            for b in range(3):
-                for c in range(3):
-                    s = _EPS[a, b, c]
-                    if s:
-                        acc = acc + s * self._p(c, tuple(e[b]), sc)
-            out.append(acc)
-        return np.stack(out, axis=1)
-
-    def grad_curl(self, pts, sc=None):
-        sc = _SinCos(pts) if sc is None else sc
-        e = np.eye(3, dtype=int)
-        n = len(np.asarray(pts))
-        out = np.zeros((n, 3, 3))
-        for a in range(3):
-            for d in range(3):
-                acc = 0.0
-                for b in range(3):
-                    for c in range(3):
-                        s = _EPS[a, b, c]
-                        if s:
-                            acc = acc + s * self._p(c, tuple(e[b] + e[d]), sc)
-                out[:, a, d] = acc
+    def jacobian(self, pts, sc=None):
+        """(m, 3, 3) array with entry [:, i, j] = d u_i / d x_j."""
+        sc = sc or _SinCos(pts)
+        out = np.empty((len(pts), 3, 3))
+        for i in range(3):
+            for j in range(3):
+                out[:, i, j] = self._p(i, tuple(_E[j]), sc)
         return out
 
-    def lap_curl(self, pts):
-        sc = _SinCos(pts)
-        e = np.eye(3, dtype=int)
-        out = []
+    def _sum(self, terms, sc):
+        """Sum of sign * (d^alpha u_comp) over (sign, comp, alpha) terms, in place."""
+        acc = None
+        for sign, comp, alpha in terms:
+            p = self._p(comp, tuple(alpha), sc)
+            if acc is None:
+                acc = p if sign > 0 else np.negative(p, out=p)
+            elif sign > 0:
+                acc += p
+            else:
+                acc -= p
+        return acc
+
+    def curl(self, pts, sc=None):
+        sc = sc or _SinCos(pts)
+        return np.stack([self._sum(_CURL[a], sc) for a in range(3)], axis=1)
+
+    def grad_curl(self, pts, sc=None):
+        sc = sc or _SinCos(pts)
+        out = np.empty((len(pts), 3, 3))
         for a in range(3):
-            acc = 0.0
             for d in range(3):
-                for b in range(3):
-                    for c in range(3):
-                        s = _EPS[a, b, c]
-                        if s:
-                            acc = acc + s * self._p(c, tuple(e[b] + 2 * e[d]), sc)
-            out.append(acc)
-        return np.stack(out, axis=1)
+                out[:, a, d] = self._sum([(s, c, b + _E[d]) for s, c, b in _CURL[a]], sc)
+        return out
 
-    def curl_lap_curl(self, pts):
-        sc = _SinCos(pts)
-        e = np.eye(3, dtype=int)
-        out = []
-        for a in range(3):
-            acc = 0.0
-            for b in range(3):
-                for c in range(3):
-                    sab = _EPS[a, b, c]
-                    if not sab:
-                        continue
-                    for d in range(3):
-                        for ee in range(3):
-                            for f in range(3):
-                                scf = _EPS[c, ee, f]
-                                if scf:
-                                    acc = acc + sab * scf * self._p(
-                                        f, tuple(e[b] + 2 * e[d] + e[ee]), sc
-                                    )
-            out.append(acc)
-        return np.stack(out, axis=1)
+    def lap_curl(self, pts, sc=None):
+        sc = sc or _SinCos(pts)
+        return np.stack([
+            self._sum([(s, c, b + 2 * _E[d]) for d in range(3) for s, c, b in _CURL[a]], sc)
+            for a in range(3)
+        ], axis=1)
 
-    def forcing(self, pts):
-        return -self.curl_lap_curl(pts) + self.value(pts)
+    def curl_lap_curl(self, pts, sc=None):
+        sc = sc or _SinCos(pts)
+        return np.stack([
+            self._sum([
+                (s1 * s2, f, b + 2 * _E[d] + ee)
+                for s1, c, b in _CURL[a] for d in range(3) for s2, f, ee in _CURL[c]
+            ], sc)
+            for a in range(3)
+        ], axis=1)
 
-    def laplacian(self, pts):
-        sc = _SinCos(pts)
-        e = np.eye(3, dtype=int)
+    def forcing(self, pts, sc=None):
+        sc = sc or _SinCos(pts)
+        return -self.curl_lap_curl(pts, sc) + self.value(pts, sc)
+
+    def laplacian(self, pts, sc=None):
+        sc = sc or _SinCos(pts)
         return np.stack(
             [
-                sum(self._p(i, tuple(2 * e[d]), sc) for d in range(3))
+                sum(self._p(i, tuple(2 * _E[d]), sc) for d in range(3))
                 for i in range(3)
             ],
             axis=1,
         )
 
-    def pressure(self, pts):
-        sc = _SinCos(pts)
+    def pressure(self, pts, sc=None):
+        sc = sc or _SinCos(pts)
         return self.pressure_product.partial((0, 0, 0), sc)
 
-    def pressure_gradient(self, pts):
-        sc = _SinCos(pts)
-        e = np.eye(3, dtype=int)
+    def pressure_gradient(self, pts, sc=None):
+        sc = sc or _SinCos(pts)
         return np.stack(
-            [self.pressure_product.partial(tuple(e[i]), sc) for i in range(3)], axis=1
+            [self.pressure_product.partial(tuple(_E[i]), sc) for i in range(3)], axis=1
         )
 
-    def stokes_forcing(self, pts, viscosity=1.0):
-        return -viscosity * self.laplacian(pts) + self.pressure_gradient(pts)
+    def stokes_forcing(self, pts, viscosity=1.0, sc=None):
+        sc = sc or _SinCos(pts)
+        return -viscosity * self.laplacian(pts, sc) + self.pressure_gradient(pts, sc)
 
     # -- packaged samples ---------------------------------------------------
+    # Every sample shares one _SinCos state per class chunk among its evaluators.
 
     def solution_sample(self):
-        return FieldSample(self.value, self.curl, self.grad_curl, self.divergence, shared=_SinCos)
+        return FieldSample(
+            self.value, self.curl, self.grad_curl, self.divergence,
+            jacobian=self.jacobian, shared=_SinCos,
+        )
 
     def forcing_sample(self):
-        return FieldSample(self.forcing)
+        return FieldSample(self.forcing, shared=_SinCos)
 
     def stokes_forcing_sample(self, viscosity=1.0):
-        return FieldSample(lambda pts: self.stokes_forcing(pts, viscosity))
+        return FieldSample(
+            lambda pts, sc=None: self.stokes_forcing(pts, viscosity, sc), shared=_SinCos
+        )
 
     def pressure_sample(self):
-        return FieldSample(self.pressure, gradient=self.pressure_gradient, scalar=True)
+        return FieldSample(
+            self.pressure, gradient=self.pressure_gradient, scalar=True, shared=_SinCos
+        )
 
     # -- validation -----------------------------------------------------------
 
@@ -361,6 +384,23 @@ class StokesProblem:
     solution: ManufacturedSolution = dc_field(default_factory=ManufacturedSolution)
 
 
+class StageTimings(dict):
+    """perf_counter seconds per solve stage; 0 for a stage an operation does not run."""
+
+    STAGES = ("assemble", "load", "solve", "errors", "interpolate")
+
+    def __init__(self):
+        super().__init__(dict.fromkeys(self.STAGES, 0.0))
+
+    @contextmanager
+    def stage(self, name):
+        t0 = time.perf_counter()
+        try:
+            yield
+        finally:
+            self[name] += time.perf_counter() - t0
+
+
 _space_cache = {}
 
 
@@ -414,17 +454,21 @@ def _solve_spd(a0, rhs, solver, tol):
 def solve_quadcurl(problem: QuadCurlProblem):
     """Solve the restricted fourth-order system; returns (coeffs, report row)."""
     t0 = time.perf_counter()
+    timings = StageTimings()
     spaces = get_spaces(problem.n, problem.r, problem.k, ["gradcurl"])
     v = spaces["gradcurl"]
     quad_degree = problem.quad_degree or max(
         default_quadrature_degree(problem.r, problem.k, v.basis_degree), 2 * v.basis_degree
     )
-    a = assemble("gradcurl_stiffness", v, quad_degree)
-    f = assemble_load(v, problem.solution.forcing_sample(), quad_degree)
+    with timings.stage("assemble"):
+        a = assemble("gradcurl_stiffness", v, quad_degree)
+    with timings.stage("load"):
+        f = assemble_load(v, problem.solution.forcing_sample(), quad_degree)
     mask = v.boundary_mask
     a0 = restrict_operator(a, mask, mask)
     f0 = restrict_vector(f, mask)
-    x, iters = _solve_spd(a0, f0, problem.solver, problem.tol)
+    with timings.stage("solve"):
+        x, iters = _solve_spd(a0, f0, problem.solver, problem.tol)
     rhs_norm = float(np.linalg.norm(f0)) or 1.0
     residual = float(np.linalg.norm(a0 @ x - f0)) / rhs_norm
     if residual > problem.tol * 10:
@@ -432,7 +476,8 @@ def solve_quadcurl(problem: QuadCurlProblem):
             f"linear solve residual {residual:.3e} above tolerance", iters, residual
         )
     coeffs = extend_vector(x, mask)
-    errs = error_norms(v, coeffs, problem.solution.solution_sample(), quad_degree)
+    with timings.stage("errors"):
+        errs = error_norms(v, coeffs, problem.solution.solution_sample(), quad_degree)
     row = {
         "N": problem.n,
         "dofs": int(v.interior_dim),
@@ -441,6 +486,7 @@ def solve_quadcurl(problem: QuadCurlProblem):
         "gradcurl": errs[2],
         "residual": residual,
         "iterations": iters,
+        "timings": dict(timings),
         "seconds": time.perf_counter() - t0,
     }
     return coeffs, row
@@ -458,23 +504,28 @@ def solve_stokes(problem: StokesProblem):
     norm of the discrete velocity in the report.
     """
     t0 = time.perf_counter()
+    timings = StageTimings()
     spaces = get_spaces(problem.n, problem.k, problem.k, ["velocity", "pressure"])
     vel, pre = spaces["velocity"], spaces["pressure"]
     quad_degree = max(
         default_quadrature_degree(problem.k, problem.k, vel.basis_degree),
         vel.basis_degree + pre.basis_degree,
     )
-    a = assemble("h1", vel, quad_degree)
-    b = assemble("div_pressure", vel, quad_degree, pressure_space=pre)
+    with timings.stage("assemble"):
+        a = assemble("h1", vel, quad_degree)
+        b = assemble("div_pressure", vel, quad_degree, pressure_space=pre)
+        mw = assemble("mass", pre, quad_degree).matrix
     mask = vel.boundary_mask
     a0 = restrict_operator(a, mask, mask) * problem.viscosity
     b0 = b.matrix[:, ~mask]
-    f = assemble_load(vel, problem.solution.stokes_forcing_sample(problem.viscosity), quad_degree)
+    with timings.stage("load"):
+        f = assemble_load(
+            vel, problem.solution.stokes_forcing_sample(problem.viscosity), quad_degree
+        )
     f0 = restrict_vector(f, mask)
 
-    lu = spla.splu(a0.tocsc())
-    q_const = _pressure_constant_coeffs(pre)
-    mw = assemble("mass", pre, quad_degree).matrix
+    with timings.stage("interpolate"):
+        q_const = _pressure_constant_coeffs(pre)
     c_vec = mw @ q_const  # functional q -> integral of q over the domain
 
     def project(q):
@@ -483,23 +534,27 @@ def solve_stokes(problem: StokesProblem):
     def schur(q):
         return project(b0 @ lu.solve(b0.T @ project(q)))
 
-    rhs = project(-(b0 @ lu.solve(f0)))
-    p, iters = _cg_operator(schur, rhs, tol=problem.tol)
-    p = project(p)
-    u0 = lu.solve(f0 + b0.T @ p)
+    with timings.stage("solve"):
+        lu = spla.splu(a0.tocsc())
+        rhs = project(-(b0 @ lu.solve(f0)))
+        p, iters = _cg_operator(schur, rhs, tol=problem.tol)
+        p = project(p)
+        u0 = lu.solve(f0 + b0.T @ p)
     coeffs = extend_vector(u0, mask)
 
-    div_norm = divergence_norm(vel, coeffs, quad_degree)
-    errs = error_norms(vel, coeffs, problem.solution.solution_sample(), quad_degree)
-    p_err = _pressure_error(pre, p, problem.solution.pressure_sample(), quad_degree)
+    with timings.stage("errors"):
+        div_norm = divergence_norm(vel, coeffs, quad_degree)
+        errs = error_norms(vel, coeffs, problem.solution.solution_sample(), quad_degree)
+        p_err = _pressure_error(pre, p, problem.solution.pressure_sample(), quad_degree)
     report = {
         "N": problem.n,
         "dofs": int(vel.interior_dim + pre.dim - 1),
         "velocity_l2": errs[0],
-        "velocity_h1curl": errs[1],
+        "velocity_h1": errs[3],
         "pressure_l2": p_err,
         "div_norm": div_norm,
         "iterations": iters,
+        "timings": dict(timings),
         "seconds": time.perf_counter() - t0,
     }
     return coeffs, p, report
@@ -636,6 +691,7 @@ class ConvergenceReport:
                 {
                     **{c: row.get(c) for c in self.COLUMNS},
                     "dofs": row.get("dofs"),
+                    "timings": row.get("timings"),
                     "seconds": row.get("seconds"),
                 }
                 for row in self.rows
@@ -675,11 +731,14 @@ def interpolation_study(levels, r, k, quad_degree=None):
     rows = []
     for n in levels:
         t0 = time.perf_counter()
+        timings = StageTimings()
         spaces = get_spaces(n, r, k, ["gradcurl"])
         v = spaces["gradcurl"]
         qd = quad_degree or default_quadrature_degree(r, k, v.basis_degree)
-        coeffs = v.interpolate(sample, QuadratureRule(qd))
-        errs = error_norms(v, coeffs, sample, qd)
+        with timings.stage("interpolate"):
+            coeffs = v.interpolate(sample, QuadratureRule(qd))
+        with timings.stage("errors"):
+            errs = error_norms(v, coeffs, sample, qd)
         rows.append(
             {
                 "N": n,
@@ -687,6 +746,7 @@ def interpolation_study(levels, r, k, quad_degree=None):
                 "l2": errs[0],
                 "hcurl": errs[1],
                 "gradcurl": errs[2],
+                "timings": dict(timings),
                 "seconds": time.perf_counter() - t0,
             }
         )

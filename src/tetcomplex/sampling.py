@@ -17,16 +17,25 @@ from .polyalg.poly import Polynomial, VectorField, curl, div, grad, jacobian
 
 @dataclass
 class FieldSample:
-    """Evaluable analytic field; ``value`` maps (m,3) points to (m,3) or (m,)."""
+    """Evaluable analytic field; ``value`` maps (m,3) points to (m,3) or (m,).
+
+    Every evaluator takes flat (m, 3) points.  A sample with ``shared``
+    also takes, as a second argument, the state ``shared`` builds from a
+    class chunk: the same points as a (cells, points, 3) array, one row per
+    cell of a congruence class, whose rows are one cell's points moved by
+    each cell's translation.  The flat points are that array reshaped.
+    """
 
     value: callable
     curl: callable = None
     grad_curl: callable = None
     div: callable = None
     gradient: callable = None  # for scalar samples
+    jacobian: callable = None  # (m, 3, 3), [:, i, j] = d value_i / d x_j
     scalar: bool = False
-    # point set -> evaluation state that value, curl and grad_curl accept
-    # as a second argument, so several evaluators at one point set share it
+    # (cells, points, 3) class chunk -> evaluation state that every
+    # evaluator accepts as a second argument, so the evaluators at one
+    # chunk share it and may exploit the chunk's structure
     shared: callable = None
 
     @classmethod
@@ -34,7 +43,16 @@ class FieldSample:
         uf = u.to_float()
         cu = curl(u).to_float()
         dv = div(u).to_float()
+        ju = [[e.to_float() for e in row] for row in jacobian(u)]
         jc = [[e.to_float() for e in row] for row in jacobian(curl(u))]
+
+        def table(entries, pts):
+            pts = np.asarray(pts, float)
+            out = np.zeros((len(pts), 3, 3))
+            for i in range(3):
+                for j in range(3):
+                    out[:, i, j] = entries[i][j].eval_many(pts)
+            return out
 
         def value(pts):
             return uf.eval_many(np.asarray(pts, float))
@@ -42,18 +60,13 @@ class FieldSample:
         def curl_eval(pts):
             return cu.eval_many(np.asarray(pts, float))
 
-        def grad_curl(pts):
-            pts = np.asarray(pts, float)
-            out = np.zeros((len(pts), 3, 3))
-            for i in range(3):
-                for j in range(3):
-                    out[:, i, j] = jc[i][j].eval_many(pts)
-            return out
-
         def div_eval(pts):
             return dv.eval_many(np.asarray(pts, float))
 
-        return cls(value, curl_eval, grad_curl, div_eval)
+        return cls(
+            value, curl_eval, lambda pts: table(jc, pts), div_eval,
+            jacobian=lambda pts: table(ju, pts),
+        )
 
     @classmethod
     def from_scalar_polynomial(cls, p: Polynomial):
@@ -81,7 +94,7 @@ class FieldSample:
         return FieldSample(self.gradient, zero3, zero33, None)
 
     def fd_check(self, pts, step=1e-6, tol=1e-4):
-        """Relative agreement of curl/div/grad-curl with central differences."""
+        """Relative agreement of curl/div/Jacobian/grad-curl with central differences."""
         pts = np.asarray(pts, float)
         report = {}
         eye = np.eye(3)
@@ -104,6 +117,11 @@ class FieldSample:
             ref = self.div(pts)
             scale = max(1.0, np.abs(ref).max())
             report["div"] = float(np.abs(fd_div - ref).max() / scale)
+        if self.jacobian is not None:
+            fd_jac = np.stack([dpart(self.value, j) for j in range(3)], axis=2)
+            ref = self.jacobian(pts)
+            scale = max(1.0, np.abs(ref).max())
+            report["jacobian"] = float(np.abs(fd_jac - ref).max() / scale)
         if self.grad_curl is not None and self.curl is not None:
             d = [dpart(self.curl, j) for j in range(3)]
             fd_gc = np.stack(d, axis=2)

@@ -37,8 +37,8 @@ from tetcomplex.mesh import (
     build_structured_cube,
 )
 from tetcomplex.polyalg import Polynomial, VectorField, curl, div, monomial_exponents
-from tetcomplex.problems import ManufacturedSolution
-from tetcomplex.quadrature import QuadratureRule
+from tetcomplex.problems import ManufacturedSolution, _SinCos
+from tetcomplex.quadrature import QuadratureRule, alfeld_composite
 from tetcomplex.sampling import FieldSample
 
 
@@ -451,6 +451,19 @@ class TestInterpolationAndNorms:
         for a, b in zip(evaluate(), whole):
             np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12 * np.abs(b).max())
 
+    def test_velocity_h1_error_of_linear_interpolant(self):
+        # u(x, y, z) = (1 + 2y - z, x - 3z, 2x + y + z): a non-symmetric constant Jacobian
+        x, y, z = (Polynomial.variable(i, 3) for i in range(3))
+        u = VectorField((1 + 2 * y - z, x - 3 * z, 2 * x + y + z))
+        sample = FieldSample.from_vector_polynomial(u)
+        space = GlobalSpace(build_structured_cube(2), "velocity", 1, 1)
+        coeffs = space.interpolate(sample, QuadratureRule(8))
+        errs = error_norms(space, coeffs, sample, 8)
+        assert errs[0] <= 1e-10 and errs[3] <= 1e-10
+        # zero coefficients leave |grad u| over the unit cube: sqrt(sum J_ij^2)
+        zero = error_norms(space, np.zeros(space.dim), sample, 8)
+        assert zero[3] == pytest.approx(np.sqrt(4 + 1 + 1 + 9 + 4 + 1 + 1), rel=1e-12)
+
     def test_class_tables_built_once_per_space_and_degree(self, monkeypatch):
         space = GlobalSpace(build_structured_cube(2), "gradcurl", 1, 1)
         ms = ManufacturedSolution()
@@ -492,3 +505,50 @@ class TestInterpolationAndNorms:
         assert (nr, nc) == m.shape and nnz == len(lines) - 1
         i, j, v = lines[1].split()
         assert float(v) == m.matrix[int(i), int(j)]
+
+
+class TestStructuredEvaluation:
+    """Manufactured-solution evaluators on class chunks equal flat evaluation."""
+
+    EVALUATORS = (
+        "value", "curl", "grad_curl", "divergence", "jacobian", "forcing",
+        "stokes_forcing", "pressure", "pressure_gradient",
+    )
+
+    @staticmethod
+    def _assert_structured_equals_flat(ms, chunk):
+        flat = chunk.reshape(-1, 3)
+        sc = _SinCos(chunk)
+        for name in TestStructuredEvaluation.EVALUATORS:
+            evaluate = getattr(ms, name)
+            expected = evaluate(flat)
+            got = (
+                evaluate(flat, 1.0, sc) if name == "stokes_forcing" else evaluate(flat, sc)
+            )
+            np.testing.assert_allclose(
+                got, expected, rtol=0, atol=1e-14 * np.abs(expected).max(), err_msg=name
+            )
+        return sc
+
+    @pytest.mark.parametrize("variant", ["kuhn3", "permuted", "jittered"])
+    def test_class_chunks(self, variant):
+        meshes = _numbering_meshes()
+        mesh = build_structured_cube(3) if variant == "kuhn3" else meshes[variant]
+        ms = ManufacturedSolution()
+        ref_points = alfeld_composite(6)[0]
+        for cells in class_partition(mesh):
+            points = CellGeometry(mesh, int(cells[0])).amap.apply(ref_points)
+            for _, chunk in assembly_module._chunks(SimpleNamespace(mesh=mesh), cells, points):
+                sc = self._assert_structured_equals_flat(ms, chunk)
+                if variant == "kuhn3":
+                    # one row per distinct translation along each axis, not one per cell
+                    assert max(len(rows) for rows in sc.s) <= 3 < len(cells)
+
+    def test_rows_sharing_first_coordinate_only(self):
+        # every row has the first point's x, but the rows differ at the other
+        # points: grouping by the first point alone would be wrong
+        chunk = np.random.default_rng(4).random((5, 7, 3))
+        chunk[:, 0, 0] = 0.25
+        chunk[2] = chunk[0]
+        sc = self._assert_structured_equals_flat(ManufacturedSolution(), chunk)
+        assert [len(rows) for rows in sc.s] == [5, 4, 4]

@@ -240,6 +240,29 @@ class TestInfSup:
             inf_sup_constant(5, 1)
 
 
+class TestTimings:
+    def _check(self, row):
+        assert set(row["timings"]) == {"assemble", "load", "solve", "errors", "interpolate"}
+        assert all(t >= 0 for t in row["timings"].values())
+        assert sum(row["timings"].values()) <= row["seconds"]
+
+    def test_quadcurl_row(self):
+        _, row = solve_quadcurl(QuadCurlProblem(n=2, r=1, k=1))
+        self._check(row)
+        assert row["timings"]["solve"] > 0 and row["timings"]["interpolate"] == 0
+
+    def test_stokes_row(self):
+        _, _, rep = solve_stokes(StokesProblem(n=2, k=1))
+        self._check(rep)
+        assert rep["velocity_h1"] > 0 and "velocity_h1curl" not in rep
+
+    def test_convergence_json_passes_timings(self):
+        rep = interpolation_study([1, 2], 1, 1)
+        for row, out in zip(rep.rows, rep.to_json()["rows"]):
+            self._check(row)
+            assert out["timings"] == row["timings"]
+
+
 class TestConvergenceHarness:
     def test_report_format(self, tmp_path):
         rep = run_convergence("quadcurl", [1, 2], 1, 1)
