@@ -39,25 +39,6 @@ def default_quadrature_degree(r, k, basis_degree=None):
 _POINT_CHUNK = 200_000
 
 
-def class_partition(mesh):
-    """Cell ids (one int array per congruence class), shared by all spaces on a mesh."""
-    classes = mesh.derived.get("class_partition")
-    if classes is None:
-        classes = [np.flatnonzero(mesh.cell_class == c) for c in range(mesh.cell_class.max() + 1)]
-        mesh.derived["class_partition"] = classes
-    return classes
-
-
-def class_geometries(mesh):
-    """CellGeometry of each class's first cell, by cell id, shared by all spaces on a mesh."""
-    geoms = mesh.derived.get("class_geometries")
-    if geoms is None:
-        firsts = [int(cells[0]) for cells in class_partition(mesh)]
-        geoms = {ci: CellGeometry(mesh, ci) for ci in firsts}
-        mesh.derived["class_geometries"] = geoms
-    return geoms
-
-
 class GlobalSpace:
     """Entity-blocked global numbering of one space kind on a mesh.
 
@@ -81,19 +62,19 @@ class GlobalSpace:
         self.cell_base = self.face_base + nf * counts["face"]
         self.dim = self.cell_base + nc * counts["cell"]
 
-        self.classes = class_partition(mesh)
-        self.cells_geom = class_geometries(mesh)
+        self.classes = mesh.classes
+        self.cells_geom = {int(c[0]): CellGeometry(mesh, int(c[0])) for c in self.classes}
         self.elements = {ci: local_element(kind, r, k, g) for ci, g in self.cells_geom.items()}
         self.local_to_global = self._numbering()
         self._tables = {}
         boundary = {
             "vertex": mesh.vertex_boundary,
-            "edge": [e.boundary for e in mesh.edges],
-            "face": [f.boundary for f in mesh.faces],
+            "edge": mesh.edge_boundary,
+            "face": mesh.face_boundary,
             "cell": np.zeros(nc, dtype=bool),
         }
         self.boundary_mask = np.concatenate(
-            [np.repeat(np.asarray(flags, dtype=bool), counts[e]) for e, flags in boundary.items()]
+            [np.repeat(flags, counts[e]) for e, flags in boundary.items()]
         )
         self.basis_degree = max(b.degree for el in self.elements.values() for b in el.basis)
 

@@ -13,6 +13,7 @@ import json
 import logging
 import os
 import sys
+import time
 
 log = logging.getLogger("tetcomplex")
 
@@ -141,9 +142,12 @@ def cmd_mesh_info(args):
 
     if args.N < 1:
         raise ValueError("mesh level must be >= 1")
+    start = time.perf_counter()
     mesh = build_structured_cube(args.N)
+    build_s = time.perf_counter() - start
     info = mesh.info()
     info["N"] = args.N
+    info["build_s"] = build_s
     if args.out:
         mesh.export_text(args.out)
         info["exported"] = args.out

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from fractions import Fraction
 from functools import lru_cache
 
@@ -89,14 +89,46 @@ class ElementConfig:
 # cell geometry bundle
 
 
+def _face_frame(mesh, vertices):
+    """Float frame plus exact direction and centroid of the face on ascending ``vertices``.
+
+    The direction (v1 - v0) x (v2 - v0) is the rational area-weighted
+    normal; it depends on global ids only, so both incident cells share it.
+    """
+    p0, p1, p2 = mesh.vertices_f[list(vertices)]
+    t1 = p1 - p0
+    normal2 = np.cross(t1, p2 - p0)  # length = 2 * area
+    area = float(np.linalg.norm(normal2)) / 2.0
+    n = normal2 / (2.0 * area)
+    tau1 = t1 / np.linalg.norm(t1)
+    q0, q1, q2 = mesh.lattice[list(vertices)]
+    den = mesh.denominator
+    return {
+        "tau1": tau1,
+        "tau2": np.cross(n, tau1),
+        "normal": n,
+        "area": area,
+        "centroid": (p0 + p1 + p2) / 3.0,
+        "direction": tuple(Fraction(int(c), den * den) for c in np.cross(q1 - q0, q2 - q0)),
+        "centroid_exact": tuple(Fraction(int(c), 3 * den) for c in q0 + q1 + q2),
+    }
+
+
 class CellGeometry:
-    """Per-cell entity data needed to define globally consistent DOFs."""
+    """Per-cell entity data needed to define globally consistent DOFs.
+
+    The cell's map is its class map moved by the cell's exact shift; edge
+    tangents and face frames come from the mesh's coordinate arrays.
+    """
 
     def __init__(self, mesh: MeshTopology, cell_id: int):
         self.mesh = mesh
         self.cell_id = cell_id
-        self.amap = mesh.cell_maps[cell_id]
         self.ref_to_global = tuple(mesh.cell_vertices[cell_id].tolist())
+        self.amap = replace(
+            mesh.class_maps[mesh.cell_class[cell_id]],
+            shift=mesh.vertex_exact(self.ref_to_global[0]),
+        )
 
         self.vertices = []
         for r in range(4):
@@ -112,8 +144,10 @@ class CellGeometry:
         self.edges = []
         for (a, b), eidx in zip(REF_EDGE_VERTICES, mesh.cell_edges[cell_id].tolist()):
             ga, gb = self.ref_to_global[a], self.ref_to_global[b]
-            key = mesh.edges[eidx].vertices
-            geo = mesh.edge_geometry(eidx)
+            key = mesh.edges[eidx].tolist()
+            # the exact difference, rounded once
+            d = (mesh.lattice[key[1]] - mesh.lattice[key[0]]) / mesh.denominator
+            length = float(np.linalg.norm(d))
             lo_ref = REF_VERTICES[a] if ga < gb else REF_VERTICES[b]
             hi_ref = REF_VERTICES[b] if ga < gb else REF_VERTICES[a]
             self.edges.append(
@@ -124,14 +158,14 @@ class CellGeometry:
                     "ref_hi": hi_ref,
                     "phys_lo": mesh.vertices_f[key[0]].copy(),
                     "phys_hi": mesh.vertices_f[key[1]].copy(),
-                    "tangent": geo["tangent"],
-                    "length": geo["length"],
+                    "tangent": d / length,
+                    "length": length,
                 }
             )
 
         self.faces = []
         for fidx in mesh.cell_faces[cell_id].tolist():
-            globals_sorted = mesh.faces[fidx].vertices
+            globals_sorted = tuple(mesh.faces[fidx].tolist())
             ref_anchors = []
             phys_anchors = []
             for g in globals_sorted:
@@ -143,8 +177,8 @@ class CellGeometry:
                     "global": fidx,
                     "ref_anchors": tuple(ref_anchors),
                     "phys_anchors": tuple(phys_anchors),
-                    "phys_anchors_exact": tuple(mesh.vertices[g] for g in globals_sorted),
-                    **mesh.face_geometry(fidx),
+                    "phys_anchors_exact": tuple(mesh.vertex_exact(g) for g in globals_sorted),
+                    **_face_frame(mesh, globals_sorted),
                 }
             )
 

@@ -2,19 +2,20 @@
 
 The structured mesh partitions the cube into N^3 subcubes, each split into
 six tetrahedra sharing the subcube diagonal (Kuhn subdivision), which is
-conforming across subcubes.  Entities (edges, faces) are identified by
-ascending global vertex ids, so every cell incident to an entity sees the
-same tangent/frame data; cells store exact rational affine maps onto the
-reference tetrahedron with positive determinant.
+conforming across subcubes.  Exact coordinates are an int64 lattice over
+one common denominator.  Entities (edges, faces) are rows of ascending
+global vertex ids, so every cell incident to an entity sees the same
+tangent/frame data.  The mesh partitions its cells into congruence
+classes and holds one exact rational affine map per class, with positive
+determinant; a cell's map is its class map moved by the cell's shift.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import permutations
 
 import numpy as np
 
@@ -23,27 +24,10 @@ from .polyalg.poly import _det3, _inv3
 REF_EDGE_VERTICES = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 REF_FACE_VERTICES = ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))
 
-
-def _frac_point(coords):
-    return tuple(Fraction(c) for c in coords)
-
-
-@lru_cache(maxsize=1024)
-def _matrix_data(matrix):
-    """Exact determinant and inverse plus read-only float copies of a matrix.
-
-    Cells of one congruence class share the matrix, so a structured mesh
-    computes these once per class rather than once per cell.
-    """
-    det = _det3(matrix)
-    inverse = _inv3(matrix, det) if det != 0 else None
-    matrix_f = np.array([[float(v) for v in row] for row in matrix])
-    matrix_f.flags.writeable = False
-    inverse_f = None
-    if inverse is not None:
-        inverse_f = np.array([[float(v) for v in row] for row in inverse])
-        inverse_f.flags.writeable = False
-    return det, inverse, matrix_f, inverse_f
+# Largest lattice entry: cell determinants, sums of six triple products of
+# coordinate differences (at most 2**20 each), then stay inside int64.
+LATTICE_BOUND = 2**19
+_INT64_MAX = np.iinfo(np.int64).max
 
 
 @dataclass
@@ -55,9 +39,12 @@ class AffineMap:
     vertex_order: tuple  # cell vertex slots (into the sorted tuple) hit by ref vertices
 
     def __post_init__(self):
-        self.det, self.inverse, self.matrix_f, self.inverse_f = _matrix_data(self.matrix)
+        self.det = _det3(self.matrix)
         assert self.det > 0
-        self.shift_f = np.array([float(v) for v in self.shift])
+        self.inverse = _inv3(self.matrix, self.det)
+        self.matrix_f = np.array(self.matrix, dtype=float)
+        self.inverse_f = np.array(self.inverse, dtype=float)
+        self.shift_f = np.array(self.shift, dtype=float)
         self.det_f = float(self.det)
 
     def apply(self, ref_points):
@@ -82,183 +69,146 @@ class AffineMap:
         return tuple(tuple(row) for row in self.matrix), self.vertex_order
 
 
-def affine_map_for(vertices):
-    """Positively oriented affine map for a cell given 4 vertex coordinates.
-
-    ``vertices`` are in ascending-global-id order; if that order is
-    negatively oriented the last two reference vertices swap targets.
-    """
-    order = (0, 1, 2, 3)
-    cols = tuple(tuple(vertices[j + 1][i] - vertices[0][i] for j in range(3)) for i in range(3))
-    if _matrix_data(cols)[0] < 0:
-        order = (0, 1, 3, 2)
-        cols = tuple(
-            tuple(vertices[order[j + 1]][i] - vertices[0][i] for j in range(3)) for i in range(3)
+def _lattice(vertices):
+    """Exact coordinates as int64 numerators over their least common denominator."""
+    flat = [c for v in vertices for c in v]
+    # keyed by object: a coordinate object shared by many vertices (as on a
+    # structured mesh) converts once, and no Fraction is hashed
+    exact = {id(c): Fraction(c) for c in {id(c): c for c in flat}.values()}
+    denominator = math.lcm(*(f.denominator for f in exact.values()))
+    numerators = {i: f.numerator * (denominator // f.denominator) for i, f in exact.items()}
+    if max(map(abs, numerators.values()), default=0) > LATTICE_BOUND:
+        raise ValueError(
+            f"coordinates over the common denominator {denominator} exceed the "
+            f"int64 lattice bound {LATTICE_BOUND}"
         )
-    if _matrix_data(cols)[0] == 0:
-        raise ValueError("degenerate cell")
-    return AffineMap(cols, tuple(vertices[0]), order)
+    lattice = np.array([numerators[id(c)] for c in flat], dtype=np.int64).reshape(-1, 3)
+    return lattice, denominator
 
 
-@dataclass
-class EdgeData:
-    vertices: tuple  # ascending global ids
-    boundary: bool = False
-
-    def geometry(self, coords):
-        lo, hi = (coords[v] for v in self.vertices)
-        d = np.array([float(b - a) for a, b in zip(lo, hi)])
-        length = float(np.linalg.norm(d))
-        return {"tangent": d / length, "length": length}
-
-
-@dataclass
-class FaceData:
-    vertices: tuple  # ascending global ids
-    boundary: bool = False
-    cells: tuple = ()
-
-    def geometry(self, coords):
-        p0, p1, p2 = (np.array([float(c) for c in coords[v]]) for v in self.vertices)
-        t1 = p1 - p0
-        t2raw = p2 - p0
-        normal2 = np.cross(t1, t2raw)  # length = 2 * area
-        area = float(np.linalg.norm(normal2)) / 2.0
-        n = normal2 / (2.0 * area)
-        tau1 = t1 / np.linalg.norm(t1)
-        tau2 = np.cross(n, tau1)
-        centroid = (p0 + p1 + p2) / 3.0
-        return {
-            "tau1": tau1,
-            "tau2": tau2,
-            "normal": n,
-            "area": area,
-            "centroid": centroid,
-        }
-
-    def direction_exact(self, coords):
-        """Rational area-weighted normal (v1-v0) x (v2-v0); shared by both cells."""
-        p0, p1, p2 = (coords[v] for v in self.vertices)
-        a = [p1[i] - p0[i] for i in range(3)]
-        b = [p2[i] - p0[i] for i in range(3)]
-        return (
-            a[1] * b[2] - a[2] * b[1],
-            a[2] * b[0] - a[0] * b[2],
-            a[0] * b[1] - a[1] * b[0],
-        )
-
-    def centroid_exact(self, coords):
-        p0, p1, p2 = (coords[v] for v in self.vertices)
-        return tuple((p0[i] + p1[i] + p2[i]) / 3 for i in range(3))
+def _row_groups(rows):
+    """Group id of every row of an int array, numbered by first appearance,
+    and the first row of each group."""
+    order = np.lexsort(rows.T[::-1])  # stable: equal rows keep ascending ids
+    ordered = rows[order]
+    starts = np.r_[True, (ordered[1:] != ordered[:-1]).any(axis=1)]
+    firsts = order[starts]
+    by_appearance = np.argsort(firsts)
+    rank = np.empty_like(by_appearance)
+    rank[by_appearance] = np.arange(len(firsts))
+    groups = np.empty(len(rows), dtype=np.int64)
+    groups[order] = rank[np.cumsum(starts) - 1]
+    return groups, firsts[by_appearance]
 
 
 class MeshTopology:
-    """Tetrahedral mesh with derived, globally oriented entities."""
+    """Tetrahedral mesh with derived, globally oriented entities, as arrays.
+
+    - ``lattice`` (nv, 3) int64 and ``denominator``: exact coordinates;
+      ``vertices_f`` their floats.
+    - ``cells`` (nc, 4): ascending vertex ids; ``cell_vertices`` the same
+      rows with the last two swapped where that orients the cell positively
+      (the global ids hit by reference vertices 0..3).
+    - ``edges`` (ne, 2), ``faces`` (nf, 3): ascending vertex ids, in
+      lexicographic order; ``cell_edges`` (nc, 6) and ``cell_faces``
+      (nc, 4) are their ids in REF_EDGE / REF_FACE order.
+    - ``face_cells`` (nf, 2): incident cells in ascending order, -1 for the
+      missing neighbour of a boundary face; ``vertex_boundary``,
+      ``edge_boundary``, ``face_boundary``: bool flags.
+    - ``cell_class``: congruence class, numbered by first appearance;
+      ``classes`` the cell ids of each class; ``class_maps`` one exact
+      affine map per class, with zero shift.
+    """
 
     def __init__(self, vertices, cells):
-        self.vertices = [_frac_point(v) for v in vertices]
-        self.vertices_f = np.array([[float(c) for c in v] for v in self.vertices])
-        self.cells = [tuple(sorted(int(v) for v in c)) for c in cells]
-        if len({c for c in self.cells}) != len(self.cells):
+        if len(vertices) ** 3 > _INT64_MAX:
+            raise ValueError(f"{len(vertices)} vertices overflow the int64 face keys")
+        self.lattice, self.denominator = _lattice(vertices)
+        self.vertices_f = self.lattice / self.denominator
+        self.cells = np.sort(np.asarray(cells, dtype=np.int64).reshape(-1, 4), axis=1)
+        if not ((self.cells >= 0) & (self.cells < self.n_vertices)).all():
+            raise ValueError("cell vertex ids out of range")
+        if len(_row_groups(self.cells)[1]) != self.n_cells:
             raise ValueError("duplicate cells")
-        self._edge_geometry = {}
-        self._face_geometry = {}
-        self._face_direction = {}
+        self._build_classes()
         self._build_entities()
-        self._build_cell_maps()
-        # data other layers derive from the mesh alone, built once per mesh
-        self.derived = {}
 
     # -- construction ---------------------------------------------------
 
-    def _build_entities(self):
-        edge_set = set()
-        face_set = set()
-        for cell in self.cells:
-            for pair in combinations(cell, 2):
-                edge_set.add(pair)
-            for tri in combinations(cell, 3):
-                face_set.add(tri)
-        self.edges = [EdgeData(e) for e in sorted(edge_set)]
-        self.faces = [FaceData(f) for f in sorted(face_set)]
-
-        face_cells = {f: [] for f in face_set}
-        for ci, cell in enumerate(self.cells):
-            for tri in combinations(cell, 3):
-                face_cells[tri].append(ci)
-        boundary_vertices = set()
-        boundary_edges = set()
-        for f in self.faces:
-            f.cells = tuple(face_cells[f.vertices])
-            if len(f.cells) == 1:
-                f.boundary = True
-                boundary_vertices.update(f.vertices)
-                for pair in combinations(f.vertices, 2):
-                    boundary_edges.add(pair)
-            elif len(f.cells) != 2:
-                raise ValueError(f"face {f.vertices} shared by {len(f.cells)} cells")
-        for e in self.edges:
-            e.boundary = e.vertices in boundary_edges
-        self.vertex_boundary = [i in boundary_vertices for i in range(len(self.vertices))]
-
-    def _build_cell_maps(self):
-        self.cell_maps = [affine_map_for([self.vertices[v] for v in cell]) for cell in self.cells]
-        order = np.array([amap.vertex_order for amap in self.cell_maps])
-        # per cell: global vertex ids hit by the reference vertices, in order
-        self.cell_vertices = np.take_along_axis(np.array(self.cells), order, axis=1)
+    def _build_classes(self):
+        cells = self.cells
+        # rows: the three edge vectors from each cell's first vertex
+        spans = self.lattice[cells[:, 1:]] - self.lattice[cells[:, :1]]
+        det = np.einsum("ci,ci->c", spans[:, 0], np.cross(spans[:, 1], spans[:, 2]))
+        if not det.all():
+            raise ValueError(f"degenerate cell {tuple(cells[np.argmin(np.abs(det))])}")
+        swap = det < 0
+        self.cell_vertices = cells.copy()
+        self.cell_vertices[swap, 2:] = cells[swap, :1:-1]
+        spans[swap, 1:] = spans[swap, :0:-1]
         self.cell_shifts = self.vertices_f[self.cell_vertices[:, 0]]
-        # per cell: 6 global edge ids in REF_EDGE order, 4 face ids in REF_FACE order
-        self.cell_edges = self._entity_ids(self.edges, REF_EDGE_VERTICES)
-        self.cell_faces = self._entity_ids(self.faces, REF_FACE_VERTICES)
-        # per cell: congruence class, numbered by first appearance of its signature
-        classes = {}
-        self.cell_class = np.array(
-            [classes.setdefault(amap.signature(), len(classes)) for amap in self.cell_maps]
-        )
 
-    def _entity_ids(self, entities, ref_entities):
-        """Global ids of every cell's entities, one column per reference entity.
+        self.cell_class, firsts = _row_groups(np.column_stack([spans.reshape(-1, 9), swap]))
+        by_class = np.argsort(self.cell_class, kind="stable")
+        self.classes = np.split(by_class, np.cumsum(np.bincount(self.cell_class))[:-1])
 
-        Entities are sorted tuples of ascending vertex ids, so their keys in
-        base ``n_vertices`` ascend with the entity index.
+        zero = (Fraction(0),) * 3
+        self.class_maps = []
+        for c in firsts:
+            matrix = tuple(
+                tuple(Fraction(int(spans[c, j, i]), self.denominator) for j in range(3))
+                for i in range(3)
+            )
+            self.class_maps.append(
+                AffineMap(matrix, zero, (0, 1, 3, 2) if swap[c] else (0, 1, 2, 3))
+            )
+
+    def _entities(self, ref_entities):
+        """Unique entities of the cells, each cell's entity ids, and incidence counts.
+
+        Keys in base ``n_vertices`` of the ascending vertex rows ascend
+        with the rows' lexicographic order.
         """
-        powers = self.n_vertices ** np.arange(len(ref_entities[0]))[::-1]
-        known = np.array([e.vertices for e in entities]) @ powers
-        local = np.sort(self.cell_vertices[:, ref_entities], axis=-1)
-        return np.searchsorted(known, local @ powers)
+        rows = np.sort(self.cell_vertices[:, ref_entities], axis=-1)
+        keys = rows @ self.n_vertices ** np.arange(rows.shape[-1])[::-1]
+        _, first, inverse, counts = np.unique(
+            keys, return_index=True, return_inverse=True, return_counts=True
+        )
+        entities = rows.reshape(-1, rows.shape[-1])[first]
+        return entities, inverse.reshape(self.n_cells, -1), counts
+
+    def _build_entities(self):
+        self.edges, self.cell_edges, _ = self._entities(REF_EDGE_VERTICES)
+        self.faces, self.cell_faces, counts = self._entities(REF_FACE_VERTICES)
+        if (counts > 2).any():
+            bad = int(np.argmax(counts))
+            raise ValueError(f"face {tuple(self.faces[bad])} shared by {counts[bad]} cells")
+        self.face_boundary = counts == 1
+
+        # incident cells: each face's incidences, in ascending cell id
+        owners = np.argsort(self.cell_faces.reshape(-1), kind="stable") // 4
+        start = np.cumsum(counts) - counts
+        self.face_cells = np.full((self.n_faces, 2), -1, dtype=np.int64)
+        self.face_cells[:, 0] = owners[start]
+        interior = ~self.face_boundary
+        self.face_cells[interior, 1] = owners[start[interior] + 1]
+
+        boundary_faces = self.faces[self.face_boundary]
+        self.vertex_boundary = np.zeros(self.n_vertices, dtype=bool)
+        self.vertex_boundary[boundary_faces] = True
+        powers = np.array([self.n_vertices, 1])
+        boundary_edges = boundary_faces[:, [[0, 1], [0, 2], [1, 2]]] @ powers
+        self.edge_boundary = np.isin(self.edges @ powers, boundary_edges)
 
     # -- queries ----------------------------------------------------------
 
-    def edge_geometry(self, ei):
-        """Float tangent and length of edge ``ei``, computed once per edge."""
-        geo = self._edge_geometry.get(ei)
-        if geo is None:
-            geo = self._edge_geometry[ei] = self.edges[ei].geometry(self.vertices)
-        return geo
-
-    def face_direction(self, fi):
-        """Exact area-weighted normal of face ``fi``, computed once per face."""
-        d = self._face_direction.get(fi)
-        if d is None:
-            d = self._face_direction[fi] = self.faces[fi].direction_exact(self.vertices)
-        return d
-
-    def face_geometry(self, fi):
-        """Float frame plus exact direction and centroid of face ``fi``, once per face."""
-        geo = self._face_geometry.get(fi)
-        if geo is None:
-            face = self.faces[fi]
-            geo = {
-                "direction": self.face_direction(fi),
-                "centroid_exact": face.centroid_exact(self.vertices),
-                **face.geometry(self.vertices),
-            }
-            self._face_geometry[fi] = geo
-        return geo
+    def vertex_exact(self, v):
+        """Exact rational coordinates of vertex ``v``."""
+        return tuple(Fraction(int(c), self.denominator) for c in self.lattice[v])
 
     @property
     def n_vertices(self):
-        return len(self.vertices)
+        return len(self.lattice)
 
     @property
     def n_edges(self):
@@ -276,13 +226,11 @@ class MeshTopology:
         return self.n_vertices - self.n_edges + self.n_faces - self.n_cells
 
     def boundary_counts(self):
-        nv = sum(self.vertex_boundary)
-        ne = sum(e.boundary for e in self.edges)
-        nf = sum(f.boundary for f in self.faces)
-        return nv, ne, nf
+        flags = (self.vertex_boundary, self.edge_boundary, self.face_boundary)
+        return tuple(int(f.sum()) for f in flags)
 
     def cell_volume(self, ci):
-        return self.cell_maps[ci].det * Fraction(1, 6)
+        return self.class_maps[self.cell_class[ci]].det * Fraction(1, 6)
 
     def info(self):
         nv_b, ne_b, nf_b = self.boundary_counts()
@@ -291,6 +239,7 @@ class MeshTopology:
             "edges": self.n_edges,
             "faces": self.n_faces,
             "cells": self.n_cells,
+            "classes": len(self.classes),
             "boundary_vertices": nv_b,
             "boundary_edges": ne_b,
             "boundary_faces": nf_b,
@@ -305,10 +254,10 @@ class MeshTopology:
     def export_text(self, path):
         with open(path, "w") as fh:
             fh.write(f"{self.n_vertices}\n")
-            for v in self.vertices:
-                fh.write(" ".join(str(c) for c in v) + "\n")
+            for v in range(self.n_vertices):
+                fh.write(" ".join(str(c) for c in self.vertex_exact(v)) + "\n")
             fh.write(f"{self.n_cells}\n")
-            for c in self.cells:
+            for c in self.cells.tolist():
                 fh.write(" ".join(str(i) for i in c) + "\n")
 
     @classmethod
@@ -327,40 +276,32 @@ class MeshTopology:
         return cls(verts, cells)
 
 
+# The six tets of the unit subcube: corner paths from (0, 0, 0) to (1, 1, 1),
+# one axis step at a time, one path per permutation of the axes.
+_KUHN_PATHS = np.array([
+    np.cumsum([(0, 0, 0), *np.eye(3, dtype=int)[list(perm)]], axis=0)
+    for perm in permutations(range(3))
+])
+
+
 def build_structured_cube(n):
     """Kuhn (6-tet) subdivision of the unit cube into 6 n^3 cells."""
     if n < 1:
         raise ValueError("mesh level must be >= 1")
     stride = n + 1
-
-    def vid(i, j, k):
-        return i + stride * (j + stride * k)
-
-    vertices = [  # i fastest, as vid() numbers them
-        (Fraction(i, n), Fraction(j, n), Fraction(k, n))
-        for k in range(stride)
-        for j in range(stride)
-        for i in range(stride)
-    ]
-
-    axes = np.eye(3, dtype=int)
-    cells = []
-    for k in range(n):
-        for j in range(n):
-            for i in range(n):
-                corner = np.array([i, j, k])
-                for perm in permutations(range(3)):
-                    path = [corner]
-                    for ax in perm:
-                        path.append(path[-1] + axes[ax])
-                    cells.append(tuple(vid(*p) for p in path))
-    return MeshTopology(vertices, cells)
+    # vertex (i, j, k) has id i + stride * (j + stride * k): i fastest
+    k, j, i = np.indices((stride,) * 3).reshape(3, -1)
+    values = [Fraction(t, n) for t in range(stride)]
+    vertices = [(values[a], values[b], values[c]) for a, b, c in zip(i, j, k)]
+    corners = np.stack(np.indices((n,) * 3)[::-1], axis=-1).reshape(-1, 1, 1, 3)
+    path = corners + _KUHN_PATHS  # (subcubes, 6 tets, 4 vertices, xyz)
+    cells = path[..., 0] + stride * (path[..., 1] + stride * path[..., 2])
+    return MeshTopology(vertices, cells.reshape(-1, 4))
 
 
 def alfeld(mesh, cell_id):
     """Alfeld split data of a physical cell: barycenter and 4 subtet vertex lists."""
-    cell = mesh.cells[cell_id]
-    pts = [mesh.vertices[v] for v in cell]
+    pts = [mesh.vertex_exact(v) for v in mesh.cells[cell_id]]
     center = tuple(sum(p[i] for p in pts) / 4 for i in range(3))
     subtets = [
         tuple(center if j == i else pts[j] for j in range(4))

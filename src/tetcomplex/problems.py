@@ -164,9 +164,10 @@ class ManufacturedSolution:
         u2 =    (s1^2 c1) s2^3 (s3^2 c3)
         u3 = -2 (s1^2 c1) (s2^2 c2) s3^3
 
-    The forcing of the fourth-order problem, -curl(lap(curl u)) + u, and
-    the Stokes forcing -lap(u) + grad(p) with p = c1 c2 c3 are evaluated
-    from the same univariate derivative tables.
+    The forcing of the fourth-order problem, -curl(lap(curl u)) + u (which
+    is lap(lap(u)) + u, as div u = 0), and the Stokes forcing
+    -lap(u) + grad(p) with p = c1 c2 c3 are evaluated from the same
+    univariate derivative tables.
 
     Every packaged sample evaluates through one _SinCos state per class
     chunk.  The chunk's rows are one cell's points moved by each cell's
@@ -244,19 +245,23 @@ class ManufacturedSolution:
             for a in range(3)
         ], axis=1)
 
-    def curl_lap_curl(self, pts, sc=None):
+    def bilaplacian(self, pts, sc=None):
+        """lap(lap(u)) from 18 partials: per component the three d^4/dx_d^4 and,
+        counted twice, the three d^2/dx_d^2 d^2/dx_e^2 with d < e."""
         sc = sc or _SinCos(pts)
-        return np.stack([
-            self._sum([
-                (s1 * s2, f, b + 2 * _E[d] + ee)
-                for s1, c, b in _CURL[a] for d in range(3) for s2, f, ee in _CURL[c]
-            ], sc)
-            for a in range(3)
-        ], axis=1)
+        comps = []
+        for i in range(3):
+            mixed = [(1, i, 2 * (_E[d] + _E[e])) for d in range(3) for e in range(d + 1, 3)]
+            acc = self._sum(mixed, sc)
+            acc *= 2
+            acc += self._sum([(1, i, 4 * _E[d]) for d in range(3)], sc)
+            comps.append(acc)
+        return np.stack(comps, axis=1)
 
     def forcing(self, pts, sc=None):
+        """-curl(lap(curl u)) + u, which is lap(lap(u)) + u because div u = 0."""
         sc = sc or _SinCos(pts)
-        return -self.curl_lap_curl(pts, sc) + self.value(pts, sc)
+        return self.bilaplacian(pts, sc) + self.value(pts, sc)
 
     def laplacian(self, pts, sc=None):
         sc = sc or _SinCos(pts)

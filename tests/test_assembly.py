@@ -13,7 +13,6 @@ from tetcomplex.assembly import (
     SparseOperator,
     assemble,
     assemble_load,
-    class_partition,
     discrete_d,
     error_norms,
     extend_vector,
@@ -60,19 +59,6 @@ def _numeric_rank(matrix, tol=1e-8):
     return int((s > tol * max(s[0], 1.0)).sum())
 
 
-def _numbering_meshes():
-    """N=2 Kuhn mesh, the same with its cells permuted, and with its interior vertex moved."""
-    mesh = build_structured_cube(2)
-    perm = np.random.default_rng(1).permutation(mesh.n_cells)
-    moved = list(mesh.vertices)
-    moved[13] = (F(9, 16), F(15, 32), F(33, 64))  # vertex (1/2, 1/2, 1/2), off the lattice
-    return {
-        "kuhn": mesh,
-        "permuted": MeshTopology(mesh.vertices, [mesh.cells[i] for i in perm]),
-        "jittered": MeshTopology(moved, mesh.cells),
-    }
-
-
 def _check_numbering(space, geoms, label):
     """Compare the gathered numbering and boundary mask with per-cell, per-entity loops."""
     mesh, c = space.mesh, space.counts
@@ -98,8 +84,8 @@ def _check_numbering(space, geoms, label):
     mask = np.zeros(space.dim, dtype=bool)
     for entity, flags in (
         ("vertex", mesh.vertex_boundary),
-        ("edge", [e.boundary for e in mesh.edges]),
-        ("face", [f.boundary for f in mesh.faces]),
+        ("edge", mesh.edge_boundary),
+        ("face", mesh.face_boundary),
     ):
         n = c[entity]
         for i, flag in enumerate(flags):
@@ -122,7 +108,7 @@ class TestNumbering:
                 -1 + dims["lagrange"] - dims["gradcurl"] + dims["velocity"] - dims["pressure"]
             ) == 0
 
-    def test_shared_dofs_identical_indices(self, monkeypatch):
+    def test_shared_dofs_identical_indices(self, monkeypatch, numbering_meshes):
         # the numbering reads only the DOFs of each class's element, so the
         # exact construction (minutes on 30 jittered classes) is left out
         monkeypatch.setattr(
@@ -132,7 +118,7 @@ class TestNumbering:
                 dofs=build_dofs(kind, cell, r, k), basis=[SimpleNamespace(degree=0)]
             ),
         )
-        for variant, mesh in _numbering_meshes().items():
+        for variant, mesh in numbering_meshes.items():
             geoms = [CellGeometry(mesh, ci) for ci in range(mesh.n_cells)]
             groups = {}
             for geom in geoms:
@@ -142,7 +128,7 @@ class TestNumbering:
                     (geom.edges, mesh.edges, REF_EDGE_VERTICES),
                     (geom.faces, mesh.faces, REF_FACE_VERTICES),
                 ):
-                    assert [owners[e["global"]].vertices for e in entities] == [
+                    assert [tuple(owners[e["global"]]) for e in entities] == [
                         tuple(sorted(ref_to_global[v] for v in local)) for local in ref
                     ]
                 patterns = (
@@ -150,7 +136,7 @@ class TestNumbering:
                     tuple(f["ref_anchors"] for f in geom.faces),
                 )
                 groups.setdefault((geom.amap.matrix, patterns), []).append(geom.cell_id)
-            partition = [cells.tolist() for cells in class_partition(mesh)]
+            partition = [cells.tolist() for cells in mesh.classes]
             assert partition == list(groups.values()), variant
             assert len(groups) == (30 if variant == "jittered" else 6)
 
@@ -200,7 +186,8 @@ class TestForms:
     def test_order_independence(self, mesh1):
         # permuting the cell list must not change entries beyond roundoff
         perm = [3, 0, 5, 1, 4, 2]
-        mesh_p = MeshTopology(mesh1.vertices, [mesh1.cells[i] for i in perm])
+        vertices = [mesh1.vertex_exact(v) for v in range(mesh1.n_vertices)]
+        mesh_p = MeshTopology(vertices, mesh1.cells[perm])
         a1 = assemble("gradcurl_stiffness", GlobalSpace(mesh1, "gradcurl", 1, 1)).matrix
         a2 = assemble("gradcurl_stiffness", GlobalSpace(mesh_p, "gradcurl", 1, 1)).matrix
         diff = abs(a1 - a2).max()
@@ -311,16 +298,11 @@ class TestConformity:
             space = spaces1[kind]
             coeffs = rng.standard_normal(space.dim)
             for fi, face in enumerate(mesh.faces):
-                if face.boundary:
+                if mesh.face_boundary[fi]:
                     continue
-                pts_phys = np.array(
-                    [
-                        sum(float(c) for c in (mesh.vertices[v][d] for v in face.vertices)) / 3
-                        for d in range(3)
-                    ]
-                )[None, :]
+                pts_phys = mesh.vertices_f[face].mean(axis=0)[None, :]
                 vals = []
-                for ci in face.cells:
+                for ci in mesh.face_cells[fi]:
                     geom = CellGeometry(mesh, ci)
                     local = coeffs[space.local_to_global[ci]]
                     ref = (pts_phys - geom.amap.shift_f) @ geom.amap.inverse_f.T
@@ -356,13 +338,13 @@ class TestConformity:
         bary /= bary.sum(axis=1, keepdims=True)
         worst = 0.0
         for fi, face in enumerate(mesh.faces):
-            if face.boundary:
+            if mesh.face_boundary[fi]:
                 continue
-            pts = bary @ mesh.vertices_f[list(face.vertices)]
-            normal = mesh.face_geometry(fi)["normal"]
+            pts = bary @ mesh.vertices_f[face]
             vals = []
-            for ci in face.cells:
+            for ci in mesh.face_cells[fi]:
                 geom = CellGeometry(mesh, ci)
+                normal = next(f["normal"] for f in geom.faces if f["global"] == fi)
                 el = local_element(space.kind, space.r, space.k, geom)
                 ref = (pts - geom.amap.shift_f) @ geom.amap.inverse_f.T
                 raw = el.nodal @ coeffs[space.local_to_global[ci]]
@@ -531,12 +513,11 @@ class TestStructuredEvaluation:
         return sc
 
     @pytest.mark.parametrize("variant", ["kuhn3", "permuted", "jittered"])
-    def test_class_chunks(self, variant):
-        meshes = _numbering_meshes()
-        mesh = build_structured_cube(3) if variant == "kuhn3" else meshes[variant]
+    def test_class_chunks(self, variant, numbering_meshes):
+        mesh = build_structured_cube(3) if variant == "kuhn3" else numbering_meshes[variant]
         ms = ManufacturedSolution()
         ref_points = alfeld_composite(6)[0]
-        for cells in class_partition(mesh):
+        for cells in mesh.classes:
             points = CellGeometry(mesh, int(cells[0])).amap.apply(ref_points)
             for _, chunk in assembly_module._chunks(SimpleNamespace(mesh=mesh), cells, points):
                 sc = self._assert_structured_equals_flat(ms, chunk)

@@ -170,11 +170,10 @@ def test_element_info_shape():
 
 
 def _class_representatives(n):
-    from tetcomplex.assembly import class_partition
     from tetcomplex.mesh import build_structured_cube
 
     mesh = build_structured_cube(n)
-    return [CellGeometry(mesh, int(cells[0])) for cells in class_partition(mesh)]
+    return [CellGeometry(mesh, int(cells[0])) for cells in mesh.classes]
 
 
 @pytest.fixture

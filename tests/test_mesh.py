@@ -1,16 +1,28 @@
 """Structured meshes: entity counts, orientation, affine maps, exchange format."""
 
 from fractions import Fraction as F
+from itertools import combinations
 
 import numpy as np
 import pytest
 
+from tetcomplex.elements import CellGeometry
 from tetcomplex.mesh import (
+    LATTICE_BOUND,
+    REF_EDGE_VERTICES,
+    REF_FACE_VERTICES,
     MeshTopology,
     alfeld,
     build_structured_cube,
     random_rational_cell,
 )
+from tetcomplex.polyalg.poly import _det3
+
+REF = [(F(0), F(0), F(0)), (F(1), F(0), F(0)), (F(0), F(1), F(0)), (F(0), F(0), F(1))]
+
+
+def _vertices(mesh):
+    return [mesh.vertex_exact(v) for v in range(mesh.n_vertices)]
 
 
 class TestStructuredCube:
@@ -38,43 +50,49 @@ class TestStructuredCube:
 
     def test_face_cell_incidence(self):
         m = build_structured_cube(2)
-        for f in m.faces:
-            assert len(f.cells) == (1 if f.boundary else 2)
+        assert np.array_equal((m.face_cells >= 0).sum(axis=1), np.where(m.face_boundary, 1, 2))
+        for f, cells in enumerate(m.face_cells):
+            for c in cells[cells >= 0]:
+                assert f in m.cell_faces[c]
 
     def test_six_congruence_classes(self):
         m = build_structured_cube(2)
-        assert len({m.cell_maps[c].signature() for c in range(m.n_cells)}) == 6
+        assert len({CellGeometry(m, c).signature() for c in range(m.n_cells)}) == 6
+        assert len(m.classes) == len(m.class_maps) == 6
 
 
 class TestOrientation:
     def test_shared_face_frames_agree(self):
         m = build_structured_cube(2)
-        for f in m.faces:
-            g = f.geometry(m.vertices)
-            assert abs(np.dot(g["tau1"], g["tau2"])) < 1e-14
-            assert abs(np.dot(g["tau1"], g["normal"])) < 1e-14
-            for key in ("tau1", "tau2", "normal"):
-                assert abs(np.linalg.norm(g[key]) - 1) < 1e-14
-            # frame depends only on global ids, so both incident cells see it
+        frames = {}
+        for c in range(m.n_cells):
+            for g in CellGeometry(m, c).faces:
+                assert abs(np.dot(g["tau1"], g["tau2"])) < 1e-14
+                assert abs(np.dot(g["tau1"], g["normal"])) < 1e-14
+                for key in ("tau1", "tau2", "normal"):
+                    assert abs(np.linalg.norm(g[key]) - 1) < 1e-14
+                # the frame depends only on global ids, so both incident cells see it
+                frame = tuple(tuple(g[key]) for key in ("tau1", "tau2", "normal"))
+                assert frames.setdefault(g["global"], frame) == frame
 
     def test_edge_tangent_lo_to_hi(self):
         m = build_structured_cube(1)
-        for e in m.edges:
-            g = e.geometry(m.vertices)
-            lo, hi = (m.vertices[v] for v in e.vertices)
-            d = np.array([float(b - a) for a, b in zip(lo, hi)])
-            assert np.allclose(g["tangent"] * g["length"], d)
+        vertices = _vertices(m)
+        for c in range(m.n_cells):
+            for g in CellGeometry(m, c).edges:
+                lo, hi = (vertices[v] for v in m.edges[g["global"]])
+                d = np.array([float(b - a) for a, b in zip(lo, hi)])
+                assert np.allclose(g["tangent"] * g["length"], d)
 
 
 class TestAffineMaps:
     def test_vertices_reproduced(self):
         m = build_structured_cube(1)
-        ref = [(F(0), F(0), F(0)), (F(1), F(0), F(0)), (F(0), F(1), F(0)), (F(0), F(0), F(1))]
         for ci, cell in enumerate(m.cells):
-            amap = m.cell_maps[ci]
+            amap = CellGeometry(m, ci).amap
             assert amap.det > 0
             for r in range(4):
-                assert amap.apply_exact(ref[r]) == m.vertices[cell[amap.vertex_order[r]]]
+                assert amap.apply_exact(REF[r]) == m.vertex_exact(cell[amap.vertex_order[r]])
 
     def test_volumes_sum_to_one(self):
         m = build_structured_cube(2)
@@ -87,7 +105,6 @@ class TestAlfeld:
             [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)], [(0, 1, 2, 3)]
         )
         data = alfeld(m, 0)
-        from tetcomplex.polyalg.poly import _det3
 
         vols = []
         for st in data["subtets"]:
@@ -98,13 +115,13 @@ class TestAlfeld:
     def test_barycenter_is_mean(self):
         m = build_structured_cube(1)
         data = alfeld(m, 3)
-        pts = [m.vertices[v] for v in m.cells[3]]
+        pts = [m.vertex_exact(v) for v in m.cells[3]]
         mean = tuple(sum(p[i] for p in pts) / 4 for i in range(3))
         assert data["barycenter"] == mean
 
     def test_split_commutes_with_map(self):
         m = build_structured_cube(1)
-        amap = m.cell_maps[2]
+        amap = CellGeometry(m, 2).amap
         ref_center = (F(1, 4), F(1, 4), F(1, 4))
         assert amap.apply_exact(ref_center) == alfeld(m, 2)["barycenter"]
 
@@ -115,15 +132,134 @@ class TestExchange:
         path = tmp_path / "mesh.txt"
         m.export_text(path)
         m2 = MeshTopology.import_text(path)
-        assert m2.vertices == m.vertices and m2.cells == m.cells
+        assert np.array_equal(m2.lattice, m.lattice) and m2.denominator == m.denominator
+        assert np.array_equal(m2.cells, m.cells)
         assert m2.info() == m.info()
+
+
+class TestInputChecks:
+    CUBE = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)]
+
+    def test_duplicate_cell(self):
+        with pytest.raises(ValueError, match="duplicate"):
+            MeshTopology(self.CUBE, [(0, 1, 2, 3), (3, 2, 1, 0)])
+
+    @pytest.mark.parametrize("cell", [(0, 1, 2, 5), (-1, 0, 1, 2)])
+    def test_vertex_id_out_of_range(self, cell):
+        with pytest.raises(ValueError, match="out of range"):
+            MeshTopology(self.CUBE, [cell])
+
+    def test_zero_volume_cell(self):
+        with pytest.raises(ValueError, match="degenerate"):
+            MeshTopology([(0, 0, 0), (1, 0, 0), (2, 0, 0), (0, 0, 1)], [(0, 1, 2, 3)])
+
+    def test_face_shared_by_three_cells(self):
+        verts = self.CUBE + [(F(1, 2), -1, 3)]
+        with pytest.raises(ValueError, match="shared by 3 cells"):
+            MeshTopology(verts, [(1, 2, 3, 0), (1, 2, 3, 4), (1, 2, 3, 5)])
+
+    def test_lattice_overflow(self):
+        # the common denominator 2**19 + 1 puts the numerator of 1 past the bound
+        verts = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, F(1, LATTICE_BOUND + 1))]
+        with pytest.raises(ValueError, match="lattice"):
+            MeshTopology(verts, [(0, 1, 2, 3)])
+        MeshTopology(verts[:3] + [(0, 0, F(1, LATTICE_BOUND))], [(0, 1, 2, 3)])
+
+    def test_entity_key_overflow(self):
+        # face keys are base-n_vertices numbers of three ids: n_vertices**3 must fit
+        n = 2**21 + 1
+        verts = [(0, 0, 0)] * n
+        with pytest.raises(ValueError, match="face keys"):
+            MeshTopology(verts, [(0, 1, 2, 3)])
+
+
+def _reference_entities(mesh):
+    """The set-based, per-cell extraction the mesh arrays replace."""
+    vertices = _vertices(mesh)
+    cells = [tuple(sorted(int(v) for v in c)) for c in mesh.cells]
+    edge_set, face_set = set(), set()
+    for cell in cells:
+        edge_set.update(combinations(cell, 2))
+        face_set.update(combinations(cell, 3))
+    edges, faces = sorted(edge_set), sorted(face_set)
+    face_cells = {f: [] for f in faces}
+    for ci, cell in enumerate(cells):
+        for tri in combinations(cell, 3):
+            face_cells[tri].append(ci)
+    boundary_faces = [f for f in faces if len(face_cells[f]) == 1]
+    boundary_vertices = {v for f in boundary_faces for v in f}
+    boundary_edges = {pair for f in boundary_faces for pair in combinations(f, 2)}
+
+    edge_id = {e: i for i, e in enumerate(edges)}
+    face_id = {f: i for i, f in enumerate(faces)}
+    cell_vertices, maps, keys = [], [], []
+    for cell in cells:
+        order = (0, 1, 2, 3)
+        pts = [vertices[v] for v in cell]
+        cols = tuple(tuple(pts[j + 1][i] - pts[0][i] for j in range(3)) for i in range(3))
+        if _det3(cols) < 0:
+            order = (0, 1, 3, 2)
+            cols = tuple(
+                tuple(pts[order[j + 1]][i] - pts[0][i] for j in range(3)) for i in range(3)
+            )
+        cell_vertices.append(tuple(cell[o] for o in order))
+        maps.append((cols, pts[0]))
+        keys.append((cols, order))
+    classes = {}
+    for key in keys:
+        classes.setdefault(key, len(classes))
+    return {
+        "edges": edges,
+        "faces": faces,
+        "cell_vertices": cell_vertices,
+        "cell_edges": [
+            [edge_id[tuple(sorted(cv[v] for v in e))] for e in REF_EDGE_VERTICES]
+            for cv in cell_vertices
+        ],
+        "cell_faces": [
+            [face_id[tuple(sorted(cv[v] for v in f))] for f in REF_FACE_VERTICES]
+            for cv in cell_vertices
+        ],
+        "face_cells": [face_cells[f] + [-1] * (2 - len(face_cells[f])) for f in faces],
+        "vertex_boundary": [v in boundary_vertices for v in range(len(vertices))],
+        "edge_boundary": [e in boundary_edges for e in edges],
+        "face_boundary": [len(face_cells[f]) == 1 for f in faces],
+        "cell_class": [classes[key] for key in keys],
+        "maps": maps,
+    }
+
+
+def _reference_meshes(numbering_meshes):
+    meshes = {f"kuhn{n}": build_structured_cube(n) for n in (1, 2, 3)}
+    meshes.update({k: numbering_meshes[k] for k in ("permuted", "jittered")})
+    verts = random_rational_cell(np.random.default_rng(7))
+    meshes["random"] = MeshTopology(verts, [(0, 1, 2, 3)])
+    return meshes
+
+
+def test_arrays_match_set_based_reference(numbering_meshes):
+    for n in (1, 2, 3):
+        s = range(n + 1)
+        lattice = [(F(i, n), F(j, n), F(k, n)) for k in s for j in s for i in s]
+        assert _vertices(build_structured_cube(n)) == lattice
+    assert numbering_meshes["jittered"].vertex_exact(13) == (F(9, 16), F(15, 32), F(33, 64))
+    for label, mesh in _reference_meshes(numbering_meshes).items():
+        ref = _reference_entities(mesh)
+        for key, expected in ref.items():
+            if key != "maps":
+                assert np.array_equal(getattr(mesh, key), expected), (label, key)
+        for ci, (cols, origin) in enumerate(ref["maps"]):
+            amap = CellGeometry(mesh, ci).amap
+            assert amap.matrix == cols and amap.shift == origin, (label, ci)
+            for r in range(4):
+                vertex = mesh.vertex_exact(mesh.cell_vertices[ci, r])
+                assert amap.apply_exact(REF[r]) == vertex, (label, ci)
 
 
 def test_random_cells_shape_regular():
     rng = np.random.default_rng(5)
     for _ in range(10):
         verts = random_rational_cell(rng)
-        from tetcomplex.polyalg.poly import _det3
 
         cols = [[verts[j + 1][i] - verts[0][i] for j in range(3)] for i in range(3)]
         assert _det3(cols) != 0

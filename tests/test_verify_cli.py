@@ -83,6 +83,7 @@ class TestCli:
         assert code == 0
         data = json.loads(capsys.readouterr().out)
         assert data["vertices"] == 8 and data["euler_ok"]
+        assert data["classes"] == 6 and data["build_s"] >= 0.0
 
     def test_mesh_info_export(self, capsys, tmp_path):
         out = tmp_path / "mesh.txt"
