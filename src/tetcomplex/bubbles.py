@@ -14,6 +14,8 @@ Three constructions, all exact rational:
 
 from __future__ import annotations
 
+import logging
+import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -37,6 +39,8 @@ from .polyalg.split import (
     face_param,
     subtet_affine,
 )
+
+_log = logging.getLogger("tetcomplex.bubbles")
 
 # scalar face bubbles B_i = prod_{j != i} lambda_j and their ascending-vertex
 # rational face directions on the reference cell
@@ -103,6 +107,7 @@ def build_split_space(m, zero_trace=False):
     """Nullspace construction of the continuous piecewise-P_m split space."""
     if m < 1:
         raise ValueError("degree must be >= 1")
+    start = time.perf_counter()
     exps = monomial_exponents(m, 3)
     nb = len(exps)
     keys2 = monomial_exponents(m, 2)
@@ -143,6 +148,10 @@ def build_split_space(m, zero_trace=False):
         assert b.check_c0()
         if zero_trace:
             assert b.vanishes_on_boundary()
+    _log.debug(
+        "built %s split space P%d, dim %d, in %.3f s",
+        "zero-trace" if zero_trace else "continuous", m, len(basis), time.perf_counter() - start,
+    )
     return SplitC0Space(m, zero_trace, basis)
 
 
@@ -190,6 +199,7 @@ def _dot(u, v):
 @lru_cache(maxsize=None)
 def _div_solver(k):
     """Cached machinery for the zero-trace divergence problem at degree k."""
+    start = time.perf_counter()
     space = build_split_space(k, zero_trace=True)
     vec_basis = space.vector_basis()
     emb = Embedding(k - 1, vector=False)
@@ -231,6 +241,10 @@ def _div_solver(k):
     ]
     reduced_gram = [[_dot(gn, n) for n in null] for gn in gram_null]
     reduced_solver = _ExactLinearSolver(reduced_gram) if null else None
+    _log.debug(
+        "built divergence solver k=%d, %d unknowns, nullity %d, in %.3f s",
+        k, len(vec_basis), len(null), time.perf_counter() - start,
+    )
     return _DivSolver(space, vec_basis, emb, solver, null, gram_null, reduced_solver)
 
 

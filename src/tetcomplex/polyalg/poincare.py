@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .poly import Polynomial, VectorField
+from .poly import Polynomial, VectorField, _trusted
 
 
 def _ray_exprs(base, nvars=3):
@@ -65,7 +65,7 @@ def _integrate_t(p: Polynomial) -> Polynomial:
             out[key] = s
         else:
             out.pop(key, None)
-    return Polynomial(out, n)
+    return _trusted(out, n)
 
 
 def poincare1(u: VectorField, base=(0, 0, 0)) -> Polynomial:

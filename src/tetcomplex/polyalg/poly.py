@@ -10,7 +10,8 @@ accept float coefficients for the fast evaluation/assembly paths.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm, prod
+from operator import add
 
 import numpy as np
 
@@ -25,6 +26,37 @@ def _as_coeff(v):
     if isinstance(v, (int, np.integer)):
         return Fraction(int(v))
     raise TypeError(f"unsupported coefficient type {type(v)!r}")
+
+
+def _trusted(table, nvars):
+    """Polynomial over a table that already holds only nonzero coefficients
+    (Fraction or float) under int tuple keys, without re-validating it.
+
+    ``nvars`` follows the public constructor: the key length of a nonempty
+    table, the given count for an empty one.
+    """
+    p = object.__new__(Polynomial)
+    p.coeffs = table
+    p.nvars = len(next(iter(table))) if table else nvars
+    return p
+
+
+def _mul_tables(p, q, zero):
+    """Product of two coefficient tables, term by term in table order.
+
+    A sum that cancels is dropped, and a key that reappears later moves to the
+    end, so the key order depends only on the zero pattern of the sums.
+    """
+    out = {}
+    for k1, v1 in p.items():
+        for k2, v2 in q.items():
+            k = tuple(map(add, k1, k2))
+            s = out.get(k, zero) + v1 * v2
+            if s:
+                out[k] = s
+            else:
+                out.pop(k, None)
+    return out
 
 
 class Polynomial:
@@ -77,17 +109,20 @@ class Polynomial:
             other = Polynomial.constant(other, self.nvars)
         out = dict(self.coeffs)
         for k, v in other.coeffs.items():
-            s = out.get(k, _ZERO) + v
-            if s == 0:
-                out.pop(k, None)
+            if k in out:
+                s = out[k] + v
+                if s:
+                    out[k] = s
+                else:
+                    del out[k]
             else:
-                out[k] = s
-        return Polynomial(out, self.nvars)
+                out[k] = v
+        return _trusted(out, self.nvars)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial({k: -v for k, v in self.coeffs.items()}, self.nvars)
+        return _trusted({k: -v for k, v in self.coeffs.items()}, self.nvars)
 
     def __sub__(self, other):
         if not isinstance(other, Polynomial):
@@ -99,20 +134,12 @@ class Polynomial:
 
     def __mul__(self, other):
         if isinstance(other, Polynomial):
-            out = {}
-            for k1, v1 in self.coeffs.items():
-                for k2, v2 in other.coeffs.items():
-                    k = tuple(a + b for a, b in zip(k1, k2))
-                    s = out.get(k, _ZERO) + v1 * v2
-                    if s == 0:
-                        out.pop(k, None)
-                    else:
-                        out[k] = s
-            return Polynomial(out, self.nvars)
+            return _trusted(_mul_tables(self.coeffs, other.coeffs, _ZERO), self.nvars)
         c = _as_coeff(other)
         if c == 0:
             return Polynomial.zero(self.nvars)
-        return Polynomial({k: v * c for k, v in self.coeffs.items()}, self.nvars)
+        # a float product can underflow to zero
+        return _trusted({k: w for k, v in self.coeffs.items() if (w := v * c)}, self.nvars)
 
     __rmul__ = __mul__
 
@@ -160,29 +187,68 @@ class Polynomial:
             nk = list(k)
             nk[var] = e - 1
             out[tuple(nk)] = v * e
-        return Polynomial(out, self.nvars)
+        return _trusted(out, self.nvars)
 
     def substitute(self, exprs):
-        """Substitute variable ``i`` by ``exprs[i]`` (polynomials in m vars)."""
+        """Substitute variable ``i`` by ``exprs[i]`` (polynomials in m vars).
+
+        Exact coefficients are expanded on integer numerators.  Expression
+        ``i`` is scaled to integer coefficients by its common denominator
+        ``D_i``, and the coefficient of ``x^k`` by ``B * prod D_i^(M_i - k_i)``,
+        where ``B`` is the common denominator of the coefficients and ``M_i``
+        the largest exponent of variable ``i``.  Every term and every partial
+        sum is then the same positive multiple ``S = B * prod D_i^M_i`` of its
+        rational value.  The terms are expanded and summed in the order of the
+        rational algorithm, so the same sums cancel, the keys come out in the
+        same order, and one division by ``S`` at the end gives the result.
+        With a float coefficient on either side the same expansion runs on the
+        values themselves.
+        """
         nvars_out = exprs[0].nvars
-        one = Polynomial.constant(1, nvars_out)
-        # memoize powers of the substituted expressions
-        pow_cache = [{0: one} for _ in exprs]
+        tables = [e.coeffs for e in exprs]
+        try:
+            dens = [lcm(*(v.denominator for v in t.values())) for t in tables]
+            den = lcm(*(v.denominator for v in self.coeffs.values()))
+        except AttributeError:  # a float coefficient
+            den = None
+        if den is not None:
+            tables = [
+                {k: v.numerator * (d // v.denominator) for k, v in t.items()}
+                for t, d in zip(tables, dens)
+            ]
+            top = [max(col) for col in zip(*self.coeffs)]
+            scale = den * prod(d**m for d, m in zip(dens, top))
+        # memoized powers of the substituted expressions
+        pow_cache = [{1: t} for t in tables]
 
         def power(i, e):
             cache = pow_cache[i]
             if e not in cache:
-                cache[e] = cache.get(e - 1, power(i, e - 1)) * exprs[i]
+                cache[e] = _mul_tables(power(i, e - 1), tables[i], 0)
             return cache[e]
 
-        out = Polynomial.zero(nvars_out)
+        const_key = (0,) * nvars_out
+        out = {}
         for k, v in self.coeffs.items():
-            term = Polynomial.constant(v, nvars_out)
+            if den is None:
+                c = v
+            else:
+                c = v.numerator * (den // v.denominator)
+                for d, m, e in zip(dens, top, k):
+                    c *= d ** (m - e)
+            term = {const_key: c}
             for i, e in enumerate(k):
                 if e:
-                    term = term * power(i, e)
-            out = out + term
-        return out
+                    term = _mul_tables(term, power(i, e), 0)
+            for kk, vv in term.items():
+                s = out.get(kk, 0) + vv
+                if s:
+                    out[kk] = s
+                else:
+                    out.pop(kk, None)
+        if den is not None:
+            out = {k: Fraction(v, scale) for k, v in out.items()}
+        return _trusted(out, nvars_out)
 
     def compose_affine(self, matrix, shift):
         """Substitute x_i <- sum_j matrix[i][j] y_j + shift[i]."""
@@ -224,7 +290,8 @@ class Polynomial:
         return out
 
     def to_float(self):
-        return Polynomial({k: float(v) for k, v in self.coeffs.items()}, self.nvars)
+        # a tiny rational can round to zero
+        return _trusted({k: f for k, v in self.coeffs.items() if (f := float(v))}, self.nvars)
 
     # -- formatting ----------------------------------------------------
 

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from math import gcd, lcm
 
-from .poly import Polynomial, VectorField
+from .poly import _ZERO, Polynomial, VectorField
 from .split import PiecewiseField, as_piecewise
 
 
@@ -149,42 +150,101 @@ class Embedding:
 # ---------------------------------------------------------------------------
 # exact linear algebra over the rationals
 
-def rref(matrix):
-    """In-place fraction-exact reduced row echelon form.
+def _integer_rows(rows):
+    """Sparse integer rows ``{column: numerator}``, each a positive multiple
+    of its rational row (Fraction or int entries) with coprime entries."""
+    out = []
+    try:
+        for row in rows:
+            nz = [(j, v) for j, v in enumerate(row) if v]
+            den = lcm(*(v.denominator for _, v in nz))
+            ints = {j: v.numerator * (den // v.denominator) for j, v in nz}
+            g = gcd(*ints.values())
+            if g > 1:
+                ints = {j: v // g for j, v in ints.items()}
+            out.append(ints)
+    except AttributeError:
+        raise TypeError("exact row reduction needs Fraction or int entries") from None
+    return out
 
-    Returns (rows, pivot_columns).  ``matrix`` is a list of Fraction lists.
+
+def _echelon(rows, ncols):
+    """Fraction-free Gauss-Jordan elimination on sparse integer rows.
+
+    Returns ``(pivot_rows, pivots)``: one integer row per pivot column, in
+    column order, each zero in every other pivot column.  Each row is only
+    ever replaced by an integer combination ``p * row - f * pivot_row``
+    divided by the gcd of its entries, so the pivot columns and the rows up
+    to scale are those of the unique reduced row echelon form, whatever
+    row serves as pivot; the sparsest candidate does, to limit fill.
+    ``rows`` is consumed.
     """
-    rows = [list(r) for r in matrix]
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
+    active = [r for r in rows if r]
+    done = []
     pivots = []
-    r = 0
     for c in range(ncols):
-        pivot = None
-        for rr in range(r, nrows):
-            if rows[rr][c] != 0:
-                pivot = rr
-                break
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        pv = rows[r][c]
-        rows[r] = [v / pv for v in rows[r]]
-        for rr in range(nrows):
-            if rr != r and rows[rr][c] != 0:
-                f = rows[rr][c]
-                rows[rr] = [a - f * b for a, b in zip(rows[rr], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
+        if not active:
             break
+        best = None
+        for i, row in enumerate(active):
+            if c in row and (best is None or len(row) < len(active[best])):
+                best = i
+        if best is None:
+            continue
+        prow = active.pop(best)
+        pv = prow[c]
+        for row in active + done:
+            f = row.get(c)
+            if f is None:
+                continue
+            g = gcd(f, pv)
+            f //= g
+            p = pv // g
+            if p != 1:
+                for j in row:
+                    row[j] *= p
+            for j, v in prow.items():
+                s = row.get(j, 0) - f * v
+                if s:
+                    row[j] = s
+                else:
+                    del row[j]
+            g = gcd(*row.values())
+            if g > 1:
+                for j in row:
+                    row[j] //= g
+        active = [r for r in active if r]
+        done.append(prow)
+        pivots.append(c)
+    return done, pivots
+
+
+def rref(matrix):
+    """Fraction-exact reduced row echelon form.
+
+    Returns (rows, pivot_columns): ``len(matrix)`` rows of Fractions, the
+    pivot rows first in column order, then zero rows.  ``matrix`` is a list
+    of Fraction (or int) lists; it is eliminated on integer numerators and
+    divided into Fractions once at the end.
+    """
+    nrows = len(matrix)
+    ncols = len(matrix[0]) if nrows else 0
+    done, pivots = _echelon(_integer_rows(matrix), ncols)
+    rows = []
+    for row, c in zip(done, pivots):
+        pv = row[c]
+        dense = [_ZERO] * ncols
+        for j, v in row.items():
+            dense[j] = Fraction(v, pv)
+        rows.append(dense)
+    rows.extend([_ZERO] * ncols for _ in range(nrows - len(rows)))
     return rows, pivots
 
 
 def rank(matrix):
     if not matrix:
         return 0
-    return len(rref(matrix)[1])
+    return len(_echelon(_integer_rows(matrix), len(matrix[0]))[1])
 
 
 def nullspace(matrix):
@@ -212,15 +272,7 @@ def select_independent(columns):
     """
     if not columns:
         return []
-    ncols = len(columns)
-    nrows = len(columns[0])
-    matrix = [
-        row
-        for row in ([columns[j][i] for j in range(ncols)] for i in range(nrows))
-        if any(v != 0 for v in row)
-    ]
-    _, pivots = rref(matrix)
-    return pivots
+    return _echelon(_integer_rows(zip(*columns)), len(columns))[1]
 
 
 def solve_exact(matrix, rhs_list):

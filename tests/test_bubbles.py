@@ -209,3 +209,33 @@ class TestGoldenDumps:
         lines = fb.modified.dump()
         assert sum(1 for ln in lines if ln.startswith("[piece")) == 4
         assert any("*" in ln for ln in lines)
+
+
+class TestBuildRecords:
+    @staticmethod
+    def _records(caplog):
+        return [rec.getMessage() for rec in caplog.records if rec.name == "tetcomplex.bubbles"]
+
+    def test_split_space_and_div_solver_are_logged(self, caplog):
+        # the undecorated builders, so that a cache filled by other tests
+        # cannot hide the record
+        with caplog.at_level("DEBUG", logger="tetcomplex.bubbles"):
+            build_split_space.__wrapped__(2, zero_trace=True)
+        assert len(self._records(caplog)) == 1
+        space = self._records(caplog)[0]
+        assert space.startswith("built zero-trace split space P2, dim 5, in ")
+        assert float(space.split(" in ")[1].removesuffix(" s")) >= 0
+        caplog.clear()
+        with caplog.at_level("DEBUG", logger="tetcomplex.bubbles"):
+            _div_solver.__wrapped__(2)
+        solver = [m for m in self._records(caplog) if "divergence solver" in m]
+        assert len(solver) == 1
+        assert solver[0].startswith("built divergence solver k=2, 15 unknowns, nullity ")
+        assert float(solver[0].split(" in ")[1].removesuffix(" s")) >= 0
+
+    def test_cached_builds_are_silent(self, caplog):
+        _div_solver(2)
+        with caplog.at_level("DEBUG", logger="tetcomplex.bubbles"):
+            _div_solver(2)
+            build_split_space(2, zero_trace=True)
+        assert self._records(caplog) == []

@@ -1,6 +1,7 @@
 """Exact algebra: differentials, vector potentials, integration, pullbacks."""
 
 from fractions import Fraction as F
+from itertools import product
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from tetcomplex.polyalg import (
     curl,
     differential,
     div,
+    face_param,
     grad,
     homogeneous_basis,
     integrate_simplex,
@@ -30,7 +32,11 @@ from tetcomplex.polyalg import (
     pullback_affine,
     pushforward_affine,
     rank,
+    rref,
+    segment_param,
+    select_independent,
 )
+from tetcomplex.polyalg.poincare import _ray_exprs
 
 X, Y, Z = (Polynomial.variable(i) for i in range(3))
 
@@ -283,3 +289,238 @@ class TestExactLinearAlgebra:
         v = ns[0]
         for row in m:
             assert sum(a * b for a, b in zip(row, v)) == 0
+
+
+# ---------------------------------------------------------------------------
+# the exact kernels against the plain Fraction algorithms they replaced
+
+
+def _dense_rref(matrix):
+    """Reference: dense Gauss-Jordan elimination in Fractions."""
+    rows = [list(r) for r in matrix]
+    nrows = len(rows)
+    ncols = len(rows[0]) if nrows else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((rr for rr in range(r, nrows) if rows[rr][c] != 0), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        pv = rows[r][c]
+        rows[r] = [v / pv for v in rows[r]]
+        for rr in range(nrows):
+            if rr != r and rows[rr][c] != 0:
+                f = rows[rr][c]
+                rows[rr] = [a - f * b for a, b in zip(rows[rr], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return rows, pivots
+
+
+def _termwise_substitute(p, exprs):
+    """Reference: substitution term by term with polynomial ring products."""
+    nvars_out = exprs[0].nvars
+    powers = [{0: Polynomial.constant(1, nvars_out)} for _ in exprs]
+
+    def power(i, e):
+        if e not in powers[i]:
+            powers[i][e] = power(i, e - 1) * exprs[i]
+        return powers[i][e]
+
+    out = Polynomial.zero(nvars_out)
+    for k, v in p.coeffs.items():
+        term = Polynomial.constant(v, nvars_out)
+        for i, e in enumerate(k):
+            if e:
+                term = term * power(i, e)
+        out = out + term
+    return out
+
+
+def _affine_exprs(matrix, shift):
+    """The substitution that ``compose_affine(matrix, shift)`` performs."""
+    m = len(matrix[0])
+    exprs = []
+    for row, b in zip(matrix, shift):
+        table = {(0,) * m: b}
+        for j, a in enumerate(row):
+            table[tuple(int(jj == j) for jj in range(m))] = a
+        exprs.append(Polynomial(table, m))
+    return exprs
+
+
+def _same_polynomial(a, b):
+    return a.nvars == b.nvars and a.coeffs == b.coeffs and list(a.coeffs) == list(b.coeffs)
+
+
+small = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+points3 = st.tuples(small, small, small)
+
+
+@st.composite
+def sparse_matrices(draw, max_size=9):
+    """Sparse rational matrices: tall or wide, often rank-deficient, with
+    zero rows and zero columns."""
+    nrows = draw(st.integers(1, max_size))
+    ncols = draw(st.integers(1, max_size))
+    rnd = draw(st.randoms(use_true_random=False))
+    density = draw(st.sampled_from([0.1, 0.25, 0.5, 1.0]))
+    rows = [
+        [F(rnd.randint(-5, 5), rnd.randint(1, 4)) if rnd.random() < density else F(0)
+         for _ in range(ncols)]
+        for _ in range(nrows)
+    ]
+    for i in range(nrows):
+        kind = rnd.random()
+        if kind < 0.15:
+            rows[i] = [F(0)] * ncols
+        elif kind < 0.4 and i >= 2:
+            a, b = F(rnd.randint(-3, 3), rnd.randint(1, 3)), F(rnd.randint(-3, 3))
+            j, l = rnd.sample(range(i), 2)
+            rows[i] = [a * x + b * y for x, y in zip(rows[j], rows[l])]
+    for c in range(ncols):
+        if rnd.random() < 0.15:
+            for row in rows:
+                row[c] = F(0)
+    return rows
+
+
+def _augmented(matrix):
+    n = len(matrix)
+    return [list(row) + [F(int(i == j)) for j in range(n)] for i, row in enumerate(matrix)]
+
+
+class TestExactKernels:
+    @given(sparse_matrices())
+    @settings(max_examples=150, deadline=None)
+    def test_rref_matches_dense_reference(self, matrix):
+        assert rref(matrix) == _dense_rref(matrix)
+        assert rank(matrix) == len(_dense_rref(matrix)[1])
+
+    @given(sparse_matrices())
+    @settings(max_examples=60, deadline=None)
+    def test_rref_of_augmented_identity(self, matrix):
+        # the [A | I] elimination of the exact linear solver in ``bubbles``
+        aug = _augmented(matrix)
+        assert rref(aug) == _dense_rref(aug)
+
+    @given(sparse_matrices())
+    @settings(max_examples=60, deadline=None)
+    def test_nullspace_matches_reference(self, matrix):
+        rows, pivots = _dense_rref(matrix)
+        ncols = len(matrix[0])
+        expected = []
+        for f in (c for c in range(ncols) if c not in pivots):
+            v = [F(0)] * ncols
+            v[f] = F(1)
+            for r, p in enumerate(pivots):
+                v[p] = -rows[r][f]
+            expected.append(v)
+        basis = nullspace(matrix)
+        assert basis == expected
+        for v in basis:
+            assert all(sum(a * b for a, b in zip(row, v)) == 0 for row in matrix)
+
+    @given(sparse_matrices())
+    @settings(max_examples=60, deadline=None)
+    def test_select_independent_matches_reference(self, matrix):
+        # the matrix rows serve as the generator columns
+        transposed = [list(r) for r in zip(*matrix)]
+        expected = _dense_rref([r for r in transposed if any(r)])[1] if any(map(any, matrix)) else []
+        assert select_independent(matrix) == expected
+
+    def test_rref_edge_shapes(self):
+        assert rref([]) == ([], [])
+        assert rref([[F(0), F(0)], [F(0), F(0)]]) == _dense_rref([[F(0), F(0)], [F(0), F(0)]])
+        assert rref([[F(3)]]) == ([[F(1)]], [0])
+        with pytest.raises(TypeError):
+            rref([[0.5, F(1)]])
+
+    @given(polynomials(max_degree=4), points3)
+    @settings(max_examples=60, deadline=None)
+    def test_substitute_poincare_ray(self, p, base):
+        # 3 -> 4 variables: x_i -> W_i + t (x_i - W_i)
+        for b in (base, REF_CENTER, (F(0), F(0), F(0))):
+            ray = _ray_exprs(b)
+            assert _same_polynomial(p.substitute(ray), _termwise_substitute(p, ray))
+
+    @given(polynomials(max_degree=4), points3, points3, points3)
+    @settings(max_examples=60, deadline=None)
+    def test_compose_affine_face_and_edge(self, p, p0, p1, p2):
+        # 3 -> 2 (face) and 3 -> 1 (edge) variables
+        for matrix, shift in (face_param((p0, p1, p2)), segment_param(p0, p1)):
+            ref = _termwise_substitute(p, _affine_exprs(matrix, shift))
+            assert _same_polynomial(p.compose_affine(matrix, shift), ref)
+
+    @given(polynomials(max_degree=3), st.integers(1, 4), st.randoms(use_true_random=False))
+    @settings(max_examples=60, deadline=None)
+    def test_substitute_nonlinear_expressions(self, p, m, rnd):
+        # quadratic expressions make products cancel inside terms
+        exps = [e for e in product(range(3), repeat=m) if sum(e) <= 2]
+        exprs = [
+            Polynomial({e: F(rnd.randint(-3, 3), rnd.randint(1, 3)) for e in rnd.sample(exps, min(3, len(exps)))}, m)
+            for _ in range(3)
+        ]
+        assert _same_polynomial(p.substitute(exprs), _termwise_substitute(p, exprs))
+
+    def test_substitute_zero_and_constant(self):
+        for m in (1, 2, 4):
+            exprs = [Polynomial.variable(i % m, m) + F(1, 3) for i in range(3)]
+            for p in (Polynomial.zero(), Polynomial.constant(F(-7, 3))):
+                out = p.substitute(exprs)
+                assert _same_polynomial(out, _termwise_substitute(p, exprs))
+                assert out.nvars == m
+
+    @given(polynomials(max_degree=4), points3, points3, points3)
+    @settings(max_examples=40, deadline=None)
+    def test_float_coefficients_take_the_same_expansion(self, p, p0, p1, p2):
+        # ``verify.check_dof_mapping`` restricts a float combination of the
+        # nodal basis to edges and faces; a float matrix is the other side
+        pf = p.to_float()
+        for matrix, shift in (face_param((p0, p1, p2)), segment_param(p0, p1)):
+            exprs = _affine_exprs(matrix, shift)
+            out = pf.compose_affine(matrix, shift)
+            assert _same_polynomial(out, _termwise_substitute(pf, exprs))
+            assert all(type(v) is float for v in out.coeffs.values())
+            exact = p.compose_affine(matrix, shift)
+            for key, v in exact.coeffs.items():
+                assert out.coeffs.get(key, 0.0) == pytest.approx(float(v), rel=1e-12, abs=1e-9)
+            fm = [[float(a) for a in row] for row in matrix]
+            fs = [float(b) for b in shift]
+            assert _same_polynomial(
+                p.compose_affine(fm, fs), _termwise_substitute(p, _affine_exprs(fm, fs))
+            )
+
+
+class TestTrustedConstructor:
+    P4 = Polynomial({(1, 0, 0, 2): F(2, 3), (0, 0, 0, 0): F(-1)})
+
+    def test_zero_plus_wider_polynomial_takes_its_nvars(self):
+        assert (Polynomial.zero(3) + self.P4).nvars == 4
+        assert (self.P4 + Polynomial.zero(3)).nvars == 4
+        assert (Polynomial.zero(3) - self.P4).nvars == 4
+
+    def test_empty_results_keep_the_left_operand_nvars(self):
+        assert (self.P4 * 0).nvars == 4
+        assert (self.P4 * F(0)).nvars == 4
+        assert (self.P4 * Polynomial.zero(3)).nvars == 4
+        assert (Polynomial.zero(3) * self.P4).nvars == 3
+        assert (self.P4 - self.P4).nvars == 4
+        assert (-Polynomial.zero(4)).nvars == 4
+        assert Polynomial.zero(4).derivative(0).nvars == 4
+
+    def test_ring_results_match_the_validating_constructor(self):
+        q = Polynomial({(0, 1, 0, 1): F(1, 2)})
+        for out in (self.P4 + q, self.P4 * q, -self.P4, self.P4 * F(3), self.P4.derivative(3)):
+            rebuilt = Polynomial(dict(out.coeffs), out.nvars)
+            assert _same_polynomial(out, rebuilt)
+            assert all(type(v) is F and v != 0 for v in out.coeffs.values())
+
+    def test_to_float_drops_underflow(self):
+        p = Polynomial({(1, 0, 0): F(1, 10**400), (0, 0, 0): F(1, 2)})
+        f = p.to_float()
+        assert f.coeffs == {(0, 0, 0): 0.5} and f.nvars == 3
+        assert Polynomial.zero(2).to_float().nvars == 2
