@@ -268,6 +268,31 @@ class Polynomial:
     # -- evaluation ----------------------------------------------------
 
     def __call__(self, point):
+        """The value at ``point``.
+
+        With Fraction coefficients and a point of ints and Fractions the sum
+        runs on integer numerators: with ``D`` the point's common
+        denominator, ``B`` the coefficients' and ``M`` the largest total
+        degree, each term is scaled to ``B * D^M`` times its value, and one
+        Fraction is formed at the end.  With a float on either side the
+        terms are summed as they are.
+        """
+        try:
+            den = lcm(*(v.denominator for v in self.coeffs.values()))
+        except AttributeError:  # a float coefficient
+            den = None
+        if den is not None and all(isinstance(x, (int, Fraction)) for x in point):
+            d = lcm(*(x.denominator for x in point))
+            nums = [x.numerator * (d // x.denominator) for x in point]
+            top = max(map(sum, self.coeffs), default=0)
+            total = 0
+            for k, v in self.coeffs.items():
+                term = v.numerator * (den // v.denominator) * d ** (top - sum(k))
+                for x, e in zip(nums, k):
+                    if e:
+                        term *= x**e
+                total += term
+            return Fraction(total, den * d**top)
         out = _ZERO
         for k, v in self.coeffs.items():
             term = v

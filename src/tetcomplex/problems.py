@@ -9,12 +9,12 @@ univariate factors; no symbolic engine and no quadrature enter the forcing.
 from __future__ import annotations
 
 import json
+import logging
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .assembly import (
@@ -31,6 +31,8 @@ from .assembly import (
 from .mesh import build_structured_cube
 from .quadrature import QuadratureRule
 from .sampling import FieldSample
+
+_log = logging.getLogger("tetcomplex.problems")
 
 
 class SolverFailure(RuntimeError):
@@ -425,11 +427,39 @@ def get_spaces(n, r, k, kinds):
     return entry
 
 
+def _factor_spd(a):
+    """SuperLU factor of an SPD matrix.
+
+    SuperLU's defaults (COLAMD ordering of A^T A, partial pivoting) are
+    for unsymmetric matrices.  Here the columns are ordered by minimum
+    degree on A + A^T, the rows get the same permutation (SymmetricMode),
+    and the diagonal pivot is always taken (``diag_pivot_thresh=0``): a
+    Cholesky-shaped LU with a fraction of the default fill.  A matrix that
+    is not SPD is not detected here; the callers' residual and curvature
+    checks raise SolverFailure for it.
+    """
+    start = time.perf_counter()
+    lu = spla.splu(
+        a.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+        options={"SymmetricMode": True},
+    )
+    _log.debug(
+        "factored SPD matrix n=%d, nnz %d, LU fill %d, in %.3f s",
+        a.shape[0], a.nnz, lu.nnz, time.perf_counter() - start,
+    )
+    return lu
+
+
 def _solve_spd(a0, rhs, solver, tol):
-    """Solve an SPD restricted system; returns (x, iterations)."""
+    """Solve an SPD restricted system; returns (x, iterations, LU fill).
+
+    The LU fill is ``SuperLU.nnz`` of the direct factor, the entries its
+    supernodal L and U store (on a small matrix more than ``L.nnz + U.nnz``,
+    as supernodes are padded); 0 for the iterative solvers.
+    """
     if solver == "direct":
-        lu = spla.splu(a0.tocsc())
-        return lu.solve(rhs), 1
+        lu = _factor_spd(a0)
+        return lu.solve(rhs), 1, lu.nnz
     if solver in ("cg", "cg-diagonal"):
         if solver == "cg":
             try:
@@ -452,7 +482,7 @@ def _solve_spd(a0, rhs, solver, tol):
             raise SolverFailure(
                 f"conjugate gradient stalled after {iters} iterations", iters, resid
             )
-        return x, iters
+        return x, iters, 0
     raise ConfigError(f"unknown solver {solver!r}")
 
 
@@ -473,7 +503,7 @@ def solve_quadcurl(problem: QuadCurlProblem):
     a0 = restrict_operator(a, mask, mask)
     f0 = restrict_vector(f, mask)
     with timings.stage("solve"):
-        x, iters = _solve_spd(a0, f0, problem.solver, problem.tol)
+        x, iters, lu_nnz = _solve_spd(a0, f0, problem.solver, problem.tol)
     rhs_norm = float(np.linalg.norm(f0)) or 1.0
     residual = float(np.linalg.norm(a0 @ x - f0)) / rhs_norm
     if residual > problem.tol * 10:
@@ -491,6 +521,7 @@ def solve_quadcurl(problem: QuadCurlProblem):
         "gradcurl": errs[2],
         "residual": residual,
         "iterations": iters,
+        "lu_nnz": lu_nnz,
         "timings": dict(timings),
         "seconds": time.perf_counter() - t0,
     }
@@ -533,18 +564,8 @@ def solve_stokes(problem: StokesProblem):
         q_const = _pressure_constant_coeffs(pre)
     c_vec = mw @ q_const  # functional q -> integral of q over the domain
 
-    def project(q):
-        return q - q_const * (c_vec @ q)
-
-    def schur(q):
-        return project(b0 @ lu.solve(b0.T @ project(q)))
-
     with timings.stage("solve"):
-        lu = spla.splu(a0.tocsc())
-        rhs = project(-(b0 @ lu.solve(f0)))
-        p, iters = _cg_operator(schur, rhs, tol=problem.tol)
-        p = project(p)
-        u0 = lu.solve(f0 + b0.T @ p)
+        u0, p, iters, lu_nnz = _solve_saddle(a0, b0, f0, q_const, c_vec, problem.tol)
     coeffs = extend_vector(u0, mask)
 
     with timings.stage("errors"):
@@ -559,10 +580,34 @@ def solve_stokes(problem: StokesProblem):
         "pressure_l2": p_err,
         "div_norm": div_norm,
         "iterations": iters,
+        "lu_nnz": lu_nnz,
         "timings": dict(timings),
         "seconds": time.perf_counter() - t0,
     }
     return coeffs, p, report
+
+
+def _solve_saddle(a0, b0, f0, q_const, c_vec, tol):
+    """Velocity and pressure of the saddle-point system A u - B^T p = f, B u = 0.
+
+    Pressures are taken modulo the constant ``q_const`` and projected onto
+    ``c_vec . q = 0`` (``c_vec`` maps a pressure to its integral).  One
+    factor of the SPD velocity block A serves the projected Schur-complement
+    CG and the velocity back-solve.  Returns (u0, p, CG iterations, LU fill).
+    """
+    lu = _factor_spd(a0)
+
+    def project(q):
+        return q - q_const * (c_vec @ q)
+
+    def schur(q):
+        return project(b0 @ lu.solve(b0.T @ project(q)))
+
+    rhs = project(-(b0 @ lu.solve(f0)))
+    p, iters = _cg_operator(schur, rhs, tol=tol)
+    p = project(p)
+    u0 = lu.solve(f0 + b0.T @ p)
+    return u0, p, iters, lu.nnz
 
 
 def _pressure_error(space, coeffs, exact, quad_degree):
@@ -631,7 +676,7 @@ def inf_sup_constant(n, k):
     b0 = b.matrix[:, ~mask]
     mw = assemble("mass", pre, quad_degree).matrix.todense()
 
-    lu = spla.splu(sp.csc_matrix(a0))
+    lu = _factor_spd(a0)
     bt = np.asarray(b0.todense()).T
     s = np.asarray(b0.todense()) @ lu.solve(bt)
 

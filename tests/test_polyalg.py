@@ -340,6 +340,18 @@ def _termwise_substitute(p, exprs):
     return out
 
 
+def _termwise_call(p, point):
+    """Reference: the value at ``point`` as a plain sum of coefficient times powers."""
+    out = F(0)
+    for k, v in p.coeffs.items():
+        term = v
+        for x, e in zip(point, k):
+            if e:
+                term = term * x**e
+        out = out + term
+    return out
+
+
 def _affine_exprs(matrix, shift):
     """The substitution that ``compose_affine(matrix, shift)`` performs."""
     m = len(matrix[0])
@@ -493,6 +505,24 @@ class TestExactKernels:
             assert _same_polynomial(
                 p.compose_affine(fm, fs), _termwise_substitute(p, _affine_exprs(fm, fs))
             )
+
+    @given(st.integers(1, 4), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_call_at_exact_points_matches_termwise(self, m, data):
+        exps = [e for e in product(range(4), repeat=m) if sum(e) <= 4]
+        keys = data.draw(st.lists(st.sampled_from(exps), max_size=6))
+        p = Polynomial({e: data.draw(coeffs) for e in keys}, m)
+        point = data.draw(st.tuples(*[small | st.integers(-3, 3)] * m))
+        out = p(point)
+        assert type(out) is F and out == _termwise_call(p, point)
+        assert Polynomial.zero(m)(point) == 0
+
+    @given(polynomials(max_degree=4), points3)
+    @settings(max_examples=40, deadline=None)
+    def test_call_with_a_float_side_sums_the_terms(self, p, point):
+        fpoint = tuple(float(x) for x in point)
+        assert p(fpoint) == _termwise_call(p, fpoint)
+        assert p.to_float()(point) == _termwise_call(p.to_float(), point)
 
 
 class TestTrustedConstructor:

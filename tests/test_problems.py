@@ -11,6 +11,10 @@ from tetcomplex.problems import (
     QuadCurlProblem,
     SolverFailure,
     StokesProblem,
+    _factor_spd,
+    _pressure_constant_coeffs,
+    _solve_saddle,
+    _solve_spd,
     get_spaces,
     inf_sup_constant,
     interpolation_study,
@@ -68,19 +72,13 @@ class TestManufactured:
 
 class TestQuadCurlSolve:
     def test_zero_forcing_zero_solution(self):
-        zero = FieldSample(value=lambda pts: np.zeros((len(pts), 3)))
-        prob = QuadCurlProblem(n=2, r=1, k=1)
-        prob.solution = ManufacturedSolution()
         spaces = get_spaces(2, 1, 1, ["gradcurl"])
         v = spaces["gradcurl"]
-        from tetcomplex.assembly import assemble_load
-        import scipy.sparse.linalg as spla
-
         a = assemble("gradcurl_stiffness", v, 8)
         mask = v.boundary_mask
         a0 = restrict_operator(a, mask, mask)
         f0 = np.zeros(a0.shape[0])
-        x = spla.splu(a0.tocsc()).solve(f0)
+        x, _, _ = _solve_spd(a0, f0, "direct", 1e-10)
         assert np.abs(x).max() == 0.0
 
     def test_errors_decrease(self):
@@ -152,51 +150,62 @@ class TestStokes:
         reps = [solve_stokes(StokesProblem(n=n, k=1))[2] for n in (2, 3)]
         assert reps[1]["velocity_l2"] < reps[0]["velocity_l2"]
 
-    def test_zero_forcing(self):
-        import scipy.sparse.linalg as spla
-        from tetcomplex.problems import _cg_operator, _pressure_constant_coeffs
-
+    @staticmethod
+    def _saddle_blocks(qd):
         spaces = get_spaces(2, 1, 1, ["velocity", "pressure"])
         vel, pre = spaces["velocity"], spaces["pressure"]
-        a = assemble("h1", vel, 10)
-        b = assemble("div_pressure", vel, 10, pressure_space=pre)
-        mask = vel.boundary_mask
-        a0 = restrict_operator(a, mask, mask)
-        b0 = b.matrix[:, ~mask]
-        lu = spla.splu(a0.tocsc())
-        rhs = -(b0 @ lu.solve(np.zeros(a0.shape[0])))
-        assert np.abs(rhs).max() == 0.0
-
-    def test_gradient_forcing_gives_zero_velocity(self):
-        # pressure-gradient forcing is invisible to the div-free velocity space
-        ms = ManufacturedSolution()
-        prob = StokesProblem(n=2, k=1)
-        prob.solution = ms
-
-        import scipy.sparse.linalg as spla
-        from tetcomplex.assembly import assemble_load
-        from tetcomplex.problems import _cg_operator, _pressure_constant_coeffs
-
-        spaces = get_spaces(2, 1, 1, ["velocity", "pressure"])
-        vel, pre = spaces["velocity"], spaces["pressure"]
-        qd = 12
         a = assemble("h1", vel, qd)
         b = assemble("div_pressure", vel, qd, pressure_space=pre)
         mask = vel.boundary_mask
-        a0 = restrict_operator(a, mask, mask)
-        b0 = b.matrix[:, ~mask]
-        f0 = restrict_vector(
-            assemble_load(vel, FieldSample(lambda pts: ms.pressure_gradient(pts)), qd), mask
-        )
-        lu = spla.splu(a0.tocsc())
         qc = _pressure_constant_coeffs(pre)
-        mw = assemble("mass", pre, qd).matrix
-        cvec = mw @ qc
-        proj = lambda q: q - qc * (cvec @ q)
-        schur = lambda q: proj(b0 @ lu.solve(b0.T @ proj(q)))
-        p, _ = _cg_operator(schur, proj(-(b0 @ lu.solve(f0))), tol=1e-12)
-        u0 = lu.solve(f0 + b0.T @ proj(p))
+        cvec = assemble("mass", pre, qd).matrix @ qc
+        return vel, restrict_operator(a, mask, mask), b.matrix[:, ~mask], qc, cvec
+
+    def test_zero_forcing(self):
+        _, a0, b0, qc, cvec = self._saddle_blocks(10)
+        u0, p, its, _ = _solve_saddle(a0, b0, np.zeros(a0.shape[0]), qc, cvec, 1e-12)
+        assert its == 0
+        assert np.abs(u0).max() == 0.0 and np.abs(p).max() == 0.0
+
+    def test_gradient_forcing_gives_zero_velocity(self):
+        # pressure-gradient forcing is invisible to the div-free velocity space
+        from tetcomplex.assembly import assemble_load
+
+        ms = ManufacturedSolution()
+        qd = 12
+        vel, a0, b0, qc, cvec = self._saddle_blocks(qd)
+        f0 = restrict_vector(
+            assemble_load(vel, FieldSample(lambda pts: ms.pressure_gradient(pts)), qd),
+            vel.boundary_mask,
+        )
+        u0, _, _, _ = _solve_saddle(a0, b0, f0, qc, cvec, 1e-12)
         assert np.abs(u0).max() < 1e-10
+
+    def test_n4_iterations_and_velocity_error_pinned(self):
+        # the values before the symmetric minimum-degree factorization
+        _, _, rep = solve_stokes(StokesProblem(n=4, k=1))
+        assert rep["iterations"] == 66
+        assert rep["velocity_l2"] == pytest.approx(0.059789701471807656, rel=1e-8)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_gradient_added_to_pressure_leaves_velocity(self, n):
+        u_plain, _, _ = solve_stokes(StokesProblem(n=n, k=1))
+        u_shift, _, _ = solve_stokes(
+            StokesProblem(n=n, k=1, solution=_ShiftedPressureSolution())
+        )
+        assert np.abs(u_shift - u_plain).max() <= 1e-10 * np.abs(u_plain).max()
+
+
+class _ShiftedPressureSolution(ManufacturedSolution):
+    """The manufactured solution with grad q added to the pressure gradient,
+    q = x^2 y + y z^2 - x y z, so only the Stokes forcing changes.  A cubic q
+    keeps the load exact under the solver's quadrature, so any change of
+    the discrete velocity would come from the discretization alone."""
+
+    def pressure_gradient(self, pts, sc=None):
+        x, y, z = np.asarray(pts, float).T
+        grad_q = np.stack([2 * x * y - y * z, x**2 + z**2 - x * z, 2 * y * z - x * y], axis=1)
+        return super().pressure_gradient(pts, sc) + grad_q
 
 
 class TestSchurCg:
@@ -227,6 +236,67 @@ class TestSchurCg:
         true = np.linalg.norm(a @ x - rhs) / np.linalg.norm(rhs)
         assert info.value.residual == pytest.approx(true, rel=1e-12)
         assert info.value.residual > 1e-3
+
+
+class TestFactorSpd:
+    """The one SPD factorization against SuperLU's default COLAMD / partial pivoting."""
+
+    @staticmethod
+    def _quadcurl_block(r, k):
+        v = get_spaces(2, r, k, ["gradcurl"])["gradcurl"]
+        a = assemble("gradcurl_stiffness", v, 2 * v.basis_degree)
+        return restrict_operator(a, v.boundary_mask, v.boundary_mask)
+
+    @staticmethod
+    def _velocity_block(n):
+        vel = get_spaces(n, 1, 1, ["velocity"])["velocity"]
+        a = assemble("h1", vel, 10)
+        return restrict_operator(a, vel.boundary_mask, vel.boundary_mask)
+
+    @pytest.mark.parametrize(
+        "block",
+        [("quadcurl", (1, 1)), ("quadcurl", (2, 2)), ("velocity", 2), ("velocity", 3)],
+        ids=["quadcurl-11", "quadcurl-22", "velocity-2", "velocity-3"],
+    )
+    def test_solve_matches_default_splu(self, block):
+        import scipy.sparse.linalg as spla
+
+        kind, arg = block
+        a = self._quadcurl_block(*arg) if kind == "quadcurl" else self._velocity_block(arg)
+        b = np.random.default_rng(7).standard_normal(a.shape[0])
+        ref = spla.splu(a.tocsc()).solve(b)
+        x = _factor_spd(a).solve(b)
+        assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+
+    def test_fill_below_default_at_n4(self):
+        import scipy.sparse.linalg as spla
+
+        a = self._velocity_block(4)
+        fill, default_fill = _factor_spd(a).nnz, spla.splu(a.tocsc()).nnz
+        assert fill < default_fill
+        # minimum degree on A + A^T: 48990 against COLAMD's 111036
+        assert 2 * fill <= default_fill
+
+    def test_reports_carry_lu_fill(self):
+        # the fill depends on the sparsity pattern alone, not on the quadrature
+        _, row = solve_quadcurl(QuadCurlProblem(n=2, r=1, k=1))
+        assert row["lu_nnz"] == _factor_spd(self._quadcurl_block(1, 1)).nnz > 0
+        _, row = solve_quadcurl(QuadCurlProblem(n=1, r=1, k=1, solver="cg-diagonal"))
+        assert row["lu_nnz"] == 0
+        _, _, rep = solve_stokes(StokesProblem(n=2, k=1))
+        assert rep["lu_nnz"] == _factor_spd(self._velocity_block(2)).nnz > 0
+
+    def test_each_factorization_is_logged(self, caplog):
+        with caplog.at_level("DEBUG", logger="tetcomplex.problems"):
+            solve_stokes(StokesProblem(n=2, k=1))
+        messages = [
+            rec.getMessage() for rec in caplog.records if rec.name == "tetcomplex.problems"
+        ]
+        assert len(messages) == 1
+        a = self._velocity_block(2)
+        head = f"factored SPD matrix n={a.shape[0]}, nnz {a.nnz}, LU fill "
+        assert messages[0].startswith(head)
+        assert float(messages[0].split(" in ")[1].removesuffix(" s")) >= 0
 
 
 class TestInfSup:
