@@ -5,10 +5,20 @@ cell incident to an entity addresses the identical functional, so the
 local-to-global map carries indices only.  Cells in one congruence class
 share the local element construction and all local matrices; only
 translations (and hence physical quadrature points) differ per cell.
+
+A field sample with ``modes`` (see ``FieldSample``) is used through its
+per-cell mode coefficients and the template modes at the class's first
+cell: the load contracts the templates with the weighted basis table once
+per class, and the error norms reduce the templates and the table to a
+small triangular factor once per class and component.  Every layer logs
+one ``tetcomplex.assembly`` DEBUG record with its classes, cells, path
+(modal, pointwise, or class tables), mode count and seconds.
 """
 
 from __future__ import annotations
 
+import logging
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +37,8 @@ from .elements import (
 )
 from .quadrature import alfeld_composite
 
+_log = logging.getLogger("tetcomplex.assembly")
+
 
 def default_quadrature_degree(r, k, basis_degree=None):
     base = 2 * max(r, k + 1) + 2
@@ -35,8 +47,29 @@ def default_quadrature_degree(r, k, basis_degree=None):
     return base
 
 
-# Largest number of points one sample call evaluates at once (bounds memory).
+# Largest number of points (or mode coefficients) per cell times cells that
+# one chunk of a class evaluates at once (bounds memory).
 _POINT_CHUNK = 200_000
+
+
+def _log_layer(layer, space, start, sample=None):
+    """One DEBUG record of a layer over all classes of ``space``, begun at ``start``."""
+    if not _log.isEnabledFor(logging.DEBUG):
+        return
+    modes = getattr(sample, "modes", None)
+    fields = {
+        "layer": layer,
+        "classes": len(space.classes),
+        "cells": space.mesh.n_cells,
+        "path": "tables" if sample is None else "pointwise" if modes is None else "modal",
+        "modes": 0 if modes is None else modes.count,
+        "seconds": time.perf_counter() - start,
+    }
+    _log.debug(
+        "%(layer)s: %(classes)d classes, %(cells)d cells, %(path)s path, "
+        "%(modes)d modes, %(seconds).3f s",
+        fields, extra=fields,
+    )
 
 
 class GlobalSpace:
@@ -106,18 +139,20 @@ class GlobalSpace:
         """ClassTables of each of ``classes`` at one quadrature degree, built once."""
         tables = self._tables.get(degree)
         if tables is None:
+            start = time.perf_counter()
             tables = [ClassTables(self, cells[0], degree) for cells in self.classes]
             self._tables[degree] = tables
+            _log_layer(f"class tables {self.kind} degree {degree}", self, start)
         return tables
 
     def interpolate(self, sample, quad):
         """Global coefficient vector of the canonical interpolant.
 
         The DOF stencils of a congruence class are those of its first cell
-        moved by each cell's translation, so one sample call per class and
-        stencil use covers the stencil points of all of its cells.  A sample
-        with ``shared`` state gets it built from each chunk of those points.
+        moved by each cell's translation, so one evaluation per class and
+        stencil use covers the stencil points of all of its cells.
         """
+        t0 = time.perf_counter()
         out = np.zeros(self.dim)
         for cells in self.classes:
             first = self.cells_geom[cells[0]]
@@ -125,15 +160,14 @@ class GlobalSpace:
             for use in sorted({use for use, _, _ in stencils}):
                 locs = [i for i, st in enumerate(stencils) if st[0] == use]
                 pts = np.concatenate([stencils[i][1] for i in locs])
-                for chunk, moved in _chunks(self, cells, pts):
-                    vals = getattr(sample, use)(moved.reshape(-1, 3), *_shared(sample, moved))
-                    vals = vals.reshape(moved.shape[:2] + vals.shape[1:])
+                for chunk, vals in _values(self, cells, sample, use, pts):
                     start = 0
                     for i in locs:
                         wts = stencils[i][2]
                         part = vals[:, start:start + len(wts)]
                         out[self.local_to_global[chunk, i]] = np.tensordot(part, wts, axes=wts.ndim)
                         start += len(wts)
+        _log_layer(f"interpolate {self.kind}", self, t0, sample)
         return out
 
 
@@ -229,29 +263,33 @@ def _by_point(table, nq):
     return table.reshape(len(table), nq, -1)
 
 
-def _chunks(space, cells, points):
-    """Split one congruence class into chunks of at most ``_POINT_CHUNK`` points.
+def _chunks(space, cells, per_cell):
+    """Split one congruence class into chunks of at most ``_POINT_CHUNK // per_cell`` cells.
 
-    Yields (cell ids, physical points of shape (cells, len(points), 3)):
-    ``points`` belong to the class's first cell, and every other cell's
-    points are these moved by its translation.
+    Yields (cell ids, their translations from the class's first cell,
+    shape (cells, 3)).
     """
     shifts = space.mesh.cell_shifts[cells] - space.mesh.cell_shifts[cells[0]]
-    step = max(1, _POINT_CHUNK // len(points))
+    step = max(1, _POINT_CHUNK // per_cell)
     for lo in range(0, len(cells), step):
-        yield cells[lo:lo + step], shifts[lo:lo + step, None, :] + points
+        yield cells[lo:lo + step], shifts[lo:lo + step]
 
 
-def _shared(sample, chunk):
-    """Arguments after the flat points for the evaluators of ``sample`` at a chunk."""
-    return () if sample.shared is None else (sample.shared(chunk),)
+def _values(space, cells, sample, name, points):
+    """``sample.<name>`` at ``points`` of a class's first cell, moved to every cell.
 
-
-def _class_chunks(space, degree):
-    """(tables, cell ids, physical quadrature points) over the chunks of every class."""
-    for cells, tab in zip(space.classes, space.class_tables(degree)):
-        for chunk, pts in _chunks(space, cells, tab.points):
-            yield tab, chunk, pts
+    Yields (cell ids, values of shape (cells, len(points), *components))
+    per chunk: from the mode coefficients and the template at ``points``
+    for a sample with ``modes``, else from the evaluator at the moved points.
+    """
+    modes = sample.modes
+    template = None if modes is None else modes.template(points)
+    for chunk, shifts in _chunks(space, cells, len(points)):
+        if template is None:
+            vals = getattr(sample, name)((shifts[:, None, :] + points).reshape(-1, 3))
+            yield chunk, vals.reshape((len(chunk), len(points)) + vals.shape[1:])
+        else:
+            yield chunk, np.moveaxis(modes.coefficients(name, shifts) @ template, -1, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -287,6 +325,7 @@ def assemble(form, space, quad_degree=None, pressure_space=None):
         raise ValueError(
             f"quadrature degree {quad_degree} below the exactness requirement {needed}"
         )
+    start = time.perf_counter()
     row_space = pressure_space if form == "div_pressure" else space
     rows, cols, vals = [], [], []
     for cells, tab, rtab in zip(
@@ -319,22 +358,41 @@ def assemble(form, space, quad_degree=None, pressure_space=None):
     op = SparseOperator(matrix, row_space, space, sym)
     if sym and not op.check_symmetry():
         raise ArithmeticError(f"assembled {form} operator lost symmetry")
+    _log_layer(f"assemble {form}", space, start)
     return op
 
 
 def assemble_load(space, sample, quad_degree):
     """Load vector (f, v) over the nodal basis of ``space``.
 
-    Per chunk, one matrix product of the weighted sample values
-    (cells, points x components) with the basis table.
+    With ``sample.modes``, per class the templates are contracted with the
+    weighted basis table once, into (components x modes, basis), and per
+    chunk the cells' mode coefficients times that matrix are the local
+    loads.  Otherwise per chunk the weighted sample values times the basis
+    table are.
     """
+    start = time.perf_counter()
+    modes = sample.modes
     out = np.zeros(space.dim)
-    for tab, cells, pts in _class_chunks(space, quad_degree):
-        fv = sample.value(pts.reshape(-1, 3), *_shared(sample, pts))
-        fv = fv.reshape(len(cells), len(tab.weights), -1) * tab.weights[:, None]
-        local = fv.reshape(len(cells), -1) @ tab.values.reshape(len(tab.values), -1).T
-        local *= tab.det
-        np.add.at(out, space.local_to_global[cells], local)
+    for cells, tab in zip(space.classes, space.class_tables(quad_degree)):
+        basis = _by_point(tab.values, len(tab.weights))
+        if modes is not None:
+            load = (modes.template(tab.points) * tab.weights) @ basis.transpose(2, 1, 0)
+            load = load.reshape(-1, len(basis))  # (components x modes, basis)
+            parts = (
+                (chunk, modes.coefficients("value", shifts).reshape(len(chunk), -1) @ load)
+                for chunk, shifts in _chunks(space, cells, modes.count)
+            )
+        else:
+            weighted = (basis * tab.weights[:, None]).reshape(len(basis), -1).T
+            parts = (
+                (chunk, fv.reshape(len(chunk), -1) @ weighted)
+                for chunk, fv in _values(space, cells, sample, "value", tab.points)
+            )
+        for chunk, local in parts:
+            local *= tab.det
+            np.add.at(out, space.local_to_global[chunk], local)
+    _log_layer(f"load {space.kind}", space, start, sample)
     return out
 
 
@@ -403,46 +461,82 @@ def extend_vector(vec, mask):
 # error norms
 
 
+# (table attribute, sample evaluator) of each error_norms entry
+_NORMS = (("values", "value"), ("curl", "curl"), ("grad_curl", "grad_curl"), ("grad", "jacobian"))
+
+
 def error_norms(space, coeffs, exact, quad_degree=None):
     """(L2, curl-, grad-curl-, H1-seminorm) of exact - represented field.
 
     A seminorm reads 0 where the space has no table for it or ``exact``
     has no evaluator: the curl and grad-curl seminorms need a grad-curl
     space, the H1 seminorm (the Jacobian's L2 norm) a velocity space and
-    ``exact.jacobian``.  Per chunk and quantity, the represented values
-    are one matrix product of the cells' coefficients with the table.
+    ``exact.jacobian``.
+
+    With ``exact.modes`` no field is formed at the points: a cell's
+    squared error is its weighted pointwise difference rotated by
+    triangular factors built once per class (``_modal_squared_errors``),
+    never the cancelling |u|^2 - 2 (u, u_h) + |u_h|^2.  Without modes, per
+    chunk and quantity the represented values are one matrix product of
+    the cells' coefficients with the table, less the evaluated field.
     """
     if quad_degree is None:
         quad_degree = default_quadrature_degree(space.r, space.k, space.basis_degree)
-    pairs = (
-        ("values", exact.value),
-        ("curl", exact.curl),
-        ("grad_curl", exact.grad_curl),
-        ("grad", exact.jacobian),
-    )
-    acc = np.zeros(len(pairs))
+    start = time.perf_counter()
+    modes = exact.modes
+    acc = np.zeros(len(_NORMS))
     coeffs = np.asarray(coeffs)
-    for tab, cells, pts in _class_chunks(space, quad_degree):
-        flat = pts.reshape(-1, 3)
-        local = coeffs[space.local_to_global[cells]]
+    for cells, tab in zip(space.classes, space.class_tables(quad_degree)):
         used = [
-            (i, getattr(tab, name), field)
-            for i, (name, field) in enumerate(pairs)
-            if getattr(tab, name) is not None and field is not None
+            (i, _by_point(getattr(tab, table), len(tab.weights)), name)
+            for i, (table, name) in enumerate(_NORMS)
+            if getattr(tab, table) is not None and getattr(exact, name) is not None
         ]
-        shared = _shared(exact, pts) if used else ()
-        for i, table, field in used:
-            exact_vals = field(flat, *shared)
-            if i == used[-1][0]:
-                # the shared evaluation state is as large as the error arrays
-                # that follow; drop it before they are made
-                shared = ()
-            err = local @ table.reshape(len(table), -1)
-            err -= exact_vals.reshape(err.shape)
-            err *= err
-            w = np.repeat(tab.weights, err.shape[1] // len(tab.weights))
-            acc[i] += tab.det * float((err @ w).sum())
+        if not used:
+            continue
+        if modes is not None:
+            acc += tab.det * _modal_squared_errors(space, cells, tab, coeffs, modes, used)
+            continue
+        for i, table, name in used:
+            flat = table.reshape(len(table), -1)
+            w = np.repeat(tab.weights, flat.shape[1] // len(tab.weights))
+            for chunk, vals in _values(space, cells, exact, name, tab.points):
+                err = coeffs[space.local_to_global[chunk]] @ flat
+                err -= vals.reshape(err.shape)
+                err *= err
+                acc[i] += tab.det * float((err @ w).sum())
+    _log_layer(f"error norms {space.kind}", space, start, exact)
     return tuple(np.sqrt(np.maximum(acc, 0.0)))
+
+
+def _modal_squared_errors(space, cells, tab, coeffs, modes, used):
+    """Squared errors (without the cell volume factor) of one class, from modes.
+
+    With W the root weights, P the templates, T one component's basis
+    table, c a cell's mode and a its basis coefficients, the Householder
+    QR of W [P^T | T^T] is taken blockwise: Q1 R11 = W P^T once per class,
+    and per component R12 = Q1^T W T^T and R22 from the QR of the
+    remainder W T^T - Q1 R12.  Then |W (P^T c - T^T a)|^2 =
+    |R11 c - R12 a|^2 + |R22 a|^2, with the pointwise difference's rounding.
+    """
+    root = np.sqrt(tab.weights)
+    q1, r11 = np.linalg.qr(root[:, None] * modes.template(tab.points).T)
+    factors = []
+    for i, table, name in used:
+        weighted = table.transpose(2, 1, 0) * root[:, None]  # (components, points, basis)
+        r12 = q1.T @ weighted
+        r22 = np.linalg.qr(weighted - q1 @ r12, mode="r")
+        factors.append((i, name, r12.reshape(-1, len(table)).T, r22.reshape(-1, len(table)).T))
+    out = np.zeros(len(_NORMS))
+    for chunk, shifts in _chunks(space, cells, modes.count):
+        local = coeffs[space.local_to_global[chunk]]
+        for i, name, r12, r22 in factors:
+            c = modes.coefficients(name, shifts).reshape(len(chunk), -1, modes.count)
+            y = c @ r11.T
+            y -= (local @ r12).reshape(y.shape)
+            z = local @ r22
+            out[i] += np.vdot(y, y) + np.vdot(z, z)
+    return out
 
 
 def divergence_norm(space, coeffs, quad_degree=None):
@@ -452,7 +546,8 @@ def divergence_norm(space, coeffs, quad_degree=None):
         quad_degree = default_quadrature_degree(space.r, space.k, space.basis_degree)
     total = 0.0
     coeffs = np.asarray(coeffs)
-    for tab, cells, _ in _class_chunks(space, quad_degree):
-        dh = coeffs[space.local_to_global[cells]] @ tab.div
-        total += tab.det * float(np.einsum("cq,q->", dh**2, tab.weights))
+    for cells, tab in zip(space.classes, space.class_tables(quad_degree)):
+        for chunk, _ in _chunks(space, cells, len(tab.weights)):
+            dh = coeffs[space.local_to_global[chunk]] @ tab.div
+            total += tab.det * float(np.einsum("cq,q->", dh**2, tab.weights))
     return float(np.sqrt(max(total, 0.0)))

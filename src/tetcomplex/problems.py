@@ -4,12 +4,22 @@ The manufactured velocity field is a product of univariate trigonometric
 factors per component, so every partial derivative (up to the fourth-order
 forcing) evaluates exactly as a product of formally differentiated
 univariate factors; no symbolic engine and no quadrature enter the forcing.
+
+Every such factor is a cubic form in (sin(pi x), cos(pi x)), and a
+translation x -> x + a maps the four cubic modes s^(3-a) c^a onto one
+another (angle addition).  So on the cells of one congruence class, which
+are translates of the first, every field of the solution is a per-cell
+vector of 64 coefficients times 64 template modes taken at the first
+cell's points: the packaged samples carry that representation as
+``TranslationModes``, and load, error norms and interpolation need no
+evaluation per point and cell.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import math
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field as dc_field
@@ -47,7 +57,7 @@ class ConfigError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# univariate trigonometric factors
+# univariate trigonometric factors and their translation modes
 
 
 class TrigPoly1D:
@@ -69,6 +79,126 @@ class TrigPoly1D:
                 out[key] = out.get(key, 0.0) - np.pi * b * c
         return TrigPoly1D(out)
 
+    def cubic(self):
+        """Coefficients of the four cubic modes s^(3-a) c^a, a = 0..3.
+
+        A term of degree 1 is lifted to degree 3 by s^2 + c^2 = 1; other
+        degrees have no cubic form.
+        """
+        out = np.zeros(4)
+        for (a, b), coeff in self.terms.items():
+            lift, odd = divmod(3 - a - b, 2)
+            if odd or lift < 0:
+                raise ValueError(f"term s^{a} c^{b} is not a cubic form")
+            for j in range(lift + 1):  # (s^2 + c^2)^lift
+                out[b + 2 * j] += math.comb(lift, j) * coeff
+        return out
+
+
+def shift_matrices(shifts):
+    """(n, 4, 4) matrices M with ``f(x + a).cubic() == M(a) @ f.cubic()``.
+
+    sin(pi (x + a)) = s cos(pi a) + c sin(pi a) and cos(pi (x + a)) =
+    c cos(pi a) - s sin(pi a), so mode s^(3-b) c^b moved by a is the
+    product of those linear forms; column b of M(a) holds its coefficients.
+    """
+    shifts = np.asarray(shifts, float)
+    sa, ca = np.sin(np.pi * shifts), np.cos(np.pi * shifts)
+    sine = (ca, sa)  # coefficients of s and c
+    cosine = (-sa, ca)
+    out = np.empty((len(shifts), 4, 4))
+    for b in range(4):
+        form = np.ones((len(shifts), 1))
+        for s_coef, c_coef in [sine] * (3 - b) + [cosine] * b:
+            grown = np.zeros((len(shifts), form.shape[1] + 1))
+            grown[:, :-1] += form * s_coef[:, None]
+            grown[:, 1:] += form * c_coef[:, None]
+            form = grown
+        out[:, :, b] = form
+    return out
+
+
+class TranslationModes:
+    """Fields on the products of cubic modes per axis, at translated points.
+
+    ``tensors`` maps a name to coefficients of shape (64, *components):
+    row 16 a + 4 b + c multiplies the mode s1^(3-a) c1^a s2^(3-b) c2^b
+    s3^(3-c) c3^c (s_i = sin(pi x_i), c_i = cos(pi x_i)).  At points p + t,
+    a field is ``coefficients(name, t) @ template(p)``: the template holds
+    the modes at p, and the coefficients are the tensor moved by t, one
+    ``shift_matrices`` factor per axis.
+    """
+
+    count = 64
+
+    def __init__(self, tensors):
+        self.tensors = tensors
+
+    def template(self, points):
+        """The 64 modes at flat (m, 3) points, shape (64, m)."""
+        x = np.pi * np.asarray(points, float)
+        s, c = np.sin(x), np.cos(x)
+        per_axis = [np.stack([s[:, i] ** (3 - a) * c[:, i] ** a for a in range(4)]) for i in range(3)]
+        return np.einsum("am,bm,cm->abcm", *per_axis).reshape(64, -1)
+
+    def coefficients(self, name, shifts):
+        """Coefficients of field ``name`` moved by each of (cells, 3) shifts.
+
+        Shape (cells, *components, 64); the shift acts on one tensor axis
+        at a time, with one matrix per distinct shift along that axis.
+        """
+        t = self.tensors[name]
+        n = len(shifts)
+        mx, my, mz = (
+            shift_matrices(distinct)[inverse]
+            for distinct, inverse in (np.unique(s, return_inverse=True) for s in shifts.T)
+        )
+        out = mx @ t.reshape(4, -1)  # (cells, x mode, rest)
+        out = my[:, None] @ out.reshape(n, 4, 4, -1)  # (cells, x, y mode, rest)
+        out = mz[:, None] @ out.reshape(n, 16, 4, -1)  # (cells, x y, z mode, components)
+        return np.moveaxis(out.reshape(n, 64, -1), 1, -1).reshape((n,) + t.shape[1:] + (64,))
+
+
+class _PointFactors:
+    """Univariate factors at flat (m, 3) points, each evaluated once."""
+
+    def __init__(self, pts):
+        x = np.pi * np.asarray(pts, float)
+        self.size = len(x)
+        self.powers = []
+        for s, c in zip(np.sin(x).T, np.cos(x).T):
+            self.powers.append(([np.ones_like(s), s, s * s, s * s * s],
+                                [np.ones_like(c), c, c * c, c * c * c]))
+        self._memo = {}
+
+    def factor(self, f, axis):
+        key = (tuple(f.terms.items()), axis)
+        val = self._memo.get(key)
+        if val is None:
+            sines, cosines = self.powers[axis]
+            val = np.zeros(self.size)
+            for (a, b), coeff in f.terms.items():
+                val += coeff * sines[a] * cosines[b]
+            self._memo[key] = val
+        return val
+
+
+class _ModeFactors:
+    """Univariate factors as cubic coefficients, in place of 64 points.
+
+    A factor of axis 0 takes at "point" 16 a + 4 b + c its coefficient a
+    (axis 1: b, axis 2: c), so the product of three factors that the
+    evaluators form point by point is their Kronecker product, and an
+    evaluator returns its ``TranslationModes`` tensor.
+    """
+
+    size = TranslationModes.count
+
+    def factor(self, f, axis):
+        shape = [1, 1, 1]
+        shape[axis] = 4
+        return np.broadcast_to(f.cubic().reshape(shape), (4, 4, 4)).ravel()
+
 
 class SeparableProduct:
     """coef * f1(x) f2(y) f3(z) with derivative tables up to order 4."""
@@ -82,8 +212,8 @@ class SeparableProduct:
                 tab.append(tab[-1].derivative())
             self.tables.append(tab)
 
-    def partial(self, alpha, sc):
-        f1, f2, f3 = (sc.factor(self.tables[i][alpha[i]], i) for i in range(3))
+    def partial(self, alpha, factors):
+        f1, f2, f3 = (factors.factor(self.tables[i][alpha[i]], i) for i in range(3))
         out = np.multiply(f1, f2)
         out *= f3
         if self.coef != 1.0:
@@ -103,60 +233,6 @@ _CURL = [
 ]
 
 
-class _SinCos:
-    """sin(pi x_i), cos(pi x_i) and their univariate factors at a point set.
-
-    ``pts`` is a class chunk of shape (cells, points, 3), one row of points
-    per cell, or flat (m, 3) points taken as a single row.  Per axis, the
-    rows are grouped by the coordinate of their first point, and the
-    grouping is kept only if every row equals its group's first row;
-    otherwise each row is its own group.  Sines, cosines, their powers and
-    each univariate factor are evaluated once per group and axis, and a
-    factor is gathered to all points (cell-major, as the flat points of
-    the chunk) once however many partials share it.
-    """
-
-    def __init__(self, pts):
-        pts = np.asarray(pts, float)
-        rows = pts if pts.ndim == 3 else pts[None]
-        self.groups, self.s, self.c = [], [], []
-        for axis in range(3):
-            x = rows[:, :, axis]
-            _, first, group = np.unique(x[:, 0], return_index=True, return_inverse=True)
-            if not np.array_equal(x[first[group]], x):
-                first = group = np.arange(len(x))
-            self.groups.append(group)
-            self.s.append(np.sin(np.pi * x[first]))
-            self.c.append(np.cos(np.pi * x[first]))
-        self._memo = {}
-
-    def _power(self, axis, cosine, n):
-        key = ("power", axis, cosine, n)
-        val = self._memo.get(key)
-        if val is None:
-            base = (self.c if cosine else self.s)[axis]
-            if n == 0:
-                val = np.ones_like(base)
-            elif n == 1:
-                val = base
-            else:
-                val = self._power(axis, cosine, n - 1) * base
-            self._memo[key] = val
-        return val
-
-    def factor(self, f, axis):
-        """The factor ``f`` of coordinate ``axis`` at every point, as a flat array."""
-        key = ("factor", tuple(f.terms.items()), axis)
-        val = self._memo.get(key)
-        if val is None:
-            val = np.zeros_like(self.s[axis])
-            for (a, b), coeff in f.terms.items():
-                val += coeff * self._power(axis, False, a) * self._power(axis, True, b)
-            val = val[self.groups[axis]].ravel()
-            self._memo[key] = val
-        return val
-
-
 class ManufacturedSolution:
     """Trigonometric divergence-free field with vanishing boundary traces.
 
@@ -171,13 +247,12 @@ class ManufacturedSolution:
     -lap(u) + grad(p) with p = c1 c2 c3 are evaluated from the same
     univariate derivative tables.
 
-    Every packaged sample evaluates through one _SinCos state per class
-    chunk.  The chunk's rows are one cell's points moved by each cell's
-    translation, so along one axis the rows take few distinct values (N
-    on a Kuhn mesh of level N): the state groups equal rows per axis,
-    evaluates the univariate factors once per group, and gathers them to
-    every cell.  Rows that the grouping check does not confirm (a jittered
-    mesh, or rows equal only at their first point) are each their own group.
+    Every evaluator takes flat (m, 3) points and, optionally, the source
+    of the univariate factors.  By default that is the factors at those
+    points.  ``translation_modes`` passes the factors' cubic coefficients
+    instead (``_ModeFactors``): the same sums of products then give each
+    field's 64 mode coefficients, which the packaged samples carry as
+    ``modes``.  The pressure's degree-1 factors lift to cubic forms.
     """
 
     def __init__(self):
@@ -192,34 +267,34 @@ class ManufacturedSolution:
         self.pressure_product = SeparableProduct(1.0, c1, c1, c1, max_order=1)
 
     # -- raw partial evaluators ------------------------------------------
-    # Each takes flat (m, 3) points and, optionally, the _SinCos state of
+    # Each takes flat (m, 3) points and, optionally, the factor source of
     # those points, which several evaluators at one point set share.
 
-    def _p(self, comp, alpha, sc):
-        return self.comps[comp].partial(alpha, sc)
+    def _p(self, comp, alpha, factors):
+        return self.comps[comp].partial(alpha, factors)
 
-    def value(self, pts, sc=None):
-        sc = sc or _SinCos(pts)
-        return np.stack([self._p(i, (0, 0, 0), sc) for i in range(3)], axis=1)
+    def value(self, pts, factors=None):
+        factors = factors or _PointFactors(pts)
+        return np.stack([self._p(i, (0, 0, 0), factors) for i in range(3)], axis=1)
 
-    def divergence(self, pts, sc=None):
-        sc = sc or _SinCos(pts)
-        return sum(self._p(i, tuple(_E[i]), sc) for i in range(3))
+    def divergence(self, pts, factors=None):
+        factors = factors or _PointFactors(pts)
+        return sum(self._p(i, tuple(_E[i]), factors) for i in range(3))
 
-    def jacobian(self, pts, sc=None):
+    def jacobian(self, pts, factors=None):
         """(m, 3, 3) array with entry [:, i, j] = d u_i / d x_j."""
-        sc = sc or _SinCos(pts)
-        out = np.empty((len(pts), 3, 3))
+        factors = factors or _PointFactors(pts)
+        out = np.empty((factors.size, 3, 3))
         for i in range(3):
             for j in range(3):
-                out[:, i, j] = self._p(i, tuple(_E[j]), sc)
+                out[:, i, j] = self._p(i, tuple(_E[j]), factors)
         return out
 
-    def _sum(self, terms, sc):
+    def _sum(self, terms, factors):
         """Sum of sign * (d^alpha u_comp) over (sign, comp, alpha) terms, in place."""
         acc = None
         for sign, comp, alpha in terms:
-            p = self._p(comp, tuple(alpha), sc)
+            p = self._p(comp, tuple(alpha), factors)
             if acc is None:
                 acc = p if sign > 0 else np.negative(p, out=p)
             elif sign > 0:
@@ -228,87 +303,106 @@ class ManufacturedSolution:
                 acc -= p
         return acc
 
-    def curl(self, pts, sc=None):
-        sc = sc or _SinCos(pts)
-        return np.stack([self._sum(_CURL[a], sc) for a in range(3)], axis=1)
+    def curl(self, pts, factors=None):
+        factors = factors or _PointFactors(pts)
+        return np.stack([self._sum(_CURL[a], factors) for a in range(3)], axis=1)
 
-    def grad_curl(self, pts, sc=None):
-        sc = sc or _SinCos(pts)
-        out = np.empty((len(pts), 3, 3))
+    def grad_curl(self, pts, factors=None):
+        factors = factors or _PointFactors(pts)
+        out = np.empty((factors.size, 3, 3))
         for a in range(3):
             for d in range(3):
-                out[:, a, d] = self._sum([(s, c, b + _E[d]) for s, c, b in _CURL[a]], sc)
+                out[:, a, d] = self._sum([(s, c, b + _E[d]) for s, c, b in _CURL[a]], factors)
         return out
 
-    def lap_curl(self, pts, sc=None):
-        sc = sc or _SinCos(pts)
+    def lap_curl(self, pts, factors=None):
+        factors = factors or _PointFactors(pts)
         return np.stack([
-            self._sum([(s, c, b + 2 * _E[d]) for d in range(3) for s, c, b in _CURL[a]], sc)
+            self._sum([(s, c, b + 2 * _E[d]) for d in range(3) for s, c, b in _CURL[a]], factors)
             for a in range(3)
         ], axis=1)
 
-    def bilaplacian(self, pts, sc=None):
+    def bilaplacian(self, pts, factors=None):
         """lap(lap(u)) from 18 partials: per component the three d^4/dx_d^4 and,
         counted twice, the three d^2/dx_d^2 d^2/dx_e^2 with d < e."""
-        sc = sc or _SinCos(pts)
+        factors = factors or _PointFactors(pts)
         comps = []
         for i in range(3):
             mixed = [(1, i, 2 * (_E[d] + _E[e])) for d in range(3) for e in range(d + 1, 3)]
-            acc = self._sum(mixed, sc)
+            acc = self._sum(mixed, factors)
             acc *= 2
-            acc += self._sum([(1, i, 4 * _E[d]) for d in range(3)], sc)
+            acc += self._sum([(1, i, 4 * _E[d]) for d in range(3)], factors)
             comps.append(acc)
         return np.stack(comps, axis=1)
 
-    def forcing(self, pts, sc=None):
+    def forcing(self, pts, factors=None):
         """-curl(lap(curl u)) + u, which is lap(lap(u)) + u because div u = 0."""
-        sc = sc or _SinCos(pts)
-        return self.bilaplacian(pts, sc) + self.value(pts, sc)
+        factors = factors or _PointFactors(pts)
+        return self.bilaplacian(pts, factors) + self.value(pts, factors)
 
-    def laplacian(self, pts, sc=None):
-        sc = sc or _SinCos(pts)
+    def laplacian(self, pts, factors=None):
+        factors = factors or _PointFactors(pts)
         return np.stack(
             [
-                sum(self._p(i, tuple(2 * _E[d]), sc) for d in range(3))
+                sum(self._p(i, tuple(2 * _E[d]), factors) for d in range(3))
                 for i in range(3)
             ],
             axis=1,
         )
 
-    def pressure(self, pts, sc=None):
-        sc = sc or _SinCos(pts)
-        return self.pressure_product.partial((0, 0, 0), sc)
+    def pressure(self, pts, factors=None):
+        factors = factors or _PointFactors(pts)
+        return self.pressure_product.partial((0, 0, 0), factors)
 
-    def pressure_gradient(self, pts, sc=None):
-        sc = sc or _SinCos(pts)
+    def pressure_gradient(self, pts, factors=None):
+        factors = factors or _PointFactors(pts)
         return np.stack(
-            [self.pressure_product.partial(tuple(_E[i]), sc) for i in range(3)], axis=1
+            [self.pressure_product.partial(tuple(_E[i]), factors) for i in range(3)], axis=1
         )
 
-    def stokes_forcing(self, pts, viscosity=1.0, sc=None):
-        sc = sc or _SinCos(pts)
-        return -viscosity * self.laplacian(pts, sc) + self.pressure_gradient(pts, sc)
+    def stokes_forcing(self, pts, viscosity=1.0, factors=None):
+        factors = factors or _PointFactors(pts)
+        return -viscosity * self.laplacian(pts, factors) + self.pressure_gradient(pts, factors)
 
     # -- packaged samples ---------------------------------------------------
-    # Every sample shares one _SinCos state per class chunk among its evaluators.
+
+    def translation_modes(self, **evaluators):
+        """TranslationModes with one tensor per keyword, from its evaluator.
+
+        The evaluators get NaN points, so one that uses the coordinates
+        besides the factors (a subclass adding a polynomial term, say)
+        raises here instead of giving wrong coefficients.
+        """
+        pts = np.full((TranslationModes.count, 3), np.nan)
+        tensors = {}
+        for name, evaluate in evaluators.items():
+            tensors[name] = evaluate(pts, factors=_ModeFactors())
+            if not np.isfinite(tensors[name]).all():
+                raise ValueError(f"{name} is not a sum of products of trigonometric factors")
+        return TranslationModes(tensors)
 
     def solution_sample(self):
         return FieldSample(
-            self.value, self.curl, self.grad_curl, self.divergence,
-            jacobian=self.jacobian, shared=_SinCos,
+            self.value, self.curl, self.grad_curl, self.divergence, jacobian=self.jacobian,
+            modes=self.translation_modes(
+                value=self.value, curl=self.curl, grad_curl=self.grad_curl,
+                div=self.divergence, jacobian=self.jacobian,
+            ),
         )
 
     def forcing_sample(self):
-        return FieldSample(self.forcing, shared=_SinCos)
+        return FieldSample(self.forcing, modes=self.translation_modes(value=self.forcing))
 
     def stokes_forcing_sample(self, viscosity=1.0):
-        return FieldSample(
-            lambda pts, sc=None: self.stokes_forcing(pts, viscosity, sc), shared=_SinCos
-        )
+        def forcing(pts, factors=None):
+            return self.stokes_forcing(pts, viscosity, factors)
+
+        return FieldSample(forcing, modes=self.translation_modes(value=forcing))
 
     def pressure_sample(self):
         return FieldSample(
-            self.pressure, gradient=self.pressure_gradient, scalar=True, shared=_SinCos
+            self.pressure, gradient=self.pressure_gradient, scalar=True,
+            modes=self.translation_modes(value=self.pressure, gradient=self.pressure_gradient),
         )
 
     # -- validation -----------------------------------------------------------
@@ -543,7 +637,7 @@ def solve_stokes(problem: StokesProblem):
     timings = StageTimings()
     spaces = get_spaces(problem.n, problem.k, problem.k, ["velocity", "pressure"])
     vel, pre = spaces["velocity"], spaces["pressure"]
-    quad_degree = max(
+    quad_degree = problem.quad_degree or max(
         default_quadrature_degree(problem.k, problem.k, vel.basis_degree),
         vel.basis_degree + pre.basis_degree,
     )

@@ -19,11 +19,17 @@ from .polyalg.poly import Polynomial, VectorField, curl, div, grad, jacobian
 class FieldSample:
     """Evaluable analytic field; ``value`` maps (m,3) points to (m,3) or (m,).
 
-    Every evaluator takes flat (m, 3) points.  A sample with ``shared``
-    also takes, as a second argument, the state ``shared`` builds from a
-    class chunk: the same points as a (cells, points, 3) array, one row per
-    cell of a congruence class, whose rows are one cell's points moved by
-    each cell's translation.  The flat points are that array reshaped.
+    Every evaluator takes flat (m, 3) points.  A sample may also carry
+    ``modes``: the same fields as per-cell coefficients of a few template
+    functions, for the cells of a congruence class, which are translates of
+    the class's first cell.  ``modes.count`` is the number of templates,
+    ``modes.template(points)`` gives them at the first cell's (m, 3) points
+    as a (count, m) array, and ``modes.coefficients(name, shifts)`` gives
+    the evaluator ``name``'s coefficients at cells moved by (cells, 3)
+    shifts, shape (cells, *components, count), so that their product is
+    the evaluator at the moved points.  Load, error norms and interpolation
+    then work from the templates and coefficients alone; a sample without
+    ``modes`` is evaluated point by point.
     """
 
     value: callable
@@ -33,10 +39,7 @@ class FieldSample:
     gradient: callable = None  # for scalar samples
     jacobian: callable = None  # (m, 3, 3), [:, i, j] = d value_i / d x_j
     scalar: bool = False
-    # (cells, points, 3) class chunk -> evaluation state that every
-    # evaluator accepts as a second argument, so the evaluators at one
-    # chunk share it and may exploit the chunk's structure
-    shared: callable = None
+    modes: object = None  # e.g. problems.TranslationModes
 
     @classmethod
     def from_vector_polynomial(cls, u: VectorField):

@@ -1,5 +1,7 @@
 """Global numbering, assembled operators, discrete complex, interpolation."""
 
+import dataclasses
+import logging
 from fractions import Fraction as F
 from types import SimpleNamespace
 
@@ -36,7 +38,7 @@ from tetcomplex.mesh import (
     build_structured_cube,
 )
 from tetcomplex.polyalg import Polynomial, VectorField, curl, div, monomial_exponents
-from tetcomplex.problems import ManufacturedSolution, _SinCos
+from tetcomplex.problems import ManufacturedSolution, get_spaces
 from tetcomplex.quadrature import QuadratureRule, alfeld_composite
 from tetcomplex.sampling import FieldSample
 
@@ -422,16 +424,22 @@ class TestInterpolationAndNorms:
         ms = ManufacturedSolution()
         quad = QuadratureRule(8)
 
-        def evaluate():
-            coeffs = space.interpolate(ms.solution_sample(), quad)
-            load = assemble_load(space, ms.forcing_sample(), 8)
-            return coeffs, load, np.array(error_norms(space, coeffs, ms.solution_sample(), 8))
+        def evaluate(modal):
+            # without modes every sample goes through its point evaluators
+            solution, forcing = ms.solution_sample(), ms.forcing_sample()
+            if not modal:
+                solution = dataclasses.replace(solution, modes=None)
+                forcing = dataclasses.replace(forcing, modes=None)
+            coeffs = space.interpolate(solution, quad)
+            load = assemble_load(space, forcing, 8)
+            return coeffs, load, np.array(error_norms(space, coeffs, solution, 8))
 
-        whole = evaluate()
+        whole = [evaluate(modal) for modal in (False, True)]
         # chunks smaller than one class split every class into several calls
         monkeypatch.setattr(assembly_module, "_POINT_CHUNK", 1000)
-        for a, b in zip(evaluate(), whole):
-            np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12 * np.abs(b).max())
+        for modal, expected in zip((False, True), whole):
+            for a, b in zip(evaluate(modal), expected):
+                np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12 * np.abs(b).max())
 
     def test_velocity_h1_error_of_linear_interpolant(self):
         # u(x, y, z) = (1 + 2y - z, x - 3z, 2x + y + z): a non-symmetric constant Jacobian
@@ -490,46 +498,98 @@ class TestInterpolationAndNorms:
 
 
 class TestStructuredEvaluation:
-    """Manufactured-solution evaluators on class chunks equal flat evaluation."""
+    """Manufactured-solution fields from translation modes equal flat evaluation."""
 
     EVALUATORS = (
         "value", "curl", "grad_curl", "divergence", "jacobian", "forcing",
         "stokes_forcing", "pressure", "pressure_gradient",
     )
 
-    @staticmethod
-    def _assert_structured_equals_flat(ms, chunk):
-        flat = chunk.reshape(-1, 3)
-        sc = _SinCos(chunk)
-        for name in TestStructuredEvaluation.EVALUATORS:
-            evaluate = getattr(ms, name)
-            expected = evaluate(flat)
-            got = (
-                evaluate(flat, 1.0, sc) if name == "stokes_forcing" else evaluate(flat, sc)
-            )
-            np.testing.assert_allclose(
-                got, expected, rtol=0, atol=1e-14 * np.abs(expected).max(), err_msg=name
-            )
-        return sc
-
     @pytest.mark.parametrize("variant", ["kuhn3", "permuted", "jittered"])
     def test_class_chunks(self, variant, numbering_meshes):
         mesh = build_structured_cube(3) if variant == "kuhn3" else numbering_meshes[variant]
         ms = ManufacturedSolution()
+        modes = ms.translation_modes(**{name: getattr(ms, name) for name in self.EVALUATORS})
         ref_points = alfeld_composite(6)[0]
+        space = SimpleNamespace(mesh=mesh)
         for cells in mesh.classes:
             points = CellGeometry(mesh, int(cells[0])).amap.apply(ref_points)
-            for _, chunk in assembly_module._chunks(SimpleNamespace(mesh=mesh), cells, points):
-                sc = self._assert_structured_equals_flat(ms, chunk)
-                if variant == "kuhn3":
-                    # one row per distinct translation along each axis, not one per cell
-                    assert max(len(rows) for rows in sc.s) <= 3 < len(cells)
+            template = modes.template(points)
+            for chunk, shifts in assembly_module._chunks(space, cells, len(points)):
+                moved = (shifts[:, None, :] + points).reshape(-1, 3)
+                for name in self.EVALUATORS:
+                    expected = getattr(ms, name)(moved)
+                    got = np.moveaxis(modes.coefficients(name, shifts) @ template, -1, 1)
+                    # the divergence is 0 up to the rounding of its terms
+                    scale = np.abs(ms.jacobian(moved) if name == "divergence" else expected)
+                    np.testing.assert_allclose(
+                        got.reshape(expected.shape), expected,
+                        rtol=0, atol=1e-14 * scale.max(), err_msg=name,
+                    )
 
-    def test_rows_sharing_first_coordinate_only(self):
-        # every row has the first point's x, but the rows differ at the other
-        # points: grouping by the first point alone would be wrong
-        chunk = np.random.default_rng(4).random((5, 7, 3))
-        chunk[:, 0, 0] = 0.25
-        chunk[2] = chunk[0]
-        sc = self._assert_structured_equals_flat(ManufacturedSolution(), chunk)
-        assert [len(rows) for rows in sc.s] == [5, 4, 4]
+    def test_point_evaluators_reject_mode_factors_beyond_trig(self):
+        class WithPolynomial(ManufacturedSolution):
+            def pressure(self, pts, factors=None):
+                return super().pressure(pts, factors) + np.asarray(pts)[:, 0]
+
+        with pytest.raises(ValueError, match="trigonometric"):
+            WithPolynomial().pressure_sample()
+
+
+class TestModalMatchesPointwise:
+    """Load and error norms from translation modes against the point evaluators."""
+
+    @staticmethod
+    def _compare(space, quad_degree, samples, load_sample=None):
+        rng = np.random.default_rng(5)
+        coeffs = rng.standard_normal(space.dim)
+        for sample in samples:
+            flat = dataclasses.replace(sample, modes=None)
+            modal = np.array(error_norms(space, coeffs, sample, quad_degree))
+            pointwise = np.array(error_norms(space, coeffs, flat, quad_degree))
+            np.testing.assert_allclose(modal, pointwise, rtol=1e-12, atol=0)
+            near = space.interpolate(flat, QuadratureRule(quad_degree))
+            near += 1e-3 * coeffs  # an error far below the field
+            modal = np.array(error_norms(space, near, sample, quad_degree))
+            pointwise = np.array(error_norms(space, near, flat, quad_degree))
+            np.testing.assert_allclose(modal, pointwise, rtol=1e-12, atol=0)
+        if load_sample is not None:
+            modal = assemble_load(space, load_sample, quad_degree)
+            pointwise = assemble_load(space, dataclasses.replace(load_sample, modes=None), quad_degree)
+            np.testing.assert_allclose(modal, pointwise, rtol=0, atol=1e-12 * np.abs(pointwise).max())
+
+    @pytest.mark.parametrize("rk", [(1, 1), (2, 1), (3, 3)])
+    def test_gradcurl(self, rk):
+        space = get_spaces(2, *rk, ["gradcurl"])["gradcurl"]
+        ms = ManufacturedSolution()
+        degree = 2 * space.basis_degree
+        self._compare(space, degree, [ms.solution_sample()], ms.forcing_sample())
+
+    def test_velocity_pressure(self):
+        spaces = get_spaces(2, 1, 1, ["velocity", "pressure"])
+        ms = ManufacturedSolution()
+        degree = 2 * spaces["velocity"].basis_degree
+        self._compare(
+            spaces["velocity"], degree, [ms.solution_sample()], ms.stokes_forcing_sample(0.5)
+        )
+        self._compare(spaces["pressure"], degree, [ms.pressure_sample()])
+
+    def test_one_debug_record_per_layer(self, caplog):
+        space = GlobalSpace(build_structured_cube(2), "gradcurl", 1, 1)
+        ms = ManufacturedSolution()
+        with caplog.at_level(logging.DEBUG, logger="tetcomplex.assembly"):
+            assemble("gradcurl_stiffness", space, 8)
+            assemble_load(space, ms.forcing_sample(), 8)
+            error_norms(space, np.zeros(space.dim), ms.solution_sample(), 8)
+            error_norms(space, np.zeros(space.dim), FieldSample(lambda p: np.zeros((len(p), 3))), 8)
+        records = [r for r in caplog.records if r.name == "tetcomplex.assembly"]
+        assert [(r.layer, r.path, r.modes) for r in records] == [
+            ("class tables gradcurl degree 8", "tables", 0),
+            ("assemble gradcurl_stiffness", "tables", 0),
+            ("load gradcurl", "modal", 64),
+            ("error norms gradcurl", "modal", 64),
+            ("error norms gradcurl", "pointwise", 0),
+        ]
+        for r in records:
+            assert (r.classes, r.cells) == (6, 48) and r.seconds >= 0
+            assert r.getMessage().startswith(f"{r.layer}: 6 classes, 48 cells, {r.path} path")

@@ -2,8 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from tetcomplex.assembly import assemble, discrete_d, restrict_operator, restrict_vector
+from tetcomplex.assembly import (
+    assemble,
+    default_quadrature_degree,
+    discrete_d,
+    restrict_operator,
+    restrict_vector,
+)
 from tetcomplex.problems import (
     ConfigError,
     ConvergenceReport,
@@ -11,6 +18,7 @@ from tetcomplex.problems import (
     QuadCurlProblem,
     SolverFailure,
     StokesProblem,
+    TrigPoly1D,
     _factor_spd,
     _pressure_constant_coeffs,
     _solve_saddle,
@@ -19,6 +27,7 @@ from tetcomplex.problems import (
     inf_sup_constant,
     interpolation_study,
     run_convergence,
+    shift_matrices,
     solve_quadcurl,
     solve_stokes,
 )
@@ -68,6 +77,39 @@ class TestManufactured:
         mass = assemble("mass", pre)
         total = float(np.ones(pre.dim) @ (mass.matrix @ coeffs))
         assert abs(total) < 1e-12
+
+
+class TestShiftMatrices:
+    @given(
+        degree=st.sampled_from([1, 3]),
+        coeffs=st.lists(st.floats(-1, 1), min_size=4, max_size=4),
+        order=st.integers(0, 4),
+        shift=st.floats(-3, 3),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_shift_acts_on_cubic_coefficients(self, degree, coeffs, order, shift):
+        f = TrigPoly1D({(degree - j, j): coeffs[j] for j in range(degree + 1)})
+        for _ in range(order):
+            f = f.derivative()
+        x = np.linspace(-1, 1, 9)
+
+        def direct(pts):
+            s, c = np.sin(np.pi * pts), np.cos(np.pi * pts)
+            return sum(coeff * s**a * c**b for (a, b), coeff in f.terms.items())
+
+        moved = shift_matrices([shift])[0] @ f.cubic()
+        s, c = np.sin(np.pi * x), np.cos(np.pi * x)
+        modal = sum(moved[a] * s ** (3 - a) * c**a for a in range(4))
+        scale = max(1.0, sum(abs(v) for v in f.terms.values()))
+        np.testing.assert_allclose(modal, direct(x + shift), rtol=0, atol=1e-13 * scale)
+        np.testing.assert_allclose(
+            sum(f.cubic()[a] * s ** (3 - a) * c**a for a in range(4)), direct(x),
+            rtol=0, atol=1e-13 * scale,
+        )
+
+    def test_other_degrees_have_no_cubic_form(self):
+        with pytest.raises(ValueError, match="not a cubic form"):
+            TrigPoly1D({(2, 0): 1.0}).cubic()
 
 
 class TestQuadCurlSolve:
@@ -187,6 +229,22 @@ class TestStokes:
         assert rep["iterations"] == 66
         assert rep["velocity_l2"] == pytest.approx(0.059789701471807656, rel=1e-8)
 
+    def test_quadrature_degree_honoured(self):
+        _, _, default = solve_stokes(StokesProblem(n=2, k=1))
+        spaces = get_spaces(2, 1, 1, ["velocity", "pressure"])
+        vel, pre = spaces["velocity"], spaces["pressure"]
+        degree = max(
+            default_quadrature_degree(1, 1, vel.basis_degree), vel.basis_degree + pre.basis_degree
+        )
+        _, _, explicit = solve_stokes(StokesProblem(n=2, k=1, quad_degree=degree))
+        for rep in (default, explicit):
+            del rep["timings"], rep["seconds"]
+        assert explicit == default
+        _, _, higher = solve_stokes(StokesProblem(n=2, k=1, quad_degree=degree + 2))
+        assert higher["velocity_l2"] != default["velocity_l2"]
+        with pytest.raises(ValueError, match="below the exactness requirement"):
+            solve_stokes(StokesProblem(n=2, k=1, quad_degree=2 * vel.basis_degree - 1))
+
     @pytest.mark.parametrize("n", [2, 3])
     def test_gradient_added_to_pressure_leaves_velocity(self, n):
         u_plain, _, _ = solve_stokes(StokesProblem(n=n, k=1))
@@ -197,15 +255,20 @@ class TestStokes:
 
 
 class _ShiftedPressureSolution(ManufacturedSolution):
-    """The manufactured solution with grad q added to the pressure gradient,
-    q = x^2 y + y z^2 - x y z, so only the Stokes forcing changes.  A cubic q
-    keeps the load exact under the solver's quadrature, so any change of
-    the discrete velocity would come from the discretization alone."""
+    """The manufactured solution with grad q added to the Stokes forcing, as
+    if to the pressure, q = x^2 y + y z^2 - x y z.  A cubic q keeps the load
+    exact under the solver's quadrature, so any change of the discrete
+    velocity would come from the discretization alone.  grad q is no
+    product of trigonometric factors, so this forcing has no translation
+    modes and its load goes point by point."""
 
-    def pressure_gradient(self, pts, sc=None):
-        x, y, z = np.asarray(pts, float).T
-        grad_q = np.stack([2 * x * y - y * z, x**2 + z**2 - x * z, 2 * y * z - x * y], axis=1)
-        return super().pressure_gradient(pts, sc) + grad_q
+    def stokes_forcing_sample(self, viscosity=1.0):
+        def forcing(pts):
+            x, y, z = np.asarray(pts, float).T
+            grad_q = np.stack([2 * x * y - y * z, x**2 + z**2 - x * z, 2 * y * z - x * y], axis=1)
+            return self.stokes_forcing(pts, viscosity) + grad_q
+
+        return FieldSample(forcing)
 
 
 class TestSchurCg:
