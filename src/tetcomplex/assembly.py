@@ -6,20 +6,35 @@ local-to-global map carries indices only.  Cells in one congruence class
 share the local element construction and all local matrices; only
 translations (and hence physical quadrature points) differ per cell.
 
-A field sample with ``modes`` (see ``FieldSample``) is used through its
-per-cell mode coefficients and the template modes at the class's first
-cell: the load contracts the templates with the weighted basis table once
-per class, and the error norms reduce the templates and the table to a
-small triangular factor once per class and component.  Every layer logs
-one ``tetcomplex.assembly`` DEBUG record with its classes, cells, path
-(modal, pointwise, or class tables), mode count and seconds.
+Per class everything float is a dense product:
+
+- ``ClassTables`` reads the element's exact raw-basis (and curl)
+  coefficients into one float tensor, contracts it with the nodal matrix
+  and multiplies by monomial Vandermonde tables (values and first
+  partials) that one quadrature degree and basis degree share across
+  classes, spaces and levels;
+- ``assemble`` computes each class's local matrix once, as
+  ``(A w) @ B^T``, turns it into one CSR matrix of the class's cells and
+  merges the classes on the union of their patterns, so explicit zeros
+  stay and no global triplet array exists;
+- the load contracts a sample's mode templates with the weighted basis
+  table once per class, and the error norms reduce templates and tables
+  to small triangular factors that the class tables keep for every later
+  call (see ``FieldSample`` for ``modes``).
+
+Interpolation evaluates the sample at the moved DOF stencil points.
+Every layer logs one ``tetcomplex.assembly`` DEBUG record with its
+classes, cells, path (vandermonde, tables, modal or pointwise), mode
+count and seconds; a space logs one record when it is built.
 """
 
 from __future__ import annotations
 
+import itertools
 import logging
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -52,24 +67,34 @@ def default_quadrature_degree(r, k, basis_degree=None):
 _POINT_CHUNK = 200_000
 
 
-def _log_layer(layer, space, start, sample=None):
-    """One DEBUG record of a layer over all classes of ``space``, begun at ``start``."""
+def _log_layer(layer, space, start, path, modes=0, factors=None):
+    """One DEBUG record of a layer over all classes of ``space``, begun at ``start``.
+
+    ``path`` names how the layer evaluated (class tables, the Vandermonde
+    table build, modal or pointwise samples), ``factors`` whether the error
+    norms built or reused their per-class factors.
+    """
     if not _log.isEnabledFor(logging.DEBUG):
         return
-    modes = getattr(sample, "modes", None)
     fields = {
         "layer": layer,
         "classes": len(space.classes),
         "cells": space.mesh.n_cells,
-        "path": "tables" if sample is None else "pointwise" if modes is None else "modal",
-        "modes": 0 if modes is None else modes.count,
+        "path": path,
+        "modes": modes,
+        "factors": factors,
         "seconds": time.perf_counter() - start,
     }
     _log.debug(
         "%(layer)s: %(classes)d classes, %(cells)d cells, %(path)s path, "
-        "%(modes)d modes, %(seconds).3f s",
+        "%(modes)d modes, %(seconds).3f s" + ("" if factors is None else ", factors %(factors)s"),
         fields, extra=fields,
     )
+
+
+def _sample_path(sample):
+    """(path, mode count) of a load or error-norm sample."""
+    return ("pointwise", 0) if sample.modes is None else ("modal", sample.modes.count)
 
 
 class GlobalSpace:
@@ -81,6 +106,7 @@ class GlobalSpace:
     """
 
     def __init__(self, mesh, kind, r, k):
+        start = time.perf_counter()
         validate_family(r, k)
         self.mesh = mesh
         self.kind = kind
@@ -110,6 +136,10 @@ class GlobalSpace:
             [np.repeat(flags, counts[e]) for e, flags in boundary.items()]
         )
         self.basis_degree = max(b.degree for el in self.elements.values() for b in el.basis)
+        _log.debug(
+            "space %s(%d,%d): %d cells, %d classes, %d dofs, %.3f s",
+            kind, r, k, mesh.n_cells, len(self.classes), self.dim, time.perf_counter() - start,
+        )
 
     def _numbering(self):
         """Global DOF ids (n_cells, n_local): one gather per class and local DOF."""
@@ -142,7 +172,7 @@ class GlobalSpace:
             start = time.perf_counter()
             tables = [ClassTables(self, cells[0], degree) for cells in self.classes]
             self._tables[degree] = tables
-            _log_layer(f"class tables {self.kind} degree {degree}", self, start)
+            _log_layer(f"class tables {self.kind} degree {degree}", self, start, "vandermonde")
         return tables
 
     def interpolate(self, sample, quad):
@@ -150,7 +180,10 @@ class GlobalSpace:
 
         The DOF stencils of a congruence class are those of its first cell
         moved by each cell's translation, so one evaluation per class and
-        stencil use covers the stencil points of all of its cells.
+        stencil use covers the stencil points of all of its cells.  The
+        sample's point evaluators run at the moved points even when it has
+        ``modes``: a stencil has few points, and the mode coefficients per
+        cell cost more than evaluating there.
         """
         t0 = time.perf_counter()
         out = np.zeros(self.dim)
@@ -160,14 +193,14 @@ class GlobalSpace:
             for use in sorted({use for use, _, _ in stencils}):
                 locs = [i for i, st in enumerate(stencils) if st[0] == use]
                 pts = np.concatenate([stencils[i][1] for i in locs])
-                for chunk, vals in _values(self, cells, sample, use, pts):
+                for chunk, vals in _values(self, cells, getattr(sample, use), pts):
                     start = 0
                     for i in locs:
                         wts = stencils[i][2]
                         part = vals[:, start:start + len(wts)]
                         out[self.local_to_global[chunk, i]] = np.tensordot(part, wts, axes=wts.ndim)
                         start += len(wts)
-        _log_layer(f"interpolate {self.kind}", self, t0, sample)
+        _log_layer(f"interpolate {self.kind}", self, t0, "pointwise")
         return out
 
 
@@ -207,12 +240,64 @@ def export_vector_text(vec, path):
 # per-class evaluation tables
 
 
+@lru_cache(maxsize=None)
+def _vandermonde(quad_degree, basis_degree):
+    """Monomials up to ``basis_degree`` at the points of ``alfeld_composite(quad_degree)``.
+
+    Returns the column of each exponent tuple, the values (subtets, points,
+    monomials) and the first partials (3, subtets, points, monomials), the
+    points in the rule's four subtet blocks.  Read-only: every class, space
+    and level at these degrees shares them.
+    """
+    points = alfeld_composite(quad_degree)[0]
+    exps = np.array(
+        [e for e in itertools.product(range(basis_degree + 1), repeat=3) if sum(e) <= basis_degree]
+    )
+    powers = points[:, :, None] ** np.arange(basis_degree + 1)  # (points, axis, power)
+    cols = [powers[:, i, exps[:, i]] for i in range(3)]
+    lowered = [exps[:, i] * powers[:, i, np.maximum(exps[:, i] - 1, 0)] for i in range(3)]
+    values = cols[0] * cols[1] * cols[2]
+    partials = np.stack([
+        lowered[0] * cols[1] * cols[2],
+        cols[0] * lowered[1] * cols[2],
+        cols[0] * cols[1] * lowered[2],
+    ])
+    values = values.reshape(4, -1, len(exps))
+    partials = partials.reshape(3, 4, -1, len(exps))
+    values.flags.writeable = partials.flags.writeable = False
+    return {tuple(e): i for i, e in enumerate(exps.tolist())}, values, partials
+
+
+def _coefficients(fields, columns):
+    """Float coefficients (fields, subtets, components, monomials) of piecewise fields."""
+    comps = 3 if fields[0].is_vector else 1
+    at, values = [], []
+    for j, pw in enumerate(fields):
+        for p, piece in enumerate(pw.pieces):
+            for c, poly in enumerate(piece.comps if comps == 3 else (piece,)):
+                base = ((j * 4 + p) * comps + c) * len(columns)
+                for key, v in poly.coeffs.items():
+                    at.append(base + columns[key])
+                    values.append(v)
+    try:  # the correctly rounded quotient, as float(Fraction), without its generic dispatch
+        values = [v.numerator / v.denominator for v in values]
+    except AttributeError:  # a float coefficient
+        values = [float(v) for v in values]
+    out = np.zeros((len(fields), 4, comps, len(columns)))
+    out.flat[at] = values
+    return out
+
+
 class ClassTables:
     """Float tables of one congruence class at split-rule points.
 
     Built on the class's cell ``cell_id``: ``points`` are that cell's
     physical quadrature points, which the other cells of the class see
-    moved by their translation.
+    moved by their translation.  Each table is the class's exact raw-basis
+    coefficients, contracted with the nodal matrix, times the shared
+    monomial tables of ``_vandermonde``: values from the values, physical
+    Jacobians (a scalar field's gradient) from the partials times B^{-1}.
+    ``error_factors`` caches the factors of ``_modal_squared_errors``.
     """
 
     def __init__(self, space, cell_id, degree):
@@ -221,39 +306,31 @@ class ClassTables:
         self.ref_points, self.weights = alfeld_composite(degree)
         self.points = geom.amap.apply(self.ref_points)
         self.det = geom.amap.det_f
-        blocks = np.split(self.ref_points, 4)  # the rule's points, one block per subtet
+        self.error_factors = {}
+        columns, monomials, partials = _vandermonde(degree, space.basis_degree)
+        # (subtets, monomials, points, 1 or 3 physical partials)
+        monomials = monomials.transpose(0, 2, 1)[..., None]
+        gradients = np.tensordot(partials, geom.amap.inverse_f, axes=(0, 0)).transpose(0, 2, 1, 3)
 
-        def table(fields, jac=False):
-            """Nodal-basis table of piecewise fields on the subtet-blocked points.
+        def table(fields, basis):
+            """(nodal basis, points, *components, *partials) of piecewise fields on ``basis``."""
+            coef = _coefficients(fields, columns)
+            nf, _, comps, nm = coef.shape
+            coef = (el.nodal.T @ coef.reshape(nf, -1)).reshape(nf, 4, comps, nm)
+            out = coef.transpose(1, 0, 2, 3).reshape(4, -1, nm) @ basis.reshape(4, nm, -1)
+            nq, nd = basis.shape[2], basis.shape[3]
+            out = out.reshape(4, nf, comps, nq, nd).transpose(1, 0, 3, 2, 4)
+            shape = (nf, 4 * nq) + ((comps,) if comps == 3 else ()) + ((nd,) if nd == 3 else ())
+            return np.ascontiguousarray(out).reshape(shape)
 
-            Values, or with ``jac`` physical Jacobians (reference Jacobian
-            rows times B^{-1}; a scalar field gives its gradient).
-            """
-            raw = []
-            for pw in fields:
-                parts = []
-                for piece, pts in zip(pw.to_float().pieces, blocks):
-                    if not jac:
-                        parts.append(piece.eval_many(pts))
-                        continue
-                    comps = getattr(piece, "comps", None)
-                    partials = [c.derivative(b) for c in comps or (piece,) for b in range(3)]
-                    d = np.stack([p.eval_many(pts) for p in partials], axis=-1)
-                    parts.append(d.reshape(len(pts), 3, 3) if comps else d)
-                raw.append(np.concatenate(parts))
-            raw = np.stack(raw)
-            if jac:
-                raw = raw @ geom.amap.inverse_f
-            return np.einsum("j...,jm->m...", raw, el.nodal)
-
-        self.values = table(el.basis)
+        self.values = table(el.basis, monomials)
         self.curl = self.grad_curl = self.grad = self.div = None
         if space.kind == "gradcurl":
             curls = el.curls or [phys_curl(geom, b) for b in el.basis]
-            self.curl = table(curls)
-            self.grad_curl = table(curls, jac=True)
+            self.curl = table(curls, monomials)
+            self.grad_curl = table(curls, gradients)
         elif space.kind in ("velocity", "lagrange"):
-            self.grad = table(el.basis, jac=True)
+            self.grad = table(el.basis, gradients)
         if space.kind == "velocity":
             self.div = np.einsum("mqaa->mq", self.grad)
 
@@ -275,21 +352,15 @@ def _chunks(space, cells, per_cell):
         yield cells[lo:lo + step], shifts[lo:lo + step]
 
 
-def _values(space, cells, sample, name, points):
-    """``sample.<name>`` at ``points`` of a class's first cell, moved to every cell.
+def _values(space, cells, evaluate, points):
+    """An evaluator at ``points`` of a class's first cell, moved to every cell.
 
     Yields (cell ids, values of shape (cells, len(points), *components))
-    per chunk: from the mode coefficients and the template at ``points``
-    for a sample with ``modes``, else from the evaluator at the moved points.
+    per chunk.
     """
-    modes = sample.modes
-    template = None if modes is None else modes.template(points)
     for chunk, shifts in _chunks(space, cells, len(points)):
-        if template is None:
-            vals = getattr(sample, name)((shifts[:, None, :] + points).reshape(-1, 3))
-            yield chunk, vals.reshape((len(chunk), len(points)) + vals.shape[1:])
-        else:
-            yield chunk, np.moveaxis(modes.coefficients(name, shifts) @ template, -1, 1)
+        vals = evaluate((shifts[:, None, :] + points).reshape(-1, 3))
+        yield chunk, vals.reshape((len(chunk), len(points)) + vals.shape[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -327,39 +398,83 @@ def assemble(form, space, quad_degree=None, pressure_space=None):
         )
     start = time.perf_counter()
     row_space = pressure_space if form == "div_pressure" else space
-    rows, cols, vals = [], [], []
-    for cells, tab, rtab in zip(
-        space.classes, space.class_tables(quad_degree), row_space.class_tables(quad_degree)
-    ):
-        if form == "mass":
-            pairs = ((tab.values, tab.values),)
-        elif form == "gradcurl_stiffness":
-            pairs = ((tab.grad_curl, tab.grad_curl), (tab.values, tab.values))
-        elif form == "h1":
-            pairs = ((tab.grad, tab.grad),)
-        else:
-            pairs = ((rtab.values, tab.div),)
-        w = tab.weights
-        local = sum(
-            np.einsum("mqc,nqc,q->mn", _by_point(a, len(w)), _by_point(b, len(w)), w)
-            for a, b in pairs
-        ) * tab.det
-        g_row = row_space.local_to_global[cells][:, :, None]
-        g_col = space.local_to_global[cells][:, None, :]
-        shape = (len(cells),) + local.shape
-        rows.append(np.broadcast_to(g_row, shape).ravel())
-        cols.append(np.broadcast_to(g_col, shape).ravel())
-        vals.append(np.broadcast_to(local, shape).ravel())
-    matrix = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(row_space.dim, space.dim),
-    ).tocsr()
+    shape = (row_space.dim, space.dim)
+
+    def parts():
+        for cells, tab, rtab in zip(
+            space.classes, space.class_tables(quad_degree), row_space.class_tables(quad_degree)
+        ):
+            if form == "mass":
+                pairs = ((tab.values, tab.values),)
+            elif form == "gradcurl_stiffness":
+                pairs = ((tab.grad_curl, tab.grad_curl), (tab.values, tab.values))
+            elif form == "h1":
+                pairs = ((tab.grad, tab.grad),)
+            else:
+                pairs = ((rtab.values, tab.div),)
+            w = tab.weights
+            local = sum(
+                (_by_point(a, len(w)) * w[:, None]).reshape(len(a), -1)
+                @ b.reshape(len(b), -1).T
+                for a, b in pairs
+            ) * tab.det
+            yield _class_matrix(
+                row_space.local_to_global[cells], space.local_to_global[cells], local, shape
+            )
+
+    matrix = _merge(parts())
     sym = form in ("mass", "gradcurl_stiffness", "h1")
     op = SparseOperator(matrix, row_space, space, sym)
     if sym and not op.check_symmetry():
         raise ArithmeticError(f"assembled {form} operator lost symmetry")
-    _log_layer(f"assemble {form}", space, start)
+    _log_layer(f"assemble {form}", space, start, "tables")
     return op
+
+
+def _class_matrix(rows, cols, local, shape):
+    """CSR of one class: ``local`` at every cell's (rows, cols), repeats summed, zeros kept."""
+    index = np.int32 if max(shape) < 2**31 else np.int64
+    full = (len(rows),) + local.shape
+    return sp.coo_matrix(
+        (
+            np.broadcast_to(local, full).ravel(),
+            (np.broadcast_to(rows.astype(index)[:, :, None], full).ravel(),
+             np.broadcast_to(cols.astype(index)[:, None, :], full).ravel()),
+        ),
+        shape=shape,
+    ).tocsr()
+
+
+def _merge(parts):
+    """Sum of canonical CSR matrices on the union of their patterns.
+
+    A sum of the values drops every entry that is zero, from a cancellation
+    or as an explicit zero of one part.  So the union of the patterns is
+    summed beside it with boolean data, which never vanishes; at the end
+    the entries the value sum kept are marked in the union by one more
+    merge, and the rest of it holds zeros.  Every step is a linear merge
+    of sorted rows, one part at a time.
+    """
+    pattern = total = None
+    for part in parts:
+        if total is None:
+            pattern, total = _ones(part, bool), part
+            continue
+        pattern = pattern + _ones(part, bool)
+        total = total + part
+    if total.nnz == pattern.nnz:
+        return total
+    kept = (_ones(pattern, np.int8) + _ones(total, np.int8)).data == 2
+    data = np.zeros(pattern.nnz)
+    data[kept] = total.data
+    return sp.csr_matrix((data, pattern.indices, pattern.indptr), shape=pattern.shape)
+
+
+def _ones(matrix, dtype):
+    """The pattern of a CSR matrix with unit data of ``dtype``."""
+    return sp.csr_matrix(
+        (np.ones(matrix.nnz, dtype), matrix.indices, matrix.indptr), shape=matrix.shape
+    )
 
 
 def assemble_load(space, sample, quad_degree):
@@ -387,12 +502,12 @@ def assemble_load(space, sample, quad_degree):
             weighted = (basis * tab.weights[:, None]).reshape(len(basis), -1).T
             parts = (
                 (chunk, fv.reshape(len(chunk), -1) @ weighted)
-                for chunk, fv in _values(space, cells, sample, "value", tab.points)
+                for chunk, fv in _values(space, cells, sample.value, tab.points)
             )
         for chunk, local in parts:
             local *= tab.det
             np.add.at(out, space.local_to_global[chunk], local)
-    _log_layer(f"load {space.kind}", space, start, sample)
+    _log_layer(f"load {space.kind}", space, start, *_sample_path(sample))
     return out
 
 
@@ -475,7 +590,7 @@ def error_norms(space, coeffs, exact, quad_degree=None):
 
     With ``exact.modes`` no field is formed at the points: a cell's
     squared error is its weighted pointwise difference rotated by
-    triangular factors built once per class (``_modal_squared_errors``),
+    triangular factors built once per class table (``_error_factors``),
     never the cancelling |u|^2 - 2 (u, u_h) + |u_h|^2.  Without modes, per
     chunk and quantity the represented values are one matrix product of
     the cells' coefficients with the table, less the evaluated field.
@@ -486,57 +601,81 @@ def error_norms(space, coeffs, exact, quad_degree=None):
     modes = exact.modes
     acc = np.zeros(len(_NORMS))
     coeffs = np.asarray(coeffs)
+    built = False
     for cells, tab in zip(space.classes, space.class_tables(quad_degree)):
         used = [
-            (i, _by_point(getattr(tab, table), len(tab.weights)), name)
+            (i, table, name)
             for i, (table, name) in enumerate(_NORMS)
             if getattr(tab, table) is not None and getattr(exact, name) is not None
         ]
         if not used:
             continue
         if modes is not None:
-            acc += tab.det * _modal_squared_errors(space, cells, tab, coeffs, modes, used)
+            squared, fresh = _modal_squared_errors(space, cells, tab, coeffs, modes, used)
+            acc += tab.det * squared
+            built |= fresh
             continue
         for i, table, name in used:
-            flat = table.reshape(len(table), -1)
+            flat = getattr(tab, table).reshape(len(tab.values), -1)
             w = np.repeat(tab.weights, flat.shape[1] // len(tab.weights))
-            for chunk, vals in _values(space, cells, exact, name, tab.points):
+            for chunk, vals in _values(space, cells, getattr(exact, name), tab.points):
                 err = coeffs[space.local_to_global[chunk]] @ flat
                 err -= vals.reshape(err.shape)
                 err *= err
                 acc[i] += tab.det * float((err @ w).sum())
-    _log_layer(f"error norms {space.kind}", space, start, exact)
+    _log_layer(
+        f"error norms {space.kind}", space, start, *_sample_path(exact),
+        factors=None if modes is None else "built" if built else "reused",
+    )
     return tuple(np.sqrt(np.maximum(acc, 0.0)))
+
+
+def _error_factors(tab, modes, table):
+    """Factors (R11, R12, R22) of one class table for ``_modal_squared_errors``.
+
+    With W the root weights, P the templates, T one component's basis
+    table, the Householder QR of W [P^T | T^T] is taken blockwise:
+    Q1 R11 = W P^T, R12 = Q1^T W T^T per component and R22 from the QR of
+    the remainder W T^T - Q1 R12.  None of it depends on the field: a
+    modes type's templates depend on the points only, so the factors are
+    built once per class table, modes type and table, and kept in
+    ``tab.error_factors``.  Returns the factors and whether they were built.
+    """
+    cache = tab.error_factors
+    key = (type(modes), table)
+    if key in cache:
+        return cache[key], False
+    root = np.sqrt(tab.weights)
+    if type(modes) not in cache:
+        cache[type(modes)] = np.linalg.qr(root[:, None] * modes.template(tab.points).T)
+    q1, r11 = cache[type(modes)]
+    values = getattr(tab, table)
+    weighted = _by_point(values, len(root)).transpose(2, 1, 0) * root[:, None]
+    r12 = q1.T @ weighted  # (components, modes, basis)
+    r22 = np.linalg.qr(weighted - q1 @ r12, mode="r")
+    n = len(values)
+    cache[key] = r11, r12.reshape(-1, n).T, r22.reshape(-1, n).T
+    return cache[key], True
 
 
 def _modal_squared_errors(space, cells, tab, coeffs, modes, used):
     """Squared errors (without the cell volume factor) of one class, from modes.
 
-    With W the root weights, P the templates, T one component's basis
-    table, c a cell's mode and a its basis coefficients, the Householder
-    QR of W [P^T | T^T] is taken blockwise: Q1 R11 = W P^T once per class,
-    and per component R12 = Q1^T W T^T and R22 from the QR of the
-    remainder W T^T - Q1 R12.  Then |W (P^T c - T^T a)|^2 =
-    |R11 c - R12 a|^2 + |R22 a|^2, with the pointwise difference's rounding.
+    With c a cell's mode and a its basis coefficients, |W (P^T c - T^T a)|^2
+    = |R11 c - R12 a|^2 + |R22 a|^2 in the factors of ``_error_factors``,
+    with the pointwise difference's rounding.  Returns the squared errors
+    and whether any factor was built.
     """
-    root = np.sqrt(tab.weights)
-    q1, r11 = np.linalg.qr(root[:, None] * modes.template(tab.points).T)
-    factors = []
-    for i, table, name in used:
-        weighted = table.transpose(2, 1, 0) * root[:, None]  # (components, points, basis)
-        r12 = q1.T @ weighted
-        r22 = np.linalg.qr(weighted - q1 @ r12, mode="r")
-        factors.append((i, name, r12.reshape(-1, len(table)).T, r22.reshape(-1, len(table)).T))
+    factors = [(i, name, *_error_factors(tab, modes, table)) for i, table, name in used]
     out = np.zeros(len(_NORMS))
     for chunk, shifts in _chunks(space, cells, modes.count):
         local = coeffs[space.local_to_global[chunk]]
-        for i, name, r12, r22 in factors:
-            c = modes.coefficients(name, shifts).reshape(len(chunk), -1, modes.count)
-            y = c @ r11.T
+        for i, name, (r11, r12, r22), _ in factors:
+            y = modes.coefficients(name, shifts).reshape(-1, modes.count) @ r11.T
             y -= (local @ r12).reshape(y.shape)
             z = local @ r22
             out[i] += np.vdot(y, y) + np.vdot(z, z)
-    return out
+    return out, any(fresh for *_, fresh in factors)
 
 
 def divergence_norm(space, coeffs, quad_degree=None):

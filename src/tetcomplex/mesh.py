@@ -12,7 +12,9 @@ determinant; a cell's map is its class map moved by the cell's shift.
 
 from __future__ import annotations
 
+import logging
 import math
+import time
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
@@ -20,6 +22,8 @@ from itertools import permutations
 import numpy as np
 
 from .polyalg.poly import _det3, _inv3
+
+_log = logging.getLogger("tetcomplex.mesh")
 
 REF_EDGE_VERTICES = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 REF_FACE_VERTICES = ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))
@@ -288,6 +292,7 @@ def build_structured_cube(n):
     """Kuhn (6-tet) subdivision of the unit cube into 6 n^3 cells."""
     if n < 1:
         raise ValueError("mesh level must be >= 1")
+    start = time.perf_counter()
     stride = n + 1
     # vertex (i, j, k) has id i + stride * (j + stride * k): i fastest
     k, j, i = np.indices((stride,) * 3).reshape(3, -1)
@@ -296,7 +301,12 @@ def build_structured_cube(n):
     corners = np.stack(np.indices((n,) * 3)[::-1], axis=-1).reshape(-1, 1, 1, 3)
     path = corners + _KUHN_PATHS  # (subcubes, 6 tets, 4 vertices, xyz)
     cells = path[..., 0] + stride * (path[..., 1] + stride * path[..., 2])
-    return MeshTopology(vertices, cells.reshape(-1, 4))
+    mesh = MeshTopology(vertices, cells.reshape(-1, 4))
+    _log.debug(
+        "structured cube N=%d: %d cells, %d classes, %d vertices, %.3f s",
+        n, mesh.n_cells, len(mesh.classes), mesh.n_vertices, time.perf_counter() - start,
+    )
+    return mesh
 
 
 def alfeld(mesh, cell_id):

@@ -11,8 +11,9 @@ another (angle addition).  So on the cells of one congruence class, which
 are translates of the first, every field of the solution is a per-cell
 vector of 64 coefficients times 64 template modes taken at the first
 cell's points: the packaged samples carry that representation as
-``TranslationModes``, and load, error norms and interpolation need no
-evaluation per point and cell.
+``TranslationModes``, and load and error norms need no evaluation per
+point and cell.  Interpolation evaluates at its few stencil points per
+cell, which costs less than moving the mode coefficients there.
 """
 
 from __future__ import annotations

@@ -7,6 +7,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from tetcomplex import assembly as assembly_module
 from tetcomplex.assembly import (
@@ -38,7 +39,7 @@ from tetcomplex.mesh import (
     build_structured_cube,
 )
 from tetcomplex.polyalg import Polynomial, VectorField, curl, div, monomial_exponents
-from tetcomplex.problems import ManufacturedSolution, get_spaces
+from tetcomplex.problems import ManufacturedSolution, TranslationModes, get_spaces
 from tetcomplex.quadrature import QuadratureRule, alfeld_composite
 from tetcomplex.sampling import FieldSample
 
@@ -194,6 +195,144 @@ class TestForms:
         a2 = assemble("gradcurl_stiffness", GlobalSpace(mesh_p, "gradcurl", 1, 1)).matrix
         diff = abs(a1 - a2).max()
         assert diff <= 1e-13 * max(1.0, abs(a1).max())
+
+
+def _eval_many_tables(space, cell_id, degree, raw_cache=None):
+    """Reference for ClassTables: every raw field evaluated per subtet with eval_many.
+
+    Returns the tables by attribute name (values, and curl and grad_curl or
+    grad).  ``raw_cache`` keeps the evaluations of an element shared by
+    several cells, which only the inverse map of the Jacobians tells apart.
+    """
+    el, geom = space.elements[cell_id], space.cells_geom[cell_id]
+    blocks = np.split(alfeld_composite(degree)[0], 4)
+
+    def evaluate(fields, jac):
+        raw = []
+        for pw in fields:
+            parts = []
+            for piece, pts in zip(pw.to_float().pieces, blocks):
+                if not jac:
+                    parts.append(piece.eval_many(pts))
+                    continue
+                comps = getattr(piece, "comps", None)
+                partials = [c.derivative(b) for c in comps or (piece,) for b in range(3)]
+                d = np.stack([p.eval_many(pts) for p in partials], axis=-1)
+                parts.append(d.reshape(len(pts), 3, 3) if comps else d)
+            raw.append(np.concatenate(parts))
+        return np.stack(raw)
+
+    def table(fields, jac=False):
+        key = (id(fields), degree, jac)
+        cache = {} if raw_cache is None else raw_cache
+        if key not in cache:
+            cache[key] = evaluate(fields, jac)
+        raw = cache[key]
+        if jac:
+            raw = raw @ geom.amap.inverse_f
+        return np.einsum("j...,jm->m...", raw, el.nodal)
+
+    out = {"values": table(el.basis)}
+    if space.kind == "gradcurl":
+        out["curl"] = table(el.curls)
+        out["grad_curl"] = table(el.curls, jac=True)
+    elif space.kind in ("velocity", "lagrange"):
+        out["grad"] = table(el.basis, jac=True)
+    return out
+
+
+def _assert_tables_match(space, degree, label, raw_cache=None):
+    for cells in space.classes:
+        tab = ClassTables(space, cells[0], degree)
+        for name, expected in _eval_many_tables(space, cells[0], degree, raw_cache).items():
+            got = getattr(tab, name)
+            assert got.shape == expected.shape, (label, name)
+            np.testing.assert_allclose(
+                got, expected, rtol=0, atol=1e-12 * np.abs(expected).max(), err_msg=f"{label} {name}"
+            )
+
+
+class TestClassTables:
+    """Vandermonde class tables against per-field eval_many tables."""
+
+    @pytest.mark.parametrize("rk", [(1, 1), (2, 2), (3, 3)])
+    def test_structured_mesh(self, rk):
+        spaces = get_spaces(2, *rk, SPACE_KINDS)
+        for kind in SPACE_KINDS:
+            degree = 14 if rk == (3, 3) and kind == "gradcurl" else 2 * spaces[kind].basis_degree
+            _assert_tables_match(spaces[kind], degree, (rk, kind))
+
+    @pytest.mark.parametrize("rk", [(1, 1), (2, 2), (3, 3)])
+    def test_jittered_mesh(self, rk, numbering_meshes):
+        # The builders are linear in the element's fields and the cell's
+        # inverse map: the jittered cells' maps carry the Kuhn elements of
+        # the same vertex order, which leaves out the exact construction
+        # (minutes on 30 jittered classes).
+        mesh = numbering_meshes["jittered"]
+        for kind in SPACE_KINDS:
+            kuhn = get_spaces(2, *rk, [kind])[kind]
+            by_order = {kuhn.cells_geom[c[0]].amap.vertex_order: kuhn.elements[c[0]] for c in kuhn.classes}
+            geoms = {int(c[0]): CellGeometry(mesh, int(c[0])) for c in mesh.classes}
+            space = SimpleNamespace(
+                kind=kind, mesh=mesh, classes=mesh.classes, basis_degree=kuhn.basis_degree,
+                cells_geom=geoms,
+                elements={ci: by_order[g.amap.vertex_order] for ci, g in geoms.items()},
+            )
+            assert len(space.classes) == 30
+            _assert_tables_match(space, 2 * kuhn.basis_degree, (rk, kind), raw_cache={})
+
+
+def _global_coo(form, space, degree, pressure_space=None):
+    """Reference for assemble: every cell's local block as triplets, one coo->csr."""
+    row_space = pressure_space or space
+    rows, cols, vals = [], [], []
+    for cells, tab, rtab in zip(
+        space.classes, space.class_tables(degree), row_space.class_tables(degree)
+    ):
+        pairs = {
+            "mass": ((tab.values, tab.values),),
+            "gradcurl_stiffness": ((tab.grad_curl, tab.grad_curl), (tab.values, tab.values)),
+            "h1": ((tab.grad, tab.grad),),
+            "div_pressure": ((rtab.values, tab.div),),
+        }[form]
+        nq = len(tab.weights)
+        local = sum(
+            np.einsum("mqc,nqc,q->mn", a.reshape(len(a), nq, -1), b.reshape(len(b), nq, -1), tab.weights)
+            for a, b in pairs
+        ) * tab.det
+        shape = (len(cells),) + local.shape
+        rows.append(np.broadcast_to(row_space.local_to_global[cells][:, :, None], shape).ravel())
+        cols.append(np.broadcast_to(space.local_to_global[cells][:, None, :], shape).ravel())
+        vals.append(np.broadcast_to(local, shape).ravel())
+    return sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(row_space.dim, space.dim),
+    ).tocsr()
+
+
+class TestPerClassAssembly:
+    @pytest.mark.parametrize("rk", [(1, 1), (2, 2)])
+    @pytest.mark.parametrize(
+        "form, kind, pressure",
+        [
+            ("mass", "gradcurl", None),
+            ("gradcurl_stiffness", "gradcurl", None),
+            ("h1", "velocity", None),
+            ("div_pressure", "velocity", "pressure"),
+        ],
+    )
+    def test_matches_global_coo(self, rk, form, kind, pressure):
+        spaces = get_spaces(2, *rk, [kind] + ([pressure] if pressure else []))
+        space, other = spaces[kind], spaces.get(pressure)
+        degree = 2 * space.basis_degree
+        got = assemble(form, space, degree, pressure_space=other).matrix
+        expected = _global_coo(form, space, degree, other)
+        # the pattern keeps every coupled pair, exact cancellations included
+        assert np.array_equal(got.indptr, expected.indptr)
+        assert np.array_equal(got.indices, expected.indices)
+        np.testing.assert_allclose(
+            got.data, expected.data, rtol=0, atol=1e-14 * np.abs(expected.data).max()
+        )
 
 
 def _per_entry_discrete_d(which, source, target):
@@ -470,6 +609,42 @@ class TestInterpolationAndNorms:
         assert len(built) == len(space.classes) == 6
         assert sorted(built) == sorted(cells[0] for cells in space.classes)
 
+    def test_error_factors_reused_across_samples(self, monkeypatch):
+        ms = ManufacturedSolution()
+        first = ms.solution_sample()
+        other = dataclasses.replace(
+            first, modes=TranslationModes({name: -2.5 * t for name, t in first.modes.tensors.items()})
+        )
+        coeffs = np.random.default_rng(3).standard_normal(
+            get_spaces(2, 1, 1, ["gradcurl"])["gradcurl"].dim
+        )
+        cold = error_norms(GlobalSpace(build_structured_cube(2), "gradcurl", 1, 1), coeffs, other, 8)
+        warm = GlobalSpace(build_structured_cube(2), "gradcurl", 1, 1)
+        error_norms(warm, np.zeros(warm.dim), first, 8)
+        calls = []
+        qr = np.linalg.qr
+        monkeypatch.setattr(np.linalg, "qr", lambda *a, **kw: calls.append(1) or qr(*a, **kw))
+        again = error_norms(warm, coeffs, other, 8)
+        assert calls == []
+        np.testing.assert_allclose(again, cold, rtol=1e-14, atol=0)
+
+    def test_interpolant_matches_modal_stencil_values(self):
+        # the interpolant evaluates the sample pointwise; the translation
+        # modes give the same stencil values
+        space = get_spaces(2, 1, 1, ["gradcurl"])["gradcurl"]
+        sample = ManufacturedSolution().solution_sample()
+        quad = QuadratureRule(8)
+        expected = np.zeros(space.dim)
+        for cells in space.classes:
+            first = space.cells_geom[cells[0]]
+            shifts = space.mesh.cell_shifts[cells] - space.mesh.cell_shifts[cells[0]]
+            for i, dof in enumerate(build_dofs("gradcurl", first, 1, 1)):
+                use, pts, wts = dof.stencil(quad)
+                vals = np.moveaxis(sample.modes.coefficients(use, shifts) @ sample.modes.template(pts), -1, 1)
+                expected[space.local_to_global[cells, i]] = np.tensordot(vals, wts, axes=wts.ndim)
+        got = space.interpolate(sample, quad)
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12 * np.abs(expected).max())
+
     @pytest.mark.parametrize("k", [1, 2])
     def test_velocity_div_table_is_exact_divergence(self, k):
         space = GlobalSpace(build_structured_cube(1), "velocity", k, k)
@@ -574,6 +749,18 @@ class TestModalMatchesPointwise:
         )
         self._compare(spaces["pressure"], degree, [ms.pressure_sample()])
 
+    def test_mesh_and_space_builds_are_logged(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="tetcomplex"):
+            space = GlobalSpace(build_structured_cube(2), "pressure", 1, 1)
+        messages = {
+            r.name: r.getMessage() for r in caplog.records
+            if r.name in ("tetcomplex.mesh", "tetcomplex.assembly")
+        }
+        assert messages["tetcomplex.mesh"].startswith("structured cube N=2: 48 cells, 6 classes, 27 vertices, ")
+        assert messages["tetcomplex.assembly"].startswith(
+            f"space pressure(1,1): 48 cells, 6 classes, {space.dim} dofs, "
+        )
+
     def test_one_debug_record_per_layer(self, caplog):
         space = GlobalSpace(build_structured_cube(2), "gradcurl", 1, 1)
         ms = ManufacturedSolution()
@@ -581,14 +768,16 @@ class TestModalMatchesPointwise:
             assemble("gradcurl_stiffness", space, 8)
             assemble_load(space, ms.forcing_sample(), 8)
             error_norms(space, np.zeros(space.dim), ms.solution_sample(), 8)
+            error_norms(space, np.ones(space.dim), ms.solution_sample(), 8)
             error_norms(space, np.zeros(space.dim), FieldSample(lambda p: np.zeros((len(p), 3))), 8)
         records = [r for r in caplog.records if r.name == "tetcomplex.assembly"]
-        assert [(r.layer, r.path, r.modes) for r in records] == [
-            ("class tables gradcurl degree 8", "tables", 0),
-            ("assemble gradcurl_stiffness", "tables", 0),
-            ("load gradcurl", "modal", 64),
-            ("error norms gradcurl", "modal", 64),
-            ("error norms gradcurl", "pointwise", 0),
+        assert [(r.layer, r.path, r.modes, r.factors) for r in records] == [
+            ("class tables gradcurl degree 8", "vandermonde", 0, None),
+            ("assemble gradcurl_stiffness", "tables", 0, None),
+            ("load gradcurl", "modal", 64, None),
+            ("error norms gradcurl", "modal", 64, "built"),
+            ("error norms gradcurl", "modal", 64, "reused"),
+            ("error norms gradcurl", "pointwise", 0, None),
         ]
         for r in records:
             assert (r.classes, r.cells) == (6, 48) and r.seconds >= 0
