@@ -2,7 +2,7 @@
 """Per-layer timings and peak memory of one quadcurl (1,1) assembly pass, as BENCH rows.
 
 Each row runs in its own child process, with BLAS on one thread and an
-address-space limit (``--limit-gb``) that the child sets on itself, so a
+address-space limit (``LIMIT_GB``) that the child sets on itself, so a
 row that runs out of memory fails alone instead of taking the machine
 with it.  A row times, one after another: the structured mesh, the
 grad-curl space, its class tables, the stiffness assembly, the load of
@@ -10,10 +10,11 @@ the manufactured forcing, and the error norms of a zero field (the same
 work as for a solved field).  A flat record holds each layer's seconds
 (``<layer>_s``) and the process's peak RSS when the layer ended
 (``<layer>_peak_rss_mb``), the dofs, the matrix's nnz, pattern digest and
-Frobenius norm, and the source it ran: the git SHA of the checkout (when
-there is one) and a digest of its ``src/tetcomplex`` files.
+Frobenius norm, and the source it ran: the git SHA of the checkout (null
+when the source has uncommitted changes) and a digest of its
+``src/tetcomplex`` files.  Rows are run at the levels ``LEVELS``.
 
-    python3 scripts/bench_layers.py --label change --levels 16,32
+    python3 scripts/bench_layers.py --label change
     python3 scripts/bench_layers.py --label parent --src ../parent/src --git-sha <sha>
 
 Rows land in ``BENCH_assembly.json`` at the repository root (``--out``);
@@ -34,6 +35,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PIN = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+LEVELS = (16, 32)
+LIMIT_GB = 6.0
 
 
 def source_digest(src):
@@ -44,19 +47,23 @@ def source_digest(src):
 
 
 def git_sha(src):
-    done = subprocess.run(
-        ["git", "rev-parse", "HEAD"], cwd=src, capture_output=True, text=True, check=False
-    )
-    return done.stdout.strip() or None
+    """HEAD of the checkout holding ``src``; None outside git or when ``src`` has changes."""
+
+    def git(*args):
+        done = subprocess.run(["git", *args], cwd=src, capture_output=True, text=True, check=False)
+        return done.stdout.strip() if done.returncode == 0 else None
+
+    head = git("rev-parse", "HEAD")
+    return head if head and git("status", "--porcelain", "--", ".") == "" else None
 
 
 def peak_rss_mb():
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
-def row(n, src, limit_gb, save_matrix=None):
+def row(n, src, save_matrix=None):
     """One row, in this process: the layers of a quadcurl (1,1) pass at level ``n``."""
-    limit = int(limit_gb * 2**30)
+    limit = int(LIMIT_GB * 2**30)
     resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
     sys.path.insert(0, str(src))
     import numpy as np
@@ -109,10 +116,8 @@ def row(n, src, limit_gb, save_matrix=None):
 def main():
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--label", required=True, help="name of the measured source, e.g. parent or change")
-    parser.add_argument("--levels", default="16,32")
     parser.add_argument("--src", default=str(ROOT / "src"), help="directory holding tetcomplex/")
     parser.add_argument("--git-sha", help="SHA of the source when --src is not in a git checkout")
-    parser.add_argument("--limit-gb", type=float, default=6.0, help="address-space limit of each row")
     parser.add_argument("--out", default=str(ROOT / "BENCH_assembly.json"))
     parser.add_argument("--save-matrix", help="directory for each row's stiffness matrix (.npz)")
     parser.add_argument("--row", type=int, help=argparse.SUPPRESS)  # one row in this process
@@ -121,7 +126,7 @@ def main():
 
     if args.row is not None:
         save = args.save_matrix and str(Path(args.save_matrix, f"{args.label}_N{args.row}.npz"))
-        print(json.dumps(row(args.row, src, args.limit_gb, save)))
+        print(json.dumps(row(args.row, src, save)))
         return
 
     meta = {
@@ -129,13 +134,12 @@ def main():
         "git_sha": args.git_sha or git_sha(src),
         "src_digest": source_digest(src),
         "blas_threads": 1,
-        "limit_gb": args.limit_gb,
+        "limit_gb": LIMIT_GB,
     }
     path = Path(args.out)
     rows = json.loads(path.read_text())["rows"] if path.exists() else []
-    for n in (int(t) for t in args.levels.split(",") if t):
-        cmd = [sys.executable, __file__, "--row", str(n), "--label", args.label, "--src", str(src),
-               "--limit-gb", str(args.limit_gb)]
+    for n in LEVELS:
+        cmd = [sys.executable, __file__, "--row", str(n), "--label", args.label, "--src", str(src)]
         if args.save_matrix:
             cmd += ["--save-matrix", args.save_matrix]
         done = subprocess.run(cmd, env={**os.environ, **PIN}, capture_output=True, text=True)

@@ -636,26 +636,26 @@ def _error_factors(tab, modes, table):
     With W the root weights, P the templates, T one component's basis
     table, the Householder QR of W [P^T | T^T] is taken blockwise:
     Q1 R11 = W P^T, R12 = Q1^T W T^T per component and R22 from the QR of
-    the remainder W T^T - Q1 R12.  None of it depends on the field: a
-    modes type's templates depend on the points only, so the factors are
-    built once per class table, modes type and table, and kept in
-    ``tab.error_factors``.  Returns the factors and whether they were built.
+    the remainder W T^T - Q1 R12.  None of it depends on the field: the
+    translation templates depend on the points only, so (Q1, R11) is built
+    once per class table and (R12, R22) once per table, and both are kept
+    in ``tab.error_factors``.  Returns the factors and whether they were
+    built.
     """
     cache = tab.error_factors
-    key = (type(modes), table)
-    if key in cache:
-        return cache[key], False
+    if table in cache:
+        return (cache["template"][1], *cache[table]), False
     root = np.sqrt(tab.weights)
-    if type(modes) not in cache:
-        cache[type(modes)] = np.linalg.qr(root[:, None] * modes.template(tab.points).T)
-    q1, r11 = cache[type(modes)]
+    if "template" not in cache:
+        cache["template"] = np.linalg.qr(root[:, None] * modes.template(tab.points).T)
+    q1, r11 = cache["template"]
     values = getattr(tab, table)
     weighted = _by_point(values, len(root)).transpose(2, 1, 0) * root[:, None]
     r12 = q1.T @ weighted  # (components, modes, basis)
     r22 = np.linalg.qr(weighted - q1 @ r12, mode="r")
     n = len(values)
-    cache[key] = r11, r12.reshape(-1, n).T, r22.reshape(-1, n).T
-    return cache[key], True
+    cache[table] = r12.reshape(-1, n).T, r22.reshape(-1, n).T
+    return (r11, *cache[table]), True
 
 
 def _modal_squared_errors(space, cells, tab, coeffs, modes, used):

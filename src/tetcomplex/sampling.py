@@ -27,11 +27,9 @@ class FieldSample:
     as a (count, m) array, and ``modes.coefficients(name, shifts)`` gives
     the evaluator ``name``'s coefficients at cells moved by (cells, 3)
     shifts, shape (cells, *components, count), so that their product is
-    the evaluator at the moved points.  The templates must depend on the
-    points and the type of ``modes`` only: error norms keep factors of
-    them per modes type.  Load and error norms then work from the
-    templates and coefficients alone; interpolation, and a sample without
-    ``modes``, evaluate point by point.
+    the evaluator at the moved points.  Load and error norms then work
+    from the templates and coefficients alone; interpolation, and a sample
+    without ``modes``, evaluate point by point.
     """
 
     value: callable
