@@ -7,9 +7,9 @@ Three constructions, all exact rational:
 - a local divergence solver: given a mean-zero piecewise polynomial target,
   produce a zero-trace continuous piecewise field with exactly that
   divergence (minimal H1-seminorm representative);
-- the modified face bubbles (cubic face bubbles corrected to have constant
-  divergence) and interior bubbles whose divergences span the mean-corrected
-  two-layer polynomial spaces.
+- the scalar cubic face bubbles, which ``elements.physical_face_bubble``
+  corrects to a constant divergence with that solver, and interior bubbles
+  whose divergences span the mean-corrected two-layer polynomial spaces.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from .polyalg.poly import Polynomial, VectorField, _det3, div, grad, integrate_unit_simplex
+from .polyalg.poly import Polynomial, VectorField, _det3, grad, integrate_unit_simplex
 from .polyalg.spaces import (
     Embedding,
     layered_mean_zero_basis,
@@ -42,20 +42,13 @@ from .polyalg.split import (
 
 _log = logging.getLogger("tetcomplex.bubbles")
 
-# scalar face bubbles B_i = prod_{j != i} lambda_j and their ascending-vertex
-# rational face directions on the reference cell
+# scalar face bubbles B_i = prod_{j != i} lambda_j on the reference cell
 _X = [Polynomial.variable(i) for i in range(3)]
 _LAMBDA = (
     Polynomial.constant(1) - _X[0] - _X[1] - _X[2],
     _X[0],
     _X[1],
     _X[2],
-)
-REF_FACE_DIRECTIONS = (
-    (Fraction(1), Fraction(1), Fraction(1)),
-    (Fraction(1), Fraction(0), Fraction(0)),
-    (Fraction(0), Fraction(-1), Fraction(0)),
-    (Fraction(0), Fraction(0), Fraction(1)),
 )
 
 
@@ -64,13 +57,6 @@ def scalar_face_bubble(i):
     for j in range(4):
         if j != i:
             out = out * _LAMBDA[j]
-    return out
-
-
-def scalar_interior_bubble():
-    out = Polynomial.constant(1)
-    for lam in _LAMBDA:
-        out = out * lam
     return out
 
 
@@ -295,41 +281,12 @@ def solve_div(target, k):
 
 
 @dataclass
-class FaceBubble:
-    """Modified cubic face bubble with exactly constant divergence."""
-
-    index: int
-    direction: tuple
-    raw: VectorField
-    modified: PiecewiseField
-    div_value: Fraction
-
-
-@dataclass
 class InteriorBubble:
     """Zero-trace bubble with prescribed mean-zero two-layer divergence."""
 
     order: int
     target: Polynomial
     field: PiecewiseField
-
-
-@lru_cache(maxsize=None)
-def modified_face_bubble(i, direction=None):
-    """Face bubble B_i * d corrected on the split to have constant divergence."""
-    if i not in range(4):
-        raise ValueError("face index must be in 0..3")
-    d = REF_FACE_DIRECTIONS[i] if direction is None else direction
-    scalar = scalar_face_bubble(i)
-    raw = VectorField(tuple(scalar * dc for dc in d))
-    g = div(raw)
-    mean = PiecewiseField.from_single(g).integrate() * 6  # |ref tet| = 1/6
-    corrected = solve_div(as_piecewise(g - Polynomial.constant(mean)), 3)
-    beta = as_piecewise(raw) - corrected
-    beta = PiecewiseField(beta.pieces, "C0")
-    dv = beta.div()
-    assert dv.is_single() and dv.pieces[0] == Polynomial.constant(mean)
-    return FaceBubble(i, tuple(d), raw, beta, mean)
 
 
 @lru_cache(maxsize=None)

@@ -74,17 +74,6 @@ def validate_family(r, k):
         raise ValueError(f"Lagrange order r={r} must be in {{k, k+1, k+2}} for k={k}")
 
 
-@dataclass(frozen=True)
-class ElementConfig:
-    """A member of the element family: enrichment order k, Lagrange order r."""
-
-    r: int
-    k: int
-
-    def __post_init__(self):
-        validate_family(self.r, self.k)
-
-
 # ---------------------------------------------------------------------------
 # cell geometry bundle
 
@@ -256,6 +245,8 @@ def physical_face_bubble(cell: CellGeometry, local_face: int):
     The bubble direction is the face's global rational direction (the
     ascending-vertex cross product), so both cells incident to a mesh face
     build the identical trace and the global space stays H1-conforming.
+    Returns the corrected bubble, the raw bubble it matches on the boundary,
+    and its constant physical divergence.
     """
     d = cell.faces[local_face]["direction"]
     scalar = scalar_face_bubble(local_face)
@@ -270,7 +261,7 @@ def physical_face_bubble(cell: CellGeometry, local_face: int):
     beta = PiecewiseField(beta.pieces, "C0")
     dv = phys_div(cell, beta)
     assert dv.is_single() and dv.pieces[0] == Polynomial.constant(mean)
-    return beta, mean
+    return beta, raw, mean
 
 
 # Scaling a cell by t (matrix B -> t B) multiplies each raw basis field by a
@@ -292,7 +283,7 @@ def velocity_raw(cell: CellGeometry, k):
     powers = [MONOMIAL_POWER] * len(fields)
     if k <= 2:
         for i in range(4):
-            beta, _ = physical_face_bubble(cell, i)
+            beta, _, _ = physical_face_bubble(cell, i)
             fields.append(beta)
             is_bubble.append(True)
             powers.append(FACE_BUBBLE_POWER)
@@ -306,13 +297,13 @@ def velocity_raw(cell: CellGeometry, k):
     return fields, is_bubble, powers
 
 
-def gradcurl_raw(cell: CellGeometry, r, k, select="exact"):
+def gradcurl_raw(cell: CellGeometry, r, k):
     """Gradients of P_r plus vector potentials of the velocity basis.
 
     Base points (reference coordinates): the split center for bubble
-    generators, the reference origin for polynomial generators.  A
-    rank-revealing selection drops the dependent generators; the surviving
-    dimension must equal dim velocity + dim P_r - dim P_{k-1} - 1.
+    generators, the reference origin for polynomial generators.  An exact
+    rank selection drops the dependent generators; the surviving dimension
+    must equal dim velocity + dim P_r - dim P_{k-1} - 1.
 
     Returns the selected fields and their scale powers.
     """
@@ -336,16 +327,7 @@ def gradcurl_raw(cell: CellGeometry, r, k, select="exact"):
     degree = max(g.degree for g in gens)
     emb = Embedding(degree, vector=True)
     cols = [_difference_coords(emb.coords(g), emb.block) for g in gens]
-    if select == "exact":
-        chosen = select_independent(cols)
-    else:
-        from scipy.linalg import qr
-
-        a = np.array([[float(v) for v in col] for col in cols]).T
-        _, rdiag, piv = qr(a, mode="economic", pivoting=True)
-        diag = np.abs(np.diag(rdiag))
-        keep = diag > diag[0] * 1e-9
-        chosen = sorted(piv[: int(keep.sum())])
+    chosen = select_independent(cols)
     if len(chosen) != expected:
         raise ArithmeticError(
             f"grad-curl space rank {len(chosen)} != expected {expected} for (r,k)=({r},{k})"
@@ -839,13 +821,13 @@ def build_dofs(kind, cell, r, k):
     raise ValueError(f"unknown space kind {kind!r}")
 
 
-def build_raw_basis(kind, cell, r, k, select="exact"):
+def build_raw_basis(kind, cell, r, k):
     """Raw basis fields of a space on a cell, and the scale power of each.
 
     Scalar spaces live in reference coordinates and do not scale.
     """
     if kind == "gradcurl":
-        return gradcurl_raw(cell, r, k, select=select)
+        return gradcurl_raw(cell, r, k)
     if kind == "velocity":
         fields, _, powers = velocity_raw(cell, k)
         return fields, powers
@@ -939,15 +921,13 @@ def dof_matrix(dofs, basis, cell, curls=None):
 class ElementCache:
     """Local elements by cell signature, with one exact build per class.
 
-    ``elements`` maps ``(kind, r, k, select, cell.signature())`` to its
-    element.  ``first`` maps the scale-free key of a class to the first
-    element built for it, with the cell scale and the scale powers of its
-    raw basis.  A cell of the same class at another scale derives its raw
-    basis and curls from that element by exact rational scaling; only the
-    DOFs, the DOF matrix and its inverse are computed for it.  The float
-    selection pivots on column norms, which scaling changes, so it gets
-    one build per signature.  ``built``, ``derived`` and ``hits`` count the
-    three outcomes of a lookup.
+    ``elements`` maps ``(kind, r, k, cell.signature())`` to its element.
+    ``first`` maps the scale-free key of a class to the first element built
+    for it, with the cell scale and the scale powers of its raw basis.  A
+    cell of the same class at another scale derives its raw basis and curls
+    from that element by exact rational scaling; only the DOFs, the DOF
+    matrix and its inverse are computed for it.  ``built``, ``derived`` and
+    ``hits`` count the three outcomes of a lookup.
     """
 
     def __init__(self):
@@ -966,7 +946,7 @@ def _scaled(fields, powers, t):
     return [f if a == 0 else f * t**a for f, a in zip(fields, powers)]
 
 
-def local_element(kind, r, k, cell=None, select="exact"):
+def local_element(kind, r, k, cell=None):
     """Build, derive or fetch the local element bundle for a cell.
 
     Cells of one congruence class (same matrix and vertex order) share the
@@ -977,16 +957,16 @@ def local_element(kind, r, k, cell=None, select="exact"):
     if cell is None:
         cell = reference_cell()
     cache = _element_cache
-    key = (kind, r, k, select, cell.signature())
+    key = (kind, r, k, cell.signature())
     hit = cache.elements.get(key)
     if hit is not None:
         cache.hits += 1
         return hit
     start = time.perf_counter()
-    class_key = (kind, r, k, cell.scale_free_signature()) if select == "exact" else None
-    first = cache.first.get(class_key) if class_key is not None else None
+    class_key = (kind, r, k, cell.scale_free_signature())
+    first = cache.first.get(class_key)
     if first is None:
-        basis, powers = build_raw_basis(kind, cell, r, k, select=select)
+        basis, powers = build_raw_basis(kind, cell, r, k)
         curls = [phys_curl(cell, b) for b in basis] if kind == "gradcurl" else None
     else:
         el0, scale0, powers = first
@@ -1008,8 +988,7 @@ def local_element(kind, r, k, cell=None, select="exact"):
     cache.elements[key] = el
     if first is None:
         cache.built += 1
-        if class_key is not None:
-            cache.first[class_key] = (el, cell.scale, powers)
+        cache.first[class_key] = (el, cell.scale, powers)
     else:
         cache.derived += 1
     _log.debug(

@@ -60,10 +60,6 @@ class AffineMap:
             for i in range(3)
         )
 
-    def invert_exact(self, point):
-        d = [Fraction(point[j]) - self.shift[j] for j in range(3)]
-        return tuple(sum(self.inverse[i][j] * d[j] for j in range(3)) for i in range(3))
-
     def signature(self):
         """Congruence-class key: the matrix and the vertex order (translations factored out).
 

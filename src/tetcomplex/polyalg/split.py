@@ -194,11 +194,6 @@ class PiecewiseField:
     def matmul(self, matrix):
         return self.map(lambda p: p.matmul(matrix), continuity=self.continuity)
 
-    def dot_const(self, vec):
-        nv = self.pieces[0].nvars
-        const = VectorField.constant(vec, nv)
-        return self.map(lambda p: p.dot(const), continuity=self.continuity)
-
     def integrate(self):
         """Exact integral over the whole reference tet (sum over subtets).
 

@@ -1,4 +1,4 @@
-"""Simplex quadrature: Grundmann-Moller rules of arbitrary odd degree.
+"""Simplex quadrature: Gauss-Legendre on segments, collapsed tensor Gauss on simplices.
 
 Rules are returned in reference coordinates of the unit simplex (segment
 [0,1], triangle {xi,eta>=0, xi+eta<=1}, tetrahedron likewise) with weights
@@ -9,53 +9,10 @@ variant maps a tet rule into each subtetrahedron of the reference split.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
-from math import factorial
 
 import numpy as np
 
 from .polyalg.split import SUBTET_VERTICES
-
-
-def _compositions(total, parts):
-    """All tuples of ``parts`` nonnegative ints summing to ``total``."""
-    if parts == 1:
-        yield (total,)
-        return
-    for cut in combinations(range(total + parts - 1), parts - 1):
-        out = []
-        prev = -1
-        for c in cut:
-            out.append(c - prev - 1)
-            prev = c
-        out.append(total + parts - 2 - prev)
-        yield tuple(out)
-
-
-@lru_cache(maxsize=None)
-def grundmann_moller(dim, degree):
-    """Rule exact for polynomials of total degree <= degree on the unit simplex."""
-    # the rule of degree 2s+1 also covers the even degree 2s
-    s = max(0, degree // 2)
-    n = dim
-    d = 2 * s + 1
-    pts = []
-    wts = []
-    for i in range(s + 1):
-        denom = d + n - 2 * i
-        coeff = (
-            (-1) ** i
-            * 2.0 ** (-2 * s)
-            * float(denom) ** d
-            / (factorial(i) * factorial(d + n - i))
-        )
-        for beta in _compositions(s - i, n + 1):
-            bary = [(2 * b + 1) / denom for b in beta]
-            pts.append(bary[1:])  # drop the first barycentric coordinate
-            wts.append(coeff)
-    points = np.array(pts, dtype=float).reshape(-1, n)
-    weights = np.array(wts, dtype=float)
-    return points, weights
 
 
 @lru_cache(maxsize=None)
@@ -68,11 +25,11 @@ def gauss_segment(degree):
 
 @lru_cache(maxsize=None)
 def collapsed_gauss(dim, degree):
-    """Tensor Gauss rule under the collapsed (Duffy) map; positive weights.
+    """Tensor Gauss rule under the collapsed (Duffy) map.
 
-    Slightly more points than Grundmann-Moller at equal degree, but far
-    better conditioned on non-polynomial integrands (all weights positive),
-    which matters for the trigonometric moment and error integrals.
+    All weights are positive, which keeps the rule well conditioned on the
+    non-polynomial integrands of the trigonometric moment and error
+    integrals.
     """
     n = degree // 2 + 2  # the Jacobian raises the per-direction degree
     x, w = np.polynomial.legendre.leggauss(n)
@@ -97,14 +54,10 @@ def collapsed_gauss(dim, degree):
     raise ValueError(f"unsupported dimension {dim}")
 
 
-def rule(dim, degree, family="collapsed"):
+def rule(dim, degree):
     if dim == 1:
         return gauss_segment(degree)
-    if dim in (2, 3):
-        if family == "collapsed":
-            return collapsed_gauss(dim, degree)
-        return grundmann_moller(dim, degree)
-    raise ValueError(f"unsupported dimension {dim}")
+    return collapsed_gauss(dim, degree)
 
 
 @lru_cache(maxsize=None)
@@ -134,7 +87,6 @@ class QuadratureRule:
         self.tet = rule(3, degree)
         self.triangle = rule(2, degree)
         self.segment = rule(1, degree)
-        self.tet_split = alfeld_composite(degree)
 
     def __repr__(self):
         return f"QuadratureRule(degree={self.degree})"

@@ -34,18 +34,19 @@ def test_criterion_01_dimension_fingerprints():
 
 
 def test_criterion_02_exact_bubble_identities():
-    from tetcomplex.bubbles import modified_face_bubble
+    from tetcomplex.elements import physical_face_bubble, reference_cell
     from tetcomplex.polyalg import Polynomial, as_piecewise
 
     ok = True
     values = []
+    cell = reference_cell()
     for i in range(4):
-        fb = modified_face_bubble(i)
-        dv = fb.modified.div()
-        const = dv.is_single() and dv.pieces[0] == Polynomial.constant(fb.div_value)
-        trace = (fb.modified - as_piecewise(fb.raw)).vanishes_on_boundary()
+        beta, raw, div_value = physical_face_bubble(cell, i)
+        dv = beta.div()
+        const = dv.is_single() and dv.pieces[0] == Polynomial.constant(div_value)
+        trace = (beta - as_piecewise(raw)).vanishes_on_boundary()
         ok = ok and const and trace
-        values.append(str(fb.div_value))
+        values.append(str(div_value))
     _line(2, ok, f"face bubble divergences {values}, exact trace match, zero tolerance")
     assert ok
 
@@ -73,23 +74,13 @@ def test_criterion_04_local_exactness():
 
 
 def test_criterion_05_unisolvence():
-    from tetcomplex.elements import CellGeometry, local_element
-    from tetcomplex.mesh import random_rational_cell
+    from tetcomplex.verify import check_unisolvence
 
-    worst_overall = 0.0
-    ok = True
-    for (r, k) in CONFIGS:
-        rng = np.random.default_rng(100 + 13 * r + k)
-        worst = 0.0
-        for _ in range(10):
-            cell = CellGeometry.standalone(random_rational_cell(rng))
-            for kind in SPACE_KINDS:
-                el = local_element(kind, r, k, cell, select="float")
-                worst = max(worst, el.condition)
-        ok = ok and worst < 1e8
-        worst_overall = max(worst_overall, worst)
+    results = check_unisolvence(CONFIGS, seed=100)
+    ok = all(r.status for r in results)
+    worst_overall = max(r.measured for r in results)
     _line(5, ok, f"DOF matrices on 10 random cells per config, worst condition {worst_overall:.3e} < 1e8")
-    assert ok
+    assert ok, [r.as_dict() for r in results if not r.status]
 
 
 def test_criterion_06_global_exactness():

@@ -11,9 +11,10 @@ from tetcomplex.bubbles import (
     build_split_space,
     div_coefficients,
     interior_bubbles,
-    modified_face_bubble,
     solve_div,
 )
+from tetcomplex.elements import CellGeometry, phys_div, physical_face_bubble, reference_cell
+from tetcomplex.mesh import random_rational_cell
 from tetcomplex.polyalg import (
     PiecewiseField,
     Polynomial,
@@ -139,29 +140,49 @@ class TestSolveDiv:
             assert all(h1_inner(u, nf) == 0 for nf in null_fields)
 
 
+def _reference_bubble(i):
+    """The production face bubble on the reference cell: (bubble, raw field, divergence)."""
+    return physical_face_bubble(reference_cell(), i)
+
+
 class TestFaceBubbles:
     @pytest.mark.parametrize("i", range(4))
     def test_constant_divergence_exact(self, i):
-        fb = modified_face_bubble(i)
-        dv = fb.modified.div()
+        beta, _, div_value = _reference_bubble(i)
+        dv = beta.div()
         assert dv.is_single()
-        assert dv.pieces[0] == Polynomial.constant(fb.div_value)
+        assert dv.pieces[0] == Polynomial.constant(div_value)
 
     @pytest.mark.parametrize("i", range(4))
     def test_trace_matches_raw(self, i):
-        fb = modified_face_bubble(i)
-        assert (fb.modified - as_piecewise(fb.raw)).vanishes_on_boundary()
+        beta, raw, _ = _reference_bubble(i)
+        assert (beta - as_piecewise(raw)).vanishes_on_boundary()
 
     @pytest.mark.parametrize("i", range(4))
     def test_genuinely_piecewise(self, i):
         # documents why single polynomials cannot carry the correction
-        assert not modified_face_bubble(i).modified.is_single()
+        assert not _reference_bubble(i)[0].is_single()
 
     def test_divergence_value_via_flux(self):
         # the constant equals the boundary flux divided by the volume
-        fb = modified_face_bubble(0)
-        flux = as_piecewise(fb.raw).div().integrate()
-        assert fb.div_value == flux * 6
+        _, raw, div_value = _reference_bubble(0)
+        flux = as_piecewise(raw).div().integrate()
+        assert div_value == flux * 6
+
+    def test_reference_divergences(self):
+        values = [_reference_bubble(i)[2] for i in range(4)]
+        assert values == [F(3, 20), F(-1, 20), F(1, 20), F(-1, 20)]
+
+    def test_random_cell_constant_divergence_and_trace(self):
+        # the bubbles on a cell that is not the reference cell: the physical
+        # divergence is one constant and the correction has zero trace
+        cell = CellGeometry.standalone(random_rational_cell(np.random.default_rng(5)))
+        for i in range(4):
+            beta, raw, div_value = physical_face_bubble(cell, i)
+            dv = phys_div(cell, beta)
+            assert dv.is_single()
+            assert dv.pieces[0] == Polynomial.constant(div_value)
+            assert (beta - as_piecewise(raw)).vanishes_on_boundary()
 
 
 class TestInteriorBubbles:
@@ -200,13 +221,11 @@ class TestGoldenDumps:
 
     def test_face_bubble_divergence_dump(self):
         # frozen golden line: the constant-divergence value of bubble 0
-        fb = modified_face_bubble(0)
-        dv = fb.modified.div()
+        dv = _reference_bubble(0)[0].div()
         assert dv.pieces[0].dump() == ["3/20 * 1"]
 
     def test_bubble_dump_has_four_pieces(self):
-        fb = modified_face_bubble(1)
-        lines = fb.modified.dump()
+        lines = _reference_bubble(1)[0].dump()
         assert sum(1 for ln in lines if ln.startswith("[piece")) == 4
         assert any("*" in ln for ln in lines)
 
