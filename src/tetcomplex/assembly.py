@@ -25,7 +25,8 @@ Per class everything float is a dense product:
 Interpolation evaluates the sample at the moved DOF stencil points.
 Every layer logs one ``tetcomplex.assembly`` DEBUG record with its
 classes, cells, path (vandermonde, tables, modal or pointwise), mode
-count and seconds; a space logs one record when it is built.
+count and seconds; a space logs one record when it is built, with how
+many of its elements were built, derived or found in the element cache.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from functools import lru_cache
 import numpy as np
 import scipy.sparse as sp
 
+from . import elements as _elements
 from .elements import (
     CellGeometry,
     build_dofs,
@@ -123,7 +125,11 @@ class GlobalSpace:
 
         self.classes = mesh.classes
         self.cells_geom = {int(c[0]): CellGeometry(mesh, int(c[0])) for c in self.classes}
+        before = _elements._element_cache.counts()
         self.elements = {ci: local_element(kind, r, k, g) for ci, g in self.cells_geom.items()}
+        built, derived, hits = (
+            b - a for a, b in zip(before, _elements._element_cache.counts())
+        )
         self.local_to_global = self._numbering()
         self._tables = {}
         boundary = {
@@ -137,8 +143,10 @@ class GlobalSpace:
         )
         self.basis_degree = max(b.degree for el in self.elements.values() for b in el.basis)
         _log.debug(
-            "space %s(%d,%d): %d cells, %d classes, %d dofs, %.3f s",
-            kind, r, k, mesh.n_cells, len(self.classes), self.dim, time.perf_counter() - start,
+            "space %s(%d,%d): %d cells, %d classes, %d dofs, elements %d built, %d derived, "
+            "%d hits, %.3f s",
+            kind, r, k, mesh.n_cells, len(self.classes), self.dim, built, derived, hits,
+            time.perf_counter() - start,
         )
 
     def _numbering(self):
@@ -670,8 +678,9 @@ def _modal_squared_errors(space, cells, tab, coeffs, modes, used):
     out = np.zeros(len(_NORMS))
     for chunk, shifts in _chunks(space, cells, modes.count):
         local = coeffs[space.local_to_global[chunk]]
+        moved = modes.shifted(shifts)
         for i, name, (r11, r12, r22), _ in factors:
-            y = modes.coefficients(name, shifts).reshape(-1, modes.count) @ r11.T
+            y = moved(name).reshape(-1, modes.count) @ r11.T
             y -= (local @ r12).reshape(y.shape)
             z = local @ r22
             out[i] += np.vdot(y, y) + np.vdot(z, z)

@@ -23,6 +23,8 @@ import time
 from dataclasses import dataclass, field as dc_field, replace
 from fractions import Fraction
 from functools import lru_cache
+from itertools import permutations, product
+from math import gcd, lcm
 
 import numpy as np
 
@@ -189,15 +191,45 @@ class CellGeometry:
         """Largest absolute matrix entry: the mesh size h on a Kuhn mesh."""
         return max(abs(v) for row in self.amap.matrix for v in row)
 
-    def scale_free_signature(self):
-        """Class key that a homothety ``x -> t x`` leaves unchanged.
+    def shape(self):
+        """The matrix as coprime integers, which a homothety leaves unchanged."""
+        matrix = self.amap.matrix
+        den = lcm(*(v.denominator for row in matrix for v in row))
+        rows = [[v.numerator * (den // v.denominator) for v in row] for row in matrix]
+        g = gcd(*(v for row in rows for v in row))
+        return tuple(tuple(v // g for v in row) for row in rows)
 
-        The matrix is divided by :attr:`scale`; the vertex order is kept as
-        in :meth:`signature`.
+    def orbit_key(self):
+        """Key that every similarity ``B -> t Q B S`` leaves unchanged.
+
+        The least image of :meth:`shape` under the similarities, so two
+        cells share it exactly when one is a similar image of the other.
+        The vertex order is left out: it flips face directions only.
         """
-        s = self.scale
-        matrix = tuple(tuple(v / s for v in row) for row in self.amap.matrix)
-        return matrix, self.amap.vertex_order
+        shape = self.shape()
+        return min(similar_matrix(shape, s) for s in SIMILARITIES)
+
+
+# Similarities B -> Q B S of cell matrices, as (perm, signs, cols):
+# Q is a signed permutation of the physical axes, (Q v)[i] = signs[i] v[perm[i]],
+# and S a permutation of reference vertices 1-3, (B S)[:, j] = B[:, cols[j]].
+# Vertex 0 stays fixed: it is the Poincare base point of the polynomial
+# generators.  The identity comes first.
+SIMILARITIES = tuple(
+    (perm, signs, cols)
+    for perm in permutations(range(3))
+    for signs in product((1, -1), repeat=3)
+    for cols in permutations(range(3))
+)
+
+
+def similar_matrix(matrix, similarity):
+    """``Q matrix S`` for a similarity ``(perm, signs, cols)``."""
+    perm, signs, cols = similarity
+    return tuple(
+        tuple(matrix[p][c] if s > 0 else -matrix[p][c] for c in cols)
+        for p, s in zip(perm, signs)
+    )
 
 
 @lru_cache(maxsize=1)
@@ -269,6 +301,7 @@ def physical_face_bubble(cell: CellGeometry, local_face: int):
 # t^2 for face bubbles (the face direction is a cross product of edges),
 # t^-2 for interior bubbles (B field / det B); a vector potential has its
 # source's power plus one, and a physical curl the field's power minus one.
+# ``derive_fields`` combines these powers with a rotation or reflection.
 GRADIENT_POWER, MONOMIAL_POWER, FACE_BUBBLE_POWER, INTERIOR_BUBBLE_POWER = -1, 0, 2, -2
 
 
@@ -919,39 +952,92 @@ def dof_matrix(dofs, basis, cell, curls=None):
 
 
 class ElementCache:
-    """Local elements by cell signature, with one exact build per class.
+    """Local elements by cell signature, with one exact build per similarity orbit.
 
     ``elements`` maps ``(kind, r, k, cell.signature())`` to its element.
-    ``first`` maps the scale-free key of a class to the first element built
-    for it, with the cell scale and the scale powers of its raw basis.  A
-    cell of the same class at another scale derives its raw basis and curls
-    from that element by exact rational scaling; only the DOFs, the DOF
-    matrix and its inverse are computed for it.  ``built``, ``derived`` and
-    ``hits`` count the three outcomes of a lookup.
+    ``orbits`` maps ``(kind, r, k, cell.orbit_key())`` to the first element
+    built in that orbit and the scale powers of its raw basis.  Another
+    cell of the orbit, ``B = t Q B0 S``, derives its raw basis and curls
+    from that element (:func:`derive_fields`); only the DOFs, the DOF
+    matrix and its inverse are computed for it.  ``built``, ``derived``
+    and ``hits`` count the three outcomes of a lookup.
     """
 
     def __init__(self):
         self.elements = {}
-        self.first = {}
+        self.orbits = {}
         self.built = self.derived = self.hits = 0
 
     def __len__(self):
         return len(self.elements)
 
+    def counts(self):
+        return self.built, self.derived, self.hits
+
 
 _element_cache = ElementCache()
 
 
-def _scaled(fields, powers, t):
-    return [f if a == 0 else f * t**a for f, a in zip(fields, powers)]
+def _vertex_images(cols):
+    """Reference vertex of the built cell that each vertex of the similar cell maps to."""
+    return (0,) + tuple(c + 1 for c in cols)
+
+
+def derive_fields(fields, powers, t, similarity, curls=False):
+    """Fields of a cell ``B0`` carried to the similar cell ``t Q B0 S``.
+
+    Field ``f`` of scale power ``a`` becomes ``t^a Q (f o S)``, a scalar
+    field ``t^a (f o S)``; with ``curls`` the fields are physical curls
+    and become ``det(Q) t^(a-1) Q (f o S)``.  ``S`` fixes reference vertex
+    0 and the split centre and maps subtet ``i`` onto the subtet of the
+    vertex it sends ``i`` to, so the pieces are relabelled with it.  The
+    generators of every raw space are equivariant under the similarity
+    (gradients through ``B^-T``, vector monomials as a span, face bubbles
+    through their global direction and the linear ``solve_div``, interior
+    bubbles through ``B / det B``, potentials about vertex 0 or the
+    centre), so the results span the space a direct build on the new cell
+    spans.
+    """
+    perm, signs, cols = similarity
+    vertex = _vertex_images(cols)
+    sign = 1
+    if curls:
+        inversions = sum(perm[i] > perm[j] for i in range(3) for j in range(i + 1, 3))
+        sign = (-1) ** inversions * signs[0] * signs[1] * signs[2]
+        powers = [a - 1 for a in powers]
+
+    def move(p, factor):
+        p = p.permute_variables(cols)
+        return p if factor == 1 else p * factor
+
+    def field(f, a):
+        factor = sign * t**a
+        if isinstance(f.pieces[0], VectorField):
+            one = lambda v: VectorField(move(v.comps[j], s * factor) for j, s in zip(perm, signs))
+        else:
+            one = lambda p: move(p, factor)
+        if f.continuity == "single":
+            return PiecewiseField.from_single(one(f.pieces[0]))
+        return PiecewiseField((one(f.pieces[vertex[i]]) for i in range(4)), f.continuity)
+
+    return [field(f, a) for f, a in zip(fields, powers)]
+
+
+def _describe(t, similarity):
+    """``t``, ``Q`` as the images of the axes and ``S`` as the vertex images."""
+    perm, signs, cols = similarity
+    axes = ",".join(("-" if s < 0 else "") + "xyz"[p] for p, s in zip(perm, signs))
+    vertices = ",".join(map(str, _vertex_images(cols)))
+    return f" (t={t}, Q=({axes}), vertices ({vertices}))"
 
 
 def local_element(kind, r, k, cell=None):
     """Build, derive or fetch the local element bundle for a cell.
 
     Cells of one congruence class (same matrix and vertex order) share the
-    construction (translations do not change any of it), and a class met
-    again at another scale derives its raw basis by homothety.
+    construction (translations do not change any of it), and a class
+    similar to one built before, at any scale, rotation or reflection,
+    derives its raw basis from that build (:func:`derive_fields`).
     """
     validate_family(r, k)
     if cell is None:
@@ -963,16 +1049,22 @@ def local_element(kind, r, k, cell=None):
         cache.hits += 1
         return hit
     start = time.perf_counter()
-    class_key = (kind, r, k, cell.scale_free_signature())
-    first = cache.first.get(class_key)
+    orbit_key = (kind, r, k, cell.orbit_key())
+    first = cache.orbits.get(orbit_key)
     if first is None:
         basis, powers = build_raw_basis(kind, cell, r, k)
         curls = [phys_curl(cell, b) for b in basis] if kind == "gradcurl" else None
+        how, detail = "built", ""
     else:
-        el0, scale0, powers = first
-        t = cell.scale / scale0
-        basis = _scaled(el0.basis, powers, t)
-        curls = None if el0.curls is None else _scaled(el0.curls, [a - 1 for a in powers], t)
+        el0, powers = first
+        curls = None
+        shape0, shape = el0.cell.shape(), cell.shape()
+        similarity = next(s for s in SIMILARITIES if similar_matrix(shape0, s) == shape)
+        t = cell.scale / el0.cell.scale
+        basis = derive_fields(el0.basis, powers, t, similarity)
+        if el0.curls is not None:
+            curls = derive_fields(el0.curls, powers, t, similarity, curls=True)
+        how, detail = "derived", _describe(t, similarity)
     dofs = build_dofs(kind, cell, r, k)
     if len(dofs) != len(basis):
         raise ArithmeticError(
@@ -988,12 +1080,11 @@ def local_element(kind, r, k, cell=None):
     cache.elements[key] = el
     if first is None:
         cache.built += 1
-        cache.first[class_key] = (el, cell.scale, powers)
+        cache.orbits[orbit_key] = (el, powers)
     else:
         cache.derived += 1
     _log.debug(
-        "%s %s(%d,%d) element in %.3f s",
-        "built" if first is None else "derived", kind, r, k, time.perf_counter() - start,
+        "%s %s(%d,%d) element%s in %.3f s", how, kind, r, k, detail, time.perf_counter() - start
     )
     return el
 

@@ -145,19 +145,31 @@ class TranslationModes:
     def coefficients(self, name, shifts):
         """Coefficients of field ``name`` moved by each of (cells, 3) shifts.
 
-        Shape (cells, *components, 64); the shift acts on one tensor axis
-        at a time, with one matrix per distinct shift along that axis.
+        Shape (cells, *components, 64); see :meth:`shifted`.
         """
-        t = self.tensors[name]
+        return self.shifted(shifts)(name)
+
+    def shifted(self, shifts):
+        """:meth:`coefficients` at (cells, 3) shifts, as a function of the name.
+
+        The shift acts on one tensor axis at a time, with one matrix per
+        distinct shift along that axis; the matrices are formed here once
+        for every name the function is called with.
+        """
         n = len(shifts)
         mx, my, mz = (
             shift_matrices(distinct)[inverse]
             for distinct, inverse in (np.unique(s, return_inverse=True) for s in shifts.T)
         )
-        out = mx @ t.reshape(4, -1)  # (cells, x mode, rest)
-        out = my[:, None] @ out.reshape(n, 4, 4, -1)  # (cells, x, y mode, rest)
-        out = mz[:, None] @ out.reshape(n, 16, 4, -1)  # (cells, x y, z mode, components)
-        return np.moveaxis(out.reshape(n, 64, -1), 1, -1).reshape((n,) + t.shape[1:] + (64,))
+
+        def coefficients(name):
+            t = self.tensors[name]
+            out = mx @ t.reshape(4, -1)  # (cells, x mode, rest)
+            out = my[:, None] @ out.reshape(n, 4, 4, -1)  # (cells, x, y mode, rest)
+            out = mz[:, None] @ out.reshape(n, 16, 4, -1)  # (cells, x y, z mode, components)
+            return np.moveaxis(out.reshape(n, 64, -1), 1, -1).reshape((n,) + t.shape[1:] + (64,))
+
+        return coefficients
 
 
 class _PointFactors:

@@ -13,14 +13,11 @@ from tetcomplex import assembly as assembly_module
 from tetcomplex.assembly import (
     ClassTables,
     GlobalSpace,
-    SparseOperator,
     assemble,
     assemble_load,
     discrete_d,
     error_norms,
-    extend_vector,
     restrict_operator,
-    restrict_vector,
 )
 from tetcomplex.elements import (
     SPACE_KINDS,
@@ -38,7 +35,7 @@ from tetcomplex.mesh import (
     MeshTopology,
     build_structured_cube,
 )
-from tetcomplex.polyalg import Polynomial, VectorField, curl, div, monomial_exponents
+from tetcomplex.polyalg import Polynomial, VectorField, monomial_exponents
 from tetcomplex.problems import ManufacturedSolution, TranslationModes, get_spaces
 from tetcomplex.quadrature import QuadratureRule, alfeld_composite
 from tetcomplex.sampling import FieldSample

@@ -11,7 +11,6 @@ from tetcomplex.elements import (
     local_element,
     local_exactness_table,
     phys_curl,
-    phys_div,
     phys_grad,
     poly_inclusion_check,
     reference_cell,
@@ -20,6 +19,7 @@ from tetcomplex.elements import (
 )
 from tetcomplex.mesh import random_rational_cell
 from tetcomplex.polyalg import Embedding, as_piecewise
+from tetcomplex.polyalg.spaces import rank as exact_rank
 
 CONFIGS = [(1, 1), (2, 1), (3, 1), (2, 2), (3, 3)]
 
@@ -185,6 +185,62 @@ def fresh_cache(monkeypatch):
     return cache
 
 
+def _raw_builds(monkeypatch):
+    """Record the kind of every exact raw-basis build."""
+    from tetcomplex import elements
+
+    builds = []
+    build = elements.build_raw_basis
+    monkeypatch.setattr(
+        elements,
+        "build_raw_basis",
+        lambda *args, **kwargs: builds.append(args[0]) or build(*args, **kwargs),
+    )
+    return builds
+
+
+def _direct_element(monkeypatch, kind, r, k, cell):
+    """The element built from scratch on ``cell``, outside the shared cache."""
+    from tetcomplex import elements
+
+    cache = elements._element_cache
+    monkeypatch.setattr(elements, "_element_cache", elements.ElementCache())
+    try:
+        return local_element(kind, r, k, cell)
+    finally:
+        monkeypatch.setattr(elements, "_element_cache", cache)
+
+
+def _nodal_at_quadrature(fields, nodal, degree=4):
+    """Nodal functions at the split-rule points, one block of points per subtet."""
+    from tetcomplex.quadrature import alfeld_composite
+
+    blocks = np.split(alfeld_composite(degree)[0], 4)
+    raw = np.stack([
+        np.concatenate([p.eval_many(b) for p, b in zip(f.to_float().pieces, blocks)])
+        for f in fields
+    ])
+    return np.tensordot(nodal.T, raw, axes=1)
+
+
+def _assert_same_element(derived, direct):
+    """Exact span and curls of the raw basis; nodal functions to 1e-12 relative."""
+    cell = derived.cell
+    emb = Embedding(max(f.degree for f in derived.basis + direct.basis), vector=derived.basis[0].is_vector)
+    ours = [emb.coords(f) for f in derived.basis]
+    theirs = [emb.coords(f) for f in direct.basis]
+    assert exact_rank(ours) == exact_rank(theirs) == exact_rank(ours + theirs) == direct.dimension
+    if direct.curls is not None:
+        assert derived.curls == [phys_curl(cell, b) for b in derived.basis]
+    pairs = [(derived.basis, direct.basis)]
+    if direct.curls is not None:
+        pairs.append((derived.curls, direct.curls))
+    for ours_f, theirs_f in pairs:
+        got = _nodal_at_quadrature(ours_f, derived.nodal)
+        want = _nodal_at_quadrature(theirs_f, direct.nodal)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
 class TestHomothety:
     """Finer Kuhn levels derive their elements from the first level's build."""
 
@@ -201,10 +257,9 @@ class TestHomothety:
         ],
     )
     def test_derived_equals_direct_build(self, kind, r, k, monkeypatch, fresh_cache):
-        from tetcomplex import elements
-
         # one class per level (the first at N=2, the last at N=3) keeps the
-        # cost of the direct builds down
+        # cost of the direct builds down; the first N=1 class is built, and
+        # every other cell derives from it, by homothety alone at N=2
         picks = {2: 0, 3: -1}
         coarse = _class_representatives(1)
         for i in picks.values():
@@ -212,27 +267,21 @@ class TestHomothety:
         for n, i in picks.items():
             cell = _class_representatives(n)[i]
             derived = local_element(kind, r, k, cell)
-            monkeypatch.setattr(elements, "_element_cache", elements.ElementCache())
-            direct = local_element(kind, r, k, cell)
-            monkeypatch.setattr(elements, "_element_cache", fresh_cache)
-            assert derived.basis == direct.basis
-            assert derived.curls == direct.curls
-            scale = np.abs(direct.nodal).max()
-            assert np.abs(derived.nodal - direct.nodal).max() <= 1e-12 * scale
-        assert (fresh_cache.built, fresh_cache.derived) == (2, 2)
+            direct = _direct_element(monkeypatch, kind, r, k, cell)
+            if n == 2:
+                assert derived.basis == direct.basis
+                assert derived.curls == direct.curls
+                scale = np.abs(direct.nodal).max()
+                assert np.abs(derived.nodal - direct.nodal).max() <= 1e-12 * scale
+            _assert_same_element(derived, direct)
+        assert (fresh_cache.built, fresh_cache.derived) == (1, 3)
 
     def test_scaled_cell_reuses_first_build(self, monkeypatch, fresh_cache):
         from fractions import Fraction
 
         from tetcomplex import elements
 
-        raw_builds = []
-        build = elements.build_raw_basis
-        monkeypatch.setattr(
-            elements,
-            "build_raw_basis",
-            lambda *args, **kwargs: raw_builds.append(args[0]) or build(*args, **kwargs),
-        )
+        raw_builds = _raw_builds(monkeypatch)
         verts = [
             (Fraction(0), Fraction(0), Fraction(0)),
             (Fraction(1), Fraction(0), Fraction(0)),
@@ -245,23 +294,75 @@ class TestHomothety:
         )
         assert len(raw_builds) == 1
         assert (fresh_cache.built, fresh_cache.derived) == (1, 1)
-        _, powers = build(first.kind, doubled.cell, 1, 1)
+        _, powers = elements.gradcurl_raw(doubled.cell, 1, 1)
         assert doubled.basis == [b * Fraction(2) ** a for b, a in zip(first.basis, powers)]
 
+        # a reflection is a similarity, a shear is not
         reflected = [(-x, y, z) for x, y, z in verts]
         sheared = [(x + y, y, z) for x, y, z in verts]
         for other in (reflected, sheared):
             local_element("gradcurl", 1, 1, CellGeometry.standalone(other))
-        assert len(raw_builds) == 3
-        assert (fresh_cache.built, fresh_cache.derived, fresh_cache.hits) == (3, 1, 0)
+        assert len(raw_builds) == 2
+        assert (fresh_cache.built, fresh_cache.derived, fresh_cache.hits) == (2, 2, 0)
         local_element("gradcurl", 1, 1, CellGeometry.standalone(sheared))
         assert fresh_cache.hits == 1 and len(fresh_cache) == 4
 
     def test_build_and_derivation_are_logged(self, caplog, fresh_cache):
-        cells = [_class_representatives(n)[0] for n in (1, 2)]
+        cells = [_class_representatives(n)[0] for n in (1, 2)] + [_class_representatives(2)[1]]
         with caplog.at_level("DEBUG", logger="tetcomplex.elements"):
             for cell in cells:
                 local_element("velocity", 1, 1, cell)
         messages = [rec.getMessage() for rec in caplog.records if rec.name == "tetcomplex.elements"]
-        assert len(messages) == 2
-        assert messages[0].startswith("built ") and messages[1].startswith("derived ")
+        assert len(messages) == 3
+        assert messages[0].startswith("built velocity(1,1) element in ")
+        assert messages[1].startswith(
+            "derived velocity(1,1) element (t=1/2, Q=(x,y,z), vertices (0,1,2,3)) in "
+        )
+        assert messages[2].startswith(
+            "derived velocity(1,1) element (t=1/2, Q=(x,z,y), vertices (0,1,3,2)) in "
+        )
+
+
+class TestSimilarity:
+    """The six Kuhn classes are one orbit of ``B -> t Q B S``: one exact build."""
+
+    @pytest.mark.parametrize(
+        "kind,r,k",
+        [
+            ("gradcurl", 1, 1),
+            ("gradcurl", 2, 1),
+            ("gradcurl", 2, 2),
+            ("velocity", 1, 1),
+            ("velocity", 2, 2),
+        ],
+    )
+    def test_every_class_derives_the_direct_element(self, kind, r, k, monkeypatch, fresh_cache):
+        cells = _class_representatives(2)
+        derived = [local_element(kind, r, k, cell) for cell in cells]
+        assert (fresh_cache.built, fresh_cache.derived) == (1, 5)
+        for el in derived[1:]:
+            _assert_same_element(el, _direct_element(monkeypatch, kind, r, k, el.cell))
+
+    def test_kuhn_spaces_build_once_per_family(self, monkeypatch, fresh_cache):
+        from tetcomplex.assembly import GlobalSpace
+        from tetcomplex.mesh import build_structured_cube
+
+        raw_builds = _raw_builds(monkeypatch)
+        for n in (2, 3):
+            mesh = build_structured_cube(n)
+            for kind in SPACE_KINDS:
+                GlobalSpace(mesh, kind, 1, 1)
+        assert sorted(raw_builds) == sorted(SPACE_KINDS)
+        assert (fresh_cache.built, fresh_cache.derived) == (4, 44)
+
+    def test_jittered_classes_are_built(self, monkeypatch, fresh_cache, numbering_meshes):
+        # moving the centre vertex off the lattice leaves no similar pair
+        # among the 24 cells around it; the 24 others are the Kuhn orbit
+        from tetcomplex.assembly import GlobalSpace
+
+        mesh = numbering_meshes["jittered"]
+        raw_builds = _raw_builds(monkeypatch)
+        GlobalSpace(mesh, "lagrange", 1, 1)
+        moved = [cells for cells in mesh.classes if (mesh.cell_vertices[cells[0]] == 13).any()]
+        assert len(mesh.classes) == 30 and len(moved) == 24
+        assert len(raw_builds) == fresh_cache.built == 25 and fresh_cache.derived == 5

@@ -13,7 +13,6 @@ from tetcomplex.polyalg import (
     Polynomial,
     REF_CENTER,
     VectorField,
-    as_piecewise,
     curl,
     differential,
     div,

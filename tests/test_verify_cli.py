@@ -5,9 +5,6 @@ import os
 import subprocess
 import sys
 
-import numpy as np
-import pytest
-
 from tetcomplex import cli
 from tetcomplex.cli import main
 from tetcomplex.verify import (
