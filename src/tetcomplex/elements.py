@@ -207,7 +207,7 @@ class CellGeometry:
         The vertex order is left out: it flips face directions only.
         """
         shape = self.shape()
-        return min(similar_matrix(shape, s) for s in SIMILARITIES)
+        return min(_similar(shape, s) for s in _SIMILARITIES)
 
 
 # Similarities B -> Q B S of cell matrices, as (perm, signs, cols):
@@ -215,7 +215,7 @@ class CellGeometry:
 # and S a permutation of reference vertices 1-3, (B S)[:, j] = B[:, cols[j]].
 # Vertex 0 stays fixed: it is the Poincare base point of the polynomial
 # generators.  The identity comes first.
-SIMILARITIES = tuple(
+_SIMILARITIES = tuple(
     (perm, signs, cols)
     for perm in permutations(range(3))
     for signs in product((1, -1), repeat=3)
@@ -223,7 +223,7 @@ SIMILARITIES = tuple(
 )
 
 
-def similar_matrix(matrix, similarity):
+def _similar(matrix, similarity):
     """``Q matrix S`` for a similarity ``(perm, signs, cols)``."""
     perm, signs, cols = similarity
     return tuple(
@@ -1059,7 +1059,7 @@ def local_element(kind, r, k, cell=None):
         el0, powers = first
         curls = None
         shape0, shape = el0.cell.shape(), cell.shape()
-        similarity = next(s for s in SIMILARITIES if similar_matrix(shape0, s) == shape)
+        similarity = next(s for s in _SIMILARITIES if _similar(shape0, s) == shape)
         t = cell.scale / el0.cell.scale
         basis = derive_fields(el0.basis, powers, t, similarity)
         if el0.curls is not None:

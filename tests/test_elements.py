@@ -225,15 +225,14 @@ def _nodal_at_quadrature(fields, nodal, degree=4):
 
 def _assert_same_element(derived, direct):
     """Exact span and curls of the raw basis; nodal functions to 1e-12 relative."""
-    cell = derived.cell
-    emb = Embedding(max(f.degree for f in derived.basis + direct.basis), vector=derived.basis[0].is_vector)
+    fields = derived.basis + direct.basis
+    emb = Embedding(max(f.degree for f in fields), vector=fields[0].is_vector)
     ours = [emb.coords(f) for f in derived.basis]
     theirs = [emb.coords(f) for f in direct.basis]
     assert exact_rank(ours) == exact_rank(theirs) == exact_rank(ours + theirs) == direct.dimension
-    if direct.curls is not None:
-        assert derived.curls == [phys_curl(cell, b) for b in derived.basis]
     pairs = [(derived.basis, direct.basis)]
     if direct.curls is not None:
+        assert derived.curls == [phys_curl(derived.cell, b) for b in derived.basis]
         pairs.append((derived.curls, direct.curls))
     for ours_f, theirs_f in pairs:
         got = _nodal_at_quadrature(ours_f, derived.nodal)
