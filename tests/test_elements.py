@@ -342,17 +342,25 @@ class TestSimilarity:
         for el in derived[1:]:
             _assert_same_element(el, _direct_element(monkeypatch, kind, r, k, el.cell))
 
-    def test_kuhn_spaces_build_once_per_family(self, monkeypatch, fresh_cache):
+    def test_kuhn_spaces_build_once_per_family(self, monkeypatch, fresh_cache, caplog):
         from tetcomplex.assembly import GlobalSpace
         from tetcomplex.mesh import build_structured_cube
 
         raw_builds = _raw_builds(monkeypatch)
-        for n in (2, 3):
-            mesh = build_structured_cube(n)
-            for kind in SPACE_KINDS:
-                GlobalSpace(mesh, kind, 1, 1)
+        with caplog.at_level("DEBUG", logger="tetcomplex.assembly"):
+            for n in (2, 3):
+                mesh = build_structured_cube(n)
+                for kind in SPACE_KINDS:
+                    GlobalSpace(mesh, kind, 1, 1)
         assert sorted(raw_builds) == sorted(SPACE_KINDS)
         assert (fresh_cache.built, fresh_cache.derived) == (4, 44)
+        counts = [
+            rec.getMessage().split("dofs, ")[1].rsplit(",", 1)[0]
+            for rec in caplog.records if rec.name == "tetcomplex.assembly"
+        ]
+        assert counts == ["elements 1 built, 5 derived, 0 hits"] * 4 + [
+            "elements 0 built, 6 derived, 0 hits"
+        ] * 4
 
     def test_jittered_classes_are_built(self, monkeypatch, fresh_cache, numbering_meshes):
         # moving the centre vertex off the lattice leaves no similar pair
