@@ -276,26 +276,6 @@ def _vandermonde(quad_degree, basis_degree):
     return {tuple(e): i for i, e in enumerate(exps.tolist())}, values, partials
 
 
-def _coefficients(fields, columns):
-    """Float coefficients (fields, subtets, components, monomials) of piecewise fields."""
-    comps = 3 if fields[0].is_vector else 1
-    at, values = [], []
-    for j, pw in enumerate(fields):
-        for p, piece in enumerate(pw.pieces):
-            for c, poly in enumerate(piece.comps if comps == 3 else (piece,)):
-                base = ((j * 4 + p) * comps + c) * len(columns)
-                for key, v in poly.coeffs.items():
-                    at.append(base + columns[key])
-                    values.append(v)
-    try:  # the correctly rounded quotient, as float(Fraction), without its generic dispatch
-        values = [v.numerator / v.denominator for v in values]
-    except AttributeError:  # a float coefficient
-        values = [float(v) for v in values]
-    out = np.zeros((len(fields), 4, comps, len(columns)))
-    out.flat[at] = values
-    return out
-
-
 class ClassTables:
     """Float tables of one congruence class at split-rule points.
 
@@ -322,7 +302,7 @@ class ClassTables:
 
         def table(fields, basis):
             """(nodal basis, points, *components, *partials) of piecewise fields on ``basis``."""
-            coef = _coefficients(fields, columns)
+            coef = _elements._coefficients(fields, columns)
             nf, _, comps, nm = coef.shape
             coef = (el.nodal.T @ coef.reshape(nf, -1)).reshape(nf, 4, comps, nm)
             out = coef.transpose(1, 0, 2, 3).reshape(4, -1, nm) @ basis.reshape(4, nm, -1)

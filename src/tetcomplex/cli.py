@@ -261,11 +261,8 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except Exception as exc:  # solver and verification failures
-        from .problems import ConfigError, SolverFailure
+        from .problems import SolverFailure
 
-        if isinstance(exc, ConfigError):
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
         if isinstance(exc, SolverFailure):
             print(f"solver failure: {exc}", file=sys.stderr)
             return EXIT_SOLVER

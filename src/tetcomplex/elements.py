@@ -53,20 +53,17 @@ from .polyalg.split import (
     REF_VERTICES,
     PiecewiseField,
     as_piecewise,
-    face_param,
     piecewise_poincare2,
-    segment_param,
 )
+from .quadrature import QuadratureRule, alfeld_composite
 
 SPACE_KINDS = ("lagrange", "gradcurl", "velocity", "pressure")
 
 _log = logging.getLogger("tetcomplex.elements")
 
-# subtet containing a given parent edge / vertex (any valid choice works for
-# the continuous fields DOFs are applied to)
-_SUBTET_FOR_EDGE = {
-    pair: min(set(range(4)) - set(pair)) for pair in REF_EDGE_VERTICES
-}
+# subtet containing each local edge (any valid choice works for the
+# continuous fields DOFs are applied to)
+_SUBTET_FOR_EDGE = tuple(min(set(range(4)) - set(pair)) for pair in REF_EDGE_VERTICES)
 
 
 def validate_family(r, k):
@@ -81,7 +78,7 @@ def validate_family(r, k):
 
 
 def _face_frame(mesh, vertices):
-    """Float frame plus exact direction and centroid of the face on ascending ``vertices``.
+    """Float frame plus exact direction of the face on ascending ``vertices``.
 
     The direction (v1 - v0) x (v2 - v0) is the rational area-weighted
     normal; it depends on global ids only, so both incident cells share it.
@@ -101,7 +98,6 @@ def _face_frame(mesh, vertices):
         "area": area,
         "centroid": (p0 + p1 + p2) / 3.0,
         "direction": tuple(Fraction(int(c), den * den) for c in np.cross(q1 - q0, q2 - q0)),
-        "centroid_exact": tuple(Fraction(int(c), 3 * den) for c in q0 + q1 + q2),
     }
 
 
@@ -121,16 +117,9 @@ class CellGeometry:
             shift=mesh.vertex_exact(self.ref_to_global[0]),
         )
 
-        self.vertices = []
-        for r in range(4):
-            g = self.ref_to_global[r]
-            self.vertices.append(
-                {
-                    "global": g,
-                    "ref": REF_VERTICES[r],
-                    "point": mesh.vertices_f[g].copy(),
-                }
-            )
+        self.vertices = [
+            {"global": g, "point": mesh.vertices_f[g].copy()} for g in self.ref_to_global
+        ]
 
         self.edges = []
         for (a, b), eidx in zip(REF_EDGE_VERTICES, mesh.cell_edges[cell_id].tolist()):
@@ -139,14 +128,11 @@ class CellGeometry:
             # the exact difference, rounded once
             d = (mesh.lattice[key[1]] - mesh.lattice[key[0]]) / mesh.denominator
             length = float(np.linalg.norm(d))
-            lo_ref = REF_VERTICES[a] if ga < gb else REF_VERTICES[b]
-            hi_ref = REF_VERTICES[b] if ga < gb else REF_VERTICES[a]
             self.edges.append(
                 {
                     "global": eidx,
                     "locals": (a, b),
-                    "ref_lo": lo_ref,
-                    "ref_hi": hi_ref,
+                    "ref_lo": REF_VERTICES[a] if ga < gb else REF_VERTICES[b],
                     "phys_lo": mesh.vertices_f[key[0]].copy(),
                     "phys_hi": mesh.vertices_f[key[1]].copy(),
                     "tangent": d / length,
@@ -168,7 +154,6 @@ class CellGeometry:
                     "global": fidx,
                     "ref_anchors": tuple(ref_anchors),
                     "phys_anchors": tuple(phys_anchors),
-                    "phys_anchors_exact": tuple(mesh.vertex_exact(g) for g in globals_sorted),
                     **_face_frame(mesh, globals_sorted),
                 }
             )
@@ -374,83 +359,30 @@ def gradcurl_raw(cell: CellGeometry, r, k):
 
 @dataclass
 class DofFunctional:
-    """Bounded linear functional on the local shape space.
+    """Bounded linear functional on the local shape space, as a quadrature stencil.
 
-    ``needs`` selects whether the functional acts on the field itself or on
-    its physical curl; ``apply_field`` acts on cached restrictions of exact
-    fields, ``apply_sample`` on analytic field samples via quadrature.
-
-    On samples the functional is a quadrature stencil: ``stencil(quad)``
-    gives ``(use, points, weights)`` with the value of the functional
-    ``sum(weights * sample.<use>(points))``, ``use`` being ``"value"`` or
-    ``"curl"``.  The weights do not change under a translation of the
-    cell, which moves the points only.
+    ``stencil(quad)`` gives ``(use, points, weights)``: the value of the
+    functional on a field is ``sum(weights * field.<use>(points))``, ``use``
+    being ``"value"`` or ``"curl"``.  This one stencil defines both the DOF
+    matrix (:func:`dof_matrix`) and the interpolant of a field sample.
+    Entity stencils read the segment and triangle rules of ``quad``; cell
+    stencils read the split rule ``alfeld_composite(quad.degree)``, so that
+    they integrate split-piecewise fields exactly.  The weights do not
+    change under a translation of the cell, which moves the points only.
     """
 
     entity: tuple
     slot: int
-    needs: str
     label: str
-    _field_apply: callable = dc_field(repr=False, default=None)
-    _stencil: callable = dc_field(repr=False, default=None)
-
-    def apply_field(self, cache):
-        return self._field_apply(cache)
-
-    def stencil(self, quad):
-        return self._stencil(quad)
+    stencil: callable = dc_field(repr=False)
 
     def apply_sample(self, sample, quad):
-        use, pts, wts = self._stencil(quad)
+        use, pts, wts = self.stencil(quad)
         return float(np.sum(getattr(sample, use)(pts) * wts))
-
-
-class FieldCache:
-    """Lazy per-entity restrictions of one reference-expressed field."""
-
-    def __init__(self, pw: PiecewiseField, cell: CellGeometry):
-        self.pw = pw
-        self.cell = cell
-        self._edges = {}
-        self._faces = {}
-
-    def at_vertex(self, v):
-        piece = self.pw.pieces[(v + 1) % 4]
-        return piece(REF_VERTICES[v])
-
-    def edge(self, e):
-        if e not in self._edges:
-            info = self.cell.edges[e]
-            piece = self.pw.pieces[_SUBTET_FOR_EDGE[info["locals"]]]
-            mtx, sh = segment_param(info["ref_lo"], info["ref_hi"])
-            self._edges[e] = piece.compose_affine(mtx, sh)
-        return self._edges[e]
-
-    def face(self, f):
-        if f not in self._faces:
-            info = self.cell.faces[f]
-            piece = self.pw.pieces[f]
-            mtx, sh = face_param(info["ref_anchors"])
-            self._faces[f] = piece.compose_affine(mtx, sh)
-        return self._faces[f]
-
-
-def _int2(p):
-    return float(integrate_unit_simplex(p))
 
 
 def _exps2(degree):
     return monomial_exponents(degree, 2) if degree >= 0 else []
-
-
-def _mono2(e):
-    return Polynomial.monomial(e)
-
-
-def _interior_moment(pw, weight_vec, det):
-    """det * exact integral over the split of pw . weight_vec."""
-    prod = pw.map(lambda p: p.dot(weight_vec), continuity="L2")
-    return float(prod.integrate()) * float(det)
 
 
 def _phys_edge_points(info, spts):
@@ -469,41 +401,30 @@ def lagrange_dofs(cell: CellGeometry, r):
         pt = cell.vertices[v]["point"]
         dofs.append(
             DofFunctional(
-                ("vertex", v), 0, "value", f"value@v{v}",
-                _field_apply=lambda c, v=v: float(c.at_vertex(v)),
-                _stencil=lambda q, pt=pt: ("value", pt[None, :], _ONE),
+                ("vertex", v), 0, f"value@v{v}", lambda q, pt=pt: ("value", pt[None, :], _ONE)
             )
         )
     for e, info in enumerate(cell.edges):
         for m in range(r - 1):
-            w = Polynomial.monomial((m,))
             dofs.append(
                 DofFunctional(
-                    ("edge", e), m, "value", f"edge{e}-moment{m}",
-                    _field_apply=lambda c, e=e, w=w, L=info["length"]: L * _int2(c.edge(e) * w),
-                    _stencil=lambda q, info=info, m=m: _edge_scalar_stencil(q, info, m),
+                    ("edge", e), m, f"edge{e}-moment{m}",
+                    lambda q, info=info, m=m: _edge_scalar_stencil(q, info, m),
                 )
             )
     for f, info in enumerate(cell.faces):
         for slot, exp in enumerate(_exps2(r - 3)):
-            w = _mono2(exp)
             dofs.append(
                 DofFunctional(
-                    ("face", f), slot, "value", f"face{f}-moment{exp}",
-                    _field_apply=lambda c, f=f, w=w, A=info["area"]: 2 * A * _int2(c.face(f) * w),
-                    _stencil=lambda q, info=info, exp=exp: _face_scalar_stencil(q, info, exp),
+                    ("face", f), slot, f"face{f}-moment{exp}",
+                    lambda q, info=info, exp=exp: _face_scalar_stencil(q, info, exp),
                 )
             )
-    det = cell.amap.det
     for slot, exp in enumerate(monomial_exponents(r - 4, 3) if r >= 4 else []):
-        w = Polynomial.monomial(exp)
         dofs.append(
             DofFunctional(
-                ("cell", 0), slot, "value", f"cell-moment{exp}",
-                _field_apply=lambda c, w=w, det=det: float(
-                    c.pw.map(lambda p: p * w, continuity="L2").integrate()
-                ) * float(det),
-                _stencil=lambda q, exp=exp, cell=cell: _cell_scalar_stencil(q, cell, exp),
+                ("cell", 0), slot, f"cell-moment{exp}",
+                lambda q, exp=exp: _cell_scalar_stencil(q, cell, exp),
             )
         )
     return dofs
@@ -525,7 +446,7 @@ def _face_scalar_stencil(quad, info, exp):
 
 
 def _cell_scalar_stencil(quad, cell, exp, scale=1.0):
-    rpts, w = quad.tet
+    rpts, w = alfeld_composite(quad.degree)
     mono = rpts[:, 0] ** exp[0] * rpts[:, 1] ** exp[1] * rpts[:, 2] ** exp[2]
     return "value", cell.amap.apply(rpts), scale * cell.amap.det_f * w * mono
 
@@ -533,22 +454,14 @@ def _cell_scalar_stencil(quad, cell, exp, scale=1.0):
 def pressure_dofs(cell: CellGeometry, k):
     # mean-value moments (1/|K|) \int p q dV: the order-zero nodal basis is
     # then the cell indicator and mass row sums are cell volumes
-    dofs = []
-    vol = cell.amap.det * Fraction(1, 6)
-    inv_vol = 1.0 / float(vol)
-    for slot, exp in enumerate(monomial_exponents(k - 1, 3)):
-        w = Polynomial.monomial(exp)
-        dofs.append(
-            DofFunctional(
-                ("cell", 0), slot, "value", f"cell-mean-moment{exp}",
-                _field_apply=lambda c, w=w: 6.0
-                * float(c.pw.map(lambda p: p * w, continuity="L2").integrate()),
-                _stencil=lambda q, exp=exp, cell=cell, iv=inv_vol: _cell_scalar_stencil(
-                    q, cell, exp, iv
-                ),
-            )
+    inv_vol = 1.0 / float(cell.amap.det * Fraction(1, 6))
+    return [
+        DofFunctional(
+            ("cell", 0), slot, f"cell-mean-moment{exp}",
+            lambda q, exp=exp: _cell_scalar_stencil(q, cell, exp, inv_vol),
         )
-    return dofs
+        for slot, exp in enumerate(monomial_exponents(k - 1, 3))
+    ]
 
 
 def velocity_dofs(cell: CellGeometry, k):
@@ -558,86 +471,63 @@ def velocity_dofs(cell: CellGeometry, k):
         for c in range(3):
             dofs.append(
                 DofFunctional(
-                    ("vertex", v), c, "value", f"value@v{v}[{c}]",
-                    _field_apply=lambda fc, v=v, c=c: float(fc.at_vertex(v)[c]),
-                    _stencil=lambda q, pt=pt, c=c: ("value", pt[None, :], _UNIT[c][None, :]),
+                    ("vertex", v), c, f"value@v{v}[{c}]",
+                    lambda q, pt=pt, c=c: ("value", pt[None, :], _UNIT[c][None, :]),
                 )
             )
     for e, info in enumerate(cell.edges):
         slot = 0
         for m in range(max(k - 1, 0)):
-            w = Polynomial.monomial((m,))
             for c in range(3):
                 dofs.append(
                     DofFunctional(
-                        ("edge", e), slot, "value", f"edge{e}-mom{m}[{c}]",
-                        _field_apply=lambda fc, e=e, w=w, c=c, L=info["length"]: L
-                        * _int2(fc.edge(e).comps[c] * w),
-                        _stencil=lambda q, info=info, m=m, c=c: _edge_component_stencil(
-                            q, info, m, c
-                        ),
+                        ("edge", e), slot, f"edge{e}-mom{m}[{c}]",
+                        lambda q, info=info, m=m, c=c: _edge_component_stencil(q, info, m, c),
                     )
                 )
                 slot += 1
     for f, info in enumerate(cell.faces):
         slot = 0
         for exp in _exps2(k - 3):
-            w = _mono2(exp)
             for c in range(3):
                 dofs.append(
                     DofFunctional(
-                        ("face", f), slot, "value", f"face{f}-mom{exp}[{c}]",
-                        _field_apply=lambda fc, f=f, w=w, c=c, A=info["area"]: 2
-                        * A
-                        * _int2(fc.face(f).comps[c] * w),
-                        _stencil=lambda q, info=info, exp=exp, c=c: _face_component_stencil(
+                        ("face", f), slot, f"face{f}-mom{exp}[{c}]",
+                        lambda q, info=info, exp=exp, c=c: _face_component_stencil(
                             q, info, exp, c
                         ),
                     )
                 )
                 slot += 1
         if k <= 2:
-            d = info["direction"]
             dofs.append(
                 DofFunctional(
-                    ("face", f), slot, "value", f"face{f}-normal-flux",
-                    _field_apply=lambda fc, f=f, d=d: float(
-                        sum(integrate_unit_simplex(fc.face(f).comps[c]) * d[c] for c in range(3))
-                    ),
-                    _stencil=lambda q, info=info: _face_normal_stencil(q, info),
+                    ("face", f), slot, f"face{f}-normal-flux",
+                    lambda q, info=info: _face_normal_stencil(q, info),
                 )
             )
             slot += 1
-    det = cell.amap.det
     slot = 0
-    cell_dofs = []
     for exp in (monomial_exponents(k - 4, 3) if k >= 4 else []):
         for c in range(3):
-            w = VectorField(
-                tuple(Polynomial.monomial(exp) if cc == c else Polynomial.zero() for cc in range(3))
-            )
-            cell_dofs.append(
+            dofs.append(
                 DofFunctional(
-                    ("cell", 0), slot, "value", f"cell-mom{exp}[{c}]",
-                    _field_apply=lambda fc, w=w, det=det: _interior_moment(fc.pw, w, det),
-                    _stencil=lambda q, exp=exp, c=c, cell=cell: _cell_component_stencil(
-                        q, cell, exp, c
-                    ),
+                    ("cell", 0), slot, f"cell-mom{exp}[{c}]",
+                    lambda q, exp=exp, c=c: _cell_component_stencil(q, cell, exp, c),
                 )
             )
             slot += 1
     if k >= 2:
         for v_hat in layered_mean_zero_basis(k - 1):
             w = grad(v_hat).matmul(cell.b_invT)
-            cell_dofs.append(
+            dofs.append(
                 DofFunctional(
-                    ("cell", 0), slot, "value", f"cell-layered-grad{slot}",
-                    _field_apply=lambda fc, w=w, det=det: _interior_moment(fc.pw, w, det),
-                    _stencil=lambda q, w=w, cell=cell: _cell_weighted_stencil(q, cell, w),
+                    ("cell", 0), slot, f"cell-layered-grad{slot}",
+                    lambda q, w=w: _cell_weighted_stencil(q, cell, w),
                 )
             )
             slot += 1
-    return dofs + cell_dofs
+    return dofs
 
 
 def _edge_component_stencil(quad, info, m, c):
@@ -661,7 +551,7 @@ def _cell_component_stencil(quad, cell, exp, c):
 
 
 def _cell_weighted_stencil(quad, cell, weight_vec, use="value", scale=1.0):
-    rpts, w = quad.tet
+    rpts, w = alfeld_composite(quad.degree)
     wv = weight_vec.to_float().eval_many(rpts)
     return use, cell.amap.apply(rpts), (scale * cell.amap.det_f * w)[:, None] * wv
 
@@ -686,123 +576,84 @@ def gradcurl_dofs(cell: CellGeometry, r, k):
         for c in range(3):
             dofs.append(
                 DofFunctional(
-                    ("vertex", v), c, "curl", f"curl@v{v}[{c}]",
-                    _field_apply=lambda fc, v=v, c=c: float(fc.at_vertex(v)[c]),
-                    _stencil=lambda q, pt=pt, c=c: ("curl", pt[None, :], _UNIT[c][None, :]),
+                    ("vertex", v), c, f"curl@v{v}[{c}]",
+                    lambda q, pt=pt, c=c: ("curl", pt[None, :], _UNIT[c][None, :]),
                 )
             )
     for e, info in enumerate(cell.edges):
         slot = 0
-        tau = info["tangent"]
         for m in range(r):
-            w = Polynomial.monomial((m,))
             dofs.append(
                 DofFunctional(
-                    ("edge", e), slot, "value", f"edge{e}-tang{m}",
-                    _field_apply=lambda fc, e=e, w=w, tau=tau, L=info["length"]: L
-                    * sum(tau[c] * _int2(fc.edge(e).comps[c] * w) for c in range(3)),
-                    _stencil=lambda q, info=info, m=m: _edge_tangential_stencil(q, info, m),
+                    ("edge", e), slot, f"edge{e}-tang{m}",
+                    lambda q, info=info, m=m: _edge_tangential_stencil(q, info, m),
                 )
             )
             slot += 1
         for m in range(max(k - 1, 0)):
-            w = Polynomial.monomial((m,))
             for c in range(3):
                 dofs.append(
                     DofFunctional(
-                        ("edge", e), slot, "curl", f"edge{e}-curlmom{m}[{c}]",
-                        _field_apply=lambda fc, e=e, w=w, c=c: _int2(fc.edge(e).comps[c] * w),
-                        _stencil=lambda q, info=info, m=m, c=c: _edge_curl_stencil(
-                            q, info, m, c
-                        ),
+                        ("edge", e), slot, f"edge{e}-curlmom{m}[{c}]",
+                        lambda q, info=info, m=m, c=c: _edge_curl_stencil(q, info, m, c),
                     )
                 )
                 slot += 1
     for f, info in enumerate(cell.faces):
         slot = 0
-        d = info["direction"]
         exps = _exps2(k - 3)
         for exp in exps:
             if exp == (0, 0):
                 continue
-            mean = Fraction(
-                integrate_unit_simplex(_mono2(exp)) * 2
-            )  # mean over the parametric triangle (area 1/2)
-            w = _mono2(exp) - Polynomial.constant(mean, 2)
+            mono = Polynomial.monomial(exp)
+            # mean over the parametric triangle (area 1/2)
+            w = mono - Polynomial.constant(Fraction(integrate_unit_simplex(mono) * 2), 2)
             dofs.append(
                 DofFunctional(
-                    ("face", f), slot, "curl", f"face{f}-curl-n{exp}",
-                    _field_apply=lambda fc, f=f, w=w, d=d: float(
-                        sum(integrate_unit_simplex(fc.face(f).comps[c] * w) * d[c] for c in range(3))
-                    ),
-                    _stencil=lambda q, info=info, w=w: _face_curl_normal_stencil(q, info, w),
+                    ("face", f), slot, f"face{f}-curl-n{exp}",
+                    lambda q, info=info, w=w: _face_curl_normal_stencil(q, info, w),
                 )
             )
             slot += 1
         for tname in ("tau1", "tau2"):
-            t = info[tname]
             for exp in exps:
-                w = _mono2(exp)
                 dofs.append(
                     DofFunctional(
-                        ("face", f), slot, "curl", f"face{f}-curl-{tname}{exp}",
-                        _field_apply=lambda fc, f=f, w=w, t=t: 2
-                        * sum(t[c] * _int2(fc.face(f).comps[c] * w) for c in range(3)),
-                        _stencil=lambda q, info=info, w=w, t=t: _face_curl_tangent_stencil(
-                            q, info, w, t
+                        ("face", f), slot, f"face{f}-curl-{tname}{exp}",
+                        lambda q, info=info, exp=exp, t=info[tname]: _face_curl_tangent_stencil(
+                            q, info, exp, t
                         ),
                     )
                 )
                 slot += 1
         # tangential-position moments of the field itself
-        anchors = info["phys_anchors_exact"]
-        centroid = info["centroid_exact"]
-        tang = []
-        for c in range(3):
-            tang.append(
-                Polynomial(
-                    {
-                        (0, 0): anchors[0][c] - centroid[c],
-                        (1, 0): anchors[1][c] - anchors[0][c],
-                        (0, 1): anchors[2][c] - anchors[0][c],
-                    },
-                    2,
-                )
-            )
-        tang = VectorField(tang)
         for exp in _exps2(r - 3):
-            w = _mono2(exp)
             dofs.append(
                 DofFunctional(
-                    ("face", f), slot, "value", f"face{f}-tangpos{exp}",
-                    _field_apply=lambda fc, f=f, w=w, tang=tang: 2
-                    * _int2(fc.face(f).dot(tang) * w),
-                    _stencil=lambda q, info=info, exp=exp: _face_tangpos_stencil(q, info, exp),
+                    ("face", f), slot, f"face{f}-tangpos{exp}",
+                    lambda q, info=info, exp=exp: _face_tangpos_stencil(q, info, exp),
                 )
             )
             slot += 1
-    det = cell.amap.det
     slot = 0
     for q_hat in _cross_position_basis(k):
         w = q_hat.matmul(cell.b_invT)
         dofs.append(
             DofFunctional(
-                ("cell", 0), slot, "curl", f"cell-curlmom{slot}",
-                _field_apply=lambda fc, w=w, det=det: _interior_moment(fc.pw, w, det),
-                _stencil=lambda q, w=w, cell=cell: _cell_weighted_stencil(q, cell, w, use="curl"),
+                ("cell", 0), slot, f"cell-curlmom{slot}",
+                lambda q, w=w: _cell_weighted_stencil(q, cell, w, use="curl"),
             )
         )
         slot += 1
     if r >= 4:
         xf = VectorField(tuple(Polynomial.variable(i) for i in range(3)))
         for exp in monomial_exponents(r - 4, 3):
-            q_hat = xf * Polynomial.monomial(exp)
-            w = q_hat.matmul(cell.amap.matrix)  # (1/det) B q_hat times det from dV
+            # (1/det) B q_hat, times det from dV
+            w = (xf * Polynomial.monomial(exp)).matmul(cell.amap.matrix)
             dofs.append(
                 DofFunctional(
-                    ("cell", 0), slot, "value", f"cell-mom{exp}",
-                    _field_apply=lambda fc, w=w: _interior_moment(fc.pw, w, 1),
-                    _stencil=lambda q, w=w, cell=cell: _cell_weighted_stencil(
+                    ("cell", 0), slot, f"cell-mom{exp}",
+                    lambda q, w=w: _cell_weighted_stencil(
                         q, cell, w, scale=1.0 / cell.amap.det_f
                     ),
                 )
@@ -828,18 +679,17 @@ def _face_curl_normal_stencil(quad, info, w2):
     return "curl", _phys_face_points(info, fpts), wts
 
 
-def _face_curl_tangent_stencil(quad, info, w2, t):
+def _face_curl_tangent_stencil(quad, info, exp, t):
     fpts, w = quad.triangle
-    wv = w2.to_float().eval_many(fpts)
-    return "curl", _phys_face_points(info, fpts), (2 * w * wv)[:, None] * t
+    mono = fpts[:, 0] ** exp[0] * fpts[:, 1] ** exp[1]
+    return "curl", _phys_face_points(info, fpts), (2 * w * mono)[:, None] * t
 
 
 def _face_tangpos_stencil(quad, info, exp):
     fpts, w = quad.triangle
     pts = _phys_face_points(info, fpts)
-    centroid = np.mean(np.stack(info["phys_anchors"]), axis=0)
     mono = fpts[:, 0] ** exp[0] * fpts[:, 1] ** exp[1]
-    return "value", pts, (2 * w * mono)[:, None] * (pts - centroid[None, :])
+    return "value", pts, (2 * w * mono)[:, None] * (pts - info["centroid"][None, :])
 
 
 def build_dofs(kind, cell, r, k):
@@ -933,22 +783,96 @@ class LocalElement:
         return np.array([d.apply_sample(sample, quad) for d in self.dofs])
 
 
+def _coefficient_entries(fields, columns):
+    """Shape, flat positions and exact values of the coefficient tensor of piecewise fields.
+
+    The tensor is (fields, subtets, components, monomials); ``columns`` maps
+    each exponent tuple to its monomial's column.
+    """
+    comps = 3 if fields[0].is_vector else 1
+    at, values = [], []
+    for j, pw in enumerate(fields):
+        for p, piece in enumerate(pw.pieces):
+            for c, poly in enumerate(piece.comps if comps == 3 else (piece,)):
+                base = ((j * 4 + p) * comps + c) * len(columns)
+                for key, v in poly.coeffs.items():
+                    at.append(base + columns[key])
+                    values.append(v)
+    return (len(fields), 4, comps, len(columns)), at, values
+
+
+def _coefficients(fields, columns):
+    """Float coefficient tensor (fields, subtets, components, monomials) of piecewise fields."""
+    shape, at, values = _coefficient_entries(fields, columns)
+    try:  # the correctly rounded quotient, as float(Fraction), without its generic dispatch
+        values = [v.numerator / v.denominator for v in values]
+    except AttributeError:  # a float coefficient
+        values = [float(v) for v in values]
+    out = np.zeros(shape)
+    out.flat[at] = values
+    return out
+
+
+def _long_coefficients(fields, columns):
+    """The coefficient tensor in long double: each exact quotient rounded there."""
+    shape, at, values = _coefficient_entries(fields, columns)
+    ratios = np.array([v.as_integer_ratio() for v in values], dtype=np.longdouble).reshape(-1, 2)
+    out = np.zeros(shape, dtype=np.longdouble)
+    out.flat[at] = ratios[:, 0] / ratios[:, 1]
+    return out
+
+
+def _entity_piece(entity):
+    """A piece of the split that holds a vertex, edge or face of the cell."""
+    kind, i = entity
+    if kind == "vertex":
+        return (i + 1) % 4
+    if kind == "edge":
+        return _SUBTET_FOR_EDGE[i]
+    return i  # face i is a face of piece i only
+
+
 def dof_matrix(dofs, basis, cell, curls=None):
-    caches = [FieldCache(b, cell) for b in basis]
-    curl_caches = None
-    m = np.zeros((len(dofs), len(basis)))
-    for j in range(len(basis)):
-        for i, dof in enumerate(dofs):
-            if dof.needs == "curl":
-                if curl_caches is None:
-                    source = curls if curls is not None else [
-                        phys_curl(cell, b) for b in basis
-                    ]
-                    curl_caches = [FieldCache(cf, cell) for cf in source]
-                m[i, j] = dof.apply_field(curl_caches[j])
+    """Each functional's stencil applied to each raw field: entry ``(dof, field)``.
+
+    The fields' exact coefficients become one tensor, which meets the
+    monomials at the stencil's reference points on the split piece that
+    holds the functional's entity; a cell stencil's split rule has one
+    block of points per piece.  The rule is exact to degree 2 deg + 2 for
+    fields of degree deg, so every product of a field and a weight is
+    integrated exactly.  The sums run in long double: the monomial
+    coefficients of split fields are large against their values (by 10^3
+    for the lowest-order face bubbles), and in double their cancellation
+    took the assembled div o curl of (1,1) at N = 2 from 2e-14 to 1.6e-12.
+    ``curls`` are the physical curls of ``basis``, computed here when a
+    functional needs them and they are not given.
+    """
+    degree = max(max(b.degree for b in basis), 0)
+    quad = QuadratureRule(2 * degree + 2)
+    exps = monomial_exponents(degree, 3)
+    columns = {e: i for i, e in enumerate(exps)}
+    powers = np.array(exps).T  # (axes, monomials)
+    stencils = [d.stencil(quad) for d in dofs]
+    out = np.empty((len(dofs), len(basis)))
+    for use in ("value", "curl"):
+        rows = [i for i, st in enumerate(stencils) if st[0] == use]
+        if not rows:
+            continue
+        fields = basis if use == "value" else curls or [phys_curl(cell, b) for b in basis]
+        coef = _long_coefficients(fields, columns)  # (fields, pieces, components, monomials)
+        for i in rows:
+            _, pts, wts = stencils[i]
+            ref = ((pts - cell.amap.shift_f) @ cell.amap.inverse_f.T).astype(np.longdouble)
+            table = ref[:, :, None] ** np.arange(degree + 1)  # (points, axes, powers)
+            mono = table[:, 0, powers[0]] * table[:, 1, powers[1]] * table[:, 2, powers[2]]
+            wts = wts.reshape(len(pts), -1).astype(np.longdouble)  # (points, components)
+            if dofs[i].entity[0] == "cell":  # the split rule: one block of points per piece
+                blocks = (a.reshape(4, -1, a.shape[1]) for a in (wts, mono))
+                moment, piece = np.einsum("pqc,pqm->pcm", *blocks), slice(None)
             else:
-                m[i, j] = dof.apply_field(caches[j])
-    return m
+                moment, piece = wts.T @ mono, _entity_piece(dofs[i].entity)
+            out[i] = coef[:, piece].reshape(len(fields), -1) @ moment.ravel()
+    return out
 
 
 class ElementCache:
@@ -1206,8 +1130,6 @@ def poly_inclusion_check(r, k, rng=None, tol=1e-11):
     bary = rng.random((24, 4)) + 0.05
     bary /= bary.sum(axis=1, keepdims=True)
     pts = bary[:, 1:]
-    from .quadrature import QuadratureRule
-
     quad = QuadratureRule(2 * max(r, k + 1) + 4)
     worst = 0.0
     basis_vals = np.stack([_eval_pw_vector(b, pts) for b in el.basis])

@@ -385,10 +385,12 @@ class TestDiscreteComplex:
         with pytest.raises(ArithmeticError, match="inconsistent shared DOF"):
             discrete_d(*args, check_consistency=True)
 
-    @pytest.mark.parametrize("n", [1, 2])
-    def test_products_vanish(self, n):
+    @pytest.mark.parametrize(
+        "n,rk", [(1, (1, 1)), (2, (1, 1)), (2, (2, 2))], ids=["1", "2", "2-r2-k2"]
+    )
+    def test_products_vanish(self, n, rk):
         mesh = build_structured_cube(n)
-        spaces = {kind: GlobalSpace(mesh, kind, 1, 1) for kind in SPACE_KINDS}
+        spaces = {kind: GlobalSpace(mesh, kind, *rk) for kind in SPACE_KINDS}
         dg = discrete_d("grad", spaces["lagrange"], spaces["gradcurl"], check_consistency=True)
         dc = discrete_d("curl", spaces["gradcurl"], spaces["velocity"], check_consistency=True)
         dd = discrete_d("div", spaces["velocity"], spaces["pressure"], check_consistency=True)

@@ -6,6 +6,7 @@ import pytest
 from tetcomplex.elements import (
     CellGeometry,
     SPACE_KINDS,
+    dof_matrix,
     entity_dof_counts,
     element_info,
     local_element,
@@ -373,3 +374,30 @@ class TestSimilarity:
         moved = [cells for cells in mesh.classes if (mesh.cell_vertices[cells[0]] == 13).any()]
         assert len(mesh.classes) == 30 and len(moved) == 24
         assert len(raw_builds) == fresh_cache.built == 25 and fresh_cache.derived == 5
+
+
+def _dof_matrix_cases():
+    from tetcomplex.verify import DEFAULT_CONFIGS
+
+    cases = [(kind, r, k) for r, k in DEFAULT_CONFIGS for kind in SPACE_KINDS]
+    # cell functionals: velocity from k = 2, lagrange and gradcurl from r = 4
+    return cases + [("lagrange", 4, 2), ("gradcurl", 4, 2)]
+
+
+class TestDofMatrix:
+    """The DOF matrix applies each functional's quadrature stencil exactly."""
+
+    @pytest.mark.parametrize("kind,r,k", _dof_matrix_cases())
+    def test_higher_rule_changes_no_entry(self, kind, r, k, monkeypatch):
+        from tetcomplex import elements
+        from tetcomplex.quadrature import QuadratureRule
+
+        random_cell = CellGeometry.standalone(random_rational_cell(np.random.default_rng(5)))
+        for cell in (reference_cell(), random_cell):
+            el = local_element(kind, r, k, cell)
+            assert np.array_equal(dof_matrix(el.dofs, el.basis, cell, el.curls), el.dof_matrix)
+            with monkeypatch.context() as patch:
+                patch.setattr(elements, "QuadratureRule", lambda degree: QuadratureRule(degree + 6))
+                higher = dof_matrix(el.dofs, el.basis, cell, el.curls)
+            scale = np.abs(el.dof_matrix).max(axis=1, keepdims=True)
+            assert np.all(np.abs(higher - el.dof_matrix) <= 1e-13 * scale)

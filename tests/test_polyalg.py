@@ -488,8 +488,8 @@ class TestExactKernels:
     @given(polynomials(max_degree=4), points3, points3, points3)
     @settings(max_examples=40, deadline=None)
     def test_float_coefficients_take_the_same_expansion(self, p, p0, p1, p2):
-        # ``verify.check_dof_mapping`` restricts a float combination of the
-        # nodal basis to edges and faces; a float matrix is the other side
+        # float coefficients restrict to edges and faces like exact ones;
+        # a float matrix is the other side
         pf = p.to_float()
         for matrix, shift in (face_param((p0, p1, p2)), segment_param(p0, p1)):
             exprs = _affine_exprs(matrix, shift)
