@@ -22,7 +22,8 @@ Per class everything float is a dense product:
   to small triangular factors that the class tables keep for every later
   call (see ``FieldSample`` for ``modes``).
 
-Interpolation evaluates the sample at the moved DOF stencil points.
+Interpolation evaluates the sample at the class's DOF stencil points,
+which are reference points mapped by each cell's affine map.
 Every layer logs one ``tetcomplex.assembly`` DEBUG record with its
 classes, cells, path (vandermonde, tables, modal or pointwise), mode
 count and seconds; a space logs one record when it is built, with how
@@ -41,7 +42,10 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import elements as _elements
-from .elements import (
+
+# ``build_dofs`` is read by no code here; it stays importable from this module
+# because the benchmark's layer probes (perfbench/probes.py) wrap it by this name.
+from .elements import (  # noqa: F401
     CellGeometry,
     build_dofs,
     dof_matrix,
@@ -186,21 +190,22 @@ class GlobalSpace:
     def interpolate(self, sample, quad):
         """Global coefficient vector of the canonical interpolant.
 
-        The DOF stencils of a congruence class are those of its first cell
-        moved by each cell's translation, so one evaluation per class and
-        stencil use covers the stencil points of all of its cells.  The
-        sample's point evaluators run at the moved points even when it has
-        ``modes``: a stencil has few points, and the mode coefficients per
-        cell cost more than evaluating there.
+        A class's element holds its DOF stencils in reference coordinates,
+        the same for every cell of the class.  Per class and stencil use
+        their points are mapped once by the first cell's affine map, and
+        one evaluation at those points moved by each cell's translation
+        covers all of its cells.  The sample's point evaluators run at the
+        moved points even when it has ``modes``: a stencil has few points,
+        and the mode coefficients per cell cost more than evaluating there.
         """
         t0 = time.perf_counter()
         out = np.zeros(self.dim)
         for cells in self.classes:
-            first = self.cells_geom[cells[0]]
-            stencils = [d.stencil(quad) for d in build_dofs(self.kind, first, self.r, self.k)]
+            amap = self.cells_geom[cells[0]].amap
+            stencils = [d.stencil(quad) for d in self.elements[cells[0]].dofs]
             for use in sorted({use for use, _, _ in stencils}):
                 locs = [i for i, st in enumerate(stencils) if st[0] == use]
-                pts = np.concatenate([stencils[i][1] for i in locs])
+                pts = amap.apply(np.concatenate([stencils[i][1] for i in locs]))
                 for chunk, vals in _values(self, cells, getattr(sample, use), pts):
                     start = 0
                     for i in locs:
@@ -236,12 +241,6 @@ class SparseOperator:
             fh.write(f"{coo.shape[0]} {coo.shape[1]} {coo.nnz}\n")
             for i, j, v in zip(coo.row, coo.col, coo.data):
                 fh.write(f"{i} {j} {v:.17e}\n")
-
-
-def export_vector_text(vec, path):
-    with open(path, "w") as fh:
-        for v in np.asarray(vec).ravel():
-            fh.write(f"{v:.17e}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -300,25 +299,30 @@ class ClassTables:
         monomials = monomials.transpose(0, 2, 1)[..., None]
         gradients = np.tensordot(partials, geom.amap.inverse_f, axes=(0, 0)).transpose(0, 2, 1, 3)
 
-        def table(fields, basis):
-            """(nodal basis, points, *components, *partials) of piecewise fields on ``basis``."""
+        def nodal(fields):
+            """Coefficient tensor (nodal basis, subtets, components, monomials) of raw fields."""
             coef = _elements._coefficients(fields, columns)
             nf, _, comps, nm = coef.shape
-            coef = (el.nodal.T @ coef.reshape(nf, -1)).reshape(nf, 4, comps, nm)
+            return (el.nodal.T @ coef.reshape(nf, -1)).reshape(nf, 4, comps, nm)
+
+        def table(coef, basis):
+            """(nodal basis, points, *components, *partials) of coefficients on ``basis``."""
+            nf, _, comps, nm = coef.shape
             out = coef.transpose(1, 0, 2, 3).reshape(4, -1, nm) @ basis.reshape(4, nm, -1)
             nq, nd = basis.shape[2], basis.shape[3]
             out = out.reshape(4, nf, comps, nq, nd).transpose(1, 0, 3, 2, 4)
             shape = (nf, 4 * nq) + ((comps,) if comps == 3 else ()) + ((nd,) if nd == 3 else ())
             return np.ascontiguousarray(out).reshape(shape)
 
-        self.values = table(el.basis, monomials)
+        basis = nodal(el.basis)
+        self.values = table(basis, monomials)
         self.curl = self.grad_curl = self.grad = self.div = None
         if space.kind == "gradcurl":
-            curls = el.curls or [phys_curl(geom, b) for b in el.basis]
+            curls = nodal(el.curls or [phys_curl(geom, b) for b in el.basis])
             self.curl = table(curls, monomials)
             self.grad_curl = table(curls, gradients)
         elif space.kind in ("velocity", "lagrange"):
-            self.grad = table(el.basis, gradients)
+            self.grad = table(basis, gradients)
         if space.kind == "velocity":
             self.div = np.einsum("mqaa->mq", self.grad)
 

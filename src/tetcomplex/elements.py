@@ -40,7 +40,6 @@ from .polyalg.poly import (
 )
 from .polyalg.spaces import (
     Embedding,
-    dim_layered,
     dim_poly,
     layered_mean_zero_basis,
     monomial_exponents,
@@ -82,21 +81,21 @@ def _face_frame(mesh, vertices):
 
     The direction (v1 - v0) x (v2 - v0) is the rational area-weighted
     normal; it depends on global ids only, so both incident cells share it.
+    The float frame comes from the exact edge differences, rounded once,
+    so a translated face has the same frame.
     """
-    p0, p1, p2 = mesh.vertices_f[list(vertices)]
-    t1 = p1 - p0
-    normal2 = np.cross(t1, p2 - p0)  # length = 2 * area
+    q0, q1, q2 = mesh.lattice[list(vertices)]
+    den = mesh.denominator
+    t1 = (q1 - q0) / den
+    normal2 = np.cross(t1, (q2 - q0) / den)  # length = 2 * area
     area = float(np.linalg.norm(normal2)) / 2.0
     n = normal2 / (2.0 * area)
     tau1 = t1 / np.linalg.norm(t1)
-    q0, q1, q2 = mesh.lattice[list(vertices)]
-    den = mesh.denominator
     return {
         "tau1": tau1,
         "tau2": np.cross(n, tau1),
         "normal": n,
         "area": area,
-        "centroid": (p0 + p1 + p2) / 3.0,
         "direction": tuple(Fraction(int(c), den * den) for c in np.cross(q1 - q0, q2 - q0)),
     }
 
@@ -105,7 +104,10 @@ class CellGeometry:
     """Per-cell entity data needed to define globally consistent DOFs.
 
     The cell's map is its class map moved by the cell's exact shift; edge
-    tangents and face frames come from the mesh's coordinate arrays.
+    tangents and face frames come from exact coordinate differences, and
+    entity points are kept in reference coordinates (the reference ends of
+    an edge and anchors of a face, in ascending global order), so of the
+    float data only the map's shift depends on where the cell sits.
     """
 
     def __init__(self, mesh: MeshTopology, cell_id: int):
@@ -116,10 +118,6 @@ class CellGeometry:
             mesh.class_maps[mesh.cell_class[cell_id]],
             shift=mesh.vertex_exact(self.ref_to_global[0]),
         )
-
-        self.vertices = [
-            {"global": g, "point": mesh.vertices_f[g].copy()} for g in self.ref_to_global
-        ]
 
         self.edges = []
         for (a, b), eidx in zip(REF_EDGE_VERTICES, mesh.cell_edges[cell_id].tolist()):
@@ -133,8 +131,7 @@ class CellGeometry:
                     "global": eidx,
                     "locals": (a, b),
                     "ref_lo": REF_VERTICES[a] if ga < gb else REF_VERTICES[b],
-                    "phys_lo": mesh.vertices_f[key[0]].copy(),
-                    "phys_hi": mesh.vertices_f[key[1]].copy(),
+                    "ref_hi": REF_VERTICES[b] if ga < gb else REF_VERTICES[a],
                     "tangent": d / length,
                     "length": length,
                 }
@@ -143,17 +140,11 @@ class CellGeometry:
         self.faces = []
         for fidx in mesh.cell_faces[cell_id].tolist():
             globals_sorted = tuple(mesh.faces[fidx].tolist())
-            ref_anchors = []
-            phys_anchors = []
-            for g in globals_sorted:
-                rloc = self.ref_to_global.index(g)
-                ref_anchors.append(REF_VERTICES[rloc])
-                phys_anchors.append(mesh.vertices_f[g].copy())
+            ref_anchors = tuple(REF_VERTICES[self.ref_to_global.index(g)] for g in globals_sorted)
             self.faces.append(
                 {
                     "global": fidx,
-                    "ref_anchors": tuple(ref_anchors),
-                    "phys_anchors": tuple(phys_anchors),
+                    "ref_anchors": ref_anchors,
                     **_face_frame(mesh, globals_sorted),
                 }
             )
@@ -361,14 +352,20 @@ def gradcurl_raw(cell: CellGeometry, r, k):
 class DofFunctional:
     """Bounded linear functional on the local shape space, as a quadrature stencil.
 
-    ``stencil(quad)`` gives ``(use, points, weights)``: the value of the
-    functional on a field is ``sum(weights * field.<use>(points))``, ``use``
-    being ``"value"`` or ``"curl"``.  This one stencil defines both the DOF
-    matrix (:func:`dof_matrix`) and the interpolant of a field sample.
-    Entity stencils read the segment and triangle rules of ``quad``; cell
-    stencils read the split rule ``alfeld_composite(quad.degree)``, so that
-    they integrate split-piecewise fields exactly.  The weights do not
-    change under a translation of the cell, which moves the points only.
+    ``stencil(quad)`` gives ``(use, points, weights)``, the points in
+    reference coordinates of the cell: the value of the functional on a
+    field is ``sum(weights * field.<use>(x))`` at the physical images
+    ``x`` of the points, ``use`` being ``"value"`` or ``"curl"``.  The
+    weights carry the physical measures and directions (edge lengths, face
+    areas, normals and tangents, ``B`` times reference offsets), which
+    depend on the cell's matrix and vertex order only.  So one stencil
+    serves every cell of a congruence class, on any mesh: the DOF matrix
+    (:func:`dof_matrix`) reads the reference-expressed raw fields at the
+    points as they are, and an interpolant maps them by the cell's affine
+    map (:meth:`apply_sample`).  Entity stencils read the segment and
+    triangle rules of ``quad``; cell stencils read the split rule
+    ``alfeld_composite(quad.degree)``, so that they integrate
+    split-piecewise fields exactly.
     """
 
     entity: tuple
@@ -376,34 +373,44 @@ class DofFunctional:
     label: str
     stencil: callable = dc_field(repr=False)
 
-    def apply_sample(self, sample, quad):
+    def apply_sample(self, sample, quad, cell):
+        """The functional of ``cell`` applied to a sample of a physical field."""
         use, pts, wts = self.stencil(quad)
-        return float(np.sum(getattr(sample, use)(pts) * wts))
+        return float(np.sum(getattr(sample, use)(cell.amap.apply(pts)) * wts))
 
 
 def _exps2(degree):
     return monomial_exponents(degree, 2) if degree >= 0 else []
 
 
-def _phys_edge_points(info, spts):
-    lo, hi = info["phys_lo"], info["phys_hi"]
-    return lo[None, :] + spts[:, :1] * (hi - lo)[None, :]
+_ONE = np.ones(1)
+_UNIT = np.eye(3)
+_REF = np.array(REF_VERTICES, dtype=float)
 
 
-def _phys_face_points(info, fpts):
-    p0, p1, p2 = info["phys_anchors"]
-    return p0[None, :] + fpts[:, :1] * (p1 - p0)[None, :] + fpts[:, 1:2] * (p2 - p0)[None, :]
+def _directed(stencil, direction):
+    """A scalar stencil ``(use, points, weights)`` times a fixed vector."""
+    use, pts, wts = stencil
+    return use, pts, wts[:, None] * direction
+
+
+def _edge_points(info, spts):
+    lo, hi = np.array([info["ref_lo"], info["ref_hi"]], dtype=float)
+    return lo + spts[:, :1] * (hi - lo)
+
+
+def _face_points(info, fpts):
+    p0, p1, p2 = np.array(info["ref_anchors"], dtype=float)
+    return p0 + fpts[:, :1] * (p1 - p0) + fpts[:, 1:2] * (p2 - p0)
 
 
 def lagrange_dofs(cell: CellGeometry, r):
-    dofs = []
-    for v in range(4):
-        pt = cell.vertices[v]["point"]
-        dofs.append(
-            DofFunctional(
-                ("vertex", v), 0, f"value@v{v}", lambda q, pt=pt: ("value", pt[None, :], _ONE)
-            )
+    dofs = [
+        DofFunctional(
+            ("vertex", v), 0, f"value@v{v}", lambda q, v=v: ("value", _REF[v:v + 1], _ONE)
         )
+        for v in range(4)
+    ]
     for e, info in enumerate(cell.edges):
         for m in range(r - 1):
             dofs.append(
@@ -430,25 +437,21 @@ def lagrange_dofs(cell: CellGeometry, r):
     return dofs
 
 
-_ONE = np.ones(1)
-_UNIT = np.eye(3)
-
-
 def _edge_scalar_stencil(quad, info, m):
     spts, w = quad.segment
-    return "value", _phys_edge_points(info, spts), info["length"] * w * spts[:, 0] ** m
+    return "value", _edge_points(info, spts), info["length"] * w * spts[:, 0] ** m
 
 
 def _face_scalar_stencil(quad, info, exp):
     fpts, w = quad.triangle
     mono = fpts[:, 0] ** exp[0] * fpts[:, 1] ** exp[1]
-    return "value", _phys_face_points(info, fpts), 2 * info["area"] * w * mono
+    return "value", _face_points(info, fpts), 2 * info["area"] * w * mono
 
 
 def _cell_scalar_stencil(quad, cell, exp, scale=1.0):
     rpts, w = alfeld_composite(quad.degree)
     mono = rpts[:, 0] ** exp[0] * rpts[:, 1] ** exp[1] * rpts[:, 2] ** exp[2]
-    return "value", cell.amap.apply(rpts), scale * cell.amap.det_f * w * mono
+    return "value", rpts, scale * cell.amap.det_f * w * mono
 
 
 def pressure_dofs(cell: CellGeometry, k):
@@ -465,16 +468,14 @@ def pressure_dofs(cell: CellGeometry, k):
 
 
 def velocity_dofs(cell: CellGeometry, k):
-    dofs = []
-    for v in range(4):
-        pt = cell.vertices[v]["point"]
-        for c in range(3):
-            dofs.append(
-                DofFunctional(
-                    ("vertex", v), c, f"value@v{v}[{c}]",
-                    lambda q, pt=pt, c=c: ("value", pt[None, :], _UNIT[c][None, :]),
-                )
-            )
+    dofs = [
+        DofFunctional(
+            ("vertex", v), c, f"value@v{v}[{c}]",
+            lambda q, v=v, c=c: ("value", _REF[v:v + 1], _UNIT[c][None, :]),
+        )
+        for v in range(4)
+        for c in range(3)
+    ]
     for e, info in enumerate(cell.edges):
         slot = 0
         for m in range(max(k - 1, 0)):
@@ -482,7 +483,9 @@ def velocity_dofs(cell: CellGeometry, k):
                 dofs.append(
                     DofFunctional(
                         ("edge", e), slot, f"edge{e}-mom{m}[{c}]",
-                        lambda q, info=info, m=m, c=c: _edge_component_stencil(q, info, m, c),
+                        lambda q, info=info, m=m, c=c: _directed(
+                            _edge_scalar_stencil(q, info, m), _UNIT[c]
+                        ),
                     )
                 )
                 slot += 1
@@ -493,8 +496,8 @@ def velocity_dofs(cell: CellGeometry, k):
                 dofs.append(
                     DofFunctional(
                         ("face", f), slot, f"face{f}-mom{exp}[{c}]",
-                        lambda q, info=info, exp=exp, c=c: _face_component_stencil(
-                            q, info, exp, c
+                        lambda q, info=info, exp=exp, c=c: _directed(
+                            _face_scalar_stencil(q, info, exp), _UNIT[c]
                         ),
                     )
                 )
@@ -503,7 +506,9 @@ def velocity_dofs(cell: CellGeometry, k):
             dofs.append(
                 DofFunctional(
                     ("face", f), slot, f"face{f}-normal-flux",
-                    lambda q, info=info: _face_normal_stencil(q, info),
+                    lambda q, info=info: _directed(
+                        _face_scalar_stencil(q, info, (0, 0)), info["normal"]
+                    ),
                 )
             )
             slot += 1
@@ -513,7 +518,9 @@ def velocity_dofs(cell: CellGeometry, k):
             dofs.append(
                 DofFunctional(
                     ("cell", 0), slot, f"cell-mom{exp}[{c}]",
-                    lambda q, exp=exp, c=c: _cell_component_stencil(q, cell, exp, c),
+                    lambda q, exp=exp, c=c: _directed(
+                        _cell_scalar_stencil(q, cell, exp), _UNIT[c]
+                    ),
                 )
             )
             slot += 1
@@ -530,30 +537,10 @@ def velocity_dofs(cell: CellGeometry, k):
     return dofs
 
 
-def _edge_component_stencil(quad, info, m, c):
-    use, pts, wts = _edge_scalar_stencil(quad, info, m)
-    return use, pts, wts[:, None] * _UNIT[c]
-
-
-def _face_component_stencil(quad, info, exp, c):
-    use, pts, wts = _face_scalar_stencil(quad, info, exp)
-    return use, pts, wts[:, None] * _UNIT[c]
-
-
-def _face_normal_stencil(quad, info):
-    use, pts, wts = _face_scalar_stencil(quad, info, (0, 0))
-    return use, pts, wts[:, None] * info["normal"]
-
-
-def _cell_component_stencil(quad, cell, exp, c):
-    use, pts, wts = _cell_scalar_stencil(quad, cell, exp)
-    return use, pts, wts[:, None] * _UNIT[c]
-
-
 def _cell_weighted_stencil(quad, cell, weight_vec, use="value", scale=1.0):
     rpts, w = alfeld_composite(quad.degree)
     wv = weight_vec.to_float().eval_many(rpts)
-    return use, cell.amap.apply(rpts), (scale * cell.amap.det_f * w)[:, None] * wv
+    return use, rpts, (scale * cell.amap.det_f * w)[:, None] * wv
 
 
 @lru_cache(maxsize=None)
@@ -570,23 +557,23 @@ def _cross_position_basis(k):
 
 
 def gradcurl_dofs(cell: CellGeometry, r, k):
-    dofs = []
-    for v in range(4):
-        pt = cell.vertices[v]["point"]
-        for c in range(3):
-            dofs.append(
-                DofFunctional(
-                    ("vertex", v), c, f"curl@v{v}[{c}]",
-                    lambda q, pt=pt, c=c: ("curl", pt[None, :], _UNIT[c][None, :]),
-                )
-            )
+    dofs = [
+        DofFunctional(
+            ("vertex", v), c, f"curl@v{v}[{c}]",
+            lambda q, v=v, c=c: ("curl", _REF[v:v + 1], _UNIT[c][None, :]),
+        )
+        for v in range(4)
+        for c in range(3)
+    ]
     for e, info in enumerate(cell.edges):
         slot = 0
         for m in range(r):
             dofs.append(
                 DofFunctional(
                     ("edge", e), slot, f"edge{e}-tang{m}",
-                    lambda q, info=info, m=m: _edge_tangential_stencil(q, info, m),
+                    lambda q, info=info, m=m: _directed(
+                        _edge_scalar_stencil(q, info, m), info["tangent"]
+                    ),
                 )
             )
             slot += 1
@@ -631,7 +618,7 @@ def gradcurl_dofs(cell: CellGeometry, r, k):
             dofs.append(
                 DofFunctional(
                     ("face", f), slot, f"face{f}-tangpos{exp}",
-                    lambda q, info=info, exp=exp: _face_tangpos_stencil(q, info, exp),
+                    lambda q, info=info, exp=exp: _face_tangpos_stencil(q, info, exp, cell),
                 )
             )
             slot += 1
@@ -662,34 +649,32 @@ def gradcurl_dofs(cell: CellGeometry, r, k):
     return dofs
 
 
-def _edge_tangential_stencil(quad, info, m):
-    use, pts, wts = _edge_scalar_stencil(quad, info, m)
-    return use, pts, wts[:, None] * info["tangent"]
-
-
 def _edge_curl_stencil(quad, info, m, c):
     spts, w = quad.segment
-    return "curl", _phys_edge_points(info, spts), (w * spts[:, 0] ** m)[:, None] * _UNIT[c]
+    return "curl", _edge_points(info, spts), (w * spts[:, 0] ** m)[:, None] * _UNIT[c]
 
 
 def _face_curl_normal_stencil(quad, info, w2):
     fpts, w = quad.triangle
     wv = w2.to_float().eval_many(fpts)
     wts = (2 * info["area"] * w * wv)[:, None] * info["normal"]
-    return "curl", _phys_face_points(info, fpts), wts
+    return "curl", _face_points(info, fpts), wts
 
 
 def _face_curl_tangent_stencil(quad, info, exp, t):
     fpts, w = quad.triangle
     mono = fpts[:, 0] ** exp[0] * fpts[:, 1] ** exp[1]
-    return "curl", _phys_face_points(info, fpts), (2 * w * mono)[:, None] * t
+    return "curl", _face_points(info, fpts), (2 * w * mono)[:, None] * t
 
 
-def _face_tangpos_stencil(quad, info, exp):
+def _face_tangpos_stencil(quad, info, exp, cell):
+    """Moment against the physical offset from the face centroid, ``B (xhat - xhat_c)``."""
     fpts, w = quad.triangle
-    pts = _phys_face_points(info, fpts)
+    pts = _face_points(info, fpts)
+    centroid = np.mean(np.array(info["ref_anchors"], dtype=float), axis=0)
+    offsets = (pts - centroid) @ cell.amap.matrix_f.T
     mono = fpts[:, 0] ** exp[0] * fpts[:, 1] ** exp[1]
-    return "value", pts, (2 * w * mono)[:, None] * (pts - info["centroid"][None, :])
+    return "value", pts, (2 * w * mono)[:, None] * offsets
 
 
 def build_dofs(kind, cell, r, k):
@@ -723,31 +708,23 @@ def build_raw_basis(kind, cell, r, k):
     return fields, [0] * len(fields)
 
 
+_ENTITIES = ("vertex", "edge", "face", "cell")
+
+
 def entity_dof_counts(kind, r, k):
-    """Per-entity DOF block sizes for a space kind at (r, k)."""
+    """Per-entity DOF block sizes for a space kind at (r, k).
+
+    The number of functionals :func:`build_dofs` defines on each vertex,
+    edge, face and cell; every entity of a type has as many.
+    """
+    return dict(zip(_ENTITIES, _entity_dof_counts(kind, r, k)))
+
+
+@lru_cache(maxsize=None)
+def _entity_dof_counts(kind, r, k):
     validate_family(r, k)
-    d2 = lambda n: dim_poly(n, 2) if n >= 0 else 0
-    d3 = lambda n: dim_poly(n, 3) if n >= 0 else 0
-    if kind == "lagrange":
-        return {"vertex": 1, "edge": r - 1, "face": d2(r - 3), "cell": d3(r - 4)}
-    if kind == "pressure":
-        return {"vertex": 0, "edge": 0, "face": 0, "cell": d3(k - 1)}
-    if kind == "velocity":
-        return {
-            "vertex": 3,
-            "edge": 3 * (k - 1),
-            "face": 3 * d2(k - 3) + (1 if k <= 2 else 0),
-            "cell": 3 * d3(k - 4) + (dim_layered(k - 1) if k >= 2 else 0),
-        }
-    if kind == "gradcurl":
-        face_normal = max(d2(k - 3) - 1, 0)
-        return {
-            "vertex": 3,
-            "edge": r + 3 * (k - 1),
-            "face": face_normal + 2 * d2(k - 3) + d2(r - 3),
-            "cell": len(_cross_position_basis(k)) + d3(r - 4),
-        }
-    raise ValueError(f"unknown space kind {kind!r}")
+    dofs = build_dofs(kind, reference_cell(), r, k)
+    return tuple(sum(d.entity == (e, 0) for d in dofs) for e in _ENTITIES)
 
 
 def space_dimension(kind, r, k):
@@ -777,10 +754,6 @@ class LocalElement:
     @property
     def dimension(self):
         return len(self.basis)
-
-    def interpolate(self, sample, quad):
-        """Nodal coefficients of the canonical interpolant of a field sample."""
-        return np.array([d.apply_sample(sample, quad) for d in self.dofs])
 
 
 def _coefficient_entries(fields, columns):
@@ -836,16 +809,16 @@ def dof_matrix(dofs, basis, cell, curls=None):
     """Each functional's stencil applied to each raw field: entry ``(dof, field)``.
 
     The fields' exact coefficients become one tensor, which meets the
-    monomials at the stencil's reference points on the split piece that
-    holds the functional's entity; a cell stencil's split rule has one
-    block of points per piece.  The rule is exact to degree 2 deg + 2 for
-    fields of degree deg, so every product of a field and a weight is
-    integrated exactly.  The sums run in long double: the monomial
+    monomials at the stencil's points (in reference coordinates, like the
+    fields) on the split piece that holds the functional's entity; a cell
+    stencil's split rule has one block of points per piece.  The rule is
+    exact to degree 2 deg + 2 for fields of degree deg, so every product of
+    a field and a weight is integrated exactly.  The sums run in long double: the monomial
     coefficients of split fields are large against their values (by 10^3
     for the lowest-order face bubbles), and in double their cancellation
     took the assembled div o curl of (1,1) at N = 2 from 2e-14 to 1.6e-12.
-    ``curls`` are the physical curls of ``basis``, computed here when a
-    functional needs them and they are not given.
+    ``curls`` are the physical curls of ``basis``, computed on ``cell``
+    when a functional needs them and they are not given.
     """
     degree = max(max(b.degree for b in basis), 0)
     quad = QuadratureRule(2 * degree + 2)
@@ -862,8 +835,8 @@ def dof_matrix(dofs, basis, cell, curls=None):
         coef = _long_coefficients(fields, columns)  # (fields, pieces, components, monomials)
         for i in rows:
             _, pts, wts = stencils[i]
-            ref = ((pts - cell.amap.shift_f) @ cell.amap.inverse_f.T).astype(np.longdouble)
-            table = ref[:, :, None] ** np.arange(degree + 1)  # (points, axes, powers)
+            # (points, axes, powers)
+            table = pts.astype(np.longdouble)[:, :, None] ** np.arange(degree + 1)
             mono = table[:, 0, powers[0]] * table[:, 1, powers[1]] * table[:, 2, powers[2]]
             wts = wts.reshape(len(pts), -1).astype(np.longdouble)  # (points, components)
             if dofs[i].entity[0] == "cell":  # the split rule: one block of points per piece
@@ -1125,7 +1098,8 @@ def poly_inclusion_check(r, k, rng=None, tol=1e-11):
     from .sampling import FieldSample
 
     s = min(r - 1, k + 1)
-    el = local_element("gradcurl", r, k)
+    cell = reference_cell()
+    el = local_element("gradcurl", r, k, cell)
     rng = rng or np.random.default_rng(7)
     bary = rng.random((24, 4)) + 0.05
     bary /= bary.sum(axis=1, keepdims=True)
@@ -1135,7 +1109,7 @@ def poly_inclusion_check(r, k, rng=None, tol=1e-11):
     basis_vals = np.stack([_eval_pw_vector(b, pts) for b in el.basis])
     for mono in vector_monomials(s):
         sample = FieldSample.from_vector_polynomial(mono)
-        coeffs = el.interpolate(sample, quad)
+        coeffs = np.array([d.apply_sample(sample, quad, cell) for d in el.dofs])
         raw = el.nodal @ coeffs
         approx = np.einsum("j,jqc->qc", raw, basis_vals)
         exact = sample.value(pts)

@@ -15,8 +15,6 @@ from operator import add
 
 import numpy as np
 
-Rational = Fraction
-
 _ZERO = Fraction(0)
 
 

@@ -29,10 +29,6 @@ def monomial_exponents(degree, nvars=3):
     return sorted(set(out), key=lambda e: (sum(e), e))
 
 
-def scalar_monomials(degree, nvars=3):
-    return [Polynomial.monomial(e) for e in monomial_exponents(degree, nvars)]
-
-
 def vector_monomials(degree):
     """Basis of vector polynomials of degree <= degree (component-major)."""
     out = []

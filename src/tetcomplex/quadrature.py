@@ -84,7 +84,6 @@ class QuadratureRule:
 
     def __init__(self, degree):
         self.degree = degree
-        self.tet = rule(3, degree)
         self.triangle = rule(2, degree)
         self.segment = rule(1, degree)
 

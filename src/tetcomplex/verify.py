@@ -427,7 +427,8 @@ def check_dof_mapping(r=1, k=1, seed=11, tol=1e-10):
         el = local_element("gradcurl", r, k, cell)
         u = VectorField(tuple(rand_poly(2) for _ in range(3)))
         sample = FieldSample.from_vector_polynomial(u)
-        coeffs = el.interpolate(sample, QuadratureRule(12))
+        quad = QuadratureRule(12)
+        coeffs = np.array([d.apply_sample(sample, quad, cell) for d in el.dofs])
         combo = None
         for c, b in zip(el.nodal @ coeffs, el.basis):
             term = b * float(c)

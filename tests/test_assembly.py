@@ -332,6 +332,22 @@ class TestPerClassAssembly:
         )
 
 
+# (operator, source kind, target kind) of each map of the complex
+_COMPLEX = (
+    ("grad", "lagrange", "gradcurl"),
+    ("curl", "gradcurl", "velocity"),
+    ("div", "velocity", "pressure"),
+)
+
+
+def _translated(mesh, shift):
+    """A copy of ``mesh`` moved by the exact vector ``shift``, with the same numbering."""
+    vertices = [
+        tuple(c + s for c, s in zip(mesh.vertex_exact(v), shift)) for v in range(mesh.n_vertices)
+    ]
+    return MeshTopology(vertices, mesh.cells)
+
+
 def _per_entry_discrete_d(which, source, target):
     """Reference for discrete_d: a cell-by-cell, entry-by-entry assembly."""
     op = {"grad": phys_grad, "curl": phys_curl, "div": phys_div}[which]
@@ -361,14 +377,22 @@ class TestDiscreteComplex:
     def test_batched_matches_per_entry(self, rk):
         mesh = build_structured_cube(2)
         spaces = {kind: GlobalSpace(mesh, kind, *rk) for kind in SPACE_KINDS}
-        for which, source, target in (
-            ("grad", "lagrange", "gradcurl"),
-            ("curl", "gradcurl", "velocity"),
-            ("div", "velocity", "pressure"),
-        ):
+        for which, source, target in _COMPLEX:
             ref = _per_entry_discrete_d(which, spaces[source], spaces[target])
             got = discrete_d(which, spaces[source], spaces[target]).matrix.toarray()
             assert np.abs(got - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max()), which
+
+    def test_translated_mesh_matches(self):
+        # the translated copy is built second, so each of its classes finds
+        # the element that a cell of the original built
+        mesh = build_structured_cube(2)
+        copies = [
+            {kind: GlobalSpace(m, kind, 1, 1) for kind in SPACE_KINDS}
+            for m in (mesh, _translated(mesh, (1, 0, 0)))
+        ]
+        for which, source, target in _COMPLEX:
+            a, b = (discrete_d(which, s[source], s[target]).matrix for s in copies)
+            assert abs(a - b).max() <= 1e-12 * abs(a).max(), which
 
     def test_consistency_check_catches_perturbed_entry(self, spaces1, monkeypatch):
         calls = []
@@ -527,19 +551,36 @@ class TestInterpolationAndNorms:
 
     @pytest.mark.parametrize("kind", SPACE_KINDS)
     def test_batched_interpolation_matches_per_cell(self, kind):
-        # N=2 puts eight translated cells in every congruence class
-        space = GlobalSpace(build_structured_cube(2), kind, 1, 1)
-        ms = ManufacturedSolution()
+        # N=2 puts eight translated cells in every congruence class; the
+        # translated mesh finds every class's element in the cache
+        mesh = build_structured_cube(2)
         scalar = kind in ("lagrange", "pressure")
-        sample = ms.pressure_sample() if scalar else ms.solution_sample()
+        ms = ManufacturedSolution()
+        manufactured = ms.pressure_sample() if scalar else ms.solution_sample()
+        rng = np.random.default_rng(8)
+        polys = [
+            Polynomial({e: F(int(rng.integers(-4, 5)), 3) for e in monomial_exponents(3)})
+            for _ in range(1 if scalar else 3)
+        ]
+        random_poly = (
+            FieldSample.from_scalar_polynomial(polys[0])
+            if scalar
+            else FieldSample.from_vector_polynomial(VectorField(tuple(polys)))
+        )
         quad = QuadratureRule(8)
-        coeffs = space.interpolate(sample, quad)
-        for ci in range(space.mesh.n_cells):
-            geom = CellGeometry(space.mesh, ci)
-            local = [d.apply_sample(sample, quad) for d in build_dofs(kind, geom, 1, 1)]
-            np.testing.assert_allclose(
-                coeffs[space.local_to_global[ci]], local, rtol=0, atol=1e-12
-            )
+        for m, sample in (
+            (mesh, manufactured),
+            (_translated(mesh, (1, 0, 0)), manufactured),
+            (mesh, random_poly),
+        ):
+            space = GlobalSpace(m, kind, 1, 1)
+            coeffs = space.interpolate(sample, quad)
+            for ci in range(m.n_cells):
+                geom = CellGeometry(m, ci)
+                local = [d.apply_sample(sample, quad, geom) for d in build_dofs(kind, geom, 1, 1)]
+                np.testing.assert_allclose(
+                    coeffs[space.local_to_global[ci]], local, rtol=0, atol=1e-12
+                )
 
     def test_batched_load_matches_per_cell(self):
         space = GlobalSpace(build_structured_cube(2), "gradcurl", 1, 1)
@@ -639,6 +680,7 @@ class TestInterpolationAndNorms:
             shifts = space.mesh.cell_shifts[cells] - space.mesh.cell_shifts[cells[0]]
             for i, dof in enumerate(build_dofs("gradcurl", first, 1, 1)):
                 use, pts, wts = dof.stencil(quad)
+                pts = first.amap.apply(pts)
                 vals = np.moveaxis(sample.modes.coefficients(use, shifts) @ sample.modes.template(pts), -1, 1)
                 expected[space.local_to_global[cells, i]] = np.tensordot(vals, wts, axes=wts.ndim)
         got = space.interpolate(sample, quad)
