@@ -12,8 +12,9 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from math import factorial, lcm
 
-from .poly import Polynomial, VectorField, grad, curl, div, integrate_unit_simplex
+from .poly import VectorField, _det3, _mul_tables, curl, div, grad
 
 REF_VERTICES = (
     (Fraction(0), Fraction(0), Fraction(0)),
@@ -52,13 +53,55 @@ def subtet_affine(i):
 
 
 @lru_cache(maxsize=None)
+def subtet_moment_table(degree):
+    """Integrals of every monomial of degree <= ``degree`` over each subtet, on integers.
+
+    Returns ``(den, tables)``: ``tables[i][e] / den`` is the exact integral of
+    ``x^e`` over subtet ``i``.  With ``s`` the common denominator of the
+    subtet maps, ``s x^e`` pulled back to the unit simplex is built from one
+    lower monomial times one integer affine form, and ``y^f`` integrates there
+    to ``f! / (|f| + 3)!``; so ``den = (degree + 3)! s^degree`` times the
+    common denominator of the subtet volumes.
+    """
+    from .spaces import monomial_exponents  # spaces imports this module
+
+    maps = [subtet_affine(i) for i in range(4)]
+    dets = [abs(Fraction(_det3(matrix))) for matrix, _ in maps]
+    s = lcm(*(Fraction(v).denominator for matrix, shift in maps for v in (*shift, *sum(matrix, []))))
+    vol_den = lcm(*(d.denominator for d in dets))
+    top = factorial(degree + 3)
+    exps = monomial_exponents(degree, 3)
+    units = [tuple(int(j == c) for j in range(3)) for c in range(3)]
+    tables = []
+    for (matrix, shift), det in zip(maps, dets):
+        # s * x_c pulled back: an affine form in y with integer coefficients
+        forms = []
+        for c in range(3):
+            form = {(0, 0, 0): int(shift[c] * s)} if shift[c] else {}
+            for j in range(3):
+                if matrix[c][j]:
+                    form[units[j]] = int(matrix[c][j] * s)
+            forms.append(form)
+        pulled = {(0, 0, 0): {(0, 0, 0): 1}}
+        weight = det.numerator * (vol_den // det.denominator)
+        table = {}
+        for e in exps:
+            if e not in pulled:
+                c = next(c for c in range(3) if e[c])
+                pulled[e] = _mul_tables(pulled[tuple(v - (j == c) for j, v in enumerate(e))], forms[c], 0)
+            total = 0
+            for f, v in pulled[e].items():
+                total += v * factorial(f[0]) * factorial(f[1]) * factorial(f[2]) * (top // factorial(sum(f) + 3))
+            table[e] = total * s ** (degree - sum(e)) * weight
+        tables.append(table)
+    return top * s**degree * vol_den, tuple(tables)
+
+
+@lru_cache(maxsize=None)
 def subtet_moment(i, exps):
     """Exact integral of the monomial ``x^exps`` over subtet ``i``."""
-    from .poly import _det3
-
-    matrix, shift = subtet_affine(i)
-    pulled = Polynomial.monomial(exps).compose_affine(matrix, shift)
-    return integrate_unit_simplex(pulled) * abs(_det3(matrix))
+    den, tables = subtet_moment_table(sum(exps))
+    return Fraction(tables[i][tuple(exps)], den)
 
 
 def face_param(points):

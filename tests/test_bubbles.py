@@ -1,13 +1,16 @@
 """Bubble constructions: split spaces, divergence solver, face/interior bubbles."""
 
+import re
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tetcomplex.bubbles import (
     _div_solver,
     _dot,
+    _h1_gram,
     build_split_space,
     div_coefficients,
     interior_bubbles,
@@ -21,9 +24,13 @@ from tetcomplex.polyalg import (
     VectorField,
     as_piecewise,
     grad,
+    integrate_unit_simplex,
     layered_mean_zero_basis,
     rank,
+    solve_exact,
+    subtet_affine,
 )
+from tetcomplex.polyalg.poly import _det3
 
 
 class TestSplitSpaces:
@@ -140,6 +147,53 @@ class TestSolveDiv:
             assert all(h1_inner(u, nf) == 0 for nf in null_fields)
 
 
+def _polynomial_product_gram(space):
+    """Reference H1-seminorm Gram matrix: gradient products pulled back to the unit simplex."""
+    grads = [phi.map(grad) for phi in space.scalar_basis]
+    pulled = []
+    for piece in range(4):
+        matrix, shift = subtet_affine(piece)
+        pulled.append(([g.pieces[piece].compose_affine(matrix, shift) for g in grads], abs(_det3(matrix))))
+    return [
+        [sum((integrate_unit_simplex(c[a].dot(c[b])) * det for c, det in pulled), F(0)) for b in range(len(grads))]
+        for a in range(len(grads))
+    ]
+
+
+class TestIntegerKernels:
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_gram_matches_polynomial_products(self, k):
+        space = build_split_space(k, zero_trace=True)
+        total, den = _h1_gram(space)
+        assert [[F(int(v), den) for v in row] for row in total] == _polynomial_product_gram(space)
+
+    def test_solution_matches_polynomial_reference(self):
+        # reference: z0 + sum q_i n_i with (N^T G N) q = -(G N)^T z0, and the
+        # field as a sum of Fraction polynomials, keys in the same order
+        k = 3
+        ds = _div_solver(k)
+        reduced = [[_dot(gn, n) for n in ds.null] for gn in ds.gram_null]
+        zero = PiecewiseField.from_single(VectorField.zero())
+        for g in layered_mean_zero_basis(k - 1):
+            target = as_piecewise(g)
+            z0 = ds.solver.solve(ds.emb.coords(target))
+            (q,) = solve_exact(reduced, [[-_dot(gn, z0) for gn in ds.gram_null]])
+            expected = [zz + sum(qi * n[j] for qi, n in zip(q, ds.null)) for j, zz in enumerate(z0)]
+            assert div_coefficients(target, k) == expected
+            field = sum((f * c for c, f in zip(expected, ds.vec_basis) if c), zero)
+            for piece, ref in zip(solve_div(target, k).pieces, field.pieces):
+                assert [list(c.coeffs.items()) for c in piece.comps] == [list(c.coeffs.items()) for c in ref.comps]
+
+    @given(st.lists(st.integers(-3, 3), min_size=9, max_size=9))
+    @settings(max_examples=20, deadline=None)
+    def test_random_targets_exact_and_minimal(self, weights):
+        basis = layered_mean_zero_basis(2)
+        target = as_piecewise(sum((g * w for g, w in zip(basis, weights)), Polynomial.zero()))
+        assert (solve_div(target, 3).div() - target).is_zero()
+        z = div_coefficients(target, 3)
+        assert all(_dot(gn, z) == 0 for gn in _div_solver(3).gram_null)
+
+
 def _reference_bubble(i):
     """The production face bubble on the reference cell: (bubble, raw field, divergence)."""
     return physical_face_bubble(reference_cell(), i)
@@ -251,6 +305,9 @@ class TestBuildRecords:
         assert len(solver) == 1
         assert solver[0].startswith("built divergence solver k=2, 15 unknowns, nullity ")
         assert float(solver[0].split(" in ")[1].removesuffix(" s")) >= 0
+        stages = re.findall(r"(split space|gram|elimination) (\S+) s, ", solver[0])
+        assert [name for name, _ in stages] == ["split space", "gram", "elimination"]
+        assert all(float(seconds) >= 0 for _, seconds in stages)
 
     def test_cached_builds_are_silent(self, caplog):
         _div_solver(2)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tetcomplex.polyalg import (
+    SUBTET_VERTICES,
     Embedding,
     PiecewiseField,
     Polynomial,
@@ -35,7 +36,8 @@ from tetcomplex.polyalg import (
     segment_param,
     select_independent,
 )
-from tetcomplex.polyalg.poincare import _ray_exprs
+from tetcomplex.polyalg.poincare import _integrate_t, _offset_field, _ray_exprs
+from tetcomplex.polyalg.split import subtet_moment_table
 
 X, Y, Z = (Polynomial.variable(i) for i in range(3))
 
@@ -197,6 +199,13 @@ class TestIntegration:
     def test_affine_tet(self):
         verts = [(F(0), F(0), F(0)), (F(2), F(0), F(0)), (F(0), F(3), F(0)), (F(0), F(0), F(1))]
         assert integrate_simplex(Polynomial.constant(1), verts) == F(1, 1)
+
+    def test_subtet_moment_table(self):
+        # the integer table against the exact integral over each subtet
+        den, tables = subtet_moment_table(4)
+        for i, vertices in enumerate(SUBTET_VERTICES):
+            for e in monomial_exponents(4):
+                assert F(tables[i][e], den) == integrate_simplex(Polynomial.monomial(e), vertices)
 
     def test_degenerate_rejected(self):
         verts = [(F(0),) * 3, (F(1), F(0), F(0)), (F(2), F(0), F(0)), (F(3), F(0), F(0))]
@@ -442,6 +451,16 @@ class TestExactKernels:
         transposed = [list(r) for r in zip(*matrix)]
         expected = _dense_rref([r for r in transposed if any(r)])[1] if any(map(any, matrix)) else []
         assert select_independent(matrix) == expected
+
+    @given(vector_fields(), points3, st.lists(small, min_size=9, max_size=9))
+    @settings(max_examples=40, deadline=None)
+    def test_poincare2_matches_polynomial_cross_product(self, u, base, entries):
+        # reference: the cross product and the t-integral on Fraction polynomials
+        for matrix in (None, [entries[3 * i:3 * i + 3] for i in range(3)]):
+            ray_field = u.substitute(_ray_exprs(base))
+            crossed = ray_field.cross(_offset_field(base, matrix=matrix, t_power=1))
+            out = poincare2(u, base, matrix)
+            assert all(_same_polynomial(a, _integrate_t(c)) for a, c in zip(out.comps, crossed))
 
     def test_rref_edge_shapes(self):
         assert rref([]) == ([], [])

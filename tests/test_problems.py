@@ -31,7 +31,7 @@ from tetcomplex.problems import (
     solve_quadcurl,
     solve_stokes,
 )
-from tetcomplex.quadrature import QuadratureRule, rule
+from tetcomplex.quadrature import QuadratureRule
 from tetcomplex.sampling import FieldSample
 
 
@@ -69,7 +69,6 @@ class TestManufactured:
 
     def test_pressure_mean_zero(self, manufactured):
         quad = QuadratureRule(10)
-        pts, w = rule(3, quad.degree)
         # tensorized check over the cube via the structured mesh
         spaces = get_spaces(2, 1, 1, ["pressure"])
         pre = spaces["pressure"]
