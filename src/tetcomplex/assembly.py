@@ -22,8 +22,9 @@ Per class everything float is a dense product:
   to small triangular factors that the class tables keep for every later
   call (see ``FieldSample`` for ``modes``).
 
-Interpolation evaluates the sample at the class's DOF stencil points,
-which are reference points mapped by each cell's affine map.
+Every evaluation point is a point of a class map (zero shift) moved by
+each cell's absolute shift: ``ClassTables`` keeps split-rule points and
+``GlobalSpace.interpolate`` the DOF stencil points, mapped once per class.
 Every layer logs one ``tetcomplex.assembly`` DEBUG record with its
 classes, cells, path (vandermonde, tables, modal or pointwise), mode
 count and seconds; a space logs one record when it is built, with how
@@ -107,8 +108,9 @@ class GlobalSpace:
     """Entity-blocked global numbering of one space kind on a mesh.
 
     Geometry and local element exist once per congruence class, keyed by
-    the class's first cell id; every cell's DOF numbering is gathered from
-    the mesh's connectivity arrays.
+    the class's first cell id: the geometry is built from the class map
+    alone, so neither it nor the element holds the mesh.  Every cell's DOF
+    numbering is gathered from the mesh's connectivity arrays.
     """
 
     def __init__(self, mesh, kind, r, k):
@@ -128,7 +130,7 @@ class GlobalSpace:
         self.dim = self.cell_base + nc * counts["cell"]
 
         self.classes = mesh.classes
-        self.cells_geom = {int(c[0]): CellGeometry(mesh, int(c[0])) for c in self.classes}
+        self.cells_geom = {int(c[0]): CellGeometry(a) for c, a in zip(mesh.classes, mesh.class_maps)}
         before = _elements._element_cache.counts()
         self.elements = {ci: local_element(kind, r, k, g) for ci, g in self.cells_geom.items()}
         built, derived, hits = (
@@ -192,11 +194,11 @@ class GlobalSpace:
 
         A class's element holds its DOF stencils in reference coordinates,
         the same for every cell of the class.  Per class and stencil use
-        their points are mapped once by the first cell's affine map, and
-        one evaluation at those points moved by each cell's translation
-        covers all of its cells.  The sample's point evaluators run at the
-        moved points even when it has ``modes``: a stencil has few points,
-        and the mode coefficients per cell cost more than evaluating there.
+        their points are mapped once by the class map, and one evaluation
+        at those points moved by each cell's absolute shift covers all of
+        its cells.  The sample's point evaluators run at the moved points
+        even when it has ``modes``: a stencil has few points, and the mode
+        coefficients per cell cost more than evaluating there.
         """
         t0 = time.perf_counter()
         out = np.zeros(self.dim)
@@ -278,12 +280,13 @@ def _vandermonde(quad_degree, basis_degree):
 class ClassTables:
     """Float tables of one congruence class at split-rule points.
 
-    Built on the class's cell ``cell_id``: ``points`` are that cell's
-    physical quadrature points, which the other cells of the class see
-    moved by their translation.  Each table is the class's exact raw-basis
-    coefficients, contracted with the nodal matrix, times the shared
-    monomial tables of ``_vandermonde``: values from the values, physical
-    Jacobians (a scalar field's gradient) from the partials times B^{-1}.
+    Built on the geometry of the class whose first cell is ``cell_id``:
+    ``points`` are the quadrature points of the class map (zero shift),
+    which each cell of the class sees moved by its absolute shift.  Each
+    table is the class's exact raw-basis coefficients, contracted with the
+    nodal matrix, times the shared monomial tables of ``_vandermonde``:
+    values from the values, physical Jacobians (a scalar field's gradient)
+    from the partials times B^{-1}.
     ``error_factors`` caches the factors of ``_modal_squared_errors``.
     """
 
@@ -335,17 +338,17 @@ def _by_point(table, nq):
 def _chunks(space, cells, per_cell):
     """Split one congruence class into chunks of at most ``_POINT_CHUNK // per_cell`` cells.
 
-    Yields (cell ids, their translations from the class's first cell,
-    shape (cells, 3)).
+    Yields (cell ids, their shifts, shape (cells, 3)): the vertex 0 of
+    each cell, which moves the class map's points onto the cell.
     """
-    shifts = space.mesh.cell_shifts[cells] - space.mesh.cell_shifts[cells[0]]
+    shifts = space.mesh.cell_shifts[cells]
     step = max(1, _POINT_CHUNK // per_cell)
     for lo in range(0, len(cells), step):
         yield cells[lo:lo + step], shifts[lo:lo + step]
 
 
 def _values(space, cells, evaluate, points):
-    """An evaluator at ``points`` of a class's first cell, moved to every cell.
+    """An evaluator at ``points`` of a class map, moved to every cell of the class.
 
     Yields (cell ids, values of shape (cells, len(points), *components))
     per chunk.

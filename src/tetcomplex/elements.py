@@ -29,7 +29,7 @@ from math import gcd, lcm
 import numpy as np
 
 from .bubbles import interior_bubbles, scalar_face_bubble, solve_div
-from .mesh import MeshTopology, REF_EDGE_VERTICES
+from .mesh import REF_EDGE_VERTICES, REF_FACE_VERTICES, AffineMap, MeshTopology
 from .polyalg.poly import (
     Polynomial,
     VectorField,
@@ -76,76 +76,59 @@ def validate_family(r, k):
 # cell geometry bundle
 
 
-def _face_frame(mesh, vertices):
-    """Float frame plus exact direction of the face on ascending ``vertices``.
-
-    The direction (v1 - v0) x (v2 - v0) is the rational area-weighted
-    normal; it depends on global ids only, so both incident cells share it.
-    The float frame comes from the exact edge differences, rounded once,
-    so a translated face has the same frame.
-    """
-    q0, q1, q2 = mesh.lattice[list(vertices)]
-    den = mesh.denominator
-    t1 = (q1 - q0) / den
-    normal2 = np.cross(t1, (q2 - q0) / den)  # length = 2 * area
-    area = float(np.linalg.norm(normal2)) / 2.0
-    n = normal2 / (2.0 * area)
-    tau1 = t1 / np.linalg.norm(t1)
-    return {
-        "tau1": tau1,
-        "tau2": np.cross(n, tau1),
-        "normal": n,
-        "area": area,
-        "direction": tuple(Fraction(int(c), den * den) for c in np.cross(q1 - q0, q2 - q0)),
-    }
-
-
 class CellGeometry:
-    """Per-cell entity data needed to define globally consistent DOFs.
+    """Entity data of a cell, from which its DOFs are defined, derived from its affine map.
 
-    The cell's map is its class map moved by the cell's exact shift; edge
-    tangents and face frames come from exact coordinate differences, and
-    entity points are kept in reference coordinates (the reference ends of
-    an edge and anchors of a face, in ascending global order), so of the
-    float data only the map's shift depends on where the cell sits.
+    The map ``x = B xhat + b`` is all it reads.  A cell's vertex tuple is
+    ascending, so an edge's or face's vertices in ascending global order
+    are its reference vertices in the order of ``amap.vertex_order``.  Edge
+    tangents and lengths, face frames and exact face directions are ``B``
+    times reference differences, each exact difference rounded once.
+    Entity points stay in reference coordinates (the reference ends of an
+    edge and anchors of a face, in ascending global order), so of the float
+    data only the map's shift depends on where the cell sits: the geometry
+    of a class map (zero shift) serves every cell of its class, on any mesh.
     """
 
-    def __init__(self, mesh: MeshTopology, cell_id: int):
-        self.mesh = mesh
-        self.cell_id = cell_id
-        self.ref_to_global = tuple(mesh.cell_vertices[cell_id].tolist())
-        self.amap = replace(
-            mesh.class_maps[mesh.cell_class[cell_id]],
-            shift=mesh.vertex_exact(self.ref_to_global[0]),
-        )
+    def __init__(self, amap: AffineMap):
+        self.amap = amap
+        # the exact vertices, less vertex 0: 0 and the columns of B
+        corners = np.array([(0, 0, 0), *zip(*amap.matrix)], dtype=object)
+
+        def ascending(ref):
+            return sorted(ref, key=amap.vertex_order.__getitem__)
 
         self.edges = []
-        for (a, b), eidx in zip(REF_EDGE_VERTICES, mesh.cell_edges[cell_id].tolist()):
-            ga, gb = self.ref_to_global[a], self.ref_to_global[b]
-            key = mesh.edges[eidx].tolist()
-            # the exact difference, rounded once
-            d = (mesh.lattice[key[1]] - mesh.lattice[key[0]]) / mesh.denominator
+        for lo, hi in map(ascending, REF_EDGE_VERTICES):
+            d = (corners[hi] - corners[lo]).astype(float)
             length = float(np.linalg.norm(d))
             self.edges.append(
                 {
-                    "global": eidx,
-                    "locals": (a, b),
-                    "ref_lo": REF_VERTICES[a] if ga < gb else REF_VERTICES[b],
-                    "ref_hi": REF_VERTICES[b] if ga < gb else REF_VERTICES[a],
+                    "ref_lo": REF_VERTICES[lo],
+                    "ref_hi": REF_VERTICES[hi],
                     "tangent": d / length,
                     "length": length,
                 }
             )
 
         self.faces = []
-        for fidx in mesh.cell_faces[cell_id].tolist():
-            globals_sorted = tuple(mesh.faces[fidx].tolist())
-            ref_anchors = tuple(REF_VERTICES[self.ref_to_global.index(g)] for g in globals_sorted)
+        for anchors in map(ascending, REF_FACE_VERTICES):
+            e1, e2 = corners[anchors[1:]] - corners[anchors[0]]
+            # the rational area-weighted normal: both incident cells share it
+            direction = np.cross(e1, e2)
+            t1 = e1.astype(float)
+            normal2 = np.cross(t1, e2.astype(float))  # length = 2 * area
+            area = float(np.linalg.norm(normal2)) / 2.0
+            n = normal2 / (2.0 * area)
+            tau1 = t1 / np.linalg.norm(t1)
             self.faces.append(
                 {
-                    "global": fidx,
-                    "ref_anchors": ref_anchors,
-                    **_face_frame(mesh, globals_sorted),
+                    "ref_anchors": tuple(REF_VERTICES[v] for v in anchors),
+                    "tau1": tau1,
+                    "tau2": np.cross(n, tau1),
+                    "normal": n,
+                    "area": area,
+                    "direction": tuple(Fraction(c) for c in direction),
                 }
             )
 
@@ -156,7 +139,9 @@ class CellGeometry:
 
     @classmethod
     def standalone(cls, vertices):
-        return cls(MeshTopology(vertices, [(0, 1, 2, 3)]), 0)
+        """The geometry of one cell on ``vertices``, its map shifted to vertex 0."""
+        mesh = MeshTopology(vertices, [(0, 1, 2, 3)])
+        return cls(replace(mesh.class_maps[0], shift=mesh.vertex_exact(mesh.cell_vertices[0, 0])))
 
     def signature(self):
         """Cache key: the congruence class of the cell's affine map."""
@@ -357,12 +342,14 @@ class DofFunctional:
     field is ``sum(weights * field.<use>(x))`` at the physical images
     ``x`` of the points, ``use`` being ``"value"`` or ``"curl"``.  The
     weights carry the physical measures and directions (edge lengths, face
-    areas, normals and tangents, ``B`` times reference offsets), which
-    depend on the cell's matrix and vertex order only.  So one stencil
-    serves every cell of a congruence class, on any mesh: the DOF matrix
-    (:func:`dof_matrix`) reads the reference-expressed raw fields at the
-    points as they are, and an interpolant maps them by the cell's affine
-    map (:meth:`apply_sample`).  Entity stencils read the segment and
+    areas, normals and tangents, ``B`` times reference offsets), which the
+    geometry derives from the class map's matrix and vertex order alone.
+    So one stencil serves every cell of a congruence class, on any mesh:
+    the DOF matrix (:func:`dof_matrix`) reads the reference-expressed raw
+    fields at the points as they are, and an interpolant maps them by the
+    class map and moves them by each cell's absolute shift
+    (``GlobalSpace.interpolate``; :meth:`apply_sample` maps them by one
+    geometry's map, shift included).  Entity stencils read the segment and
     triangle rules of ``quad``; cell stencils read the split rule
     ``alfeld_composite(quad.degree)``, so that they integrate
     split-piecewise fields exactly.
@@ -1092,21 +1079,26 @@ def local_exactness_table(r, k):
     return table
 
 
-def poly_inclusion_check(r, k, rng=None, tol=1e-11):
-    """Reproduction of vector polynomials of degree min{r-1, k+1} by interpolation."""
+def poly_inclusion_check(r, k, tol=1e-11):
+    """Reproduction of vector polynomials of degree min{r-1, k+1} by interpolation.
+
+    The interpolant is evaluated piece by piece at the split rule's point
+    blocks, one block per piece, as the class tables evaluate fields.
+    """
     validate_family(r, k)
     from .sampling import FieldSample
 
     s = min(r - 1, k + 1)
     cell = reference_cell()
     el = local_element("gradcurl", r, k, cell)
-    rng = rng or np.random.default_rng(7)
-    bary = rng.random((24, 4)) + 0.05
-    bary /= bary.sum(axis=1, keepdims=True)
-    pts = bary[:, 1:]
     quad = QuadratureRule(2 * max(r, k + 1) + 4)
+    blocks = np.split(alfeld_composite(quad.degree)[0], 4)
+    pts = np.concatenate(blocks)
+    basis_vals = np.stack([
+        np.concatenate([piece.eval_many(b) for piece, b in zip(f.to_float().pieces, blocks)])
+        for f in el.basis
+    ])
     worst = 0.0
-    basis_vals = np.stack([_eval_pw_vector(b, pts) for b in el.basis])
     for mono in vector_monomials(s):
         sample = FieldSample.from_vector_polynomial(mono)
         coeffs = np.array([d.apply_sample(sample, quad, cell) for d in el.dofs])
@@ -1116,49 +1108,6 @@ def poly_inclusion_check(r, k, rng=None, tol=1e-11):
         scale = max(1.0, float(np.abs(exact).max()))
         worst = max(worst, float(np.abs(approx - exact).max()) / scale)
     return {"s": s, "max_rel_error": worst, "ok": worst <= tol}
-
-
-@lru_cache(maxsize=1)
-def _subtet_locators():
-    """Float inverse maps of the four subtets for point location."""
-    from .polyalg.split import SUBTET_VERTICES
-
-    locs = []
-    for i in range(4):
-        verts = np.array([[float(c) for c in v] for v in SUBTET_VERTICES[i]])
-        a = (verts[1:] - verts[0]).T
-        locs.append((np.linalg.inv(a), verts[0]))
-    return locs
-
-
-def locate_subtet_float(points):
-    """Subtet index per point (most-interior wins; boundary ties are fine)."""
-    points = np.asarray(points, float)
-    best = np.full(len(points), -1)
-    best_q = np.full(len(points), -np.inf)
-    for i, (inv, v0) in enumerate(_subtet_locators()):
-        local = (points - v0) @ inv.T
-        lam0 = 1.0 - local.sum(axis=1)
-        quality = np.minimum(local.min(axis=1), lam0)
-        take = quality > best_q
-        best[take] = i
-        best_q[take] = quality[take]
-    return best
-
-
-def _eval_pw_vector(pw, pts):
-    """Float evaluation of a piecewise vector field at reference points."""
-    pts = np.asarray(pts, float)
-    fl = pw.to_float()
-    if pw.is_single():
-        return fl.pieces[0].eval_many(pts)
-    out = np.zeros((len(pts), 3))
-    which = locate_subtet_float(pts)
-    for i in range(4):
-        mask = which == i
-        if mask.any():
-            out[mask] = fl.pieces[i].eval_many(pts[mask])
-    return out
 
 
 def element_info(r, k):

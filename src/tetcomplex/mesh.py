@@ -305,17 +305,6 @@ def build_structured_cube(n):
     return mesh
 
 
-def alfeld(mesh, cell_id):
-    """Alfeld split data of a physical cell: barycenter and 4 subtet vertex lists."""
-    pts = [mesh.vertex_exact(v) for v in mesh.cells[cell_id]]
-    center = tuple(sum(p[i] for p in pts) / 4 for i in range(3))
-    subtets = [
-        tuple(center if j == i else pts[j] for j in range(4))
-        for i in range(4)
-    ]
-    return {"barycenter": center, "subtets": subtets}
-
-
 def random_rational_cell(rng, denominator=8, scale=1):
     """Shape-regular random cell with small rational coordinates (for tests)."""
     while True:

@@ -1,7 +1,9 @@
 """Global numbering, assembled operators, discrete complex, interpolation."""
 
 import dataclasses
+import gc
 import logging
+import weakref
 from fractions import Fraction as F
 from types import SimpleNamespace
 
@@ -10,6 +12,7 @@ import pytest
 import scipy.sparse as sp
 
 from tetcomplex import assembly as assembly_module
+from tetcomplex import elements as _elements
 from tetcomplex.assembly import (
     ClassTables,
     GlobalSpace,
@@ -59,7 +62,14 @@ def _numeric_rank(matrix, tol=1e-8):
     return int((s > tol * max(s[0], 1.0)).sum())
 
 
-def _check_numbering(space, geoms, label):
+def _cell_geometry(mesh, ci):
+    """The geometry of cell ``ci`` itself: its class map shifted to the cell's vertex 0."""
+    amap = mesh.class_maps[mesh.cell_class[ci]]
+    shift = mesh.vertex_exact(mesh.cell_vertices[ci, 0])
+    return CellGeometry(dataclasses.replace(amap, shift=shift))
+
+
+def _check_numbering(space, label):
     """Compare the gathered numbering and boundary mask with per-cell, per-entity loops."""
     mesh, c = space.mesh, space.counts
     base = {
@@ -68,19 +78,20 @@ def _check_numbering(space, geoms, label):
         "face": space.face_base,
         "cell": space.cell_base,
     }
-    for geom in geoms:
+    dofs = [build_dofs(space.kind, CellGeometry(a), space.r, space.k) for a in mesh.class_maps]
+    for ci in range(mesh.n_cells):
         ids = {
-            "vertex": geom.ref_to_global,
-            "edge": [e["global"] for e in geom.edges],
-            "face": [f["global"] for f in geom.faces],
-            "cell": [geom.cell_id],
+            "vertex": mesh.cell_vertices[ci],
+            "edge": mesh.cell_edges[ci],
+            "face": mesh.cell_faces[ci],
+            "cell": [ci],
         }
         expected = [
             base[entity] + ids[entity][local] * c[entity] + dof.slot
-            for dof in build_dofs(space.kind, geom, space.r, space.k)
+            for dof in dofs[mesh.cell_class[ci]]
             for entity, local in [dof.entity]
         ]
-        assert space.local_to_global[geom.cell_id].tolist() == expected, label
+        assert space.local_to_global[ci].tolist() == expected, label
     mask = np.zeros(space.dim, dtype=bool)
     for entity, flags in (
         ("vertex", mesh.vertex_boundary),
@@ -119,23 +130,28 @@ class TestNumbering:
             ),
         )
         for variant, mesh in numbering_meshes.items():
-            geoms = [CellGeometry(mesh, ci) for ci in range(mesh.n_cells)]
             groups = {}
-            for geom in geoms:
-                ref_to_global = tuple(mesh.cells[geom.cell_id][v] for v in geom.amap.vertex_order)
-                assert geom.ref_to_global == ref_to_global
-                for entities, owners, ref in (
-                    (geom.edges, mesh.edges, REF_EDGE_VERTICES),
-                    (geom.faces, mesh.faces, REF_FACE_VERTICES),
+            for ci in range(mesh.n_cells):
+                amap = mesh.class_maps[mesh.cell_class[ci]]
+                ref_to_global = tuple(mesh.cells[ci][v] for v in amap.vertex_order)
+                assert ref_to_global == tuple(mesh.cell_vertices[ci])
+                for ids, owners, ref in (
+                    (mesh.cell_edges[ci], mesh.edges, REF_EDGE_VERTICES),
+                    (mesh.cell_faces[ci], mesh.faces, REF_FACE_VERTICES),
                 ):
-                    assert [tuple(owners[e["global"]]) for e in entities] == [
+                    assert [tuple(owners[i]) for i in ids] == [
                         tuple(sorted(ref_to_global[v] for v in local)) for local in ref
                     ]
-                patterns = (
-                    tuple((e["locals"], e["ref_lo"]) for e in geom.edges),
-                    tuple(f["ref_anchors"] for f in geom.faces),
+                # the class key from the arrays: the edge vectors from vertex 0
+                # and the reference vertices of each edge and face in ascending order
+                q = mesh.lattice[mesh.cell_vertices[ci]]
+                patterns = tuple(
+                    tuple(tuple(ref_to_global.index(v) for v in owners[i]) for i in ids)
+                    for ids, owners in (
+                        (mesh.cell_edges[ci], mesh.edges), (mesh.cell_faces[ci], mesh.faces)
+                    )
                 )
-                groups.setdefault((geom.amap.matrix, patterns), []).append(geom.cell_id)
+                groups.setdefault(((q[1:] - q[0]).tobytes(), patterns), []).append(ci)
             partition = [cells.tolist() for cells in mesh.classes]
             assert partition == list(groups.values()), variant
             assert len(groups) == (30 if variant == "jittered" else 6)
@@ -143,12 +159,24 @@ class TestNumbering:
             for rk in ((1, 1), (2, 2), (3, 3)):
                 for kind in SPACE_KINDS:
                     space = GlobalSpace(mesh, kind, *rk)
-                    _check_numbering(space, geoms, (variant, rk, kind))
+                    _check_numbering(space, (variant, rk, kind))
 
     def test_interior_counts_level_one(self, spaces1):
         assert spaces1["gradcurl"].interior_dim == 1  # only the body diagonal
         assert spaces1["velocity"].interior_dim == 6  # six interior faces
         assert spaces1["lagrange"].interior_dim == 0
+
+
+def test_dropped_spaces_free_their_mesh():
+    # the module-level element cache outlives the spaces; its elements
+    # hold class geometry built from the class maps alone
+    mesh = build_structured_cube(4)
+    alive = weakref.ref(mesh)
+    spaces = [GlobalSpace(mesh, kind, 1, 1) for kind in ("gradcurl", "velocity")]
+    assert len(_elements._element_cache) > 0
+    del spaces, mesh
+    gc.collect()
+    assert alive() is None
 
 
 class TestForms:
@@ -269,7 +297,7 @@ class TestClassTables:
         for kind in SPACE_KINDS:
             kuhn = get_spaces(2, *rk, [kind])[kind]
             by_order = {kuhn.cells_geom[c[0]].amap.vertex_order: kuhn.elements[c[0]] for c in kuhn.classes}
-            geoms = {int(c[0]): CellGeometry(mesh, int(c[0])) for c in mesh.classes}
+            geoms = {int(c[0]): CellGeometry(a) for c, a in zip(mesh.classes, mesh.class_maps)}
             space = SimpleNamespace(
                 kind=kind, mesh=mesh, classes=mesh.classes, basis_degree=kuhn.basis_degree,
                 cells_geom=geoms,
@@ -354,7 +382,7 @@ def _per_entry_discrete_d(which, source, target):
     locals_by_class = {}
     entries = {}
     for ci in range(source.mesh.n_cells):
-        geom = CellGeometry(source.mesh, ci)
+        geom = _cell_geometry(source.mesh, ci)
         el_s = local_element(source.kind, source.r, source.k, geom)
         el_t = local_element(target.kind, target.r, target.k, geom)
         sig = geom.signature()
@@ -456,7 +484,6 @@ class TestConformity:
         # random global velocity/gradcurl fields have continuous traces
         rng = np.random.default_rng(4)
         mesh = spaces1["velocity"].mesh
-        from tetcomplex.elements import _eval_pw_vector, phys_curl
 
         for kind, probe in (("velocity", "value"), ("gradcurl", "curl")):
             space = spaces1[kind]
@@ -467,7 +494,8 @@ class TestConformity:
                 pts_phys = mesh.vertices_f[face].mean(axis=0)[None, :]
                 vals = []
                 for ci in mesh.face_cells[fi]:
-                    geom = CellGeometry(mesh, ci)
+                    geom = _cell_geometry(mesh, ci)
+                    piece = list(mesh.cell_faces[ci]).index(fi)  # face i lies on split piece i
                     local = coeffs[space.local_to_global[ci]]
                     ref = (pts_phys - geom.amap.shift_f) @ geom.amap.inverse_f.T
                     el = local_element(kind, space.r, space.k, geom)
@@ -476,7 +504,7 @@ class TestConformity:
                     acc = np.zeros(3)
                     for cj, b in zip(raw, fields):
                         fld = phys_curl(geom, b) if probe == "curl" else b
-                        acc = acc + cj * _eval_pw_vector(fld, ref)[0]
+                        acc = acc + cj * fld.to_float().pieces[piece].eval_many(ref)[0]
                     vals.append(acc)
                 jump = np.abs(vals[0] - vals[1]).max()
                 scale = max(1.0, np.abs(vals[0]).max())
@@ -490,8 +518,6 @@ class TestConformity:
         "pinned in perfbench/reference.json.",
     )
     def test_gradcurl_tangential_trace_continuous(self):
-        from tetcomplex.elements import _eval_pw_vector
-
         space = GlobalSpace(build_structured_cube(2), "gradcurl", 1, 1)
         mesh = space.mesh
         coeffs = np.random.default_rng(4).standard_normal(space.dim)
@@ -507,12 +533,15 @@ class TestConformity:
             pts = bary @ mesh.vertices_f[face]
             vals = []
             for ci in mesh.face_cells[fi]:
-                geom = CellGeometry(mesh, ci)
-                normal = next(f["normal"] for f in geom.faces if f["global"] == fi)
+                geom = _cell_geometry(mesh, ci)
+                piece = list(mesh.cell_faces[ci]).index(fi)  # face i lies on split piece i
+                normal = geom.faces[piece]["normal"]
                 el = local_element(space.kind, space.r, space.k, geom)
                 ref = (pts - geom.amap.shift_f) @ geom.amap.inverse_f.T
                 raw = el.nodal @ coeffs[space.local_to_global[ci]]
-                vals.append(sum(c * _eval_pw_vector(b, ref) for c, b in zip(raw, el.basis)))
+                vals.append(sum(
+                    c * b.to_float().pieces[piece].eval_many(ref) for c, b in zip(raw, el.basis)
+                ))
             jump = vals[0] - vals[1]
             tangential = jump - np.outer(jump @ normal, normal)
             worst = max(worst, np.abs(tangential).max() / max(1.0, np.abs(vals[0]).max()))
@@ -576,7 +605,7 @@ class TestInterpolationAndNorms:
             space = GlobalSpace(m, kind, 1, 1)
             coeffs = space.interpolate(sample, quad)
             for ci in range(m.n_cells):
-                geom = CellGeometry(m, ci)
+                geom = _cell_geometry(m, ci)
                 local = [d.apply_sample(sample, quad, geom) for d in build_dofs(kind, geom, 1, 1)]
                 np.testing.assert_allclose(
                     coeffs[space.local_to_global[ci]], local, rtol=0, atol=1e-12
@@ -589,7 +618,7 @@ class TestInterpolationAndNorms:
         expected = np.zeros(space.dim)
         tables = {}
         for ci in range(space.mesh.n_cells):
-            geom = CellGeometry(space.mesh, ci)
+            geom = _cell_geometry(space.mesh, ci)
             if geom.signature() not in tables:  # a class's first cell carries its tables
                 tables[geom.signature()] = ClassTables(space, ci, 8)
             tab = tables[geom.signature()]
@@ -669,15 +698,16 @@ class TestInterpolationAndNorms:
         np.testing.assert_allclose(again, cold, rtol=1e-14, atol=0)
 
     def test_interpolant_matches_modal_stencil_values(self):
-        # the interpolant evaluates the sample pointwise; the translation
-        # modes give the same stencil values
+        # the interpolant evaluates the sample pointwise at class-map points
+        # moved by each cell's shift; the translation modes give the same
+        # stencil values
         space = get_spaces(2, 1, 1, ["gradcurl"])["gradcurl"]
         sample = ManufacturedSolution().solution_sample()
         quad = QuadratureRule(8)
         expected = np.zeros(space.dim)
         for cells in space.classes:
             first = space.cells_geom[cells[0]]
-            shifts = space.mesh.cell_shifts[cells] - space.mesh.cell_shifts[cells[0]]
+            shifts = space.mesh.cell_shifts[cells]
             for i, dof in enumerate(build_dofs("gradcurl", first, 1, 1)):
                 use, pts, wts = dof.stencil(quad)
                 pts = first.amap.apply(pts)
@@ -728,8 +758,8 @@ class TestStructuredEvaluation:
         modes = ms.translation_modes(**{name: getattr(ms, name) for name in self.EVALUATORS})
         ref_points = alfeld_composite(6)[0]
         space = SimpleNamespace(mesh=mesh)
-        for cells in mesh.classes:
-            points = CellGeometry(mesh, int(cells[0])).amap.apply(ref_points)
+        for cells, amap in zip(mesh.classes, mesh.class_maps):
+            points = amap.apply(ref_points)
             template = modes.template(points)
             for chunk, shifts in assembly_module._chunks(space, cells, len(points)):
                 moved = (shifts[:, None, :] + points).reshape(-1, 3)

@@ -174,7 +174,7 @@ def _class_representatives(n):
     from tetcomplex.mesh import build_structured_cube
 
     mesh = build_structured_cube(n)
-    return [CellGeometry(mesh, int(cells[0])) for cells in mesh.classes]
+    return [CellGeometry(amap) for amap in mesh.class_maps]
 
 
 @pytest.fixture

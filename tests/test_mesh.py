@@ -12,11 +12,11 @@ from tetcomplex.mesh import (
     REF_EDGE_VERTICES,
     REF_FACE_VERTICES,
     MeshTopology,
-    alfeld,
     build_structured_cube,
     random_rational_cell,
 )
 from tetcomplex.polyalg.poly import _det3
+from tetcomplex.polyalg.split import REF_VERTICES
 
 REF = [(F(0), F(0), F(0)), (F(1), F(0), F(0)), (F(0), F(1), F(0)), (F(0), F(0), F(1))]
 
@@ -57,30 +57,33 @@ class TestStructuredCube:
 
     def test_six_congruence_classes(self):
         m = build_structured_cube(2)
-        assert len({CellGeometry(m, c).signature() for c in range(m.n_cells)}) == 6
+        assert len({CellGeometry(a).signature() for a in m.class_maps}) == 6
         assert len(m.classes) == len(m.class_maps) == 6
 
 
 class TestOrientation:
     def test_shared_face_frames_agree(self):
         m = build_structured_cube(2)
+        geoms = [CellGeometry(a) for a in m.class_maps]
         frames = {}
         for c in range(m.n_cells):
-            for g in CellGeometry(m, c).faces:
+            for f, g in zip(m.cell_faces[c], geoms[m.cell_class[c]].faces):
                 assert abs(np.dot(g["tau1"], g["tau2"])) < 1e-14
                 assert abs(np.dot(g["tau1"], g["normal"])) < 1e-14
                 for key in ("tau1", "tau2", "normal"):
                     assert abs(np.linalg.norm(g[key]) - 1) < 1e-14
                 # the frame depends only on global ids, so both incident cells see it
-                frame = tuple(tuple(g[key]) for key in ("tau1", "tau2", "normal"))
-                assert frames.setdefault(g["global"], frame) == frame
+                frame = tuple(tuple(g[key]) for key in ("tau1", "tau2", "normal", "direction"))
+                assert frames.setdefault(int(f), frame) == frame
+        assert len(frames) == m.n_faces
 
     def test_edge_tangent_lo_to_hi(self):
         m = build_structured_cube(1)
         vertices = _vertices(m)
+        geoms = [CellGeometry(a) for a in m.class_maps]
         for c in range(m.n_cells):
-            for g in CellGeometry(m, c).edges:
-                lo, hi = (vertices[v] for v in m.edges[g["global"]])
+            for e, g in zip(m.cell_edges[c], geoms[m.cell_class[c]].edges):
+                lo, hi = (vertices[v] for v in m.edges[e])
                 d = np.array([float(b - a) for a, b in zip(lo, hi)])
                 assert np.allclose(g["tangent"] * g["length"], d)
 
@@ -89,41 +92,16 @@ class TestAffineMaps:
     def test_vertices_reproduced(self):
         m = build_structured_cube(1)
         for ci, cell in enumerate(m.cells):
-            amap = CellGeometry(m, ci).amap
-            assert amap.det > 0
+            amap = m.class_maps[m.cell_class[ci]]
+            origin = m.vertex_exact(cell[amap.vertex_order[0]])
+            assert amap.det > 0 and amap.shift == (0, 0, 0)
             for r in range(4):
-                assert amap.apply_exact(REF[r]) == m.vertex_exact(cell[amap.vertex_order[r]])
+                moved = tuple(x + o for x, o in zip(amap.apply_exact(REF[r]), origin))
+                assert moved == m.vertex_exact(cell[amap.vertex_order[r]])
 
     def test_volumes_sum_to_one(self):
         m = build_structured_cube(2)
         assert sum(m.cell_volume(c) for c in range(m.n_cells)) == 1
-
-
-class TestAlfeld:
-    def test_reference_split_volumes(self):
-        m = MeshTopology(
-            [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)], [(0, 1, 2, 3)]
-        )
-        data = alfeld(m, 0)
-
-        vols = []
-        for st in data["subtets"]:
-            cols = [[st[j + 1][i] - st[0][i] for j in range(3)] for i in range(3)]
-            vols.append(abs(_det3(cols)) * F(1, 6))
-        assert all(v == F(1, 24) for v in vols)
-
-    def test_barycenter_is_mean(self):
-        m = build_structured_cube(1)
-        data = alfeld(m, 3)
-        pts = [m.vertex_exact(v) for v in m.cells[3]]
-        mean = tuple(sum(p[i] for p in pts) / 4 for i in range(3))
-        assert data["barycenter"] == mean
-
-    def test_split_commutes_with_map(self):
-        m = build_structured_cube(1)
-        amap = CellGeometry(m, 2).amap
-        ref_center = (F(1, 4), F(1, 4), F(1, 4))
-        assert amap.apply_exact(ref_center) == alfeld(m, 2)["barycenter"]
 
 
 class TestExchange:
@@ -249,11 +227,14 @@ def test_arrays_match_set_based_reference(numbering_meshes):
             if key != "maps":
                 assert np.array_equal(getattr(mesh, key), expected), (label, key)
         for ci, (cols, origin) in enumerate(ref["maps"]):
-            amap = CellGeometry(mesh, ci).amap
-            assert amap.matrix == cols and amap.shift == origin, (label, ci)
+            amap = mesh.class_maps[mesh.cell_class[ci]]
+            assert amap.matrix == cols, (label, ci)
+            assert mesh.vertex_exact(mesh.cell_vertices[ci, 0]) == origin, (label, ci)
+            assert np.array_equal(mesh.cell_shifts[ci], np.array(origin, dtype=float)), (label, ci)
             for r in range(4):
                 vertex = mesh.vertex_exact(mesh.cell_vertices[ci, r])
-                assert amap.apply_exact(REF[r]) == vertex, (label, ci)
+                moved = tuple(x + o for x, o in zip(amap.apply_exact(REF[r]), origin))
+                assert moved == vertex, (label, ci)
 
 
 def test_random_cells_shape_regular():
@@ -263,3 +244,53 @@ def test_random_cells_shape_regular():
 
         cols = [[verts[j + 1][i] - verts[0][i] for j in range(3)] for i in range(3)]
         assert _det3(cols) != 0
+
+
+def _array_entity_data(mesh, ci):
+    """Edge and face data of cell ``ci`` computed from the mesh arrays.
+
+    The independent reference for ``CellGeometry``: ascending ends and
+    anchors from ``edges`` and ``faces``, reference vertices from
+    ``cell_vertices``, tangents and frames from lattice differences.
+    """
+    lattice, den = mesh.lattice, mesh.denominator
+    ref_of = {int(g): REF_VERTICES[r] for r, g in enumerate(mesh.cell_vertices[ci])}
+    edges = []
+    for e in mesh.cell_edges[ci]:
+        lo, hi = mesh.edges[e]
+        d = (lattice[hi] - lattice[lo]) / den
+        length = float(np.linalg.norm(d))
+        edges.append(
+            {"ref_lo": ref_of[lo], "ref_hi": ref_of[hi], "tangent": d / length, "length": length}
+        )
+    faces = []
+    for f in mesh.cell_faces[ci]:
+        q0, q1, q2 = lattice[mesh.faces[f]]
+        t1 = (q1 - q0) / den
+        normal2 = np.cross(t1, (q2 - q0) / den)
+        area = float(np.linalg.norm(normal2)) / 2
+        n = normal2 / (2 * area)
+        tau1 = t1 / np.linalg.norm(t1)
+        faces.append({
+            "ref_anchors": tuple(ref_of[v] for v in mesh.faces[f]),
+            "tau1": tau1,
+            "tau2": np.cross(n, tau1),
+            "normal": n,
+            "area": area,
+            "direction": tuple(F(int(c), den * den) for c in np.cross(q1 - q0, q2 - q0)),
+        })
+    return edges, faces
+
+
+@pytest.mark.parametrize("variant", ["kuhn", "permuted", "jittered", "kuhn3"])
+def test_class_geometry_equals_array_data(variant, numbering_meshes):
+    # every cell's entity data equals, bit for bit, the geometry of its class map
+    mesh = build_structured_cube(3) if variant == "kuhn3" else numbering_meshes[variant]
+    geoms = [CellGeometry(a) for a in mesh.class_maps]
+    for ci in range(mesh.n_cells):
+        geom = geoms[mesh.cell_class[ci]]
+        edges, faces = _array_entity_data(mesh, ci)
+        for got, expected in zip(geom.edges + geom.faces, edges + faces, strict=True):
+            assert got.keys() == expected.keys()
+            for key, value in expected.items():
+                assert np.array_equal(got[key], value), (variant, ci, key)
