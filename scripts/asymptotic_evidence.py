@@ -12,7 +12,10 @@ the mesh is refined beyond the acceptance levels (for (r,k)=(1,1),
 N=(8,16) gives about 0.96 / 1.00 / 0.55 in the L2 / curl / grad-curl
 norms).
 
-Runtime grows quickly with N; N=16 takes a few minutes, N=24 much longer.
+The factor dominates the runtime from N=16 on.  On a 2-core box with BLAS
+on one thread, --levels 8,16,24 takes about a minute and 2.5 GB for
+(1,1) (N=(16,24) gives about 1.31 / 1.42 / 0.75), and --levels 8,16 about
+20 s and 1.1 GB for (2,1), whose N=24 factor does not fit in 6 GB.
 """
 
 import argparse

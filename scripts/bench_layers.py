@@ -61,11 +61,45 @@ def peak_rss_mb():
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
-def row(n, src, save_matrix=None):
-    """One row, in this process: the layers of a quadcurl (1,1) pass at level ``n``."""
+def enter_row(src):
+    """Set up a row's child process: limit its address space and import from ``src``."""
     limit = int(LIMIT_GB * 2**30)
     resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
     sys.path.insert(0, str(src))
+
+
+def collect(script, args, names, key, extra=()):
+    """Run ``script --row <name>`` for each of ``names``, each in its own child process.
+
+    The child prints its record as the last stdout line.  Each record,
+    with the source's label, SHA and digest, is printed and merged into
+    ``args.out``, replacing an older row with the same ``key(record)``.
+    """
+    src = Path(args.src).resolve()
+    meta = {
+        "label": args.label,
+        "git_sha": args.git_sha or git_sha(src),
+        "src_digest": source_digest(src),
+        "blas_threads": 1,
+        "limit_gb": LIMIT_GB,
+    }
+    path = Path(args.out)
+    rows = json.loads(path.read_text())["rows"] if path.exists() else []
+    for name in names:
+        cmd = [sys.executable, script, "--row", str(name), "--label", args.label, "--src", str(src)]
+        env = {**os.environ, **PIN}
+        done = subprocess.run([*cmd, *extra], env=env, capture_output=True, text=True)
+        if done.returncode != 0:
+            sys.exit(f"row {name} failed:\n{done.stderr}")
+        record = {**meta, **json.loads(done.stdout.splitlines()[-1])}
+        print(json.dumps(record))
+        rows = [old for old in rows if key(old) != key(record)] + [record]
+        path.write_text(json.dumps({"rows": rows}, indent=1) + "\n")
+
+
+def row(n, src, save_matrix=None):
+    """One row, in this process: the layers of a quadcurl (1,1) pass at level ``n``."""
+    enter_row(src)
     import numpy as np
 
     from tetcomplex.assembly import (
@@ -122,33 +156,13 @@ def main():
     parser.add_argument("--save-matrix", help="directory for each row's stiffness matrix (.npz)")
     parser.add_argument("--row", type=int, help=argparse.SUPPRESS)  # one row in this process
     args = parser.parse_args()
-    src = Path(args.src).resolve()
 
     if args.row is not None:
         save = args.save_matrix and str(Path(args.save_matrix, f"{args.label}_N{args.row}.npz"))
-        print(json.dumps(row(args.row, src, save)))
+        print(json.dumps(row(args.row, Path(args.src).resolve(), save)))
         return
-
-    meta = {
-        "label": args.label,
-        "git_sha": args.git_sha or git_sha(src),
-        "src_digest": source_digest(src),
-        "blas_threads": 1,
-        "limit_gb": LIMIT_GB,
-    }
-    path = Path(args.out)
-    rows = json.loads(path.read_text())["rows"] if path.exists() else []
-    for n in LEVELS:
-        cmd = [sys.executable, __file__, "--row", str(n), "--label", args.label, "--src", str(src)]
-        if args.save_matrix:
-            cmd += ["--save-matrix", args.save_matrix]
-        done = subprocess.run(cmd, env={**os.environ, **PIN}, capture_output=True, text=True)
-        if done.returncode != 0:
-            sys.exit(f"row N={n} failed:\n{done.stderr}")
-        record = {**meta, **json.loads(done.stdout.splitlines()[-1])}
-        print(json.dumps(record))
-        rows = [old for old in rows if (old["label"], old["N"]) != (args.label, n)] + [record]
-        path.write_text(json.dumps({"rows": rows}, indent=1) + "\n")
+    extra = ["--save-matrix", args.save_matrix] if args.save_matrix else []
+    collect(__file__, args, LEVELS, lambda rec: (rec["label"], rec["N"]), extra)
 
 
 if __name__ == "__main__":

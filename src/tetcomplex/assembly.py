@@ -69,6 +69,10 @@ def default_quadrature_degree(r, k, basis_degree=None):
     return base
 
 
+# ``GlobalSpace.dof_points`` scale: a multiple of 1, 2, 3 and 4 vertices, so the
+# centroid of every entity is an integer point.
+DOF_POINT_SCALE = 12
+
 # Largest number of points (or mode coefficients) per cell times cells that
 # one chunk of a class evaluates at once (bounds memory).
 _POINT_CHUNK = 200_000
@@ -176,6 +180,25 @@ class GlobalSpace:
     @property
     def interior_dim(self):
         return int((~self.boundary_mask).sum())
+
+    def dof_points(self):
+        """(dim, 3) int64: each DOF's entity centroid on the lattice, times ``DOF_POINT_SCALE``.
+
+        The centroid of an entity's k vertices is ``DOF_POINT_SCALE // k``
+        times their lattice sum, an integer for k = 1..4; the lattice planes
+        through the vertices are the multiples of ``DOF_POINT_SCALE``.
+        """
+        mesh = self.mesh
+        vertices = {
+            "vertex": np.arange(mesh.n_vertices)[:, None],
+            "edge": mesh.edges,
+            "face": mesh.faces,
+            "cell": mesh.cells,
+        }
+        return np.concatenate([
+            np.repeat(DOF_POINT_SCALE // len(v[0]) * mesh.lattice[v].sum(axis=1), self.counts[e], 0)
+            for e, v in vertices.items()
+        ])
 
     # -- per-congruence-class evaluation --------------------------------
 

@@ -188,13 +188,14 @@ def cmd_solve(args):
             quad_degree=args.quad_degree, solver=args.solver,
         )
         _, row = solve_quadcurl(problem)
-        columns = ["N", "dofs", "l2", "hcurl", "gradcurl", "residual", "lu_nnz", "seconds"]
+        columns = ["N", "dofs", "l2", "hcurl", "gradcurl", "residual", "lu_nnz", "factor_s",
+                   "seconds"]
     else:
         problem = StokesProblem(n=args.N, k=args.k, quad_degree=args.quad_degree)
         _, _, row = solve_stokes(problem)
         columns = [
             "N", "dofs", "velocity_l2", "velocity_h1", "pressure_l2", "div_norm", "lu_nnz",
-            "seconds",
+            "factor_s", "seconds",
         ]
     if args.out:
         with open(args.out, "w") as fh:

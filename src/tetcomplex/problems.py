@@ -26,9 +26,11 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .assembly import (
+    DOF_POINT_SCALE,
     GlobalSpace,
     assemble,
     assemble_load,
@@ -534,39 +536,120 @@ def get_spaces(n, r, k, kinds):
     return entry
 
 
-def _factor_spd(a):
-    """SuperLU factor of an SPD matrix.
+def _nested_dissection(points):
+    """Nested-dissection order of integer points; returns (order, depth).
 
-    SuperLU's defaults (COLAMD ordering of A^T A, partial pivoting) are
-    for unsymmetric matrices.  Here the columns are ordered by minimum
-    degree on A + A^T, the rows get the same permutation (SymmetricMode),
-    and the diagonal pivot is always taken (``diag_pivot_thresh=0``): a
-    Cholesky-shaped LU with a fraction of the default fill.  A matrix that
-    is not SPD is not detected here; the callers' residual and curvature
+    Each part is cut at the lattice plane (a multiple of
+    ``DOF_POINT_SCALE``) nearest the median of its points, along the
+    longest extent that such a plane cuts.  The points on the plane, the
+    separator, are ordered after both sides, and both sides are cut again;
+    every side keeps the order its points had.  A part stops when no plane
+    leaves points on both of its sides.  All parts of one level are cut at
+    once: one sort of (part, coordinate) keys gives their medians, and one
+    stable sort of (part, side) keys moves their points.  ``depth`` counts
+    the levels.
+    """
+    points = np.asarray(points, dtype=np.int64)
+    n = len(points)
+    step = DOF_POINT_SCALE
+    order = np.arange(n)
+    low = points.min(initial=0)
+    span = points.max(initial=0) - low + 1  # sort keys: part * span + coordinate - low
+    start = np.zeros(min(n, 1), dtype=np.int64)  # first position in ``order`` of each live part
+    size = np.full(len(start), n)
+    depth = 0
+    while len(start):
+        parts = np.arange(len(size))
+        offset = np.cumsum(size) - size  # each part's first index into ``at``
+        at = np.repeat(start - offset, size) + np.arange(size.sum())
+        pts = np.take(points, order[at], axis=0)
+        lo, hi = np.minimum.reduceat(pts, offset), np.maximum.reduceat(pts, offset)
+        first = (lo // step + 1) * step  # lowest plane above lo
+        last = (hi - 1) // step * step  # highest plane below hi
+        extent = np.where(first <= last, hi - lo, 0)
+        axis = extent.argmax(axis=1)
+        cut = extent[parts, axis] > 0
+        if not cut.any():
+            break
+        depth += 1
+        part = np.repeat(parts, size)
+        coord = pts[np.arange(len(at)), axis[part]]
+        median = np.sort(part * span + coord - low)[offset + size // 2] - parts * span + low
+        plane = np.clip((median + step // 2) // step * step, first[parts, axis], last[parts, axis])
+        plane = np.where(cut, plane, hi[parts, axis] + 1)  # a part that stops is all left side
+        # within each part: left side, right side, then the separator, each in its old order
+        group = 3 * part + np.where(coord < plane[part], 0, np.where(coord > plane[part], 1, 2))
+        order[at] = order[at[np.argsort(group, kind="stable")]]
+        count = np.bincount(group, minlength=3 * len(parts)).reshape(-1, 3)
+        start = np.stack([start, start + count[:, 0]], axis=1)[cut].ravel()
+        size = count[cut, :2].ravel()
+    return order, depth
+
+
+class SpdFactor:
+    """SuperLU factor of ``A[order][:, order]``; ``solve`` takes and returns the original order.
+
+    ``seconds`` is the time to order and factor; ``nnz`` the entries the
+    factor stores.
+    """
+
+    def __init__(self, lu, order, seconds):
+        self.lu = lu
+        self.order = order
+        self.seconds = seconds
+
+    @property
+    def nnz(self):
+        return self.lu.nnz
+
+    def solve(self, rhs):
+        """Solution for a right-hand side of shape (n,) or (n, m)."""
+        y = self.lu.solve(np.asarray(rhs)[self.order])
+        x = np.empty_like(y)
+        x[self.order] = y
+        return x
+
+
+def _factor_spd(a, points):
+    """SuperLU factor of an SPD matrix, ordered by nested dissection of its DOFs.
+
+    ``points`` are the integer DOF points of the matrix's rows
+    (``GlobalSpace.dof_points`` restricted like the matrix).  Rows and
+    columns are permuted by ``_nested_dissection`` of those points, and
+    SuperLU keeps that order (``NATURAL``, ``SymmetricMode``) and always
+    takes the diagonal pivot (``diag_pivot_thresh=0``): a Cholesky-shaped
+    LU whose fill is confined to the separators' blocks.  A matrix that is
+    not SPD is not detected here; the callers' residual and curvature
     checks raise SolverFailure for it.
     """
     start = time.perf_counter()
+    order, depth = _nested_dissection(points)
+    ordered = time.perf_counter() - start
+    coo = a.tocoo()
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    permuted = sp.csc_matrix((coo.data, (rank[coo.row], rank[coo.col])), shape=a.shape)
     lu = spla.splu(
-        a.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-        options={"SymmetricMode": True},
+        permuted, permc_spec="NATURAL", diag_pivot_thresh=0.0, options={"SymmetricMode": True}
     )
+    seconds = time.perf_counter() - start
     _log.debug(
-        "factored SPD matrix n=%d, nnz %d, LU fill %d, in %.3f s",
-        a.shape[0], a.nnz, lu.nnz, time.perf_counter() - start,
+        "factored SPD matrix n=%d, nnz %d, LU fill %d, dissection depth %d, "
+        "ordering %.4f s, in %.3f s",
+        a.shape[0], a.nnz, lu.nnz, depth, ordered, seconds,
     )
-    return lu
+    return SpdFactor(lu, order, seconds)
 
 
-def _solve_spd(a0, rhs, solver, tol):
-    """Solve an SPD restricted system; returns (x, iterations, LU fill).
+def _solve_spd(a0, rhs, solver, tol, points):
+    """Solve an SPD restricted system; returns (x, iterations, factor).
 
-    The LU fill is ``SuperLU.nnz`` of the direct factor, the entries its
-    supernodal L and U store (on a small matrix more than ``L.nnz + U.nnz``,
-    as supernodes are padded); 0 for the iterative solvers.
+    ``points`` are the DOF points of the rows of ``a0``.  The direct solver
+    returns its ``SpdFactor``; the iterative solvers return None.
     """
     if solver == "direct":
-        lu = _factor_spd(a0)
-        return lu.solve(rhs), 1, lu.nnz
+        lu = _factor_spd(a0, points)
+        return lu.solve(rhs), 1, lu
     if solver in ("cg", "cg-diagonal"):
         if solver == "cg":
             try:
@@ -589,7 +672,7 @@ def _solve_spd(a0, rhs, solver, tol):
             raise SolverFailure(
                 f"conjugate gradient stalled after {iters} iterations", iters, resid
             )
-        return x, iters, 0
+        return x, iters, None
     raise ConfigError(f"unknown solver {solver!r}")
 
 
@@ -610,7 +693,7 @@ def solve_quadcurl(problem: QuadCurlProblem):
     a0 = restrict_operator(a, mask, mask)
     f0 = restrict_vector(f, mask)
     with timings.stage("solve"):
-        x, iters, lu_nnz = _solve_spd(a0, f0, problem.solver, problem.tol)
+        x, iters, lu = _solve_spd(a0, f0, problem.solver, problem.tol, v.dof_points()[~mask])
     rhs_norm = float(np.linalg.norm(f0)) or 1.0
     residual = float(np.linalg.norm(a0 @ x - f0)) / rhs_norm
     if residual > problem.tol * 10:
@@ -628,7 +711,8 @@ def solve_quadcurl(problem: QuadCurlProblem):
         "gradcurl": errs[2],
         "residual": residual,
         "iterations": iters,
-        "lu_nnz": lu_nnz,
+        "lu_nnz": lu.nnz if lu else 0,
+        "factor_s": lu.seconds if lu else 0.0,
         "timings": dict(timings),
         "seconds": time.perf_counter() - t0,
     }
@@ -672,7 +756,9 @@ def solve_stokes(problem: StokesProblem):
     c_vec = mw @ q_const  # functional q -> integral of q over the domain
 
     with timings.stage("solve"):
-        u0, p, iters, lu_nnz = _solve_saddle(a0, b0, f0, q_const, c_vec, problem.tol)
+        u0, p, iters, lu = _solve_saddle(
+            a0, b0, f0, q_const, c_vec, problem.tol, vel.dof_points()[~mask]
+        )
     coeffs = extend_vector(u0, mask)
 
     with timings.stage("errors"):
@@ -687,34 +773,37 @@ def solve_stokes(problem: StokesProblem):
         "pressure_l2": p_err,
         "div_norm": div_norm,
         "iterations": iters,
-        "lu_nnz": lu_nnz,
+        "lu_nnz": lu.nnz,
+        "factor_s": lu.seconds,
         "timings": dict(timings),
         "seconds": time.perf_counter() - t0,
     }
     return coeffs, p, report
 
 
-def _solve_saddle(a0, b0, f0, q_const, c_vec, tol):
+def _solve_saddle(a0, b0, f0, q_const, c_vec, tol, points):
     """Velocity and pressure of the saddle-point system A u - B^T p = f, B u = 0.
 
     Pressures are taken modulo the constant ``q_const`` and projected onto
     ``c_vec . q = 0`` (``c_vec`` maps a pressure to its integral).  One
-    factor of the SPD velocity block A serves the projected Schur-complement
-    CG and the velocity back-solve.  Returns (u0, p, CG iterations, LU fill).
+    factor of the SPD velocity block A, ordered by the velocity DOF
+    ``points``, serves the projected Schur-complement CG and the velocity
+    back-solve.  Returns (u0, p, CG iterations, SpdFactor).
     """
-    lu = _factor_spd(a0)
+    lu = _factor_spd(a0, points)
+    b0_t = b0.T.tocsr()  # built once: every CG iteration applies it
 
     def project(q):
         return q - q_const * (c_vec @ q)
 
     def schur(q):
-        return project(b0 @ lu.solve(b0.T @ project(q)))
+        return project(b0 @ lu.solve(b0_t @ project(q)))
 
     rhs = project(-(b0 @ lu.solve(f0)))
     p, iters = _cg_operator(schur, rhs, tol=tol)
     p = project(p)
-    u0 = lu.solve(f0 + b0.T @ p)
-    return u0, p, iters, lu.nnz
+    u0 = lu.solve(f0 + b0_t @ p)
+    return u0, p, iters, lu
 
 
 def _pressure_error(space, coeffs, exact, quad_degree):
@@ -783,7 +872,7 @@ def inf_sup_constant(n, k):
     b0 = b.matrix[:, ~mask]
     mw = assemble("mass", pre, quad_degree).matrix.todense()
 
-    lu = _factor_spd(a0)
+    lu = _factor_spd(a0, vel.dof_points()[~mask])
     bt = np.asarray(b0.todense()).T
     s = np.asarray(b0.todense()) @ lu.solve(bt)
 

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tetcomplex.assembly import (
+    DOF_POINT_SCALE,
+    GlobalSpace,
     assemble,
     default_quadrature_degree,
     discrete_d,
@@ -20,6 +22,7 @@ from tetcomplex.problems import (
     StokesProblem,
     TrigPoly1D,
     _factor_spd,
+    _nested_dissection,
     _pressure_constant_coeffs,
     _solve_saddle,
     _solve_spd,
@@ -119,7 +122,7 @@ class TestQuadCurlSolve:
         mask = v.boundary_mask
         a0 = restrict_operator(a, mask, mask)
         f0 = np.zeros(a0.shape[0])
-        x, _, _ = _solve_spd(a0, f0, "direct", 1e-10)
+        x, _, _ = _solve_spd(a0, f0, "direct", 1e-10, v.dof_points()[~mask])
         assert np.abs(x).max() == 0.0
 
     def test_errors_decrease(self):
@@ -203,8 +206,9 @@ class TestStokes:
         return vel, restrict_operator(a, mask, mask), b.matrix[:, ~mask], qc, cvec
 
     def test_zero_forcing(self):
-        _, a0, b0, qc, cvec = self._saddle_blocks(10)
-        u0, p, its, _ = _solve_saddle(a0, b0, np.zeros(a0.shape[0]), qc, cvec, 1e-12)
+        vel, a0, b0, qc, cvec = self._saddle_blocks(10)
+        points = vel.dof_points()[~vel.boundary_mask]
+        u0, p, its, _ = _solve_saddle(a0, b0, np.zeros(a0.shape[0]), qc, cvec, 1e-12, points)
         assert its == 0
         assert np.abs(u0).max() == 0.0 and np.abs(p).max() == 0.0
 
@@ -219,7 +223,8 @@ class TestStokes:
             assemble_load(vel, FieldSample(lambda pts: ms.pressure_gradient(pts)), qd),
             vel.boundary_mask,
         )
-        u0, _, _, _ = _solve_saddle(a0, b0, f0, qc, cvec, 1e-12)
+        points = vel.dof_points()[~vel.boundary_mask]
+        u0, _, _, _ = _solve_saddle(a0, b0, f0, qc, cvec, 1e-12, points)
         assert np.abs(u0).max() < 1e-10
 
     def test_n4_iterations_and_velocity_error_pinned(self):
@@ -237,7 +242,7 @@ class TestStokes:
         )
         _, _, explicit = solve_stokes(StokesProblem(n=2, k=1, quad_degree=degree))
         for rep in (default, explicit):
-            del rep["timings"], rep["seconds"]
+            del rep["timings"], rep["seconds"], rep["factor_s"]
         assert explicit == default
         _, _, higher = solve_stokes(StokesProblem(n=2, k=1, quad_degree=degree + 2))
         assert higher["velocity_l2"] != default["velocity_l2"]
@@ -300,53 +305,130 @@ class TestSchurCg:
         assert info.value.residual > 1e-3
 
 
+def _reference_dissection(points, ids, cuts, level=0):
+    """Per-part recursion of ``_nested_dissection`` on the points ``ids``.
+
+    Returns their order and appends each cut's (level, left, right,
+    separator ids) to ``cuts``.
+    """
+    pts = points[ids]
+    lo, hi = pts.min(axis=0), pts.max(axis=0)
+    step = DOF_POINT_SCALE
+    first, last = (lo // step + 1) * step, (hi - 1) // step * step
+    extent = np.where(first <= last, hi - lo, 0)
+    axis = int(extent.argmax())
+    if extent[axis] == 0:
+        return ids
+    coord = pts[:, axis]
+    median = np.sort(coord)[len(coord) // 2]
+    plane = min(max((median + step // 2) // step * step, first[axis]), last[axis])
+    left, right, on = ids[coord < plane], ids[coord > plane], ids[coord == plane]
+    cuts.append((level, left, right, on))
+    return np.concatenate([
+        _reference_dissection(points, left, cuts, level + 1),
+        _reference_dissection(points, right, cuts, level + 1),
+        on,
+    ])
+
+
 class TestFactorSpd:
-    """The one SPD factorization against SuperLU's default COLAMD / partial pivoting."""
+    """The one SPD factorization: nested dissection of the DOF points, SuperLU in symmetric mode."""
 
     @staticmethod
-    def _quadcurl_block(r, k):
-        v = get_spaces(2, r, k, ["gradcurl"])["gradcurl"]
-        a = assemble("gradcurl_stiffness", v, 2 * v.basis_degree)
-        return restrict_operator(a, v.boundary_mask, v.boundary_mask)
+    def _block(space):
+        """Restricted SPD matrix of a velocity (h1) or grad-curl space, and its DOF points."""
+        if space.kind == "velocity":
+            a = assemble("h1", space, 10)
+        else:
+            a = assemble("gradcurl_stiffness", space, 2 * space.basis_degree)
+        mask = space.boundary_mask
+        return restrict_operator(a, mask, mask), space.dof_points()[~mask]
 
-    @staticmethod
-    def _velocity_block(n):
-        vel = get_spaces(n, 1, 1, ["velocity"])["velocity"]
-        a = assemble("h1", vel, 10)
-        return restrict_operator(a, vel.boundary_mask, vel.boundary_mask)
+    def _quadcurl_block(self, r, k, n=2):
+        return self._block(get_spaces(n, r, k, ["gradcurl"])["gradcurl"])
+
+    def _velocity_block(self, n):
+        return self._block(get_spaces(n, 1, 1, ["velocity"])["velocity"])
 
     @pytest.mark.parametrize(
-        "block",
-        [("quadcurl", (1, 1)), ("quadcurl", (2, 2)), ("velocity", 2), ("velocity", 3)],
-        ids=["quadcurl-11", "quadcurl-22", "velocity-2", "velocity-3"],
+        "mesh, kind, rk",
+        [
+            (2, "gradcurl", (1, 1)), (2, "gradcurl", (2, 2)), (2, "velocity", (1, 1)),
+            (3, "velocity", (1, 1)), (3, "gradcurl", (1, 1)), (4, "velocity", (1, 1)),
+            ("permuted", "gradcurl", (1, 1)), ("permuted", "velocity", (1, 1)),
+            ("jittered", "gradcurl", (1, 1)), ("jittered", "velocity", (1, 1)),
+        ],
+        ids=[
+            "quadcurl-11", "quadcurl-22", "velocity-2", "velocity-3", "quadcurl-11-n3",
+            "velocity-4", "permuted-quadcurl-11", "permuted-velocity", "jittered-quadcurl-11",
+            "jittered-velocity",
+        ],
     )
-    def test_solve_matches_default_splu(self, block):
+    def test_solve_matches_default_splu(self, mesh, kind, rk, numbering_meshes):
+        # not the quadcurl stiffness at N = 4: its condition number, 5.1e6, puts a
+        # minimum-degree solve 1.0e-10 away from the default one as well
         import scipy.sparse.linalg as spla
 
-        kind, arg = block
-        a = self._quadcurl_block(*arg) if kind == "quadcurl" else self._velocity_block(arg)
-        b = np.random.default_rng(7).standard_normal(a.shape[0])
-        ref = spla.splu(a.tocsc()).solve(b)
-        x = _factor_spd(a).solve(b)
-        assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+        if isinstance(mesh, int):
+            space = get_spaces(mesh, *rk, [kind])[kind]
+        else:
+            space = GlobalSpace(numbering_meshes[mesh], kind, *rk)
+        a, points = self._block(space)
+        lu, ref = _factor_spd(a, points), spla.splu(a.tocsc())
+        rhs = np.random.default_rng(7).standard_normal((a.shape[0], 3))
+        for b in (rhs[:, 0], rhs):
+            x, expected = lu.solve(b), ref.solve(b)
+            assert x.shape == b.shape
+            assert np.linalg.norm(x - expected) <= 1e-10 * np.linalg.norm(expected)
+
+    @pytest.mark.parametrize("kind", ["velocity", "gradcurl"])
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_separators_split_no_cell(self, n, kind):
+        space = get_spaces(n, 1, 1, [kind])[kind]
+        mask = space.boundary_mask
+        points = space.dof_points()[~mask]
+        order, depth = _nested_dissection(points)
+        cuts = []
+        assert np.array_equal(order, _reference_dissection(points, np.arange(len(points)), cuts))
+        assert np.array_equal(np.sort(order), np.arange(len(points)))
+        assert depth == 1 + max(level for level, *_ in cuts) >= 3
+        # restricted index of every cell's DOFs, -1 on the boundary
+        restricted = np.where(mask, -1, np.cumsum(~mask) - 1)[space.local_to_global]
+        for _, left, right, on in cuts:
+            assert len(on) > 0
+            in_left = np.isin(restricted, left).any(axis=1)
+            in_right = np.isin(restricted, right).any(axis=1)
+            assert not (in_left & in_right).any()
+
+    def test_store_below_minimum_degree_at_n8(self):
+        import scipy.sparse.linalg as spla
+
+        for a, points in (self._quadcurl_block(1, 1, n=8), self._velocity_block(8)):
+            mmd = spla.splu(
+                a.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                options={"SymmetricMode": True},
+            )
+            assert _factor_spd(a, points).nnz < mmd.nnz
 
     def test_fill_below_default_at_n4(self):
         import scipy.sparse.linalg as spla
 
-        a = self._velocity_block(4)
-        fill, default_fill = _factor_spd(a).nnz, spla.splu(a.tocsc()).nnz
+        a, points = self._velocity_block(4)
+        fill, default_fill = _factor_spd(a, points).nnz, spla.splu(a.tocsc()).nnz
         assert fill < default_fill
-        # minimum degree on A + A^T: 48990 against COLAMD's 111036
+        # nested dissection: 46954 against COLAMD's 111091 (minimum degree on A + A^T: 48990)
         assert 2 * fill <= default_fill
 
     def test_reports_carry_lu_fill(self):
         # the fill depends on the sparsity pattern alone, not on the quadrature
         _, row = solve_quadcurl(QuadCurlProblem(n=2, r=1, k=1))
-        assert row["lu_nnz"] == _factor_spd(self._quadcurl_block(1, 1)).nnz > 0
+        assert row["lu_nnz"] == _factor_spd(*self._quadcurl_block(1, 1)).nnz > 0
+        assert row["factor_s"] > 0
         _, row = solve_quadcurl(QuadCurlProblem(n=1, r=1, k=1, solver="cg-diagonal"))
-        assert row["lu_nnz"] == 0
+        assert row["lu_nnz"] == 0 and row["factor_s"] == 0
         _, _, rep = solve_stokes(StokesProblem(n=2, k=1))
-        assert rep["lu_nnz"] == _factor_spd(self._velocity_block(2)).nnz > 0
+        assert rep["lu_nnz"] == _factor_spd(*self._velocity_block(2)).nnz > 0
+        assert rep["factor_s"] > 0
 
     def test_each_factorization_is_logged(self, caplog):
         with caplog.at_level("DEBUG", logger="tetcomplex.problems"):
@@ -355,10 +437,11 @@ class TestFactorSpd:
             rec.getMessage() for rec in caplog.records if rec.name == "tetcomplex.problems"
         ]
         assert len(messages) == 1
-        a = self._velocity_block(2)
+        a, _ = self._velocity_block(2)
         head = f"factored SPD matrix n={a.shape[0]}, nnz {a.nnz}, LU fill "
         assert messages[0].startswith(head)
         assert float(messages[0].split(" in ")[1].removesuffix(" s")) >= 0
+        assert ", dissection depth " in messages[0] and ", ordering " in messages[0]
 
 
 class TestInfSup:
