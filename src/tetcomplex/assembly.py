@@ -387,11 +387,7 @@ def _values(space, cells, evaluate, points):
 
 def _required_degree(form, space, other=None):
     d = space.basis_degree
-    if form == "mass":
-        return 2 * d
-    if form == "gradcurl_stiffness":
-        return 2 * d
-    if form == "h1":
+    if form in ("mass", "gradcurl_stiffness", "h1"):
         return 2 * d
     if form == "div_pressure":
         return d + (other.basis_degree if other else 0)

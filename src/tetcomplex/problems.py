@@ -1,26 +1,28 @@
 """Model problems: the fourth-order curl problem, Stokes flow, convergence studies.
 
-The manufactured velocity field is a product of univariate trigonometric
-factors per component, so every partial derivative (up to the fourth-order
-forcing) evaluates exactly as a product of formally differentiated
-univariate factors; no symbolic engine and no quadrature enter the forcing.
+The manufactured velocity and pressure are sums of products of one cubic
+mode s^(3-a) c^a per axis (s = sin(pi x), c = cos(pi x)).  A derivative
+maps these four modes onto one another (``DERIVATIVE``), and so does a
+translation x -> x + a (``shift_matrices``, by angle addition).  So every
+field the problems need, up to the fourth-order forcing, is one tensor of
+64 mode coefficients per component (``TranslationModes``), built once by
+applying ``DERIVATIVE`` along the tensor's axes; no symbolic engine and
+no quadrature enter the forcing.
 
-Every such factor is a cubic form in (sin(pi x), cos(pi x)), and a
-translation x -> x + a maps the four cubic modes s^(3-a) c^a onto one
-another (angle addition).  So on the cells of one congruence class, which
-are translates of the first, every field of the solution is a per-cell
-vector of 64 coefficients times 64 template modes taken at the first
-cell's points: the packaged samples carry that representation as
-``TranslationModes``, and load and error norms need no evaluation per
-point and cell.  Interpolation evaluates at its few stencil points per
-cell, which costs less than moving the mode coefficients there.
+On the cells of one congruence class, which are translates of the first,
+a field is a per-cell vector of 64 coefficients times 64 template modes
+taken at the first cell's points: the packaged samples carry that
+representation, and load and error norms need no evaluation per point and
+cell.  Interpolation evaluates at its few stencil points per cell, which
+costs less than moving the mode coefficients there; a point value sums
+the tensor's nonzero modes.
 """
 
 from __future__ import annotations
 
 import json
 import logging
-import math
+import resource
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field as dc_field
@@ -60,46 +62,27 @@ class ConfigError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# univariate trigonometric factors and their translation modes
+# cubic trigonometric modes per axis
+
+# d/dx s^(3-a) c^a = pi ((3-a) s^(2-a) c^(a+1) - a s^(4-a) c^(a-1)): column a
+# holds its coefficients on the four modes.
+DERIVATIVE = np.pi * np.array([
+    [0.0, -1.0, 0.0, 0.0],
+    [3.0, 0.0, -2.0, 0.0],
+    [0.0, 2.0, 0.0, -3.0],
+    [0.0, 0.0, 1.0, 0.0],
+])
 
 
-class TrigPoly1D:
-    """Polynomial in (sin(pi x), cos(pi x)) with float coefficients."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms):
-        self.terms = {k: v for k, v in terms.items() if v != 0.0}
-
-    def derivative(self):
-        out = {}
-        for (a, b), c in self.terms.items():
-            if a:
-                key = (a - 1, b + 1)
-                out[key] = out.get(key, 0.0) + np.pi * a * c
-            if b:
-                key = (a + 1, b - 1)
-                out[key] = out.get(key, 0.0) - np.pi * b * c
-        return TrigPoly1D(out)
-
-    def cubic(self):
-        """Coefficients of the four cubic modes s^(3-a) c^a, a = 0..3.
-
-        A term of degree 1 is lifted to degree 3 by s^2 + c^2 = 1; other
-        degrees have no cubic form.
-        """
-        out = np.zeros(4)
-        for (a, b), coeff in self.terms.items():
-            lift, odd = divmod(3 - a - b, 2)
-            if odd or lift < 0:
-                raise ValueError(f"term s^{a} c^{b} is not a cubic form")
-            for j in range(lift + 1):  # (s^2 + c^2)^lift
-                out[b + 2 * j] += math.comb(lift, j) * coeff
-        return out
+def _partial(t, axis, order=1):
+    """d^order / dx_axis^order of a (4, 4, 4, *components) mode tensor."""
+    d = np.linalg.matrix_power(DERIVATIVE, order)
+    return np.moveaxis(np.tensordot(d, t, axes=(1, axis)), 0, axis)
 
 
 def shift_matrices(shifts):
-    """(n, 4, 4) matrices M with ``f(x + a).cubic() == M(a) @ f.cubic()``.
+    """(n, 4, 4) matrices M such that f(x + a) has cubic coefficients M(a) @ v
+    when f(x) has v.
 
     sin(pi (x + a)) = s cos(pi a) + c sin(pi a) and cos(pi (x + a)) =
     c cos(pi a) - s sin(pi a), so mode s^(3-b) c^b moved by a is the
@@ -129,7 +112,8 @@ class TranslationModes:
     s3^(3-c) c3^c (s_i = sin(pi x_i), c_i = cos(pi x_i)).  At points p + t,
     a field is ``coefficients(name, t) @ template(p)``: the template holds
     the modes at p, and the coefficients are the tensor moved by t, one
-    ``shift_matrices`` factor per axis.
+    ``shift_matrices`` factor per axis.  At any points, ``evaluate`` gives
+    the field directly.
     """
 
     count = 64
@@ -143,6 +127,23 @@ class TranslationModes:
         s, c = np.sin(x), np.cos(x)
         per_axis = [np.stack([s[:, i] ** (3 - a) * c[:, i] ** a for a in range(4)]) for i in range(3)]
         return np.einsum("am,bm,cm->abcm", *per_axis).reshape(64, -1)
+
+    def evaluate(self, name, points):
+        """Field ``name`` at flat (m, 3) points, shape (m, *components).
+
+        Only the tensor's nonzero rows enter, each as a product of one
+        cubic mode per axis.
+        """
+        t = self.tensors[name]
+        rows = np.flatnonzero(t.reshape(self.count, -1).any(axis=1))
+        x = np.pi * np.asarray(points, float).T
+        s, c = np.sin(x), np.cos(x)
+        ss, cc = s * s, c * c
+        per_axis = np.stack([ss * s, ss * c, s * cc, cc * c], axis=1)  # (axis, mode, m)
+        ax, ay, az = np.unravel_index(rows, (4, 4, 4))
+        products = per_axis[0, ax] * per_axis[1, ay]
+        products *= per_axis[2, az]
+        return np.tensordot(products, t[rows], axes=(0, 0))
 
     def coefficients(self, name, shifts):
         """Coefficients of field ``name`` moved by each of (cells, 3) shifts.
@@ -174,80 +175,6 @@ class TranslationModes:
         return coefficients
 
 
-class _PointFactors:
-    """Univariate factors at flat (m, 3) points, each evaluated once."""
-
-    def __init__(self, pts):
-        x = np.pi * np.asarray(pts, float)
-        self.size = len(x)
-        self.powers = []
-        for s, c in zip(np.sin(x).T, np.cos(x).T):
-            self.powers.append(([np.ones_like(s), s, s * s, s * s * s],
-                                [np.ones_like(c), c, c * c, c * c * c]))
-        self._memo = {}
-
-    def factor(self, f, axis):
-        key = (tuple(f.terms.items()), axis)
-        val = self._memo.get(key)
-        if val is None:
-            sines, cosines = self.powers[axis]
-            val = np.zeros(self.size)
-            for (a, b), coeff in f.terms.items():
-                val += coeff * sines[a] * cosines[b]
-            self._memo[key] = val
-        return val
-
-
-class _ModeFactors:
-    """Univariate factors as cubic coefficients, in place of 64 points.
-
-    A factor of axis 0 takes at "point" 16 a + 4 b + c its coefficient a
-    (axis 1: b, axis 2: c), so the product of three factors that the
-    evaluators form point by point is their Kronecker product, and an
-    evaluator returns its ``TranslationModes`` tensor.
-    """
-
-    size = TranslationModes.count
-
-    def factor(self, f, axis):
-        shape = [1, 1, 1]
-        shape[axis] = 4
-        return np.broadcast_to(f.cubic().reshape(shape), (4, 4, 4)).ravel()
-
-
-class SeparableProduct:
-    """coef * f1(x) f2(y) f3(z) with derivative tables up to order 4."""
-
-    def __init__(self, coef, f1, f2, f3, max_order=4):
-        self.coef = coef
-        self.tables = []
-        for f in (f1, f2, f3):
-            tab = [f]
-            for _ in range(max_order):
-                tab.append(tab[-1].derivative())
-            self.tables.append(tab)
-
-    def partial(self, alpha, factors):
-        f1, f2, f3 = (factors.factor(self.tables[i][alpha[i]], i) for i in range(3))
-        out = np.multiply(f1, f2)
-        out *= f3
-        if self.coef != 1.0:
-            out *= self.coef
-        return out
-
-
-_EPS = np.zeros((3, 3, 3))
-for _perm, _sign in ((((0, 1, 2)), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
-                     ((2, 1, 0), -1), ((0, 2, 1), -1), ((1, 0, 2), -1)):
-    _EPS[_perm] = _sign
-_E = np.eye(3, dtype=int)
-# (curl u)_a is the sum of sign * d u_c / d x_b over (sign, c, e_b) in _CURL[a]
-_CURL = [
-    [(int(_EPS[a, b, c]), c, _E[b]) for b in range(3) for c in range(3) if _EPS[a, b, c]]
-    for a in range(3)
-]
-
-
 class ManufacturedSolution:
     """Trigonometric divergence-free field with vanishing boundary traces.
 
@@ -257,167 +184,119 @@ class ManufacturedSolution:
         u2 =    (s1^2 c1) s2^3 (s3^2 c3)
         u3 = -2 (s1^2 c1) (s2^2 c2) s3^3
 
-    The forcing of the fourth-order problem, -curl(lap(curl u)) + u (which
-    is lap(lap(u)) + u, as div u = 0), and the Stokes forcing
-    -lap(u) + grad(p) with p = c1 c2 c3 are evaluated from the same
-    univariate derivative tables.
-
-    Every evaluator takes flat (m, 3) points and, optionally, the source
-    of the univariate factors.  By default that is the factors at those
-    points.  ``translation_modes`` passes the factors' cubic coefficients
-    instead (``_ModeFactors``): the same sums of products then give each
-    field's 64 mode coefficients, which the packaged samples carry as
-    ``modes``.  The pressure's degree-1 factors lift to cubic forms.
+    and the Stokes pressure p = c1 c2 c3, whose factors are the cubic forms
+    c = s^2 c + c^3.  ``modes`` holds every field below as a
+    ``TranslationModes`` tensor, built from those of u and p by
+    ``DERIVATIVE``: among them the forcing of the fourth-order problem,
+    -curl(lap(curl u)) + u, which is lap(lap(u)) + u as div u = 0.  Each
+    evaluator takes flat (m, 3) points and evaluates its tensor there; the
+    packaged samples carry the tensors they need as their ``modes``.
     """
 
     def __init__(self):
-        s3 = TrigPoly1D({(3, 0): 1.0})
-        s2c = TrigPoly1D({(2, 1): 1.0})
-        self.comps = (
-            SeparableProduct(1.0, s3, s2c, s2c),
-            SeparableProduct(1.0, s2c, s3, s2c),
-            SeparableProduct(-2.0, s2c, s2c, s3),
+        s3, s2c, _, c3 = np.eye(4)
+
+        def outer(f, g, h):
+            return np.einsum("a,b,c->abc", f, g, h)
+
+        def lap(t):
+            return sum(_partial(t, d, 2) for d in range(3))
+
+        u = np.stack([outer(s3, s2c, s2c), outer(s2c, s3, s2c), -2 * outer(s2c, s2c, s3)], axis=-1)
+        p = outer(s2c + c3, s2c + c3, s2c + c3)
+        jacobian = np.stack([_partial(u, j) for j in range(3)], axis=-1)  # [..., i, j] = d u_i / d x_j
+        curl = np.stack([
+            jacobian[..., 2, 1] - jacobian[..., 1, 2],
+            jacobian[..., 0, 2] - jacobian[..., 2, 0],
+            jacobian[..., 1, 0] - jacobian[..., 0, 1],
+        ], axis=-1)
+        laplacian = lap(u)
+        fields = {
+            "value": u,
+            "jacobian": jacobian,
+            "divergence": np.trace(jacobian, axis1=-2, axis2=-1),
+            "curl": curl,
+            "grad_curl": np.stack([_partial(curl, d) for d in range(3)], axis=-1),
+            "lap_curl": lap(curl),
+            "laplacian": laplacian,
+            "forcing": lap(laplacian) + u,
+            "pressure": p,
+            "pressure_gradient": np.stack([_partial(p, j) for j in range(3)], axis=-1),
+        }
+        self.modes = TranslationModes(
+            {name: t.reshape((TranslationModes.count,) + t.shape[3:]) for name, t in fields.items()}
         )
-        c1 = TrigPoly1D({(0, 1): 1.0})
-        self.pressure_product = SeparableProduct(1.0, c1, c1, c1, max_order=1)
 
-    # -- raw partial evaluators ------------------------------------------
-    # Each takes flat (m, 3) points and, optionally, the factor source of
-    # those points, which several evaluators at one point set share.
+    # -- point evaluators, at flat (m, 3) points -------------------------------
 
-    def _p(self, comp, alpha, factors):
-        return self.comps[comp].partial(alpha, factors)
+    def value(self, pts):
+        return self.modes.evaluate("value", pts)
 
-    def value(self, pts, factors=None):
-        factors = factors or _PointFactors(pts)
-        return np.stack([self._p(i, (0, 0, 0), factors) for i in range(3)], axis=1)
+    def divergence(self, pts):
+        return self.modes.evaluate("divergence", pts)
 
-    def divergence(self, pts, factors=None):
-        factors = factors or _PointFactors(pts)
-        return sum(self._p(i, tuple(_E[i]), factors) for i in range(3))
-
-    def jacobian(self, pts, factors=None):
+    def jacobian(self, pts):
         """(m, 3, 3) array with entry [:, i, j] = d u_i / d x_j."""
-        factors = factors or _PointFactors(pts)
-        out = np.empty((factors.size, 3, 3))
-        for i in range(3):
-            for j in range(3):
-                out[:, i, j] = self._p(i, tuple(_E[j]), factors)
-        return out
+        return self.modes.evaluate("jacobian", pts)
 
-    def _sum(self, terms, factors):
-        """Sum of sign * (d^alpha u_comp) over (sign, comp, alpha) terms, in place."""
-        acc = None
-        for sign, comp, alpha in terms:
-            p = self._p(comp, tuple(alpha), factors)
-            if acc is None:
-                acc = p if sign > 0 else np.negative(p, out=p)
-            elif sign > 0:
-                acc += p
-            else:
-                acc -= p
-        return acc
+    def curl(self, pts):
+        return self.modes.evaluate("curl", pts)
 
-    def curl(self, pts, factors=None):
-        factors = factors or _PointFactors(pts)
-        return np.stack([self._sum(_CURL[a], factors) for a in range(3)], axis=1)
+    def grad_curl(self, pts):
+        return self.modes.evaluate("grad_curl", pts)
 
-    def grad_curl(self, pts, factors=None):
-        factors = factors or _PointFactors(pts)
-        out = np.empty((factors.size, 3, 3))
-        for a in range(3):
-            for d in range(3):
-                out[:, a, d] = self._sum([(s, c, b + _E[d]) for s, c, b in _CURL[a]], factors)
-        return out
+    def lap_curl(self, pts):
+        return self.modes.evaluate("lap_curl", pts)
 
-    def lap_curl(self, pts, factors=None):
-        factors = factors or _PointFactors(pts)
-        return np.stack([
-            self._sum([(s, c, b + 2 * _E[d]) for d in range(3) for s, c, b in _CURL[a]], factors)
-            for a in range(3)
-        ], axis=1)
-
-    def bilaplacian(self, pts, factors=None):
-        """lap(lap(u)) from 18 partials: per component the three d^4/dx_d^4 and,
-        counted twice, the three d^2/dx_d^2 d^2/dx_e^2 with d < e."""
-        factors = factors or _PointFactors(pts)
-        comps = []
-        for i in range(3):
-            mixed = [(1, i, 2 * (_E[d] + _E[e])) for d in range(3) for e in range(d + 1, 3)]
-            acc = self._sum(mixed, factors)
-            acc *= 2
-            acc += self._sum([(1, i, 4 * _E[d]) for d in range(3)], factors)
-            comps.append(acc)
-        return np.stack(comps, axis=1)
-
-    def forcing(self, pts, factors=None):
+    def forcing(self, pts):
         """-curl(lap(curl u)) + u, which is lap(lap(u)) + u because div u = 0."""
-        factors = factors or _PointFactors(pts)
-        return self.bilaplacian(pts, factors) + self.value(pts, factors)
+        return self.modes.evaluate("forcing", pts)
 
-    def laplacian(self, pts, factors=None):
-        factors = factors or _PointFactors(pts)
-        return np.stack(
-            [
-                sum(self._p(i, tuple(2 * _E[d]), factors) for d in range(3))
-                for i in range(3)
-            ],
-            axis=1,
+    def laplacian(self, pts):
+        return self.modes.evaluate("laplacian", pts)
+
+    def pressure(self, pts):
+        return self.modes.evaluate("pressure", pts)
+
+    def pressure_gradient(self, pts):
+        return self.modes.evaluate("pressure_gradient", pts)
+
+    def stokes_forcing(self, pts, viscosity=1.0):
+        return (
+            -viscosity * self.modes.evaluate("laplacian", pts)
+            + self.modes.evaluate("pressure_gradient", pts)
         )
-
-    def pressure(self, pts, factors=None):
-        factors = factors or _PointFactors(pts)
-        return self.pressure_product.partial((0, 0, 0), factors)
-
-    def pressure_gradient(self, pts, factors=None):
-        factors = factors or _PointFactors(pts)
-        return np.stack(
-            [self.pressure_product.partial(tuple(_E[i]), factors) for i in range(3)], axis=1
-        )
-
-    def stokes_forcing(self, pts, viscosity=1.0, factors=None):
-        factors = factors or _PointFactors(pts)
-        return -viscosity * self.laplacian(pts, factors) + self.pressure_gradient(pts, factors)
 
     # -- packaged samples ---------------------------------------------------
 
-    def translation_modes(self, **evaluators):
-        """TranslationModes with one tensor per keyword, from its evaluator.
-
-        The evaluators get NaN points, so one that uses the coordinates
-        besides the factors (a subclass adding a polynomial term, say)
-        raises here instead of giving wrong coefficients.
-        """
-        pts = np.full((TranslationModes.count, 3), np.nan)
-        tensors = {}
-        for name, evaluate in evaluators.items():
-            tensors[name] = evaluate(pts, factors=_ModeFactors())
-            if not np.isfinite(tensors[name]).all():
-                raise ValueError(f"{name} is not a sum of products of trigonometric factors")
-        return TranslationModes(tensors)
-
     def solution_sample(self):
+        t = self.modes.tensors
         return FieldSample(
             self.value, self.curl, self.grad_curl, self.divergence, jacobian=self.jacobian,
-            modes=self.translation_modes(
-                value=self.value, curl=self.curl, grad_curl=self.grad_curl,
-                div=self.divergence, jacobian=self.jacobian,
-            ),
+            modes=TranslationModes({
+                "value": t["value"], "curl": t["curl"], "grad_curl": t["grad_curl"],
+                "div": t["divergence"], "jacobian": t["jacobian"],
+            }),
         )
 
     def forcing_sample(self):
-        return FieldSample(self.forcing, modes=self.translation_modes(value=self.forcing))
+        return FieldSample(self.forcing, modes=TranslationModes({"value": self.modes.tensors["forcing"]}))
 
     def stokes_forcing_sample(self, viscosity=1.0):
-        def forcing(pts, factors=None):
-            return self.stokes_forcing(pts, viscosity, factors)
+        def forcing(pts):
+            return self.stokes_forcing(pts, viscosity)
 
-        return FieldSample(forcing, modes=self.translation_modes(value=forcing))
+        t = self.modes.tensors
+        return FieldSample(
+            forcing,
+            modes=TranslationModes({"value": -viscosity * t["laplacian"] + t["pressure_gradient"]}),
+        )
 
     def pressure_sample(self):
+        t = self.modes.tensors
         return FieldSample(
             self.pressure, gradient=self.pressure_gradient, scalar=True,
-            modes=self.translation_modes(value=self.pressure, gradient=self.pressure_gradient),
+            modes=TranslationModes({"value": t["pressure"], "gradient": t["pressure_gradient"]}),
         )
 
     # -- validation -----------------------------------------------------------
@@ -498,6 +377,11 @@ class StokesProblem:
     tol: float = 1e-12
     quad_degree: int = None
     solution: ManufacturedSolution = dc_field(default_factory=ManufacturedSolution)
+
+
+def _peak_rss_mb():
+    """Peak resident set size of this process so far, in MB (``ru_maxrss`` is in KiB on Linux)."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
 
 class StageTimings(dict):
@@ -682,9 +566,7 @@ def solve_quadcurl(problem: QuadCurlProblem):
     timings = StageTimings()
     spaces = get_spaces(problem.n, problem.r, problem.k, ["gradcurl"])
     v = spaces["gradcurl"]
-    quad_degree = problem.quad_degree or max(
-        default_quadrature_degree(problem.r, problem.k, v.basis_degree), 2 * v.basis_degree
-    )
+    quad_degree = problem.quad_degree or default_quadrature_degree(problem.r, problem.k, v.basis_degree)
     with timings.stage("assemble"):
         a = assemble("gradcurl_stiffness", v, quad_degree)
     with timings.stage("load"):
@@ -715,6 +597,7 @@ def solve_quadcurl(problem: QuadCurlProblem):
         "factor_s": lu.seconds if lu else 0.0,
         "timings": dict(timings),
         "seconds": time.perf_counter() - t0,
+        "peak_rss_mb": _peak_rss_mb(),
     }
     return coeffs, row
 
@@ -734,10 +617,7 @@ def solve_stokes(problem: StokesProblem):
     timings = StageTimings()
     spaces = get_spaces(problem.n, problem.k, problem.k, ["velocity", "pressure"])
     vel, pre = spaces["velocity"], spaces["pressure"]
-    quad_degree = problem.quad_degree or max(
-        default_quadrature_degree(problem.k, problem.k, vel.basis_degree),
-        vel.basis_degree + pre.basis_degree,
-    )
+    quad_degree = problem.quad_degree or default_quadrature_degree(problem.k, problem.k, vel.basis_degree)
     with timings.stage("assemble"):
         a = assemble("h1", vel, quad_degree)
         b = assemble("div_pressure", vel, quad_degree, pressure_space=pre)
@@ -777,6 +657,7 @@ def solve_stokes(problem: StokesProblem):
         "factor_s": lu.seconds,
         "timings": dict(timings),
         "seconds": time.perf_counter() - t0,
+        "peak_rss_mb": _peak_rss_mb(),
     }
     return coeffs, p, report
 
@@ -939,6 +820,7 @@ class ConvergenceReport:
                     "dofs": row.get("dofs"),
                     "timings": row.get("timings"),
                     "seconds": row.get("seconds"),
+                    "peak_rss_mb": row.get("peak_rss_mb"),
                 }
                 for row in self.rows
             ],
@@ -994,6 +876,7 @@ def interpolation_study(levels, r, k, quad_degree=None):
                 "gradcurl": errs[2],
                 "timings": dict(timings),
                 "seconds": time.perf_counter() - t0,
+                "peak_rss_mb": _peak_rss_mb(),
             }
         )
     report = ConvergenceReport("interpolation", r, k, rows)

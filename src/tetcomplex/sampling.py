@@ -97,7 +97,7 @@ class FieldSample:
         return FieldSample(self.gradient, zero3, zero33, None)
 
     def fd_check(self, pts, step=1e-6, tol=1e-4):
-        """Relative agreement of curl/div/Jacobian/grad-curl with central differences."""
+        """Relative agreement of curl/div/Jacobian/grad-curl/gradient with central differences."""
         pts = np.asarray(pts, float)
         report = {}
         eye = np.eye(3)
@@ -105,31 +105,23 @@ class FieldSample:
         def dpart(f, j):
             return (f(pts + step * eye[j]) - f(pts - step * eye[j])) / (2 * step)
 
+        def compare(key, fd, ref):
+            report[key] = float(np.abs(fd - ref).max() / max(1.0, np.abs(ref).max()))
+
+        d = [dpart(self.value, j) for j in range(3)]  # d value / d x_j
         if self.curl is not None:
-            d = [dpart(self.value, j) for j in range(3)]
             fd_curl = np.stack(
                 [d[1][:, 2] - d[2][:, 1], d[2][:, 0] - d[0][:, 2], d[0][:, 1] - d[1][:, 0]],
                 axis=1,
             )
-            ref = self.curl(pts)
-            scale = max(1.0, np.abs(ref).max())
-            report["curl"] = float(np.abs(fd_curl - ref).max() / scale)
+            compare("curl", fd_curl, self.curl(pts))
         if self.div is not None:
-            d = [dpart(self.value, j) for j in range(3)]
-            fd_div = d[0][:, 0] + d[1][:, 1] + d[2][:, 2]
-            ref = self.div(pts)
-            scale = max(1.0, np.abs(ref).max())
-            report["div"] = float(np.abs(fd_div - ref).max() / scale)
+            compare("div", d[0][:, 0] + d[1][:, 1] + d[2][:, 2], self.div(pts))
         if self.jacobian is not None:
-            fd_jac = np.stack([dpart(self.value, j) for j in range(3)], axis=2)
-            ref = self.jacobian(pts)
-            scale = max(1.0, np.abs(ref).max())
-            report["jacobian"] = float(np.abs(fd_jac - ref).max() / scale)
+            compare("jacobian", np.stack(d, axis=2), self.jacobian(pts))
+        if self.gradient is not None:
+            compare("gradient", np.stack(d, axis=1), self.gradient(pts))
         if self.grad_curl is not None and self.curl is not None:
-            d = [dpart(self.curl, j) for j in range(3)]
-            fd_gc = np.stack(d, axis=2)
-            ref = self.grad_curl(pts)
-            scale = max(1.0, np.abs(ref).max())
-            report["grad_curl"] = float(np.abs(fd_gc - ref).max() / scale)
+            compare("grad_curl", np.stack([dpart(self.curl, j) for j in range(3)], axis=2), self.grad_curl(pts))
         report["ok"] = all(v <= tol for k, v in report.items() if k != "ok")
         return report

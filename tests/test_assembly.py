@@ -1,6 +1,7 @@
 """Global numbering, assembled operators, discrete complex, interpolation."""
 
 import dataclasses
+import functools
 import gc
 import logging
 import weakref
@@ -10,6 +11,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
 from tetcomplex import assembly as assembly_module
 from tetcomplex import elements as _elements
@@ -747,15 +749,17 @@ class TestStructuredEvaluation:
     """Manufactured-solution fields from translation modes equal flat evaluation."""
 
     EVALUATORS = (
-        "value", "curl", "grad_curl", "divergence", "jacobian", "forcing",
-        "stokes_forcing", "pressure", "pressure_gradient",
+        "value", "curl", "grad_curl", "divergence", "jacobian", "lap_curl", "laplacian",
+        "forcing", "stokes_forcing", "pressure", "pressure_gradient",
     )
 
     @pytest.mark.parametrize("variant", ["kuhn3", "permuted", "jittered"])
     def test_class_chunks(self, variant, numbering_meshes):
         mesh = build_structured_cube(3) if variant == "kuhn3" else numbering_meshes[variant]
         ms = ManufacturedSolution()
-        modes = ms.translation_modes(**{name: getattr(ms, name) for name in self.EVALUATORS})
+        # the Stokes forcing (viscosity 1) is a sample's tensor, not one of ``ms.modes``
+        stokes = ms.stokes_forcing_sample().modes.tensors["value"]
+        modes = TranslationModes({**ms.modes.tensors, "stokes_forcing": stokes})
         ref_points = alfeld_composite(6)[0]
         space = SimpleNamespace(mesh=mesh)
         for cells, amap in zip(mesh.classes, mesh.class_maps):
@@ -772,14 +776,6 @@ class TestStructuredEvaluation:
                         got.reshape(expected.shape), expected,
                         rtol=0, atol=1e-14 * scale.max(), err_msg=name,
                     )
-
-    def test_point_evaluators_reject_mode_factors_beyond_trig(self):
-        class WithPolynomial(ManufacturedSolution):
-            def pressure(self, pts, factors=None):
-                return super().pressure(pts, factors) + np.asarray(pts)[:, 0]
-
-        with pytest.raises(ValueError, match="trigonometric"):
-            WithPolynomial().pressure_sample()
 
 
 class TestModalMatchesPointwise:
@@ -819,6 +815,31 @@ class TestModalMatchesPointwise:
             spaces["velocity"], degree, [ms.solution_sample()], ms.stokes_forcing_sample(0.5)
         )
         self._compare(spaces["pressure"], degree, [ms.pressure_sample()])
+
+    @pytest.mark.parametrize("kind", ["gradcurl", "velocity"])
+    @given(seed=st.integers(0, 2**32 - 1), density=st.floats(0.05, 1.0))
+    @settings(max_examples=8, deadline=None)
+    def test_random_mode_fields(self, kind, seed, density):
+        # any tensors are a sample: a random share of nonzero rows, random entries
+        space = get_spaces(2, 1, 1, [kind])[kind]
+        rng = np.random.default_rng(seed)
+        shapes = {"value": (3,), "curl": (3,), "grad_curl": (3, 3), "jacobian": (3, 3)}
+        modes = TranslationModes({
+            name: rng.standard_normal((64,) + shape) * (rng.random((64,) + (1,) * len(shape)) < density)
+            for name, shape in shapes.items()
+        })
+        pointwise = FieldSample(**{name: functools.partial(modes.evaluate, name) for name in shapes})
+        modal = dataclasses.replace(pointwise, modes=modes)
+        degree = 2 * space.basis_degree
+        coeffs = rng.standard_normal(space.dim)
+        np.testing.assert_allclose(
+            error_norms(space, coeffs, modal, degree), error_norms(space, coeffs, pointwise, degree),
+            rtol=1e-12, atol=0,
+        )
+        load = assemble_load(space, pointwise, degree)
+        np.testing.assert_allclose(
+            assemble_load(space, modal, degree), load, rtol=0, atol=1e-12 * np.abs(load).max()
+        )
 
     def test_mesh_and_space_builds_are_logged(self, caplog):
         with caplog.at_level(logging.DEBUG, logger="tetcomplex"):

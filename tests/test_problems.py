@@ -1,5 +1,7 @@
 """Model problems: manufactured fields, solves, Stokes, convergence machinery."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,15 +16,16 @@ from tetcomplex.assembly import (
     restrict_vector,
 )
 from tetcomplex.problems import (
+    DERIVATIVE,
     ConfigError,
     ConvergenceReport,
     ManufacturedSolution,
     QuadCurlProblem,
     SolverFailure,
     StokesProblem,
-    TrigPoly1D,
     _factor_spd,
     _nested_dissection,
+    _peak_rss_mb,
     _pressure_constant_coeffs,
     _solve_saddle,
     _solve_spd,
@@ -57,6 +60,26 @@ class TestManufactured:
         rep = manufactured.solution_sample().fd_check(pts)
         assert rep["ok"], rep
 
+    def test_fields_match_closed_form(self, manufactured):
+        pts = np.random.default_rng(6).random((1000, 3)) * 4 - 2
+        (s1, s2, s3), (c1, c2, c3) = np.sin(np.pi * pts).T, np.cos(np.pi * pts).T
+        value = np.stack([
+            s1**3 * s2**2 * c2 * s3**2 * c3,
+            s1**2 * c1 * s2**3 * s3**2 * c3,
+            -2 * s1**2 * c1 * s2**2 * c2 * s3**3,
+        ], axis=1)
+        np.testing.assert_allclose(manufactured.value(pts), value, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(manufactured.pressure(pts), c1 * c2 * c3, rtol=0, atol=1e-15)
+
+    def test_pressure_gradient_fd_consistency(self, manufactured):
+        pts = np.random.default_rng(7).random((15, 3)) * 0.8 + 0.1
+        sample = manufactured.pressure_sample()
+        rep = sample.fd_check(pts)
+        assert rep["ok"] and rep["gradient"] < 1e-8, rep
+        wrong = dataclasses.replace(sample, gradient=lambda p: 1.01 * manufactured.pressure_gradient(p))
+        rep = wrong.fd_check(pts)
+        assert not rep["ok"] and rep["gradient"] > 1e-3, rep
+
     def test_forcing_is_divergence_free(self, manufactured):
         # f = -curl(...) + u with div u = 0, checked by finite differences
         rng = np.random.default_rng(2)
@@ -81,37 +104,41 @@ class TestManufactured:
         assert abs(total) < 1e-12
 
 
+# the cubic modes s^3, s^2 c, s c^2, c^3 (s = sin(pi x), c = cos(pi x)) as
+# amplitudes of sin(pi x), cos(pi x), sin(3 pi x), cos(3 pi x)
+_FOURIER = np.array([
+    [3, 0, -1, 0],
+    [0, 1, 0, -1],
+    [1, 0, 1, 0],
+    [0, 3, 0, 1],
+]) / 4
+
+
+def _direct(coeffs, order, x):
+    """d^order/dx^order of sum_a coeffs[a] s^(3-a) c^a at x, from sines and cosines."""
+    amplitude = np.asarray(coeffs) @ _FOURIER
+    out = np.zeros_like(x)
+    for amp, k, phase in zip(amplitude, (1, 1, 3, 3), (0, 1, 0, 1)):
+        out += amp * (k * np.pi) ** order * np.sin(k * np.pi * x + (phase + order) * np.pi / 2)
+    return out
+
+
 class TestShiftMatrices:
     @given(
-        degree=st.sampled_from([1, 3]),
         coeffs=st.lists(st.floats(-1, 1), min_size=4, max_size=4),
         order=st.integers(0, 4),
         shift=st.floats(-3, 3),
     )
     @settings(max_examples=60, deadline=None)
-    def test_shift_acts_on_cubic_coefficients(self, degree, coeffs, order, shift):
-        f = TrigPoly1D({(degree - j, j): coeffs[j] for j in range(degree + 1)})
-        for _ in range(order):
-            f = f.derivative()
+    def test_shift_acts_on_cubic_coefficients(self, coeffs, order, shift):
         x = np.linspace(-1, 1, 9)
-
-        def direct(pts):
-            s, c = np.sin(np.pi * pts), np.cos(np.pi * pts)
-            return sum(coeff * s**a * c**b for (a, b), coeff in f.terms.items())
-
-        moved = shift_matrices([shift])[0] @ f.cubic()
+        derived = np.linalg.matrix_power(DERIVATIVE, order) @ coeffs
+        moved = shift_matrices([shift])[0] @ derived
         s, c = np.sin(np.pi * x), np.cos(np.pi * x)
-        modal = sum(moved[a] * s ** (3 - a) * c**a for a in range(4))
-        scale = max(1.0, sum(abs(v) for v in f.terms.values()))
-        np.testing.assert_allclose(modal, direct(x + shift), rtol=0, atol=1e-13 * scale)
-        np.testing.assert_allclose(
-            sum(f.cubic()[a] * s ** (3 - a) * c**a for a in range(4)), direct(x),
-            rtol=0, atol=1e-13 * scale,
-        )
-
-    def test_other_degrees_have_no_cubic_form(self):
-        with pytest.raises(ValueError, match="not a cubic form"):
-            TrigPoly1D({(2, 0): 1.0}).cubic()
+        scale = max(1.0, sum(abs(v) for v in coeffs)) * (3 * np.pi) ** order
+        for v, at in ((derived, x), (moved, x + shift)):
+            modal = sum(v[a] * s ** (3 - a) * c**a for a in range(4))
+            np.testing.assert_allclose(modal, _direct(coeffs, order, at), rtol=0, atol=1e-13 * scale)
 
 
 class TestQuadCurlSolve:
@@ -242,7 +269,7 @@ class TestStokes:
         )
         _, _, explicit = solve_stokes(StokesProblem(n=2, k=1, quad_degree=degree))
         for rep in (default, explicit):
-            del rep["timings"], rep["seconds"], rep["factor_s"]
+            del rep["timings"], rep["seconds"], rep["factor_s"], rep["peak_rss_mb"]
         assert explicit == default
         _, _, higher = solve_stokes(StokesProblem(n=2, k=1, quad_degree=degree + 2))
         assert higher["velocity_l2"] != default["velocity_l2"]
@@ -460,6 +487,7 @@ class TestTimings:
         assert set(row["timings"]) == {"assemble", "load", "solve", "errors", "interpolate"}
         assert all(t >= 0 for t in row["timings"].values())
         assert sum(row["timings"].values()) <= row["seconds"]
+        assert 0 < row["peak_rss_mb"] <= _peak_rss_mb()
 
     def test_quadcurl_row(self):
         _, row = solve_quadcurl(QuadCurlProblem(n=2, r=1, k=1))
@@ -476,6 +504,7 @@ class TestTimings:
         for row, out in zip(rep.rows, rep.to_json()["rows"]):
             self._check(row)
             assert out["timings"] == row["timings"]
+            assert out["peak_rss_mb"] == row["peak_rss_mb"]
 
 
 class TestConvergenceHarness:
