@@ -8,11 +8,11 @@ translations (and hence physical quadrature points) differ per cell.
 
 Per class everything float is a dense product:
 
-- ``ClassTables`` reads the element's exact raw-basis (and curl)
-  coefficients into one float tensor, contracts it with the nodal matrix
-  and multiplies by monomial Vandermonde tables (values and first
-  partials) that one quadrature degree and basis degree share across
-  classes, spaces and levels;
+- ``ClassTables`` takes the element's float raw-basis (and curl)
+  coefficient tensor, contracts it with the nodal matrix and multiplies
+  by monomial Vandermonde tables (values and first partials) that one
+  quadrature degree and basis degree share across classes, spaces and
+  levels;
 - ``assemble`` computes each class's local matrix once, as
   ``(A w) @ B^T``, turns it into one CSR matrix of the class's cells and
   merges the classes on the union of their patterns, so explicit zeros
@@ -57,6 +57,7 @@ from .elements import (  # noqa: F401
     phys_grad,
     validate_family,
 )
+from .polyalg.spaces import monomial_exponents
 from .quadrature import alfeld_composite
 
 _log = logging.getLogger("tetcomplex.assembly")
@@ -151,7 +152,7 @@ class GlobalSpace:
         self.boundary_mask = np.concatenate(
             [np.repeat(flags, counts[e]) for e, flags in boundary.items()]
         )
-        self.basis_degree = max(b.degree for el in self.elements.values() for b in el.basis)
+        self.basis_degree = max(el.degree for el in self.elements.values())
         _log.debug(
             "space %s(%d,%d): %d cells, %d classes, %d dofs, elements %d built, %d derived, "
             "%d hits, %.3f s",
@@ -306,10 +307,12 @@ class ClassTables:
     Built on the geometry of the class whose first cell is ``cell_id``:
     ``points`` are the quadrature points of the class map (zero shift),
     which each cell of the class sees moved by its absolute shift.  Each
-    table is the class's exact raw-basis coefficients, contracted with the
-    nodal matrix, times the shared monomial tables of ``_vandermonde``:
-    values from the values, physical Jacobians (a scalar field's gradient)
-    from the partials times B^{-1}.
+    table is the element's float coefficient tensor of its raw basis (or
+    curls), placed on the columns of ``_vandermonde`` and contracted with
+    the nodal matrix, times the shared monomial tables: values from the
+    values, physical Jacobians (a scalar field's gradient) from the
+    partials times B^{-1}.  No exact field is read, so a class derived in
+    its element's similarity orbit forms none.
     ``error_factors`` caches the factors of ``_modal_squared_errors``.
     """
 
@@ -325,11 +328,16 @@ class ClassTables:
         monomials = monomials.transpose(0, 2, 1)[..., None]
         gradients = np.tensordot(partials, geom.amap.inverse_f, axes=(0, 0)).transpose(0, 2, 1, 3)
 
-        def nodal(fields):
-            """Coefficient tensor (nodal basis, subtets, components, monomials) of raw fields."""
-            coef = _elements._coefficients(fields, columns)
-            nf, _, comps, nm = coef.shape
-            return (el.nodal.T @ coef.reshape(nf, -1)).reshape(nf, 4, comps, nm)
+        # the element's monomial columns among the tables' columns
+        at = [columns[e] for e in monomial_exponents(el.degree, 3)]
+
+        def nodal(use):
+            """Tensor (nodal basis, subtets, components, monomials) of the raw basis or curls."""
+            raw = el.coefficients[use]
+            nf, _, comps, _ = raw.shape
+            coef = np.zeros((nf, 4, comps, len(columns)))
+            coef[..., at] = raw
+            return (el.nodal.T @ coef.reshape(nf, -1)).reshape(coef.shape)
 
         def table(coef, basis):
             """(nodal basis, points, *components, *partials) of coefficients on ``basis``."""
@@ -340,11 +348,11 @@ class ClassTables:
             shape = (nf, 4 * nq) + ((comps,) if comps == 3 else ()) + ((nd,) if nd == 3 else ())
             return np.ascontiguousarray(out).reshape(shape)
 
-        basis = nodal(el.basis)
+        basis = nodal("value")
         self.values = table(basis, monomials)
         self.curl = self.grad_curl = self.grad = self.div = None
         if space.kind == "gradcurl":
-            curls = nodal(el.curls or [phys_curl(geom, b) for b in el.basis])
+            curls = nodal("curl")
             self.curl = table(curls, monomials)
             self.grad_curl = table(curls, gradients)
         elif space.kind in ("velocity", "lagrange"):

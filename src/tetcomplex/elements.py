@@ -22,7 +22,7 @@ import logging
 import time
 from dataclasses import dataclass, field as dc_field, replace
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import permutations, product
 from math import gcd, lcm
 
@@ -262,7 +262,8 @@ def physical_face_bubble(cell: CellGeometry, local_face: int):
 # t^2 for face bubbles (the face direction is a cross product of edges),
 # t^-2 for interior bubbles (B field / det B); a vector potential has its
 # source's power plus one, and a physical curl the field's power minus one.
-# ``derive_fields`` combines these powers with a rotation or reflection.
+# ``derive_coefficients`` and ``derive_fields`` combine these powers with a
+# rotation or reflection.
 GRADIENT_POWER, MONOMIAL_POWER, FACE_BUBBLE_POWER, INTERIOR_BUBBLE_POWER = -1, 0, 2, -2
 
 
@@ -725,22 +726,62 @@ def space_dimension(kind, r, k):
 # nodal bases and the local element bundle
 
 
-@dataclass
+@dataclass(eq=False)
 class LocalElement:
+    """The local element of one space on one cell.
+
+    ``coefficients`` and ``long_coefficients`` hold the raw basis (key
+    ``"value"``) and, for gradcurl, its physical curls (key ``"curl"``) as
+    tensors (fields, pieces, components, monomials) over the monomials of
+    degree <= ``degree`` in :func:`monomial_exponents` order, in float64
+    and in long double.  ``basis`` and ``curls`` are the exact fields
+    themselves; ``exact_fields`` forms them, on first access for an
+    element derived from another of its similarity orbit.
+    """
+
     kind: str
     r: int
     k: int
     cell: CellGeometry
-    basis: list
     dofs: list
     dof_matrix: np.ndarray
     nodal: np.ndarray  # columns: nodal basis in raw-basis coordinates
     condition: float
-    curls: list = None  # physical curls of the raw basis (gradcurl only)
+    degree: int
+    coefficients: dict
+    long_coefficients: dict
+    exact_fields: callable = dc_field(repr=False)  # () -> (basis, curls or None)
+
+    @cached_property
+    def _fields(self):
+        return self.exact_fields()
+
+    @property
+    def basis(self):
+        return self._fields[0]
+
+    @property
+    def curls(self):
+        """Physical curls of the raw basis (gradcurl only)."""
+        return self._fields[1]
 
     @property
     def dimension(self):
-        return len(self.basis)
+        return len(self.dofs)
+
+
+@lru_cache(maxsize=None)
+def _monomial_columns(degree):
+    """Column of each exponent tuple of degree <= ``degree`` in a coefficient tensor."""
+    return {e: i for i, e in enumerate(monomial_exponents(degree, 3))}
+
+
+def _tensor_degree(tensor):
+    """Degree of the monomials that the last axis of a coefficient tensor holds."""
+    degree = 0
+    while dim_poly(degree) < tensor.shape[-1]:
+        degree += 1
+    return degree
 
 
 def _coefficient_entries(fields, columns):
@@ -795,7 +836,7 @@ def _entity_piece(entity):
 def dof_matrix(dofs, basis, cell, curls=None):
     """Each functional's stencil applied to each raw field: entry ``(dof, field)``.
 
-    The fields' exact coefficients become one tensor, which meets the
+    The fields' coefficients, as one long-double tensor, meet the
     monomials at the stencil's points (in reference coordinates, like the
     fields) on the split piece that holds the functional's entity; a cell
     stencil's split rule has one block of points per piece.  The rule is
@@ -804,22 +845,27 @@ def dof_matrix(dofs, basis, cell, curls=None):
     coefficients of split fields are large against their values (by 10^3
     for the lowest-order face bubbles), and in double their cancellation
     took the assembled div o curl of (1,1) at N = 2 from 2e-14 to 1.6e-12.
-    ``curls`` are the physical curls of ``basis``, computed on ``cell``
-    when a functional needs them and they are not given.
+    ``basis`` is the raw fields or their long-double tensor
+    (``LocalElement.long_coefficients["value"]``), and ``curls`` their
+    physical curls in the same form; curls of fields are computed on
+    ``cell`` when a functional needs them and they are not given.
     """
-    degree = max(max(b.degree for b in basis), 0)
+    if isinstance(basis, np.ndarray):
+        degree = _tensor_degree(basis)
+    else:
+        degree = max(max(b.degree for b in basis), 0)
     quad = QuadratureRule(2 * degree + 2)
-    exps = monomial_exponents(degree, 3)
-    columns = {e: i for i, e in enumerate(exps)}
-    powers = np.array(exps).T  # (axes, monomials)
+    columns = _monomial_columns(degree)
+    powers = np.array(list(columns)).T  # (axes, monomials)
     stencils = [d.stencil(quad) for d in dofs]
     out = np.empty((len(dofs), len(basis)))
     for use in ("value", "curl"):
         rows = [i for i, st in enumerate(stencils) if st[0] == use]
         if not rows:
             continue
-        fields = basis if use == "value" else curls or [phys_curl(cell, b) for b in basis]
-        coef = _long_coefficients(fields, columns)  # (fields, pieces, components, monomials)
+        coef = basis if use == "value" else curls  # (fields, pieces, components, monomials)
+        if not isinstance(coef, np.ndarray):
+            coef = _long_coefficients(coef or [phys_curl(cell, b) for b in basis], columns)
         for i in rows:
             _, pts, wts = stencils[i]
             # (points, axes, powers)
@@ -831,7 +877,7 @@ def dof_matrix(dofs, basis, cell, curls=None):
                 moment, piece = np.einsum("pqc,pqm->pcm", *blocks), slice(None)
             else:
                 moment, piece = wts.T @ mono, _entity_piece(dofs[i].entity)
-            out[i] = coef[:, piece].reshape(len(fields), -1) @ moment.ravel()
+            out[i] = coef[:, piece].reshape(len(coef), -1) @ moment.ravel()
     return out
 
 
@@ -841,10 +887,11 @@ class ElementCache:
     ``elements`` maps ``(kind, r, k, cell.signature())`` to its element.
     ``orbits`` maps ``(kind, r, k, cell.orbit_key())`` to the first element
     built in that orbit and the scale powers of its raw basis.  Another
-    cell of the orbit, ``B = t Q B0 S``, derives its raw basis and curls
-    from that element (:func:`derive_fields`); only the DOFs, the DOF
-    matrix and its inverse are computed for it.  ``built``, ``derived``
-    and ``hits`` count the three outcomes of a lookup.
+    cell of the orbit, ``B = t Q B0 S``, gathers its coefficient tensors
+    from that element's (:func:`derive_coefficients`); only the DOFs, the
+    DOF matrix and its inverse are computed for it, and its exact fields
+    are derived on first access (:func:`derive_fields`).  ``built``,
+    ``derived`` and ``hits`` count the three outcomes of a lookup.
     """
 
     def __init__(self):
@@ -867,8 +914,14 @@ def _vertex_images(cols):
     return (0,) + tuple(c + 1 for c in cols)
 
 
+def _curl_sign(perm, signs):
+    """``det Q`` of the signed axis permutation ``Q``."""
+    inversions = sum(perm[i] > perm[j] for i in range(3) for j in range(i + 1, 3))
+    return (-1) ** inversions * signs[0] * signs[1] * signs[2]
+
+
 def derive_fields(fields, powers, t, similarity, curls=False):
-    """Fields of a cell ``B0`` carried to the similar cell ``t Q B0 S``.
+    """Exact fields of a cell ``B0`` carried to the similar cell ``t Q B0 S``.
 
     Field ``f`` of scale power ``a`` becomes ``t^a Q (f o S)``, a scalar
     field ``t^a (f o S)``; with ``curls`` the fields are physical curls
@@ -880,14 +933,14 @@ def derive_fields(fields, powers, t, similarity, curls=False):
     through their global direction and the linear ``solve_div``, interior
     bubbles through ``B / det B``, potentials about vertex 0 or the
     centre), so the results span the space a direct build on the new cell
-    spans.
+    spans.  A derived element forms its exact fields with it on first
+    access only; its tensors come from :func:`derive_coefficients`.
     """
     perm, signs, cols = similarity
     vertex = _vertex_images(cols)
     sign = 1
     if curls:
-        inversions = sum(perm[i] > perm[j] for i in range(3) for j in range(i + 1, 3))
-        sign = (-1) ** inversions * signs[0] * signs[1] * signs[2]
+        sign = _curl_sign(perm, signs)
         powers = [a - 1 for a in powers]
 
     def move(p, factor):
@@ -907,6 +960,32 @@ def derive_fields(fields, powers, t, similarity, curls=False):
     return [field(f, a) for f, a in zip(fields, powers)]
 
 
+def derive_coefficients(tensor, powers, t, similarity, curls=False):
+    """:func:`derive_fields` on coefficient tensors: one numpy gather and scaling.
+
+    ``tensor`` holds the fields of ``B0`` as (fields, pieces, components,
+    monomials), in float64 or long double.  The pieces are relabelled by the vertex images of ``S``,
+    the monomial columns permuted by ``S``, the components permuted and
+    sign-flipped by ``Q``, and field ``j`` scaled by its exact factor
+    ``t^a`` (``det(Q) t^(a-1)`` for curls) rounded to the tensor's dtype.
+    A power-of-two ``t`` makes every step exact, so the result is then the
+    tensor of the derived exact fields bit for bit.
+    """
+    perm, signs, cols = similarity
+    columns = _monomial_columns(_tensor_degree(tensor))
+    moved = np.empty(len(columns), dtype=np.intp)  # old column of each new monomial
+    moved[[columns[tuple(e[c] for c in cols)] for e in columns]] = np.arange(len(columns))
+    comps = tensor.shape[2]
+    axes, flips = (perm, signs) if comps == 3 else ((0,), (1,))
+    sign = _curl_sign(perm, signs) if curls else 1
+    factors = [sign * t ** (a - 1 if curls else a) for a in powers]
+    ratios = np.array([(f.numerator, f.denominator) for f in factors], dtype=tensor.dtype)
+    scale = (ratios[:, 0] / ratios[:, 1])[:, None, None, None] * np.array(flips)[:, None]
+    index = np.ix_(np.arange(len(tensor)), _vertex_images(cols), axes, moved)
+    # adding 0 turns the zeros that a negative factor signs into +0, as an exact build has
+    return tensor[index] * scale + 0.0
+
+
 def _describe(t, similarity):
     """``t``, ``Q`` as the images of the axes and ``S`` as the vertex images."""
     perm, signs, cols = similarity
@@ -919,9 +998,12 @@ def local_element(kind, r, k, cell=None):
     """Build, derive or fetch the local element bundle for a cell.
 
     Cells of one congruence class (same matrix and vertex order) share the
-    construction (translations do not change any of it), and a class
-    similar to one built before, at any scale, rotation or reflection,
-    derives its raw basis from that build (:func:`derive_fields`).
+    construction (translations do not change any of it).  The first class
+    of a similarity orbit is built exactly and its raw basis (and curls)
+    rounded once into float64 and long-double coefficient tensors; a class
+    similar to it, at any scale, rotation or reflection, gathers its
+    tensors from those (:func:`derive_coefficients`) and forms its exact
+    fields only when they are read (:func:`derive_fields`).
     """
     validate_family(r, k)
     if cell is None:
@@ -937,30 +1019,50 @@ def local_element(kind, r, k, cell=None):
     first = cache.orbits.get(orbit_key)
     if first is None:
         basis, powers = build_raw_basis(kind, cell, r, k)
-        curls = [phys_curl(cell, b) for b in basis] if kind == "gradcurl" else None
+        fields = {"value": basis}
+        if kind == "gradcurl":
+            fields["curl"] = [phys_curl(cell, b) for b in basis]
+        degree = max(max(b.degree for b in basis), 0)
+        columns = _monomial_columns(degree)
+        coefficients = {use: _coefficients(f, columns) for use, f in fields.items()}
+        long_coefficients = {use: _long_coefficients(f, columns) for use, f in fields.items()}
+        exact_fields = lambda: (basis, fields.get("curl"))
         how, detail = "built", ""
     else:
         el0, powers = first
-        curls = None
         shape0, shape = el0.cell.shape(), cell.shape()
         similarity = next(s for s in _SIMILARITIES if _similar(shape0, s) == shape)
         t = cell.scale / el0.cell.scale
-        basis = derive_fields(el0.basis, powers, t, similarity)
-        if el0.curls is not None:
-            curls = derive_fields(el0.curls, powers, t, similarity, curls=True)
+        degree = el0.degree
+        coefficients, long_coefficients = (
+            {
+                use: derive_coefficients(c, powers, t, similarity, curls=use == "curl")
+                for use, c in tensors.items()
+            }
+            for tensors in (el0.coefficients, el0.long_coefficients)
+        )
+
+        def exact_fields():
+            basis = derive_fields(el0.basis, powers, t, similarity)
+            if el0.curls is None:
+                return basis, None
+            return basis, derive_fields(el0.curls, powers, t, similarity, curls=True)
+
         how, detail = "derived", _describe(t, similarity)
     dofs = build_dofs(kind, cell, r, k)
-    if len(dofs) != len(basis):
-        raise ArithmeticError(
-            f"{kind}({r},{k}): {len(dofs)} functionals vs {len(basis)} basis fields"
-        )
-    m = dof_matrix(dofs, basis, cell, curls=curls)
+    n_fields = len(coefficients["value"])
+    if len(dofs) != n_fields:
+        raise ArithmeticError(f"{kind}({r},{k}): {len(dofs)} functionals vs {n_fields} basis fields")
+    m = dof_matrix(dofs, long_coefficients["value"], cell, long_coefficients.get("curl"))
     cond = float(np.linalg.cond(m))
     try:
         nodal = np.linalg.inv(m)
     except np.linalg.LinAlgError as exc:
         raise ArithmeticError(f"{kind}({r},{k}): singular DOF matrix") from exc
-    el = LocalElement(kind, r, k, cell, basis, dofs, m, nodal, cond, curls)
+    el = LocalElement(
+        kind, r, k, cell, dofs, m, nodal, cond, degree, coefficients, long_coefficients,
+        exact_fields,
+    )
     cache.elements[key] = el
     if first is None:
         cache.built += 1

@@ -44,6 +44,7 @@ from tetcomplex.polyalg import Polynomial, VectorField, monomial_exponents
 from tetcomplex.problems import ManufacturedSolution, TranslationModes, get_spaces
 from tetcomplex.quadrature import QuadratureRule, alfeld_composite
 from tetcomplex.sampling import FieldSample
+from tetcomplex.verify import DEFAULT_CONFIGS
 
 
 @pytest.fixture(scope="module")
@@ -128,7 +129,7 @@ class TestNumbering:
             assembly_module,
             "local_element",
             lambda kind, r, k, cell: SimpleNamespace(
-                dofs=build_dofs(kind, cell, r, k), basis=[SimpleNamespace(degree=0)]
+                dofs=build_dofs(kind, cell, r, k), degree=0
             ),
         )
         for variant, mesh in numbering_meshes.items():
@@ -451,6 +452,20 @@ class TestDiscreteComplex:
         scale = max(1.0, abs(dc.matrix).max())
         assert abs(dc.matrix @ dg.matrix).max() < 1e-12 * scale
         assert abs(dd.matrix @ dc.matrix).max() < 1e-12 * scale
+
+    @given(rk=st.sampled_from(DEFAULT_CONFIGS), n=st.sampled_from((1, 2, 3)))
+    @settings(max_examples=6, deadline=None)
+    def test_products_vanish_relative_to_both_factors(self, rk, n):
+        # each product against the largest entries of both of its factors:
+        # max|dd| is 6 N^2, so a bound on max|dc| alone loosens with N
+        spaces = get_spaces(n, *rk, SPACE_KINDS)
+        dg, dc, dd = (
+            discrete_d(which, spaces[source], spaces[target], check_consistency=True).matrix
+            for which, source, target in _COMPLEX
+        )
+        for second, first in ((dc, dg), (dd, dc)):
+            bound = 1e-13 * abs(second).max() * abs(first).max()
+            assert abs(second @ first).max() <= bound, (rk, n)
 
     def test_rank_identities_level_one(self, spaces1):
         dg = discrete_d("grad", spaces1["lagrange"], spaces1["gradcurl"])

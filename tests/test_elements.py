@@ -376,12 +376,73 @@ class TestSimilarity:
         assert len(raw_builds) == fresh_cache.built == 25 and fresh_cache.derived == 5
 
 
-def _dof_matrix_cases():
+def _config_cases():
     from tetcomplex.verify import DEFAULT_CONFIGS
 
-    cases = [(kind, r, k) for r, k in DEFAULT_CONFIGS for kind in SPACE_KINDS]
+    return [(kind, r, k) for r, k in DEFAULT_CONFIGS for kind in SPACE_KINDS]
+
+
+def _assert_bitwise_equal(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+
+class TestCoefficientGather:
+    """Derived classes gather the orbit build's tensors; their exact fields come on demand."""
+
+    @pytest.mark.parametrize("kind,r,k", _config_cases())
+    def test_kuhn_gather_equals_exact_fields(self, kind, r, k, fresh_cache):
+        # class 0 at N = 1 is built; the other N = 1 classes derive with
+        # t = 1 and the N = 2 classes with t = 1/2, both exact in binary
+        from tetcomplex.elements import _coefficients, _long_coefficients, _monomial_columns
+
+        derived = [local_element(kind, r, k, c) for n in (1, 2) for c in _class_representatives(n)]
+        assert (fresh_cache.built, fresh_cache.derived) == (1, 11)
+        for el in derived[1:]:
+            assert np.array_equal(dof_matrix(el.dofs, el.basis, el.cell, el.curls), el.dof_matrix)
+            columns = _monomial_columns(el.degree)
+            fields = {"value": el.basis, "curl": el.curls}
+            assert sorted(el.coefficients) == sorted(el.long_coefficients) == sorted(
+                use for use, f in fields.items() if f is not None
+            )
+            for use, tensor in el.coefficients.items():
+                _assert_bitwise_equal(tensor, _coefficients(fields[use], columns))
+                _assert_bitwise_equal(
+                    el.long_coefficients[use], _long_coefficients(fields[use], columns)
+                )
+
+    @pytest.mark.parametrize("kind,r,k", _config_cases())
+    def test_rational_scale_matches_exact_fields(self, kind, r, k, fresh_cache):
+        # N = 3 after an N = 2 build: t = 2/3 rounds each field's factor once
+        local_element(kind, r, k, _class_representatives(2)[0])
+        for cell in _class_representatives(3):
+            el = local_element(kind, r, k, cell)
+            exact = dof_matrix(el.dofs, el.basis, el.cell, el.curls)
+            assert np.abs(el.dof_matrix - exact).max() <= 1e-12 * np.abs(exact).max()
+            nodal = np.linalg.inv(exact)
+            assert np.abs(el.nodal - nodal).max() <= 1e-12 * np.abs(nodal).max()
+        assert (fresh_cache.built, fresh_cache.derived) == (1, 6)
+
+    def test_solve_path_forms_no_exact_derived_field(self, monkeypatch, fresh_cache):
+        from tetcomplex import elements, problems
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("exact fields derived on the solve path")
+
+        monkeypatch.setattr(elements, "derive_fields", refuse)
+        monkeypatch.setattr(problems, "_space_cache", {})
+        for n in (2, 4):
+            spaces = problems.get_spaces(n, 1, 1, SPACE_KINDS)
+            for kind in SPACE_KINDS:
+                spaces[kind].class_tables(2 * spaces[kind].basis_degree)
+            _, row = problems.solve_quadcurl(problems.QuadCurlProblem(n=n, r=1, k=1))
+            assert row["residual"] <= 1e-9 and np.isfinite([row["l2"], row["gradcurl"]]).all()
+        assert (fresh_cache.built, fresh_cache.derived) == (4, 44)
+
+
+def _dof_matrix_cases():
     # cell functionals: velocity from k = 2, lagrange and gradcurl from r = 4
-    return cases + [("lagrange", 4, 2), ("gradcurl", 4, 2)]
+    return _config_cases() + [("lagrange", 4, 2), ("gradcurl", 4, 2)]
 
 
 class TestDofMatrix:
