@@ -537,13 +537,18 @@ def assemble_load(space, sample, quad_degree):
 # discrete differential operators
 
 
-def discrete_d(which, source, target, check_consistency=False, tol=1e-9):
+# relative disagreement of two cells' values of one shared discrete_d entry
+_SHARED_ENTRY_TOL = 1e-9
+
+
+def discrete_d(which, source, target):
     """Matrix of grad/curl/div from source-space coefficients to target DOFs.
 
     Entry (i, j) applies target DOF i to the derivative of the j-th source
     nodal basis function.  Every cell sharing the entry computes it, and
     conformity makes those values agree: the matrix keeps one of them, and
-    ``check_consistency`` verifies that the others match it.
+    ArithmeticError is raised if any other differs from it by more than
+    ``_SHARED_ENTRY_TOL`` relative.
     """
     op = {"grad": phys_grad, "curl": phys_curl, "div": phys_div}[which]
     rows, cols, vals = [], [], []
@@ -559,11 +564,10 @@ def discrete_d(which, source, target, check_consistency=False, tol=1e-9):
     keys = np.concatenate(rows) * source.dim + np.concatenate(cols)
     keys, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     kept = vals[first]
-    if check_consistency:
-        bad = np.abs(vals - kept[inverse]) > tol * np.maximum(1.0, np.abs(vals))
-        if bad.any():
-            key = divmod(int(keys[inverse[np.argmax(bad)]]), source.dim)
-            raise ArithmeticError(f"inconsistent shared DOF value for {which} at {key}")
+    bad = np.abs(vals - kept[inverse]) > _SHARED_ENTRY_TOL * np.maximum(1.0, np.abs(vals))
+    if bad.any():
+        key = divmod(int(keys[inverse[np.argmax(bad)]]), source.dim)
+        raise ArithmeticError(f"inconsistent shared DOF value for {which} at {key}")
     matrix = sp.coo_matrix(
         (kept, (keys // source.dim, keys % source.dim)), shape=(target.dim, source.dim)
     ).tocsr()

@@ -121,7 +121,6 @@ def build_parser():
     solve.add_argument("--k", type=int, required=True)
     solve.add_argument("--tol", type=float, default=1e-10)
     solve.add_argument("--quad-degree", type=int, default=None)
-    solve.add_argument("--solver", default="direct", choices=["direct", "cg", "cg-diagonal"])
     solve.add_argument("--out", help="CSV output path")
 
     conv = sub.add_parser("convergence", help="multi-level convergence study")
@@ -131,7 +130,6 @@ def build_parser():
     conv.add_argument("--k", type=int, required=True)
     conv.add_argument("--tol", type=float, default=1e-10)
     conv.add_argument("--quad-degree", type=int, default=None)
-    conv.add_argument("--solver", default="direct", choices=["direct", "cg", "cg-diagonal"])
     conv.add_argument("--out", help="CSV output path")
     conv.add_argument("--json", dest="json_out", help="JSON output path")
     return parser
@@ -164,12 +162,10 @@ def cmd_element_info(args):
 
 
 def cmd_verify(args):
-    from .verify import DEFAULT_CONFIGS, verify_all
+    from .verify import verify_all
 
     groups = None if args.group == "all" else [args.group]
-    configs = DEFAULT_CONFIGS
-    if args.r is not None and args.k is not None:
-        configs = ((args.r, args.k),)
+    configs = ((args.r, args.k),) if args.r is not None and args.k is not None else None
     levels = (args.N,) if args.N is not None else None
     report = verify_all(groups, configs, levels=levels)
     if args.out:
@@ -184,8 +180,7 @@ def cmd_solve(args):
     if args.problem == "quadcurl":
         r = args.r if args.r is not None else args.k
         problem = QuadCurlProblem(
-            n=args.N, r=r, k=args.k, tol=args.tol,
-            quad_degree=args.quad_degree, solver=args.solver,
+            n=args.N, r=r, k=args.k, tol=args.tol, quad_degree=args.quad_degree
         )
         _, row = solve_quadcurl(problem)
         columns = ["N", "dofs", "l2", "hcurl", "gradcurl", "residual", "lu_nnz", "factor_s",
@@ -221,8 +216,7 @@ def cmd_convergence(args):
         report = interpolation_study(levels, args.r, args.k, quad_degree=args.quad_degree)
     else:
         report = run_convergence(
-            "quadcurl", levels, args.r, args.k,
-            tol=args.tol, solver=args.solver, quad_degree=args.quad_degree,
+            "quadcurl", levels, args.r, args.k, tol=args.tol, quad_degree=args.quad_degree
         )
     if args.out:
         report.to_csv(args.out)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field as dc_field
+from fractions import Fraction
 
 import numpy as np
 
@@ -165,13 +166,19 @@ def check_bubbles():
 
 
 def _random_rational_polynomial(rng, degree):
-    from fractions import Fraction
-
     table = {}
     for e in monomial_exponents(degree):
         if rng.random() < 0.7:
             table[e] = Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 7)))
     return Polynomial(table)
+
+
+def _random_dense_polynomial(rng, degree):
+    """Every monomial of degree <= ``degree``, with a coefficient in {-3..3} / {1, 2}."""
+    return Polynomial({
+        e: Fraction(int(rng.integers(-3, 4)), int(rng.integers(1, 3)))
+        for e in monomial_exponents(degree)
+    })
 
 
 def check_poincare(count=100, max_degree=5, seed=20240):
@@ -341,19 +348,11 @@ def check_commuting(r=1, k=1, n=2, fields=10, tol=1e-10, seed=3, quad_degree=20)
     dc = discrete_d("curl", gc, vel)
     dd = discrete_d("div", vel, pre)
 
-    from fractions import Fraction
-
-    def rand_poly(deg):
-        table = {}
-        for e in monomial_exponents(deg):
-            table[e] = Fraction(int(rng.integers(-3, 4)), int(rng.integers(1, 3)))
-        return Polynomial(table)
-
     worst = 0.0
     for _ in range(fields):
-        p = rand_poly(max(r, 2))
+        p = _random_dense_polynomial(rng, max(r, 2))
         ps = FieldSample.from_scalar_polynomial(p)
-        u = VectorField(tuple(rand_poly(max(k + 1, 2)) for _ in range(3)))
+        u = VectorField(tuple(_random_dense_polynomial(rng, max(k + 1, 2)) for _ in range(3)))
         us = FieldSample.from_vector_polynomial(u)
         lhs = dg.matrix @ lag.interpolate(ps, quad)
         rhs = gc.interpolate(ps.gradient_sample(), quad)
@@ -412,20 +411,12 @@ def check_dof_mapping(r=1, k=1, seed=11, tol=1e-10):
     took on the field.
     """
     rng = np.random.default_rng(seed)
-    from fractions import Fraction
-
-    def rand_poly(deg):
-        table = {}
-        for e in monomial_exponents(deg):
-            table[e] = Fraction(int(rng.integers(-3, 4)), int(rng.integers(1, 3)))
-        return Polynomial(table)
-
     worst = 0.0
     for _ in range(3):
         verts = random_rational_cell(rng)
         cell = CellGeometry.standalone(verts)
         el = local_element("gradcurl", r, k, cell)
-        u = VectorField(tuple(rand_poly(2) for _ in range(3)))
+        u = VectorField(tuple(_random_dense_polynomial(rng, 2) for _ in range(3)))
         sample = FieldSample.from_vector_polynomial(u)
         quad = QuadratureRule(12)
         coeffs = np.array([d.apply_sample(sample, quad, cell) for d in el.dofs])
@@ -553,8 +544,15 @@ def check_dimension_formulas(levels=(1, 2, 3), configs=((1, 1), (2, 2), (3, 3)))
     return out
 
 
-def verify_all(groups=None, configs=DEFAULT_CONFIGS, levels=None):
-    """Run claim groups (default: all) and assemble a report."""
+def verify_all(groups=None, configs=None, levels=None):
+    """Run claim groups (default: all) and assemble a report.
+
+    ``configs``, a sequence of (r, k) pairs, narrows every check that runs
+    per configuration (the exactness, unisolvence and inclusion groups);
+    None runs each at its own default configurations.  The commuting,
+    stokes and rates claims hold for fixed configurations.
+    """
+    per_config = {} if configs is None else {"configs": configs}
     results = []
     selected = groups or ["dims", "poincare", "bubbles", "exactness", "unisolvence",
                           "commuting", "inclusion", "stokes", "rates"]
@@ -565,16 +563,16 @@ def verify_all(groups=None, configs=DEFAULT_CONFIGS, levels=None):
     if "bubbles" in selected:
         results += check_bubbles()
     if "exactness" in selected:
-        results += check_local_exactness(configs)
-        results += check_global_exactness(levels=levels or (1, 2))
-        results += check_dimension_formulas(levels=levels or (1, 2, 3))
+        results += check_local_exactness(**per_config)
+        results += check_global_exactness(levels=levels or (1, 2), **per_config)
+        results += check_dimension_formulas(levels=levels or (1, 2, 3), **per_config)
     if "unisolvence" in selected:
-        results += check_unisolvence(configs)
+        results += check_unisolvence(**per_config)
     if "commuting" in selected:
         results += check_commuting(n=(levels or (2,))[-1])
         results += check_dof_mapping()
     if "inclusion" in selected:
-        results += check_poly_inclusion(configs)
+        results += check_poly_inclusion(**per_config)
     if "stokes" in selected:
         results += check_stokes()
     if "rates" in selected:

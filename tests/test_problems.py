@@ -28,7 +28,6 @@ from tetcomplex.problems import (
     _peak_rss_mb,
     _pressure_constant_coeffs,
     _solve_saddle,
-    _solve_spd,
     get_spaces,
     inf_sup_constant,
     interpolation_study,
@@ -149,7 +148,7 @@ class TestQuadCurlSolve:
         mask = v.boundary_mask
         a0 = restrict_operator(a, mask, mask)
         f0 = np.zeros(a0.shape[0])
-        x, _, _ = _solve_spd(a0, f0, "direct", 1e-10, v.dof_points()[~mask])
+        x = _factor_spd(a0, v.dof_points()[~mask]).solve(f0)
         assert np.abs(x).max() == 0.0
 
     def test_errors_decrease(self):
@@ -165,12 +164,6 @@ class TestQuadCurlSolve:
         _, row = solve_quadcurl(QuadCurlProblem(n=1, r=1, k=1))
         assert row["residual"] < 1e-10
         assert row["iterations"] >= 1
-
-    def test_cg_solver_matches_direct(self):
-        _, row_d = solve_quadcurl(QuadCurlProblem(n=2, r=1, k=1, solver="direct"))
-        _, row_c = solve_quadcurl(QuadCurlProblem(n=2, r=1, k=1, solver="cg"))
-        assert row_c["l2"] == pytest.approx(row_d["l2"], rel=1e-6)
-        assert row_c["residual"] < 1e-9
 
     def test_galerkin_orthogonality(self):
         coeffs, row = solve_quadcurl(QuadCurlProblem(n=2, r=1, k=1))
@@ -205,10 +198,6 @@ class TestQuadCurlSolve:
         interp = v.interpolate(ManufacturedSolution().solution_sample(), QuadratureRule(qd))
         interp[v.boundary_mask] = 0.0
         assert coeffs @ (a @ coeffs) <= interp @ (a @ interp) * (1 + 1e-12)
-
-    def test_invalid_solver_rejected(self):
-        with pytest.raises(ConfigError):
-            solve_quadcurl(QuadCurlProblem(n=1, r=1, k=1, solver="magic"))
 
 
 class TestStokes:
@@ -451,8 +440,6 @@ class TestFactorSpd:
         _, row = solve_quadcurl(QuadCurlProblem(n=2, r=1, k=1))
         assert row["lu_nnz"] == _factor_spd(*self._quadcurl_block(1, 1)).nnz > 0
         assert row["factor_s"] > 0
-        _, row = solve_quadcurl(QuadCurlProblem(n=1, r=1, k=1, solver="cg-diagonal"))
-        assert row["lu_nnz"] == 0 and row["factor_s"] == 0
         _, _, rep = solve_stokes(StokesProblem(n=2, k=1))
         assert rep["lu_nnz"] == _factor_spd(*self._velocity_block(2)).nnz > 0
         assert rep["factor_s"] > 0

@@ -20,6 +20,7 @@ from tetcomplex.verify import (
     check_stokes,
     check_unisolvence,
     VerificationReport,
+    verify_all,
 )
 
 
@@ -64,6 +65,16 @@ class TestClaims:
 
     def test_dimension_formulas(self):
         assert all(r.status for r in check_dimension_formulas(levels=(1, 2)))
+
+    def test_configs_narrow_every_exactness_claim(self):
+        report = verify_all(["exactness"], ((2, 1),), levels=(1,))
+        claims = {r.claim: r for r in report.results}
+        assert {"global-exactness-free", "global-exactness-bc"} <= claims.keys()
+        assert all(
+            (r.config["r"], r.config["k"]) == (2, 1) for r in report.results if r.config
+        )
+        assert [(d["r"], d["k"]) for d in claims["dimension-formulas"].measured] == [(2, 1)]
+        assert report.ok
 
     def test_report_serialization(self, tmp_path):
         report = VerificationReport(check_dimension_fingerprint())
@@ -132,6 +143,13 @@ class TestCli:
         assert main(["convergence", "--levels", "0,2", "--r", "1", "--k", "1"]) == 3
         capsys.readouterr()
 
+    def test_solver_flag_rejected(self, capsys):
+        # SPD systems have one direct path; there is no solver to choose
+        assert main(["solve", "quadcurl", "--N", "1", "--k", "1", "--solver", "cg"]) == 3
+        argv = ["convergence", "--levels", "1", "--r", "1", "--k", "1", "--solver", "cg"]
+        assert main(argv) == 3
+        capsys.readouterr()
+
     def test_config_file_defaults(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("N=1\n")
@@ -142,12 +160,12 @@ class TestCli:
 
     def test_explicit_flag_equal_to_default_wins(self, tmp_path, monkeypatch):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("tol=1e-3\nsolver=cg\n")
+        cfg.write_text("tol=1e-3\nquad_degree=6\n")
         seen = {}
         monkeypatch.setattr(cli, "cmd_solve", lambda args: seen.update(vars(args)) or 0)
         argv = ["--config", str(cfg), "solve", "quadcurl", "--N", "1", "--k", "1"]
         assert main(argv + ["--tol", "1e-10"]) == 0
-        assert seen["tol"] == 1e-10 and seen["solver"] == "cg"
+        assert seen["tol"] == 1e-10 and seen["quad_degree"] == 6
         assert main(argv) == 0
         assert seen["tol"] == 1e-3
 
