@@ -1,18 +1,20 @@
 #!/usr/bin/env python3
 """Per-layer timings and peak memory of one quadcurl (1,1) assembly pass, as BENCH rows.
 
-Each row runs in its own child process, with BLAS on one thread and an
-address-space limit (``LIMIT_GB``) that the child sets on itself, so a
-row that runs out of memory fails alone instead of taking the machine
-with it.  A row times, one after another: the structured mesh, the
-grad-curl space, its class tables, the stiffness assembly, the load of
-the manufactured forcing, and the error norms of a zero field (the same
-work as for a solved field).  A flat record holds each layer's seconds
-(``<layer>_s``) and the process's peak RSS when the layer ended
-(``<layer>_peak_rss_mb``), the dofs, the matrix's nnz, pattern digest and
-Frobenius norm, and the source it ran: the git SHA of the checkout (null
-when the source has uncommitted changes) and a digest of its
-``src/tetcomplex`` files.  Rows are run at the levels ``LEVELS``.
+Each row runs ``REPEATS`` times, each time in its own cold child process,
+with BLAS on one thread and an address-space limit (``LIMIT_GB``) that
+the child sets on itself, so a row that runs out of memory fails alone
+instead of taking the machine with it.  A row times, one after another:
+the structured mesh, the grad-curl space, its class tables, the stiffness
+assembly, the load of the manufactured forcing, and the error norms of a
+zero field (the same work as for a solved field).  A flat record holds
+each layer's seconds (``<layer>_s``) and the process's peak RSS when the
+layer ended (``<layer>_peak_rss_mb``) as the median over the processes,
+with ``<key>_min`` and ``<key>_max`` beside it; the dofs, the matrix's
+nnz, pattern digest and Frobenius norm, which every process must repeat;
+and the source it ran: the git SHA of the checkout (null when the source
+has uncommitted changes) and a digest of its ``src/tetcomplex`` files.
+Rows are run at the levels ``LEVELS``.
 
     python3 scripts/bench_layers.py --label change
     python3 scripts/bench_layers.py --label parent --src ../parent/src --git-sha <sha>
@@ -28,6 +30,7 @@ import hashlib
 import json
 import os
 import resource
+import statistics
 import subprocess
 import sys
 import time
@@ -37,6 +40,8 @@ ROOT = Path(__file__).resolve().parent.parent
 PIN = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 LEVELS = (16, 32)
 LIMIT_GB = 6.0
+# one cold process cannot resolve a set-up change of tens of milliseconds
+REPEATS = 5
 
 
 def source_digest(src):
@@ -68,12 +73,33 @@ def enter_row(src):
     sys.path.insert(0, str(src))
 
 
-def collect(script, args, names, key, extra=()):
-    """Run ``script --row <name>`` for each of ``names``, each in its own child process.
+def summarize(records):
+    """One record from those of repeated processes of a row.
 
-    The child prints its record as the last stdout line.  Each record,
-    with the source's label, SHA and digest, is printed and merged into
-    ``args.out``, replacing an older row with the same ``key(record)``.
+    Seconds and peak-RSS figures (keys ending in ``_s`` or ``_mb``) become
+    the median over the processes, with ``<key>_min`` and ``<key>_max``
+    beside it; every other value must be the same in all of them.
+    """
+    out = {"processes": len(records)}
+    for key, value in records[0].items():
+        values = [rec[key] for rec in records]
+        if key.endswith(("_s", "_mb")):
+            out[key] = statistics.median(values)
+            out[f"{key}_min"], out[f"{key}_max"] = min(values), max(values)
+        elif any(v != value for v in values):
+            sys.exit(f"{key} differs between the processes of one row: {values}")
+        else:
+            out[key] = value
+    return out
+
+
+def collect(script, args, names, key, extra=(), repeats=1):
+    """Run ``script --row <name>`` for each of ``names``, ``repeats`` times, each in its own child process.
+
+    The child prints its record as the last stdout line; with ``repeats``
+    above one the row is the :func:`summarize` of its processes.  Each
+    row, with the source's label, SHA and digest, is printed and merged
+    into ``args.out``, replacing an older row with the same ``key(record)``.
     """
     src = Path(args.src).resolve()
     meta = {
@@ -88,10 +114,13 @@ def collect(script, args, names, key, extra=()):
     for name in names:
         cmd = [sys.executable, script, "--row", str(name), "--label", args.label, "--src", str(src)]
         env = {**os.environ, **PIN}
-        done = subprocess.run([*cmd, *extra], env=env, capture_output=True, text=True)
-        if done.returncode != 0:
-            sys.exit(f"row {name} failed:\n{done.stderr}")
-        record = {**meta, **json.loads(done.stdout.splitlines()[-1])}
+        runs = []
+        for _ in range(repeats):
+            done = subprocess.run([*cmd, *extra], env=env, capture_output=True, text=True)
+            if done.returncode != 0:
+                sys.exit(f"row {name} failed:\n{done.stderr}")
+            runs.append(json.loads(done.stdout.splitlines()[-1]))
+        record = {**meta, **(runs[0] if repeats == 1 else summarize(runs))}
         print(json.dumps(record))
         rows = [old for old in rows if key(old) != key(record)] + [record]
         path.write_text(json.dumps({"rows": rows}, indent=1) + "\n")
@@ -162,7 +191,7 @@ def main():
         print(json.dumps(row(args.row, Path(args.src).resolve(), save)))
         return
     extra = ["--save-matrix", args.save_matrix] if args.save_matrix else []
-    collect(__file__, args, LEVELS, lambda rec: (rec["label"], rec["N"]), extra)
+    collect(__file__, args, LEVELS, lambda rec: (rec["label"], rec["N"]), extra, REPEATS)
 
 
 if __name__ == "__main__":

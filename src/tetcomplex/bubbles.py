@@ -19,19 +19,21 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 from operator import add
 from typing import NamedTuple
 
 import numpy as np
 
-from .polyalg.poly import Polynomial, VectorField, _trusted, grad
+from .polyalg.poly import Polynomial, VectorField, _trusted
 from .polyalg.spaces import (
     Embedding,
+    derivative_table,
     layered_mean_zero_basis,
+    integer_rref,
     monomial_exponents,
+    null_vectors,
     nullspace,
-    rref,
 )
 from .polyalg.split import (
     INTERNAL_FACES,
@@ -40,7 +42,7 @@ from .polyalg.split import (
     REF_VERTICES,
     PiecewiseField,
     as_piecewise,
-    face_param,
+    pullback_table,
     subtet_moment_table,
 )
 
@@ -66,11 +68,17 @@ def scalar_face_bubble(i):
 
 @dataclass
 class SplitC0Space:
-    """Continuous piecewise-P_m space on the reference split (scalar basis)."""
+    """Continuous piecewise-P_m space on the reference split (scalar basis).
+
+    ``coefficients`` holds the basis as integer numerators (basis, pieces,
+    monomials of degree <= m in ``monomial_exponents`` order) and their
+    least common denominator.
+    """
 
     degree: int
     zero_trace: bool
     scalar_basis: list
+    coefficients: tuple
 
     @property
     def dimension(self):
@@ -92,57 +100,66 @@ class SplitC0Space:
         return out
 
 
+def _trace_conditions(zero_trace):
+    """The trace conditions of a split space, as ``(signed pieces, face vertices)``.
+
+    On each face the traces of the pieces, times their signs, sum to zero:
+    two pieces agree on their internal face, and with ``zero_trace`` the
+    one piece on a parent face vanishes there.
+    """
+    out = [
+        (((i, 1), (j, -1)), (REF_VERTICES[k], REF_VERTICES[l], REF_CENTER))
+        for (i, j), (k, l) in INTERNAL_FACES
+    ]
+    if zero_trace:
+        out += [(((i, 1),), tuple(REF_VERTICES[v] for v in PARENT_FACE_VERTICES[i])) for i in range(4)]
+    return out
+
+
+def _numerators(fields, exps):
+    """Integer numerators (fields, pieces, monomials) of scalar piecewise fields over their least common denominator."""
+    index = {e: j for j, e in enumerate(exps)}
+    den = lcm(*(v.denominator for f in fields for piece in f.pieces for v in piece.coeffs.values()))
+    out = np.zeros((len(fields), 4, len(exps)), dtype=object)
+    for a, f in enumerate(fields):
+        for p, piece in enumerate(f.pieces):
+            for e, v in piece.coeffs.items():
+                out[a, p, index[e]] = v.numerator * (den // v.denominator)
+    return out, den
+
+
 @lru_cache(maxsize=None)
 def build_split_space(m, zero_trace=False):
-    """Nullspace construction of the continuous piecewise-P_m split space."""
+    """Nullspace construction of the continuous piecewise-P_m split space.
+
+    Each trace condition contributes the rows of its face's integer
+    pull-back table (:func:`pullback_table`), one block per piece it
+    involves.  The basis fields are checked against every condition again
+    on their own integer numerators.
+    """
     if m < 1:
         raise ValueError("degree must be >= 1")
     start = time.perf_counter()
     exps = monomial_exponents(m, 3)
-    nb = len(exps)
-    keys2 = monomial_exponents(m, 2)
-    k2i = {e: i for i, e in enumerate(keys2)}
+    conditions = [(pieces, pullback_table(m, points)[1]) for pieces, points in _trace_conditions(zero_trace)]
     rows = []
+    for pieces, table in conditions:
+        block = np.zeros((len(table), 4, len(exps)), dtype=object)
+        for p, sign in pieces:
+            block[:, p] = sign * table
+        rows.extend(block.reshape(len(table), -1).tolist())
 
-    def trace_block(pts):
-        matrix, shift = face_param(pts)
-        cols = []
-        for e in exps:
-            cols.append(Polynomial.monomial(e).compose_affine(matrix, shift))
-        return cols
-
-    for pair, edge in INTERNAL_FACES:
-        i, j = pair
-        k, l = edge
-        cols = trace_block((REF_VERTICES[k], REF_VERTICES[l], REF_CENTER))
-        block = [[Fraction(0)] * (4 * nb) for _ in keys2]
-        for col, composed in enumerate(cols):
-            for ke, v in composed.coeffs.items():
-                block[k2i[ke]][i * nb + col] += v
-                block[k2i[ke]][j * nb + col] -= v
-        rows.extend(block)
-    if zero_trace:
-        for i in range(4):
-            pts = tuple(REF_VERTICES[v] for v in PARENT_FACE_VERTICES[i])
-            cols = trace_block(pts)
-            block = [[Fraction(0)] * (4 * nb) for _ in keys2]
-            for col, composed in enumerate(cols):
-                for ke, v in composed.coeffs.items():
-                    block[k2i[ke]][i * nb + col] += v
-            rows.extend(block)
-
-    basis_vecs = nullspace(rows)
     emb = Embedding(m, vector=False)
-    basis = [emb.field(v, continuity="C0") for v in basis_vecs]
-    for b in basis:
-        assert b.check_c0()
-        if zero_trace:
-            assert b.vanishes_on_boundary()
+    basis = [emb.field(v, continuity="C0") for v in nullspace(rows)]
+    nums, den = _numerators(basis, exps)
+    for pieces, table in conditions:
+        trace = sum(sign * nums[:, p] for p, sign in pieces) @ table.T
+        assert not trace.any(), "split space trace postcondition violated"
     _log.debug(
         "built %s split space P%d, dim %d, in %.3f s",
         "zero-trace" if zero_trace else "continuous", m, len(basis), time.perf_counter() - start,
     )
-    return SplitC0Space(m, zero_trace, basis)
+    return SplitC0Space(m, zero_trace, basis, (nums, den))
 
 
 def _scaled(values):
@@ -154,31 +171,30 @@ def _scaled(values):
 class _ExactLinearSolver:
     """Reusable exact solver for D z = r with recorded row operations.
 
-    Each row of the row operations ``transform`` is kept as its sparse
-    integer numerators ``{column: int}`` and their denominator, so that a
-    solve forms one Fraction per unknown.
+    ``D`` is ``matrix / den``.  Each row of the row operations ``transform``
+    is kept as its sparse integer numerators ``{column: int}`` and their
+    denominator, so that a solve forms one Fraction per unknown.
     """
 
-    def __init__(self, matrix):
+    def __init__(self, matrix, den=1):
         self.ncols = len(matrix[0]) if matrix else 0
         nrows = len(matrix)
-        aug = [list(matrix[i]) + [Fraction(1) if j == i else Fraction(0) for j in range(nrows)] for i in range(nrows)]
-        reduced, pivots = rref(aug)
+        # each row of [matrix | den I] is den times that of [D | I]: the
+        # reduction scales every row to coprime integers, so both reduce alike
+        aug = [list(matrix[i]) + [den if j == i else 0 for j in range(nrows)] for i in range(nrows)]
+        rows, pivots = integer_rref(aug)
         self.pivots = [p for p in pivots if p < self.ncols]
+        # the row operations: each reduced row's last nrows entries over its
+        # pivot entry, as coprime numerators over a positive denominator
         self.transform = []
-        for row in reduced:
-            nums, den = _scaled(row[self.ncols:])
-            self.transform.append(({j: v for j, v in enumerate(nums) if v}, den))
+        for row, p in zip(rows, pivots):
+            ops = sorted((j - self.ncols, v) for j, v in row.items() if j >= self.ncols)
+            g = gcd(row[p], *(v for _, v in ops))
+            sign = 1 if row[p] > 0 else -1
+            self.transform.append(({j: sign * v // g for j, v in ops}, abs(row[p]) // g))
         # the first ncols columns of the augmented reduced form are the
         # reduced form of the matrix itself, so its nullspace reads off them
-        free = [c for c in range(self.ncols) if c not in self.pivots]
-        self.null_basis = []
-        for f in free:
-            v = [Fraction(0)] * self.ncols
-            v[f] = Fraction(1)
-            for r, p in enumerate(self.pivots):
-                v[p] = -reduced[r][f]
-            self.null_basis.append(v)
+        self.null_basis = null_vectors(rows, self.pivots, self.ncols)
 
     def solve(self, rhs):
         """The solution with every free unknown zero, or None if ``D z = r`` is inconsistent."""
@@ -220,23 +236,25 @@ def _object_matrix(rows):
 def _h1_gram(space):
     """The H1-seminorm Gram matrix of the scalar basis of a split space, on integers.
 
-    Per subtet ``p`` and component ``c`` the gradient coefficients of the
-    basis are scaled to one integer matrix ``C`` (basis x monomials of
-    degree <= m - 1); with ``M`` the subtet's integer moment table of the
-    products, the Gram matrix is ``sum_pc C M C^T`` over the common
-    denominator.  Returns that integer matrix and the denominator.
+    Per subtet ``p`` and component ``c`` the gradient numerators of the
+    basis are its numerators times the integer derivative table, scaled to
+    coprime integers with their denominator, one integer matrix ``C``
+    (basis x monomials of degree <= m - 1); with ``M`` the subtet's integer
+    moment table of the products, the Gram matrix is ``sum_pc C M C^T`` over
+    the common denominator.  Returns that integer matrix and the denominator.
     """
     exps = monomial_exponents(space.degree - 1, 3)
     den_m, moments = subtet_moment_table(2 * (space.degree - 1))
-    grads = [phi.map(grad) for phi in space.scalar_basis]
+    nums, den = space.coefficients
+    deriv = derivative_table(space.degree)
     terms = []
     for p in range(4):
         moment = _object_matrix([[moments[p][tuple(map(add, e, f))] for f in exps] for e in exps])
         for c in range(3):
-            polys = [g.pieces[p].comps[c].coeffs for g in grads]
-            nums, den = _scaled([poly.get(e, Fraction(0)) for poly in polys for e in exps])
-            coef = _object_matrix(nums).reshape(len(polys), len(exps))
-            terms.append((den * den, coef @ moment @ coef.T))
+            coef = nums[:, p] @ deriv[c].T
+            g = gcd(den, *coef.ravel())
+            coef = coef // g
+            terms.append(((den // g) ** 2, coef @ moment @ coef.T))
     common = lcm(*(den for den, _ in terms))
     return sum((block * (common // den) for den, block in terms), 0), common * den_m
 
@@ -261,16 +279,15 @@ def _minimal_correction(null, gram_null):
     return rows, den
 
 
-def _basis_tables(vec_basis):
-    """Integer coefficient tables of each field, piece and component, over one denominator."""
-    polys = [poly for f in vec_basis for piece in f.pieces for poly in piece.comps]
-    den = lcm(*(v.denominator for poly in polys for v in poly.coeffs.values()))
+def _basis_tables(space):
+    """Integer coefficient tables of each vector basis field, piece and component, over one denominator."""
+    nums, den = space.coefficients
+    exps = monomial_exponents(space.degree, 3)
+    rows = [[[(e, v) for e, v in zip(exps, row) if v] for row in field] for field in nums.tolist()]
     tables = tuple(
-        tuple(
-            tuple({e: v.numerator * (den // v.denominator) for e, v in poly.coeffs.items()} for poly in piece.comps)
-            for piece in f.pieces
-        )
-        for f in vec_basis
+        tuple(tuple(dict(piece) if cc == c else {} for cc in range(3)) for piece in field)
+        for field in rows
+        for c in range(3)
     )
     return tables, den
 
@@ -291,9 +308,12 @@ def _div_solver(k):
 
     mark = time.perf_counter()
     emb = Embedding(k - 1, vector=False)
-    cols = [emb.coords(v.div()) for v in vec_basis]
-    matrix = [[cols[j][i] for j in range(len(cols))] for i in range(emb.size)]
-    solver = _ExactLinearSolver(matrix)
+    # the divergence of field 3a + c is the x_c derivative of scalar a:
+    # rows piece by piece as ``emb`` orders them, over the basis denominator
+    nums, den = space.coefficients
+    deriv = derivative_table(k)
+    div = np.stack([nums @ deriv[c].T for c in range(3)], axis=-1)  # (a, pieces, monomials, c)
+    solver = _ExactLinearSolver(div.transpose(1, 2, 0, 3).reshape(emb.size, -1).tolist(), den)
     # applied to a null vector n the Gram matrix gives (G n)[3b + c]
     null = solver.null_basis
     gram_null, minimal = [], None
@@ -310,7 +330,7 @@ def _div_solver(k):
         "gram %.3f s, elimination %.3f s, in %.3f s",
         k, len(vec_basis), len(null), split_s, gram_s, elimination_s, time.perf_counter() - start,
     )
-    return _DivSolver(space, vec_basis, emb, solver, null, gram_null, minimal, _basis_tables(vec_basis))
+    return _DivSolver(space, vec_basis, emb, solver, null, gram_null, minimal, _basis_tables(space))
 
 
 def div_coefficients(target, k):
@@ -345,15 +365,21 @@ def solve_div(target, k):
     if target.integrate() != 0:
         raise ValueError("divergence target must have zero mean")
     z = div_coefficients(target, k)
-    tables, den = _div_solver(k).basis_tables
+    ds = _div_solver(k)
+    tables, den = ds.basis_tables
     nums, z_den = _scaled(z)
     den *= z_den
+    t_nums, t_den = _scaled(ds.emb.coords(target))
+    t_nums = np.array(t_nums, dtype=object).reshape(4, -1)
+    columns = {e: j for j, e in enumerate(monomial_exponents(k, 3))}
+    deriv = derivative_table(k)
     # sum_j z_j basis_j on integer numerators, term by term in basis order as
     # the polynomial sum would run, so the same sums cancel and the keys come
     # out in the same order; one division at the end
     pieces = []
     for p in range(4):
         comps = []
+        div = 0
         for c in range(3):
             acc = {}
             for coef, table in zip(nums, tables):
@@ -366,10 +392,13 @@ def solve_div(target, k):
                     else:
                         acc.pop(e, None)
             comps.append(_trusted({e: Fraction(v, den) for e, v in acc.items()}, 3))
+            dense = np.zeros(len(columns), dtype=object)
+            dense[[columns[e] for e in acc]] = list(acc.values())
+            div = div + deriv[c] @ dense
+        # the divergence on this piece, over den, against the target's numerators over t_den
+        assert not (div * t_den - t_nums[p] * den).any(), "exact divergence postcondition violated"
         pieces.append(VectorField(comps))
-    out = PiecewiseField(pieces, "C0")
-    assert (out.div() - target).is_zero(), "exact divergence postcondition violated"
-    return out
+    return PiecewiseField(pieces, "C0")
 
 
 @dataclass

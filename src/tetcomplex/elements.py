@@ -18,8 +18,10 @@ cell incident to a shared entity evaluates the identical functional.
 
 from __future__ import annotations
 
+import gc
 import logging
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field as dc_field, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -167,8 +169,9 @@ class CellGeometry:
         cells share it exactly when one is a similar image of the other.
         The vertex order is left out: it flips face directions only.
         """
-        shape = self.shape()
-        return min(_similar(shape, s) for s in _SIMILARITIES)
+        images = _images(self.shape())
+        least = images[np.lexsort(images.T[::-1])[0]]
+        return tuple(map(tuple, least.reshape(3, 3).tolist()))
 
 
 # Similarities B -> Q B S of cell matrices, as (perm, signs, cols):
@@ -184,13 +187,15 @@ _SIMILARITIES = tuple(
 )
 
 
-def _similar(matrix, similarity):
-    """``Q matrix S`` for a similarity ``(perm, signs, cols)``."""
-    perm, signs, cols = similarity
-    return tuple(
-        tuple(matrix[p][c] if s > 0 else -matrix[p][c] for c in cols)
-        for p, s in zip(perm, signs)
-    )
+# (Q M S)[i][j] = signs[i] M[perm[i]][cols[j]]: with M flattened, the image
+# under similarity n is _IMAGE_SIGNS[n] * M.ravel()[_IMAGE_GATHER[n]]
+_IMAGE_GATHER = np.array([[3 * p + c for p in perm for c in cols] for perm, _, cols in _SIMILARITIES])
+_IMAGE_SIGNS = np.array([[s for s in signs for _ in range(3)] for _, signs, _ in _SIMILARITIES])
+
+
+def _images(shape):
+    """The (288, 9) int64 array of the flattened images ``Q shape S``, one row per similarity in order."""
+    return _IMAGE_SIGNS * np.array(shape, dtype=np.int64).ravel()[_IMAGE_GATHER]
 
 
 @lru_cache(maxsize=1)
@@ -734,9 +739,12 @@ class LocalElement:
     ``"value"``) and, for gradcurl, its physical curls (key ``"curl"``) as
     tensors (fields, pieces, components, monomials) over the monomials of
     degree <= ``degree`` in :func:`monomial_exponents` order, in float64
-    and in long double.  ``basis`` and ``curls`` are the exact fields
-    themselves; ``exact_fields`` forms them, on first access for an
-    element derived from another of its similarity orbit.
+    and in long double.  The long-double tensors serve the DOF matrix and
+    the derivation of other classes of the orbit, so only the element
+    built for its orbit keeps them; they are None on a derived element.
+    ``basis`` and ``curls`` are the exact fields themselves;
+    ``exact_fields`` forms them, on first access for an element derived
+    from another of its similarity orbit.
     """
 
     kind: str
@@ -749,7 +757,7 @@ class LocalElement:
     condition: float
     degree: int
     coefficients: dict
-    long_coefficients: dict
+    long_coefficients: dict | None
     exact_fields: callable = dc_field(repr=False)  # () -> (basis, curls or None)
 
     @cached_property
@@ -986,6 +994,33 @@ def derive_coefficients(tensor, powers, t, similarity, curls=False):
     return tensor[index] * scale + 0.0
 
 
+def similarity_between(cell0, cell):
+    """``(t, similarity)`` with ``B = t Q B0 S``, for the cell ``cell`` of the orbit of ``cell0``.
+
+    Of the similarities that take the shape of ``cell0`` to that of
+    ``cell``, the first in ``_SIMILARITIES`` order.
+    """
+    match = (_images(cell0.shape()) == np.ravel(cell.shape())).all(axis=1)
+    return cell.scale / cell0.scale, _SIMILARITIES[np.flatnonzero(match)[0]]
+
+
+@contextmanager
+def _collector_paused():
+    """Hold cyclic garbage collection off inside the block, then restore its prior state.
+
+    An exact construction allocates many short-lived Fractions and
+    coefficient tables and leaves no cycles behind, so collections during
+    it find nothing to free.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def _describe(t, similarity):
     """``t``, ``Q`` as the images of the axes and ``S`` as the vertex images."""
     perm, signs, cols = similarity
@@ -1018,21 +1053,20 @@ def local_element(kind, r, k, cell=None):
     orbit_key = (kind, r, k, cell.orbit_key())
     first = cache.orbits.get(orbit_key)
     if first is None:
-        basis, powers = build_raw_basis(kind, cell, r, k)
-        fields = {"value": basis}
-        if kind == "gradcurl":
-            fields["curl"] = [phys_curl(cell, b) for b in basis]
-        degree = max(max(b.degree for b in basis), 0)
-        columns = _monomial_columns(degree)
-        coefficients = {use: _coefficients(f, columns) for use, f in fields.items()}
-        long_coefficients = {use: _long_coefficients(f, columns) for use, f in fields.items()}
+        with _collector_paused():
+            basis, powers = build_raw_basis(kind, cell, r, k)
+            fields = {"value": basis}
+            if kind == "gradcurl":
+                fields["curl"] = [phys_curl(cell, b) for b in basis]
+            degree = max(max(b.degree for b in basis), 0)
+            columns = _monomial_columns(degree)
+            coefficients = {use: _coefficients(f, columns) for use, f in fields.items()}
+            long_coefficients = {use: _long_coefficients(f, columns) for use, f in fields.items()}
         exact_fields = lambda: (basis, fields.get("curl"))
         how, detail = "built", ""
     else:
         el0, powers = first
-        shape0, shape = el0.cell.shape(), cell.shape()
-        similarity = next(s for s in _SIMILARITIES if _similar(shape0, s) == shape)
-        t = cell.scale / el0.cell.scale
+        t, similarity = similarity_between(el0.cell, cell)
         degree = el0.degree
         coefficients, long_coefficients = (
             {
@@ -1060,8 +1094,8 @@ def local_element(kind, r, k, cell=None):
     except np.linalg.LinAlgError as exc:
         raise ArithmeticError(f"{kind}({r},{k}): singular DOF matrix") from exc
     el = LocalElement(
-        kind, r, k, cell, dofs, m, nodal, cond, degree, coefficients, long_coefficients,
-        exact_fields,
+        kind, r, k, cell, dofs, m, nodal, cond, degree, coefficients,
+        long_coefficients if first is None else None, exact_fields,
     )
     cache.elements[key] = el
     if first is None:

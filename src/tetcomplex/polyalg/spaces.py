@@ -9,8 +9,11 @@ nullspaces, and rank-revealing basis selection.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import gcd, lcm
+
+import numpy as np
 
 from .poly import _ZERO, Polynomial, VectorField
 from .split import PiecewiseField, as_piecewise
@@ -18,6 +21,11 @@ from .split import PiecewiseField, as_piecewise
 
 def monomial_exponents(degree, nvars=3):
     """Exponent tuples of total degree <= degree, graded lexicographic."""
+    return list(_monomial_exponents(degree, nvars))
+
+
+@lru_cache(maxsize=None)
+def _monomial_exponents(degree, nvars):
     out = []
     for d in range(degree + 1):
         for combo in combinations_with_replacement(range(nvars), d):
@@ -26,7 +34,27 @@ def monomial_exponents(degree, nvars=3):
                 e[i] += 1
             out.append(tuple(e))
     # stable, deterministic order: by degree then lexicographic
-    return sorted(set(out), key=lambda e: (sum(e), e))
+    return tuple(sorted(set(out), key=lambda e: (sum(e), e)))
+
+
+@lru_cache(maxsize=None)
+def derivative_table(degree):
+    """The partial derivatives on monomial coefficients, as integer tables.
+
+    ``table[c]`` takes the coefficients of a polynomial of degree <=
+    ``degree`` (in :func:`monomial_exponents` order) to those of its
+    derivative in ``x_c``, of degree <= ``degree - 1``.  Entries are Python
+    ints in a read-only object array of shape (3, lower monomials, monomials).
+    """
+    exps = monomial_exponents(degree, 3)
+    lower = {e: i for i, e in enumerate(monomial_exponents(degree - 1, 3))}
+    table = np.zeros((3, len(lower), len(exps)), dtype=object)
+    for j, e in enumerate(exps):
+        for c in range(3):
+            if e[c]:
+                table[c, lower[tuple(v - (i == c) for i, v in enumerate(e))], j] = e[c]
+    table.flags.writeable = False
+    return table
 
 
 def vector_monomials(degree):
@@ -215,6 +243,16 @@ def _echelon(rows, ncols):
     return done, pivots
 
 
+def integer_rref(matrix):
+    """The reduced row echelon form on integers: ``(rows, pivot_columns)``.
+
+    One sparse integer row ``{column: int}`` per pivot column, in column
+    order; divided by its entry in the pivot column it is that row of
+    :func:`rref`.  ``matrix`` is a list of Fraction (or int) lists.
+    """
+    return _echelon(_integer_rows(matrix), len(matrix[0]) if matrix else 0)
+
+
 def rref(matrix):
     """Fraction-exact reduced row echelon form.
 
@@ -225,7 +263,7 @@ def rref(matrix):
     """
     nrows = len(matrix)
     ncols = len(matrix[0]) if nrows else 0
-    done, pivots = _echelon(_integer_rows(matrix), ncols)
+    done, pivots = integer_rref(matrix)
     rows = []
     for row, c in zip(done, pivots):
         pv = row[c]
@@ -238,26 +276,31 @@ def rref(matrix):
 
 
 def rank(matrix):
-    if not matrix:
-        return 0
-    return len(_echelon(_integer_rows(matrix), len(matrix[0]))[1])
+    return len(integer_rref(matrix)[1])
+
+
+def null_vectors(rows, pivots, ncols):
+    """Nullspace basis of the matrix with integer reduced form ``(rows, pivots)`` (:func:`integer_rref`).
+
+    One Fraction vector per free column ``f`` among the first ``ncols``:
+    1 at ``f`` and minus the reduced row's entry in ``f`` at each pivot.
+    ``pivots`` must all lie below ``ncols``.
+    """
+    basis = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        v = [Fraction(0)] * ncols
+        v[f] = Fraction(1)
+        for row, p in zip(rows, pivots):
+            v[p] = Fraction(-row.get(f, 0), row[p])
+        basis.append(v)
+    return basis
 
 
 def nullspace(matrix):
     """Exact nullspace basis vectors of a Fraction matrix."""
     if not matrix:
         return []
-    rows, pivots = rref(matrix)
-    ncols = len(matrix[0])
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for r, p in enumerate(pivots):
-            v[p] = -rows[r][f]
-        basis.append(v)
-    return basis
+    return null_vectors(*integer_rref(matrix), len(matrix[0]))
 
 
 def select_independent(columns):

@@ -14,6 +14,8 @@ from functools import lru_cache
 from itertools import combinations
 from math import factorial, lcm
 
+import numpy as np
+
 from .poly import VectorField, _det3, _mul_tables, curl, div, grad
 
 REF_VERTICES = (
@@ -53,55 +55,80 @@ def subtet_affine(i):
 
 
 @lru_cache(maxsize=None)
+def pullback_table(degree, points):
+    """The pull-back ``p -> p o F`` on monomial numerators, as one integer table.
+
+    ``F`` maps the unit simplex in ``m = len(points) - 1`` variables onto the
+    simplex on ``points`` (rational points of R^3, ``points[0]`` the image
+    of the origin), as :func:`face_param` and :func:`subtet_affine` do.
+    Returns ``(den, table)``: ``table`` has one row per monomial of degree
+    <= ``degree`` in ``m`` variables and one column per monomial of degree
+    <= ``degree`` in 3 variables, both in ``monomial_exponents`` order, so
+    that a polynomial with numerators ``c`` over ``B`` pulls back to the
+    numerators ``table @ c`` over ``B * den``.  With ``s`` the common
+    denominator of the map, ``s x_c o F`` is an affine form in ``y`` with
+    integer coefficients and ``s^|e| x^e o F`` the product of one lower
+    monomial's with one such form; column ``e`` holds it times
+    ``s^(degree - |e|)``, so ``den = s^degree``.  Entries are Python ints
+    in a read-only object array.
+    """
+    from .spaces import monomial_exponents  # spaces imports this module
+
+    matrix, shift = _affine_cols(points)
+    m = len(points) - 1
+    s = lcm(*(Fraction(v).denominator for v in (*shift, *sum(matrix, []))))
+    units = [tuple(int(j == i) for j in range(m)) for i in range(m)]
+    forms = []
+    for c in range(3):
+        form = {(0,) * m: int(shift[c] * s)} if shift[c] else {}
+        for j in range(m):
+            if matrix[c][j]:
+                form[units[j]] = int(matrix[c][j] * s)
+        forms.append(form)
+    rows = {f: i for i, f in enumerate(monomial_exponents(degree, m))}
+    exps = monomial_exponents(degree, 3)
+    table = np.zeros((len(rows), len(exps)), dtype=object)
+    pulled = {(0, 0, 0): {(0,) * m: 1}}
+    for col, e in enumerate(exps):
+        if e not in pulled:
+            c = next(c for c in range(3) if e[c])
+            pulled[e] = _mul_tables(pulled[tuple(v - (j == c) for j, v in enumerate(e))], forms[c], 0)
+        scale = s ** (degree - sum(e))
+        for f, v in pulled[e].items():
+            table[rows[f], col] = v * scale
+    table.flags.writeable = False
+    return s**degree, table
+
+
+@lru_cache(maxsize=None)
 def subtet_moment_table(degree):
     """Integrals of every monomial of degree <= ``degree`` over each subtet, on integers.
 
     Returns ``(den, tables)``: ``tables[i][e] / den`` is the exact integral of
-    ``x^e`` over subtet ``i``.  With ``s`` the common denominator of the
-    subtet maps, ``s x^e`` pulled back to the unit simplex is built from one
-    lower monomial times one integer affine form, and ``y^f`` integrates there
-    to ``f! / (|f| + 3)!``; so ``den = (degree + 3)! s^degree`` times the
+    ``x^e`` over subtet ``i``.  Each monomial is pulled back to the unit
+    simplex by :func:`pullback_table` (over ``s^degree``, ``s`` the common
+    denominator of the subtet maps), where ``y^f`` integrates to
+    ``f! / (|f| + 3)!``; so ``den = (degree + 3)! s^degree`` times the
     common denominator of the subtet volumes.
     """
     from .spaces import monomial_exponents  # spaces imports this module
 
-    maps = [subtet_affine(i) for i in range(4)]
-    dets = [abs(Fraction(_det3(matrix))) for matrix, _ in maps]
-    s = lcm(*(Fraction(v).denominator for matrix, shift in maps for v in (*shift, *sum(matrix, []))))
+    dets = [abs(Fraction(_det3(subtet_affine(i)[0]))) for i in range(4)]
     vol_den = lcm(*(d.denominator for d in dets))
     top = factorial(degree + 3)
     exps = monomial_exponents(degree, 3)
-    units = [tuple(int(j == c) for j in range(3)) for c in range(3)]
+    # top times the integral of y^f over the unit simplex
+    unit = np.array(
+        [factorial(f[0]) * factorial(f[1]) * factorial(f[2]) * (top // factorial(sum(f) + 3)) for f in exps],
+        dtype=object,
+    )
+    pulled = [pullback_table(degree, points) for points in SUBTET_VERTICES]
+    den = lcm(*(d for d, _ in pulled))
     tables = []
-    for (matrix, shift), det in zip(maps, dets):
-        # s * x_c pulled back: an affine form in y with integer coefficients
-        forms = []
-        for c in range(3):
-            form = {(0, 0, 0): int(shift[c] * s)} if shift[c] else {}
-            for j in range(3):
-                if matrix[c][j]:
-                    form[units[j]] = int(matrix[c][j] * s)
-            forms.append(form)
-        pulled = {(0, 0, 0): {(0, 0, 0): 1}}
-        weight = det.numerator * (vol_den // det.denominator)
-        table = {}
-        for e in exps:
-            if e not in pulled:
-                c = next(c for c in range(3) if e[c])
-                pulled[e] = _mul_tables(pulled[tuple(v - (j == c) for j, v in enumerate(e))], forms[c], 0)
-            total = 0
-            for f, v in pulled[e].items():
-                total += v * factorial(f[0]) * factorial(f[1]) * factorial(f[2]) * (top // factorial(sum(f) + 3))
-            table[e] = total * s ** (degree - sum(e)) * weight
-        tables.append(table)
-    return top * s**degree * vol_den, tuple(tables)
-
-
-@lru_cache(maxsize=None)
-def subtet_moment(i, exps):
-    """Exact integral of the monomial ``x^exps`` over subtet ``i``."""
-    den, tables = subtet_moment_table(sum(exps))
-    return Fraction(tables[i][tuple(exps)], den)
+    for (d, table), det in zip(pulled, dets):
+        weight = det.numerator * (vol_den // det.denominator) * (den // d)
+        tables.append(dict(zip(exps, (unit @ table * weight).tolist())))
+    return top * den * vol_den, tuple(tables)
 
 
 def face_param(points):
@@ -240,8 +267,10 @@ class PiecewiseField:
     def integrate(self):
         """Exact integral over the whole reference tet (sum over subtets).
 
-        Vector fields integrate component-wise to a tuple.
+        Vector fields integrate component-wise to a tuple.  The moments
+        come from one integer table, that of the field's degree.
         """
+        den, tables = subtet_moment_table(max(self.degree, 0))
         if self.is_vector:
             totals = [Fraction(0)] * 3
         else:
@@ -251,7 +280,7 @@ class PiecewiseField:
             comps = piece.comps if self.is_vector else (piece,)
             for c, comp in enumerate(comps):
                 for e, v in comp.coeffs.items():
-                    totals[c] += v * subtet_moment(i, e)
+                    totals[c] += v * Fraction(tables[i][e], den)
         return tuple(totals) if self.is_vector else totals[0]
 
     def evaluate(self, point):

@@ -48,12 +48,31 @@ class TestSplitSpaces:
         assert build_split_space(m, zero_trace=True).dimension == expected
 
     def test_members_continuous(self):
-        for b in build_split_space(2).scalar_basis:
-            assert b.check_c0()
+        # the polynomial-level check, independent of the build's integer one
+        for m in (1, 2, 3):
+            for zero_trace in (False, True):
+                for b in build_split_space(m, zero_trace=zero_trace).scalar_basis:
+                    assert b.check_c0()
 
     def test_zero_trace_members_vanish(self):
-        for b in build_split_space(2, zero_trace=True).scalar_basis:
-            assert b.vanishes_on_boundary()
+        for m in (1, 2, 3):
+            for b in build_split_space(m, zero_trace=True).scalar_basis:
+                assert b.vanishes_on_boundary()
+
+    @pytest.mark.parametrize("zero_trace", [False, True])
+    def test_trace_postcondition_catches_a_broken_basis(self, zero_trace, monkeypatch):
+        # one basis vector moved off the constraints fails the integer checks
+        from tetcomplex import bubbles
+
+        solve = bubbles.nullspace
+
+        def broken(rows):
+            first, *rest = solve(rows)
+            return [[first[0] + 1, *first[1:]], *rest]
+
+        monkeypatch.setattr(bubbles, "nullspace", broken)
+        with pytest.raises(AssertionError, match="trace postcondition"):
+            build_split_space.__wrapped__(2, zero_trace)
 
     def test_basis_independent(self):
         from tetcomplex.polyalg import Embedding
@@ -77,6 +96,15 @@ class TestSolveDiv:
         v = solve_div(p, 1)
         assert (v.div() - p).is_zero()
         assert v.vanishes_on_boundary()
+
+    def test_divergence_postcondition_catches_a_wrong_solution(self, monkeypatch):
+        from tetcomplex import bubbles
+
+        solve = bubbles.div_coefficients
+        monkeypatch.setattr(bubbles, "div_coefficients", lambda t, k: [2 * z for z in solve(t, k)])
+        target = PiecewiseField(tuple(Polynomial.constant(c) for c in (2, -1, 0, -1)), "L2")
+        with pytest.raises(AssertionError, match="exact divergence postcondition"):
+            solve_div(target, 2)
 
     def test_mean_zero_required(self):
         with pytest.raises(ValueError):

@@ -1,7 +1,10 @@
 """Local elements: dimensions, unisolvence, exactness, polynomial reproduction."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tetcomplex.elements import (
     CellGeometry,
@@ -323,6 +326,68 @@ class TestHomothety:
         )
 
 
+def _similar(matrix, similarity):
+    """``Q matrix S`` for a similarity ``(perm, signs, cols)``, entry by entry."""
+    perm, signs, cols = similarity
+    return tuple(
+        tuple(matrix[p][c] if s > 0 else -matrix[p][c] for c in cols)
+        for p, s in zip(perm, signs)
+    )
+
+
+def integer_matrices(bound):
+    return st.lists(st.integers(-bound, bound), min_size=9, max_size=9).map(
+        lambda v: tuple(tuple(v[3 * i:3 * i + 3]) for i in range(3))
+    )
+
+
+class TestSimilarityImages:
+    """The int64 image array gives the least image and the first matching similarity of the scans."""
+
+    @given(st.one_of(integer_matrices(3), integer_matrices(2**40)))
+    @settings(max_examples=200, deadline=None)
+    def test_orbit_key_is_least_image(self, shape):
+        from tetcomplex.elements import _SIMILARITIES
+
+        key = CellGeometry.orbit_key(SimpleNamespace(shape=lambda: shape))
+        assert key == min(_similar(shape, s) for s in _SIMILARITIES)
+        assert all(type(v) is int for row in key for v in row)
+
+    @given(integer_matrices(3), st.integers(0, 287))
+    @settings(max_examples=200, deadline=None)
+    def test_lookup_finds_the_first_similarity(self, shape, pick):
+        # small entries repeat, so several similarities often match
+        from tetcomplex.elements import _SIMILARITIES, similarity_between
+
+        image = _similar(shape, _SIMILARITIES[pick])
+        cell0 = SimpleNamespace(shape=lambda: shape, scale=2)
+        cell = SimpleNamespace(shape=lambda: image, scale=1)
+        t, similarity = similarity_between(cell0, cell)
+        assert t == 0.5
+        assert similarity == next(s for s in _SIMILARITIES if _similar(shape, s) == image)
+
+
+class TestCollectorPause:
+    def test_restores_the_prior_state(self):
+        import gc
+
+        from tetcomplex.elements import _collector_paused
+
+        enabled = gc.isenabled()
+        try:
+            for before in (True, False):
+                (gc.enable if before else gc.disable)()
+                with _collector_paused():
+                    assert not gc.isenabled()
+                assert gc.isenabled() == before
+            gc.enable()
+            with pytest.raises(ZeroDivisionError), _collector_paused():
+                1 / 0
+            assert gc.isenabled()
+        finally:
+            (gc.enable if enabled else gc.disable)()
+
+
 class TestSimilarity:
     """The six Kuhn classes are one orbit of ``B -> t Q B S``: one exact build."""
 
@@ -394,22 +459,35 @@ class TestCoefficientGather:
     def test_kuhn_gather_equals_exact_fields(self, kind, r, k, fresh_cache):
         # class 0 at N = 1 is built; the other N = 1 classes derive with
         # t = 1 and the N = 2 classes with t = 1/2, both exact in binary
-        from tetcomplex.elements import _coefficients, _long_coefficients, _monomial_columns
+        # derived elements drop their long-double tensors: those are derived
+        # here from the built element's, as ``local_element`` derives them
+        from tetcomplex.elements import (
+            _coefficients,
+            _long_coefficients,
+            _monomial_columns,
+            derive_coefficients,
+            similarity_between,
+        )
 
         derived = [local_element(kind, r, k, c) for n in (1, 2) for c in _class_representatives(n)]
         assert (fresh_cache.built, fresh_cache.derived) == (1, 11)
+        el0, powers = fresh_cache.orbits[(kind, r, k, derived[0].cell.orbit_key())]
+        assert el0 is derived[0]
         for el in derived[1:]:
             assert np.array_equal(dof_matrix(el.dofs, el.basis, el.cell, el.curls), el.dof_matrix)
+            assert el.long_coefficients is None
+            t, similarity = similarity_between(el0.cell, el.cell)
             columns = _monomial_columns(el.degree)
             fields = {"value": el.basis, "curl": el.curls}
-            assert sorted(el.coefficients) == sorted(el.long_coefficients) == sorted(
+            assert sorted(el.coefficients) == sorted(el0.long_coefficients) == sorted(
                 use for use, f in fields.items() if f is not None
             )
             for use, tensor in el.coefficients.items():
                 _assert_bitwise_equal(tensor, _coefficients(fields[use], columns))
-                _assert_bitwise_equal(
-                    el.long_coefficients[use], _long_coefficients(fields[use], columns)
+                long = derive_coefficients(
+                    el0.long_coefficients[use], powers, t, similarity, curls=use == "curl"
                 )
+                _assert_bitwise_equal(long, _long_coefficients(fields[use], columns))
 
     @pytest.mark.parametrize("kind,r,k", _config_cases())
     def test_rational_scale_matches_exact_fields(self, kind, r, k, fresh_cache):

@@ -2,6 +2,7 @@
 
 from fractions import Fraction as F
 from itertools import product
+from math import lcm
 
 import numpy as np
 import pytest
@@ -37,7 +38,14 @@ from tetcomplex.polyalg import (
     select_independent,
 )
 from tetcomplex.polyalg.poincare import _integrate_t, _offset_field, _ray_exprs
-from tetcomplex.polyalg.split import subtet_moment_table
+from tetcomplex.polyalg.spaces import derivative_table
+from tetcomplex.polyalg.split import (
+    INTERNAL_FACES,
+    PARENT_FACE_VERTICES,
+    REF_VERTICES,
+    pullback_table,
+    subtet_moment_table,
+)
 
 X, Y, Z = (Polynomial.variable(i) for i in range(3))
 
@@ -225,6 +233,58 @@ class TestIntegration:
             exact = float(integrate_unit_simplex(p))
             approx = float((wts * p.eval_many(pts)).sum())
             assert abs(approx - exact) < 1e-14
+
+
+# every map the split space and its moments pull back with: internal faces,
+# parent faces and subtets
+SPLIT_MAPS = (
+    [(REF_VERTICES[k], REF_VERTICES[l], REF_CENTER) for _, (k, l) in INTERNAL_FACES]
+    + [tuple(REF_VERTICES[v] for v in face) for face in PARENT_FACE_VERTICES]
+    + list(SUBTET_VERTICES)
+)
+
+
+def _numerators(p, degree):
+    """Coefficient numerators of ``p`` over the monomials of degree <= ``degree``, and their denominator."""
+    den = lcm(*(v.denominator for v in p.coeffs.values()))
+    return np.array([int(p.coeffs.get(e, 0) * den) for e in monomial_exponents(degree)], dtype=object), den
+
+
+def _simplex_map(points):
+    """Matrix columns and shift of the map of the unit simplex onto ``points``."""
+    p0 = points[0]
+    return [[points[j + 1][i] - p0[i] for j in range(len(points) - 1)] for i in range(3)], list(p0)
+
+
+class TestIntegerTables:
+    """The integer pull-back and derivative tables against Polynomial algebra."""
+
+    @given(polynomials(max_degree=4), st.integers(0, 2))
+    @settings(max_examples=40, deadline=None)
+    def test_pullback_table_matches_compose_affine(self, p, extra):
+        degree = max(p.degree, 0) + extra
+        nums, den = _numerators(p, degree)
+        for points in SPLIT_MAPS:
+            scale, table = pullback_table(degree, points)
+            composed = p.compose_affine(*_simplex_map(points))
+            rows = monomial_exponents(degree, len(points) - 1)
+            got = {f: F(v, den * scale) for f, v in zip(rows, (table @ nums).tolist()) if v}
+            assert got == composed.coeffs
+
+    @given(polynomials(max_degree=4))
+    @settings(max_examples=40, deadline=None)
+    def test_derivative_table_matches_derivative(self, p):
+        degree = max(p.degree, 1)
+        nums, den = _numerators(p, degree)
+        lower = monomial_exponents(degree - 1)
+        for c, table in enumerate(derivative_table(degree)):
+            got = {e: F(v, den) for e, v in zip(lower, (table @ nums).tolist()) if v}
+            assert got == p.derivative(c).coeffs
+
+    def test_tables_are_read_only(self):
+        for table in (pullback_table(2, SPLIT_MAPS[0])[1], derivative_table(2)):
+            with pytest.raises(ValueError):
+                table[0, 0] = 1
 
 
 class TestPullback:
