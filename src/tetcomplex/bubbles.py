@@ -18,22 +18,22 @@ import logging
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd, lcm
 from operator import add
-from typing import NamedTuple
 
 import numpy as np
 
 from .polyalg.poly import Polynomial, VectorField, _trusted
 from .polyalg.spaces import (
     Embedding,
+    IntegerFields,
     derivative_table,
     layered_mean_zero_basis,
     integer_rref,
     monomial_exponents,
+    null_numerators,
     null_vectors,
-    nullspace,
 )
 from .polyalg.split import (
     INTERNAL_FACES,
@@ -72,17 +72,21 @@ class SplitC0Space:
 
     ``coefficients`` holds the basis as integer numerators (basis, pieces,
     monomials of degree <= m in ``monomial_exponents`` order) and their
-    least common denominator.
+    common denominator; the exact basis fields are formed on first read.
     """
 
     degree: int
     zero_trace: bool
-    scalar_basis: list
     coefficients: tuple
+
+    @cached_property
+    def scalar_basis(self):
+        nums, den = self.coefficients
+        return list(IntegerFields(nums[:, :, None], den, ["C0"] * len(nums)))
 
     @property
     def dimension(self):
-        return len(self.scalar_basis)
+        return len(self.coefficients[0])
 
     def vector_basis(self):
         """Component-wise vector basis (3 x scalar dimension fields)."""
@@ -116,18 +120,6 @@ def _trace_conditions(zero_trace):
     return out
 
 
-def _numerators(fields, exps):
-    """Integer numerators (fields, pieces, monomials) of scalar piecewise fields over their least common denominator."""
-    index = {e: j for j, e in enumerate(exps)}
-    den = lcm(*(v.denominator for f in fields for piece in f.pieces for v in piece.coeffs.values()))
-    out = np.zeros((len(fields), 4, len(exps)), dtype=object)
-    for a, f in enumerate(fields):
-        for p, piece in enumerate(f.pieces):
-            for e, v in piece.coeffs.items():
-                out[a, p, index[e]] = v.numerator * (den // v.denominator)
-    return out, den
-
-
 @lru_cache(maxsize=None)
 def build_split_space(m, zero_trace=False):
     """Nullspace construction of the continuous piecewise-P_m split space.
@@ -149,17 +141,18 @@ def build_split_space(m, zero_trace=False):
             block[:, p] = sign * table
         rows.extend(block.reshape(len(table), -1).tolist())
 
-    emb = Embedding(m, vector=False)
-    basis = [emb.field(v, continuity="C0") for v in nullspace(rows)]
-    nums, den = _numerators(basis, exps)
+    vectors, den = null_numerators(*integer_rref(rows), len(rows[0]))
+    g = gcd(den, *(v for vector in vectors for v in vector))
+    nums = np.array(vectors, dtype=object).reshape(len(vectors), 4, len(exps)) // g
+    den //= g
     for pieces, table in conditions:
         trace = sum(sign * nums[:, p] for p, sign in pieces) @ table.T
         assert not trace.any(), "split space trace postcondition violated"
     _log.debug(
         "built %s split space P%d, dim %d, in %.3f s",
-        "zero-trace" if zero_trace else "continuous", m, len(basis), time.perf_counter() - start,
+        "zero-trace" if zero_trace else "continuous", m, len(nums), time.perf_counter() - start,
     )
-    return SplitC0Space(m, zero_trace, basis, (nums, den))
+    return SplitC0Space(m, zero_trace, (nums, den))
 
 
 def _scaled(values):
@@ -210,9 +203,9 @@ class _ExactLinearSolver:
         return x
 
 
-class _DivSolver(NamedTuple):
+@dataclass
+class _DivSolver:
     space: SplitC0Space
-    vec_basis: list  # component-wise: scalar index a, component c -> 3a + c
     emb: Embedding
     solver: _ExactLinearSolver
     null: list  # nullspace of the divergence, in vec_basis coordinates
@@ -223,6 +216,11 @@ class _DivSolver(NamedTuple):
     # vec_basis coefficient tables per field, piece and component, on integers
     # over one denominator
     basis_tables: tuple
+
+    @cached_property
+    def vec_basis(self):
+        """The exact component-wise basis: scalar index a, component c -> 3a + c."""
+        return self.space.vector_basis()
 
 
 def _dot(u, v):
@@ -298,7 +296,6 @@ def _div_solver(k):
     start = time.perf_counter()
     space = build_split_space(k, zero_trace=True)
     split_s = time.perf_counter() - start
-    vec_basis = space.vector_basis()
 
     # H1-seminorm Gram of the scalar basis; that of the component-wise
     # basis is the same matrix on each component
@@ -328,9 +325,9 @@ def _div_solver(k):
     _log.debug(
         "built divergence solver k=%d, %d unknowns, nullity %d: split space %.3f s, "
         "gram %.3f s, elimination %.3f s, in %.3f s",
-        k, len(vec_basis), len(null), split_s, gram_s, elimination_s, time.perf_counter() - start,
+        k, 3 * space.dimension, len(null), split_s, gram_s, elimination_s, time.perf_counter() - start,
     )
-    return _DivSolver(space, vec_basis, emb, solver, null, gram_null, minimal, _basis_tables(space))
+    return _DivSolver(space, emb, solver, null, gram_null, minimal, _basis_tables(space))
 
 
 def div_coefficients(target, k):
@@ -362,15 +359,17 @@ def solve_div(target, k):
     target = as_piecewise(target)
     if target.degree > k - 1:
         raise ValueError("divergence target degree exceeds k-1")
-    if target.integrate() != 0:
+    scalar = IntegerFields.from_fields([target], k - 1)
+    t_nums, t_den = scalar.nums[0, :, 0], scalar.den
+    _, moments = subtet_moment_table(k - 1)
+    exps = monomial_exponents(k - 1, 3)
+    if sum(v * moments[p][e] for p, row in enumerate(t_nums.tolist()) for e, v in zip(exps, row) if v):
         raise ValueError("divergence target must have zero mean")
     z = div_coefficients(target, k)
     ds = _div_solver(k)
     tables, den = ds.basis_tables
     nums, z_den = _scaled(z)
     den *= z_den
-    t_nums, t_den = _scaled(ds.emb.coords(target))
-    t_nums = np.array(t_nums, dtype=object).reshape(4, -1)
     columns = {e: j for j, e in enumerate(monomial_exponents(k, 3))}
     deriv = derivative_table(k)
     # sum_j z_j basis_j on integer numerators, term by term in basis order as

@@ -21,6 +21,7 @@ from __future__ import annotations
 import gc
 import logging
 import time
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field as dc_field, replace
 from fractions import Fraction
@@ -32,17 +33,25 @@ import numpy as np
 
 from .bubbles import interior_bubbles, scalar_face_bubble, solve_div
 from .mesh import REF_EDGE_VERTICES, REF_FACE_VERTICES, AffineMap, MeshTopology
+from .polyalg.poincare import _CYCLIC
 from .polyalg.poly import (
     Polynomial,
     VectorField,
-    curl,
+    _adj3,
+    _det3,
+    _trusted,
     div,
     grad,
     integrate_unit_simplex,
 )
 from .polyalg.spaces import (
     Embedding,
+    IntegerFields,
+    degree_of_columns,
+    derivative_table,
     dim_poly,
+    integer_matrix,
+    integer_rref,
     layered_mean_zero_basis,
     monomial_exponents,
     rank as exact_rank,
@@ -55,6 +64,7 @@ from .polyalg.split import (
     PiecewiseField,
     as_piecewise,
     piecewise_poincare2,
+    subtet_moment_table,
 )
 from .quadrature import QuadratureRule, alfeld_composite
 
@@ -211,14 +221,62 @@ def phys_grad(cell: CellGeometry, scalar_pw: PiecewiseField) -> PiecewiseField:
     return scalar_pw.map(lambda p: grad(p).matmul(cell.b_invT))
 
 
-def phys_curl(cell: CellGeometry, vec_pw: PiecewiseField) -> PiecewiseField:
-    det = cell.amap.det
-    inv_det = Fraction(1, 1) / det if isinstance(det, Fraction) else 1.0 / det
+@lru_cache(maxsize=None)
+def _derivative_gathers(degree):
+    """:func:`derivative_table` as gathers: per axis, the source column and factor of each lower monomial.
 
-    def one(p):
-        return curl(p.matmul(cell.b_T)).matmul(cell.amap.matrix) * inv_det
+    Each monomial of degree <= ``degree - 1`` is the derivative of exactly one
+    monomial of degree <= ``degree``, so ``d/dx_c`` of numerators ``u`` is
+    ``u[..., columns] * factors``.
+    """
+    out = []
+    for table in derivative_table(degree):
+        rows, columns = np.nonzero(table)
+        out.append((columns, table[rows, columns]))
+    return tuple(out)
 
-    return vec_pw.map(one)
+
+def _oriented(matrix):
+    """A cell matrix as integer rows over a positive denominator ``b``, with its
+    determinant's numerator: ``(rows, b, det)``, ``B = rows / b`` and ``det B = det / b^3``."""
+    rows, b = integer_matrix(matrix)
+    return rows, b, _det3(rows)
+
+
+def _physical_curls(matrix, fields):
+    """``B curl(B^T u) / det B`` of reference-expressed vector fields, on numerators.
+
+    With ``B = R / b`` and ``det B = d / b^3`` the curl is
+    ``(b / d) sum_jm K[a, j, m] d_j u_m``, where
+    ``K[a, j, m] = sum_ik R[a][i] eps_ijk R[m][k]`` is an integer 3 x 3 x 3
+    contraction and the derivatives are gathers.  A field labelled
+    ``"single"`` keeps its label; every other curl is ``"L2"``, as
+    ``PiecewiseField.map`` labels them.
+    """
+    rows, b, det = _oriented(matrix)
+    cross = np.zeros((3, 3, 3), dtype=object)
+    for i, j, k in _CYCLIC:
+        for a in range(3):
+            for m in range(3):
+                cross[a, j, m] += rows[a][i] * rows[m][k]
+                cross[a, k, m] -= rows[a][i] * rows[m][j]
+    nums = fields.nums
+    gathers = _derivative_gathers(degree_of_columns(nums.shape[-1]))
+    derivs = np.stack([nums[..., columns] * factors for columns, factors in gathers], axis=2)
+    count, lower = nums.shape[0] * nums.shape[1], derivs.shape[-1]
+    curls = cross.reshape(3, 9) @ derivs.reshape(count, 9, lower) * (b if det > 0 else -b)
+    labels = ["single" if c == "single" else "L2" for c in fields.continuity]
+    return IntegerFields(curls.reshape(*nums.shape[:3], lower), abs(det) * fields.den, labels).reduced()
+
+
+def phys_curl(cell: CellGeometry, vec_pw):
+    """Physical curls of reference-expressed fields: a (piecewise) vector field, or :class:`IntegerFields`.
+
+    The curls come in the form of the input, from :func:`_physical_curls`.
+    """
+    if isinstance(vec_pw, IntegerFields):
+        return _physical_curls(cell.amap.matrix, vec_pw)
+    return _physical_curls(cell.amap.matrix, IntegerFields.from_fields([vec_pw]))[0]
 
 
 def phys_div(cell: CellGeometry, vec_pw: PiecewiseField) -> PiecewiseField:
@@ -229,12 +287,98 @@ def phys_div(cell: CellGeometry, vec_pw: PiecewiseField) -> PiecewiseField:
 # raw space bases
 
 
+def _monomial_fields(degree, vector):
+    """The monomials of degree <= ``degree`` as single fields on numerators; vector
+    monomials run over the exponents, the components inside (:func:`vector_monomials` order)."""
+    width = dim_poly(degree)
+    comps = 3 if vector else 1
+    nums = np.zeros((width * comps, 4, comps, width), dtype=object)
+    for j in range(width):
+        for c in range(comps):
+            nums[comps * j + c, :, c, j] = 1
+    return IntegerFields(nums, 1, ["single"] * len(nums))
+
+
 def lagrange_raw(r):
-    return [as_piecewise(Polynomial.monomial(e)) for e in monomial_exponents(r, 3)]
+    return _monomial_fields(r, vector=False)
 
 
 def pressure_raw(k):
-    return [as_piecewise(Polynomial.monomial(e)) for e in monomial_exponents(k - 1, 3)]
+    return _monomial_fields(k - 1, vector=False)
+
+
+# the stage timers of an exact build (seconds by stage name), which the
+# DEBUG record of ``local_element`` reports
+_stage_seconds = Counter()
+
+
+@contextmanager
+def _timed(stage):
+    start = time.perf_counter()
+    try:
+        yield
+    finally:
+        _stage_seconds[stage] += time.perf_counter() - start
+
+
+def _divergence(adjugate, nums):
+    """Numerators of ``div(adj u)`` for vector numerators ``u`` (..., 3, monomials): one degree lower."""
+    inner = adjugate @ nums
+    gathers = _derivative_gathers(degree_of_columns(nums.shape[-1]))
+    return sum(inner[..., c, columns] * factors for c, (columns, factors) in enumerate(gathers))
+
+
+def _face_bubble(cell: CellGeometry, local_face: int):
+    """The modified face bubble of :func:`physical_face_bubble` on numerators: ``(beta, mean)``.
+
+    ``beta`` is one ``"C0"`` field of :class:`IntegerFields`.  The raw bubble
+    is the integer scalar bubble times the face direction ``d``; its
+    physical divergence ``div(B^-1 raw)`` is the gradient of the scalar
+    bubble dotted with ``B^-1 d``.  Only the divergence target passes
+    through ``solve_div`` as a polynomial.  The corrected field must have
+    the constant divergence ``mean`` on every piece, checked on its
+    numerators; otherwise ``ArithmeticError``.
+    """
+    rows, b, det = _oriented(cell.amap.matrix)
+    sign = 1 if det > 0 else -1
+    adjugate = np.array(_adj3(rows), dtype=object)  # B^-1 = b adj / det
+    (direction,), d_den = integer_matrix([cell.faces[local_face]["direction"]])
+    scalar = _scalar_bubble_numerators(local_face)
+    raw = np.outer(np.array(direction, dtype=object), scalar)  # over d_den
+    # div(B^-1 raw) = grad S . (B^-1 d), over |det| d_den, and its mean over
+    # the cell: 6 times its integral, from the moments of the four subtets
+    g = _divergence(adjugate, raw) * (sign * b)
+    g_den = abs(det) * d_den
+    exps = monomial_exponents(2, 3)
+    m_den, moments = subtet_moment_table(2)
+    mean = Fraction(6 * sum(v * sum(m[e] for m in moments) for e, v in zip(exps, g.tolist())), m_den * g_den)
+    # the target (g - mean) det on integers over g_den mean.den b^3
+    target = g * mean.denominator
+    target[0] -= mean.numerator * g_den
+    t_den = g_den * mean.denominator * b**3
+    target = _trusted({e: Fraction(v * det, t_den) for e, v in zip(exps, target.tolist()) if v}, 3)
+    w_hat = IntegerFields.from_fields([solve_div(as_piecewise(target), 3)], 3)
+    # beta = raw - B w / det = raw - b^2 R w / det
+    c_den = abs(det) * w_hat.den
+    den = lcm(d_den, c_den)
+    correction = np.array(rows, dtype=object) @ w_hat.nums[0] * (sign * b * b)
+    beta = raw * (den // d_den) - correction * (den // c_den)
+    # div(B^-1 beta) is b / det times div(adj beta): on each piece the mean, constant
+    dv = _divergence(adjugate, beta) * (sign * b)
+    dv_den = abs(det) * den
+    if dv[:, 1:].any() or any(v * mean.denominator != mean.numerator * dv_den for v in dv[:, 0].tolist()):
+        raise ArithmeticError(
+            f"face bubble {local_face}: corrected divergence is not the constant {mean} on every piece"
+        )
+    return IntegerFields(beta[None], den, ["C0"]).reduced(), mean
+
+
+@lru_cache(maxsize=None)
+def _scalar_bubble_numerators(i):
+    """The integer coefficients of the scalar face bubble ``i`` in the monomial order of degree 3."""
+    bubble = IntegerFields.from_fields([scalar_face_bubble(i)], 3)
+    assert bubble.den == 1
+    return bubble.nums[0, 0, 0]
 
 
 def physical_face_bubble(cell: CellGeometry, local_face: int):
@@ -244,22 +388,12 @@ def physical_face_bubble(cell: CellGeometry, local_face: int):
     ascending-vertex cross product), so both cells incident to a mesh face
     build the identical trace and the global space stays H1-conforming.
     Returns the corrected bubble, the raw bubble it matches on the boundary,
-    and its constant physical divergence.
+    and its constant physical divergence; :func:`_face_bubble` forms them
+    on numerators.
     """
-    d = cell.faces[local_face]["direction"]
-    scalar = scalar_face_bubble(local_face)
-    raw = VectorField(tuple(scalar * dc for dc in d))
-    g = phys_div(cell, as_piecewise(raw)).pieces[0]
-    mean = integrate_unit_simplex(g) * 6
-    target = (g - Polynomial.constant(mean)) * cell.amap.det
-    w_hat = solve_div(as_piecewise(target), 3)
-    inv_det = Fraction(1, 1) / cell.amap.det
-    correction = w_hat.matmul(cell.amap.matrix) * inv_det
-    beta = as_piecewise(raw) - correction
-    beta = PiecewiseField(beta.pieces, "C0")
-    dv = phys_div(cell, beta)
-    assert dv.is_single() and dv.pieces[0] == Polynomial.constant(mean)
-    return beta, raw, mean
+    beta, mean = _face_bubble(cell, local_face)
+    raw = VectorField(tuple(scalar_face_bubble(local_face) * dc for dc in cell.faces[local_face]["direction"]))
+    return beta[0], raw, mean
 
 
 # Scaling a cell by t (matrix B -> t B) multiplies each raw basis field by a
@@ -275,26 +409,54 @@ GRADIENT_POWER, MONOMIAL_POWER, FACE_BUBBLE_POWER, INTERIOR_BUBBLE_POWER = -1, 0
 def velocity_raw(cell: CellGeometry, k):
     """Vector P_k plus face bubbles (k <= 2) and interior bubbles.
 
-    Returns the fields, whether each is a bubble, and the power of the cell
-    scale by which each field scales.
+    Returns the fields as :class:`IntegerFields` (the monomials first, then
+    the bubbles), whether each is a bubble, and the power of the cell scale
+    by which each field scales.
     """
-    fields = [as_piecewise(v) for v in vector_monomials(k)]
-    is_bubble = [False] * len(fields)
-    powers = [MONOMIAL_POWER] * len(fields)
+    parts = [_monomial_fields(k, vector=True)]
+    powers = [MONOMIAL_POWER] * len(parts[0])
     if k <= 2:
-        for i in range(4):
-            beta, _, _ = physical_face_bubble(cell, i)
-            fields.append(beta)
-            is_bubble.append(True)
-            powers.append(FACE_BUBBLE_POWER)
+        parts.extend(_face_bubble(cell, i)[0] for i in range(4))
+        powers += [FACE_BUBBLE_POWER] * 4
     order = k - 1 if k >= 3 else (1 if k == 2 else None)
     if order is not None:
-        inv_det = Fraction(1, 1) / cell.amap.det
-        for ib in interior_bubbles(order):
-            fields.append(ib.field.matmul(cell.amap.matrix) * inv_det)
-            is_bubble.append(True)
-            powers.append(INTERIOR_BUBBLE_POWER)
-    return fields, is_bubble, powers
+        # B field / det B = b^2 R field / det
+        rows, b, det = _oriented(cell.amap.matrix)
+        interior = IntegerFields.from_fields([ib.field for ib in interior_bubbles(order)])
+        nums = np.array(rows, dtype=object) @ interior.nums * (b * b if det > 0 else -b * b)
+        parts.append(IntegerFields(nums, abs(det) * interior.den, interior.continuity))
+        powers += [INTERIOR_BUBBLE_POWER] * len(interior)
+    is_bubble = [False] * len(parts[0]) + [True] * (len(powers) - len(parts[0]))
+    return IntegerFields.concatenate(parts), is_bubble, powers
+
+
+def _gradient_fields(matrix, r):
+    """``B^-T grad x^e`` for the monomials of degree 1 to ``r``, single fields on numerators.
+
+    With ``B^-1 = b adj(R) / det``, component ``i`` is
+    ``(b / det) sum_c adj[c][i] d_c x^e``.
+    """
+    rows, b, det = _oriented(matrix)
+    adjugate_t = np.array(_adj3(rows), dtype=object).T
+    grads = derivative_table(r).transpose(2, 0, 1)[1:]  # (monomials but the constant, axes, lower)
+    nums = adjugate_t @ grads * (b if det > 0 else -b)
+    return IntegerFields(np.repeat(nums[:, None], 4, axis=1), abs(det), ["single"] * len(nums))
+
+
+def _independent(fields):
+    """Indices of the first-come independent fields, by exact elimination on their numerators.
+
+    Each piece after the first is recoded as its difference from the first
+    (an invertible recoding), so single fields give sparse rows; each field
+    is divided by the gcd of its numerators.  The rows are the coordinates
+    and the columns the fields, so the pivot columns of the reduced form
+    are the fields that no earlier ones span.
+    """
+    nums = fields.nums
+    diff = np.concatenate([nums[:, :1], nums[:, 1:] - nums[:, :1]], axis=1).reshape(len(nums), -1)
+    diff = diff // np.array([gcd(*row) or 1 for row in diff.tolist()], dtype=object)[:, None]
+    rows = diff.T[(diff != 0).any(axis=0)]
+    return integer_rref(rows.tolist())[1]
 
 
 def gradcurl_raw(cell: CellGeometry, r, k):
@@ -303,36 +465,31 @@ def gradcurl_raw(cell: CellGeometry, r, k):
     Base points (reference coordinates): the split center for bubble
     generators, the reference origin for polynomial generators.  An exact
     rank selection drops the dependent generators; the surviving dimension
-    must equal dim velocity + dim P_r - dim P_{k-1} - 1.
+    must equal dim velocity + dim P_r - dim P_{k-1} - 1.  Every step runs
+    on integer numerators (:class:`IntegerFields`).
 
     Returns the selected fields and their scale powers.
     """
     validate_family(r, k)
-    gens = []
-    for e in monomial_exponents(r, 3):
-        if sum(e) == 0:
-            continue
-        gens.append(as_piecewise(grad(Polynomial.monomial(e)).matmul(cell.b_invT)))
-    powers = [GRADIENT_POWER] * len(gens)
-    vel_fields, vel_bubble, vel_powers = velocity_raw(cell, k)
-    origin = (Fraction(0), Fraction(0), Fraction(0))
-    for psi, is_bub, power in zip(vel_fields, vel_bubble, vel_powers):
-        base = REF_CENTER if is_bub else origin
-        gens.append(piecewise_poincare2(psi, base, matrix=cell.amap.matrix))
-        powers.append(power + 1)
+    gradients = _gradient_fields(cell.amap.matrix, r)
+    velocity, is_bubble, vel_powers = velocity_raw(cell, k)
+    parts, powers = [gradients], [GRADIENT_POWER] * len(gradients)
+    with _timed("potentials"):
+        for bubble, base in ((False, (0, 0, 0)), (True, REF_CENTER)):
+            group = [i for i, b in enumerate(is_bubble) if b == bubble]
+            if group:
+                parts.append(piecewise_poincare2(velocity.take(group), base, matrix=cell.amap.matrix))
+                powers += [vel_powers[i] + 1 for i in group]
+    generators = IntegerFields.concatenate(parts)
 
-    expected = (
-        len(vel_fields) + dim_poly(r) - dim_poly(k - 1) - 1
-    )
-    degree = max(g.degree for g in gens)
-    emb = Embedding(degree, vector=True)
-    cols = [_difference_coords(emb.coords(g), emb.block) for g in gens]
-    chosen = select_independent(cols)
+    expected = len(velocity) + dim_poly(r) - dim_poly(k - 1) - 1
+    with _timed("selection"):
+        chosen = _independent(generators)
     if len(chosen) != expected:
         raise ArithmeticError(
             f"grad-curl space rank {len(chosen)} != expected {expected} for (r,k)=({r},{k})"
         )
-    return [gens[i] for i in chosen], [powers[i] for i in chosen]
+    return generators.take(chosen), [powers[i] for i in chosen]
 
 
 # ---------------------------------------------------------------------------
@@ -743,8 +900,9 @@ class LocalElement:
     the derivation of other classes of the orbit, so only the element
     built for its orbit keeps them; they are None on a derived element.
     ``basis`` and ``curls`` are the exact fields themselves;
-    ``exact_fields`` forms them, on first access for an element derived
-    from another of its similarity orbit.
+    ``exact_fields`` forms them on first access: from the integer
+    numerators of the build, or for an element derived from another of its
+    similarity orbit, from that element's fields.
     """
 
     kind: str
@@ -784,48 +942,44 @@ def _monomial_columns(degree):
     return {e: i for i, e in enumerate(monomial_exponents(degree, 3))}
 
 
-def _tensor_degree(tensor):
-    """Degree of the monomials that the last axis of a coefficient tensor holds."""
-    degree = 0
-    while dim_poly(degree) < tensor.shape[-1]:
-        degree += 1
-    return degree
+def _integer_fields(fields, degree=None):
+    """:class:`IntegerFields` as they are, or the numerators of a list of exact fields."""
+    return fields if isinstance(fields, IntegerFields) else IntegerFields.from_fields(fields, degree)
 
 
-def _coefficient_entries(fields, columns):
-    """Shape, flat positions and exact values of the coefficient tensor of piecewise fields.
+def _exact_ratios(fields, columns):
+    """Shape, flat positions and reduced ``(numerator, denominator)`` pairs of a coefficient tensor.
 
-    The tensor is (fields, subtets, components, monomials); ``columns`` maps
-    each exponent tuple to its monomial's column.
+    The tensor is (fields, subtets, components, monomials) over the
+    monomials that ``columns`` holds; ``fields`` is :class:`IntegerFields`
+    or a list of exact piecewise fields.  Each nonzero value is reduced to
+    lowest terms, the ratio a Fraction of it would hold.
     """
-    comps = 3 if fields[0].is_vector else 1
-    at, values = [], []
-    for j, pw in enumerate(fields):
-        for p, piece in enumerate(pw.pieces):
-            for c, poly in enumerate(piece.comps if comps == 3 else (piece,)):
-                base = ((j * 4 + p) * comps + c) * len(columns)
-                for key, v in poly.coeffs.items():
-                    at.append(base + columns[key])
-                    values.append(v)
-    return (len(fields), 4, comps, len(columns)), at, values
+    degree = degree_of_columns(len(columns))
+    fields = _integer_fields(fields, degree)
+    nums = fields.resized(degree).nums
+    flat = nums.ravel()
+    at = np.flatnonzero(flat != 0)
+    den = fields.den
+    pairs = []
+    for v in flat[at].tolist():
+        g = gcd(v, den)
+        pairs.append((v // g, den // g))
+    return nums.shape, at, pairs
 
 
 def _coefficients(fields, columns):
-    """Float coefficient tensor (fields, subtets, components, monomials) of piecewise fields."""
-    shape, at, values = _coefficient_entries(fields, columns)
-    try:  # the correctly rounded quotient, as float(Fraction), without its generic dispatch
-        values = [v.numerator / v.denominator for v in values]
-    except AttributeError:  # a float coefficient
-        values = [float(v) for v in values]
+    """Float coefficient tensor (fields, subtets, components, monomials): each exact ratio correctly rounded."""
+    shape, at, pairs = _exact_ratios(fields, columns)
     out = np.zeros(shape)
-    out.flat[at] = values
+    out.flat[at] = [n / d for n, d in pairs]
     return out
 
 
 def _long_coefficients(fields, columns):
     """The coefficient tensor in long double: each exact quotient rounded there."""
-    shape, at, values = _coefficient_entries(fields, columns)
-    ratios = np.array([v.as_integer_ratio() for v in values], dtype=np.longdouble).reshape(-1, 2)
+    shape, at, pairs = _exact_ratios(fields, columns)
+    ratios = np.array(pairs, dtype=np.longdouble).reshape(-1, 2)
     out = np.zeros(shape, dtype=np.longdouble)
     out.flat[at] = ratios[:, 0] / ratios[:, 1]
     return out
@@ -853,15 +1007,17 @@ def dof_matrix(dofs, basis, cell, curls=None):
     coefficients of split fields are large against their values (by 10^3
     for the lowest-order face bubbles), and in double their cancellation
     took the assembled div o curl of (1,1) at N = 2 from 2e-14 to 1.6e-12.
-    ``basis`` is the raw fields or their long-double tensor
+    ``basis`` is the raw fields (a list of exact fields or
+    :class:`IntegerFields`) or their long-double tensor
     (``LocalElement.long_coefficients["value"]``), and ``curls`` their
     physical curls in the same form; curls of fields are computed on
     ``cell`` when a functional needs them and they are not given.
     """
     if isinstance(basis, np.ndarray):
-        degree = _tensor_degree(basis)
+        degree = degree_of_columns(basis.shape[-1])
     else:
-        degree = max(max(b.degree for b in basis), 0)
+        basis = _integer_fields(basis)
+        degree = basis.degree
     quad = QuadratureRule(2 * degree + 2)
     columns = _monomial_columns(degree)
     powers = np.array(list(columns)).T  # (axes, monomials)
@@ -873,7 +1029,7 @@ def dof_matrix(dofs, basis, cell, curls=None):
             continue
         coef = basis if use == "value" else curls  # (fields, pieces, components, monomials)
         if not isinstance(coef, np.ndarray):
-            coef = _long_coefficients(coef or [phys_curl(cell, b) for b in basis], columns)
+            coef = _long_coefficients(phys_curl(cell, basis) if coef is None else coef, columns)
         for i in rows:
             _, pts, wts = stencils[i]
             # (points, axes, powers)
@@ -980,7 +1136,7 @@ def derive_coefficients(tensor, powers, t, similarity, curls=False):
     tensor of the derived exact fields bit for bit.
     """
     perm, signs, cols = similarity
-    columns = _monomial_columns(_tensor_degree(tensor))
+    columns = _monomial_columns(degree_of_columns(tensor.shape[-1]))
     moved = np.empty(len(columns), dtype=np.intp)  # old column of each new monomial
     moved[[columns[tuple(e[c] for c in cols)] for e in columns]] = np.arange(len(columns))
     comps = tensor.shape[2]
@@ -1034,8 +1190,9 @@ def local_element(kind, r, k, cell=None):
 
     Cells of one congruence class (same matrix and vertex order) share the
     construction (translations do not change any of it).  The first class
-    of a similarity orbit is built exactly and its raw basis (and curls)
-    rounded once into float64 and long-double coefficient tensors; a class
+    of a similarity orbit is built exactly, on integer numerators
+    (:class:`IntegerFields`), and its raw basis (and curls) rounded once
+    into float64 and long-double coefficient tensors; a class
     similar to it, at any scale, rotation or reflection, gathers its
     tensors from those (:func:`derive_coefficients`) and forms its exact
     fields only when they are read (:func:`derive_fields`).
@@ -1053,17 +1210,21 @@ def local_element(kind, r, k, cell=None):
     orbit_key = (kind, r, k, cell.orbit_key())
     first = cache.orbits.get(orbit_key)
     if first is None:
+        before = _stage_seconds.copy()
         with _collector_paused():
+            mark = time.perf_counter()
             basis, powers = build_raw_basis(kind, cell, r, k)
+            raw_s = time.perf_counter() - mark
             fields = {"value": basis}
             if kind == "gradcurl":
-                fields["curl"] = [phys_curl(cell, b) for b in basis]
-            degree = max(max(b.degree for b in basis), 0)
+                with _timed("curls"):
+                    fields["curl"] = phys_curl(cell, basis)
+            degree = basis.degree
             columns = _monomial_columns(degree)
             coefficients = {use: _coefficients(f, columns) for use, f in fields.items()}
             long_coefficients = {use: _long_coefficients(f, columns) for use, f in fields.items()}
-        exact_fields = lambda: (basis, fields.get("curl"))
-        how, detail = "built", ""
+        spent = _stage_seconds - before
+        exact_fields = lambda: (list(basis), list(fields["curl"]) if "curl" in fields else None)
     else:
         el0, powers = first
         t, similarity = similarity_between(el0.cell, cell)
@@ -1082,12 +1243,13 @@ def local_element(kind, r, k, cell=None):
                 return basis, None
             return basis, derive_fields(el0.curls, powers, t, similarity, curls=True)
 
-        how, detail = "derived", _describe(t, similarity)
     dofs = build_dofs(kind, cell, r, k)
     n_fields = len(coefficients["value"])
     if len(dofs) != n_fields:
         raise ArithmeticError(f"{kind}({r},{k}): {len(dofs)} functionals vs {n_fields} basis fields")
+    mark = time.perf_counter()
     m = dof_matrix(dofs, long_coefficients["value"], cell, long_coefficients.get("curl"))
+    dof_matrix_s = time.perf_counter() - mark
     cond = float(np.linalg.cond(m))
     try:
         nodal = np.linalg.inv(m)
@@ -1098,14 +1260,19 @@ def local_element(kind, r, k, cell=None):
         long_coefficients if first is None else None, exact_fields,
     )
     cache.elements[key] = el
+    elapsed = time.perf_counter() - start
     if first is None:
         cache.built += 1
         cache.orbits[orbit_key] = (el, powers)
+        _log.debug(
+            "built %s(%d,%d) element in %.3f s: raw basis %.3f s, potentials %.3f s, "
+            "selection %.3f s, curls %.3f s, DOF matrix %.3f s",
+            kind, r, k, elapsed, raw_s - spent["potentials"] - spent["selection"],
+            spent["potentials"], spent["selection"], spent["curls"], dof_matrix_s,
+        )
     else:
         cache.derived += 1
-    _log.debug(
-        "%s %s(%d,%d) element%s in %.3f s", how, kind, r, k, detail, time.perf_counter() - start
-    )
+        _log.debug("derived %s(%d,%d) element%s in %.3f s", kind, r, k, _describe(t, similarity), elapsed)
     return el
 
 

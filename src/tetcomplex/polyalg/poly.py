@@ -633,14 +633,19 @@ def pushforward_affine(field, matrix, shift, kind):
     raise ValueError(f"unknown pullback kind {kind!r}")
 
 
-def _inv3(m, det=None):
-    if det is None:
-        det = _det3(m)
-    cof = [
+def _adj3(m):
+    """The adjugate of a 3x3 matrix: ``det(m)`` times its inverse."""
+    return [
         [m[1][1] * m[2][2] - m[1][2] * m[2][1], m[0][2] * m[2][1] - m[0][1] * m[2][2], m[0][1] * m[1][2] - m[0][2] * m[1][1]],
         [m[1][2] * m[2][0] - m[1][0] * m[2][2], m[0][0] * m[2][2] - m[0][2] * m[2][0], m[0][2] * m[1][0] - m[0][0] * m[1][2]],
         [m[1][0] * m[2][1] - m[1][1] * m[2][0], m[0][1] * m[2][0] - m[0][0] * m[2][1], m[0][0] * m[1][1] - m[0][1] * m[1][0]],
     ]
+
+
+def _inv3(m, det=None):
+    if det is None:
+        det = _det3(m)
+    cof = _adj3(m)
     if isinstance(det, Fraction) or isinstance(det, int):
         inv_det = Fraction(1, 1) / Fraction(det)
     else:

@@ -2,20 +2,21 @@
 
 Provides monomial bases, the homogeneous layers H_k and their two-layer
 sums S_k with mean-corrected variants, coefficient-vector embeddings for
-(piecewise) fields, and fraction-exact row reduction used for rank checks,
-nullspaces, and rank-revealing basis selection.
+(piecewise) fields, piecewise fields as integer numerator tensors
+(:class:`IntegerFields`), and fraction-free exact row reduction used for
+rank checks, nullspaces, and rank-revealing basis selection.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations_with_replacement
 from math import gcd, lcm
 
 import numpy as np
 
-from .poly import _ZERO, Polynomial, VectorField
+from .poly import _ZERO, Polynomial, VectorField, _trusted
 from .split import PiecewiseField, as_piecewise
 
 
@@ -150,25 +151,132 @@ class Embedding:
                     vec[base + c * len(self.exponents) + j] = v
         return vec
 
-    def field(self, vec, continuity="L2"):
-        pieces = []
-        n = len(self.exponents)
-        for piece_i in range(4):
-            base = piece_i * self.block
-            if self.vector:
-                comps = []
-                for c in range(3):
-                    table = {
-                        self.exponents[j]: vec[base + c * n + j]
-                        for j in range(n)
-                        if vec[base + c * n + j] != 0
-                    }
-                    comps.append(Polynomial(table, 3))
-                pieces.append(VectorField(comps))
+
+def degree_of_columns(count):
+    """The degree ``D`` with ``dim_poly(D) == count``: the monomials a coefficient axis holds."""
+    degree = -1
+    while dim_poly(degree) < count:
+        degree += 1
+    return degree
+
+
+def integer_matrix(matrix):
+    """A rational matrix as integer rows over its least common denominator: ``(rows, den)``."""
+    den = lcm(*(v.denominator for row in matrix for v in row))
+    return [[v.numerator * (den // v.denominator) for v in row] for row in matrix], den
+
+
+class IntegerFields:
+    """Piecewise fields on the split as integer numerators over one denominator.
+
+    ``nums`` is an object array of Python ints shaped (fields, pieces,
+    components, monomials): the four pieces of the split, three components
+    for vector fields and one for scalars, and the monomials of degree <=
+    some ``D`` in :func:`monomial_exponents` order.  ``den`` is a positive
+    int and ``continuity`` holds the :class:`PiecewiseField` label of each
+    field.  The exact fields are formed on first read, by iteration or
+    indexing, one Fraction per nonzero coefficient.
+    """
+
+    def __init__(self, nums, den, continuity):
+        self.nums = nums
+        self.den = den
+        self.continuity = tuple(continuity)
+
+    @classmethod
+    def from_fields(cls, fields, degree=None):
+        """The numerators of (piecewise) fields with int, Fraction or float coefficients.
+
+        A float counts as the exact dyadic rational it holds.  ``degree``
+        defaults to the largest degree of the fields.
+        """
+        fields = [as_piecewise(f) for f in fields]
+        vector = fields[0].is_vector
+        if degree is None:
+            degree = max(max(f.degree for f in fields), 0)
+        index = {e: j for j, e in enumerate(monomial_exponents(degree, 3))}
+        try:
+            ratios = [
+                [[[(index[e], v.as_integer_ratio()) for e, v in c.coeffs.items()] for c in (p.comps if vector else (p,))]
+                 for p in f.pieces]
+                for f in fields
+            ]
+        except AttributeError:
+            raise TypeError("integer numerators need int, Fraction or float coefficients") from None
+        den = lcm(*(d for f in ratios for p in f for c in p for _, (_, d) in c))
+        nums = np.zeros((len(fields), 4, 3 if vector else 1, len(index)), dtype=object)
+        for a, f in enumerate(ratios):
+            for p, piece in enumerate(f):
+                for c, comp in enumerate(piece):
+                    for j, (n, d) in comp:
+                        nums[a, p, c, j] = n * (den // d)
+        return cls(nums, den, [f.continuity for f in fields])
+
+    @classmethod
+    def concatenate(cls, parts):
+        """The fields of ``parts`` in order, over their least common denominator."""
+        den = lcm(*(part.den for part in parts))
+        width = max(part.nums.shape[-1] for part in parts)
+        nums = np.concatenate([part.resized(degree_of_columns(width)).nums * (den // part.den) for part in parts])
+        return cls(nums, den, sum((part.continuity for part in parts), ()))
+
+    def __len__(self):
+        return len(self.nums)
+
+    def __iter__(self):
+        return iter(self._fields)
+
+    def __getitem__(self, i):
+        return self._fields[i]
+
+    @property
+    def degree(self):
+        """The largest degree of a nonzero coefficient; 0 for zero fields."""
+        used = np.flatnonzero((self.nums != 0).reshape(-1, self.nums.shape[-1]).any(axis=0))
+        return sum(monomial_exponents(degree_of_columns(self.nums.shape[-1]), 3)[used[-1]]) if len(used) else 0
+
+    def resized(self, degree):
+        """The same fields on the monomials of degree <= ``degree``: columns dropped (they must be zero) or zeros added."""
+        width = dim_poly(degree)
+        nums = self.nums[..., :width]
+        if nums.shape[-1] < width:
+            pad = np.zeros((*nums.shape[:-1], width - nums.shape[-1]), dtype=object)
+            nums = np.concatenate([nums, pad], axis=-1)
+        return IntegerFields(nums, self.den, self.continuity)
+
+    def take(self, indices):
+        indices = list(indices)
+        return IntegerFields(self.nums[indices], self.den, [self.continuity[i] for i in indices])
+
+    def reduced(self):
+        """The same fields with numerators and denominator divided by their greatest common divisor."""
+        g = gcd(self.den, *self.nums.ravel().tolist())
+        if g == 1:
+            return self
+        return IntegerFields(self.nums // g, self.den // g, self.continuity)
+
+    def single_pieces(self):
+        """Whether each field's four pieces have the same numerators."""
+        return (self.nums[:, 1:] == self.nums[:, :1]).reshape(len(self), -1).all(axis=1)
+
+    @cached_property
+    def _fields(self):
+        exps = monomial_exponents(degree_of_columns(self.nums.shape[-1]), 3)
+        den = self.den
+
+        def poly(row):
+            return _trusted({e: Fraction(v, den) for e, v in zip(exps, row) if v}, 3)
+
+        def piece(comps):
+            return VectorField(tuple(map(poly, comps))) if len(comps) == 3 else poly(comps[0])
+
+        out = []
+        for pieces, continuity in zip(self.nums.tolist(), self.continuity):
+            if continuity == "single":
+                out.append(PiecewiseField.from_single(piece(pieces[0])))
             else:
-                table = {self.exponents[j]: vec[base + j] for j in range(n) if vec[base + j] != 0}
-                pieces.append(Polynomial(table, 3))
-        return PiecewiseField(pieces, continuity)
+                out.append(PiecewiseField(map(piece, pieces), continuity))
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -279,21 +387,29 @@ def rank(matrix):
     return len(integer_rref(matrix)[1])
 
 
-def null_vectors(rows, pivots, ncols):
-    """Nullspace basis of the matrix with integer reduced form ``(rows, pivots)`` (:func:`integer_rref`).
+def null_numerators(rows, pivots, ncols):
+    """Nullspace basis of the matrix with integer reduced form ``(rows, pivots)``, on integers.
 
-    One Fraction vector per free column ``f`` among the first ``ncols``:
-    1 at ``f`` and minus the reduced row's entry in ``f`` at each pivot.
+    One vector per free column ``f`` among the first ``ncols``: 1 at ``f``
+    and minus the reduced row's entry in ``f`` over its pivot entry at each
+    pivot, as integer numerators over one common denominator: ``(vectors, den)``.
     ``pivots`` must all lie below ``ncols``.
     """
-    basis = []
+    den = lcm(*(abs(row[p]) for row, p in zip(rows, pivots)))
+    vectors = []
     for f in (c for c in range(ncols) if c not in pivots):
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
+        v = [0] * ncols
+        v[f] = den
         for row, p in zip(rows, pivots):
-            v[p] = Fraction(-row.get(f, 0), row[p])
-        basis.append(v)
-    return basis
+            v[p] = -row.get(f, 0) * (den // row[p])
+        vectors.append(v)
+    return vectors, den
+
+
+def null_vectors(rows, pivots, ncols):
+    """:func:`null_numerators` as Fraction vectors."""
+    vectors, den = null_numerators(rows, pivots, ncols)
+    return [[Fraction(v, den) if v else _ZERO for v in vector] for vector in vectors]
 
 
 def nullspace(matrix):

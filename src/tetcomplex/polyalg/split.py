@@ -312,18 +312,30 @@ def piecewise_poincare2(field, base=None, matrix=None):
 
     Valid only when ``base`` is the split center: every ray from the center
     to a point of a subtet then stays inside that subtet, and continuity is
-    preserved because internal faces contain the center.  Single-polynomial
-    fields accept any base point.
-    """
-    from .poincare import poincare2
+    preserved because internal faces contain the center.  Fields whose four
+    pieces agree accept any base point (the origin by default).
 
-    pw = as_piecewise(field)
-    if pw.is_single():
-        b = base if base is not None else (Fraction(0),) * 3
-        return PiecewiseField.from_single(poincare2(pw.pieces[0], b, matrix))
-    if base is None or tuple(base) != REF_CENTER:
-        raise ValueError(
-            "piecewise vector potential requires the split center as base point"
-        )
-    cont = "C0" if pw.continuity in ("C0", "single") else "L2"
-    return PiecewiseField(tuple(poincare2(p, REF_CENTER, matrix) for p in pw.pieces), cont)
+    ``field`` is a (piecewise) vector field, or :class:`IntegerFields`,
+    whose potentials then come as ``IntegerFields`` too; either way they
+    are formed by :func:`vector_potential` on integer numerators, on the
+    first piece alone when every field's pieces agree.
+    """
+    from .poincare import vector_potential
+    from .spaces import IntegerFields
+
+    fields = field if isinstance(field, IntegerFields) else IntegerFields.from_fields([field])
+    single = fields.single_pieces()
+    if single.all():
+        nums, den = vector_potential(fields.nums[:, :1], fields.den, base if base is not None else (0, 0, 0), matrix)
+        out = IntegerFields(np.repeat(nums, 4, axis=1), den, ["single"] * len(fields))
+    else:
+        if base is None or tuple(base) != REF_CENTER:
+            raise ValueError("piecewise vector potential requires the split center as base point")
+        nums, den = vector_potential(fields.nums, fields.den, REF_CENTER, matrix)
+        labels = [
+            "single" if one else ("C0" if c in ("C0", "single") else "L2")
+            for one, c in zip(single, fields.continuity)
+        ]
+        out = IntegerFields(nums, den, labels)
+    out = out.reduced()
+    return out if field is fields else out[0]

@@ -400,22 +400,55 @@ class StageTimings(dict):
             self[name] += time.perf_counter() - t0
 
 
-_space_cache = {}
+# the number of most recently used (n, r, k) entries that ``get_spaces`` keeps;
+# a (3,3) level holds about 164 MB of class tables
+SPACE_CACHE_SIZE = 4
+_cache_log = logging.getLogger("tetcomplex.problems.spaces")
+
+
+class SpaceCache(dict):
+    """Meshes and global spaces by ``(n, r, k)``, the most recently used last.
+
+    Each value maps ``"mesh"`` to the level's mesh and a space kind to its
+    ``GlobalSpace``.  ``hits``, ``misses`` and ``evictions`` count what
+    :func:`get_spaces` did.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.hits = self.misses = self.evictions = 0
+
+
+_space_cache = SpaceCache()
 
 
 def get_spaces(n, r, k, kinds):
-    """Mesh plus global spaces, cached per (n, r, k); one mesh per level n."""
+    """Mesh plus global spaces, cached per (n, r, k); one mesh per level n.
+
+    The cache keeps the ``SPACE_CACHE_SIZE`` most recently used entries.
+    """
+    cache = _space_cache
     key = (n, r, k)
-    entry = _space_cache.get(key)
+    entry = cache.pop(key, None)
     if entry is None:
-        mesh = next((e["mesh"] for (m, _, _), e in _space_cache.items() if m == n), None)
+        cache.misses += 1
+        mesh = next((e["mesh"] for (m, _, _), e in cache.items() if m == n), None)
         if mesh is None:
             mesh = build_structured_cube(n)
         entry = {"mesh": mesh}
-        _space_cache[key] = entry
+    else:
+        cache.hits += 1
+    cache[key] = entry
+    while len(cache) > SPACE_CACHE_SIZE:
+        del cache[next(iter(cache))]
+        cache.evictions += 1
     for kind in kinds:
         if kind not in entry:
             entry[kind] = GlobalSpace(entry["mesh"], kind, r, k)
+    _cache_log.debug(
+        "spaces N=%d (r,k)=(%d,%d): %d of %d entries, %d hits, %d misses, %d evictions",
+        n, r, k, len(cache), SPACE_CACHE_SIZE, cache.hits, cache.misses, cache.evictions,
+    )
     return entry
 
 

@@ -64,13 +64,13 @@ class TestSplitSpaces:
         # one basis vector moved off the constraints fails the integer checks
         from tetcomplex import bubbles
 
-        solve = bubbles.nullspace
+        solve = bubbles.null_numerators
 
-        def broken(rows):
-            first, *rest = solve(rows)
-            return [[first[0] + 1, *first[1:]], *rest]
+        def broken(*args):
+            (first, *rest), den = solve(*args)
+            return [[first[0] + 1, *first[1:]], *rest], den
 
-        monkeypatch.setattr(bubbles, "nullspace", broken)
+        monkeypatch.setattr(bubbles, "null_numerators", broken)
         with pytest.raises(AssertionError, match="trace postcondition"):
             build_split_space.__wrapped__(2, zero_trace)
 

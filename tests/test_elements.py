@@ -508,7 +508,7 @@ class TestCoefficientGather:
             raise AssertionError("exact fields derived on the solve path")
 
         monkeypatch.setattr(elements, "derive_fields", refuse)
-        monkeypatch.setattr(problems, "_space_cache", {})
+        monkeypatch.setattr(problems, "_space_cache", problems.SpaceCache())
         for n in (2, 4):
             spaces = problems.get_spaces(n, 1, 1, SPACE_KINDS)
             for kind in SPACE_KINDS:
@@ -540,3 +540,142 @@ class TestDofMatrix:
                 higher = dof_matrix(el.dofs, el.basis, cell, el.curls)
             scale = np.abs(el.dof_matrix).max(axis=1, keepdims=True)
             assert np.all(np.abs(higher - el.dof_matrix) <= 1e-13 * scale)
+
+
+small = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+
+
+@st.composite
+def exact_vectors(draw, max_degree=3):
+    """Vector fields with a few small rational coefficients."""
+    from tetcomplex.polyalg import Polynomial, VectorField, monomial_exponents
+
+    exps = monomial_exponents(draw(st.integers(0, max_degree)))
+    comps = []
+    for _ in range(3):
+        keys = draw(st.lists(st.sampled_from(exps), max_size=5))
+        comps.append(Polynomial({e: draw(small) for e in keys}))
+    return VectorField(comps)
+
+
+@st.composite
+def exact_fields(draw, max_degree=3):
+    """Piecewise vector fields: a single field or four independent pieces."""
+    from tetcomplex.polyalg import PiecewiseField
+
+    if draw(st.booleans()):
+        return PiecewiseField.from_single(draw(exact_vectors(max_degree)))
+    return PiecewiseField([draw(exact_vectors(max_degree)) for _ in range(4)], draw(st.sampled_from(["C0", "L2"])))
+
+
+def _reference_curl(matrix, field):
+    """Reference: ``B curl(B^T u) / det B`` piece by piece on Fraction polynomials."""
+    from tetcomplex.polyalg import curl
+    from tetcomplex.polyalg.poly import _det3
+
+    transposed = [[matrix[j][i] for j in range(3)] for i in range(3)]
+    return [curl(p.matmul(transposed)).matmul(matrix) * (1 / _det3(matrix)) for p in field.pieces]
+
+
+def _first_independent(columns):
+    """Reference: the first-come independent columns, by Fraction elimination."""
+    pivots, chosen = [], []
+    for i, column in enumerate(columns):
+        v = list(column)
+        for p, row in pivots:
+            if v[p]:
+                factor = v[p] / row[p]
+                v = [a - factor * b for a, b in zip(v, row)]
+        nonzero = [j for j, a in enumerate(v) if a]
+        if nonzero:
+            pivots.append((nonzero[0], v))
+            chosen.append(i)
+    return chosen
+
+
+class TestIntegerKernels:
+    """The integer kernels of the orbit build against Fraction polynomial references."""
+
+    @given(st.lists(exact_fields(), min_size=1, max_size=3), st.lists(small, min_size=9, max_size=9))
+    @settings(max_examples=60, deadline=None)
+    def test_physical_curl_matches_fraction_reference(self, fields, entries):
+        from hypothesis import assume
+
+        from tetcomplex.polyalg import IntegerFields
+        from tetcomplex.polyalg.poly import _det3
+
+        matrix = [entries[3 * i:3 * i + 3] for i in range(3)]
+        assume(_det3(matrix) != 0)
+        cell = SimpleNamespace(amap=SimpleNamespace(matrix=matrix))
+        curls = phys_curl(cell, IntegerFields.from_fields(fields))
+        for field, got in zip(fields, curls):
+            want = _reference_curl(matrix, field)
+            assert [[c.coeffs for c in p.comps] for p in got.pieces] == [[c.coeffs for c in p.comps] for p in want]
+            assert got.continuity == ("single" if field.continuity == "single" else "L2")
+        # the adapter on one exact field agrees with the tensor kernel
+        assert phys_curl(cell, fields[0]) == curls[0]
+
+    @given(st.lists(exact_fields(max_degree=2), min_size=1, max_size=5), st.randoms(use_true_random=False))
+    @settings(max_examples=60, deadline=None)
+    def test_rank_selection_matches_fraction_reference(self, fields, rnd):
+        from fractions import Fraction
+
+        from tetcomplex.elements import _independent
+        from tetcomplex.polyalg import IntegerFields
+
+        # plant dependent fields: rational combinations of earlier ones, and zero fields
+        for _ in range(rnd.randint(1, 3)):
+            a, b = (Fraction(rnd.randint(-3, 3), rnd.randint(1, 3)) for _ in range(2))
+            i, j = rnd.randrange(len(fields)), rnd.randrange(len(fields))
+            fields.insert(rnd.randint(0, len(fields)), fields[i] * a + fields[j] * b)
+        degree = max(max(f.degree for f in fields), 0)
+        emb = Embedding(degree, vector=True)
+        assert _independent(IntegerFields.from_fields(fields)) == _first_independent(
+            [emb.coords(f) for f in fields]
+        )
+
+    def test_perturbed_face_bubble_correction_raises(self, monkeypatch):
+        from tetcomplex import elements
+
+        solve = elements.solve_div
+        monkeypatch.setattr(elements, "solve_div", lambda target, k: solve(target, k) * 2)
+        with pytest.raises(ArithmeticError, match="face bubble 0"):
+            elements.physical_face_bubble(reference_cell(), 0)
+
+    def test_face_bubble_check_survives_optimized_mode(self):
+        # the divergence check is an exception, not an assert that ``python -O`` strips
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        script = (
+            "from tetcomplex import elements\n"
+            "solve = elements.solve_div\n"
+            "elements.solve_div = lambda target, k: solve(target, k) * 2\n"
+            "try:\n"
+            "    elements.physical_face_bubble(elements.reference_cell(), 1)\n"
+            "except ArithmeticError:\n"
+            "    print('raised')\n"
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        run = subprocess.run(
+            [sys.executable, "-O", "-c", script], capture_output=True, text=True, timeout=120,
+            env={"PYTHONPATH": str(src), "PATH": ""},
+        )
+        assert run.stdout.strip() == "raised", run.stderr
+
+    def test_build_record_splits_its_time(self, caplog, fresh_cache):
+        import re
+
+        with caplog.at_level("DEBUG", logger="tetcomplex.elements"):
+            local_element("gradcurl", 1, 1, _class_representatives(1)[0])
+        (message,) = [rec.getMessage() for rec in caplog.records if rec.name == "tetcomplex.elements"]
+        number = r"(\d+\.\d{3})"
+        match = re.fullmatch(
+            rf"built gradcurl\(1,1\) element in {number} s: raw basis {number} s, potentials {number} s, "
+            rf"selection {number} s, curls {number} s, DOF matrix {number} s",
+            message,
+        )
+        assert match, message
+        total, *parts = map(float, match.groups())
+        assert all(p >= 0 for p in parts) and sum(parts) <= total + 0.003

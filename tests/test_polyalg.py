@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 
 from tetcomplex.polyalg import (
     SUBTET_VERTICES,
-    Embedding,
     PiecewiseField,
     Polynomial,
     REF_CENTER,
@@ -37,8 +36,8 @@ from tetcomplex.polyalg import (
     segment_param,
     select_independent,
 )
-from tetcomplex.polyalg.poincare import _integrate_t, _offset_field, _ray_exprs
-from tetcomplex.polyalg.spaces import derivative_table
+from tetcomplex.polyalg.poincare import _integrate_t, _offset_field, _ray_exprs, potential_table
+from tetcomplex.polyalg.spaces import IntegerFields, derivative_table
 from tetcomplex.polyalg.split import (
     INTERNAL_FACES,
     PARENT_FACE_VERTICES,
@@ -282,7 +281,7 @@ class TestIntegerTables:
             assert got == p.derivative(c).coeffs
 
     def test_tables_are_read_only(self):
-        for table in (pullback_table(2, SPLIT_MAPS[0])[1], derivative_table(2)):
+        for table in (pullback_table(2, SPLIT_MAPS[0])[1], derivative_table(2), potential_table(2, REF_CENTER)[1]):
             with pytest.raises(ValueError):
                 table[0, 0] = 1
 
@@ -336,11 +335,6 @@ class TestPiecewise:
             piecewise_poincare2(pw, (F(0), F(0), F(0)))
         out = piecewise_poincare2(pw, REF_CENTER)
         assert isinstance(out, PiecewiseField)
-
-    def test_embedding_roundtrip(self):
-        emb = Embedding(2, vector=False)
-        f = PiecewiseField((X * Y, Y * Y, X + Z, Polynomial.constant(2)), "L2")
-        assert emb.coords(emb.field(emb.coords(f))) == emb.coords(f)
 
     def test_dump_sorted(self):
         p = X * Y * 2 + Z
@@ -432,6 +426,12 @@ def _affine_exprs(matrix, shift):
     return exprs
 
 
+def _reference_poincare2(u, base, matrix):
+    """Reference: the cross product with the offset and the t-integral on Fraction polynomials."""
+    crossed = u.substitute(_ray_exprs(base)).cross(_offset_field(base, matrix=matrix, t_power=1))
+    return VectorField(tuple(_integrate_t(c) for c in crossed.comps))
+
+
 def _same_polynomial(a, b):
     return a.nvars == b.nvars and a.coeffs == b.coeffs and list(a.coeffs) == list(b.coeffs)
 
@@ -517,10 +517,41 @@ class TestExactKernels:
     def test_poincare2_matches_polynomial_cross_product(self, u, base, entries):
         # reference: the cross product and the t-integral on Fraction polynomials
         for matrix in (None, [entries[3 * i:3 * i + 3] for i in range(3)]):
-            ray_field = u.substitute(_ray_exprs(base))
-            crossed = ray_field.cross(_offset_field(base, matrix=matrix, t_power=1))
             out = poincare2(u, base, matrix)
-            assert all(_same_polynomial(a, _integrate_t(c)) for a, c in zip(out.comps, crossed))
+            assert [c.coeffs for c in out.comps] == [c.coeffs for c in _reference_poincare2(u, base, matrix).comps]
+
+    @given(st.data(), st.lists(small, min_size=9, max_size=9))
+    @settings(max_examples=25, deadline=None)
+    def test_vector_potential_matches_fraction_reference(self, data, entries):
+        # several fields at once: single fields about the origin, piecewise
+        # ones about the split centre, each piece against the Fraction reference
+        matrix = [entries[3 * i:3 * i + 3] for i in range(3)]
+        count = data.draw(st.integers(1, 3))
+        for base, single in (((0, 0, 0), True), (REF_CENTER, False)):
+            fields = []
+            for _ in range(count):
+                if single:
+                    fields.append(PiecewiseField.from_single(data.draw(vector_fields())))
+                else:
+                    fields.append(PiecewiseField([data.draw(vector_fields()) for _ in range(4)], "C0"))
+            got = piecewise_poincare2(IntegerFields.from_fields(fields), base, matrix)
+            assert len(got) == count
+            for field, potential in zip(fields, got):
+                want = [_reference_poincare2(piece, base, matrix) for piece in field.pieces]
+                assert [[c.coeffs for c in p.comps] for p in potential.pieces] == [
+                    [c.coeffs for c in p.comps] for p in want
+                ]
+                assert potential.continuity == ("single" if field.is_single() else "C0")
+
+    @given(st.lists(vector_fields(), min_size=4, max_size=4), st.sampled_from(["C0", "L2"]))
+    @settings(max_examples=40, deadline=None)
+    def test_integer_fields_round_trip(self, pieces, continuity):
+        fields = [PiecewiseField(pieces, continuity), PiecewiseField.from_single(pieces[0])]
+        exact = IntegerFields.from_fields(fields)
+        assert list(exact) == fields
+        assert [f.continuity for f in exact] == [continuity, "single"]
+        assert exact.degree == max(max(f.degree for f in fields), 0)
+        assert list(exact.resized(exact.degree + 1).reduced()) == fields
 
     def test_rref_edge_shapes(self):
         assert rref([]) == ([], [])

@@ -521,3 +521,36 @@ class TestConvergenceHarness:
         rep = interpolation_study([1, 2], 1, 1)
         assert len(rep.rows) == 2
         assert rep.rows[1]["l2_rate"] is not None
+
+
+class TestSpaceCache:
+    """``get_spaces`` keeps the most recently used (n, r, k) entries."""
+
+    def test_five_levels_evict_the_least_recent(self, monkeypatch, caplog):
+        from tetcomplex import problems
+
+        monkeypatch.setattr(problems, "_space_cache", problems.SpaceCache())
+        assert problems.SPACE_CACHE_SIZE == 4
+        with caplog.at_level("DEBUG", logger="tetcomplex.problems.spaces"):
+            for n in range(1, 6):
+                get_spaces(n, 1, 1, ["pressure"])
+            kept = get_spaces(4, 1, 1, ["pressure"])
+            get_spaces(1, 1, 1, ["pressure"])
+        cache = problems._space_cache
+        assert list(cache) == [(3, 1, 1), (5, 1, 1), (4, 1, 1), (1, 1, 1)]
+        assert (cache.hits, cache.misses, cache.evictions) == (1, 6, 2)
+        assert cache[(4, 1, 1)] is kept
+        assert all(set(entry) == {"mesh", "pressure"} for entry in cache.values())
+        messages = [rec.getMessage() for rec in caplog.records if rec.name == "tetcomplex.problems.spaces"]
+        assert len(messages) == 7
+        assert messages[-1] == "spaces N=1 (r,k)=(1,1): 4 of 4 entries, 1 hits, 6 misses, 2 evictions"
+
+    def test_ladder_levels_hit_on_reuse(self, monkeypatch):
+        from tetcomplex import problems
+
+        monkeypatch.setattr(problems, "_space_cache", problems.SpaceCache())
+        first = [get_spaces(n, 1, 1, ["pressure"]) for n in (2, 4)]
+        again = [get_spaces(n, 1, 1, ["pressure"]) for n in (2, 4)]
+        assert all(a is b for a, b in zip(first, again))
+        cache = problems._space_cache
+        assert (cache.hits, cache.misses, cache.evictions) == (2, 2, 0)
