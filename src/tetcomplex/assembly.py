@@ -33,7 +33,6 @@ many of its elements were built, derived or found in the element cache.
 
 from __future__ import annotations
 
-import itertools
 import logging
 import time
 from dataclasses import dataclass
@@ -57,7 +56,6 @@ from .elements import (  # noqa: F401
     phys_grad,
     validate_family,
 )
-from .polyalg.spaces import monomial_exponents
 from .quadrature import alfeld_composite
 
 _log = logging.getLogger("tetcomplex.assembly")
@@ -275,30 +273,27 @@ class SparseOperator:
 
 @lru_cache(maxsize=None)
 def _vandermonde(quad_degree, basis_degree):
-    """Monomials up to ``basis_degree`` at the points of ``alfeld_composite(quad_degree)``.
+    """Monomials up to ``basis_degree`` at the points of ``alfeld_composite(quad_degree)``, centred.
 
-    Returns the column of each exponent tuple, the values (subtets, points,
-    monomials) and the first partials (3, subtets, points, monomials), the
-    points in the rule's four subtet blocks.  Read-only: every class, space
-    and level at these degrees shares them.
+    Each of the rule's four subtet blocks of points is taken less its
+    piece's centroid, as the elements' coefficient tensors expand each
+    piece about it.  Returns the values (subtets, points, monomials) and
+    the first partials (3, subtets, points, monomials), the monomials in
+    :func:`monomial_exponents` order, so those of a lower degree come
+    first.  Read-only: every class, space and level at these degrees
+    shares them.
     """
-    points = alfeld_composite(quad_degree)[0]
-    exps = np.array(
-        [e for e in itertools.product(range(basis_degree + 1), repeat=3) if sum(e) <= basis_degree]
-    )
-    powers = points[:, :, None] ** np.arange(basis_degree + 1)  # (points, axis, power)
-    cols = [powers[:, i, exps[:, i]] for i in range(3)]
-    lowered = [exps[:, i] * powers[:, i, np.maximum(exps[:, i] - 1, 0)] for i in range(3)]
-    values = cols[0] * cols[1] * cols[2]
-    partials = np.stack([
-        lowered[0] * cols[1] * cols[2],
-        cols[0] * lowered[1] * cols[2],
-        cols[0] * cols[1] * lowered[2],
-    ])
-    values = values.reshape(4, -1, len(exps))
-    partials = partials.reshape(3, 4, -1, len(exps))
+    blocks = alfeld_composite(quad_degree)[0].reshape(4, -1, 3)
+    points = (blocks - _elements.PIECE_CENTROIDS_F[:, None]).reshape(-1, 3)
+    values = _elements._monomials(points, basis_degree)
+    lower = _elements._monomials(points, basis_degree - 1)
+    partials = np.zeros((3, *values.shape))
+    for partial, (columns, factors) in zip(partials, _elements._derivative_gathers(basis_degree)):
+        partial[:, columns] = lower * factors.astype(float)  # d/dx_a x^e = e_a x^(e - unit_a)
+    values = values.reshape(4, -1, values.shape[1])
+    partials = partials.reshape(3, *values.shape)
     values.flags.writeable = partials.flags.writeable = False
-    return {tuple(e): i for i, e in enumerate(exps.tolist())}, values, partials
+    return values, partials
 
 
 class ClassTables:
@@ -307,12 +302,12 @@ class ClassTables:
     Built on the geometry of the class whose first cell is ``cell_id``:
     ``points`` are the quadrature points of the class map (zero shift),
     which each cell of the class sees moved by its absolute shift.  Each
-    table is the element's float coefficient tensor of its raw basis (or
-    curls), placed on the columns of ``_vandermonde`` and contracted with
-    the nodal matrix, times the shared monomial tables: values from the
-    values, physical Jacobians (a scalar field's gradient) from the
-    partials times B^{-1}.  No exact field is read, so a class derived in
-    its element's similarity orbit forms none.
+    table is the element's coefficient tensor of its raw basis (or curls),
+    centred on each piece and contracted with the nodal matrix, times the
+    leading columns of the shared monomial tables at the centred points:
+    values from the values, physical Jacobians (a scalar field's gradient)
+    from the partials times B^{-1}.  No exact field is read, so a class
+    derived in its element's similarity orbit forms none.
     ``error_factors`` caches the factors of ``_modal_squared_errors``.
     """
 
@@ -323,25 +318,20 @@ class ClassTables:
         self.points = geom.amap.apply(self.ref_points)
         self.det = geom.amap.det_f
         self.error_factors = {}
-        columns, monomials, partials = _vandermonde(degree, space.basis_degree)
+        monomials, partials = _vandermonde(degree, space.basis_degree)
         # (subtets, monomials, points, 1 or 3 physical partials)
         monomials = monomials.transpose(0, 2, 1)[..., None]
         gradients = np.tensordot(partials, geom.amap.inverse_f, axes=(0, 0)).transpose(0, 2, 1, 3)
 
-        # the element's monomial columns among the tables' columns
-        at = [columns[e] for e in monomial_exponents(el.degree, 3)]
-
         def nodal(use):
             """Tensor (nodal basis, subtets, components, monomials) of the raw basis or curls."""
             raw = el.coefficients[use]
-            nf, _, comps, _ = raw.shape
-            coef = np.zeros((nf, 4, comps, len(columns)))
-            coef[..., at] = raw
-            return (el.nodal.T @ coef.reshape(nf, -1)).reshape(coef.shape)
+            return (el.nodal.T @ raw.reshape(len(raw), -1)).reshape(raw.shape)
 
         def table(coef, basis):
             """(nodal basis, points, *components, *partials) of coefficients on ``basis``."""
             nf, _, comps, nm = coef.shape
+            basis = basis[:, :nm]
             out = coef.transpose(1, 0, 2, 3).reshape(4, -1, nm) @ basis.reshape(4, nm, -1)
             nq, nd = basis.shape[2], basis.shape[3]
             out = out.reshape(4, nf, comps, nq, nd).transpose(1, 0, 3, 2, 4)

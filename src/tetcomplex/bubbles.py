@@ -147,7 +147,8 @@ def build_split_space(m, zero_trace=False):
     den //= g
     for pieces, table in conditions:
         trace = sum(sign * nums[:, p] for p, sign in pieces) @ table.T
-        assert not trace.any(), "split space trace postcondition violated"
+        if trace.any():
+            raise ArithmeticError("split space trace postcondition violated")
     _log.debug(
         "built %s split space P%d, dim %d, in %.3f s",
         "zero-trace" if zero_trace else "continuous", m, len(nums), time.perf_counter() - start,
@@ -395,7 +396,8 @@ def solve_div(target, k):
             dense[[columns[e] for e in acc]] = list(acc.values())
             div = div + deriv[c] @ dense
         # the divergence on this piece, over den, against the target's numerators over t_den
-        assert not (div * t_den - t_nums[p] * den).any(), "exact divergence postcondition violated"
+        if (div * t_den - t_nums[p] * den).any():
+            raise ArithmeticError("exact divergence postcondition violated")
         pieces.append(VectorField(comps))
     return PiecewiseField(pieces, "C0")
 

@@ -61,9 +61,11 @@ from .polyalg.spaces import (
 from .polyalg.split import (
     REF_CENTER,
     REF_VERTICES,
+    SUBTET_VERTICES,
     PiecewiseField,
     as_piecewise,
     piecewise_poincare2,
+    pullback_table,
     subtet_moment_table,
 )
 from .quadrature import QuadratureRule, alfeld_composite
@@ -401,7 +403,7 @@ def physical_face_bubble(cell: CellGeometry, local_face: int):
 # t^2 for face bubbles (the face direction is a cross product of edges),
 # t^-2 for interior bubbles (B field / det B); a vector potential has its
 # source's power plus one, and a physical curl the field's power minus one.
-# ``derive_coefficients`` and ``derive_fields`` combine these powers with a
+# ``derive_coefficients`` and ``derive_numerators`` combine these powers with a
 # rotation or reflection.
 GRADIENT_POWER, MONOMIAL_POWER, FACE_BUBBLE_POWER, INTERIOR_BUBBLE_POWER = -1, 0, 2, -2
 
@@ -892,17 +894,16 @@ def space_dimension(kind, r, k):
 class LocalElement:
     """The local element of one space on one cell.
 
-    ``coefficients`` and ``long_coefficients`` hold the raw basis (key
-    ``"value"``) and, for gradcurl, its physical curls (key ``"curl"``) as
-    tensors (fields, pieces, components, monomials) over the monomials of
-    degree <= ``degree`` in :func:`monomial_exponents` order, in float64
-    and in long double.  The long-double tensors serve the DOF matrix and
-    the derivation of other classes of the orbit, so only the element
-    built for its orbit keeps them; they are None on a derived element.
-    ``basis`` and ``curls`` are the exact fields themselves;
-    ``exact_fields`` forms them on first access: from the integer
-    numerators of the build, or for an element derived from another of its
-    similarity orbit, from that element's fields.
+    ``coefficients`` holds the raw basis (key ``"value"``) and, for
+    gradcurl, its physical curls (key ``"curl"``) as float64 tensors
+    (fields, pieces, components, monomials) over the monomials of degree <=
+    ``degree``, each piece about its centroid (:func:`_coefficients`): the
+    one tensor of the DOF matrix, the class tables and the derivation of
+    the orbit's other classes.  ``numerators`` holds the fields exactly
+    (:class:`IntegerFields`, by the same keys), from ``exact_fields`` on
+    first access: the build's own or, for a derived element, the built
+    one's gathered (:func:`derive_numerators`).  ``basis`` and ``curls``
+    are the exact fields, formed from the numerators when first read.
     """
 
     kind: str
@@ -915,21 +916,21 @@ class LocalElement:
     condition: float
     degree: int
     coefficients: dict
-    long_coefficients: dict | None
-    exact_fields: callable = dc_field(repr=False)  # () -> (basis, curls or None)
+    exact_fields: callable = dc_field(repr=False)  # () -> numerators by use
 
     @cached_property
-    def _fields(self):
+    def numerators(self):
         return self.exact_fields()
 
-    @property
+    @cached_property
     def basis(self):
-        return self._fields[0]
+        return list(self.numerators["value"])
 
-    @property
+    @cached_property
     def curls(self):
         """Physical curls of the raw basis (gradcurl only)."""
-        return self._fields[1]
+        curls = self.numerators.get("curl")
+        return None if curls is None else list(curls)
 
     @property
     def dimension(self):
@@ -947,42 +948,58 @@ def _integer_fields(fields, degree=None):
     return fields if isinstance(fields, IntegerFields) else IntegerFields.from_fields(fields, degree)
 
 
-def _exact_ratios(fields, columns):
-    """Shape, flat positions and reduced ``(numerator, denominator)`` pairs of a coefficient tensor.
+# The centroid of each split piece, exact and in float: every float coefficient
+# tensor expands piece i about it, so double sums keep what the fields cancel.
+PIECE_CENTROIDS = tuple(tuple(sum(v[a] for v in piece) / 4 for a in range(3)) for piece in SUBTET_VERTICES)
+PIECE_CENTROIDS_F = np.array(PIECE_CENTROIDS, dtype=float)
+PIECE_CENTROIDS_F.flags.writeable = False
 
-    The tensor is (fields, subtets, components, monomials) over the
-    monomials that ``columns`` holds; ``fields`` is :class:`IntegerFields`
-    or a list of exact piecewise fields.  Each nonzero value is reduced to
-    lowest terms, the ratio a Fraction of it would hold.
+
+@lru_cache(maxsize=None)
+def _centring(degree):
+    """The translations ``p -> p(y + c_i)`` of the pieces on numerators, from each piece's :func:`pullback_table`.
+
+    Returns read-only ``(den, starts, targets, values)``: a numerator ``u``
+    of ``x^e`` on piece ``i`` over ``B`` adds ``values[i, j] * u`` to that
+    of ``y^targets[j]`` over ``B * den``, for ``starts[e] <= j <
+    starts[e + 1]``: the ``y^f`` dividing ``x^e``, for every piece.
     """
-    degree = degree_of_columns(len(columns))
+    tables = []
+    for c in PIECE_CENTROIDS:  # every denominator is 16^degree
+        den, table = pullback_table(degree, (c,) + tuple(tuple(c[a] + (a == j) for a in range(3)) for j in range(3)))
+        tables.append(table)
+    sources, targets = np.nonzero(tables[0].T)  # by source, then target
+    starts = np.r_[0, np.cumsum(np.bincount(sources, minlength=len(tables[0])))]
+    values = np.array([t[targets, sources] for t in tables], dtype=object)
+    for array in (starts, targets, values):
+        array.flags.writeable = False
+    return den, starts, targets, values
+
+
+def _centred(nums):
+    """Numerators (..., pieces, components, monomials) about each piece's centroid, over an extra ``den``: sparse, by nonzero."""
+    den, starts, targets, values = _centring(degree_of_columns(nums.shape[-1]))
+    flat = nums.reshape(-1, nums.shape[-1])
+    rows, sources = np.nonzero(flat)
+    counts = starts[sources + 1] - starts[sources]
+    at = np.arange(counts.sum()) + np.repeat(starts[sources] - np.cumsum(counts) + counts, counts)
+    pieces = rows // nums.shape[-2] % 4
+    terms = np.repeat(flat[rows, sources], counts) * values[np.repeat(pieces, counts), at]
+    out = np.zeros(flat.shape, dtype=object)
+    np.add.at(out, (np.repeat(rows, counts), targets[at]), terms)
+    return out.reshape(nums.shape), den
+
+
+def _coefficients(fields, degree):
+    """Float coefficient tensor (fields, pieces, components, monomials), each piece about its centroid.
+
+    The monomials are those of degree <= ``degree``; ``fields`` is
+    :class:`IntegerFields` or a list of exact piecewise fields.  Each exact
+    centred coefficient is rounded once (an int quotient rounds correctly).
+    """
     fields = _integer_fields(fields, degree)
-    nums = fields.resized(degree).nums
-    flat = nums.ravel()
-    at = np.flatnonzero(flat != 0)
-    den = fields.den
-    pairs = []
-    for v in flat[at].tolist():
-        g = gcd(v, den)
-        pairs.append((v // g, den // g))
-    return nums.shape, at, pairs
-
-
-def _coefficients(fields, columns):
-    """Float coefficient tensor (fields, subtets, components, monomials): each exact ratio correctly rounded."""
-    shape, at, pairs = _exact_ratios(fields, columns)
-    out = np.zeros(shape)
-    out.flat[at] = [n / d for n, d in pairs]
-    return out
-
-
-def _long_coefficients(fields, columns):
-    """The coefficient tensor in long double: each exact quotient rounded there."""
-    shape, at, pairs = _exact_ratios(fields, columns)
-    ratios = np.array(pairs, dtype=np.longdouble).reshape(-1, 2)
-    out = np.zeros(shape, dtype=np.longdouble)
-    out.flat[at] = ratios[:, 0] / ratios[:, 1]
-    return out
+    nums, den = _centred(fields.resized(degree).nums)
+    return (nums / (den * fields.den)).astype(float)
 
 
 def _entity_piece(entity):
@@ -995,22 +1012,38 @@ def _entity_piece(entity):
     return i  # face i is a face of piece i only
 
 
+@lru_cache(maxsize=None)
+def _exponent_array(degree):
+    """The exponents of degree <= ``degree`` in :func:`monomial_exponents` order, as read-only (axes, monomials)."""
+    powers = np.array(monomial_exponents(degree, 3), dtype=int).reshape(-1, 3).T
+    powers.flags.writeable = False
+    return powers
+
+
+def _monomials(points, degree):
+    """The monomials of degree <= ``degree`` (:func:`monomial_exponents` order) at each point: (points, monomials)."""
+    powers = _exponent_array(degree)
+    table = points[:, :, None] ** np.arange(degree + 1)  # (points, axes, powers)
+    return table[:, 0, powers[0]] * table[:, 1, powers[1]] * table[:, 2, powers[2]]
+
+
 def dof_matrix(dofs, basis, cell, curls=None):
     """Each functional's stencil applied to each raw field: entry ``(dof, field)``.
 
-    The fields' coefficients, as one long-double tensor, meet the
+    The fields' centred coefficient tensor (:func:`_coefficients`) meets the
     monomials at the stencil's points (in reference coordinates, like the
-    fields) on the split piece that holds the functional's entity; a cell
-    stencil's split rule has one block of points per piece.  The rule is
-    exact to degree 2 deg + 2 for fields of degree deg, so every product of
-    a field and a weight is integrated exactly.  The sums run in long double: the monomial
-    coefficients of split fields are large against their values (by 10^3
-    for the lowest-order face bubbles), and in double their cancellation
-    took the assembled div o curl of (1,1) at N = 2 from 2e-14 to 1.6e-12.
-    ``basis`` is the raw fields (a list of exact fields or
-    :class:`IntegerFields`) or their long-double tensor
-    (``LocalElement.long_coefficients["value"]``), and ``curls`` their
-    physical curls in the same form; curls of fields are computed on
+    fields) less the centroid of the split piece that holds the
+    functional's entity; a cell stencil's split rule has one block of
+    points per piece, each less its piece's centroid.  The rule is exact to
+    degree 2 deg + 2 for fields of degree deg, so every product of a field
+    and a weight is integrated exactly.  The sums run in double: about the
+    origin the monomial coefficients of split fields are large against
+    their values (by 10^3 for the lowest-order face bubbles), and their
+    cancellation there took the assembled div o curl of (2,2) at N = 2 to
+    1.3e-12, against 9.5e-14 about each piece's centroid.  ``basis`` is
+    the raw fields (a list of exact fields or :class:`IntegerFields`) or
+    their tensor (``LocalElement.coefficients["value"]``), and ``curls``
+    their physical curls in the same form; curls of fields are computed on
     ``cell`` when a functional needs them and they are not given.
     """
     if isinstance(basis, np.ndarray):
@@ -1019,8 +1052,6 @@ def dof_matrix(dofs, basis, cell, curls=None):
         basis = _integer_fields(basis)
         degree = basis.degree
     quad = QuadratureRule(2 * degree + 2)
-    columns = _monomial_columns(degree)
-    powers = np.array(list(columns)).T  # (axes, monomials)
     stencils = [d.stencil(quad) for d in dofs]
     out = np.empty((len(dofs), len(basis)))
     for use in ("value", "curl"):
@@ -1029,18 +1060,17 @@ def dof_matrix(dofs, basis, cell, curls=None):
             continue
         coef = basis if use == "value" else curls  # (fields, pieces, components, monomials)
         if not isinstance(coef, np.ndarray):
-            coef = _long_coefficients(phys_curl(cell, basis) if coef is None else coef, columns)
+            coef = _coefficients(phys_curl(cell, basis) if coef is None else coef, degree)
         for i in rows:
             _, pts, wts = stencils[i]
-            # (points, axes, powers)
-            table = pts.astype(np.longdouble)[:, :, None] ** np.arange(degree + 1)
-            mono = table[:, 0, powers[0]] * table[:, 1, powers[1]] * table[:, 2, powers[2]]
-            wts = wts.reshape(len(pts), -1).astype(np.longdouble)  # (points, components)
+            wts = wts.reshape(len(pts), -1)  # (points, components)
             if dofs[i].entity[0] == "cell":  # the split rule: one block of points per piece
-                blocks = (a.reshape(4, -1, a.shape[1]) for a in (wts, mono))
+                local = pts.reshape(4, -1, 3) - PIECE_CENTROIDS_F[:, None]
+                blocks = (a.reshape(4, -1, a.shape[1]) for a in (wts, _monomials(local.reshape(-1, 3), degree)))
                 moment, piece = np.einsum("pqc,pqm->pcm", *blocks), slice(None)
             else:
-                moment, piece = wts.T @ mono, _entity_piece(dofs[i].entity)
+                piece = _entity_piece(dofs[i].entity)
+                moment = wts.T @ _monomials(pts - PIECE_CENTROIDS_F[piece], degree)
             out[i] = coef[:, piece].reshape(len(coef), -1) @ moment.ravel()
     return out
 
@@ -1054,7 +1084,7 @@ class ElementCache:
     cell of the orbit, ``B = t Q B0 S``, gathers its coefficient tensors
     from that element's (:func:`derive_coefficients`); only the DOFs, the
     DOF matrix and its inverse are computed for it, and its exact fields
-    are derived on first access (:func:`derive_fields`).  ``built``,
+    are gathered on first access (:func:`derive_numerators`).  ``built``,
     ``derived`` and ``hits`` count the three outcomes of a lookup.
     """
 
@@ -1084,70 +1114,56 @@ def _curl_sign(perm, signs):
     return (-1) ** inversions * signs[0] * signs[1] * signs[2]
 
 
-def derive_fields(fields, powers, t, similarity, curls=False):
-    """Exact fields of a cell ``B0`` carried to the similar cell ``t Q B0 S``.
+def _gather(tensor, powers, t, similarity, curls):
+    """A tensor (fields, pieces, components, monomials) of ``B0`` moved onto the similar cell ``t Q B0 S``.
 
-    Field ``f`` of scale power ``a`` becomes ``t^a Q (f o S)``, a scalar
-    field ``t^a (f o S)``; with ``curls`` the fields are physical curls
-    and become ``det(Q) t^(a-1) Q (f o S)``.  ``S`` fixes reference vertex
-    0 and the split centre and maps subtet ``i`` onto the subtet of the
-    vertex it sends ``i`` to, so the pieces are relabelled with it.  The
-    generators of every raw space are equivariant under the similarity
-    (gradients through ``B^-T``, vector monomials as a span, face bubbles
-    through their global direction and the linear ``solve_div``, interior
-    bubbles through ``B / det B``, potentials about vertex 0 or the
-    centre), so the results span the space a direct build on the new cell
-    spans.  A derived element forms its exact fields with it on first
-    access only; its tensors come from :func:`derive_coefficients`.
-    """
-    perm, signs, cols = similarity
-    vertex = _vertex_images(cols)
-    sign = 1
-    if curls:
-        sign = _curl_sign(perm, signs)
-        powers = [a - 1 for a in powers]
-
-    def move(p, factor):
-        p = p.permute_variables(cols)
-        return p if factor == 1 else p * factor
-
-    def field(f, a):
-        factor = sign * t**a
-        if isinstance(f.pieces[0], VectorField):
-            one = lambda v: VectorField(move(v.comps[j], s * factor) for j, s in zip(perm, signs))
-        else:
-            one = lambda p: move(p, factor)
-        if f.continuity == "single":
-            return PiecewiseField.from_single(one(f.pieces[0]))
-        return PiecewiseField((one(f.pieces[vertex[i]]) for i in range(4)), f.continuity)
-
-    return [field(f, a) for f, a in zip(fields, powers)]
-
-
-def derive_coefficients(tensor, powers, t, similarity, curls=False):
-    """:func:`derive_fields` on coefficient tensors: one numpy gather and scaling.
-
-    ``tensor`` holds the fields of ``B0`` as (fields, pieces, components,
-    monomials), in float64 or long double.  The pieces are relabelled by the vertex images of ``S``,
-    the monomial columns permuted by ``S``, the components permuted and
-    sign-flipped by ``Q``, and field ``j`` scaled by its exact factor
-    ``t^a`` (``det(Q) t^(a-1)`` for curls) rounded to the tensor's dtype.
-    A power-of-two ``t`` makes every step exact, so the result is then the
-    tensor of the derived exact fields bit for bit.
+    ``S`` fixes reference vertex 0 and the split centre and maps subtet
+    ``i`` onto the subtet of the vertex it sends ``i`` to, and that
+    subtet's centroid onto its own: the pieces are relabelled by the vertex
+    images of ``S`` and the monomial columns permuted by ``S``, whether the
+    pieces are expanded about the origin or about their centroids.  The
+    components are permuted and sign-flipped by ``Q``.  Returns the moved
+    tensor and each field's exact factor, ``t^a`` or ``det(Q) t^(a-1)``.
     """
     perm, signs, cols = similarity
     columns = _monomial_columns(degree_of_columns(tensor.shape[-1]))
     moved = np.empty(len(columns), dtype=np.intp)  # old column of each new monomial
     moved[[columns[tuple(e[c] for c in cols)] for e in columns]] = np.arange(len(columns))
-    comps = tensor.shape[2]
-    axes, flips = (perm, signs) if comps == 3 else ((0,), (1,))
-    sign = _curl_sign(perm, signs) if curls else 1
-    factors = [sign * t ** (a - 1 if curls else a) for a in powers]
-    ratios = np.array([(f.numerator, f.denominator) for f in factors], dtype=tensor.dtype)
-    scale = (ratios[:, 0] / ratios[:, 1])[:, None, None, None] * np.array(flips)[:, None]
+    axes, flips = (perm, signs) if tensor.shape[2] == 3 else ((0,), (1,))
     index = np.ix_(np.arange(len(tensor)), _vertex_images(cols), axes, moved)
+    sign = _curl_sign(perm, signs) if curls else 1
+    factors = [Fraction(sign * t ** (a - 1 if curls else a)) for a in powers]
+    return tensor[index] * np.array(flips)[:, None], factors
+
+
+def derive_coefficients(tensor, powers, t, similarity, curls=False):
+    """A float coefficient tensor of ``B0`` carried to the similar cell ``t Q B0 S``: one gather and scaling.
+
+    Field ``f`` of scale power ``a`` becomes ``t^a Q (f o S)``, a scalar
+    field ``t^a (f o S)``; with ``curls`` the fields are physical curls
+    and become ``det(Q) t^(a-1) Q (f o S)``.  The generators of every raw
+    space are equivariant under the similarity (gradients through
+    ``B^-T``, vector monomials as a span, face bubbles through their global
+    direction and the linear ``solve_div``, interior bubbles through
+    ``B / det B``, potentials about vertex 0 or the centre), so the results
+    span the space a direct build on the new cell spans.  ``tensor`` is
+    centred on each piece (:func:`_coefficients`).  ``t`` is a power of
+    two, so every step is exact and the result is the tensor of the
+    derived exact fields bit for bit; :func:`local_element` rounds the
+    exact fields themselves for any other ``t``.
+    """
+    moved, factors = _gather(tensor, powers, t, similarity, curls)
+    scale = np.array([float(f) for f in factors])
     # adding 0 turns the zeros that a negative factor signs into +0, as an exact build has
-    return tensor[index] * scale + 0.0
+    return moved * scale[:, None, None, None] + 0.0
+
+
+def derive_numerators(fields, powers, t, similarity, curls=False):
+    """:func:`derive_coefficients` on exact :class:`IntegerFields`: the same gather, exact integer scaling."""
+    moved, factors = _gather(fields.nums, powers, t, similarity, curls)
+    den = lcm(*(f.denominator for f in factors))
+    scale = np.array([f.numerator * (den // f.denominator) for f in factors], dtype=object)
+    return IntegerFields(moved * scale[:, None, None, None], fields.den * den, fields.continuity)
 
 
 def similarity_between(cell0, cell):
@@ -1164,9 +1180,9 @@ def similarity_between(cell0, cell):
 def _collector_paused():
     """Hold cyclic garbage collection off inside the block, then restore its prior state.
 
-    An exact construction allocates many short-lived Fractions and
-    coefficient tables and leaves no cycles behind, so collections during
-    it find nothing to free.
+    An exact construction allocates many short-lived Python ints and
+    object arrays of them and leaves no cycles behind, so collections
+    during it find nothing to free.
     """
     enabled = gc.isenabled()
     gc.disable()
@@ -1191,11 +1207,13 @@ def local_element(kind, r, k, cell=None):
     Cells of one congruence class (same matrix and vertex order) share the
     construction (translations do not change any of it).  The first class
     of a similarity orbit is built exactly, on integer numerators
-    (:class:`IntegerFields`), and its raw basis (and curls) rounded once
-    into float64 and long-double coefficient tensors; a class
-    similar to it, at any scale, rotation or reflection, gathers its
-    tensors from those (:func:`derive_coefficients`) and forms its exact
-    fields only when they are read (:func:`derive_fields`).
+    (:class:`IntegerFields`), and its raw basis (and curls) expanded about
+    each piece's centroid and rounded once into one float64 coefficient
+    tensor each (:func:`_coefficients`); a class similar to it, at any
+    scale, rotation or reflection, gathers its exact numerators when read
+    (:func:`derive_numerators`) and its tensors from those of the build
+    (:func:`derive_coefficients`), or from its numerators if ``t`` is no
+    power of two.
     """
     validate_family(r, k)
     if cell is None:
@@ -1220,45 +1238,41 @@ def local_element(kind, r, k, cell=None):
                 with _timed("curls"):
                     fields["curl"] = phys_curl(cell, basis)
             degree = basis.degree
-            columns = _monomial_columns(degree)
-            coefficients = {use: _coefficients(f, columns) for use, f in fields.items()}
-            long_coefficients = {use: _long_coefficients(f, columns) for use, f in fields.items()}
+            coefficients = {use: _coefficients(f, degree) for use, f in fields.items()}
         spent = _stage_seconds - before
-        exact_fields = lambda: (list(basis), list(fields["curl"]) if "curl" in fields else None)
+        exact_fields = lambda: fields
     else:
         el0, powers = first
         t, similarity = similarity_between(el0.cell, cell)
         degree = el0.degree
-        coefficients, long_coefficients = (
-            {
+        exact_fields = lambda: {
+            use: derive_numerators(f, powers, t, similarity, curls=use == "curl")
+            for use, f in el0.numerators.items()
+        }
+        if t.numerator & (t.numerator - 1) or t.denominator & (t.denominator - 1):
+            # rounding each coefficient twice took curl o grad at N = 3 to 1.3e-13 (1.5e-14 once)
+            fields = exact_fields()
+            exact_fields = lambda: fields
+            coefficients = {use: _coefficients(f, degree) for use, f in fields.items()}
+        else:  # every step of the gather is exact
+            coefficients = {
                 use: derive_coefficients(c, powers, t, similarity, curls=use == "curl")
-                for use, c in tensors.items()
+                for use, c in el0.coefficients.items()
             }
-            for tensors in (el0.coefficients, el0.long_coefficients)
-        )
-
-        def exact_fields():
-            basis = derive_fields(el0.basis, powers, t, similarity)
-            if el0.curls is None:
-                return basis, None
-            return basis, derive_fields(el0.curls, powers, t, similarity, curls=True)
 
     dofs = build_dofs(kind, cell, r, k)
     n_fields = len(coefficients["value"])
     if len(dofs) != n_fields:
         raise ArithmeticError(f"{kind}({r},{k}): {len(dofs)} functionals vs {n_fields} basis fields")
     mark = time.perf_counter()
-    m = dof_matrix(dofs, long_coefficients["value"], cell, long_coefficients.get("curl"))
+    m = dof_matrix(dofs, coefficients["value"], cell, coefficients.get("curl"))
     dof_matrix_s = time.perf_counter() - mark
     cond = float(np.linalg.cond(m))
     try:
         nodal = np.linalg.inv(m)
     except np.linalg.LinAlgError as exc:
         raise ArithmeticError(f"{kind}({r},{k}): singular DOF matrix") from exc
-    el = LocalElement(
-        kind, r, k, cell, dofs, m, nodal, cond, degree, coefficients,
-        long_coefficients if first is None else None, exact_fields,
-    )
+    el = LocalElement(kind, r, k, cell, dofs, m, nodal, cond, degree, coefficients, exact_fields)
     cache.elements[key] = el
     elapsed = time.perf_counter() - start
     if first is None:

@@ -248,13 +248,6 @@ class Polynomial:
             out = {k: Fraction(v, scale) for k, v in out.items()}
         return _trusted(out, nvars_out)
 
-    def permute_variables(self, cols):
-        """``p(S x)`` for the permutation ``(S x)[cols[j]] = x[j]``.
-
-        Only the exponent keys move; no coefficient is recomputed.
-        """
-        return _trusted({tuple(k[c] for c in cols): v for k, v in self.coeffs.items()}, self.nvars)
-
     def compose_affine(self, matrix, shift):
         """Substitute x_i <- sum_j matrix[i][j] y_j + shift[i]."""
         m = len(matrix[0])

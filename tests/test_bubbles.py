@@ -71,7 +71,7 @@ class TestSplitSpaces:
             return [[first[0] + 1, *first[1:]], *rest], den
 
         monkeypatch.setattr(bubbles, "null_numerators", broken)
-        with pytest.raises(AssertionError, match="trace postcondition"):
+        with pytest.raises(ArithmeticError, match="trace postcondition"):
             build_split_space.__wrapped__(2, zero_trace)
 
     def test_basis_independent(self):
@@ -103,8 +103,45 @@ class TestSolveDiv:
         solve = bubbles.div_coefficients
         monkeypatch.setattr(bubbles, "div_coefficients", lambda t, k: [2 * z for z in solve(t, k)])
         target = PiecewiseField(tuple(Polynomial.constant(c) for c in (2, -1, 0, -1)), "L2")
-        with pytest.raises(AssertionError, match="exact divergence postcondition"):
+        with pytest.raises(ArithmeticError, match="exact divergence postcondition"):
             solve_div(target, 2)
+
+    def test_postconditions_survive_optimized_mode(self):
+        # both checks are exceptions, not asserts that ``python -O`` strips
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        script = (
+            "from tetcomplex import bubbles\n"
+            "from tetcomplex.polyalg import PiecewiseField, Polynomial\n"
+            "solve = bubbles.null_numerators\n"
+            "def broken(*args):\n"
+            "    (first, *rest), den = solve(*args)\n"
+            "    return [[first[0] + 1, *first[1:]], *rest], den\n"
+            "bubbles.null_numerators = broken\n"
+            "try:\n"
+            "    bubbles.build_split_space.__wrapped__(2, False)\n"
+            "except ArithmeticError as exc:\n"
+            "    print(exc)\n"
+            "bubbles.null_numerators = solve\n"
+            "coefficients = bubbles.div_coefficients\n"
+            "bubbles.div_coefficients = lambda t, k: [2 * z for z in coefficients(t, k)]\n"
+            "target = PiecewiseField(tuple(Polynomial.constant(c) for c in (2, -1, 0, -1)), 'L2')\n"
+            "try:\n"
+            "    bubbles.solve_div(target, 2)\n"
+            "except ArithmeticError as exc:\n"
+            "    print(exc)\n"
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        run = subprocess.run(
+            [sys.executable, "-O", "-c", script], capture_output=True, text=True, timeout=120,
+            env={"PYTHONPATH": str(src), "PATH": ""},
+        )
+        assert run.stdout.splitlines() == [
+            "split space trace postcondition violated",
+            "exact divergence postcondition violated",
+        ], run.stderr
 
     def test_mean_zero_required(self):
         with pytest.raises(ValueError):

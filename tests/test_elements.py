@@ -458,43 +458,34 @@ class TestCoefficientGather:
     @pytest.mark.parametrize("kind,r,k", _config_cases())
     def test_kuhn_gather_equals_exact_fields(self, kind, r, k, fresh_cache):
         # class 0 at N = 1 is built; the other N = 1 classes derive with
-        # t = 1 and the N = 2 classes with t = 1/2, both exact in binary
-        # derived elements drop their long-double tensors: those are derived
-        # here from the built element's, as ``local_element`` derives them
-        from tetcomplex.elements import (
-            _coefficients,
-            _long_coefficients,
-            _monomial_columns,
-            derive_coefficients,
-            similarity_between,
-        )
+        # t = 1 and the N = 2 classes with t = 1/2, both exact in binary, so
+        # each gathered centred tensor is the once-rounded centred tensor of
+        # the derived exact fields
+        from tetcomplex.elements import _coefficients
 
         derived = [local_element(kind, r, k, c) for n in (1, 2) for c in _class_representatives(n)]
         assert (fresh_cache.built, fresh_cache.derived) == (1, 11)
-        el0, powers = fresh_cache.orbits[(kind, r, k, derived[0].cell.orbit_key())]
+        el0, _ = fresh_cache.orbits[(kind, r, k, derived[0].cell.orbit_key())]
         assert el0 is derived[0]
         for el in derived[1:]:
             assert np.array_equal(dof_matrix(el.dofs, el.basis, el.cell, el.curls), el.dof_matrix)
-            assert el.long_coefficients is None
-            t, similarity = similarity_between(el0.cell, el.cell)
-            columns = _monomial_columns(el.degree)
             fields = {"value": el.basis, "curl": el.curls}
-            assert sorted(el.coefficients) == sorted(el0.long_coefficients) == sorted(
-                use for use, f in fields.items() if f is not None
-            )
+            assert sorted(el.coefficients) == sorted(use for use, f in fields.items() if f is not None)
             for use, tensor in el.coefficients.items():
-                _assert_bitwise_equal(tensor, _coefficients(fields[use], columns))
-                long = derive_coefficients(
-                    el0.long_coefficients[use], powers, t, similarity, curls=use == "curl"
-                )
-                _assert_bitwise_equal(long, _long_coefficients(fields[use], columns))
+                _assert_bitwise_equal(tensor, _coefficients(fields[use], el.degree))
 
     @pytest.mark.parametrize("kind,r,k", _config_cases())
     def test_rational_scale_matches_exact_fields(self, kind, r, k, fresh_cache):
-        # N = 3 after an N = 2 build: t = 2/3 rounds each field's factor once
+        # N = 3 after an N = 2 build: t = 2/3 is no power of two, so each
+        # tensor is the derived exact fields' rounded once, not a rounded gather
+        from tetcomplex.elements import _coefficients
+
         local_element(kind, r, k, _class_representatives(2)[0])
         for cell in _class_representatives(3):
             el = local_element(kind, r, k, cell)
+            fields = {"value": el.basis, "curl": el.curls}
+            for use, tensor in el.coefficients.items():
+                _assert_bitwise_equal(tensor, _coefficients(fields[use], el.degree))
             exact = dof_matrix(el.dofs, el.basis, el.cell, el.curls)
             assert np.abs(el.dof_matrix - exact).max() <= 1e-12 * np.abs(exact).max()
             nodal = np.linalg.inv(exact)
@@ -505,9 +496,9 @@ class TestCoefficientGather:
         from tetcomplex import elements, problems
 
         def refuse(*args, **kwargs):
-            raise AssertionError("exact fields derived on the solve path")
+            raise AssertionError("exact numerators gathered on the solve path")
 
-        monkeypatch.setattr(elements, "derive_fields", refuse)
+        monkeypatch.setattr(elements, "derive_numerators", refuse)
         monkeypatch.setattr(problems, "_space_cache", problems.SpaceCache())
         for n in (2, 4):
             spaces = problems.get_spaces(n, 1, 1, SPACE_KINDS)
@@ -540,6 +531,62 @@ class TestDofMatrix:
                 higher = dof_matrix(el.dofs, el.basis, cell, el.curls)
             scale = np.abs(el.dof_matrix).max(axis=1, keepdims=True)
             assert np.all(np.abs(higher - el.dof_matrix) <= 1e-13 * scale)
+
+
+    @pytest.mark.parametrize("kind,bound", [("gradcurl", 1e-14), ("velocity", 4e-14)])
+    def test_double_sums_meet_the_exact_reference(self, kind, bound, fresh_cache):
+        # each entry against the largest exact entry of its field, on the
+        # reference cell and on an N = 2 class derived from the N = 1 build;
+        # the worst error is 5.6e-15 (gradcurl) and 2.7e-14 (velocity) with
+        # tensors centred on the pieces, and 1.9e-14 and 5.3e-14 with
+        # float64 tensors expanded about the origin
+        local_element(kind, 1, 1, _class_representatives(1)[0])
+        derived = local_element(kind, 1, 1, _class_representatives(2)[5])
+        assert fresh_cache.derived == 1
+        for el in (local_element(kind, 1, 1, reference_cell()), derived):
+            exact = _exact_dof_matrix(el)
+            error = np.abs(el.dof_matrix - exact) / np.abs(exact).max(axis=0)
+            assert error.max() <= bound
+
+
+def _exact_dof_matrix(el):
+    """The DOF matrix of the element's exact fields, each entry rounded once.
+
+    Each stencil's float points and weights count as the exact dyadic
+    rationals they hold, and every sum runs on integers over one
+    denominator.
+    """
+    from math import lcm
+
+    from tetcomplex.elements import _entity_piece
+    from tetcomplex.polyalg import monomial_exponents
+    from tetcomplex.quadrature import QuadratureRule
+
+    def dyadic(values):
+        pairs = [v.as_integer_ratio() for v in np.ravel(values).tolist()]
+        den = lcm(*(d for _, d in pairs))
+        return np.array([n * (den // d) for n, d in pairs], dtype=object).reshape(np.shape(values)), den
+
+    degree = el.degree
+    quad = QuadratureRule(2 * degree + 2)
+    exps = monomial_exponents(degree, 3)
+    out = np.empty(el.dof_matrix.shape)
+    for i, dof in enumerate(el.dofs):
+        use, pts, wts = dof.stencil(quad)
+        fields = el.numerators[use].resized(degree)
+        if dof.entity[0] == "cell":  # the split rule: one block of points per piece
+            pieces = np.repeat(range(4), len(pts) // 4)
+        else:
+            pieces = [_entity_piece(dof.entity)] * len(pts)
+        (p, p_den), (w, w_den) = dyadic(pts), dyadic(wts.reshape(len(pts), -1))
+        total = 0
+        for x, weights, piece in zip(p, w, pieces):
+            # p_den^degree times each monomial at the point
+            mono = [x[0] ** a * x[1] ** b * x[2] ** c * p_den ** (degree - a - b - c) for a, b, c in exps]
+            total = total + (fields.nums[:, piece] @ np.array(mono, dtype=object)) @ weights
+        den = fields.den * p_den**degree * w_den
+        out[i] = [v / den for v in total.tolist()]
+    return out
 
 
 small = st.fractions(min_value=-4, max_value=4, max_denominator=5)
@@ -614,6 +661,24 @@ class TestIntegerKernels:
             assert got.continuity == ("single" if field.continuity == "single" else "L2")
         # the adapter on one exact field agrees with the tensor kernel
         assert phys_curl(cell, fields[0]) == curls[0]
+
+    @given(st.lists(exact_fields(), min_size=1, max_size=3), st.integers(0, 2))
+    @settings(max_examples=40, deadline=None)
+    def test_centred_coefficients_match_fraction_reference(self, fields, extra):
+        # each piece re-expanded about its centroid by ``compose_affine``, then rounded once
+        from tetcomplex.elements import PIECE_CENTROIDS, _coefficients, _monomial_columns
+
+        degree = max(max(f.degree for f in fields), 0) + extra
+        columns = _monomial_columns(degree)
+        got = _coefficients(fields, degree)
+        identity = [[int(i == j) for j in range(3)] for i in range(3)]
+        for a, field in enumerate(fields):
+            for p, (piece, centroid) in enumerate(zip(field.pieces, PIECE_CENTROIDS)):
+                for c, comp in enumerate(piece.comps):
+                    want = np.zeros(len(columns))
+                    for e, v in comp.compose_affine(identity, centroid).coeffs.items():
+                        want[columns[e]] = float(v)
+                    _assert_bitwise_equal(got[a, p, c], want)
 
     @given(st.lists(exact_fields(max_degree=2), min_size=1, max_size=5), st.randoms(use_true_random=False))
     @settings(max_examples=60, deadline=None)
