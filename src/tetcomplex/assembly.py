@@ -26,9 +26,10 @@ Every evaluation point is a point of a class map (zero shift) moved by
 each cell's absolute shift: ``ClassTables`` keeps split-rule points and
 ``GlobalSpace.interpolate`` the DOF stencil points, mapped once per class.
 Every layer logs one ``tetcomplex.assembly`` DEBUG record with its
-classes, cells, path (vandermonde, tables, modal or pointwise), mode
-count and seconds; a space logs one record when it is built, with how
-many of its elements were built, derived or found in the element cache.
+classes, cells, path (vandermonde, tables, numerators, modal or
+pointwise), mode count and seconds; a space logs one record when it is
+built, with how many of its elements were built, derived or found in the
+element cache.
 """
 
 from __future__ import annotations
@@ -538,14 +539,21 @@ def discrete_d(which, source, target):
     nodal basis function.  Every cell sharing the entry computes it, and
     conformity makes those values agree: the matrix keeps one of them, and
     ArithmeticError is raised if any other differs from it by more than
-    ``_SHARED_ENTRY_TOL`` relative.
+    ``_SHARED_ENTRY_TOL`` relative.  The derivatives are exact, on the
+    source element's integer numerators, and rounded once into the
+    coefficient tensor that the target's functionals read.
     """
+    start = time.perf_counter()
     op = {"grad": phys_grad, "curl": phys_curl, "div": phys_div}[which]
+    tensor = _elements._coefficients
     rows, cols, vals = [], [], []
     for cells in source.classes:
         geom = source.cells_geom[cells[0]]
         el_s, el_t = source.elements[cells[0]], target.elements[cells[0]]
-        local = dof_matrix(el_t.dofs, [op(geom, b) for b in el_s.basis], geom) @ el_s.nodal
+        images = op(geom, el_s.numerators["value"])
+        degree = images.degree
+        curls = tensor(phys_curl(geom, images), degree) if target.kind == "gradcurl" else None
+        local = dof_matrix(el_t.dofs, tensor(images, degree), curls) @ el_s.nodal
         li, lj = np.nonzero(local)
         rows.append(target.local_to_global[cells][:, li].ravel())
         cols.append(source.local_to_global[cells][:, lj].ravel())
@@ -561,6 +569,7 @@ def discrete_d(which, source, target):
     matrix = sp.coo_matrix(
         (kept, (keys // source.dim, keys % source.dim)), shape=(target.dim, source.dim)
     ).tocsr()
+    _log_layer(f"discrete {which}", source, start, "numerators")
     return SparseOperator(matrix, target, source)
 
 

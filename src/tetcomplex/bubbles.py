@@ -6,7 +6,8 @@ Three constructions, all exact rational:
   boundary trace), built as nullspaces of interface/boundary trace constraints;
 - a local divergence solver: given a mean-zero piecewise polynomial target,
   produce a zero-trace continuous piecewise field with exactly that
-  divergence (minimal H1-seminorm representative);
+  divergence (minimal H1-seminorm representative), target and solution
+  both integer numerators (:class:`IntegerFields`);
 - the scalar cubic face bubbles, which ``elements.physical_face_bubble``
   corrects to a constant divergence with that solver, and interior bubbles
   whose divergences span the mean-corrected two-layer polynomial spaces.
@@ -17,31 +18,26 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, lcm
 from operator import add
 
 import numpy as np
 
-from .polyalg.poly import Polynomial, VectorField, _trusted
+from .polyalg.poly import Polynomial, VectorField
 from .polyalg.spaces import (
-    Embedding,
     IntegerFields,
     derivative_table,
     layered_mean_zero_basis,
     integer_rref,
     monomial_exponents,
     null_numerators,
-    null_vectors,
 )
 from .polyalg.split import (
     INTERNAL_FACES,
     PARENT_FACE_VERTICES,
     REF_CENTER,
     REF_VERTICES,
-    PiecewiseField,
-    as_piecewise,
     pullback_table,
     subtet_moment_table,
 )
@@ -156,18 +152,12 @@ def build_split_space(m, zero_trace=False):
     return SplitC0Space(m, zero_trace, (nums, den))
 
 
-def _scaled(values):
-    """Integer numerators of rationals over their common denominator: ``(nums, den)``."""
-    den = lcm(*(v.denominator for v in values))
-    return [v.numerator * (den // v.denominator) for v in values], den
-
-
 class _ExactLinearSolver:
     """Reusable exact solver for D z = r with recorded row operations.
 
     ``D`` is ``matrix / den``.  Each row of the row operations ``transform``
     is kept as its sparse integer numerators ``{column: int}`` and their
-    denominator, so that a solve forms one Fraction per unknown.
+    denominator, so that a solve runs on integers alone.
     """
 
     def __init__(self, matrix, den=1):
@@ -188,44 +178,37 @@ class _ExactLinearSolver:
             self.transform.append(({j: sign * v // g for j, v in ops}, abs(row[p]) // g))
         # the first ncols columns of the augmented reduced form are the
         # reduced form of the matrix itself, so its nullspace reads off them
-        self.null_basis = null_vectors(rows, self.pivots, self.ncols)
+        self.null_basis = null_numerators(rows, self.pivots, self.ncols)[0]
 
-    def solve(self, rhs):
-        """The solution with every free unknown zero, or None if ``D z = r`` is inconsistent."""
-        nums, den = _scaled(rhs)
+    def solve(self, nums, den):
+        """The solution of ``D z = nums / den`` with every free unknown zero, as
+        integer numerators over one denominator; None if the system is inconsistent."""
         nz = [(i, v) for i, v in enumerate(nums) if v]
-        t_rhs = [(sum(row[i] * v for i, v in nz if i in row), d * den) for row, d in self.transform]
+        t_rhs = [(sum(row[i] * v for i, v in nz if i in row), d) for row, d in self.transform]
         # consistency: rows beyond the pivot count must transform rhs to zero
         if any(num for num, _ in t_rhs[len(self.pivots):]):
             return None
-        x = [Fraction(0)] * self.ncols
+        common = lcm(*(d for _, d in t_rhs[:len(self.pivots)]))
+        x = [0] * self.ncols
         for (num, d), p in zip(t_rhs, self.pivots):
-            x[p] = Fraction(num, d)
-        return x
+            x[p] = num * (common // d)
+        return x, common * den
 
 
 @dataclass
 class _DivSolver:
     space: SplitC0Space
-    emb: Embedding
     solver: _ExactLinearSolver
-    null: list  # nullspace of the divergence, in vec_basis coordinates
-    gram_null: list  # H1-seminorm Gram matrix times each null vector
+    null: list  # nullspace of the divergence, integer vectors in vec_basis coordinates
+    gram_null: list  # H1-seminorm Gram matrix times each null vector, each row up to scale
     # z0 -> the minimal-H1 solution z0 + sum q_i null_i, as integer rows
     # over one denominator; None when the nullspace is trivial
     minimal: tuple | None
-    # vec_basis coefficient tables per field, piece and component, on integers
-    # over one denominator
-    basis_tables: tuple
 
     @cached_property
     def vec_basis(self):
         """The exact component-wise basis: scalar index a, component c -> 3a + c."""
         return self.space.vector_basis()
-
-
-def _dot(u, v):
-    return sum((a * b for a, b in zip(u, v) if a and b), Fraction(0))
 
 
 def _object_matrix(rows):
@@ -278,19 +261,6 @@ def _minimal_correction(null, gram_null):
     return rows, den
 
 
-def _basis_tables(space):
-    """Integer coefficient tables of each vector basis field, piece and component, over one denominator."""
-    nums, den = space.coefficients
-    exps = monomial_exponents(space.degree, 3)
-    rows = [[[(e, v) for e, v in zip(exps, row) if v] for row in field] for field in nums.tolist()]
-    tables = tuple(
-        tuple(tuple(dict(piece) if cc == c else {} for cc in range(3)) for piece in field)
-        for field in rows
-        for c in range(3)
-    )
-    return tables, den
-
-
 @lru_cache(maxsize=None)
 def _div_solver(k):
     """Cached machinery for the zero-trace divergence problem at degree k."""
@@ -301,114 +271,96 @@ def _div_solver(k):
     # H1-seminorm Gram of the scalar basis; that of the component-wise
     # basis is the same matrix on each component
     mark = time.perf_counter()
-    gram_num, gram_den = _h1_gram(space)
+    gram_num, _ = _h1_gram(space)
     gram_s = time.perf_counter() - mark
 
     mark = time.perf_counter()
-    emb = Embedding(k - 1, vector=False)
     # the divergence of field 3a + c is the x_c derivative of scalar a:
-    # rows piece by piece as ``emb`` orders them, over the basis denominator
+    # rows piece by piece, then by monomial, over the basis denominator
     nums, den = space.coefficients
     deriv = derivative_table(k)
     div = np.stack([nums @ deriv[c].T for c in range(3)], axis=-1)  # (a, pieces, monomials, c)
-    solver = _ExactLinearSolver(div.transpose(1, 2, 0, 3).reshape(emb.size, -1).tolist(), den)
+    solver = _ExactLinearSolver(div.transpose(1, 2, 0, 3).reshape(-1, 3 * len(nums)).tolist(), den)
     # applied to a null vector n the Gram matrix gives (G n)[3b + c]
     null = solver.null_basis
     gram_null, minimal = [], None
     if null:
-        scaled = [_scaled(n) for n in null]
-        gram_null_num = _object_matrix(
-            [(gram_num.T @ _object_matrix(nums).reshape(-1, 3)).ravel() for nums, _ in scaled]
-        )
-        gram_null = [[Fraction(int(v), gram_den * den) for v in row] for row, (_, den) in zip(gram_null_num, scaled)]
-        minimal = _minimal_correction(_object_matrix([nums for nums, _ in scaled]), gram_null_num)
+        gram_null = [(gram_num.T @ _object_matrix(n).reshape(-1, 3)).ravel().tolist() for n in null]
+        minimal = _minimal_correction(_object_matrix(null), _object_matrix(gram_null))
     elimination_s = time.perf_counter() - mark
     _log.debug(
         "built divergence solver k=%d, %d unknowns, nullity %d: split space %.3f s, "
         "gram %.3f s, elimination %.3f s, in %.3f s",
         k, 3 * space.dimension, len(null), split_s, gram_s, elimination_s, time.perf_counter() - start,
     )
-    return _DivSolver(space, emb, solver, null, gram_null, minimal, _basis_tables(space))
+    return _DivSolver(space, solver, null, gram_null, minimal)
 
 
 def div_coefficients(target, k):
     """Coefficients in the zero-trace vector basis of the minimal-H1 solution.
 
-    The particular solution is corrected within the divergence nullspace so
-    that the result is H1-orthogonal to every null vector.
+    ``target`` is one scalar field of :class:`IntegerFields` of degree <=
+    k-1.  The particular solution is corrected within the divergence
+    nullspace so that the result is H1-orthogonal to every null vector.
+    Returns integer numerators over one denominator: ``(nums, den)``.
     """
     ds = _div_solver(k)
-    z0 = ds.solver.solve(ds.emb.coords(target))
-    if z0 is None:
+    solution = ds.solver.solve(target.resized(k - 1).nums[0, :, 0].ravel().tolist(), target.den)
+    if solution is None:
         raise ArithmeticError("divergence target is outside the attainable range")
     if ds.minimal is None:
-        return z0
-    rows, den = ds.minimal
-    nums, z_den = _scaled(z0)
+        return solution
+    (nums, z_den), (rows, den) = solution, ds.minimal
     nz = [(j, v) for j, v in enumerate(nums) if v]
-    den *= z_den
-    return [Fraction(sum(row[j] * v for j, v in nz if j in row), den) for row in rows]
+    return [sum(row[j] * v for j, v in nz if j in row) for row in rows], den * z_den
 
 
 def solve_div(target, k):
-    """Zero-trace continuous piecewise field with exact divergence ``target``.
+    """Zero-trace continuous piecewise field with exact divergence ``target``, on numerators.
 
-    ``target`` must be a mean-zero (piecewise) polynomial of degree <= k-1.
-    Among all solutions the minimal H1-seminorm representative is returned,
-    which makes the selection well defined.
+    ``target`` must be one mean-zero scalar field of :class:`IntegerFields`
+    of degree <= k-1.  Among all solutions the minimal H1-seminorm
+    representative is returned, which makes the selection well defined, as
+    one ``"C0"`` field of :class:`IntegerFields` on the monomials of degree
+    <= k.
     """
-    target = as_piecewise(target)
     if target.degree > k - 1:
         raise ValueError("divergence target degree exceeds k-1")
-    scalar = IntegerFields.from_fields([target], k - 1)
-    t_nums, t_den = scalar.nums[0, :, 0], scalar.den
+    t_nums = target.resized(k - 1).nums[0, :, 0]
     _, moments = subtet_moment_table(k - 1)
     exps = monomial_exponents(k - 1, 3)
     if sum(v * moments[p][e] for p, row in enumerate(t_nums.tolist()) for e, v in zip(exps, row) if v):
         raise ValueError("divergence target must have zero mean")
-    z = div_coefficients(target, k)
-    ds = _div_solver(k)
-    tables, den = ds.basis_tables
-    nums, z_den = _scaled(z)
+    z, z_den = div_coefficients(target, k)
+    basis, den = _div_solver(k).space.coefficients
+    # field 3a + c is the scalar basis field a in component c
+    weights = np.array(z, dtype=object).reshape(-1, 3).T
+    nums = (weights @ basis.reshape(len(basis), -1)).reshape(3, 4, -1).transpose(1, 0, 2)
     den *= z_den
-    columns = {e: j for j, e in enumerate(monomial_exponents(k, 3))}
+    # the divergence on each piece, over den, against the target's numerators over its den
     deriv = derivative_table(k)
-    # sum_j z_j basis_j on integer numerators, term by term in basis order as
-    # the polynomial sum would run, so the same sums cancel and the keys come
-    # out in the same order; one division at the end
-    pieces = []
-    for p in range(4):
-        comps = []
-        div = 0
-        for c in range(3):
-            acc = {}
-            for coef, table in zip(nums, tables):
-                if not coef:
-                    continue
-                for e, v in table[p][c].items():
-                    s = acc.get(e, 0) + v * coef
-                    if s:
-                        acc[e] = s
-                    else:
-                        acc.pop(e, None)
-            comps.append(_trusted({e: Fraction(v, den) for e, v in acc.items()}, 3))
-            dense = np.zeros(len(columns), dtype=object)
-            dense[[columns[e] for e in acc]] = list(acc.values())
-            div = div + deriv[c] @ dense
-        # the divergence on this piece, over den, against the target's numerators over t_den
-        if (div * t_den - t_nums[p] * den).any():
-            raise ArithmeticError("exact divergence postcondition violated")
-        pieces.append(VectorField(comps))
-    return PiecewiseField(pieces, "C0")
+    div = sum(nums[:, c] @ deriv[c].T for c in range(3))
+    if (div * target.den - t_nums * den).any():
+        raise ArithmeticError("exact divergence postcondition violated")
+    return IntegerFields(nums[None], den, ["C0"]).reduced()
 
 
 @dataclass
 class InteriorBubble:
-    """Zero-trace bubble with prescribed mean-zero two-layer divergence."""
+    """Zero-trace bubble with prescribed mean-zero two-layer divergence.
+
+    ``numerators`` holds the bubble as one field of :class:`IntegerFields`,
+    as :func:`solve_div` returns it; ``field`` is the exact field, formed
+    when first read.
+    """
 
     order: int
     target: Polynomial
-    field: PiecewiseField
+    numerators: IntegerFields
+
+    @cached_property
+    def field(self):
+        return self.numerators[0]
 
 
 @lru_cache(maxsize=None)
@@ -416,8 +368,6 @@ def interior_bubbles(k):
     """One bubble of order k+1 per mean-corrected two-layer basis member."""
     if k < 1:
         raise ValueError("order must be >= 1")
-    out = []
-    for g in layered_mean_zero_basis(k):
-        field = solve_div(as_piecewise(g), k + 1)
-        out.append(InteriorBubble(k + 1, g, field))
-    return tuple(out)
+    basis = layered_mean_zero_basis(k)
+    targets = IntegerFields.from_fields(basis, k)
+    return tuple(InteriorBubble(k + 1, g, solve_div(targets.take([i]), k + 1)) for i, g in enumerate(basis))

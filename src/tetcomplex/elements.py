@@ -27,7 +27,7 @@ from dataclasses import dataclass, field as dc_field, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import permutations, product
-from math import gcd, lcm
+from math import comb, gcd, lcm, prod
 
 import numpy as np
 
@@ -39,13 +39,10 @@ from .polyalg.poly import (
     VectorField,
     _adj3,
     _det3,
-    _trusted,
-    div,
     grad,
     integrate_unit_simplex,
 )
 from .polyalg.spaces import (
-    Embedding,
     IntegerFields,
     degree_of_columns,
     derivative_table,
@@ -55,17 +52,13 @@ from .polyalg.spaces import (
     layered_mean_zero_basis,
     monomial_exponents,
     rank as exact_rank,
-    select_independent,
     vector_monomials,
 )
 from .polyalg.split import (
     REF_CENTER,
     REF_VERTICES,
     SUBTET_VERTICES,
-    PiecewiseField,
-    as_piecewise,
     piecewise_poincare2,
-    pullback_table,
     subtet_moment_table,
 )
 from .quadrature import QuadratureRule, alfeld_composite
@@ -147,9 +140,7 @@ class CellGeometry:
             )
 
         inv = self.amap.inverse
-        self.b_inv = inv
         self.b_invT = tuple(tuple(inv[j][i] for j in range(3)) for i in range(3))
-        self.b_T = tuple(tuple(self.amap.matrix[j][i] for j in range(3)) for i in range(3))
 
     @classmethod
     def standalone(cls, vertices):
@@ -216,11 +207,7 @@ def reference_cell() -> CellGeometry:
 
 
 # ---------------------------------------------------------------------------
-# physical differential operators on reference-expressed fields
-
-
-def phys_grad(cell: CellGeometry, scalar_pw: PiecewiseField) -> PiecewiseField:
-    return scalar_pw.map(lambda p: grad(p).matmul(cell.b_invT))
+# physical grad, curl and div of reference-expressed fields, on integer numerators
 
 
 @lru_cache(maxsize=None)
@@ -238,6 +225,12 @@ def _derivative_gathers(degree):
     return tuple(out)
 
 
+def _derivatives(nums, axis):
+    """The three partial derivatives of numerators (..., monomials), stacked at ``axis``: one degree lower."""
+    gathers = _derivative_gathers(degree_of_columns(nums.shape[-1]))
+    return np.stack([nums[..., columns] * factors for columns, factors in gathers], axis=axis)
+
+
 def _oriented(matrix):
     """A cell matrix as integer rows over a positive denominator ``b``, with its
     determinant's numerator: ``(rows, b, det)``, ``B = rows / b`` and ``det B = det / b^3``."""
@@ -245,17 +238,37 @@ def _oriented(matrix):
     return rows, b, _det3(rows)
 
 
-def _physical_curls(matrix, fields):
-    """``B curl(B^T u) / det B`` of reference-expressed vector fields, on numerators.
+def _physical(fields, nums, det):
+    """Images of ``fields`` with numerators ``nums`` over ``|det|`` times their denominator.
+
+    A field labelled ``"single"`` keeps its label; every other image is
+    ``"L2"``, as ``PiecewiseField.map`` labels them.
+    """
+    labels = ["single" if c == "single" else "L2" for c in fields.continuity]
+    return IntegerFields(nums, abs(det) * fields.den, labels).reduced()
+
+
+def phys_grad(cell: CellGeometry, fields):
+    """``B^-T grad p`` of reference-expressed scalar fields, on numerators (:class:`IntegerFields`).
+
+    With ``B^-1 = b adj(R) / det`` component ``i`` is
+    ``(b / det) sum_c adj[c][i] d_c p``; the derivatives are gathers.
+    """
+    rows, b, det = _oriented(cell.amap.matrix)
+    adjugate_t = np.array(_adj3(rows), dtype=object).T
+    grads = adjugate_t @ _derivatives(fields.nums[:, :, 0], axis=2) * (b if det > 0 else -b)
+    return _physical(fields, grads, det)
+
+
+def phys_curl(cell: CellGeometry, fields):
+    """``B curl(B^T u) / det B`` of reference-expressed vector fields, on numerators (:class:`IntegerFields`).
 
     With ``B = R / b`` and ``det B = d / b^3`` the curl is
     ``(b / d) sum_jm K[a, j, m] d_j u_m``, where
     ``K[a, j, m] = sum_ik R[a][i] eps_ijk R[m][k]`` is an integer 3 x 3 x 3
-    contraction and the derivatives are gathers.  A field labelled
-    ``"single"`` keeps its label; every other curl is ``"L2"``, as
-    ``PiecewiseField.map`` labels them.
+    contraction and the derivatives are gathers.
     """
-    rows, b, det = _oriented(matrix)
+    rows, b, det = _oriented(cell.amap.matrix)
     cross = np.zeros((3, 3, 3), dtype=object)
     for i, j, k in _CYCLIC:
         for a in range(3):
@@ -263,26 +276,24 @@ def _physical_curls(matrix, fields):
                 cross[a, j, m] += rows[a][i] * rows[m][k]
                 cross[a, k, m] -= rows[a][i] * rows[m][j]
     nums = fields.nums
-    gathers = _derivative_gathers(degree_of_columns(nums.shape[-1]))
-    derivs = np.stack([nums[..., columns] * factors for columns, factors in gathers], axis=2)
+    derivs = _derivatives(nums, axis=2)
     count, lower = nums.shape[0] * nums.shape[1], derivs.shape[-1]
     curls = cross.reshape(3, 9) @ derivs.reshape(count, 9, lower) * (b if det > 0 else -b)
-    labels = ["single" if c == "single" else "L2" for c in fields.continuity]
-    return IntegerFields(curls.reshape(*nums.shape[:3], lower), abs(det) * fields.den, labels).reduced()
+    return _physical(fields, curls.reshape(*nums.shape[:3], lower), det)
 
 
-def phys_curl(cell: CellGeometry, vec_pw):
-    """Physical curls of reference-expressed fields: a (piecewise) vector field, or :class:`IntegerFields`.
-
-    The curls come in the form of the input, from :func:`_physical_curls`.
-    """
-    if isinstance(vec_pw, IntegerFields):
-        return _physical_curls(cell.amap.matrix, vec_pw)
-    return _physical_curls(cell.amap.matrix, IntegerFields.from_fields([vec_pw]))[0]
+def phys_div(cell: CellGeometry, fields):
+    """``div(B^-1 u)`` of reference-expressed vector fields, on numerators (:class:`IntegerFields`): ``(b / det) div(adj(R) u)``."""
+    rows, b, det = _oriented(cell.amap.matrix)
+    divs = _divergence(np.array(_adj3(rows), dtype=object), fields.nums) * (b if det > 0 else -b)
+    return _physical(fields, divs[:, :, None], det)
 
 
-def phys_div(cell: CellGeometry, vec_pw: PiecewiseField) -> PiecewiseField:
-    return vec_pw.map(lambda p: div(p.matmul(cell.b_inv)))
+def _divergence(adjugate, nums):
+    """Numerators of ``div(adj u)`` for vector numerators ``u`` (..., 3, monomials): one degree lower."""
+    inner = adjugate @ nums
+    gathers = _derivative_gathers(degree_of_columns(nums.shape[-1]))
+    return sum(inner[..., c, columns] * factors for c, (columns, factors) in enumerate(gathers))
 
 
 # ---------------------------------------------------------------------------
@@ -323,23 +334,16 @@ def _timed(stage):
         _stage_seconds[stage] += time.perf_counter() - start
 
 
-def _divergence(adjugate, nums):
-    """Numerators of ``div(adj u)`` for vector numerators ``u`` (..., 3, monomials): one degree lower."""
-    inner = adjugate @ nums
-    gathers = _derivative_gathers(degree_of_columns(nums.shape[-1]))
-    return sum(inner[..., c, columns] * factors for c, (columns, factors) in enumerate(gathers))
-
-
 def _face_bubble(cell: CellGeometry, local_face: int):
-    """The modified face bubble of :func:`physical_face_bubble` on numerators: ``(beta, mean)``.
+    """The modified face bubble of :func:`physical_face_bubble` on numerators: one ``"C0"`` field of :class:`IntegerFields`.
 
-    ``beta`` is one ``"C0"`` field of :class:`IntegerFields`.  The raw bubble
-    is the integer scalar bubble times the face direction ``d``; its
-    physical divergence ``div(B^-1 raw)`` is the gradient of the scalar
-    bubble dotted with ``B^-1 d``.  Only the divergence target passes
-    through ``solve_div`` as a polynomial.  The corrected field must have
-    the constant divergence ``mean`` on every piece, checked on its
-    numerators; otherwise ``ArithmeticError``.
+    The raw bubble is the integer scalar bubble times the face direction
+    ``d``; its physical divergence ``div(B^-1 raw)`` is the gradient of the
+    scalar bubble dotted with ``B^-1 d``.  The divergence target and the
+    correction ``solve_div`` returns are integer numerators too.  The
+    corrected field must have the raw divergence's mean as its constant
+    divergence on every piece, checked on its numerators; otherwise
+    ``ArithmeticError``.
     """
     rows, b, det = _oriented(cell.amap.matrix)
     sign = 1 if det > 0 else -1
@@ -348,18 +352,17 @@ def _face_bubble(cell: CellGeometry, local_face: int):
     scalar = _scalar_bubble_numerators(local_face)
     raw = np.outer(np.array(direction, dtype=object), scalar)  # over d_den
     # div(B^-1 raw) = grad S . (B^-1 d), over |det| d_den, and its mean over
-    # the cell: 6 times its integral, from the moments of the four subtets
+    # the cell, 6 times its integral from the moments of the four subtets: mean / mean_den
     g = _divergence(adjugate, raw) * (sign * b)
     g_den = abs(det) * d_den
-    exps = monomial_exponents(2, 3)
     m_den, moments = subtet_moment_table(2)
-    mean = Fraction(6 * sum(v * sum(m[e] for m in moments) for e, v in zip(exps, g.tolist())), m_den * g_den)
-    # the target (g - mean) det on integers over g_den mean.den b^3
-    target = g * mean.denominator
-    target[0] -= mean.numerator * g_den
-    t_den = g_den * mean.denominator * b**3
-    target = _trusted({e: Fraction(v * det, t_den) for e, v in zip(exps, target.tolist()) if v}, 3)
-    w_hat = IntegerFields.from_fields([solve_div(as_piecewise(target), 3)], 3)
+    mean = 6 * sum(v * sum(m[e] for m in moments) for e, v in zip(monomial_exponents(2, 3), g.tolist()))
+    mean_den = m_den * g_den
+    # the target (g - mean) det B on integers over g_den m_den b^3, on every piece
+    target = g * m_den
+    target[0] -= mean
+    target = IntegerFields(np.tile(target * det, (1, 4, 1, 1)), g_den * m_den * b**3, ["single"])
+    w_hat = solve_div(target, 3)
     # beta = raw - B w / det = raw - b^2 R w / det
     c_den = abs(det) * w_hat.den
     den = lcm(d_den, c_den)
@@ -368,11 +371,11 @@ def _face_bubble(cell: CellGeometry, local_face: int):
     # div(B^-1 beta) is b / det times div(adj beta): on each piece the mean, constant
     dv = _divergence(adjugate, beta) * (sign * b)
     dv_den = abs(det) * den
-    if dv[:, 1:].any() or any(v * mean.denominator != mean.numerator * dv_den for v in dv[:, 0].tolist()):
+    if dv[:, 1:].any() or any(v * mean_den != mean * dv_den for v in dv[:, 0].tolist()):
         raise ArithmeticError(
-            f"face bubble {local_face}: corrected divergence is not the constant {mean} on every piece"
+            f"face bubble {local_face}: corrected divergence is not the constant {mean}/{mean_den} on every piece"
         )
-    return IntegerFields(beta[None], den, ["C0"]).reduced(), mean
+    return IntegerFields(beta[None], den, ["C0"]).reduced()
 
 
 @lru_cache(maxsize=None)
@@ -390,12 +393,13 @@ def physical_face_bubble(cell: CellGeometry, local_face: int):
     ascending-vertex cross product), so both cells incident to a mesh face
     build the identical trace and the global space stays H1-conforming.
     Returns the corrected bubble, the raw bubble it matches on the boundary,
-    and its constant physical divergence; :func:`_face_bubble` forms them
-    on numerators.
+    and its constant physical divergence; :func:`_face_bubble` forms the
+    bubble on numerators.
     """
-    beta, mean = _face_bubble(cell, local_face)
+    beta = _face_bubble(cell, local_face)
+    divergence = phys_div(cell, beta)
     raw = VectorField(tuple(scalar_face_bubble(local_face) * dc for dc in cell.faces[local_face]["direction"]))
-    return beta[0], raw, mean
+    return beta[0], raw, Fraction(divergence.nums[0, 0, 0, 0], divergence.den)
 
 
 # Scaling a cell by t (matrix B -> t B) multiplies each raw basis field by a
@@ -418,13 +422,13 @@ def velocity_raw(cell: CellGeometry, k):
     parts = [_monomial_fields(k, vector=True)]
     powers = [MONOMIAL_POWER] * len(parts[0])
     if k <= 2:
-        parts.extend(_face_bubble(cell, i)[0] for i in range(4))
+        parts.extend(_face_bubble(cell, i) for i in range(4))
         powers += [FACE_BUBBLE_POWER] * 4
     order = k - 1 if k >= 3 else (1 if k == 2 else None)
     if order is not None:
         # B field / det B = b^2 R field / det
         rows, b, det = _oriented(cell.amap.matrix)
-        interior = IntegerFields.from_fields([ib.field for ib in interior_bubbles(order)])
+        interior = IntegerFields.concatenate([ib.numerators for ib in interior_bubbles(order)])
         nums = np.array(rows, dtype=object) @ interior.nums * (b * b if det > 0 else -b * b)
         parts.append(IntegerFields(nums, abs(det) * interior.den, interior.continuity))
         powers += [INTERIOR_BUBBLE_POWER] * len(interior)
@@ -432,32 +436,30 @@ def velocity_raw(cell: CellGeometry, k):
     return IntegerFields.concatenate(parts), is_bubble, powers
 
 
-def _gradient_fields(matrix, r):
-    """``B^-T grad x^e`` for the monomials of degree 1 to ``r``, single fields on numerators.
+def _difference_rows(*parts):
+    """The numerators of :class:`IntegerFields` as exact coordinate rows, one column per field in order.
 
-    With ``B^-1 = b adj(R) / det``, component ``i`` is
-    ``(b / det) sum_c adj[c][i] d_c x^e``.
+    Each piece after the first is recoded as its difference from the first
+    (an invertible recoding), so single fields give sparse rows; each
+    field's column is over the denominator of its part, and coordinates
+    that no field uses are dropped.
     """
-    rows, b, det = _oriented(matrix)
-    adjugate_t = np.array(_adj3(rows), dtype=object).T
-    grads = derivative_table(r).transpose(2, 0, 1)[1:]  # (monomials but the constant, axes, lower)
-    nums = adjugate_t @ grads * (b if det > 0 else -b)
-    return IntegerFields(np.repeat(nums[:, None], 4, axis=1), abs(det), ["single"] * len(nums))
+    degree = max(part.nums.shape[-1] for part in parts)
+    nums = np.concatenate([part.resized(degree_of_columns(degree)).nums for part in parts])
+    diff = np.concatenate([nums[:, :1], nums[:, 1:] - nums[:, :1]], axis=1).reshape(len(nums), -1)
+    return diff.T[(diff != 0).any(axis=0)]
 
 
 def _independent(fields):
     """Indices of the first-come independent fields, by exact elimination on their numerators.
 
-    Each piece after the first is recoded as its difference from the first
-    (an invertible recoding), so single fields give sparse rows; each field
-    is divided by the gcd of its numerators.  The rows are the coordinates
-    and the columns the fields, so the pivot columns of the reduced form
-    are the fields that no earlier ones span.
+    The rows are the coordinates of :func:`_difference_rows` and the
+    columns the fields, each divided by the gcd of its numerators, so the
+    pivot columns of the reduced form are the fields that no earlier ones
+    span.
     """
-    nums = fields.nums
-    diff = np.concatenate([nums[:, :1], nums[:, 1:] - nums[:, :1]], axis=1).reshape(len(nums), -1)
-    diff = diff // np.array([gcd(*row) or 1 for row in diff.tolist()], dtype=object)[:, None]
-    rows = diff.T[(diff != 0).any(axis=0)]
+    rows = _difference_rows(fields)
+    rows = rows // np.array([gcd(*column) or 1 for column in rows.T.tolist()], dtype=object)
     return integer_rref(rows.tolist())[1]
 
 
@@ -473,7 +475,7 @@ def gradcurl_raw(cell: CellGeometry, r, k):
     Returns the selected fields and their scale powers.
     """
     validate_family(r, k)
-    gradients = _gradient_fields(cell.amap.matrix, r)
+    gradients = phys_grad(cell, lagrange_raw(r).take(range(1, dim_poly(r))))
     velocity, is_bubble, vel_powers = velocity_raw(cell, k)
     parts, powers = [gradients], [GRADIENT_POWER] * len(gradients)
     with _timed("potentials"):
@@ -702,10 +704,7 @@ def _cross_position_basis(k):
         return ()
     xf = VectorField(tuple(Polynomial.variable(i) for i in range(3)))
     gens = [vm.cross(xf) for vm in vector_monomials(k - 5)]
-    emb = Embedding(k - 4, vector=True)
-    cols = [emb.coords(as_piecewise(g)) for g in gens]
-    chosen = select_independent(cols)
-    return tuple(gens[i] for i in chosen)
+    return tuple(gens[i] for i in _independent(IntegerFields.from_fields(gens, k - 4)))
 
 
 def gradcurl_dofs(cell: CellGeometry, r, k):
@@ -943,11 +942,6 @@ def _monomial_columns(degree):
     return {e: i for i, e in enumerate(monomial_exponents(degree, 3))}
 
 
-def _integer_fields(fields, degree=None):
-    """:class:`IntegerFields` as they are, or the numerators of a list of exact fields."""
-    return fields if isinstance(fields, IntegerFields) else IntegerFields.from_fields(fields, degree)
-
-
 # The centroid of each split piece, exact and in float: every float coefficient
 # tensor expands piece i about it, so double sums keep what the fields cancel.
 PIECE_CENTROIDS = tuple(tuple(sum(v[a] for v in piece) / 4 for a in range(3)) for piece in SUBTET_VERTICES)
@@ -957,23 +951,31 @@ PIECE_CENTROIDS_F.flags.writeable = False
 
 @lru_cache(maxsize=None)
 def _centring(degree):
-    """The translations ``p -> p(y + c_i)`` of the pieces on numerators, from each piece's :func:`pullback_table`.
+    """The translations ``p -> p(y + c_i)`` of the pieces on numerators, by the binomial theorem.
 
     Returns read-only ``(den, starts, targets, values)``: a numerator ``u``
     of ``x^e`` on piece ``i`` over ``B`` adds ``values[i, j] * u`` to that
     of ``y^targets[j]`` over ``B * den``, for ``starts[e] <= j <
-    starts[e + 1]``: the ``y^f`` dividing ``x^e``, for every piece.
+    starts[e + 1]``: the ``y^f`` dividing ``x^e``, for every piece.  Every
+    centroid is ``C_i / 16`` with no zero coordinate, so the value is
+    ``prod_a binom(e_a, f_a) C_a^(e_a - f_a)`` times ``16^(degree - |e| +
+    |f|)``, with ``den = 16^degree``.
     """
-    tables = []
-    for c in PIECE_CENTROIDS:  # every denominator is 16^degree
-        den, table = pullback_table(degree, (c,) + tuple(tuple(c[a] + (a == j) for a in range(3)) for j in range(3)))
-        tables.append(table)
-    sources, targets = np.nonzero(tables[0].T)  # by source, then target
-    starts = np.r_[0, np.cumsum(np.bincount(sources, minlength=len(tables[0])))]
-    values = np.array([t[targets, sources] for t in tables], dtype=object)
+    exps = monomial_exponents(degree, 3)
+    centres = [[v.numerator * (16 // v.denominator) for v in c] for c in PIECE_CENTROIDS]
+    counts, targets, values = [], [], []
+    for e in exps:
+        divisors = [(j, f) for j, f in enumerate(exps) if all(a <= b for a, b in zip(f, e))]
+        counts.append(len(divisors))
+        for j, f in divisors:
+            targets.append(j)
+            scale = 16 ** (degree - sum(e) + sum(f))
+            values.append([scale * prod(comb(b, a) * c ** (b - a) for a, b, c in zip(f, e, centre)) for centre in centres])
+    starts, targets = np.r_[0, np.cumsum(counts)], np.array(targets)
+    values = np.array(values, dtype=object).T
     for array in (starts, targets, values):
         array.flags.writeable = False
-    return den, starts, targets, values
+    return 16**degree, starts, targets, values
 
 
 def _centred(nums):
@@ -993,11 +995,10 @@ def _centred(nums):
 def _coefficients(fields, degree):
     """Float coefficient tensor (fields, pieces, components, monomials), each piece about its centroid.
 
-    The monomials are those of degree <= ``degree``; ``fields`` is
-    :class:`IntegerFields` or a list of exact piecewise fields.  Each exact
-    centred coefficient is rounded once (an int quotient rounds correctly).
+    The monomials are those of degree <= ``degree`` and ``fields`` are
+    :class:`IntegerFields`.  Each exact centred coefficient is rounded once
+    (an int quotient rounds correctly).
     """
-    fields = _integer_fields(fields, degree)
     nums, den = _centred(fields.resized(degree).nums)
     return (nums / (den * fields.den)).astype(float)
 
@@ -1027,41 +1028,30 @@ def _monomials(points, degree):
     return table[:, 0, powers[0]] * table[:, 1, powers[1]] * table[:, 2, powers[2]]
 
 
-def dof_matrix(dofs, basis, cell, curls=None):
+def dof_matrix(dofs, values, curls=None):
     """Each functional's stencil applied to each raw field: entry ``(dof, field)``.
 
-    The fields' centred coefficient tensor (:func:`_coefficients`) meets the
-    monomials at the stencil's points (in reference coordinates, like the
-    fields) less the centroid of the split piece that holds the
-    functional's entity; a cell stencil's split rule has one block of
-    points per piece, each less its piece's centroid.  The rule is exact to
-    degree 2 deg + 2 for fields of degree deg, so every product of a field
-    and a weight is integrated exactly.  The sums run in double: about the
-    origin the monomial coefficients of split fields are large against
-    their values (by 10^3 for the lowest-order face bubbles), and their
-    cancellation there took the assembled div o curl of (2,2) at N = 2 to
-    1.3e-12, against 9.5e-14 about each piece's centroid.  ``basis`` is
-    the raw fields (a list of exact fields or :class:`IntegerFields`) or
-    their tensor (``LocalElement.coefficients["value"]``), and ``curls``
-    their physical curls in the same form; curls of fields are computed on
-    ``cell`` when a functional needs them and they are not given.
+    ``values`` is the fields' centred coefficient tensor
+    (:func:`_coefficients`, ``LocalElement.coefficients["value"]``) and
+    ``curls`` that of their physical curls, which functionals of use
+    ``"curl"`` read.  The tensor meets the monomials at the stencil's
+    points (in reference coordinates, like the fields) less the centroid of
+    the split piece that holds the functional's entity; a cell stencil's
+    split rule has one block of points per piece, each less its piece's
+    centroid.  The rule is exact to degree 2 deg + 2 for fields of degree
+    deg, so every product of a field and a weight is integrated exactly.
+    The sums run in double: about the origin the monomial coefficients of
+    split fields are large against their values (by 10^3 for the
+    lowest-order face bubbles), and their cancellation there took the
+    assembled div o curl of (2,2) at N = 2 to 1.3e-12, against 9.5e-14
+    about each piece's centroid.
     """
-    if isinstance(basis, np.ndarray):
-        degree = degree_of_columns(basis.shape[-1])
-    else:
-        basis = _integer_fields(basis)
-        degree = basis.degree
+    degree = degree_of_columns(values.shape[-1])
     quad = QuadratureRule(2 * degree + 2)
     stencils = [d.stencil(quad) for d in dofs]
-    out = np.empty((len(dofs), len(basis)))
-    for use in ("value", "curl"):
-        rows = [i for i, st in enumerate(stencils) if st[0] == use]
-        if not rows:
-            continue
-        coef = basis if use == "value" else curls  # (fields, pieces, components, monomials)
-        if not isinstance(coef, np.ndarray):
-            coef = _coefficients(phys_curl(cell, basis) if coef is None else coef, degree)
-        for i in rows:
+    out = np.empty((len(dofs), len(values)))
+    for use, coef in (("value", values), ("curl", curls)):  # (fields, pieces, components, monomials)
+        for i in (i for i, st in enumerate(stencils) if st[0] == use):
             _, pts, wts = stencils[i]
             wts = wts.reshape(len(pts), -1)  # (points, components)
             if dofs[i].entity[0] == "cell":  # the split rule: one block of points per piece
@@ -1123,7 +1113,8 @@ def _gather(tensor, powers, t, similarity, curls):
     images of ``S`` and the monomial columns permuted by ``S``, whether the
     pieces are expanded about the origin or about their centroids.  The
     components are permuted and sign-flipped by ``Q``.  Returns the moved
-    tensor and each field's exact factor, ``t^a`` or ``det(Q) t^(a-1)``.
+    tensor and each field's exact factor, ``t^a`` or ``det(Q) t^(a-1)``, as
+    an integer numerator and a positive denominator.
     """
     perm, signs, cols = similarity
     columns = _monomial_columns(degree_of_columns(tensor.shape[-1]))
@@ -1132,7 +1123,8 @@ def _gather(tensor, powers, t, similarity, curls):
     axes, flips = (perm, signs) if tensor.shape[2] == 3 else ((0,), (1,))
     index = np.ix_(np.arange(len(tensor)), _vertex_images(cols), axes, moved)
     sign = _curl_sign(perm, signs) if curls else 1
-    factors = [Fraction(sign * t ** (a - 1 if curls else a)) for a in powers]
+    p, q = t.numerator, t.denominator
+    factors = [(sign * p**e, q**e) if e >= 0 else (sign * q**-e, p**-e) for e in (a - 1 if curls else a for a in powers)]
     return tensor[index] * np.array(flips)[:, None], factors
 
 
@@ -1153,7 +1145,7 @@ def derive_coefficients(tensor, powers, t, similarity, curls=False):
     exact fields themselves for any other ``t``.
     """
     moved, factors = _gather(tensor, powers, t, similarity, curls)
-    scale = np.array([float(f) for f in factors])
+    scale = np.array([n / d for n, d in factors])
     # adding 0 turns the zeros that a negative factor signs into +0, as an exact build has
     return moved * scale[:, None, None, None] + 0.0
 
@@ -1161,8 +1153,8 @@ def derive_coefficients(tensor, powers, t, similarity, curls=False):
 def derive_numerators(fields, powers, t, similarity, curls=False):
     """:func:`derive_coefficients` on exact :class:`IntegerFields`: the same gather, exact integer scaling."""
     moved, factors = _gather(fields.nums, powers, t, similarity, curls)
-    den = lcm(*(f.denominator for f in factors))
-    scale = np.array([f.numerator * (den // f.denominator) for f in factors], dtype=object)
+    den = lcm(*(d for _, d in factors))
+    scale = np.array([n * (den // d) for n, d in factors], dtype=object)
     return IntegerFields(moved * scale[:, None, None, None], fields.den * den, fields.continuity)
 
 
@@ -1265,7 +1257,7 @@ def local_element(kind, r, k, cell=None):
     if len(dofs) != n_fields:
         raise ArithmeticError(f"{kind}({r},{k}): {len(dofs)} functionals vs {n_fields} basis fields")
     mark = time.perf_counter()
-    m = dof_matrix(dofs, coefficients["value"], cell, coefficients.get("curl"))
+    m = dof_matrix(dofs, coefficients["value"], coefficients.get("curl"))
     dof_matrix_s = time.perf_counter() - mark
     cond = float(np.linalg.cond(m))
     try:
@@ -1294,35 +1286,21 @@ def local_element(kind, r, k, cell=None):
 # structural reports on the reference cell
 
 
-def _difference_coords(vec, block):
-    """Recode (b0, b1, b2, b3) -> (b0, b1-b0, b2-b0, b3-b0); sparse for singles."""
-    out = list(vec[:block])
-    for piece in range(1, 4):
-        base = piece * block
-        out.extend(vec[base + j] - vec[j] for j in range(block))
-    return out
+def _expand_in_basis(basis, images, what):
+    """Exact coefficients of ``images`` in the independent ``basis``, both :class:`IntegerFields`.
 
-
-def _expand_in_basis(basis_fields, images, embedding, what):
-    """Coefficients of ``images`` in the span of ``basis_fields`` (exact)."""
-    from .polyalg.spaces import solve_exact
-
-    block = embedding.block
-    cols = [_difference_coords(embedding.coords(f), block) for f in basis_fields]
-    matrix = [[cols[j][i] for j in range(len(cols))] for i in range(embedding.size)]
-    rhs = [_difference_coords(embedding.coords(f), block) for f in images]
-    # drop rows that are zero in both the matrix and every rhs
-    keep = [
-        i
-        for i in range(embedding.size)
-        if any(matrix[i][j] != 0 for j in range(len(cols))) or any(r[i] != 0 for r in rhs)
-    ]
-    matrix = [matrix[i] for i in keep]
-    rhs = [[r[i] for i in keep] for r in rhs]
-    sols = solve_exact(matrix, rhs)
-    if any(s is None for s in sols):
+    One integer reduction of the coordinate rows of :func:`_difference_rows`,
+    the basis columns first: each reduced row is a basis field's pivot entry
+    and its coefficients in the images, over the ratio of the denominators.
+    Returns Fractions, ``matrix[i][j]`` the coefficient of field ``i`` in
+    image ``j``; ``ArithmeticError`` if an image leaves the span.
+    """
+    rows, pivots = integer_rref(_difference_rows(basis, images).tolist())
+    n = len(basis)
+    if pivots != list(range(n)):
         raise ArithmeticError(f"{what}: image leaves the target space")
-    return [[sols[j][i] for j in range(len(sols))] for i in range(len(cols))]
+    return [[Fraction(row.get(n + j, 0) * basis.den, row[i] * images.den) for j in range(len(images))]
+            for i, row in enumerate(rows)]
 
 
 @lru_cache(maxsize=None)
@@ -1331,16 +1309,9 @@ def local_complex_matrices(r, k):
     validate_family(r, k)
     cell = reference_cell()
     lag, gc, vel, pre = (build_raw_basis(kind, cell, r, k)[0] for kind in SPACE_KINDS)
-
-    deg_gc = max(f.degree for f in gc)
-    emb_gc = Embedding(deg_gc, vector=True)
-    deg_vel = max(f.degree for f in vel)
-    emb_vel = Embedding(max(deg_vel, max(deg_gc - 1, 0)), vector=True)
-    emb_pre = Embedding(k - 1, vector=False)
-
-    grad_mat = _expand_in_basis(gc, [phys_grad(cell, p) for p in lag], emb_gc, "grad")
-    curl_mat = _expand_in_basis(vel, [phys_curl(cell, u) for u in gc], emb_vel, "curl")
-    div_mat = _expand_in_basis(pre, [phys_div(cell, u) for u in vel], emb_pre, "div")
+    grad_mat = _expand_in_basis(gc, phys_grad(cell, lag), "grad")
+    curl_mat = _expand_in_basis(vel, phys_curl(cell, gc), "curl")
+    div_mat = _expand_in_basis(pre, phys_div(cell, vel), "div")
     return grad_mat, curl_mat, div_mat
 
 

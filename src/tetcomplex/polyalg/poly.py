@@ -461,28 +461,9 @@ def div(u: VectorField) -> Polynomial:
     return u.comps[0].derivative(0) + u.comps[1].derivative(1) + u.comps[2].derivative(2)
 
 
-def differential(field, which):
-    """Dispatch ``grad | curl | div`` on scalar/vector fields."""
-    if which == "grad":
-        if not isinstance(field, Polynomial):
-            raise TypeError("grad expects a scalar polynomial")
-        return grad(field)
-    if which == "curl":
-        return curl(field)
-    if which == "div":
-        return div(field)
-    raise ValueError(f"unknown differential {which!r}")
-
-
 def jacobian(u: VectorField):
     """3x3 table J[i][j] = d u_i / d x_j."""
     return [[u.comps[i].derivative(j) for j in range(3)] for i in range(3)]
-
-
-def koszul2(u: VectorField) -> VectorField:
-    """Cross product with the coordinate field: u x (x, y, z)."""
-    x = VectorField(tuple(Polynomial.variable(i, u.nvars) for i in range(3)))
-    return u.cross(x)
 
 
 # ---------------------------------------------------------------------------
@@ -504,126 +485,12 @@ def integrate_unit_simplex(p: Polynomial) -> Fraction:
     return total
 
 
-def _affine_from_vertices(vertices):
-    """Matrix/shift mapping the unit simplex onto ``vertices`` (first = image of 0)."""
-    v0 = vertices[0]
-    dim_amb = len(v0)
-    cols = [[vertices[j + 1][i] - v0[i] for j in range(len(vertices) - 1)] for i in range(dim_amb)]
-    return cols, list(v0)
-
-
-def integrate_simplex(field, vertices):
-    """Exact integral of a scalar polynomial over a simplex with rational vertices.
-
-    ``vertices`` is a list of d+1 points in R^3 (or R^d): 4 points -> tet,
-    3 -> triangle, 2 -> segment.  For tets the result is exact rational.
-    For triangles/segments the measure may be irrational; the exact value is
-    returned whenever the measure is rational, otherwise a ``ValueError``
-    explains that the parametric form must be used.
-    """
-    npts = len(vertices)
-    d = npts - 1
-    matrix, shift = _affine_from_vertices(vertices)
-    composed = field.compose_affine(matrix, shift)
-    base = integrate_unit_simplex(composed)
-    if d == 3:
-        det = _det3(matrix)
-        if det == 0:
-            raise ValueError("degenerate simplex")
-        return base * abs(det) if isinstance(det, Fraction) else base * abs(det)
-    # measure ratio relative to the unit simplex
-    gram = [[sum(matrix[i][a] * matrix[i][b] for i in range(len(matrix))) for b in range(d)] for a in range(d)]
-    if d == 2:
-        g2 = gram[0][0] * gram[1][1] - gram[0][1] * gram[1][0]
-    else:
-        g2 = gram[0][0]
-    if g2 == 0:
-        raise ValueError("degenerate simplex")
-    root = _rational_sqrt(g2)
-    if root is None:
-        raise ValueError(
-            "simplex measure is irrational; integrate the parametric pullback "
-            "with integrate_unit_simplex and scale by the measure explicitly"
-        )
-    return base * root
-
-
-def _rational_sqrt(q):
-    if isinstance(q, float):
-        return float(np.sqrt(q))
-    q = Fraction(q)
-    if q < 0:
-        return None
-    num = _isqrt_exact(q.numerator)
-    den = _isqrt_exact(q.denominator)
-    if num is None or den is None:
-        return None
-    return Fraction(num, den)
-
-
-def _isqrt_exact(n):
-    r = int(np.floor(np.sqrt(float(n)))) if n < (1 << 52) else int(n**0.5)
-    for cand in (r - 1, r, r + 1):
-        if cand >= 0 and cand * cand == n:
-            return cand
-    return None
-
-
 def _det3(m):
     return (
         m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
         - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
         + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
     )
-
-
-# ---------------------------------------------------------------------------
-# affine pullbacks (reference <-> physical)
-
-def pullback_affine(field, matrix, shift, kind):
-    """Pull a physical field back to reference coordinates: returns field∘F.
-
-    ``F(xhat) = matrix @ xhat + shift``.  Kinds:
-
-    - ``scalar``:        phat = p∘F
-    - ``covariant``:     uhat = B^T (u∘F)          (tangential-moment preserving)
-    - ``contravariant``: uhat = det(B) B^{-1} (u∘F) (flux preserving)
-    """
-    composed = field.compose_affine(matrix, shift) if isinstance(field, Polynomial) else field.compose_affine(matrix, shift)
-    if kind == "scalar":
-        return composed
-    det = _det3(matrix)
-    if det == 0:
-        raise ValueError("singular mapping matrix")
-    if kind == "covariant":
-        bt = [[matrix[j][i] for j in range(3)] for i in range(3)]
-        return composed.matmul(bt)
-    if kind == "contravariant":
-        inv = _inv3(matrix, det)
-        scaled = [[inv[i][j] * det for j in range(3)] for i in range(3)]
-        return composed.matmul(scaled)
-    raise ValueError(f"unknown pullback kind {kind!r}")
-
-
-def pushforward_affine(field, matrix, shift, kind):
-    """Inverse of :func:`pullback_affine` (physical field from reference one)."""
-    det = _det3(matrix)
-    if det == 0:
-        raise ValueError("singular mapping matrix")
-    inv = _inv3(matrix, det)
-    inv_shift = [-sum(inv[i][j] * shift[j] for j in range(3)) for i in range(3)]
-    composed = field.compose_affine(inv, inv_shift)
-    if kind == "scalar":
-        return composed
-    if kind == "covariant":
-        # u = B^{-T} uhat∘F^{-1}
-        invt = [[inv[j][i] for j in range(3)] for i in range(3)]
-        return composed.matmul(invt)
-    if kind == "contravariant":
-        one_over = Fraction(1, 1) / det if isinstance(det, Fraction) else 1.0 / det
-        scaled = [[matrix[i][j] * one_over for j in range(3)] for i in range(3)]
-        return composed.matmul(scaled)
-    raise ValueError(f"unknown pullback kind {kind!r}")
 
 
 def _adj3(m):

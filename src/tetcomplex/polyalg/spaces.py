@@ -1,10 +1,10 @@
 """Polynomial space bases, homogeneous layers, and exact linear algebra.
 
 Provides monomial bases, the homogeneous layers H_k and their two-layer
-sums S_k with mean-corrected variants, coefficient-vector embeddings for
-(piecewise) fields, piecewise fields as integer numerator tensors
-(:class:`IntegerFields`), and fraction-free exact row reduction used for
-rank checks, nullspaces, and rank-revealing basis selection.
+sums S_k with mean-corrected variants, piecewise fields as integer
+numerator tensors (:class:`IntegerFields`), and fraction-free exact row
+reduction used for rank checks, nullspaces, and rank-revealing basis
+selection.
 """
 
 from __future__ import annotations
@@ -79,12 +79,6 @@ def dim_poly(degree, dim=3):
     return n
 
 
-def dim_homogeneous(degree, dim=3):
-    if degree < 0:
-        return 0
-    return dim_poly(degree, dim) - dim_poly(degree - 1, dim)
-
-
 def homogeneous_basis(degree):
     """Monomials of exact total degree ``degree`` (about the origin)."""
     return [Polynomial.monomial(e) for e in monomial_exponents(degree, 3) if sum(e) == degree]
@@ -110,46 +104,6 @@ def layered_mean_zero_basis(k):
         mean = integrate_unit_simplex(p) / vol
         out.append(p - Polynomial.constant(mean))
     return out
-
-
-def dim_layered(k):
-    return dim_homogeneous(k) + (dim_homogeneous(k - 1) if k >= 2 else 0)
-
-
-# ---------------------------------------------------------------------------
-# coefficient embeddings
-
-class Embedding:
-    """Canonical coordinates for (piecewise) fields of bounded degree.
-
-    Scalars embed as 4 * dim P_D coefficients (one block per subtet);
-    vectors as three times that.  Single polynomials repeat across blocks.
-    """
-
-    def __init__(self, degree, vector):
-        self.degree = degree
-        self.vector = vector
-        self.exponents = monomial_exponents(degree, 3)
-        self.index = {e: i for i, e in enumerate(self.exponents)}
-        self.block = len(self.exponents) * (3 if vector else 1)
-        self.size = 4 * self.block
-
-    def coords(self, field):
-        pw = as_piecewise(field)
-        vec = [Fraction(0)] * self.size
-        for piece_i, piece in enumerate(pw.pieces):
-            base = piece_i * self.block
-            comps = piece.comps if self.vector else (piece,)
-            for c, comp in enumerate(comps):
-                for e, v in comp.coeffs.items():
-                    try:
-                        j = self.index[e]
-                    except KeyError:
-                        raise ValueError(
-                            f"field degree {sum(e)} exceeds embedding degree {self.degree}"
-                        ) from None
-                    vec[base + c * len(self.exponents) + j] = v
-        return vec
 
 
 def degree_of_columns(count):
@@ -428,49 +382,3 @@ def select_independent(columns):
     if not columns:
         return []
     return _echelon(_integer_rows(zip(*columns)), len(columns))[1]
-
-
-def solve_exact(matrix, rhs_list):
-    """Solve ``matrix x = rhs`` exactly for several right-hand sides.
-
-    Returns (solutions, consistent) where inconsistent systems yield None
-    entries.  ``matrix`` is row-major with Fraction entries.
-    """
-    nrows = len(matrix)
-    ncols = len(matrix[0]) if nrows else 0
-    nrhs = len(rhs_list)
-    aug = [list(matrix[i]) + [rhs[i] for rhs in rhs_list] for i in range(nrows)]
-    rows, pivots = rref(aug)
-    # pivots in the RHS block mean inconsistency for that system
-    solutions = []
-    for s in range(nrhs):
-        col = ncols + s
-        ok = all(p < ncols or p != col for p in pivots)
-        if col in pivots:
-            solutions.append(None)
-            continue
-        x = [Fraction(0)] * ncols
-        for r, p in enumerate(pivots):
-            if p < ncols:
-                x[p] = rows[r][col]
-        # verify (guards against free-variable interplay between systems)
-        if ok:
-            solutions.append(x)
-    # exact residual check
-    checked = []
-    for s, x in enumerate(solutions):
-        if x is None:
-            checked.append(None)
-            continue
-        good = True
-        for i in range(nrows):
-            acc = Fraction(0)
-            row = matrix[i]
-            for j in range(ncols):
-                if x[j] != 0 and row[j] != 0:
-                    acc += row[j] * x[j]
-            if acc != rhs_list[s][i]:
-                good = False
-                break
-        checked.append(x if good else None)
-    return checked

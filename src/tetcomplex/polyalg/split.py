@@ -136,29 +136,6 @@ def face_param(points):
     return _affine_cols(points)
 
 
-def segment_param(p0, p1):
-    return [[p1[i] - p0[i]] for i in range(3)], list(p0)
-
-
-def locate_subtet(point):
-    """Index of a subtet containing ``point`` (ties resolved to the lowest index)."""
-    for i in range(4):
-        if _in_subtet(point, i):
-            return i
-    raise ValueError(f"point {point} is outside the reference tetrahedron")
-
-
-def _in_subtet(point, i, tol=Fraction(0)):
-    matrix, shift = subtet_affine(i)
-    # barycentric solve: subtets have rational vertices, so this is exact
-    from .poly import _inv3  # noqa: deferred to avoid cycle at import time
-
-    inv = _inv3([[Fraction(matrix[r][c]) for c in range(3)] for r in range(3)])
-    local = [sum(inv[r][c] * (Fraction(point[c]) - shift[c]) for c in range(3)) for r in range(3)]
-    lam0 = 1 - sum(local)
-    return all(v >= -tol for v in local) and lam0 >= -tol
-
-
 class PiecewiseField:
     """Field on the reference Alfeld split: one piece per subtet.
 
@@ -282,9 +259,6 @@ class PiecewiseField:
                 for e, v in comp.coeffs.items():
                     totals[c] += v * Fraction(tables[i][e], den)
         return tuple(totals) if self.is_vector else totals[0]
-
-    def evaluate(self, point):
-        return self.pieces[locate_subtet(point)](point)
 
     def to_float(self):
         return PiecewiseField(tuple(p.to_float() for p in self.pieces), self.continuity)

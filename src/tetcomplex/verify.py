@@ -19,9 +19,11 @@ from .bubbles import interior_bubbles
 from .elements import (
     CellGeometry,
     SPACE_KINDS,
+    _coefficients,
     dof_matrix,
     local_element,
     local_exactness_table,
+    phys_curl,
     physical_face_bubble,
     poly_inclusion_check,
     reference_cell,
@@ -29,6 +31,7 @@ from .elements import (
 )
 from .mesh import build_structured_cube, random_rational_cell
 from .polyalg import (
+    IntegerFields,
     Polynomial,
     VectorField,
     as_piecewise,
@@ -424,7 +427,9 @@ def check_dof_mapping(r=1, k=1, seed=11, tol=1e-10):
         for c, b in zip(el.nodal @ coeffs, el.basis):
             term = b * float(c)
             combo = term if combo is None else combo + term
-        got = dof_matrix(el.dofs, [combo], cell)[:, 0]
+        fields = IntegerFields.from_fields([combo])
+        tensors = (_coefficients(f, fields.degree) for f in (fields, phys_curl(cell, fields)))
+        got = dof_matrix(el.dofs, *tensors)[:, 0]
         worst = max(worst, float(np.max(np.abs(got - coeffs) / np.maximum(1.0, np.abs(coeffs)))))
     return [
         ClaimResult(

@@ -1,4 +1,4 @@
-"""Meshes shared by several test modules."""
+"""Meshes and counters shared by several test modules."""
 
 from fractions import Fraction as F
 
@@ -21,3 +21,17 @@ def numbering_meshes():
         "permuted": MeshTopology(vertices, mesh.cells[perm]),
         "jittered": MeshTopology(moved, mesh.cells),
     }
+
+
+@pytest.fixture
+def fraction_count(monkeypatch):
+    """A counter of ``fractions.Fraction`` constructions: ``counter[0]`` grows by one for each."""
+    counter = [0]
+    construct = F.__new__
+
+    def counting(cls, *args, **kwargs):
+        counter[0] += 1
+        return construct(cls, *args, **kwargs)
+
+    monkeypatch.setattr(F, "__new__", counting)
+    return counter

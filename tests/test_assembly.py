@@ -27,12 +27,10 @@ from tetcomplex.assembly import (
 from tetcomplex.elements import (
     SPACE_KINDS,
     CellGeometry,
+    _coefficients,
     build_dofs,
     dof_matrix,
     local_element,
-    phys_curl,
-    phys_div,
-    phys_grad,
 )
 from tetcomplex.mesh import (
     REF_EDGE_VERTICES,
@@ -40,7 +38,7 @@ from tetcomplex.mesh import (
     MeshTopology,
     build_structured_cube,
 )
-from tetcomplex.polyalg import Polynomial, VectorField, monomial_exponents
+from tetcomplex.polyalg import IntegerFields, Polynomial, VectorField, curl, div, grad, monomial_exponents
 from tetcomplex.problems import ManufacturedSolution, TranslationModes, get_spaces
 from tetcomplex.quadrature import QuadratureRule, alfeld_composite
 from tetcomplex.sampling import FieldSample
@@ -250,22 +248,22 @@ def _eval_many_tables(space, cell_id, degree, raw_cache=None):
             raw.append(np.concatenate(parts))
         return np.stack(raw)
 
-    def table(fields, jac=False):
-        key = (id(fields), degree, jac)
+    def table(use, jac=False):
+        key = (el, use, degree, jac)
         cache = {} if raw_cache is None else raw_cache
         if key not in cache:
-            cache[key] = evaluate(fields, jac)
+            cache[key] = evaluate(el.basis if use == "value" else el.curls, jac)
         raw = cache[key]
         if jac:
             raw = raw @ geom.amap.inverse_f
         return np.einsum("j...,jm->m...", raw, el.nodal)
 
-    out = {"values": table(el.basis)}
+    out = {"values": table("value")}
     if space.kind == "gradcurl":
-        out["curl"] = table(el.curls)
-        out["grad_curl"] = table(el.curls, jac=True)
+        out["curl"] = table("curl")
+        out["grad_curl"] = table("curl", jac=True)
     elif space.kind in ("velocity", "lagrange"):
-        out["grad"] = table(el.basis, jac=True)
+        out["grad"] = table("value", jac=True)
     return out
 
 
@@ -379,39 +377,70 @@ def _translated(mesh, shift):
     return MeshTopology(vertices, mesh.cells)
 
 
+def _transpose(matrix):
+    return [[matrix[j][i] for j in range(3)] for i in range(3)]
+
+
+def _reference_curl(geom, field):
+    """``B curl(B^T u) / det B`` of a reference-expressed field, on Fraction polynomials."""
+    matrix = geom.amap.matrix
+    return field.map(lambda p: curl(p.matmul(_transpose(matrix))).matmul(matrix) * (1 / geom.amap.det))
+
+
+# ``grad``, ``curl`` and ``div`` of reference-expressed fields on Fraction
+# polynomials, piece by piece: a reference that shares no code with the
+# numerator operators of ``discrete_d``
+_REFERENCE_D = {
+    "grad": lambda geom, f: f.map(lambda p: grad(p).matmul(_transpose(geom.amap.inverse))),
+    "curl": _reference_curl,
+    "div": lambda geom, f: f.map(lambda p: div(p.matmul(geom.amap.inverse))),
+}
+
+
 def _per_entry_discrete_d(which, source, target):
-    """Reference for discrete_d: a cell-by-cell, entry-by-entry assembly."""
-    op = {"grad": phys_grad, "curl": phys_curl, "div": phys_div}[which]
+    """Reference for discrete_d: exact Fraction derivatives, assembled cell by cell."""
     locals_by_class = {}
-    entries = {}
+    out = np.zeros((target.dim, source.dim))
     for ci in range(source.mesh.n_cells):
         geom = _cell_geometry(source.mesh, ci)
         el_s = local_element(source.kind, source.r, source.k, geom)
         el_t = local_element(target.kind, target.r, target.k, geom)
         sig = geom.signature()
         if sig not in locals_by_class:
-            derived = [op(geom, b) for b in el_s.basis]
-            locals_by_class[sig] = dof_matrix(el_t.dofs, derived, geom) @ el_s.nodal
+            images = IntegerFields.from_fields([_REFERENCE_D[which](geom, b) for b in el_s.basis])
+            curls = None
+            if target.kind == "gradcurl":
+                curls = _coefficients(IntegerFields.from_fields([_reference_curl(geom, f) for f in images]), images.degree)
+            locals_by_class[sig] = dof_matrix(el_t.dofs, _coefficients(images, images.degree), curls) @ el_s.nodal
         local = locals_by_class[sig]
-        for li, gi in enumerate(target.local_to_global[ci]):
-            for lj, gj in enumerate(source.local_to_global[ci]):
-                if local[li, lj] != 0.0:
-                    entries[gi, gj] = local[li, lj]
-    out = np.zeros((target.dim, source.dim))
-    for (gi, gj), v in entries.items():
-        out[gi, gj] = v
+        index = np.ix_(target.local_to_global[ci], source.local_to_global[ci])
+        out[index] = np.where(local != 0.0, local, out[index])
     return out
 
 
 class TestDiscreteComplex:
-    @pytest.mark.parametrize("rk", [(1, 1), (2, 2)])
+    @pytest.mark.parametrize("rk", DEFAULT_CONFIGS)
     def test_batched_matches_per_entry(self, rk):
-        mesh = build_structured_cube(2)
-        spaces = {kind: GlobalSpace(mesh, kind, *rk) for kind in SPACE_KINDS}
-        for which, source, target in _COMPLEX:
-            ref = _per_entry_discrete_d(which, spaces[source], spaces[target])
-            got = discrete_d(which, spaces[source], spaces[target]).matrix.toarray()
-            assert np.abs(got - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max()), which
+        for n in (1, 2, 3):
+            spaces = get_spaces(n, *rk, SPACE_KINDS)
+            for which, source, target in _COMPLEX:
+                ref = _per_entry_discrete_d(which, spaces[source], spaces[target])
+                got = discrete_d(which, spaces[source], spaces[target]).matrix.toarray()
+                assert np.abs(got - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max()), (n, which)
+
+    def test_derivatives_form_no_fraction(self, monkeypatch, fraction_count):
+        # with the spaces prebuilt (cold element and space caches, so derived
+        # classes gather their numerators here), every derivative runs on integers
+        from tetcomplex import problems
+
+        monkeypatch.setattr(_elements, "_element_cache", _elements.ElementCache())
+        monkeypatch.setattr(problems, "_space_cache", problems.SpaceCache())
+        spaces = {rk: get_spaces(2, *rk, SPACE_KINDS) for rk in DEFAULT_CONFIGS}
+        fraction_count[0] = 0
+        for rk, space in spaces.items():
+            for which, source, target in _COMPLEX:
+                discrete_d(which, space[source], space[target])
+        assert fraction_count[0] == 0
 
     def test_translated_mesh_matches(self):
         # the translated copy is built second, so each of its classes finds
@@ -428,9 +457,9 @@ class TestDiscreteComplex:
     def test_consistency_check_catches_perturbed_entry(self, spaces1, monkeypatch):
         calls = []
 
-        def perturbed(dofs, basis, cell, curls=None):
-            m = dof_matrix(dofs, basis, cell, curls)
-            calls.append(cell)
+        def perturbed(dofs, values, curls=None):
+            m = dof_matrix(dofs, values, curls)
+            calls.append(dofs)
             return m * (1 + 1e-6) if len(calls) == 2 else m  # one class disagrees
 
         monkeypatch.setattr(assembly_module, "dof_matrix", perturbed)
@@ -517,7 +546,7 @@ class TestConformity:
                     raw = el.nodal @ local
                     acc = np.zeros(3)
                     for cj, b in zip(raw, fields):
-                        fld = phys_curl(geom, b) if probe == "curl" else b
+                        fld = _reference_curl(geom, b) if probe == "curl" else b
                         acc = acc + cj * fld.to_float().pieces[piece].eval_many(ref)[0]
                     vals.append(acc)
                 jump = np.abs(vals[0] - vals[1]).max()
@@ -739,7 +768,7 @@ class TestInterpolationAndNorms:
             raw = np.stack([
                 np.concatenate([
                     piece.eval_many(pts)
-                    for piece, pts in zip(phys_div(geom, b).to_float().pieces, blocks)
+                    for piece, pts in zip(_REFERENCE_D["div"](geom, b).to_float().pieces, blocks)
                 ])
                 for b in el.basis
             ])
@@ -866,9 +895,11 @@ class TestModalMatchesPointwise:
         )
 
     def test_one_debug_record_per_layer(self, caplog):
-        space = GlobalSpace(build_structured_cube(2), "gradcurl", 1, 1)
+        mesh = build_structured_cube(2)
+        space, velocity = (GlobalSpace(mesh, kind, 1, 1) for kind in ("gradcurl", "velocity"))
         ms = ManufacturedSolution()
         with caplog.at_level(logging.DEBUG, logger="tetcomplex.assembly"):
+            discrete_d("curl", space, velocity)
             assemble("gradcurl_stiffness", space, 8)
             assemble_load(space, ms.forcing_sample(), 8)
             error_norms(space, np.zeros(space.dim), ms.solution_sample(), 8)
@@ -876,6 +907,7 @@ class TestModalMatchesPointwise:
             error_norms(space, np.zeros(space.dim), FieldSample(lambda p: np.zeros((len(p), 3))), 8)
         records = [r for r in caplog.records if r.name == "tetcomplex.assembly"]
         assert [(r.layer, r.path, r.modes, r.factors) for r in records] == [
+            ("discrete curl", "numerators", 0, None),
             ("class tables gradcurl degree 8", "vandermonde", 0, None),
             ("assemble gradcurl_stiffness", "tables", 0, None),
             ("load gradcurl", "modal", 64, None),

@@ -13,8 +13,10 @@ from tetcomplex.elements import (
     entity_dof_counts,
     element_info,
     local_element,
+    local_complex_matrices,
     local_exactness_table,
     phys_curl,
+    phys_div,
     phys_grad,
     poly_inclusion_check,
     reference_cell,
@@ -22,10 +24,51 @@ from tetcomplex.elements import (
     validate_family,
 )
 from tetcomplex.mesh import random_rational_cell
-from tetcomplex.polyalg import Embedding, as_piecewise
+from tetcomplex.polyalg import IntegerFields, as_piecewise, curl, div, grad
+from tetcomplex.polyalg.poly import _det3, _inv3
 from tetcomplex.polyalg.spaces import rank as exact_rank
 
 CONFIGS = [(1, 1), (2, 1), (3, 1), (2, 2), (3, 3)]
+
+
+def _coords(fields):
+    """Exact coordinates of (piecewise) fields: each piece's coefficients by component and exponent."""
+    pieces = [[getattr(p, "comps", (p,)) for p in as_piecewise(f).pieces] for f in fields]
+    keys = sorted({(i, c, e) for f in pieces for i, p in enumerate(f) for c, comp in enumerate(p) for e in comp.coeffs})
+    return [[f[i][c].coeffs.get(e, 0) for i, c, e in keys] for f in pieces]
+
+
+def _in_span(basis, fields):
+    return exact_rank(_coords(basis)) == exact_rank(_coords(list(basis) + list(fields)))
+
+
+# References for the numerator operators: Fraction polynomials, piece by piece
+
+
+def _transpose(matrix):
+    return [[matrix[j][i] for j in range(3)] for i in range(3)]
+
+
+def _reference_grad(matrix, field):
+    """``B^-T grad p``."""
+    inverse_t = _transpose(_inv3(matrix))
+    return field.map(lambda p: grad(p).matmul(inverse_t))
+
+
+def _reference_curl(matrix, field):
+    """``B curl(B^T u) / det B``."""
+    return field.map(lambda p: curl(p.matmul(_transpose(matrix))).matmul(matrix) * (1 / _det3(matrix)))
+
+
+def _reference_div(matrix, field):
+    """``div(B^-1 u)``."""
+    inverse = _inv3(matrix)
+    return field.map(lambda p: div(p.matmul(inverse)))
+
+
+_REFERENCES = {"grad": _reference_grad, "curl": _reference_curl, "div": _reference_div}
+_OPERATORS = {"grad": phys_grad, "curl": phys_curl, "div": phys_div}
+_COMPLEX = (("grad", "lagrange", "gradcurl"), ("curl", "gradcurl", "velocity"), ("div", "velocity", "pressure"))
 
 
 class TestDimensions:
@@ -125,38 +168,41 @@ class TestLocalExactness:
 
 
 class TestConformity:
-    @pytest.mark.parametrize("r,k", [(1, 1), (2, 2)])
+    @pytest.mark.parametrize("r,k", CONFIGS)
     def test_curl_of_gradcurl_inside_velocity(self, r, k):
-        # the physical curl of every grad-curl basis field lies in the
-        # velocity span, exactly
+        # the physical curl of every grad-curl basis field, formed on Fraction
+        # polynomials, lies in the velocity span, exactly
         from tetcomplex.elements import build_raw_basis
-        from tetcomplex.polyalg.spaces import solve_exact
 
-        cell = reference_cell()
+        cell = CellGeometry.standalone(random_rational_cell(np.random.default_rng(r + 7 * k)))
         gc, _ = build_raw_basis("gradcurl", cell, r, k)
         vel, _ = build_raw_basis("velocity", cell, r, k)
-        deg = max(max(f.degree for f in vel), max(f.degree for f in gc))
-        emb = Embedding(deg, vector=True)
-        cols = [emb.coords(v) for v in vel]
-        matrix = [[cols[j][i] for j in range(len(cols))] for i in range(emb.size)]
-        rhs = [emb.coords(phys_curl(cell, u)) for u in gc]
-        sols = solve_exact(matrix, rhs)
-        assert all(s is not None for s in sols)
+        assert _in_span(vel, [_reference_curl(cell.amap.matrix, u) for u in gc])
 
     def test_gradients_inside_gradcurl(self):
+        # every Lagrange gradient, formed on Fraction polynomials, lies in the grad-curl span
+        from tetcomplex.elements import build_raw_basis, lagrange_raw
+
+        for r, k in CONFIGS:
+            cell = reference_cell()
+            gc, _ = build_raw_basis("gradcurl", cell, r, k)
+            assert _in_span(gc, [_reference_grad(cell.amap.matrix, p) for p in lagrange_raw(r)])
+
+    @pytest.mark.parametrize("r,k", CONFIGS)
+    def test_local_complex_matches_fraction_reference(self, r, k):
+        # each image, formed on Fraction polynomials, is the exact combination
+        # of the target basis that ``local_complex_matrices`` gives
+        from fractions import Fraction
+
         from tetcomplex.elements import build_raw_basis
-        from tetcomplex.polyalg.spaces import solve_exact
-        from tetcomplex.polyalg import Polynomial
 
         cell = reference_cell()
-        gc, _ = build_raw_basis("gradcurl", cell, 2, 1)
-        emb = Embedding(max(f.degree for f in gc), vector=True)
-        cols = [emb.coords(g) for g in gc]
-        matrix = [[cols[j][i] for j in range(len(cols))] for i in range(emb.size)]
-        x, y = Polynomial.variable(0), Polynomial.variable(1)
-        probe = as_piecewise(phys_grad(cell, as_piecewise(x * y)).pieces[0])
-        sols = solve_exact(matrix, [emb.coords(probe)])
-        assert sols[0] is not None
+        bases = {kind: list(build_raw_basis(kind, cell, r, k)[0]) for kind in SPACE_KINDS}
+        for (which, source, target), matrix in zip(_COMPLEX, local_complex_matrices(r, k)):
+            for j, field in enumerate(bases[source]):
+                image = _REFERENCES[which](cell.amap.matrix, field)
+                combo = sum((b * matrix[i][j] for i, b in enumerate(bases[target]) if matrix[i][j]), image * Fraction(0))
+                assert combo == image, (which, j)
 
 
 class TestPolynomialReproduction:
@@ -229,14 +275,12 @@ def _nodal_at_quadrature(fields, nodal, degree=4):
 
 def _assert_same_element(derived, direct):
     """Exact span and curls of the raw basis; nodal functions to 1e-12 relative."""
-    fields = derived.basis + direct.basis
-    emb = Embedding(max(f.degree for f in fields), vector=fields[0].is_vector)
-    ours = [emb.coords(f) for f in derived.basis]
-    theirs = [emb.coords(f) for f in direct.basis]
+    coords = _coords(derived.basis + direct.basis)
+    ours, theirs = coords[:direct.dimension], coords[direct.dimension:]
     assert exact_rank(ours) == exact_rank(theirs) == exact_rank(ours + theirs) == direct.dimension
     pairs = [(derived.basis, direct.basis)]
     if direct.curls is not None:
-        assert derived.curls == [phys_curl(derived.cell, b) for b in derived.basis]
+        assert derived.curls == [_reference_curl(derived.cell.amap.matrix, b) for b in derived.basis]
         pairs.append((derived.curls, direct.curls))
     for ours_f, theirs_f in pairs:
         got = _nodal_at_quadrature(ours_f, derived.nodal)
@@ -452,6 +496,14 @@ def _assert_bitwise_equal(got, want):
     assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
 
 
+def _exact_tensors(el):
+    """The centred tensors of the element's exact fields by use, each coefficient rounded once."""
+    from tetcomplex.elements import _coefficients
+
+    fields = {"value": el.basis, "curl": el.curls}
+    return {use: _coefficients(IntegerFields.from_fields(f), el.degree) for use, f in fields.items() if f is not None}
+
+
 class TestCoefficientGather:
     """Derived classes gather the orbit build's tensors; their exact fields come on demand."""
 
@@ -461,32 +513,28 @@ class TestCoefficientGather:
         # t = 1 and the N = 2 classes with t = 1/2, both exact in binary, so
         # each gathered centred tensor is the once-rounded centred tensor of
         # the derived exact fields
-        from tetcomplex.elements import _coefficients
-
         derived = [local_element(kind, r, k, c) for n in (1, 2) for c in _class_representatives(n)]
         assert (fresh_cache.built, fresh_cache.derived) == (1, 11)
         el0, _ = fresh_cache.orbits[(kind, r, k, derived[0].cell.orbit_key())]
         assert el0 is derived[0]
         for el in derived[1:]:
-            assert np.array_equal(dof_matrix(el.dofs, el.basis, el.cell, el.curls), el.dof_matrix)
-            fields = {"value": el.basis, "curl": el.curls}
-            assert sorted(el.coefficients) == sorted(use for use, f in fields.items() if f is not None)
+            exact = _exact_tensors(el)
+            assert np.array_equal(dof_matrix(el.dofs, exact["value"], exact.get("curl")), el.dof_matrix)
+            assert sorted(el.coefficients) == sorted(exact)
             for use, tensor in el.coefficients.items():
-                _assert_bitwise_equal(tensor, _coefficients(fields[use], el.degree))
+                _assert_bitwise_equal(tensor, exact[use])
 
     @pytest.mark.parametrize("kind,r,k", _config_cases())
     def test_rational_scale_matches_exact_fields(self, kind, r, k, fresh_cache):
         # N = 3 after an N = 2 build: t = 2/3 is no power of two, so each
         # tensor is the derived exact fields' rounded once, not a rounded gather
-        from tetcomplex.elements import _coefficients
-
         local_element(kind, r, k, _class_representatives(2)[0])
         for cell in _class_representatives(3):
             el = local_element(kind, r, k, cell)
-            fields = {"value": el.basis, "curl": el.curls}
+            tensors = _exact_tensors(el)
             for use, tensor in el.coefficients.items():
-                _assert_bitwise_equal(tensor, _coefficients(fields[use], el.degree))
-            exact = dof_matrix(el.dofs, el.basis, el.cell, el.curls)
+                _assert_bitwise_equal(tensor, tensors[use])
+            exact = dof_matrix(el.dofs, tensors["value"], tensors.get("curl"))
             assert np.abs(el.dof_matrix - exact).max() <= 1e-12 * np.abs(exact).max()
             nodal = np.linalg.inv(exact)
             assert np.abs(el.nodal - nodal).max() <= 1e-12 * np.abs(nodal).max()
@@ -525,10 +573,11 @@ class TestDofMatrix:
         random_cell = CellGeometry.standalone(random_rational_cell(np.random.default_rng(5)))
         for cell in (reference_cell(), random_cell):
             el = local_element(kind, r, k, cell)
-            assert np.array_equal(dof_matrix(el.dofs, el.basis, cell, el.curls), el.dof_matrix)
+            tensors = _exact_tensors(el)
+            assert np.array_equal(dof_matrix(el.dofs, tensors["value"], tensors.get("curl")), el.dof_matrix)
             with monkeypatch.context() as patch:
                 patch.setattr(elements, "QuadratureRule", lambda degree: QuadratureRule(degree + 6))
-                higher = dof_matrix(el.dofs, el.basis, cell, el.curls)
+                higher = dof_matrix(el.dofs, tensors["value"], tensors.get("curl"))
             scale = np.abs(el.dof_matrix).max(axis=1, keepdims=True)
             assert np.all(np.abs(higher - el.dof_matrix) <= 1e-13 * scale)
 
@@ -615,13 +664,15 @@ def exact_fields(draw, max_degree=3):
     return PiecewiseField([draw(exact_vectors(max_degree)) for _ in range(4)], draw(st.sampled_from(["C0", "L2"])))
 
 
-def _reference_curl(matrix, field):
-    """Reference: ``B curl(B^T u) / det B`` piece by piece on Fraction polynomials."""
-    from tetcomplex.polyalg import curl
-    from tetcomplex.polyalg.poly import _det3
+@st.composite
+def exact_scalars(draw, max_degree=3):
+    """Piecewise scalar fields: a single polynomial or four independent pieces."""
+    from tetcomplex.polyalg import PiecewiseField
 
-    transposed = [[matrix[j][i] for j in range(3)] for i in range(3)]
-    return [curl(p.matmul(transposed)).matmul(matrix) * (1 / _det3(matrix)) for p in field.pieces]
+    pieces = [draw(exact_vectors(max_degree)).comps[0] for _ in range(4)]
+    if draw(st.booleans()):
+        return PiecewiseField.from_single(pieces[0])
+    return PiecewiseField(pieces, draw(st.sampled_from(["C0", "L2"])))
 
 
 def _first_independent(columns):
@@ -648,19 +699,30 @@ class TestIntegerKernels:
     def test_physical_curl_matches_fraction_reference(self, fields, entries):
         from hypothesis import assume
 
-        from tetcomplex.polyalg import IntegerFields
-        from tetcomplex.polyalg.poly import _det3
-
         matrix = [entries[3 * i:3 * i + 3] for i in range(3)]
         assume(_det3(matrix) != 0)
         cell = SimpleNamespace(amap=SimpleNamespace(matrix=matrix))
         curls = phys_curl(cell, IntegerFields.from_fields(fields))
         for field, got in zip(fields, curls):
             want = _reference_curl(matrix, field)
-            assert [[c.coeffs for c in p.comps] for p in got.pieces] == [[c.coeffs for c in p.comps] for p in want]
+            assert [[c.coeffs for c in p.comps] for p in got.pieces] == [[c.coeffs for c in p.comps] for p in want.pieces]
             assert got.continuity == ("single" if field.continuity == "single" else "L2")
-        # the adapter on one exact field agrees with the tensor kernel
-        assert phys_curl(cell, fields[0]) == curls[0]
+
+    @given(st.data(), st.lists(small, min_size=9, max_size=9))
+    @settings(max_examples=30, deadline=None)
+    def test_physical_grad_and_div_match_fraction_reference(self, data, entries):
+        from hypothesis import assume
+
+        matrix = [entries[3 * i:3 * i + 3] for i in range(3)]
+        assume(_det3(matrix) != 0)
+        cell = SimpleNamespace(amap=SimpleNamespace(matrix=matrix))
+        scalars = data.draw(st.lists(exact_scalars(), min_size=1, max_size=2))
+        vectors = data.draw(st.lists(exact_fields(), min_size=1, max_size=2))
+        for which, fields in (("grad", scalars), ("div", vectors)):
+            images = _OPERATORS[which](cell, IntegerFields.from_fields(fields))
+            for field, got in zip(fields, images):
+                assert got == _REFERENCES[which](matrix, field), which
+                assert got.continuity == ("single" if field.continuity == "single" else "L2")
 
     @given(st.lists(exact_fields(), min_size=1, max_size=3), st.integers(0, 2))
     @settings(max_examples=40, deadline=None)
@@ -670,7 +732,7 @@ class TestIntegerKernels:
 
         degree = max(max(f.degree for f in fields), 0) + extra
         columns = _monomial_columns(degree)
-        got = _coefficients(fields, degree)
+        got = _coefficients(IntegerFields.from_fields(fields, degree), degree)
         identity = [[int(i == j) for j in range(3)] for i in range(3)]
         for a, field in enumerate(fields):
             for p, (piece, centroid) in enumerate(zip(field.pieces, PIECE_CENTROIDS)):
@@ -693,19 +755,38 @@ class TestIntegerKernels:
             a, b = (Fraction(rnd.randint(-3, 3), rnd.randint(1, 3)) for _ in range(2))
             i, j = rnd.randrange(len(fields)), rnd.randrange(len(fields))
             fields.insert(rnd.randint(0, len(fields)), fields[i] * a + fields[j] * b)
-        degree = max(max(f.degree for f in fields), 0)
-        emb = Embedding(degree, vector=True)
-        assert _independent(IntegerFields.from_fields(fields)) == _first_independent(
-            [emb.coords(f) for f in fields]
-        )
+        assert _independent(IntegerFields.from_fields(fields)) == _first_independent(_coords(fields))
 
     def test_perturbed_face_bubble_correction_raises(self, monkeypatch):
         from tetcomplex import elements
 
         solve = elements.solve_div
-        monkeypatch.setattr(elements, "solve_div", lambda target, k: solve(target, k) * 2)
+
+        def doubled(target, k):
+            w = solve(target, k)
+            return IntegerFields(w.nums * 2, w.den, w.continuity)
+
+        monkeypatch.setattr(elements, "solve_div", doubled)
         with pytest.raises(ArithmeticError, match="face bubble 0"):
             elements.physical_face_bubble(reference_cell(), 0)
+
+    def test_face_bubble_solves_form_no_fraction(self, monkeypatch, fresh_cache, fraction_count):
+        # a cold velocity (1,1) element, its divergence solver's tables prebuilt:
+        # each of its four face-bubble solves runs on integers
+        from tetcomplex import bubbles, elements
+
+        bubbles._div_solver(3)
+        solve, counts = elements.solve_div, []
+
+        def counted(target, k):
+            before = fraction_count[0]
+            out = solve(target, k)
+            counts.append(fraction_count[0] - before)
+            return out
+
+        monkeypatch.setattr(elements, "solve_div", counted)
+        local_element("velocity", 1, 1, reference_cell())
+        assert counts == [0, 0, 0, 0]
 
     def test_face_bubble_check_survives_optimized_mode(self):
         # the divergence check is an exception, not an assert that ``python -O`` strips
@@ -716,7 +797,10 @@ class TestIntegerKernels:
         script = (
             "from tetcomplex import elements\n"
             "solve = elements.solve_div\n"
-            "elements.solve_div = lambda target, k: solve(target, k) * 2\n"
+            "def doubled(target, k):\n"
+            "    w = solve(target, k)\n"
+            "    return elements.IntegerFields(w.nums * 2, w.den, w.continuity)\n"
+            "elements.solve_div = doubled\n"
             "try:\n"
             "    elements.physical_face_bubble(elements.reference_cell(), 1)\n"
             "except ArithmeticError:\n"
