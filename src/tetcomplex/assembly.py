@@ -8,25 +8,30 @@ translations (and hence physical quadrature points) differ per cell.
 
 Per class everything float is a dense product:
 
-- ``ClassTables`` takes the element's float raw-basis (and curl)
-  coefficient tensor, contracts it with the nodal matrix and multiplies
-  by monomial Vandermonde tables (values and first partials) that one
-  quadrature degree and basis degree share across classes, spaces and
-  levels;
-- ``assemble`` computes each class's local matrix once, as
-  ``(A w) @ B^T``, turns it into one CSR matrix of the class's cells and
-  merges the classes on the union of their patterns, so explicit zeros
-  stay and no global triplet array exists;
-- the load contracts a sample's mode templates with the weighted basis
-  table once per class, and the error norms reduce templates and tables
-  to small triangular factors that the class tables keep for every later
-  call (see ``FieldSample`` for ``modes``).
+- ``ClassTables`` keeps the class geometry and the element's float
+  raw-basis (and curl) coefficient tensors contracted with the nodal
+  matrix; it forms a point table (values, curls, Jacobians, divergences)
+  only on request, from monomial Vandermonde tables (values and first
+  partials) that one quadrature degree and basis degree share across
+  classes, spaces and levels, and keeps none;
+- ``assemble`` computes each class's local matrix once from per-subtet
+  monomial moment matrices, shared like the Vandermonde tables and
+  contracted with the coefficient tensors and the cell map (a reference
+  tensor times a geometry tensor, as in Kirby and Logg, ACM TOMS 32,
+  2006), turns it into one CSR matrix of the class's cells and merges the
+  classes on the union of their patterns, so explicit zeros stay and no
+  global triplet array exists;
+- the load contracts a sample's weighted mode templates with the shared
+  Vandermonde table and then with the coefficient tensor, once per class,
+  and the error norms reduce templates and point tables to small
+  triangular factors that the class tables keep for every later call
+  (see ``FieldSample`` for ``modes``).
 
 Every evaluation point is a point of a class map (zero shift) moved by
 each cell's absolute shift: ``ClassTables`` keeps split-rule points and
 ``GlobalSpace.interpolate`` the DOF stencil points, mapped once per class.
 Every layer logs one ``tetcomplex.assembly`` DEBUG record with its
-classes, cells, path (vandermonde, tables, numerators, modal or
+classes, cells, path (coefficients, moments, numerators, modal or
 pointwise), mode count and seconds; a space logs one record when it is
 built, with how many of its elements were built, derived or found in the
 element cache.
@@ -81,9 +86,10 @@ _POINT_CHUNK = 200_000
 def _log_layer(layer, space, start, path, modes=0, factors=None):
     """One DEBUG record of a layer over all classes of ``space``, begun at ``start``.
 
-    ``path`` names how the layer evaluated (class tables, the Vandermonde
-    table build, modal or pointwise samples), ``factors`` whether the error
-    norms built or reused their per-class factors.
+    ``path`` names how the layer evaluated (the class tables' coefficient
+    tensors, moment matrices, exact numerators, modal or pointwise
+    samples), ``factors`` whether the error norms built or reused their
+    per-class factors.
     """
     if not _log.isEnabledFor(logging.DEBUG):
         return
@@ -209,7 +215,7 @@ class GlobalSpace:
             start = time.perf_counter()
             tables = [ClassTables(self, cells[0], degree) for cells in self.classes]
             self._tables[degree] = tables
-            _log_layer(f"class tables {self.kind} degree {degree}", self, start, "vandermonde")
+            _log_layer(f"class tables {self.kind} degree {degree}", self, start, "coefficients")
         return tables
 
     def interpolate(self, sample, quad):
@@ -297,59 +303,118 @@ def _vandermonde(quad_degree, basis_degree):
     return values, partials
 
 
+@lru_cache(maxsize=None)
+def _moments(quad_degree, basis_degree):
+    """Weighted sums over each subtet of products of the :func:`_vandermonde` monomials.
+
+    With m the centred monomials and w the weights of the split rule,
+    returns read-only (value.value (subtets, m, m), partial.partial
+    (subtets, 3, 3, m, m), value.partial (subtets, 3, m, m)): the sums of
+    w m_a m_b, w d_i m_a d_j m_b and w m_a d_i m_b.  Every local matrix is
+    one of them contracted with the classes' coefficient tensors and cell
+    maps, so the rule's points enter no class.
+    """
+    values, partials = _vandermonde(quad_degree, basis_degree)
+    weights = alfeld_composite(quad_degree)[1].reshape(4, -1, 1)
+    nm = values.shape[-1]
+    weighted = (values * weights).transpose(0, 2, 1)  # (subtets, monomials, points)
+    stacked = partials.transpose(1, 2, 0, 3).reshape(4, -1, 3 * nm)  # (subtets, points, 3 x monomials)
+    mass = weighted @ values
+    stiffness = ((stacked * weights).transpose(0, 2, 1) @ stacked).reshape(4, 3, nm, 3, nm)
+    mixed = (weighted @ stacked).reshape(4, nm, 3, nm)
+    out = mass, stiffness.transpose(0, 1, 3, 2, 4), mixed.transpose(0, 2, 1, 3)
+    for array in out:
+        array.flags.writeable = False
+    return out
+
+
+# point tables a class of each space kind forms, by ``ClassTables.table`` name
+_KIND_TABLES = {
+    "gradcurl": ("values", "curl", "grad_curl"),
+    "velocity": ("values", "grad", "div"),
+    "lagrange": ("values", "grad"),
+    "pressure": ("values",),
+}
+
+
+def _point_table(name):
+    """A ``ClassTables`` property: ``table(name)`` formed on each read, None where the kind has none."""
+    return property(
+        lambda self: self.table(name) if name in self.names else None,
+        doc=f"The ``{name}`` point table, formed on each read and not kept.",
+    )
+
+
 class ClassTables:
-    """Float tables of one congruence class at split-rule points.
+    """Geometry and nodal coefficient tensors of one congruence class.
 
     Built on the geometry of the class whose first cell is ``cell_id``:
     ``points`` are the quadrature points of the class map (zero shift),
-    which each cell of the class sees moved by its absolute shift.  Each
-    table is the element's coefficient tensor of its raw basis (or curls),
-    centred on each piece and contracted with the nodal matrix, times the
-    leading columns of the shared monomial tables at the centred points:
-    values from the values, physical Jacobians (a scalar field's gradient)
-    from the partials times B^{-1}.  No exact field is read, so a class
-    derived in its element's similarity orbit forms none.
-    ``error_factors`` caches the factors of ``_modal_squared_errors``.
+    which each cell of the class sees moved by its absolute shift, with the
+    reference ``weights``, ``det`` and the inverse map ``inverse``.
+    ``coefficients`` holds the element's coefficient tensors of its raw
+    basis (key ``"value"``) and, for grad-curl, its curls (``"curl"``),
+    centred on each piece and contracted with the nodal matrix: (nodal
+    basis, subtets, components, monomials).  ``assemble`` reads only these
+    and the shared :func:`_moments`.  :meth:`table` forms a point table
+    (values, curl, grad_curl, grad or div) on request and keeps none: the
+    tensor times the leading columns of the shared monomial tables, values
+    from the values and physical Jacobians from the partials times B^{-1}.
+    No exact field is read, so a class derived in its element's similarity
+    orbit forms none.  ``error_factors`` caches the triangular factors of
+    ``_modal_squared_errors``.
     """
+
+    values = _point_table("values")
+    curl = _point_table("curl")
+    grad_curl = _point_table("grad_curl")
+    grad = _point_table("grad")
+    div = _point_table("div")
 
     def __init__(self, space, cell_id, degree):
         el = space.elements[cell_id]
         geom = space.cells_geom[cell_id]
+        self.degree, self.basis_degree = degree, space.basis_degree
+        self.names = _KIND_TABLES[space.kind]
         self.ref_points, self.weights = alfeld_composite(degree)
         self.points = geom.amap.apply(self.ref_points)
         self.det = geom.amap.det_f
+        self.inverse = geom.amap.inverse_f
         self.error_factors = {}
-        monomials, partials = _vandermonde(degree, space.basis_degree)
-        # (subtets, monomials, points, 1 or 3 physical partials)
-        monomials = monomials.transpose(0, 2, 1)[..., None]
-        gradients = np.tensordot(partials, geom.amap.inverse_f, axes=(0, 0)).transpose(0, 2, 1, 3)
+        self.coefficients = {}
+        for use, raw in el.coefficients.items():
+            self.coefficients[use] = (el.nodal.T @ raw.reshape(len(raw), -1)).reshape(raw.shape)
 
-        def nodal(use):
-            """Tensor (nodal basis, subtets, components, monomials) of the raw basis or curls."""
-            raw = el.coefficients[use]
-            return (el.nodal.T @ raw.reshape(len(raw), -1)).reshape(raw.shape)
+    def table(self, name):
+        """Point table ``name`` of ``names``: (nodal basis, points, *components, *partials).
 
-        def table(coef, basis):
-            """(nodal basis, points, *components, *partials) of coefficients on ``basis``."""
-            nf, _, comps, nm = coef.shape
-            basis = basis[:, :nm]
-            out = coef.transpose(1, 0, 2, 3).reshape(4, -1, nm) @ basis.reshape(4, nm, -1)
-            nq, nd = basis.shape[2], basis.shape[3]
-            out = out.reshape(4, nf, comps, nq, nd).transpose(1, 0, 3, 2, 4)
-            shape = (nf, 4 * nq) + ((comps,) if comps == 3 else ()) + ((nd,) if nd == 3 else ())
-            return np.ascontiguousarray(out).reshape(shape)
+        Formed from the coefficient tensor on each call and not kept.
+        """
+        if name not in self.names:
+            raise ValueError(f"no {name} table for this space")
+        monomials, partials = _vandermonde(self.degree, self.basis_degree)
+        coef = self.coefficients["curl" if name in ("curl", "grad_curl") else "value"]
+        if name in ("values", "curl"):
+            return _tabulate(coef, monomials.transpose(0, 2, 1)[..., None])
+        # (subtets, monomials, points, 3 physical partials)
+        gradients = np.tensordot(partials, self.inverse, axes=(0, 0)).transpose(0, 2, 1, 3)
+        grad = _tabulate(coef, gradients)
+        return np.einsum("mqaa->mq", grad) if name == "div" else grad
 
-        basis = nodal("value")
-        self.values = table(basis, monomials)
-        self.curl = self.grad_curl = self.grad = self.div = None
-        if space.kind == "gradcurl":
-            curls = nodal("curl")
-            self.curl = table(curls, monomials)
-            self.grad_curl = table(curls, gradients)
-        elif space.kind in ("velocity", "lagrange"):
-            self.grad = table(basis, gradients)
-        if space.kind == "velocity":
-            self.div = np.einsum("mqaa->mq", self.grad)
+
+def _tabulate(coef, basis):
+    """(nodal basis, points, *components, *partials) of a coefficient tensor on ``basis``.
+
+    ``coef`` is (nodal basis, subtets, components, monomials) and ``basis``
+    (subtets, monomials, points, 1 or 3 partials).
+    """
+    nf, _, comps, nm = coef.shape
+    basis = basis[:, :nm]
+    out = coef.transpose(1, 0, 2, 3).reshape(4, -1, nm) @ basis.reshape(4, nm, -1)
+    nq, nd = basis.shape[2], basis.shape[3]
+    out = out.reshape(4, nf, comps, nq, nd).transpose(1, 0, 3, 2, 4)
+    shape = (nf, 4 * nq) + ((comps,) if comps == 3 else ()) + ((nd,) if nd == 3 else ())
+    return np.ascontiguousarray(out).reshape(shape)
 
 
 def _by_point(table, nq):
@@ -412,27 +477,27 @@ def assemble(form, space, quad_degree=None, pressure_space=None):
     start = time.perf_counter()
     row_space = pressure_space if form == "div_pressure" else space
     shape = (row_space.dim, space.dim)
+    mass, stiffness, mixed = _moments(quad_degree, max(space.basis_degree, row_space.basis_degree))
 
     def parts():
         for cells, tab, rtab in zip(
             space.classes, space.class_tables(quad_degree), row_space.class_tables(quad_degree)
         ):
-            if form == "mass":
-                pairs = ((tab.values, tab.values),)
-            elif form == "gradcurl_stiffness":
-                pairs = ((tab.grad_curl, tab.grad_curl), (tab.values, tab.values))
-            elif form == "h1":
-                pairs = ((tab.grad, tab.grad),)
+            value = tab.coefficients["value"]
+            if form == "div_pressure":
+                pressure = rtab.coefficients["value"]
+                mp, mv = pressure.shape[-1], value.shape[-1]
+                # sum_i (B^-1)_ic w m_a d_i m_b: the pressure's monomial a against the velocity's (c, b)
+                div = np.tensordot(mixed[:, :, :mp, :mv], tab.inverse, axes=(1, 0)).transpose(0, 1, 3, 2)
+                local = _local_matrix(pressure, div.reshape(4, mp, -1), value)
             else:
-                pairs = ((rtab.values, tab.div),)
-            w = tab.weights
-            local = sum(
-                (_by_point(a, len(w)) * w[:, None]).reshape(len(a), -1)
-                @ b.reshape(len(b), -1).T
-                for a, b in pairs
-            ) * tab.det
+                local = 0.0 if form == "h1" else _gram(value, mass)
+                if form != "mass":
+                    metric = tab.inverse @ tab.inverse.T  # B^-1 B^-T
+                    coef = tab.coefficients["curl" if form == "gradcurl_stiffness" else "value"]
+                    local = local + _gram(coef, np.tensordot(metric, stiffness, axes=([0, 1], [1, 2])))
             yield _class_matrix(
-                row_space.local_to_global[cells], space.local_to_global[cells], local, shape
+                row_space.local_to_global[cells], space.local_to_global[cells], local * tab.det, shape
             )
 
     matrix = _merge(parts())
@@ -440,8 +505,35 @@ def assemble(form, space, quad_degree=None, pressure_space=None):
     op = SparseOperator(matrix, row_space, space, sym)
     if sym and not op.check_symmetry():
         raise ArithmeticError(f"assembled {form} operator lost symmetry")
-    _log_layer(f"assemble {form}", space, start, "tables")
+    _log_layer(f"assemble {form}", space, start, "moments")
     return op
+
+
+def _local_matrix(a, moments, b):
+    """One class's local matrix: the sum over subtets s of a_s M_s b_s^T, without ``det``.
+
+    ``a`` (rows, subtets, components, monomials) and ``b`` (cols, subtets,
+    ...) are coefficient tensors, ``moments`` (subtets, monomials of a,
+    components x monomials of b per component of a) the moment matrices,
+    contracted with the cell map where the form has derivatives.
+    """
+    rows, _, _, nm = a.shape
+    left = a.transpose(1, 0, 2, 3).reshape(4, -1, nm) @ moments
+    left = left.reshape(4, rows, -1).transpose(1, 0, 2).reshape(rows, -1)
+    return left @ b.reshape(len(b), -1).T
+
+
+def _gram(coef, moments):
+    """:func:`_local_matrix` of a coefficient tensor against itself, on moments (subtets, m, m) per component.
+
+    Returned exactly symmetric, so the assembled matrix differs from its
+    transpose only where sums of shared entries ran in another order: the
+    symmetry check's difference then holds a few entries, not one at most
+    coupled pairs (60 MB more peak RSS for quadcurl (1,1) at N = 32).
+    """
+    nm = coef.shape[-1]
+    local = _local_matrix(coef, moments[:, :nm, :nm], coef)
+    return (local + local.T) / 2
 
 
 def _class_matrix(rows, cols, local, shape):
@@ -493,25 +585,31 @@ def _ones(matrix, dtype):
 def assemble_load(space, sample, quad_degree):
     """Load vector (f, v) over the nodal basis of ``space``.
 
-    With ``sample.modes``, per class the templates are contracted with the
-    weighted basis table once, into (components x modes, basis), and per
-    chunk the cells' mode coefficients times that matrix are the local
-    loads.  Otherwise per chunk the weighted sample values times the basis
-    table are.
+    With ``sample.modes``, per class the weighted templates are contracted
+    with the shared monomial table and then with the coefficient tensor,
+    two matrix products, into (components x modes, basis); per chunk the
+    cells' mode coefficients times that matrix are the local loads.
+    Otherwise the class forms its basis table once, and per chunk the
+    weighted sample values times that table are.
     """
     start = time.perf_counter()
     modes = sample.modes
     out = np.zeros(space.dim)
     for cells, tab in zip(space.classes, space.class_tables(quad_degree)):
-        basis = _by_point(tab.values, len(tab.weights))
         if modes is not None:
-            load = (modes.template(tab.points) * tab.weights) @ basis.transpose(2, 1, 0)
-            load = load.reshape(-1, len(basis))  # (components x modes, basis)
+            coef = tab.coefficients["value"]
+            n, _, comps, nm = coef.shape
+            monomials = _vandermonde(quad_degree, space.basis_degree)[0][..., :nm]
+            weighted = (modes.template(tab.points) * tab.weights).reshape(-1, 4, monomials.shape[1])
+            moments = (weighted.transpose(1, 0, 2) @ monomials).transpose(1, 0, 2)  # (modes, subtets, m)
+            load = moments.reshape(modes.count, -1) @ coef.transpose(1, 3, 0, 2).reshape(4 * nm, -1)
+            load = load.reshape(modes.count, n, comps).transpose(2, 0, 1).reshape(-1, n)
             parts = (
                 (chunk, modes.coefficients("value", shifts).reshape(len(chunk), -1) @ load)
                 for chunk, shifts in _chunks(space, cells, modes.count)
             )
         else:
+            basis = _by_point(tab.values, len(tab.weights))
             weighted = (basis * tab.weights[:, None]).reshape(len(basis), -1).T
             parts = (
                 (chunk, fv.reshape(len(chunk), -1) @ weighted)
@@ -617,8 +715,9 @@ def error_norms(space, coeffs, exact, quad_degree=None):
     squared error is its weighted pointwise difference rotated by
     triangular factors built once per class table (``_error_factors``),
     never the cancelling |u|^2 - 2 (u, u_h) + |u_h|^2.  Without modes, per
-    chunk and quantity the represented values are one matrix product of
-    the cells' coefficients with the table, less the evaluated field.
+    class and quantity the point table is formed once, and per chunk the
+    represented values are one matrix product of the cells' coefficients
+    with it, less the evaluated field.
     """
     if quad_degree is None:
         quad_degree = default_quadrature_degree(space.r, space.k, space.basis_degree)
@@ -631,7 +730,7 @@ def error_norms(space, coeffs, exact, quad_degree=None):
         used = [
             (i, table, name)
             for i, (table, name) in enumerate(_NORMS)
-            if getattr(tab, table) is not None and getattr(exact, name) is not None
+            if table in tab.names and getattr(exact, name) is not None
         ]
         if not used:
             continue
@@ -641,7 +740,8 @@ def error_norms(space, coeffs, exact, quad_degree=None):
             built |= fresh
             continue
         for i, table, name in used:
-            flat = getattr(tab, table).reshape(len(tab.values), -1)
+            flat = tab.table(table)
+            flat = flat.reshape(len(flat), -1)
             w = np.repeat(tab.weights, flat.shape[1] // len(tab.weights))
             for chunk, vals in _values(space, cells, getattr(exact, name), tab.points):
                 err = coeffs[space.local_to_global[chunk]] @ flat
@@ -655,32 +755,32 @@ def error_norms(space, coeffs, exact, quad_degree=None):
     return tuple(np.sqrt(np.maximum(acc, 0.0)))
 
 
-def _error_factors(tab, modes, table):
-    """Factors (R11, R12, R22) of one class table for ``_modal_squared_errors``.
+def _error_factors(tab, modes, tables):
+    """Factors (R11, R12, R22) of each of ``tables`` of one class for ``_modal_squared_errors``.
 
     With W the root weights, P the templates, T one component's basis
     table, the Householder QR of W [P^T | T^T] is taken blockwise:
     Q1 R11 = W P^T, R12 = Q1^T W T^T per component and R22 from the QR of
     the remainder W T^T - Q1 R12.  None of it depends on the field: the
-    translation templates depend on the points only, so (Q1, R11) is built
-    once per class table and (R12, R22) once per table, and both are kept
-    in ``tab.error_factors``.  Returns the factors and whether they were
-    built.
+    translation templates depend on the points only.  The factors of every
+    table not yet in ``tab.error_factors`` are built together, each table
+    formed once, on one QR of the templates; R11 and each table's (R12,
+    R22) are kept there, Q1 and the tables are not.  Returns the factors
+    in the order of ``tables`` and whether any were built.
     """
     cache = tab.error_factors
-    if table in cache:
-        return (cache["template"][1], *cache[table]), False
-    root = np.sqrt(tab.weights)
-    if "template" not in cache:
-        cache["template"] = np.linalg.qr(root[:, None] * modes.template(tab.points).T)
-    q1, r11 = cache["template"]
-    values = getattr(tab, table)
-    weighted = _by_point(values, len(root)).transpose(2, 1, 0) * root[:, None]
-    r12 = q1.T @ weighted  # (components, modes, basis)
-    r22 = np.linalg.qr(weighted - q1 @ r12, mode="r")
-    n = len(values)
-    cache[table] = r12.reshape(-1, n).T, r22.reshape(-1, n).T
-    return (r11, *cache[table]), True
+    missing = [table for table in tables if table not in cache]
+    if missing:
+        root = np.sqrt(tab.weights)
+        q1, cache["template"] = np.linalg.qr(root[:, None] * modes.template(tab.points).T)
+        for table in missing:
+            values = tab.table(table)
+            weighted = _by_point(values, len(root)).transpose(2, 1, 0) * root[:, None]
+            r12 = q1.T @ weighted  # (components, modes, basis)
+            r22 = np.linalg.qr(weighted - q1 @ r12, mode="r")
+            n = len(values)
+            cache[table] = r12.reshape(-1, n).T, r22.reshape(-1, n).T
+    return [(cache["template"], *cache[table]) for table in tables], bool(missing)
 
 
 def _modal_squared_errors(space, cells, tab, coeffs, modes, used):
@@ -691,17 +791,17 @@ def _modal_squared_errors(space, cells, tab, coeffs, modes, used):
     with the pointwise difference's rounding.  Returns the squared errors
     and whether any factor was built.
     """
-    factors = [(i, name, *_error_factors(tab, modes, table)) for i, table, name in used]
+    factors, fresh = _error_factors(tab, modes, [table for _, table, _ in used])
     out = np.zeros(len(_NORMS))
     for chunk, shifts in _chunks(space, cells, modes.count):
         local = coeffs[space.local_to_global[chunk]]
         moved = modes.shifted(shifts)
-        for i, name, (r11, r12, r22), _ in factors:
+        for (i, _, name), (r11, r12, r22) in zip(used, factors):
             y = moved(name).reshape(-1, modes.count) @ r11.T
             y -= (local @ r12).reshape(y.shape)
             z = local @ r22
             out[i] += np.vdot(y, y) + np.vdot(z, z)
-    return out, any(fresh for *_, fresh in factors)
+    return out, fresh
 
 
 def divergence_norm(space, coeffs, quad_degree=None):
@@ -712,7 +812,8 @@ def divergence_norm(space, coeffs, quad_degree=None):
     total = 0.0
     coeffs = np.asarray(coeffs)
     for cells, tab in zip(space.classes, space.class_tables(quad_degree)):
+        div = tab.div
         for chunk, _ in _chunks(space, cells, len(tab.weights)):
-            dh = coeffs[space.local_to_global[chunk]] @ tab.div
+            dh = coeffs[space.local_to_global[chunk]] @ div
             total += tab.det * float(np.einsum("cq,q->", dh**2, tab.weights))
     return float(np.sqrt(max(total, 0.0)))

@@ -309,7 +309,11 @@ class TestClassTables:
 
 
 def _global_coo(form, space, degree, pressure_space=None):
-    """Reference for assemble: every cell's local block as triplets, one coo->csr."""
+    """Reference for assemble: every cell's local block as triplets, one coo->csr.
+
+    Each local block is the weighted sum over the split rule's points of
+    products of the classes' point tables, not of moment matrices.
+    """
     row_space = pressure_space or space
     rows, cols, vals = [], [], []
     for cells, tab, rtab in zip(
@@ -337,7 +341,7 @@ def _global_coo(form, space, degree, pressure_space=None):
 
 
 class TestPerClassAssembly:
-    @pytest.mark.parametrize("rk", [(1, 1), (2, 2)])
+    @pytest.mark.parametrize("rk", [(1, 1), (2, 2), (3, 3)])
     @pytest.mark.parametrize(
         "form, kind, pressure",
         [
@@ -359,6 +363,40 @@ class TestPerClassAssembly:
         np.testing.assert_allclose(
             got.data, expected.data, rtol=0, atol=1e-14 * np.abs(expected.data).max()
         )
+
+
+def _held_arrays(value, name=None):
+    """(top-level attribute, array) of every array reachable from ``value`` through dicts, lists and tuples."""
+    if isinstance(value, np.ndarray):
+        yield name, value
+    elif isinstance(value, dict):
+        for key, item in value.items():
+            yield from _held_arrays(item, key if name is None else name)
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            yield from _held_arrays(item, name)
+
+
+class TestClassTablesMemory:
+    """Class tables keep geometry, coefficient tensors and error factors: no table per point."""
+
+    @pytest.mark.parametrize("rk, degree", [((1, 1), 8), ((3, 3), 14)])
+    def test_no_point_tables_kept(self, rk, degree):
+        space = get_spaces(2, *rk, ["gradcurl"])["gradcurl"]
+        ms = ManufacturedSolution()
+        assemble("gradcurl_stiffness", space, degree)
+        assemble_load(space, ms.forcing_sample(), degree)
+        error_norms(space, np.zeros(space.dim), ms.solution_sample(), degree)
+        held = {}
+        for tab_degree, tables in space._tables.items():
+            for tab in tables:
+                nq = len(tab.weights)
+                for name, array in _held_arrays(vars(tab)):
+                    held[tab_degree] = held.get(tab_degree, 0) + array.nbytes
+                    if name not in ("points", "ref_points", "weights"):
+                        assert nq not in array.shape, (name, array.shape)
+        # a (3,3) level kept 181 MB of basis-by-point tables at quadrature degree 14
+        assert held[degree] <= 15e6
 
 
 # (operator, source kind, target kind) of each map of the complex
@@ -908,8 +946,8 @@ class TestModalMatchesPointwise:
         records = [r for r in caplog.records if r.name == "tetcomplex.assembly"]
         assert [(r.layer, r.path, r.modes, r.factors) for r in records] == [
             ("discrete curl", "numerators", 0, None),
-            ("class tables gradcurl degree 8", "vandermonde", 0, None),
-            ("assemble gradcurl_stiffness", "tables", 0, None),
+            ("class tables gradcurl degree 8", "coefficients", 0, None),
+            ("assemble gradcurl_stiffness", "moments", 0, None),
             ("load gradcurl", "modal", 64, None),
             ("error norms gradcurl", "modal", 64, "built"),
             ("error norms gradcurl", "modal", 64, "reused"),
