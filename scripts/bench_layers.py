@@ -7,11 +7,14 @@ the child sets on itself, so a row that runs out of memory fails alone
 instead of taking the machine with it.  A row times, one after another:
 the structured mesh, the grad-curl space, its class tables, the stiffness
 assembly, the load of the manufactured forcing, and the error norms of a
-zero field (the same work as for a solved field).  A flat record holds
-each layer's seconds (``<layer>_s``) and the process's peak RSS when the
-layer ended (``<layer>_peak_rss_mb``) as the median over the processes,
-with ``<key>_min`` and ``<key>_max`` beside it; the dofs, the matrix's
-nnz, pattern digest and Frobenius norm, which every process must repeat;
+zero field (the same work as for a solved field) twice: the first pass
+(``errors``) builds the per-class error factors and the second
+(``errors_again``) reuses them, so it times the per-cell work alone.  A
+flat record holds each layer's seconds (``<layer>_s``) and the process's
+peak RSS when the layer ended (``<layer>_peak_rss_mb``) as the median
+over the processes, with ``<key>_min`` and ``<key>_max`` beside it; the
+dofs, the matrix's nnz, pattern digest and Frobenius norm, which every
+process must repeat;
 and the source it ran: the git SHA of the checkout (null when the source
 has uncommitted changes) and a digest of its ``src/tetcomplex`` files.
 Rows are run at the levels ``LEVELS``.
@@ -159,6 +162,7 @@ def row(n, src, save_matrix=None):
     matrix = layer("assemble", lambda: assemble("gradcurl_stiffness", space, degree).matrix)
     layer("load", lambda: assemble_load(space, ms.forcing_sample(), degree))
     layer("errors", lambda: error_norms(space, np.zeros(space.dim), ms.solution_sample(), degree))
+    layer("errors_again", lambda: error_norms(space, np.zeros(space.dim), ms.solution_sample(), degree))
     pattern = hashlib.sha256(matrix.indptr.astype(np.int64).tobytes())
     pattern.update(matrix.indices.astype(np.int64).tobytes())
     if save_matrix:

@@ -25,7 +25,13 @@ Per class everything float is a dense product:
   Vandermonde table and then with the coefficient tensor, once per class,
   and the error norms reduce templates and point tables to small
   triangular factors that the class tables keep for every later call
-  (see ``FieldSample`` for ``modes``).
+  (see ``FieldSample`` for ``modes``): one QR of the templates and one
+  per table, of all its components stacked.  Classes whose maps differ
+  by a signed axis permutation Q (two triples on a Kuhn level) form one
+  group, whose first class builds the factors and whose others take them
+  (``_group_similar``), evaluating their fields pulled back by Q.  Per
+  cell the translation is folded into the product with R11, once per
+  distinct x shift (``TranslationModes.folded``).
 
 Every evaluation point is a point of a class map (zero shift) moved by
 each cell's absolute shift: ``ClassTables`` keeps split-rule points and
@@ -41,8 +47,10 @@ from __future__ import annotations
 
 import logging
 import time
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -83,13 +91,14 @@ DOF_POINT_SCALE = 12
 _POINT_CHUNK = 200_000
 
 
-def _log_layer(layer, space, start, path, modes=0, factors=None):
+def _log_layer(layer, space, start, path, modes=0, factors=None, factor_builds=0, factor_shared=0):
     """One DEBUG record of a layer over all classes of ``space``, begun at ``start``.
 
     ``path`` names how the layer evaluated (the class tables' coefficient
     tensors, moment matrices, exact numerators, modal or pointwise
     samples), ``factors`` whether the error norms built or reused their
-    per-class factors.
+    per-class factors, ``factor_builds`` how many classes built factors
+    and ``factor_shared`` how many took those of a similar class.
     """
     if not _log.isEnabledFor(logging.DEBUG):
         return
@@ -100,11 +109,14 @@ def _log_layer(layer, space, start, path, modes=0, factors=None):
         "path": path,
         "modes": modes,
         "factors": factors,
+        "factor_builds": factor_builds,
+        "factor_shared": factor_shared,
         "seconds": time.perf_counter() - start,
     }
+    details = ", factors %(factors)s (%(factor_builds)d built, %(factor_shared)d shared)"
     _log.debug(
         "%(layer)s: %(classes)d classes, %(cells)d cells, %(path)s path, "
-        "%(modes)d modes, %(seconds).3f s" + ("" if factors is None else ", factors %(factors)s"),
+        "%(modes)d modes, %(seconds).3f s" + ("" if factors is None else details),
         fields, extra=fields,
     )
 
@@ -214,6 +226,7 @@ class GlobalSpace:
         if tables is None:
             start = time.perf_counter()
             tables = [ClassTables(self, cells[0], degree) for cells in self.classes]
+            _group_similar(tables)
             self._tables[degree] = tables
             _log_layer(f"class tables {self.kind} degree {degree}", self, start, "coefficients")
         return tables
@@ -362,7 +375,9 @@ class ClassTables:
     from the values and physical Jacobians from the partials times B^{-1}.
     No exact field is read, so a class derived in its element's similarity
     orbit forms none.  ``error_factors`` caches the triangular factors of
-    ``_modal_squared_errors``.
+    ``_modal_squared_errors``; ``similar`` is None for a class that builds
+    them and a :class:`Similar` for one that takes those of an earlier
+    class (:func:`_group_similar`).
     """
 
     values = _point_table("values")
@@ -379,8 +394,10 @@ class ClassTables:
         self.ref_points, self.weights = alfeld_composite(degree)
         self.points = geom.amap.apply(self.ref_points)
         self.det = geom.amap.det_f
-        self.inverse = geom.amap.inverse_f
+        self.matrix, self.inverse = geom.amap.matrix_f, geom.amap.inverse_f
+        self.vertex_order = geom.amap.vertex_order
         self.error_factors = {}
+        self.similar = None
         self.coefficients = {}
         for use, raw in el.coefficients.items():
             self.coefficients[use] = (el.nodal.T @ raw.reshape(len(raw), -1)).reshape(raw.shape)
@@ -400,6 +417,83 @@ class ClassTables:
         gradients = np.tensordot(partials, self.inverse, axes=(0, 0)).transpose(0, 2, 1, 3)
         grad = _tabulate(coef, gradients)
         return np.einsum("mqaa->mq", grad) if name == "div" else grad
+
+
+class Similar(NamedTuple):
+    """How a class ``B = Q B_first`` of one vertex order takes the error factors of ``first``.
+
+    ``rotation`` is the signed axis permutation Q.  Nodal basis function n
+    of the class is the Q-image of function ``index[n]`` of ``first``:
+    ``Q (phi o Q^T)`` for values, ``det Q`` times that for curls.  Both
+    classes share the reference quadrature points, so every point table
+    of the class is the one of ``first`` with its components moved by Q
+    and its rows gathered.
+    """
+
+    first: ClassTables
+    rotation: np.ndarray
+    index: np.ndarray
+
+
+# Largest difference, relative to the largest coefficient, of a class's nodal
+# coefficient tensors and those of a similar class carried over by Q and the
+# DOF permutation.
+_SIMILAR_TOL = 1e-12
+
+
+def _similar(tab, first):
+    """The :class:`Similar` by which ``tab`` takes the factors of ``first``, or None.
+
+    ``B_tab B_first^-1`` has to be a signed axis permutation Q, and every
+    nodal coefficient tensor of ``tab`` a permutation of the rows of those
+    of ``first`` with the components moved by Q (and times det Q for
+    curls), within ``_SIMILAR_TOL``.  On a Kuhn mesh the DOFs of two such
+    classes correspond without sign changes; a class whose basis would need
+    one builds its own factors.
+    """
+    rotation = np.rint(tab.matrix @ first.inverse)
+    if not (
+        (np.abs(rotation).sum(axis=0) == 1).all()
+        and (np.abs(rotation).sum(axis=1) == 1).all()
+        and np.array_equal(rotation @ first.matrix, tab.matrix)
+    ):
+        return None
+    det = round(np.linalg.det(rotation))
+    mine, moved = [], []
+    for use, coef in tab.coefficients.items():
+        other = first.coefficients[use]
+        if other.shape[2] == 3:
+            other = np.moveaxis(np.tensordot(other, rotation, axes=(2, 1)), -1, 2)  # Q v
+            other = other * det if use == "curl" else other
+        mine.append(coef.reshape(len(coef), -1))
+        moved.append(other.reshape(len(other), -1))
+    mine, moved = np.hstack(mine), np.hstack(moved)
+    index = (mine @ (moved / np.linalg.norm(moved, axis=1)[:, None]).T).argmax(axis=1)
+    if len(np.unique(index)) < len(index):
+        return None
+    if np.abs(mine - moved[index]).max() > _SIMILAR_TOL * np.abs(mine).max():
+        return None
+    return Similar(first, rotation, index)
+
+
+def _group_similar(tables):
+    """Set ``similar`` on each class table that can take the error factors of an earlier one.
+
+    Candidates share the vertex order and the rows of B up to order and
+    sign (their absolute values, sorted); the first class of each group
+    builds the factors, a class :func:`_similar` to none of them starts
+    a group of its own.
+    """
+    groups = {}
+    for tab in tables:
+        key = (tab.vertex_order, tuple(sorted(map(tuple, np.abs(tab.matrix)))))
+        firsts = groups.setdefault(key, [])
+        for first in firsts:
+            tab.similar = _similar(tab, first)
+            if tab.similar is not None:
+                break
+        else:
+            firsts.append(tab)
 
 
 def _tabulate(coef, basis):
@@ -713,8 +807,9 @@ def error_norms(space, coeffs, exact, quad_degree=None):
 
     With ``exact.modes`` no field is formed at the points: a cell's
     squared error is its weighted pointwise difference rotated by
-    triangular factors built once per class table (``_error_factors``),
-    never the cancelling |u|^2 - 2 (u, u_h) + |u_h|^2.  Without modes, per
+    triangular factors built once per group of similar class tables
+    (``_error_factors``), never the cancelling |u|^2 - 2 (u, u_h) +
+    |u_h|^2.  Without modes, per
     class and quantity the point table is formed once, and per chunk the
     represented values are one matrix product of the cells' coefficients
     with it, less the evaluated field.
@@ -725,7 +820,7 @@ def error_norms(space, coeffs, exact, quad_degree=None):
     modes = exact.modes
     acc = np.zeros(len(_NORMS))
     coeffs = np.asarray(coeffs)
-    built = False
+    status = Counter()
     for cells, tab in zip(space.classes, space.class_tables(quad_degree)):
         used = [
             (i, table, name)
@@ -735,9 +830,9 @@ def error_norms(space, coeffs, exact, quad_degree=None):
         if not used:
             continue
         if modes is not None:
-            squared, fresh = _modal_squared_errors(space, cells, tab, coeffs, modes, used)
+            squared, outcome = _modal_squared_errors(space, cells, tab, coeffs, modes, used)
             acc += tab.det * squared
-            built |= fresh
+            status[outcome] += 1
             continue
         for i, table, name in used:
             flat = tab.table(table)
@@ -748,39 +843,55 @@ def error_norms(space, coeffs, exact, quad_degree=None):
                 err -= vals.reshape(err.shape)
                 err *= err
                 acc[i] += tab.det * float((err @ w).sum())
+    factors = None
+    if modes is not None:
+        factors = "built" if status["built"] or status["shared"] else "reused"
     _log_layer(
-        f"error norms {space.kind}", space, start, *_sample_path(exact),
-        factors=None if modes is None else "built" if built else "reused",
+        f"error norms {space.kind}", space, start, *_sample_path(exact), factors=factors,
+        factor_builds=status["built"], factor_shared=status["shared"],
     )
     return tuple(np.sqrt(np.maximum(acc, 0.0)))
 
 
 def _error_factors(tab, modes, tables):
-    """Factors (R11, R12, R22) of each of ``tables`` of one class for ``_modal_squared_errors``.
+    """Factors R11 and (R12, R22) of each of ``tables`` of one class for ``_modal_squared_errors``.
 
     With W the root weights, P the templates, T one component's basis
     table, the Householder QR of W [P^T | T^T] is taken blockwise:
-    Q1 R11 = W P^T, R12 = Q1^T W T^T per component and R22 from the QR of
-    the remainder W T^T - Q1 R12.  None of it depends on the field: the
-    translation templates depend on the points only.  The factors of every
-    table not yet in ``tab.error_factors`` are built together, each table
-    formed once, on one QR of the templates; R11 and each table's (R12,
-    R22) are kept there, Q1 and the tables are not.  Returns the factors
-    in the order of ``tables`` and whether any were built.
+    Q1 R11 = W P^T, R12 = Q1^T W T^T per component, and one R22 per table
+    from the QR of the remainders W T^T - Q1 R12 of all its components
+    stacked, as the sum over components of |R22_c a|^2 is the |R22 a|^2 of
+    the stack.  None of it depends on the field: the translation templates
+    depend on the points only.  The factors of every table not yet in
+    ``tab.error_factors`` are built together, each table formed once, on
+    one QR of the templates; R11 and each table's (R12, R22) are kept
+    there, Q1 and the tables are not.  A class with a ``similar`` class
+    takes that class's factors, built there if missing, with the rows of
+    R12 and R22 gathered by the DOF permutation.  Returns R11, the
+    (R12, R22) in the order of ``tables``, and whether the class built
+    factors (``"built"``), took them (``"shared"``) or had them all.
     """
-    cache = tab.error_factors
+    first = tab if tab.similar is None else tab.similar.first
+    cache, source = tab.error_factors, first.error_factors
     missing = [table for table in tables if table not in cache]
-    if missing:
-        root = np.sqrt(tab.weights)
-        q1, cache["template"] = np.linalg.qr(root[:, None] * modes.template(tab.points).T)
-        for table in missing:
-            values = tab.table(table)
-            weighted = _by_point(values, len(root)).transpose(2, 1, 0) * root[:, None]
-            r12 = q1.T @ weighted  # (components, modes, basis)
-            r22 = np.linalg.qr(weighted - q1 @ r12, mode="r")
+    building = [table for table in missing if table not in source]
+    if building:
+        root = np.sqrt(first.weights)
+        q1, source["template"] = np.linalg.qr(root[:, None] * modes.template(first.points).T)
+        for table in building:
+            values = first.table(table)
             n = len(values)
-            cache[table] = r12.reshape(-1, n).T, r22.reshape(-1, n).T
-    return [(cache["template"], *cache[table]) for table in tables], bool(missing)
+            # (points, components x basis): the rows of the stacked remainder come in any order
+            weighted = _by_point(values, len(root)).transpose(1, 2, 0).reshape(len(root), -1) * root[:, None]
+            r12 = q1.T @ weighted
+            r22 = np.linalg.qr((weighted - q1 @ r12).reshape(-1, n), mode="r")
+            source[table] = r12.reshape(len(r12), -1, n).T.reshape(n, -1), r22.T
+    if tab.similar is not None and missing:
+        cache["template"] = source["template"]
+        for table in missing:
+            cache[table] = tuple(factor[tab.similar.index] for factor in source[table])
+    status = "built" if building else "shared" if missing else None
+    return cache["template"], [cache[table] for table in tables], status
 
 
 def _modal_squared_errors(space, cells, tab, coeffs, modes, used):
@@ -788,25 +899,37 @@ def _modal_squared_errors(space, cells, tab, coeffs, modes, used):
 
     With c a cell's mode and a its basis coefficients, |W (P^T c - T^T a)|^2
     = |R11 c - R12 a|^2 + |R22 a|^2 in the factors of ``_error_factors``,
-    with the pointwise difference's rounding.  Returns the squared errors
-    and whether any factor was built.
+    with the pointwise difference's rounding.  R11 c is ``modes.folded``:
+    the x shift of each cell enters the R11 product, and the cells are
+    taken in groups of one x shift, each group's coefficients gathered
+    and its differences summed while they are in cache.  A class that
+    took the factors of a similar class ``B = Q B_first`` evaluates
+    there: its cells' fields pulled back by Q and their shifts by Q^T, so
+    that the first class's points and factors serve.  Returns the squared
+    errors and the factor status of ``_error_factors``.
     """
-    factors, fresh = _error_factors(tab, modes, [table for _, table, _ in used])
+    r11, factors, status = _error_factors(tab, modes, [table for _, table, _ in used])
+    rotation = None if tab.similar is None else tab.similar.rotation
+    if rotation is not None:
+        modes = modes.pulled_back(rotation)
     out = np.zeros(len(_NORMS))
+    names = [name for _, _, name in used]
     for chunk, shifts in _chunks(space, cells, modes.count):
-        local = coeffs[space.local_to_global[chunk]]
-        moved = modes.shifted(shifts)
-        for (i, _, name), (r11, r12, r22) in zip(used, factors):
-            y = moved(name).reshape(-1, modes.count) @ r11.T
-            y -= (local @ r12).reshape(y.shape)
-            z = local @ r22
-            out[i] += np.vdot(y, y) + np.vdot(z, z)
-    return out, fresh
+        if rotation is not None:
+            shifts = shifts @ rotation  # Q^T t
+        for group, products in modes.folded(r11, shifts, names):
+            local = coeffs[space.local_to_global[chunk[group]]]
+            for (i, _, _), y, (r12, r22) in zip(used, products, factors):
+                y -= (local @ r12).reshape(y.shape)
+                z = local @ r22
+                out[i] += np.vdot(y, y) + np.vdot(z, z)
+    return out, status
 
 
 def divergence_norm(space, coeffs, quad_degree=None):
     """L2 norm of the divergence of a represented velocity field."""
-    assert space.kind == "velocity"
+    if space.kind != "velocity":
+        raise ValueError(f"divergence norm needs a velocity space, not {space.kind}")
     if quad_degree is None:
         quad_degree = default_quadrature_degree(space.r, space.k, space.basis_degree)
     total = 0.0

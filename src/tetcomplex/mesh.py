@@ -44,7 +44,8 @@ class AffineMap:
 
     def __post_init__(self):
         self.det = _det3(self.matrix)
-        assert self.det > 0
+        if self.det <= 0:
+            raise ValueError(f"affine map determinant {self.det} is not positive")
         self.inverse = _inv3(self.matrix, self.det)
         self.matrix_f = np.array(self.matrix, dtype=float)
         self.inverse_f = np.array(self.inverse, dtype=float)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import factorial, lcm
+from math import factorial, gcd, lcm
 
 import numpy as np
 
@@ -49,9 +49,19 @@ def _affine_cols(points):
     return [[points[j + 1][i] - p0[i] for j in range(len(points) - 1)] for i in range(3)], list(p0)
 
 
-def subtet_affine(i):
-    """Map of the unit tet onto subtet ``i`` (matrix columns, shift)."""
-    return _affine_cols(SUBTET_VERTICES[i])
+def _integer_map(points):
+    """The map of the unit simplex onto ``points`` on integers: ``(columns, shift, s)``, each entry times ``s``.
+
+    ``s`` is the least common denominator of the entries.  Only the
+    points' numerators and denominators are read (exact rationals or
+    ints), so no ``Fraction`` is formed.
+    """
+    den = lcm(*(v.denominator for p in points for v in p))
+    nums = [[v.numerator * (den // v.denominator) for v in p] for p in points]
+    shift = nums[0]
+    matrix = [[p[i] - shift[i] for p in nums[1:]] for i in range(3)]
+    g = gcd(den, *shift, *(v for row in matrix for v in row))
+    return [[v // g for v in row] for row in matrix], [v // g for v in shift], den // g
 
 
 @lru_cache(maxsize=None)
@@ -60,7 +70,7 @@ def pullback_table(degree, points):
 
     ``F`` maps the unit simplex in ``m = len(points) - 1`` variables onto the
     simplex on ``points`` (rational points of R^3, ``points[0]`` the image
-    of the origin), as :func:`face_param` and :func:`subtet_affine` do.
+    of the origin), as :func:`face_param` does.
     Returns ``(den, table)``: ``table`` has one row per monomial of degree
     <= ``degree`` in ``m`` variables and one column per monomial of degree
     <= ``degree`` in 3 variables, both in ``monomial_exponents`` order, so
@@ -74,16 +84,15 @@ def pullback_table(degree, points):
     """
     from .spaces import monomial_exponents  # spaces imports this module
 
-    matrix, shift = _affine_cols(points)
+    matrix, shift, s = _integer_map(points)
     m = len(points) - 1
-    s = lcm(*(Fraction(v).denominator for v in (*shift, *sum(matrix, []))))
     units = [tuple(int(j == i) for j in range(m)) for i in range(m)]
     forms = []
     for c in range(3):
-        form = {(0,) * m: int(shift[c] * s)} if shift[c] else {}
+        form = {(0,) * m: shift[c]} if shift[c] else {}
         for j in range(m):
             if matrix[c][j]:
-                form[units[j]] = int(matrix[c][j] * s)
+                form[units[j]] = matrix[c][j]
         forms.append(form)
     rows = {f: i for i, f in enumerate(monomial_exponents(degree, m))}
     exps = monomial_exponents(degree, 3)
@@ -113,8 +122,14 @@ def subtet_moment_table(degree):
     """
     from .spaces import monomial_exponents  # spaces imports this module
 
-    dets = [abs(Fraction(_det3(subtet_affine(i)[0]))) for i in range(4)]
-    vol_den = lcm(*(d.denominator for d in dets))
+    # each subtet's |det| as a reduced (numerator, denominator): that of its integer map over s^3
+    dets = []
+    for points in SUBTET_VERTICES:
+        matrix, _, s = _integer_map(points)
+        num, den = abs(_det3(matrix)), s**3
+        g = gcd(num, den)
+        dets.append((num // g, den // g))
+    vol_den = lcm(*(d for _, d in dets))
     top = factorial(degree + 3)
     exps = monomial_exponents(degree, 3)
     # top times the integral of y^f over the unit simplex
@@ -125,8 +140,8 @@ def subtet_moment_table(degree):
     pulled = [pullback_table(degree, points) for points in SUBTET_VERTICES]
     den = lcm(*(d for d, _ in pulled))
     tables = []
-    for (d, table), det in zip(pulled, dets):
-        weight = det.numerator * (vol_den // det.denominator) * (den // d)
+    for (d, table), (det_num, det_den) in zip(pulled, dets):
+        weight = det_num * (vol_den // det_den) * (den // d)
         tables.append(dict(zip(exps, (unit @ table * weight).tolist())))
     return top * den * vol_den, tuple(tables)
 

@@ -104,6 +104,10 @@ def shift_matrices(shifts):
     return out
 
 
+# fields that transform as curls, by det Q under an axis map Q
+_PSEUDO = frozenset({"curl", "grad_curl", "lap_curl"})
+
+
 class TranslationModes:
     """Fields on the products of cubic modes per axis, at translated points.
 
@@ -146,33 +150,78 @@ class TranslationModes:
         return np.tensordot(products, t[rows], axes=(0, 0))
 
     def coefficients(self, name, shifts):
-        """Coefficients of field ``name`` moved by each of (cells, 3) shifts.
-
-        Shape (cells, *components, 64); see :meth:`shifted`.
-        """
-        return self.shifted(shifts)(name)
-
-    def shifted(self, shifts):
-        """:meth:`coefficients` at (cells, 3) shifts, as a function of the name.
+        """Coefficients of field ``name`` moved by each of (cells, 3) shifts, shape (cells, *components, 64).
 
         The shift acts on one tensor axis at a time, with one matrix per
-        distinct shift along that axis; the matrices are formed here once
-        for every name the function is called with.
+        distinct shift along that axis.
         """
         n = len(shifts)
         mx, my, mz = (
             shift_matrices(distinct)[inverse]
             for distinct, inverse in (np.unique(s, return_inverse=True) for s in shifts.T)
         )
+        t = self.tensors[name]
+        out = mx @ t.reshape(4, -1)  # (cells, x mode, rest)
+        out = my[:, None] @ out.reshape(n, 4, 4, -1)  # (cells, x, y mode, rest)
+        out = mz[:, None] @ out.reshape(n, 16, 4, -1)  # (cells, x y, z mode, components)
+        return np.moveaxis(out.reshape(n, 64, -1), 1, -1).reshape((n,) + t.shape[1:] + (64,))
 
-        def coefficients(name):
-            t = self.tensors[name]
-            out = mx @ t.reshape(4, -1)  # (cells, x mode, rest)
-            out = my[:, None] @ out.reshape(n, 4, 4, -1)  # (cells, x, y mode, rest)
-            out = mz[:, None] @ out.reshape(n, 16, 4, -1)  # (cells, x y, z mode, components)
-            return np.moveaxis(out.reshape(n, 64, -1), 1, -1).reshape((n,) + t.shape[1:] + (64,))
+    def folded(self, left, shifts, names):
+        """:meth:`coefficients` of ``names`` at (cells, 3) shifts times ``left.T``, the x shift folded into ``left``.
 
-        return coefficients
+        With M the shift matrices, the moved coefficients of a component
+        are (M_x (x) M_y (x) M_z) t, so their product with ``left`` (rows,
+        64) is A_x (I_4 (x) M_y (x) M_z) t with A_x = left (M_x (x) I_16).
+        A_x is formed once per distinct x shift and the vector in brackets
+        once per distinct (y, z) pair.  Yields, per distinct x shift, the
+        indices of its cells in ``shifts`` and the products of each name
+        for them, one matrix product each, as (cells x components, rows):
+        each cell's components in turn, flattened.  A group at a time keeps
+        the products small enough to stay in cache while they are used.
+        """
+        values, at = np.unique(shifts, return_inverse=True)  # one matrix per distinct coordinate
+        matrices, at = shift_matrices(values), at.reshape(shifts.shape)
+        xs, x_of = np.unique(at[:, 0], return_inverse=True)
+        pairs, pair_of = np.unique(at[:, 1] * len(values) + at[:, 2], return_inverse=True)
+        rows = len(left)
+        # A_x^T: sum_a M_x[a, a'] left^T[(a, yz), r] in row (a', yz)
+        folded = (matrices[xs].transpose(0, 2, 1) @ left.T.reshape(4, -1)).reshape(len(xs), 64, rows)
+        my, mz = matrices[pairs // len(values)], matrices[pairs % len(values)]
+        stages = []
+        for name in names:
+            t = self.tensors[name].reshape(4, 4, 4, -1)
+            moved = mz[:, None, None] @ t  # (pairs, x, y, z mode, components)
+            moved = my[:, None] @ moved.reshape(len(pairs), 4, 4, -1)
+            stages.append(moved.reshape(len(pairs), 64, -1).transpose(0, 2, 1))  # (pairs, components, 64)
+        order = np.argsort(x_of, kind="stable")
+        bounds = np.searchsorted(x_of[order], np.arange(len(xs) + 1))
+        for right, lo, hi in zip(folded, bounds[:-1], bounds[1:]):
+            cells = order[lo:hi]
+            yield cells, [(stage[pair_of[cells]] @ right).reshape(-1, rows) for stage in stages]
+
+    def pulled_back(self, rotation):
+        """The fields pulled back by a signed axis permutation Q (a 3x3 matrix), as new modes.
+
+        Field f becomes Q^T f(Q p): its modes are gathered along the
+        permuted axes, a flipped axis signing mode a by (-1)^(3 - a), as
+        sin is odd and cos even.  Components transform as the tables
+        compared with them: a vector by Q^T, a 3x3 tensor as Q^T J Q, the
+        curls (``_PSEUDO``) times det Q; a scalar keeps its value.
+        """
+        perm = np.abs(rotation).argmax(axis=1)  # (Q p)[i] = signs[i] p[perm[i]]
+        signs = rotation[np.arange(3), perm]
+        source = np.argsort(perm)  # the axis of f that becomes axis l of the pull-back
+        flips = signs[source][:, None] ** (3 - np.arange(4))  # (axis, mode)
+        parity = np.einsum("a,b,c->abc", *flips).ravel()
+        det = round(np.linalg.det(rotation))
+        tensors = {}
+        for name, t in self.tensors.items():
+            moved = np.transpose(t.reshape((4, 4, 4) + t.shape[1:]), (*source, *range(3, t.ndim + 2)))
+            moved = moved.reshape(t.shape) * parity.reshape((64,) + (1,) * (t.ndim - 1))
+            for axis in range(1, t.ndim):
+                moved = np.moveaxis(np.tensordot(moved, rotation, axes=(axis, 0)), -1, axis)
+            tensors[name] = moved * (det if name in _PSEUDO else 1)
+        return TranslationModes(tensors)
 
 
 class ManufacturedSolution:

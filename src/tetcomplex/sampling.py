@@ -27,9 +27,13 @@ class FieldSample:
     as a (count, m) array, and ``modes.coefficients(name, shifts)`` gives
     the evaluator ``name``'s coefficients at cells moved by (cells, 3)
     shifts, shape (cells, *components, count), so that their product is
-    the evaluator at the moved points.  Load and error norms then work
-    from the templates and coefficients alone; interpolation, and a sample
-    without ``modes``, evaluate point by point.
+    the evaluator at the moved points.  The error norms take the
+    coefficients through ``modes.folded(left, shifts, names)`` (their
+    products with a matrix, grouped by x shift) and evaluate on a class
+    whose map is a signed axis permutation Q of another's through
+    ``modes.pulled_back(Q)``.  Load and error norms then work from the
+    templates and coefficients alone; interpolation, and a sample without
+    ``modes``, evaluate point by point.
     """
 
     value: callable
@@ -86,7 +90,8 @@ class FieldSample:
 
     def gradient_sample(self):
         """The gradient of a scalar sample as a (curl-free) vector sample."""
-        assert self.scalar and self.gradient is not None
+        if not self.scalar or self.gradient is None:
+            raise ValueError("a gradient sample needs a scalar sample with a gradient")
 
         def zero3(pts):
             return np.zeros((len(np.asarray(pts)), 3))

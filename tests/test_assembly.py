@@ -21,6 +21,7 @@ from tetcomplex.assembly import (
     assemble,
     assemble_load,
     discrete_d,
+    divergence_norm,
     error_norms,
     restrict_operator,
 )
@@ -956,3 +957,105 @@ class TestModalMatchesPointwise:
         for r in records:
             assert (r.classes, r.cells) == (6, 48) and r.seconds >= 0
             assert r.getMessage().startswith(f"{r.layer}: 6 classes, 48 cells, {r.path} path")
+
+
+class TestSharedErrorFactors:
+    """A class ``B = Q B_first`` of a Kuhn level takes the error factors of the first class of its group."""
+
+    CASES = [("gradcurl", r, k) for r, k in DEFAULT_CONFIGS] + [
+        ("velocity", 1, 1), ("velocity", 2, 2), ("pressure", 2, 2),
+    ]
+
+    @staticmethod
+    def _sample(kind):
+        ms = ManufacturedSolution()
+        return ms.pressure_sample() if kind == "pressure" else ms.solution_sample()
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("kind,r,k", CASES)
+    def test_shared_factors_match_direct_and_pointwise(self, kind, r, k, n):
+        sample = self._sample(kind)
+        space = GlobalSpace(build_structured_cube(n), kind, r, k)
+        degree = assembly_module.default_quadrature_degree(r, k, space.basis_degree)
+        coeffs = np.random.default_rng(n).standard_normal(space.dim)
+        modal = error_norms(space, coeffs, sample, degree)
+        pointwise = error_norms(space, coeffs, dataclasses.replace(sample, modes=None), degree)
+        np.testing.assert_allclose(modal, pointwise, rtol=1e-12, atol=0)
+        tables = space.class_tables(degree)
+        used = [
+            (i, table, name) for i, (table, name) in enumerate(assembly_module._NORMS)
+            if table in tables[0].names and getattr(sample, name) is not None
+        ]
+        shared = [(cells, tab) for cells, tab in zip(space.classes, tables) if tab.similar is not None]
+        assert len(shared) == 4
+        for cells, tab in shared:
+            assert tab.similar.first.similar is None
+            direct = ClassTables(space, cells[0], degree)  # builds its own factors
+            got, status = assembly_module._modal_squared_errors(space, cells, tab, coeffs, sample.modes, used)
+            want, built = assembly_module._modal_squared_errors(space, cells, direct, coeffs, sample.modes, used)
+            assert (status, built) == (None, "built")
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    # tables of each kind that the error norms of the manufactured samples read
+    @pytest.mark.parametrize("kind,tables", [("gradcurl", 3), ("velocity", 2), ("pressure", 1)])
+    def test_cold_level_builds_factors_for_two_classes(self, kind, tables, caplog, monkeypatch):
+        sample = self._sample(kind)
+        space = GlobalSpace(build_structured_cube(4), kind, 1, 1)
+        space.class_tables(8)
+        qr, calls = np.linalg.qr, []
+        monkeypatch.setattr(np.linalg, "qr", lambda *a, **kw: calls.append(1) or qr(*a, **kw))
+        with caplog.at_level(logging.DEBUG, logger="tetcomplex.assembly"):
+            error_norms(space, np.zeros(space.dim), sample, 8)
+            error_norms(space, np.ones(space.dim), sample, 8)
+        records = [r for r in caplog.records if r.name == "tetcomplex.assembly"]
+        assert [(r.factors, r.factor_builds, r.factor_shared) for r in records] == [
+            ("built", 2, 4), ("reused", 0, 0),
+        ]
+        assert records[0].getMessage().endswith(", factors built (2 built, 4 shared)")
+        # one QR of the templates and one per table, in each of the two builds
+        assert len(calls) == 2 * (1 + tables)
+
+
+class TestInputChecks:
+    """Input checks are exceptions, which ``python -O`` keeps, not asserts."""
+
+    def test_divergence_norm_needs_velocity(self, spaces1):
+        with pytest.raises(ValueError, match="velocity space"):
+            divergence_norm(spaces1["gradcurl"], np.zeros(spaces1["gradcurl"].dim))
+
+    def test_gradient_sample_needs_scalar_gradient(self):
+        with pytest.raises(ValueError, match="scalar sample with a gradient"):
+            ManufacturedSolution().solution_sample().gradient_sample()
+        with pytest.raises(ValueError, match="scalar sample with a gradient"):
+            FieldSample(lambda p: np.zeros(len(p)), scalar=True).gradient_sample()
+
+    def test_checks_survive_optimized_mode(self):
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        script = (
+            "from fractions import Fraction as F\n"
+            "import numpy as np\n"
+            "from tetcomplex.assembly import GlobalSpace, divergence_norm\n"
+            "from tetcomplex.mesh import AffineMap, build_structured_cube\n"
+            "from tetcomplex.sampling import FieldSample\n"
+            "space = GlobalSpace(build_structured_cube(1), 'gradcurl', 1, 1)\n"
+            "flip = ((F(1), F(0), F(0)), (F(0), F(1), F(0)), (F(0), F(0), F(-1)))\n"
+            "checks = (\n"
+            "    lambda: divergence_norm(space, np.zeros(space.dim)),\n"
+            "    lambda: AffineMap(flip, (F(0),) * 3, (0, 1, 2, 3)),\n"
+            "    lambda: FieldSample(lambda p: p).gradient_sample(),\n"
+            ")\n"
+            "for check in checks:\n"
+            "    try:\n"
+            "        check()\n"
+            "    except ValueError as exc:\n"
+            "        print(type(exc).__name__)\n"
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        run = subprocess.run(
+            [sys.executable, "-O", "-c", script], capture_output=True, text=True, timeout=120,
+            env={"PYTHONPATH": str(src), "PATH": ""},
+        )
+        assert run.stdout.splitlines() == ["ValueError"] * 3, run.stderr

@@ -28,9 +28,9 @@ from tetcomplex.polyalg import (
     integrate_unit_simplex,
     layered_mean_zero_basis,
     rank,
-    subtet_affine,
 )
 from tetcomplex.polyalg.poly import _det3
+from tetcomplex.polyalg.split import SUBTET_VERTICES
 
 
 def _target(p, degree=None):
@@ -248,9 +248,9 @@ def _polynomial_product_gram(space):
     """Reference H1-seminorm Gram matrix: gradient products pulled back to the unit simplex."""
     grads = [phi.map(grad) for phi in space.scalar_basis]
     pulled = []
-    for piece in range(4):
-        matrix, shift = subtet_affine(piece)
-        pulled.append(([g.pieces[piece].compose_affine(matrix, shift) for g in grads], abs(_det3(matrix))))
+    for piece, (p0, *others) in enumerate(SUBTET_VERTICES):
+        matrix = [[v[i] - p0[i] for v in others] for i in range(3)]  # columns: the edges from p0
+        pulled.append(([g.pieces[piece].compose_affine(matrix, list(p0)) for g in grads], abs(_det3(matrix))))
     return [
         [sum((integrate_unit_simplex(c[a].dot(c[b])) * det for c, det in pulled), F(0)) for b in range(len(grads))]
         for a in range(len(grads))

@@ -771,11 +771,18 @@ class TestIntegerKernels:
             elements.physical_face_bubble(reference_cell(), 0)
 
     def test_face_bubble_solves_form_no_fraction(self, monkeypatch, fresh_cache, fraction_count):
-        # a cold velocity (1,1) element, its divergence solver's tables prebuilt:
-        # each of its four face-bubble solves runs on integers
-        from tetcomplex import bubbles, elements
+        # a cold velocity (1,1) element with a cold divergence solver: each of its
+        # four face-bubble solves, the first with the solver's build, runs on integers
+        from functools import lru_cache
 
-        bubbles._div_solver(3)
+        from tetcomplex import bubbles, elements
+        from tetcomplex.polyalg import split
+
+        cached = [(bubbles, "_div_solver"), (bubbles, "build_split_space")] + [
+            (module, name) for module in (bubbles, split) for name in ("pullback_table", "subtet_moment_table")
+        ]
+        for module, name in cached:
+            monkeypatch.setattr(module, name, lru_cache(maxsize=None)(getattr(module, name).__wrapped__))
         solve, counts = elements.solve_div, []
 
         def counted(target, k):

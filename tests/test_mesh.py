@@ -9,6 +9,7 @@ import pytest
 from tetcomplex.elements import CellGeometry
 from tetcomplex.mesh import (
     LATTICE_BOUND,
+    AffineMap,
     REF_EDGE_VERTICES,
     REF_FACE_VERTICES,
     MeshTopology,
@@ -102,6 +103,12 @@ class TestAffineMaps:
     def test_volumes_sum_to_one(self):
         m = build_structured_cube(2)
         assert sum(m.cell_volume(c) for c in range(m.n_cells)) == 1
+
+    @pytest.mark.parametrize("last", [-1, 0])
+    def test_non_positive_determinant_rejected(self, last):
+        matrix = ((F(1), F(0), F(0)), (F(0), F(1), F(0)), (F(0), F(0), F(last)))
+        with pytest.raises(ValueError, match="not positive"):
+            AffineMap(matrix, (F(0),) * 3, (0, 1, 2, 3))
 
 
 class TestExchange:

@@ -1,6 +1,7 @@
 """Model problems: manufactured fields, solves, Stokes, convergence machinery."""
 
 import dataclasses
+from itertools import permutations, product
 
 import numpy as np
 import pytest
@@ -138,6 +139,63 @@ class TestShiftMatrices:
         for v, at in ((derived, x), (moved, x + shift)):
             modal = sum(v[a] * s ** (3 - a) * c**a for a in range(4))
             np.testing.assert_allclose(modal, _direct(coeffs, order, at), rtol=0, atol=1e-13 * scale)
+
+
+# every signed axis permutation Q, (Q p)[i] = signs[i] p[perm[i]]
+_SIGNED_PERMUTATIONS = [
+    np.eye(3)[list(perm)] * np.array(signs, float)[:, None]
+    for perm in permutations(range(3))
+    for signs in product((1, -1), repeat=3)
+]
+
+
+class TestTranslationModes:
+    NAMES = ("value", "curl", "grad_curl", "jacobian", "divergence", "pressure", "pressure_gradient")
+
+    @given(points=st.lists(st.tuples(*[st.floats(-2, 2)] * 3), min_size=1, max_size=6))
+    @settings(max_examples=15, deadline=None)
+    def test_pull_back_by_every_signed_axis_permutation(self, manufactured, points):
+        # the pulled-back modes at p are the field at Q p, its components moved
+        # by Q^T (vectors), Q^T J Q (Jacobians) and det Q for curls
+        p = np.array(points)
+        modes = manufactured.modes
+        assert len(_SIGNED_PERMUTATIONS) == 48
+        for q in _SIGNED_PERMUTATIONS:
+            pulled = modes.pulled_back(q)
+            det = np.linalg.det(q)
+            for name in self.NAMES:
+                field = modes.evaluate(name, p @ q.T)
+                if field.ndim == 2:
+                    field = field @ q
+                elif field.ndim == 3:
+                    field = np.einsum("ki,mkl,lj->mij", q, field, q)
+                if name in ("curl", "grad_curl"):
+                    field = field * det
+                # every mode is at most 1 in size: the terms' sum bounds the rounding
+                scale = np.abs(modes.tensors[name]).sum()
+                np.testing.assert_allclose(
+                    pulled.evaluate(name, p), field, rtol=1e-13, atol=1e-13 * scale, err_msg=name
+                )
+
+    @given(seed=st.integers(0, 2**32 - 1), cells=st.integers(1, 40))
+    @settings(max_examples=15, deadline=None)
+    def test_folded_equals_moved_coefficients(self, manufactured, seed, cells):
+        # shifts on a coarse lattice repeat: groups of one x shift, pairs seen twice or not at all
+        rng = np.random.default_rng(seed)
+        shifts = rng.integers(-2, 3, (cells, 3)) / 4
+        left = np.triu(rng.standard_normal((64, 64)))
+        names = ("value", "grad_curl", "pressure")
+        seen = []
+        for group, products in manufactured.modes.folded(left, shifts, names):
+            seen.extend(group)
+            assert len(set(shifts[group, 0])) == 1
+            for name, got in zip(names, products):
+                moved = manufactured.modes.coefficients(name, shifts[group])
+                expected = moved.reshape(len(group), -1, 64) @ left.T
+                np.testing.assert_allclose(
+                    got, expected.reshape(got.shape), rtol=0, atol=1e-13 * np.abs(expected).max(), err_msg=name
+                )
+        assert sorted(seen) == list(range(cells))
 
 
 class TestQuadCurlSolve:
