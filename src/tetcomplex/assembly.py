@@ -350,14 +350,6 @@ _KIND_TABLES = {
 }
 
 
-def _point_table(name):
-    """A ``ClassTables`` property: ``table(name)`` formed on each read, None where the kind has none."""
-    return property(
-        lambda self: self.table(name) if name in self.names else None,
-        doc=f"The ``{name}`` point table, formed on each read and not kept.",
-    )
-
-
 class ClassTables:
     """Geometry and nodal coefficient tensors of one congruence class.
 
@@ -379,12 +371,6 @@ class ClassTables:
     them and a :class:`Similar` for one that takes those of an earlier
     class (:func:`_group_similar`).
     """
-
-    values = _point_table("values")
-    curl = _point_table("curl")
-    grad_curl = _point_table("grad_curl")
-    grad = _point_table("grad")
-    div = _point_table("div")
 
     def __init__(self, space, cell_id, degree):
         el = space.elements[cell_id]
@@ -703,7 +689,7 @@ def assemble_load(space, sample, quad_degree):
                 for chunk, shifts in _chunks(space, cells, modes.count)
             )
         else:
-            basis = _by_point(tab.values, len(tab.weights))
+            basis = _by_point(tab.table("values"), len(tab.weights))
             weighted = (basis * tab.weights[:, None]).reshape(len(basis), -1).T
             parts = (
                 (chunk, fv.reshape(len(chunk), -1) @ weighted)
@@ -935,7 +921,7 @@ def divergence_norm(space, coeffs, quad_degree=None):
     total = 0.0
     coeffs = np.asarray(coeffs)
     for cells, tab in zip(space.classes, space.class_tables(quad_degree)):
-        div = tab.div
+        div = tab.table("div")
         for chunk, _ in _chunks(space, cells, len(tab.weights)):
             dh = coeffs[space.local_to_global[chunk]] @ div
             total += tab.det * float(np.einsum("cq,q->", dh**2, tab.weights))

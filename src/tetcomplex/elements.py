@@ -25,9 +25,10 @@ from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field as dc_field, replace
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from itertools import permutations, product
 from math import comb, gcd, lcm, prod
+from operator import mul
 
 import numpy as np
 
@@ -382,7 +383,8 @@ def _face_bubble(cell: CellGeometry, local_face: int):
 def _scalar_bubble_numerators(i):
     """The integer coefficients of the scalar face bubble ``i`` in the monomial order of degree 3."""
     bubble = IntegerFields.from_fields([scalar_face_bubble(i)], 3)
-    assert bubble.den == 1
+    if bubble.den != 1:
+        raise ArithmeticError(f"scalar face bubble {i} has non-integer coefficients (denominator {bubble.den})")
     return bubble.nums[0, 0, 0]
 
 
@@ -519,12 +521,12 @@ class DofFunctional:
     geometry's map, shift included).  Entity stencils read the segment and
     triangle rules of ``quad``; cell stencils read the split rule
     ``alfeld_composite(quad.degree)``, so that they integrate
-    split-piecewise fields exactly.
+    split-piecewise fields exactly.  ``slot`` numbers the functionals of
+    one entity from 0, in the order :func:`build_dofs` lists them.
     """
 
     entity: tuple
     slot: int
-    label: str
     stencil: callable = dc_field(repr=False)
 
     def apply_sample(self, sample, quad, cell):
@@ -533,19 +535,19 @@ class DofFunctional:
         return float(np.sum(getattr(sample, use)(cell.amap.apply(pts)) * wts))
 
 
-def _exps2(degree):
-    return monomial_exponents(degree, 2) if degree >= 0 else []
+def _numbered(functionals):
+    """The functionals of ``(entity, stencil)`` pairs, in order: each entity's slots count from 0 as they come."""
+    slots = Counter()
+    dofs = []
+    for entity, stencil in functionals:
+        dofs.append(DofFunctional(entity, slots[entity], stencil))
+        slots[entity] += 1
+    return dofs
 
 
 _ONE = np.ones(1)
 _UNIT = np.eye(3)
 _REF = np.array(REF_VERTICES, dtype=float)
-
-
-def _directed(stencil, direction):
-    """A scalar stencil ``(use, points, weights)`` times a fixed vector."""
-    use, pts, wts = stencil
-    return use, pts, wts[:, None] * direction
 
 
 def _edge_points(info, spts):
@@ -558,143 +560,94 @@ def _face_points(info, fpts):
     return p0 + fpts[:, :1] * (p1 - p0) + fpts[:, 1:2] * (p2 - p0)
 
 
+# The four stencil shapes.  A weight is an exponent tuple, the monomial in
+# the rule's own coordinates, or a (vector) polynomial on them; a direction
+# is a fixed vector or a function of the stencil's points, one per point.
+
+
+def _moment(use, pts, measure, rule_pts, weight, direction):
+    """The stencil at ``pts``: ``measure`` times the weight at the rule's own points ``rule_pts``, times a direction."""
+    if isinstance(weight, tuple):
+        values = reduce(mul, (rule_pts[:, i] ** e for i, e in enumerate(weight)))
+    else:
+        values = weight.to_float().eval_many(rule_pts)
+    wts = measure * values if values.ndim == 1 else measure[:, None] * values
+    if direction is not None:
+        wts = wts[:, None] * (direction(pts) if callable(direction) else direction)
+    return use, pts, wts
+
+
+def _vertex(v, direction=None, use="value"):
+    """The value (or curl) at vertex ``v``, times a fixed direction if there is one."""
+    return lambda quad: (use, _REF[v:v + 1], _ONE if direction is None else direction[None, :])
+
+
+def _edge(info, m, direction=None, use="value", measured=True):
+    """The moment against ``s^m`` along the edge, times its length if ``measured``."""
+    def stencil(quad):
+        spts, w = quad.segment
+        measure = (info["length"] if measured else 1.0) * w
+        return _moment(use, _edge_points(info, spts), measure, spts, (m,), direction)
+    return stencil
+
+
+def _face(info, weight, direction=None, use="value", measured=True):
+    """The moment against a weight on the face's parametric triangle, times twice its area if ``measured``, else 2."""
+    def stencil(quad):
+        fpts, w = quad.triangle
+        measure = (2 * info["area"] if measured else 2) * w
+        return _moment(use, _face_points(info, fpts), measure, fpts, weight, direction)
+    return stencil
+
+
+def _cell(cell, weight, direction=None, use="value", scale=1.0):
+    """The split-rule moment against a weight, times ``det B`` and ``scale``."""
+    def stencil(quad):
+        rpts, w = alfeld_composite(quad.degree)
+        return _moment(use, rpts, scale * cell.amap.det_f * w, rpts, weight, direction)
+    return stencil
+
+
+def _tangential_offsets(cell, info):
+    """The physical offsets ``B (xhat - xhat_c)`` of face points from the face centroid."""
+    centroid = np.mean(np.array(info["ref_anchors"], dtype=float), axis=0)
+    return lambda pts: (pts - centroid) @ cell.amap.matrix_f.T
+
+
 def lagrange_dofs(cell: CellGeometry, r):
-    dofs = [
-        DofFunctional(
-            ("vertex", v), 0, f"value@v{v}", lambda q, v=v: ("value", _REF[v:v + 1], _ONE)
-        )
-        for v in range(4)
-    ]
-    for e, info in enumerate(cell.edges):
-        for m in range(r - 1):
-            dofs.append(
-                DofFunctional(
-                    ("edge", e), m, f"edge{e}-moment{m}",
-                    lambda q, info=info, m=m: _edge_scalar_stencil(q, info, m),
-                )
-            )
-    for f, info in enumerate(cell.faces):
-        for slot, exp in enumerate(_exps2(r - 3)):
-            dofs.append(
-                DofFunctional(
-                    ("face", f), slot, f"face{f}-moment{exp}",
-                    lambda q, info=info, exp=exp: _face_scalar_stencil(q, info, exp),
-                )
-            )
-    for slot, exp in enumerate(monomial_exponents(r - 4, 3) if r >= 4 else []):
-        dofs.append(
-            DofFunctional(
-                ("cell", 0), slot, f"cell-moment{exp}",
-                lambda q, exp=exp: _cell_scalar_stencil(q, cell, exp),
-            )
-        )
-    return dofs
-
-
-def _edge_scalar_stencil(quad, info, m):
-    spts, w = quad.segment
-    return "value", _edge_points(info, spts), info["length"] * w * spts[:, 0] ** m
-
-
-def _face_scalar_stencil(quad, info, exp):
-    fpts, w = quad.triangle
-    mono = fpts[:, 0] ** exp[0] * fpts[:, 1] ** exp[1]
-    return "value", _face_points(info, fpts), 2 * info["area"] * w * mono
-
-
-def _cell_scalar_stencil(quad, cell, exp, scale=1.0):
-    rpts, w = alfeld_composite(quad.degree)
-    mono = rpts[:, 0] ** exp[0] * rpts[:, 1] ** exp[1] * rpts[:, 2] ** exp[2]
-    return "value", rpts, scale * cell.amap.det_f * w * mono
+    return _numbered(
+        [(("vertex", v), _vertex(v)) for v in range(4)]
+        + [(("edge", e), _edge(info, m)) for e, info in enumerate(cell.edges) for m in range(r - 1)]
+        + [(("face", f), _face(info, e)) for f, info in enumerate(cell.faces) for e in monomial_exponents(r - 3, 2)]
+        + [(("cell", 0), _cell(cell, exp)) for exp in monomial_exponents(r - 4, 3)]
+    )
 
 
 def pressure_dofs(cell: CellGeometry, k):
     # mean-value moments (1/|K|) \int p q dV: the order-zero nodal basis is
     # then the cell indicator and mass row sums are cell volumes
     inv_vol = 1.0 / float(cell.amap.det * Fraction(1, 6))
-    return [
-        DofFunctional(
-            ("cell", 0), slot, f"cell-mean-moment{exp}",
-            lambda q, exp=exp: _cell_scalar_stencil(q, cell, exp, inv_vol),
-        )
-        for slot, exp in enumerate(monomial_exponents(k - 1, 3))
-    ]
+    return _numbered((("cell", 0), _cell(cell, exp, scale=inv_vol)) for exp in monomial_exponents(k - 1, 3))
 
 
 def velocity_dofs(cell: CellGeometry, k):
-    dofs = [
-        DofFunctional(
-            ("vertex", v), c, f"value@v{v}[{c}]",
-            lambda q, v=v, c=c: ("value", _REF[v:v + 1], _UNIT[c][None, :]),
-        )
-        for v in range(4)
-        for c in range(3)
-    ]
+    functionals = [(("vertex", v), _vertex(v, _UNIT[c])) for v in range(4) for c in range(3)]
     for e, info in enumerate(cell.edges):
-        slot = 0
-        for m in range(max(k - 1, 0)):
-            for c in range(3):
-                dofs.append(
-                    DofFunctional(
-                        ("edge", e), slot, f"edge{e}-mom{m}[{c}]",
-                        lambda q, info=info, m=m, c=c: _directed(
-                            _edge_scalar_stencil(q, info, m), _UNIT[c]
-                        ),
-                    )
-                )
-                slot += 1
+        functionals += [(("edge", e), _edge(info, m, _UNIT[c])) for m in range(k - 1) for c in range(3)]
     for f, info in enumerate(cell.faces):
-        slot = 0
-        for exp in _exps2(k - 3):
-            for c in range(3):
-                dofs.append(
-                    DofFunctional(
-                        ("face", f), slot, f"face{f}-mom{exp}[{c}]",
-                        lambda q, info=info, exp=exp, c=c: _directed(
-                            _face_scalar_stencil(q, info, exp), _UNIT[c]
-                        ),
-                    )
-                )
-                slot += 1
-        if k <= 2:
-            dofs.append(
-                DofFunctional(
-                    ("face", f), slot, f"face{f}-normal-flux",
-                    lambda q, info=info: _directed(
-                        _face_scalar_stencil(q, info, (0, 0)), info["normal"]
-                    ),
-                )
-            )
-            slot += 1
-    slot = 0
-    for exp in (monomial_exponents(k - 4, 3) if k >= 4 else []):
-        for c in range(3):
-            dofs.append(
-                DofFunctional(
-                    ("cell", 0), slot, f"cell-mom{exp}[{c}]",
-                    lambda q, exp=exp, c=c: _directed(
-                        _cell_scalar_stencil(q, cell, exp), _UNIT[c]
-                    ),
-                )
-            )
-            slot += 1
+        exps = monomial_exponents(k - 3, 2)
+        functionals += [(("face", f), _face(info, exp, _UNIT[c])) for exp in exps for c in range(3)]
+        if k <= 2:  # the normal flux
+            functionals.append((("face", f), _face(info, (0, 0), info["normal"])))
+    exps = monomial_exponents(k - 4, 3)
+    functionals += [(("cell", 0), _cell(cell, exp, _UNIT[c])) for exp in exps for c in range(3)]
     if k >= 2:
-        for v_hat in layered_mean_zero_basis(k - 1):
-            w = grad(v_hat).matmul(cell.b_invT)
-            dofs.append(
-                DofFunctional(
-                    ("cell", 0), slot, f"cell-layered-grad{slot}",
-                    lambda q, w=w: _cell_weighted_stencil(q, cell, w),
-                )
-            )
-            slot += 1
-    return dofs
+        layered = (grad(v_hat).matmul(cell.b_invT) for v_hat in layered_mean_zero_basis(k - 1))
+        functionals += [(("cell", 0), _cell(cell, w)) for w in layered]
+    return _numbered(functionals)
 
 
-def _cell_weighted_stencil(quad, cell, weight_vec, use="value", scale=1.0):
-    rpts, w = alfeld_composite(quad.degree)
-    wv = weight_vec.to_float().eval_many(rpts)
-    return use, rpts, (scale * cell.amap.det_f * w)[:, None] * wv
+_POSITION = VectorField(tuple(Polynomial.variable(i) for i in range(3)))  # xhat
 
 
 @lru_cache(maxsize=None)
@@ -702,130 +655,39 @@ def _cross_position_basis(k):
     """Rank-selected basis of { p x xhat : p vector polynomial of degree k-5 }."""
     if k < 5:
         return ()
-    xf = VectorField(tuple(Polynomial.variable(i) for i in range(3)))
-    gens = [vm.cross(xf) for vm in vector_monomials(k - 5)]
+    gens = [vm.cross(_POSITION) for vm in vector_monomials(k - 5)]
     return tuple(gens[i] for i in _independent(IntegerFields.from_fields(gens, k - 4)))
 
 
+def _mean_free(exp):
+    """The monomial less its mean over the parametric triangle (area 1/2)."""
+    mono = Polynomial.monomial(exp)
+    return mono - Polynomial.constant(Fraction(integrate_unit_simplex(mono) * 2), 2)
+
+
 def gradcurl_dofs(cell: CellGeometry, r, k):
-    dofs = [
-        DofFunctional(
-            ("vertex", v), c, f"curl@v{v}[{c}]",
-            lambda q, v=v, c=c: ("curl", _REF[v:v + 1], _UNIT[c][None, :]),
-        )
-        for v in range(4)
-        for c in range(3)
-    ]
+    functionals = [(("vertex", v), _vertex(v, _UNIT[c], "curl")) for v in range(4) for c in range(3)]
     for e, info in enumerate(cell.edges):
-        slot = 0
-        for m in range(r):
-            dofs.append(
-                DofFunctional(
-                    ("edge", e), slot, f"edge{e}-tang{m}",
-                    lambda q, info=info, m=m: _directed(
-                        _edge_scalar_stencil(q, info, m), info["tangent"]
-                    ),
-                )
-            )
-            slot += 1
-        for m in range(max(k - 1, 0)):
-            for c in range(3):
-                dofs.append(
-                    DofFunctional(
-                        ("edge", e), slot, f"edge{e}-curlmom{m}[{c}]",
-                        lambda q, info=info, m=m, c=c: _edge_curl_stencil(q, info, m, c),
-                    )
-                )
-                slot += 1
+        functionals += [(("edge", e), _edge(info, m, info["tangent"])) for m in range(r)]
+        functionals += [
+            (("edge", e), _edge(info, m, _UNIT[c], "curl", measured=False)) for m in range(k - 1) for c in range(3)
+        ]
+    exps = monomial_exponents(k - 3, 2)
+    mean_free = [_mean_free(exp) for exp in exps[1:]]  # the constant, first, has none
     for f, info in enumerate(cell.faces):
-        slot = 0
-        exps = _exps2(k - 3)
-        for exp in exps:
-            if exp == (0, 0):
-                continue
-            mono = Polynomial.monomial(exp)
-            # mean over the parametric triangle (area 1/2)
-            w = mono - Polynomial.constant(Fraction(integrate_unit_simplex(mono) * 2), 2)
-            dofs.append(
-                DofFunctional(
-                    ("face", f), slot, f"face{f}-curl-n{exp}",
-                    lambda q, info=info, w=w: _face_curl_normal_stencil(q, info, w),
-                )
-            )
-            slot += 1
-        for tname in ("tau1", "tau2"):
-            for exp in exps:
-                dofs.append(
-                    DofFunctional(
-                        ("face", f), slot, f"face{f}-curl-{tname}{exp}",
-                        lambda q, info=info, exp=exp, t=info[tname]: _face_curl_tangent_stencil(
-                            q, info, exp, t
-                        ),
-                    )
-                )
-                slot += 1
+        functionals += [(("face", f), _face(info, w, info["normal"], "curl")) for w in mean_free]
+        functionals += [
+            (("face", f), _face(info, e, info[t], "curl", measured=False)) for t in ("tau1", "tau2") for e in exps
+        ]
         # tangential-position moments of the field itself
-        for exp in _exps2(r - 3):
-            dofs.append(
-                DofFunctional(
-                    ("face", f), slot, f"face{f}-tangpos{exp}",
-                    lambda q, info=info, exp=exp: _face_tangpos_stencil(q, info, exp, cell),
-                )
-            )
-            slot += 1
-    slot = 0
-    for q_hat in _cross_position_basis(k):
-        w = q_hat.matmul(cell.b_invT)
-        dofs.append(
-            DofFunctional(
-                ("cell", 0), slot, f"cell-curlmom{slot}",
-                lambda q, w=w: _cell_weighted_stencil(q, cell, w, use="curl"),
-            )
-        )
-        slot += 1
-    if r >= 4:
-        xf = VectorField(tuple(Polynomial.variable(i) for i in range(3)))
-        for exp in monomial_exponents(r - 4, 3):
-            # (1/det) B q_hat, times det from dV
-            w = (xf * Polynomial.monomial(exp)).matmul(cell.amap.matrix)
-            dofs.append(
-                DofFunctional(
-                    ("cell", 0), slot, f"cell-mom{exp}",
-                    lambda q, w=w: _cell_weighted_stencil(
-                        q, cell, w, scale=1.0 / cell.amap.det_f
-                    ),
-                )
-            )
-            slot += 1
-    return dofs
-
-
-def _edge_curl_stencil(quad, info, m, c):
-    spts, w = quad.segment
-    return "curl", _edge_points(info, spts), (w * spts[:, 0] ** m)[:, None] * _UNIT[c]
-
-
-def _face_curl_normal_stencil(quad, info, w2):
-    fpts, w = quad.triangle
-    wv = w2.to_float().eval_many(fpts)
-    wts = (2 * info["area"] * w * wv)[:, None] * info["normal"]
-    return "curl", _face_points(info, fpts), wts
-
-
-def _face_curl_tangent_stencil(quad, info, exp, t):
-    fpts, w = quad.triangle
-    mono = fpts[:, 0] ** exp[0] * fpts[:, 1] ** exp[1]
-    return "curl", _face_points(info, fpts), (2 * w * mono)[:, None] * t
-
-
-def _face_tangpos_stencil(quad, info, exp, cell):
-    """Moment against the physical offset from the face centroid, ``B (xhat - xhat_c)``."""
-    fpts, w = quad.triangle
-    pts = _face_points(info, fpts)
-    centroid = np.mean(np.array(info["ref_anchors"], dtype=float), axis=0)
-    offsets = (pts - centroid) @ cell.amap.matrix_f.T
-    mono = fpts[:, 0] ** exp[0] * fpts[:, 1] ** exp[1]
-    return "value", pts, (2 * w * mono)[:, None] * offsets
+        offsets = _tangential_offsets(cell, info)
+        functionals += [(("face", f), _face(info, e, offsets, measured=False)) for e in monomial_exponents(r - 3, 2)]
+    cross = (q_hat.matmul(cell.b_invT) for q_hat in _cross_position_basis(k))
+    functionals += [(("cell", 0), _cell(cell, w, use="curl")) for w in cross]
+    # (1/det) B q_hat, times det from dV
+    moments = ((_POSITION * Polynomial.monomial(exp)).matmul(cell.amap.matrix) for exp in monomial_exponents(r - 4, 3))
+    functionals += [(("cell", 0), _cell(cell, w, scale=1.0 / cell.amap.det_f)) for w in moments]
+    return _numbered(functionals)
 
 
 def build_dofs(kind, cell, r, k):
@@ -1315,30 +1177,10 @@ def local_complex_matrices(r, k):
     return grad_mat, curl_mat, div_mat
 
 
-def _matmul_exact(a, b):
-    n, m, p = len(a), len(b), len(b[0])
-    out = [[Fraction(0)] * p for _ in range(n)]
-    for i in range(n):
-        ai = a[i]
-        for kk in range(m):
-            v = ai[kk]
-            if v == 0:
-                continue
-            bk = b[kk]
-            row = out[i]
-            for j in range(p):
-                if bk[j] != 0:
-                    row[j] += v * bk[j]
-    return out
-
-
-def _is_zero_matrix(a):
-    return all(v == 0 for row in a for v in row)
-
-
 def local_exactness_table(r, k):
     """Exact rank table of the local complex (all entries rational ranks)."""
     grad_mat, curl_mat, div_mat = local_complex_matrices(r, k)
+    grad_a, curl_a, div_a = (np.array(m, dtype=object) for m in (grad_mat, curl_mat, div_mat))
     dims = {kind: space_dimension(kind, r, k) for kind in SPACE_KINDS}
     rk_grad = exact_rank(grad_mat)
     rk_curl = exact_rank(curl_mat)
@@ -1350,8 +1192,8 @@ def local_exactness_table(r, k):
         "rank_div": rk_div,
         "nullity_curl": dims["gradcurl"] - rk_curl,
         "nullity_div": dims["velocity"] - rk_div,
-        "curl_grad_zero": _is_zero_matrix(_matmul_exact(curl_mat, grad_mat)),
-        "div_curl_zero": _is_zero_matrix(_matmul_exact(div_mat, curl_mat)),
+        "curl_grad_zero": not (curl_a @ grad_a).any(),
+        "div_curl_zero": not (div_a @ curl_a).any(),
     }
     table["exact"] = (
         table["curl_grad_zero"]

@@ -344,7 +344,8 @@ class VectorField:
 
     def __init__(self, comps):
         comps = tuple(comps)
-        assert len(comps) == 3
+        if len(comps) != 3:
+            raise ValueError(f"a vector field has 3 components, not {len(comps)}")
         self.comps = comps
 
     @classmethod

@@ -163,7 +163,8 @@ class PiecewiseField:
 
     def __init__(self, pieces, continuity="L2"):
         pieces = tuple(pieces)
-        assert len(pieces) == 4
+        if len(pieces) != 4:
+            raise ValueError(f"a split field has 4 pieces, one per subtet, not {len(pieces)}")
         self.pieces = pieces
         self.continuity = continuity
 

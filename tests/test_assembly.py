@@ -272,7 +272,7 @@ def _assert_tables_match(space, degree, label, raw_cache=None):
     for cells in space.classes:
         tab = ClassTables(space, cells[0], degree)
         for name, expected in _eval_many_tables(space, cells[0], degree, raw_cache).items():
-            got = getattr(tab, name)
+            got = tab.table(name)
             assert got.shape == expected.shape, (label, name)
             np.testing.assert_allclose(
                 got, expected, rtol=0, atol=1e-12 * np.abs(expected).max(), err_msg=f"{label} {name}"
@@ -321,15 +321,15 @@ def _global_coo(form, space, degree, pressure_space=None):
         space.classes, space.class_tables(degree), row_space.class_tables(degree)
     ):
         pairs = {
-            "mass": ((tab.values, tab.values),),
-            "gradcurl_stiffness": ((tab.grad_curl, tab.grad_curl), (tab.values, tab.values)),
-            "h1": ((tab.grad, tab.grad),),
-            "div_pressure": ((rtab.values, tab.div),),
+            "mass": (("values", "values"),),
+            "gradcurl_stiffness": (("grad_curl", "grad_curl"), ("values", "values")),
+            "h1": (("grad", "grad"),),
+            "div_pressure": (("values", "div"),),
         }[form]
         nq = len(tab.weights)
         local = sum(
             np.einsum("mqc,nqc,q->mn", a.reshape(len(a), nq, -1), b.reshape(len(b), nq, -1), tab.weights)
-            for a, b in pairs
+            for a, b in ((rtab.table(a), tab.table(b)) for a, b in pairs)
         ) * tab.det
         shape = (len(cells),) + local.shape
         rows.append(np.broadcast_to(row_space.local_to_global[cells][:, :, None], shape).ravel())
@@ -705,7 +705,7 @@ class TestInterpolationAndNorms:
                 tables[geom.signature()] = ClassTables(space, ci, 8)
             tab = tables[geom.signature()]
             fv = sample.value(geom.amap.apply(tab.ref_points))
-            local = np.einsum("qc,mqc,q->m", fv, tab.values, tab.weights) * tab.det
+            local = np.einsum("qc,mqc,q->m", fv, tab.table("values"), tab.weights) * tab.det
             np.add.at(expected, space.local_to_global[ci], local)
         np.testing.assert_allclose(load, expected, rtol=0, atol=1e-12 * np.abs(expected).max())
 
@@ -812,7 +812,7 @@ class TestInterpolationAndNorms:
                 for b in el.basis
             ])
             exact = np.einsum("jq,jm->mq", raw, el.nodal)
-            np.testing.assert_allclose(tab.div, exact, rtol=0, atol=1e-12 * np.abs(exact).max())
+            np.testing.assert_allclose(tab.table("div"), exact, rtol=0, atol=1e-12 * np.abs(exact).max())
 
     def test_export_roundtrip(self, spaces1, tmp_path):
         m = assemble("mass", spaces1["pressure"])
@@ -1029,6 +1029,16 @@ class TestInputChecks:
         with pytest.raises(ValueError, match="scalar sample with a gradient"):
             FieldSample(lambda p: np.zeros(len(p)), scalar=True).gradient_sample()
 
+    def test_field_constructors_check_their_length(self):
+        from tetcomplex.polyalg.poly import Polynomial, VectorField
+        from tetcomplex.polyalg.split import PiecewiseField
+
+        x = Polynomial.variable(0)
+        with pytest.raises(ValueError, match="3 components, not 2"):
+            VectorField((x, x))
+        with pytest.raises(ValueError, match="4 pieces, one per subtet, not 3"):
+            PiecewiseField((x, x, x))
+
     def test_checks_survive_optimized_mode(self):
         import subprocess
         import sys
@@ -1039,6 +1049,8 @@ class TestInputChecks:
             "import numpy as np\n"
             "from tetcomplex.assembly import GlobalSpace, divergence_norm\n"
             "from tetcomplex.mesh import AffineMap, build_structured_cube\n"
+            "from tetcomplex.polyalg.poly import Polynomial, VectorField\n"
+            "from tetcomplex.polyalg.split import PiecewiseField\n"
             "from tetcomplex.sampling import FieldSample\n"
             "space = GlobalSpace(build_structured_cube(1), 'gradcurl', 1, 1)\n"
             "flip = ((F(1), F(0), F(0)), (F(0), F(1), F(0)), (F(0), F(0), F(-1)))\n"
@@ -1046,6 +1058,8 @@ class TestInputChecks:
             "    lambda: divergence_norm(space, np.zeros(space.dim)),\n"
             "    lambda: AffineMap(flip, (F(0),) * 3, (0, 1, 2, 3)),\n"
             "    lambda: FieldSample(lambda p: p).gradient_sample(),\n"
+            "    lambda: VectorField((Polynomial.variable(0),) * 2),\n"
+            "    lambda: PiecewiseField((Polynomial.variable(0),) * 3),\n"
             ")\n"
             "for check in checks:\n"
             "    try:\n"
@@ -1058,4 +1072,4 @@ class TestInputChecks:
             [sys.executable, "-O", "-c", script], capture_output=True, text=True, timeout=120,
             env={"PYTHONPATH": str(src), "PATH": ""},
         )
-        assert run.stdout.splitlines() == ["ValueError"] * 3, run.stderr
+        assert run.stdout.splitlines() == ["ValueError"] * 5, run.stderr

@@ -1,5 +1,6 @@
 """Local elements: dimensions, unisolvence, exactness, polynomial reproduction."""
 
+from math import comb
 from types import SimpleNamespace
 
 import numpy as np
@@ -94,6 +95,24 @@ class TestDimensions:
         assert (
             1 - dims["lagrange"] + dims["gradcurl"] - dims["velocity"] + dims["pressure"]
         ) == 0
+
+    @pytest.mark.parametrize("r,k", [(k + d, k) for k in range(1, 7) for d in range(3)])
+    def test_closed_form_dimensions(self, r, k):
+        # counted from the functionals on the reference cell, so every DOF
+        # family is built: velocity cell moments from k = 4, grad-curl
+        # cross-position moments from k = 5 and cell moments from r = 4
+        def split_dim(j):  # |S_j|, the layered space of the interior bubbles
+            return comb(j + 2, 2) + comb(j + 1, 2)
+
+        interior = split_dim(k - 1) if k >= 3 else (3 if k == 2 else 0)
+        velocity = 3 * comb(k + 3, 3) + 4 * (k <= 2) + interior
+        expected = {
+            "lagrange": comb(r + 3, 3),
+            "gradcurl": velocity + comb(r + 3, 3) - comb(k + 2, 3) - 1,
+            "velocity": velocity,
+            "pressure": comb(k + 2, 3),
+        }
+        assert {kind: space_dimension(kind, r, k) for kind in SPACE_KINDS} == expected
 
     def test_velocity_case_split(self):
         assert space_dimension("velocity", 1, 1) == 16  # 12 + 4 face bubbles
