@@ -7,9 +7,10 @@ the child sets on itself, so a row that runs out of memory fails alone
 instead of taking the machine with it.  A row times, one after another:
 the structured mesh, the grad-curl space, its class tables, the stiffness
 assembly, the load of the manufactured forcing, and the error norms of a
-zero field (the same work as for a solved field) twice: the first pass
-(``errors``) builds the per-class error factors and the second
-(``errors_again``) reuses them, so it times the per-cell work alone.  A
+zero field (the same work as for a solved field) twice.  The load
+(``load``) builds the per-class factors that load and error norms share,
+and both error-norm passes (``errors``, ``errors_again``) reuse them, so
+they time the per-cell work alone.  A
 flat record holds each layer's seconds (``<layer>_s``) and the process's
 peak RSS when the layer ended (``<layer>_peak_rss_mb``) as the median
 over the processes, with ``<key>_min`` and ``<key>_max`` beside it; the

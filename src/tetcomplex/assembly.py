@@ -21,13 +21,13 @@ Per class everything float is a dense product:
   2006), turns it into one CSR matrix of the class's cells and merges the
   classes on the union of their patterns, so explicit zeros stay and no
   global triplet array exists;
-- the load contracts a sample's weighted mode templates with the shared
-  Vandermonde table and then with the coefficient tensor, once per class,
-  and the error norms reduce templates and point tables to small
-  triangular factors that the class tables keep for every later call
-  (see ``FieldSample`` for ``modes``): one QR of the templates and one
-  per table, of all its components stacked.  Classes whose maps differ
-  by a signed axis permutation Q (two triples on a Kuhn level) form one
+- the load and the error norms of a sample with ``modes`` (see
+  ``FieldSample``) share one kernel: templates and point tables reduce to
+  small triangular factors that the class tables keep for every later
+  call, one QR of the templates and one per table, of all its components
+  stacked, and a cell's modes enter only through R11 c.  The load is
+  R12^T (R11 c) on the values table's R12.  Classes whose maps differ by
+  a signed axis permutation Q (two triples on a Kuhn level) form one
   group, whose first class builds the factors and whose others take them
   (``_group_similar``), evaluating their fields pulled back by Q.  Per
   cell the translation is folded into the product with R11, once per
@@ -75,11 +75,8 @@ from .quadrature import alfeld_composite
 _log = logging.getLogger("tetcomplex.assembly")
 
 
-def default_quadrature_degree(r, k, basis_degree=None):
-    base = 2 * max(r, k + 1) + 2
-    if basis_degree is not None:
-        base = max(base, 2 * basis_degree)
-    return base
+def default_quadrature_degree(r, k, basis_degree):
+    return max(2 * max(r, k + 1) + 2, 2 * basis_degree)
 
 
 # ``GlobalSpace.dof_points`` scale: a multiple of 1, 2, 3 and 4 vertices, so the
@@ -91,17 +88,23 @@ DOF_POINT_SCALE = 12
 _POINT_CHUNK = 200_000
 
 
-def _log_layer(layer, space, start, path, modes=0, factors=None, factor_builds=0, factor_shared=0):
+def _log_layer(layer, space, start, path, modes=0, status=None):
     """One DEBUG record of a layer over all classes of ``space``, begun at ``start``.
 
     ``path`` names how the layer evaluated (the class tables' coefficient
     tensors, moment matrices, exact numerators, modal or pointwise
-    samples), ``factors`` whether the error norms built or reused their
-    per-class factors, ``factor_builds`` how many classes built factors
-    and ``factor_shared`` how many took those of a similar class.
+    samples).  ``status`` counts the ``_error_factors`` outcomes of a
+    modal layer's classes: its record's ``factors`` says whether the layer
+    built or reused the per-class factors, ``factor_builds`` how many
+    classes built them and ``factor_shared`` how many took those of a
+    similar class.
     """
     if not _log.isEnabledFor(logging.DEBUG):
         return
+    status = status or Counter()
+    factors = None
+    if path == "modal":
+        factors = "built" if status["built"] or status["shared"] else "reused"
     fields = {
         "layer": layer,
         "classes": len(space.classes),
@@ -109,8 +112,8 @@ def _log_layer(layer, space, start, path, modes=0, factors=None, factor_builds=0
         "path": path,
         "modes": modes,
         "factors": factors,
-        "factor_builds": factor_builds,
-        "factor_shared": factor_shared,
+        "factor_builds": status["built"],
+        "factor_shared": status["shared"],
         "seconds": time.perf_counter() - start,
     }
     details = ", factors %(factors)s (%(factor_builds)d built, %(factor_shared)d shared)"
@@ -263,12 +266,9 @@ class GlobalSpace:
 
 @dataclass
 class SparseOperator:
-    """CSR matrix with provenance and a symmetry flag."""
+    """An assembled CSR matrix."""
 
     matrix: sp.csr_matrix
-    row_space: GlobalSpace
-    col_space: GlobalSpace
-    symmetric: bool = False
 
     @property
     def shape(self):
@@ -367,9 +367,9 @@ class ClassTables:
     from the values and physical Jacobians from the partials times B^{-1}.
     No exact field is read, so a class derived in its element's similarity
     orbit forms none.  ``error_factors`` caches the triangular factors of
-    ``_modal_squared_errors``; ``similar`` is None for a class that builds
-    them and a :class:`Similar` for one that takes those of an earlier
-    class (:func:`_group_similar`).
+    the modal load and error norms (:func:`_error_factors`); ``similar``
+    is None for a class that builds them and a :class:`Similar` for one
+    that takes those of an earlier class (:func:`_group_similar`).
     """
 
     def __init__(self, space, cell_id, degree):
@@ -382,7 +382,7 @@ class ClassTables:
         self.det = geom.amap.det_f
         self.matrix, self.inverse = geom.amap.matrix_f, geom.amap.inverse_f
         self.vertex_order = geom.amap.vertex_order
-        self.error_factors = {}
+        self.error_factors = None
         self.similar = None
         self.coefficients = {}
         for use, raw in el.coefficients.items():
@@ -529,12 +529,12 @@ def _values(space, cells, evaluate, points):
 # form assembly
 
 
-def _required_degree(form, space, other=None):
+def _required_degree(form, space, other):
     d = space.basis_degree
     if form in ("mass", "gradcurl_stiffness", "h1"):
         return 2 * d
     if form == "div_pressure":
-        return d + (other.basis_degree if other else 0)
+        return d + other.basis_degree
     raise ValueError(f"unknown form {form!r}")
 
 
@@ -545,6 +545,8 @@ def assemble(form, space, quad_degree=None, pressure_space=None):
     energy (grad curl u, grad curl v) + (u, v)), ``h1`` (vector gradient
     Gram), ``div_pressure`` ((div u, q) coupling; needs ``pressure_space``).
     """
+    if form == "div_pressure" and pressure_space is None:
+        raise ValueError("the div_pressure form needs a pressure_space")
     needed = _required_degree(form, space, pressure_space)
     if quad_degree is None:
         quad_degree = max(
@@ -580,10 +582,8 @@ def assemble(form, space, quad_degree=None, pressure_space=None):
                 row_space.local_to_global[cells], space.local_to_global[cells], local * tab.det, shape
             )
 
-    matrix = _merge(parts())
-    sym = form in ("mass", "gradcurl_stiffness", "h1")
-    op = SparseOperator(matrix, row_space, space, sym)
-    if sym and not op.check_symmetry():
+    op = SparseOperator(_merge(parts()))
+    if form != "div_pressure" and not op.check_symmetry():
         raise ArithmeticError(f"assembled {form} operator lost symmetry")
     _log_layer(f"assemble {form}", space, start, "moments")
     return op
@@ -665,40 +665,39 @@ def _ones(matrix, dtype):
 def assemble_load(space, sample, quad_degree):
     """Load vector (f, v) over the nodal basis of ``space``.
 
-    With ``sample.modes``, per class the weighted templates are contracted
-    with the shared monomial table and then with the coefficient tensor,
-    two matrix products, into (components x modes, basis); per chunk the
-    cells' mode coefficients times that matrix are the local loads.
-    Otherwise the class forms its basis table once, and per chunk the
-    weighted sample values times that table are.
+    With ``sample.modes`` the load shares the error norms' kernel: per
+    class, with W the root weights, P the templates and T one component of
+    the basis table, W P^T = Q1 R11 and W T^T = Q1 R12 + Q2 R22, so a cell's
+    load T W^2 P^T c is R12^T (R11 c).  R12 of the values table comes from
+    ``_error_factors`` and R11 c, per group of cells of one x shift, from
+    ``_modal_groups``.  Otherwise the class forms its basis table once, and
+    per chunk the weighted sample values times that table are the local
+    loads.
     """
     start = time.perf_counter()
     modes = sample.modes
     out = np.zeros(space.dim)
+    status = Counter()
     for cells, tab in zip(space.classes, space.class_tables(quad_degree)):
         if modes is not None:
-            coef = tab.coefficients["value"]
-            n, _, comps, nm = coef.shape
-            monomials = _vandermonde(quad_degree, space.basis_degree)[0][..., :nm]
-            weighted = (modes.template(tab.points) * tab.weights).reshape(-1, 4, monomials.shape[1])
-            moments = (weighted.transpose(1, 0, 2) @ monomials).transpose(1, 0, 2)  # (modes, subtets, m)
-            load = moments.reshape(modes.count, -1) @ coef.transpose(1, 3, 0, 2).reshape(4 * nm, -1)
-            load = load.reshape(modes.count, n, comps).transpose(2, 0, 1).reshape(-1, n)
+            r11, factors, outcome = _error_factors(tab, modes)
+            status[outcome] += 1
+            r12 = factors["values"][0]
             parts = (
-                (chunk, modes.coefficients("value", shifts).reshape(len(chunk), -1) @ load)
-                for chunk, shifts in _chunks(space, cells, modes.count)
+                (dofs, y.reshape(len(dofs), -1) @ r12.T)
+                for dofs, (y,) in _modal_groups(space, cells, tab, modes, r11, ["value"])
             )
         else:
             basis = _by_point(tab.table("values"), len(tab.weights))
             weighted = (basis * tab.weights[:, None]).reshape(len(basis), -1).T
             parts = (
-                (chunk, fv.reshape(len(chunk), -1) @ weighted)
+                (space.local_to_global[chunk], fv.reshape(len(chunk), -1) @ weighted)
                 for chunk, fv in _values(space, cells, sample.value, tab.points)
             )
-        for chunk, local in parts:
+        for dofs, local in parts:
             local *= tab.det
-            np.add.at(out, space.local_to_global[chunk], local)
-    _log_layer(f"load {space.kind}", space, start, *_sample_path(sample))
+            np.add.at(out, dofs, local)
+    _log_layer(f"load {space.kind}", space, start, *_sample_path(sample), status)
     return out
 
 
@@ -748,7 +747,7 @@ def discrete_d(which, source, target):
         (kept, (keys // source.dim, keys % source.dim)), shape=(target.dim, source.dim)
     ).tocsr()
     _log_layer(f"discrete {which}", source, start, "numerators")
-    return SparseOperator(matrix, target, source)
+    return SparseOperator(matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -829,18 +828,12 @@ def error_norms(space, coeffs, exact, quad_degree=None):
                 err -= vals.reshape(err.shape)
                 err *= err
                 acc[i] += tab.det * float((err @ w).sum())
-    factors = None
-    if modes is not None:
-        factors = "built" if status["built"] or status["shared"] else "reused"
-    _log_layer(
-        f"error norms {space.kind}", space, start, *_sample_path(exact), factors=factors,
-        factor_builds=status["built"], factor_shared=status["shared"],
-    )
+    _log_layer(f"error norms {space.kind}", space, start, *_sample_path(exact), status)
     return tuple(np.sqrt(np.maximum(acc, 0.0)))
 
 
-def _error_factors(tab, modes, tables):
-    """Factors R11 and (R12, R22) of each of ``tables`` of one class for ``_modal_squared_errors``.
+def _error_factors(tab, modes):
+    """Factors R11 and (R12, R22) of every norm table of one class, for the modal load and error norms.
 
     With W the root weights, P the templates, T one component's basis
     table, the Householder QR of W [P^T | T^T] is taken blockwise:
@@ -848,36 +841,59 @@ def _error_factors(tab, modes, tables):
     from the QR of the remainders W T^T - Q1 R12 of all its components
     stacked, as the sum over components of |R22_c a|^2 is the |R22 a|^2 of
     the stack.  None of it depends on the field: the translation templates
-    depend on the points only.  The factors of every table not yet in
-    ``tab.error_factors`` are built together, each table formed once, on
-    one QR of the templates; R11 and each table's (R12, R22) are kept
-    there, Q1 and the tables are not.  A class with a ``similar`` class
-    takes that class's factors, built there if missing, with the rows of
-    R12 and R22 gathered by the DOF permutation.  Returns R11, the
-    (R12, R22) in the order of ``tables``, and whether the class built
-    factors (``"built"``), took them (``"shared"``) or had them all.
+    depend on the points only.  The first call on a group of similar
+    classes builds the factors of all of its tables that ``_NORMS`` names,
+    on its first class and one QR of the templates; ``error_factors``
+    keeps R11 and each table's (R12, R22), not Q1 or the tables.  A class
+    with a ``similar`` class takes that class's factors, built there if
+    missing, with the rows of R12 and R22 gathered by the DOF permutation.
+    Returns R11, the (R12, R22) by table name, and whether the class built
+    the factors (``"built"``), took them (``"shared"``) or had them (None).
     """
+    if tab.error_factors is not None:
+        return (*tab.error_factors, None)
     first = tab if tab.similar is None else tab.similar.first
-    cache, source = tab.error_factors, first.error_factors
-    missing = [table for table in tables if table not in cache]
-    building = [table for table in missing if table not in source]
-    if building:
+    status = "shared" if first.error_factors is not None else "built"
+    if first.error_factors is None:
         root = np.sqrt(first.weights)
-        q1, source["template"] = np.linalg.qr(root[:, None] * modes.template(first.points).T)
-        for table in building:
+        q1, r11 = np.linalg.qr(root[:, None] * modes.template(first.points).T)
+        factors = {}
+        for table in [table for table, _ in _NORMS if table in first.names]:
             values = first.table(table)
             n = len(values)
             # (points, components x basis): the rows of the stacked remainder come in any order
             weighted = _by_point(values, len(root)).transpose(1, 2, 0).reshape(len(root), -1) * root[:, None]
             r12 = q1.T @ weighted
             r22 = np.linalg.qr((weighted - q1 @ r12).reshape(-1, n), mode="r")
-            source[table] = r12.reshape(len(r12), -1, n).T.reshape(n, -1), r22.T
-    if tab.similar is not None and missing:
-        cache["template"] = source["template"]
-        for table in missing:
-            cache[table] = tuple(factor[tab.similar.index] for factor in source[table])
-    status = "built" if building else "shared" if missing else None
-    return cache["template"], [cache[table] for table in tables], status
+            factors[table] = r12.reshape(len(r12), -1, n).T.reshape(n, -1), r22.T
+        first.error_factors = r11, factors
+    if tab is not first:
+        r11, factors = first.error_factors
+        index = tab.similar.index
+        tab.error_factors = r11, {table: (r12[index], r22[index]) for table, (r12, r22) in factors.items()}
+    return (*tab.error_factors, status)
+
+
+def _modal_groups(space, cells, tab, modes, r11, names):
+    """R11 c of ``names`` for the cells of one class, a group of one x shift at a time.
+
+    R11 c is ``modes.folded``: the x shift of each cell enters the R11
+    product, and the cells are taken in groups of one x shift, so that a
+    group's products stay in cache while they are used.  A class that
+    took the factors of a similar class ``B = Q B_first`` evaluates there:
+    its cells' fields pulled back by Q and their shifts by Q^T, so that
+    the first class's points and factors serve.  Yields, per group, the
+    global DOF ids of its cells and the products of each name, as
+    (cells x components, modes).
+    """
+    rotation = None if tab.similar is None else tab.similar.rotation
+    if rotation is not None:
+        modes = modes.pulled_back(rotation)
+    for chunk, shifts in _chunks(space, cells, modes.count):
+        if rotation is not None:
+            shifts = shifts @ rotation  # Q^T t
+        for group, products in modes.folded(r11, shifts, names):
+            yield space.local_to_global[chunk[group]], products
 
 
 def _modal_squared_errors(space, cells, tab, coeffs, modes, used):
@@ -885,30 +901,20 @@ def _modal_squared_errors(space, cells, tab, coeffs, modes, used):
 
     With c a cell's mode and a its basis coefficients, |W (P^T c - T^T a)|^2
     = |R11 c - R12 a|^2 + |R22 a|^2 in the factors of ``_error_factors``,
-    with the pointwise difference's rounding.  R11 c is ``modes.folded``:
-    the x shift of each cell enters the R11 product, and the cells are
-    taken in groups of one x shift, each group's coefficients gathered
-    and its differences summed while they are in cache.  A class that
-    took the factors of a similar class ``B = Q B_first`` evaluates
-    there: its cells' fields pulled back by Q and their shifts by Q^T, so
-    that the first class's points and factors serve.  Returns the squared
+    with the pointwise difference's rounding; R11 c comes from
+    ``_modal_groups``, and each group's coefficients are gathered and its
+    differences summed while they are in cache.  Returns the squared
     errors and the factor status of ``_error_factors``.
     """
-    r11, factors, status = _error_factors(tab, modes, [table for _, table, _ in used])
-    rotation = None if tab.similar is None else tab.similar.rotation
-    if rotation is not None:
-        modes = modes.pulled_back(rotation)
+    r11, factors, status = _error_factors(tab, modes)
     out = np.zeros(len(_NORMS))
-    names = [name for _, _, name in used]
-    for chunk, shifts in _chunks(space, cells, modes.count):
-        if rotation is not None:
-            shifts = shifts @ rotation  # Q^T t
-        for group, products in modes.folded(r11, shifts, names):
-            local = coeffs[space.local_to_global[chunk[group]]]
-            for (i, _, _), y, (r12, r22) in zip(used, products, factors):
-                y -= (local @ r12).reshape(y.shape)
-                z = local @ r22
-                out[i] += np.vdot(y, y) + np.vdot(z, z)
+    for dofs, products in _modal_groups(space, cells, tab, modes, r11, [name for _, _, name in used]):
+        local = coeffs[dofs]
+        for (i, table, _), y in zip(used, products):
+            r12, r22 = factors[table]
+            y -= (local @ r12).reshape(y.shape)
+            z = local @ r22
+            out[i] += np.vdot(y, y) + np.vdot(z, z)
     return out, status
 
 

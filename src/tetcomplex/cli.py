@@ -59,13 +59,16 @@ def _defer_defaults(parser):
     """Swap every option's default for ``_UNSET``; returns {dest: (default, type)}.
 
     An option still ``_UNSET`` after parsing was not given on the command
-    line, whatever value it would default to.
+    line, whatever value it would default to.  Subcommands share this map,
+    so options of one name must share their default.
     """
     deferred = {}
     for action in parser._actions:
         if isinstance(action, argparse._SubParsersAction):
             for sub in action.choices.values():
-                deferred.update(_defer_defaults(sub))
+                for dest, (default, cast) in _defer_defaults(sub).items():
+                    if deferred.setdefault(dest, (default, cast))[0] != default:
+                        raise ValueError(f"option {dest!r} has two defaults")
         elif action.option_strings and action.default is not argparse.SUPPRESS:
             deferred[action.dest] = (action.default, action.type)
             action.default = _UNSET
@@ -119,7 +122,7 @@ def build_parser():
     solve.add_argument("--N", type=int, required=True)
     solve.add_argument("--r", type=int, default=None)
     solve.add_argument("--k", type=int, required=True)
-    solve.add_argument("--tol", type=float, default=1e-10)
+    solve.add_argument("--tol", type=float, default=None, help="solver tolerance (default: the problem's own)")
     solve.add_argument("--quad-degree", type=int, default=None)
     solve.add_argument("--out", help="CSV output path")
 
@@ -128,7 +131,7 @@ def build_parser():
     conv.add_argument("--levels", required=True, help="comma-separated mesh levels, e.g. 2,4,8")
     conv.add_argument("--r", type=int, required=True)
     conv.add_argument("--k", type=int, required=True)
-    conv.add_argument("--tol", type=float, default=1e-10)
+    conv.add_argument("--tol", type=float, default=None, help="solver tolerance (default: the problem's own)")
     conv.add_argument("--quad-degree", type=int, default=None)
     conv.add_argument("--out", help="CSV output path")
     conv.add_argument("--json", dest="json_out", help="JSON output path")
@@ -177,16 +180,15 @@ def cmd_verify(args):
 def cmd_solve(args):
     from .problems import QuadCurlProblem, StokesProblem, solve_quadcurl, solve_stokes
 
+    given = {} if args.tol is None else {"tol": args.tol}
     if args.problem == "quadcurl":
         r = args.r if args.r is not None else args.k
-        problem = QuadCurlProblem(
-            n=args.N, r=r, k=args.k, tol=args.tol, quad_degree=args.quad_degree
-        )
+        problem = QuadCurlProblem(n=args.N, r=r, k=args.k, quad_degree=args.quad_degree, **given)
         _, row = solve_quadcurl(problem)
         columns = ["N", "dofs", "l2", "hcurl", "gradcurl", "residual", "lu_nnz", "factor_s",
                    "seconds"]
     else:
-        problem = StokesProblem(n=args.N, k=args.k, quad_degree=args.quad_degree)
+        problem = StokesProblem(n=args.N, k=args.k, quad_degree=args.quad_degree, **given)
         _, _, row = solve_stokes(problem)
         columns = [
             "N", "dofs", "velocity_l2", "velocity_h1", "pressure_l2", "div_norm", "lu_nnz",
@@ -215,9 +217,8 @@ def cmd_convergence(args):
     if args.problem == "interpolation":
         report = interpolation_study(levels, args.r, args.k, quad_degree=args.quad_degree)
     else:
-        report = run_convergence(
-            "quadcurl", levels, args.r, args.k, tol=args.tol, quad_degree=args.quad_degree
-        )
+        given = {} if args.tol is None else {"tol": args.tol}
+        report = run_convergence("quadcurl", levels, args.r, args.k, quad_degree=args.quad_degree, **given)
     if args.out:
         report.to_csv(args.out)
     payload = report.to_json(args.json_out)

@@ -114,10 +114,10 @@ class TranslationModes:
     ``tensors`` maps a name to coefficients of shape (64, *components):
     row 16 a + 4 b + c multiplies the mode s1^(3-a) c1^a s2^(3-b) c2^b
     s3^(3-c) c3^c (s_i = sin(pi x_i), c_i = cos(pi x_i)).  At points p + t,
-    a field is ``coefficients(name, t) @ template(p)``: the template holds
-    the modes at p, and the coefficients are the tensor moved by t, one
-    ``shift_matrices`` factor per axis.  At any points, ``evaluate`` gives
-    the field directly.
+    a field is the tensor moved by t, one ``shift_matrices`` factor per
+    axis, times ``template(p)``, the modes at p; ``folded`` forms those
+    products with the template's factors.  At any points, ``evaluate``
+    gives the field directly.
     """
 
     count = 64
@@ -149,25 +149,8 @@ class TranslationModes:
         products *= per_axis[2, az]
         return np.tensordot(products, t[rows], axes=(0, 0))
 
-    def coefficients(self, name, shifts):
-        """Coefficients of field ``name`` moved by each of (cells, 3) shifts, shape (cells, *components, 64).
-
-        The shift acts on one tensor axis at a time, with one matrix per
-        distinct shift along that axis.
-        """
-        n = len(shifts)
-        mx, my, mz = (
-            shift_matrices(distinct)[inverse]
-            for distinct, inverse in (np.unique(s, return_inverse=True) for s in shifts.T)
-        )
-        t = self.tensors[name]
-        out = mx @ t.reshape(4, -1)  # (cells, x mode, rest)
-        out = my[:, None] @ out.reshape(n, 4, 4, -1)  # (cells, x, y mode, rest)
-        out = mz[:, None] @ out.reshape(n, 16, 4, -1)  # (cells, x y, z mode, components)
-        return np.moveaxis(out.reshape(n, 64, -1), 1, -1).reshape((n,) + t.shape[1:] + (64,))
-
     def folded(self, left, shifts, names):
-        """:meth:`coefficients` of ``names`` at (cells, 3) shifts times ``left.T``, the x shift folded into ``left``.
+        """Coefficients of ``names`` moved by (cells, 3) shifts times ``left.T``, the x shift folded into ``left``.
 
         With M the shift matrices, the moved coefficients of a component
         are (M_x (x) M_y (x) M_z) t, so their product with ``left`` (rows,

@@ -22,16 +22,15 @@ class FieldSample:
     Every evaluator takes flat (m, 3) points.  A sample may also carry
     ``modes``: the same fields as per-cell coefficients of a few template
     functions, for the cells of a congruence class, which are translates of
-    the class's first cell.  ``modes.count`` is the number of templates,
+    the class's first cell.  ``modes.count`` is the number of templates and
     ``modes.template(points)`` gives them at the first cell's (m, 3) points
-    as a (count, m) array, and ``modes.coefficients(name, shifts)`` gives
-    the evaluator ``name``'s coefficients at cells moved by (cells, 3)
-    shifts, shape (cells, *components, count), so that their product is
-    the evaluator at the moved points.  The error norms take the
-    coefficients through ``modes.folded(left, shifts, names)`` (their
-    products with a matrix, grouped by x shift) and evaluate on a class
-    whose map is a signed axis permutation Q of another's through
-    ``modes.pulled_back(Q)``.  Load and error norms then work from the
+    as a (count, m) array.  ``modes.folded(left, shifts, names)`` gives,
+    grouped by x shift, the evaluators ``names``' coefficients at cells
+    moved by (cells, 3) shifts times ``left.T``, for a (rows, count)
+    ``left``: with ``left`` the template's transpose, the evaluators at
+    the moved points.  ``modes.pulled_back(Q)`` gives the modes of the
+    fields pulled back by a signed axis permutation Q, for a class whose
+    map is Q times another's.  Load and error norms then work from the
     templates and coefficients alone; interpolation, and a sample without
     ``modes``, evaluate point by point.
     """

@@ -71,6 +71,18 @@ def _cell_geometry(mesh, ci):
     return CellGeometry(dataclasses.replace(amap, shift=shift))
 
 
+def _folded_values(modes, points, shifts, name):
+    """Field ``name`` of ``modes`` at ``points`` moved by each of ``shifts``, from ``folded`` on the template.
+
+    Shape (cells, points, *components).
+    """
+    components = modes.tensors[name].shape[1:]
+    out = np.empty((len(shifts), len(points), int(np.prod(components))))
+    for group, (vals,) in modes.folded(modes.template(points).T, shifts, [name]):
+        out[group] = vals.reshape(len(group), -1, len(points)).transpose(0, 2, 1)
+    return out.reshape((len(shifts), len(points)) + components)
+
+
 def _check_numbering(space, label):
     """Compare the gathered numbering and boundary mask with per-cell, per-entity loops."""
     mesh, c = space.mesh, space.counts
@@ -793,7 +805,7 @@ class TestInterpolationAndNorms:
             for i, dof in enumerate(build_dofs("gradcurl", first, 1, 1)):
                 use, pts, wts = dof.stencil(quad)
                 pts = first.amap.apply(pts)
-                vals = np.moveaxis(sample.modes.coefficients(use, shifts) @ sample.modes.template(pts), -1, 1)
+                vals = _folded_values(sample.modes, pts, shifts, use)
                 expected[space.local_to_global[cells, i]] = np.tensordot(vals, wts, axes=wts.ndim)
         got = space.interpolate(sample, quad)
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12 * np.abs(expected).max())
@@ -844,12 +856,11 @@ class TestStructuredEvaluation:
         space = SimpleNamespace(mesh=mesh)
         for cells, amap in zip(mesh.classes, mesh.class_maps):
             points = amap.apply(ref_points)
-            template = modes.template(points)
             for chunk, shifts in assembly_module._chunks(space, cells, len(points)):
                 moved = (shifts[:, None, :] + points).reshape(-1, 3)
                 for name in self.EVALUATORS:
                     expected = getattr(ms, name)(moved)
-                    got = np.moveaxis(modes.coefficients(name, shifts) @ template, -1, 1)
+                    got = _folded_values(modes, points, shifts, name)
                     # the divergence is 0 up to the rounding of its terms
                     scale = np.abs(ms.jacobian(moved) if name == "divergence" else expected)
                     np.testing.assert_allclose(
@@ -949,8 +960,8 @@ class TestModalMatchesPointwise:
             ("discrete curl", "numerators", 0, None),
             ("class tables gradcurl degree 8", "coefficients", 0, None),
             ("assemble gradcurl_stiffness", "moments", 0, None),
-            ("load gradcurl", "modal", 64, None),
-            ("error norms gradcurl", "modal", 64, "built"),
+            ("load gradcurl", "modal", 64, "built"),  # the load builds the factors the error norms reuse
+            ("error norms gradcurl", "modal", 64, "reused"),
             ("error norms gradcurl", "modal", 64, "reused"),
             ("error norms gradcurl", "pointwise", 0, None),
         ]
@@ -998,22 +1009,38 @@ class TestSharedErrorFactors:
 
     # tables of each kind that the error norms of the manufactured samples read
     @pytest.mark.parametrize("kind,tables", [("gradcurl", 3), ("velocity", 2), ("pressure", 1)])
-    def test_cold_level_builds_factors_for_two_classes(self, kind, tables, caplog, monkeypatch):
+    @pytest.mark.parametrize("load", [False, True])
+    def test_cold_level_builds_factors_for_two_classes(self, kind, tables, load, caplog, monkeypatch):
         sample = self._sample(kind)
         space = GlobalSpace(build_structured_cube(4), kind, 1, 1)
         space.class_tables(8)
         qr, calls = np.linalg.qr, []
         monkeypatch.setattr(np.linalg, "qr", lambda *a, **kw: calls.append(1) or qr(*a, **kw))
         with caplog.at_level(logging.DEBUG, logger="tetcomplex.assembly"):
+            if load:  # the load builds the factors and the error norms reuse them
+                assemble_load(space, sample, 8)
             error_norms(space, np.zeros(space.dim), sample, 8)
             error_norms(space, np.ones(space.dim), sample, 8)
         records = [r for r in caplog.records if r.name == "tetcomplex.assembly"]
         assert [(r.factors, r.factor_builds, r.factor_shared) for r in records] == [
             ("built", 2, 4), ("reused", 0, 0),
-        ]
+        ] + [("reused", 0, 0)] * load
         assert records[0].getMessage().endswith(", factors built (2 built, 4 shared)")
         # one QR of the templates and one per table, in each of the two builds
         assert len(calls) == 2 * (1 + tables)
+
+    @pytest.mark.parametrize("kind,r,k", CASES)
+    def test_shared_factors_keep_the_load(self, kind, r, k, monkeypatch):
+        sample = self._sample(kind)
+        space = GlobalSpace(build_structured_cube(2), kind, r, k)
+        degree = assembly_module.default_quadrature_degree(r, k, space.basis_degree)
+        shared = assemble_load(space, sample, degree)
+        monkeypatch.setattr(assembly_module, "_group_similar", lambda tables: None)
+        direct = GlobalSpace(build_structured_cube(2), kind, r, k)
+        load = assemble_load(direct, sample, degree)
+        assert all(tab.similar is None for tab in direct.class_tables(degree))
+        # relative to the largest entry: entries that cancel to 1e-3 of it differ in their last digits
+        np.testing.assert_allclose(shared, load, rtol=0, atol=1e-12 * np.abs(load).max())
 
 
 class TestInputChecks:
@@ -1022,6 +1049,10 @@ class TestInputChecks:
     def test_divergence_norm_needs_velocity(self, spaces1):
         with pytest.raises(ValueError, match="velocity space"):
             divergence_norm(spaces1["gradcurl"], np.zeros(spaces1["gradcurl"].dim))
+
+    def test_div_pressure_needs_pressure_space(self, spaces1):
+        with pytest.raises(ValueError, match="pressure_space"):
+            assemble("div_pressure", spaces1["velocity"])
 
     def test_gradient_sample_needs_scalar_gradient(self):
         with pytest.raises(ValueError, match="scalar sample with a gradient"):

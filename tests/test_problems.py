@@ -181,17 +181,20 @@ class TestTranslationModes:
     @settings(max_examples=15, deadline=None)
     def test_folded_equals_moved_coefficients(self, manufactured, seed, cells):
         # shifts on a coarse lattice repeat: groups of one x shift, pairs seen twice or not at all
+        # with the template's transpose as ``left`` the products are the fields at the moved points
         rng = np.random.default_rng(seed)
         shifts = rng.integers(-2, 3, (cells, 3)) / 4
-        left = np.triu(rng.standard_normal((64, 64)))
+        points = rng.random((7, 3))
+        left = manufactured.modes.template(points).T
         names = ("value", "grad_curl", "pressure")
         seen = []
         for group, products in manufactured.modes.folded(left, shifts, names):
             seen.extend(group)
             assert len(set(shifts[group, 0])) == 1
+            moved = (shifts[group][:, None, :] + points).reshape(-1, 3)
             for name, got in zip(names, products):
-                moved = manufactured.modes.coefficients(name, shifts[group])
-                expected = moved.reshape(len(group), -1, 64) @ left.T
+                expected = getattr(manufactured, name)(moved).reshape(len(group), len(points), -1)
+                expected = expected.transpose(0, 2, 1)  # (cells, components, points), as ``folded`` gives
                 np.testing.assert_allclose(
                     got, expected.reshape(got.shape), rtol=0, atol=1e-13 * np.abs(expected).max(), err_msg=name
                 )

@@ -2,6 +2,7 @@
 
 import json
 import os
+from collections import defaultdict
 import subprocess
 import sys
 
@@ -127,6 +128,33 @@ class TestCli:
         assert code == 0
         data = json.loads(capsys.readouterr().out)
         assert data["div_norm"] < 1e-9
+
+    def test_solve_passes_a_given_tol(self, capsys, monkeypatch, tmp_path):
+        from tetcomplex import problems
+
+        seen = []
+
+        def record(problem):
+            seen.append((type(problem).__name__, problem.tol))
+            row = defaultdict(int)  # every printed column reads 0
+            return (None, row) if isinstance(problem, problems.QuadCurlProblem) else (None, None, row)
+
+        monkeypatch.setattr(problems, "solve_stokes", record)
+        monkeypatch.setattr(problems, "solve_quadcurl", record)
+        for name in ("stokes", "quadcurl"):
+            argv = ["solve", name, "--N", "2", "--k", "1"]
+            assert main(argv + ["--tol", "1e-2"]) == 0
+            assert main(argv) == 0
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("tol=1e-3\n")
+        assert main(["--config", str(cfg), "solve", "stokes", "--N", "2", "--k", "1"]) == 0
+        # without --tol each problem keeps its own default
+        assert seen == [
+            ("StokesProblem", 1e-2), ("StokesProblem", 1e-12),
+            ("QuadCurlProblem", 1e-2), ("QuadCurlProblem", 1e-10),
+            ("StokesProblem", 1e-3),
+        ]
+        capsys.readouterr()
 
     def test_convergence_csv_deterministic(self, capsys, tmp_path):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
