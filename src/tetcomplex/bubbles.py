@@ -11,6 +11,8 @@ Three constructions, all exact rational:
 - the scalar cubic face bubbles, which ``elements.physical_face_bubble``
   corrects to a constant divergence with that solver, and interior bubbles
   whose divergences span the mean-corrected two-layer polynomial spaces.
+
+Every field is integer numerators (:class:`IntegerFields`).
 """
 
 from __future__ import annotations
@@ -18,17 +20,15 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from math import gcd, lcm
+from functools import lru_cache, reduce
+from math import factorial, gcd, lcm, prod
 from operator import add
 
 import numpy as np
 
-from .polyalg.poly import Polynomial, VectorField
 from .polyalg.spaces import (
     IntegerFields,
     derivative_table,
-    layered_mean_zero_basis,
     integer_rref,
     monomial_exponents,
     null_numerators,
@@ -38,28 +38,61 @@ from .polyalg.split import (
     PARENT_FACE_VERTICES,
     REF_CENTER,
     REF_VERTICES,
+    _mul_tables,
     pullback_table,
     subtet_moment_table,
 )
 
 _log = logging.getLogger("tetcomplex.bubbles")
 
-# scalar face bubbles B_i = prod_{j != i} lambda_j on the reference cell
-_X = [Polynomial.variable(i) for i in range(3)]
+# the barycentric coordinates of the reference cell, as integer coefficient tables
 _LAMBDA = (
-    Polynomial.constant(1) - _X[0] - _X[1] - _X[2],
-    _X[0],
-    _X[1],
-    _X[2],
+    {(0, 0, 0): 1, (1, 0, 0): -1, (0, 1, 0): -1, (0, 0, 1): -1},
+    {(1, 0, 0): 1},
+    {(0, 1, 0): 1},
+    {(0, 0, 1): 1},
 )
 
 
+@lru_cache(maxsize=None)
 def scalar_face_bubble(i):
-    out = Polynomial.constant(1)
-    for j in range(4):
-        if j != i:
-            out = out * _LAMBDA[j]
+    """The integer coefficients of the face bubble ``B_i = prod_{j != i} lambda_j``.
+
+    A read-only object array over the monomials of degree <= 3 in
+    ``monomial_exponents`` order.
+    """
+    table = reduce(_mul_tables, (_LAMBDA[j] for j in range(4) if j != i))
+    out = np.array([table.get(e, 0) for e in monomial_exponents(3)], dtype=object)
+    out.flags.writeable = False
     return out
+
+
+@lru_cache(maxsize=None)
+def layered_targets(k):
+    """The mean-corrected two-layer space S_k as single scalar fields of :class:`IntegerFields`.
+
+    S_k is spanned by the monomials of exact degree k and, for k >= 2, those
+    of degree k - 1, each in ``monomial_exponents`` order; each member is
+    corrected by its mean over the reference tetrahedron,
+    ``6 e! / (|e| + 3)!``, to zero mean.  The fields are on the monomials
+    of degree <= k, over the least common denominator of the means.
+    """
+    if k < 1:
+        raise ValueError("layer order must be >= 1")
+    exps = monomial_exponents(k, 3)
+    degrees = (k, k - 1) if k >= 2 else (k,)
+    layers = [j for d in degrees for j, e in enumerate(exps) if sum(e) == d]
+    means = []
+    for j in layers:
+        num, den = 6 * prod(map(factorial, exps[j])), factorial(sum(exps[j]) + 3)
+        g = gcd(num, den)
+        means.append((num // g, den // g))
+    den = lcm(*(d for _, d in means))
+    nums = np.zeros((len(layers), 4, 1, len(exps)), dtype=object)
+    for i, (j, (num, d)) in enumerate(zip(layers, means)):
+        nums[i, :, 0, j] = den
+        nums[i, :, 0, 0] = -num * (den // d)
+    return IntegerFields(nums, den, ["single"] * len(layers))
 
 
 @dataclass
@@ -68,36 +101,17 @@ class SplitC0Space:
 
     ``coefficients`` holds the basis as integer numerators (basis, pieces,
     monomials of degree <= m in ``monomial_exponents`` order) and their
-    common denominator; the exact basis fields are formed on first read.
+    common denominator.  The component-wise vector basis has field
+    ``3 a + c`` the scalar basis field ``a`` in component ``c``.
     """
 
     degree: int
     zero_trace: bool
     coefficients: tuple
 
-    @cached_property
-    def scalar_basis(self):
-        nums, den = self.coefficients
-        return list(IntegerFields(nums[:, :, None], den, ["C0"] * len(nums)))
-
     @property
     def dimension(self):
         return len(self.coefficients[0])
-
-    def vector_basis(self):
-        """Component-wise vector basis (3 x scalar dimension fields)."""
-        out = []
-        for phi in self.scalar_basis:
-            for c in range(3):
-                out.append(
-                    phi.map(
-                        lambda p, c=c: VectorField(
-                            tuple(p if cc == c else Polynomial.zero() for cc in range(3))
-                        ),
-                        continuity="C0",
-                    )
-                )
-        return out
 
 
 def _trace_conditions(zero_trace):
@@ -199,16 +213,11 @@ class _ExactLinearSolver:
 class _DivSolver:
     space: SplitC0Space
     solver: _ExactLinearSolver
-    null: list  # nullspace of the divergence, integer vectors in vec_basis coordinates
+    null: list  # nullspace of the divergence, integer vectors in the component-wise basis
     gram_null: list  # H1-seminorm Gram matrix times each null vector, each row up to scale
     # z0 -> the minimal-H1 solution z0 + sum q_i null_i, as integer rows
     # over one denominator; None when the nullspace is trivial
     minimal: tuple | None
-
-    @cached_property
-    def vec_basis(self):
-        """The exact component-wise basis: scalar index a, component c -> 3a + c."""
-        return self.space.vector_basis()
 
 
 def _object_matrix(rows):
@@ -349,18 +358,14 @@ def solve_div(target, k):
 class InteriorBubble:
     """Zero-trace bubble with prescribed mean-zero two-layer divergence.
 
-    ``numerators`` holds the bubble as one field of :class:`IntegerFields`,
-    as :func:`solve_div` returns it; ``field`` is the exact field, formed
-    when first read.
+    ``target`` is the divergence, one member of :func:`layered_targets`,
+    and ``numerators`` the bubble, one field of :class:`IntegerFields` as
+    :func:`solve_div` returns it.
     """
 
     order: int
-    target: Polynomial
+    target: IntegerFields
     numerators: IntegerFields
-
-    @cached_property
-    def field(self):
-        return self.numerators[0]
 
 
 @lru_cache(maxsize=None)
@@ -368,6 +373,5 @@ def interior_bubbles(k):
     """One bubble of order k+1 per mean-corrected two-layer basis member."""
     if k < 1:
         raise ValueError("order must be >= 1")
-    basis = layered_mean_zero_basis(k)
-    targets = IntegerFields.from_fields(basis, k)
-    return tuple(InteriorBubble(k + 1, g, solve_div(targets.take([i]), k + 1)) for i, g in enumerate(basis))
+    targets = layered_targets(k)
+    return tuple(InteriorBubble(k + 1, g, solve_div(g, k + 1)) for g in (targets.take([i]) for i in range(len(targets))))

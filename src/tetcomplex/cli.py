@@ -76,8 +76,15 @@ def _defer_defaults(parser):
 
 
 def _merge_config(args, parser_defaults):
-    """Fill the options not given as flags: from the config file, else their defaults."""
+    """Fill the options not given as flags: from the config file, else their defaults.
+
+    A file key must name an option of some subcommand; any other key is an
+    error, so a misspelt option cannot fall back to its default unnoticed.
+    """
     file_values = _load_config_file(args.config) if args.config is not _UNSET else {}
+    unknown = sorted(set(file_values) - set(parser_defaults))
+    if unknown:
+        raise ValueError(f"unknown config keys: {', '.join(unknown)}")
     for key, (default, cast) in parser_defaults.items():
         if getattr(args, key, None) is _UNSET:
             raw = file_values.get(key)
@@ -168,7 +175,10 @@ def cmd_verify(args):
     from .verify import verify_all
 
     groups = None if args.group == "all" else [args.group]
-    configs = ((args.r, args.k),) if args.r is not None and args.k is not None else None
+    if (args.r is None) != (args.k is None):
+        missing = "--k" if args.k is None else "--r"
+        raise ValueError(f"verify narrows to one (r, k) pair only with both --r and --k: {missing} is missing")
+    configs = None if args.r is None else ((args.r, args.k),)
     levels = (args.N,) if args.N is not None else None
     report = verify_all(groups, configs, levels=levels)
     if args.out:

@@ -27,22 +27,14 @@ from dataclasses import dataclass, field as dc_field, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
 from itertools import permutations, product
-from math import comb, gcd, lcm, prod
+from math import comb, factorial, gcd, lcm, prod
 from operator import mul
 
 import numpy as np
 
-from .bubbles import interior_bubbles, scalar_face_bubble, solve_div
-from .mesh import REF_EDGE_VERTICES, REF_FACE_VERTICES, AffineMap, MeshTopology
+from .bubbles import interior_bubbles, layered_targets, scalar_face_bubble, solve_div
+from .mesh import REF_EDGE_VERTICES, REF_FACE_VERTICES, AffineMap, MeshTopology, _adj3, _det3
 from .polyalg.poincare import _CYCLIC
-from .polyalg.poly import (
-    Polynomial,
-    VectorField,
-    _adj3,
-    _det3,
-    grad,
-    integrate_unit_simplex,
-)
 from .polyalg.spaces import (
     IntegerFields,
     degree_of_columns,
@@ -50,10 +42,8 @@ from .polyalg.spaces import (
     dim_poly,
     integer_matrix,
     integer_rref,
-    layered_mean_zero_basis,
     monomial_exponents,
     rank as exact_rank,
-    vector_monomials,
 )
 from .polyalg.split import (
     REF_CENTER,
@@ -243,7 +233,7 @@ def _physical(fields, nums, det):
     """Images of ``fields`` with numerators ``nums`` over ``|det|`` times their denominator.
 
     A field labelled ``"single"`` keeps its label; every other image is
-    ``"L2"``, as ``PiecewiseField.map`` labels them.
+    ``"L2"``: a derivative of a continuous field need not be continuous.
     """
     labels = ["single" if c == "single" else "L2" for c in fields.continuity]
     return IntegerFields(nums, abs(det) * fields.den, labels).reduced()
@@ -303,7 +293,7 @@ def _divergence(adjugate, nums):
 
 def _monomial_fields(degree, vector):
     """The monomials of degree <= ``degree`` as single fields on numerators; vector
-    monomials run over the exponents, the components inside (:func:`vector_monomials` order)."""
+    monomials run over the exponents, the components inside."""
     width = dim_poly(degree)
     comps = 3 if vector else 1
     nums = np.zeros((width * comps, 4, comps, width), dtype=object)
@@ -349,9 +339,7 @@ def _face_bubble(cell: CellGeometry, local_face: int):
     rows, b, det = _oriented(cell.amap.matrix)
     sign = 1 if det > 0 else -1
     adjugate = np.array(_adj3(rows), dtype=object)  # B^-1 = b adj / det
-    (direction,), d_den = integer_matrix([cell.faces[local_face]["direction"]])
-    scalar = _scalar_bubble_numerators(local_face)
-    raw = np.outer(np.array(direction, dtype=object), scalar)  # over d_den
+    raw, d_den = _raw_face_bubble(cell, local_face)
     # div(B^-1 raw) = grad S . (B^-1 d), over |det| d_den, and its mean over
     # the cell, 6 times its integral from the moments of the four subtets: mean / mean_den
     g = _divergence(adjugate, raw) * (sign * b)
@@ -379,13 +367,10 @@ def _face_bubble(cell: CellGeometry, local_face: int):
     return IntegerFields(beta[None], den, ["C0"]).reduced()
 
 
-@lru_cache(maxsize=None)
-def _scalar_bubble_numerators(i):
-    """The integer coefficients of the scalar face bubble ``i`` in the monomial order of degree 3."""
-    bubble = IntegerFields.from_fields([scalar_face_bubble(i)], 3)
-    if bubble.den != 1:
-        raise ArithmeticError(f"scalar face bubble {i} has non-integer coefficients (denominator {bubble.den})")
-    return bubble.nums[0, 0, 0]
+def _raw_face_bubble(cell: CellGeometry, local_face: int):
+    """The integer scalar face bubble times the face direction ``d``: numerators (3, monomials of degree <= 3) over ``d``'s denominator."""
+    (direction,), d_den = integer_matrix([cell.faces[local_face]["direction"]])
+    return np.outer(np.array(direction, dtype=object), scalar_face_bubble(local_face)), d_den
 
 
 def physical_face_bubble(cell: CellGeometry, local_face: int):
@@ -394,14 +379,15 @@ def physical_face_bubble(cell: CellGeometry, local_face: int):
     The bubble direction is the face's global rational direction (the
     ascending-vertex cross product), so both cells incident to a mesh face
     build the identical trace and the global space stays H1-conforming.
-    Returns the corrected bubble, the raw bubble it matches on the boundary,
-    and its constant physical divergence; :func:`_face_bubble` forms the
-    bubble on numerators.
+    Returns the corrected bubble and the raw bubble it matches on the
+    boundary, each one field of :class:`IntegerFields`, and its constant
+    physical divergence; :func:`_face_bubble` forms the bubble.
     """
     beta = _face_bubble(cell, local_face)
     divergence = phys_div(cell, beta)
-    raw = VectorField(tuple(scalar_face_bubble(local_face) * dc for dc in cell.faces[local_face]["direction"]))
-    return beta[0], raw, Fraction(divergence.nums[0, 0, 0, 0], divergence.den)
+    raw, d_den = _raw_face_bubble(cell, local_face)
+    raw = IntegerFields(np.tile(raw, (1, 4, 1, 1)), d_den, ["single"])
+    return beta, raw, Fraction(divergence.nums[0, 0, 0, 0], divergence.den)
 
 
 # Scaling a cell by t (matrix B -> t B) multiplies each raw basis field by a
@@ -561,8 +547,10 @@ def _face_points(info, fpts):
 
 
 # The four stencil shapes.  A weight is an exponent tuple, the monomial in
-# the rule's own coordinates, or a (vector) polynomial on them; a direction
-# is a fixed vector or a function of the stencil's points, one per point.
+# the rule's own coordinates, or float coefficients (components..., monomials)
+# of a (vector) polynomial in them, on the monomials in three variables (a
+# face rule's third coordinate is zero); a direction is a fixed vector or a
+# function of the stencil's points, one per point.
 
 
 def _moment(use, pts, measure, rule_pts, weight, direction):
@@ -570,11 +558,19 @@ def _moment(use, pts, measure, rule_pts, weight, direction):
     if isinstance(weight, tuple):
         values = reduce(mul, (rule_pts[:, i] ** e for i, e in enumerate(weight)))
     else:
-        values = weight.to_float().eval_many(rule_pts)
+        padded = np.pad(rule_pts, ((0, 0), (0, 3 - rule_pts.shape[1])))
+        values = _monomials(padded, degree_of_columns(weight.shape[-1])) @ weight.T
     wts = measure * values if values.ndim == 1 else measure[:, None] * values
     if direction is not None:
         wts = wts[:, None] * (direction(pts) if callable(direction) else direction)
     return use, pts, wts
+
+
+def _mapped(matrix, nums, den):
+    """``matrix`` (exact 3 x 3) times vector weight numerators (3, monomials) over ``den``,
+    each exact coefficient rounded once to float64."""
+    rows, m_den = integer_matrix(matrix)
+    return (np.array(rows, dtype=object) @ nums / (den * m_den)).astype(float)
 
 
 def _vertex(v, direction=None, use="value"):
@@ -641,28 +637,41 @@ def velocity_dofs(cell: CellGeometry, k):
             functionals.append((("face", f), _face(info, (0, 0), info["normal"])))
     exps = monomial_exponents(k - 4, 3)
     functionals += [(("cell", 0), _cell(cell, exp, _UNIT[c])) for exp in exps for c in range(3)]
-    if k >= 2:
-        layered = (grad(v_hat).matmul(cell.b_invT) for v_hat in layered_mean_zero_basis(k - 1))
-        functionals += [(("cell", 0), _cell(cell, w)) for w in layered]
+    if k >= 2:  # the gradients of the mean-zero two-layer space, B^-T grad v_hat
+        targets = layered_targets(k - 1)
+        grads = _derivatives(targets.nums[:, 0, 0], axis=1)
+        functionals += [(("cell", 0), _cell(cell, _mapped(cell.b_invT, g, targets.den))) for g in grads]
     return _numbered(functionals)
-
-
-_POSITION = VectorField(tuple(Polynomial.variable(i) for i in range(3)))  # xhat
 
 
 @lru_cache(maxsize=None)
 def _cross_position_basis(k):
-    """Rank-selected basis of { p x xhat : p vector polynomial of degree k-5 }."""
+    """Rank-selected basis of { p x xhat : p vector polynomial of degree k-5 }, as integer
+    numerators (basis, 3 components, monomials of degree <= k - 4).
+
+    The generator of the vector monomial ``x^e`` in component ``c`` has
+    component ``i`` equal to ``sum_m eps_icm x^e x_m``.
+    """
     if k < 5:
         return ()
-    gens = [vm.cross(_POSITION) for vm in vector_monomials(k - 5)]
-    return tuple(gens[i] for i in _independent(IntegerFields.from_fields(gens, k - 4)))
+    columns = _monomial_columns(k - 4)
+    gens = np.zeros((3 * dim_poly(k - 5), 4, 3, len(columns)), dtype=object)
+    for j, e in enumerate(monomial_exponents(k - 5, 3)):
+        for i, c, m in _CYCLIC:  # eps_icm = 1, eps_imc = -1
+            gens[3 * j + c, :, i, columns[tuple(v + (a == m) for a, v in enumerate(e))]] += 1
+            gens[3 * j + m, :, i, columns[tuple(v + (a == c) for a, v in enumerate(e))]] -= 1
+    return tuple(gens[_independent(IntegerFields(gens, 1, ["single"] * len(gens))), 0])
 
 
 def _mean_free(exp):
-    """The monomial less its mean over the parametric triangle (area 1/2)."""
-    mono = Polynomial.monomial(exp)
-    return mono - Polynomial.constant(Fraction(integrate_unit_simplex(mono) * 2), 2)
+    """The monomial less its mean ``2 a! b! / (a + b + 2)!`` over the parametric
+    triangle (area 1/2), as float coefficients on the monomials in three variables."""
+    a, b = exp
+    columns = _monomial_columns(a + b)
+    out = np.zeros(len(columns))
+    out[columns[(a, b, 0)]] = 1.0
+    out[0] -= 2 * factorial(a) * factorial(b) / factorial(a + b + 2)
+    return out
 
 
 def gradcurl_dofs(cell: CellGeometry, r, k):
@@ -682,12 +691,21 @@ def gradcurl_dofs(cell: CellGeometry, r, k):
         # tangential-position moments of the field itself
         offsets = _tangential_offsets(cell, info)
         functionals += [(("face", f), _face(info, e, offsets, measured=False)) for e in monomial_exponents(r - 3, 2)]
-    cross = (q_hat.matmul(cell.b_invT) for q_hat in _cross_position_basis(k))
+    cross = (_mapped(cell.b_invT, q_hat, 1) for q_hat in _cross_position_basis(k))
     functionals += [(("cell", 0), _cell(cell, w, use="curl")) for w in cross]
-    # (1/det) B q_hat, times det from dV
-    moments = ((_POSITION * Polynomial.monomial(exp)).matmul(cell.amap.matrix) for exp in monomial_exponents(r - 4, 3))
+    # (1/det) B q_hat with q_hat = xhat x^e, times det from dV
+    moments = (_mapped(cell.amap.matrix, _position_times(exp), 1) for exp in monomial_exponents(r - 4, 3))
     functionals += [(("cell", 0), _cell(cell, w, scale=1.0 / cell.amap.det_f)) for w in moments]
     return _numbered(functionals)
+
+
+def _position_times(exp):
+    """The numerators of ``xhat x^e``: component ``c`` is ``x^e x_c``, on the monomials of degree <= |e| + 1."""
+    columns = _monomial_columns(sum(exp) + 1)
+    out = np.zeros((3, len(columns)), dtype=object)
+    for c in range(3):
+        out[c, columns[tuple(v + (a == c) for a, v in enumerate(exp))]] = 1
+    return out
 
 
 def build_dofs(kind, cell, r, k):
@@ -763,8 +781,7 @@ class LocalElement:
     the orbit's other classes.  ``numerators`` holds the fields exactly
     (:class:`IntegerFields`, by the same keys), from ``exact_fields`` on
     first access: the build's own or, for a derived element, the built
-    one's gathered (:func:`derive_numerators`).  ``basis`` and ``curls``
-    are the exact fields, formed from the numerators when first read.
+    one's gathered (:func:`derive_numerators`).
     """
 
     kind: str
@@ -782,16 +799,6 @@ class LocalElement:
     @cached_property
     def numerators(self):
         return self.exact_fields()
-
-    @cached_property
-    def basis(self):
-        return list(self.numerators["value"])
-
-    @cached_property
-    def curls(self):
-        """Physical curls of the raw basis (gradcurl only)."""
-        curls = self.numerators.get("curl")
-        return None if curls is None else list(curls)
 
     @property
     def dimension(self):
@@ -1213,7 +1220,8 @@ def poly_inclusion_check(r, k, tol=1e-11):
     """Reproduction of vector polynomials of degree min{r-1, k+1} by interpolation.
 
     The interpolant is evaluated piece by piece at the split rule's point
-    blocks, one block per piece, as the class tables evaluate fields.
+    blocks, one block per piece, from the element's centred coefficient
+    tensor, as the class tables evaluate fields.
     """
     validate_family(r, k)
     from .sampling import FieldSample
@@ -1224,13 +1232,15 @@ def poly_inclusion_check(r, k, tol=1e-11):
     quad = QuadratureRule(2 * max(r, k + 1) + 4)
     blocks = np.split(alfeld_composite(quad.degree)[0], 4)
     pts = np.concatenate(blocks)
-    basis_vals = np.stack([
-        np.concatenate([piece.eval_many(b) for piece, b in zip(f.to_float().pieces, blocks)])
-        for f in el.basis
-    ])
+    coef = el.coefficients["value"]  # (fields, pieces, components, monomials)
+    basis_vals = np.concatenate([
+        np.einsum("fcm,qm->fqc", coef[:, p], _monomials(b - PIECE_CENTROIDS_F[p], el.degree))
+        for p, b in enumerate(blocks)
+    ], axis=1)
     worst = 0.0
-    for mono in vector_monomials(s):
-        sample = FieldSample.from_vector_polynomial(mono)
+    monomials = _monomial_fields(s, vector=True)
+    for i in range(len(monomials)):
+        sample = FieldSample.from_fields(monomials.take([i]))
         coeffs = np.array([d.apply_sample(sample, quad, cell) for d in el.dofs])
         raw = el.nodal @ coeffs
         approx = np.einsum("j,jqc->qc", raw, basis_vals)

@@ -21,12 +21,35 @@ from itertools import permutations
 
 import numpy as np
 
-from .polyalg.poly import _det3, _inv3
-
 _log = logging.getLogger("tetcomplex.mesh")
 
 REF_EDGE_VERTICES = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 REF_FACE_VERTICES = ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))
+
+def _det3(m):
+    return (
+        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
+    )
+
+
+def _adj3(m):
+    """The adjugate of a 3x3 matrix: ``det(m)`` times its inverse."""
+    return [
+        [m[1][1] * m[2][2] - m[1][2] * m[2][1], m[0][2] * m[2][1] - m[0][1] * m[2][2], m[0][1] * m[1][2] - m[0][2] * m[1][1]],
+        [m[1][2] * m[2][0] - m[1][0] * m[2][2], m[0][0] * m[2][2] - m[0][2] * m[2][0], m[0][2] * m[1][0] - m[0][0] * m[1][2]],
+        [m[1][0] * m[2][1] - m[1][1] * m[2][0], m[0][1] * m[2][0] - m[0][0] * m[2][1], m[0][0] * m[1][1] - m[0][1] * m[1][0]],
+    ]
+
+
+def _inv3(m, det=None):
+    """The exact inverse of a 3x3 matrix of Fractions or ints, in Fractions."""
+    if det is None:
+        det = _det3(m)
+    inv_det = 1 / Fraction(det)
+    return [[v * inv_det for v in row] for row in _adj3(m)]
+
 
 # Largest lattice entry: cell determinants, sums of six triple products of
 # coordinate differences (at most 2**20 each), then stay inside int64.

@@ -1,25 +1,13 @@
-"""Exact polynomial and piecewise-polynomial algebra on the reference tetrahedron."""
+"""Exact piecewise-polynomial algebra on the reference tetrahedron, on integer numerators."""
 
-from .poly import (
-    Polynomial,
-    VectorField,
-    curl,
-    div,
-    grad,
-    integrate_unit_simplex,
-    jacobian,
-)
-from .poincare import poincare1, poincare2, poincare3
+from .poincare import flux_potential, potential_table, scalar_potential, vector_potential
 from .spaces import (
     IntegerFields,
     derivative_table,
     dim_poly,
-    homogeneous_basis,
-    layered_basis,
-    layered_mean_zero_basis,
+    integer_rref,
     monomial_exponents,
     rank,
-    vector_monomials,
 )
 from .split import (
     INTERNAL_FACES,
@@ -27,37 +15,24 @@ from .split import (
     REF_CENTER,
     REF_VERTICES,
     SUBTET_VERTICES,
-    PiecewiseField,
-    as_piecewise,
-    face_param,
     piecewise_poincare2,
     pullback_table,
+    subtet_moment_table,
 )
 
 __all__ = [
-    "Polynomial",
-    "VectorField",
-    "PiecewiseField",
     "IntegerFields",
-    "curl",
-    "div",
-    "grad",
-    "jacobian",
-    "poincare1",
-    "poincare2",
-    "poincare3",
+    "scalar_potential",
+    "vector_potential",
+    "flux_potential",
+    "potential_table",
     "piecewise_poincare2",
-    "integrate_unit_simplex",
     "monomial_exponents",
-    "vector_monomials",
-    "homogeneous_basis",
-    "layered_basis",
-    "layered_mean_zero_basis",
     "dim_poly",
     "rank",
-    "as_piecewise",
-    "face_param",
+    "integer_rref",
     "pullback_table",
+    "subtet_moment_table",
     "derivative_table",
     "REF_VERTICES",
     "REF_CENTER",

@@ -1,23 +1,20 @@
-"""Polynomial space bases, homogeneous layers, and exact linear algebra.
+"""Monomial bases, piecewise fields on integer numerators, and exact linear algebra.
 
-Provides monomial bases, the homogeneous layers H_k and their two-layer
-sums S_k with mean-corrected variants, piecewise fields as integer
-numerator tensors (:class:`IntegerFields`), and fraction-free exact row
-reduction used for rank checks, nullspaces, and rank-revealing basis
-selection.
+Provides the monomial orders, the integer derivative tables on monomial
+coefficients, piecewise fields on the split as integer numerator tensors
+(:class:`IntegerFields`), and fraction-free exact row reduction used for
+rank checks, nullspaces, and rank-revealing basis selection.  Every exact
+field of the package is an :class:`IntegerFields`; no ``Fraction`` is
+formed here.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import gcd, lcm
 
 import numpy as np
-
-from .poly import _ZERO, Polynomial, VectorField, _trusted
-from .split import PiecewiseField, as_piecewise
 
 
 def monomial_exponents(degree, nvars=3):
@@ -58,17 +55,6 @@ def derivative_table(degree):
     return table
 
 
-def vector_monomials(degree):
-    """Basis of vector polynomials of degree <= degree (component-major)."""
-    out = []
-    for e in monomial_exponents(degree, 3):
-        for c in range(3):
-            comps = [Polynomial.zero(3)] * 3
-            comps[c] = Polynomial.monomial(e)
-            out.append(VectorField(comps))
-    return out
-
-
 def dim_poly(degree, dim=3):
     """Dimension of polynomials of total degree <= degree in ``dim`` variables."""
     if degree < 0:
@@ -77,33 +63,6 @@ def dim_poly(degree, dim=3):
     for i in range(1, dim + 1):
         n = n * (degree + i) // i
     return n
-
-
-def homogeneous_basis(degree):
-    """Monomials of exact total degree ``degree`` (about the origin)."""
-    return [Polynomial.monomial(e) for e in monomial_exponents(degree, 3) if sum(e) == degree]
-
-
-def layered_basis(k):
-    """Basis of the two-layer space S_k: H_k for k = 1, H_k + H_{k-1} for k >= 2."""
-    if k < 1:
-        raise ValueError("layer order must be >= 1")
-    basis = homogeneous_basis(k)
-    if k >= 2:
-        basis = basis + homogeneous_basis(k - 1)
-    return basis
-
-
-def layered_mean_zero_basis(k):
-    """S_k basis corrected to zero mean over the reference tetrahedron."""
-    from .poly import integrate_unit_simplex
-
-    vol = Fraction(1, 6)
-    out = []
-    for p in layered_basis(k):
-        mean = integrate_unit_simplex(p) / vol
-        out.append(p - Polynomial.constant(mean))
-    return out
 
 
 def degree_of_columns(count):
@@ -126,45 +85,17 @@ class IntegerFields:
     ``nums`` is an object array of Python ints shaped (fields, pieces,
     components, monomials): the four pieces of the split, three components
     for vector fields and one for scalars, and the monomials of degree <=
-    some ``D`` in :func:`monomial_exponents` order.  ``den`` is a positive
-    int and ``continuity`` holds the :class:`PiecewiseField` label of each
-    field.  The exact fields are formed on first read, by iteration or
-    indexing, one Fraction per nonzero coefficient.
+    some ``D`` in :func:`monomial_exponents` order, piece ``i`` expressed in
+    the global reference coordinates.  ``den`` is a positive int.
+    ``continuity`` labels each field ``"single"`` (its four pieces are one
+    polynomial), ``"C0"`` (continuous across the internal faces of the
+    split) or ``"L2"``.
     """
 
     def __init__(self, nums, den, continuity):
         self.nums = nums
         self.den = den
         self.continuity = tuple(continuity)
-
-    @classmethod
-    def from_fields(cls, fields, degree=None):
-        """The numerators of (piecewise) fields with int, Fraction or float coefficients.
-
-        A float counts as the exact dyadic rational it holds.  ``degree``
-        defaults to the largest degree of the fields.
-        """
-        fields = [as_piecewise(f) for f in fields]
-        vector = fields[0].is_vector
-        if degree is None:
-            degree = max(max(f.degree for f in fields), 0)
-        index = {e: j for j, e in enumerate(monomial_exponents(degree, 3))}
-        try:
-            ratios = [
-                [[[(index[e], v.as_integer_ratio()) for e, v in c.coeffs.items()] for c in (p.comps if vector else (p,))]
-                 for p in f.pieces]
-                for f in fields
-            ]
-        except AttributeError:
-            raise TypeError("integer numerators need int, Fraction or float coefficients") from None
-        den = lcm(*(d for f in ratios for p in f for c in p for _, (_, d) in c))
-        nums = np.zeros((len(fields), 4, 3 if vector else 1, len(index)), dtype=object)
-        for a, f in enumerate(ratios):
-            for p, piece in enumerate(f):
-                for c, comp in enumerate(piece):
-                    for j, (n, d) in comp:
-                        nums[a, p, c, j] = n * (den // d)
-        return cls(nums, den, [f.continuity for f in fields])
 
     @classmethod
     def concatenate(cls, parts):
@@ -176,12 +107,6 @@ class IntegerFields:
 
     def __len__(self):
         return len(self.nums)
-
-    def __iter__(self):
-        return iter(self._fields)
-
-    def __getitem__(self, i):
-        return self._fields[i]
 
     @property
     def degree(self):
@@ -213,32 +138,14 @@ class IntegerFields:
         """Whether each field's four pieces have the same numerators."""
         return (self.nums[:, 1:] == self.nums[:, :1]).reshape(len(self), -1).all(axis=1)
 
-    @cached_property
-    def _fields(self):
-        exps = monomial_exponents(degree_of_columns(self.nums.shape[-1]), 3)
-        den = self.den
-
-        def poly(row):
-            return _trusted({e: Fraction(v, den) for e, v in zip(exps, row) if v}, 3)
-
-        def piece(comps):
-            return VectorField(tuple(map(poly, comps))) if len(comps) == 3 else poly(comps[0])
-
-        out = []
-        for pieces, continuity in zip(self.nums.tolist(), self.continuity):
-            if continuity == "single":
-                out.append(PiecewiseField.from_single(piece(pieces[0])))
-            else:
-                out.append(PiecewiseField(map(piece, pieces), continuity))
-        return out
-
 
 # ---------------------------------------------------------------------------
 # exact linear algebra over the rationals
 
 def _integer_rows(rows):
     """Sparse integer rows ``{column: numerator}``, each a positive multiple
-    of its rational row (Fraction or int entries) with coprime entries."""
+    of its rational row (Fraction or int entries) with coprime entries; no
+    ``Fraction`` is formed."""
     out = []
     try:
         for row in rows:
@@ -309,32 +216,11 @@ def integer_rref(matrix):
     """The reduced row echelon form on integers: ``(rows, pivot_columns)``.
 
     One sparse integer row ``{column: int}`` per pivot column, in column
-    order; divided by its entry in the pivot column it is that row of
-    :func:`rref`.  ``matrix`` is a list of Fraction (or int) lists.
+    order; divided by its entry in the pivot column it is that row of the
+    rational reduced row echelon form.  ``matrix`` is a list of Fraction
+    (or int) lists; only their numerators and denominators are read.
     """
     return _echelon(_integer_rows(matrix), len(matrix[0]) if matrix else 0)
-
-
-def rref(matrix):
-    """Fraction-exact reduced row echelon form.
-
-    Returns (rows, pivot_columns): ``len(matrix)`` rows of Fractions, the
-    pivot rows first in column order, then zero rows.  ``matrix`` is a list
-    of Fraction (or int) lists; it is eliminated on integer numerators and
-    divided into Fractions once at the end.
-    """
-    nrows = len(matrix)
-    ncols = len(matrix[0]) if nrows else 0
-    done, pivots = integer_rref(matrix)
-    rows = []
-    for row, c in zip(done, pivots):
-        pv = row[c]
-        dense = [_ZERO] * ncols
-        for j, v in row.items():
-            dense[j] = Fraction(v, pv)
-        rows.append(dense)
-    rows.extend([_ZERO] * ncols for _ in range(nrows - len(rows)))
-    return rows, pivots
 
 
 def rank(matrix):
@@ -358,27 +244,3 @@ def null_numerators(rows, pivots, ncols):
             v[p] = -row.get(f, 0) * (den // row[p])
         vectors.append(v)
     return vectors, den
-
-
-def null_vectors(rows, pivots, ncols):
-    """:func:`null_numerators` as Fraction vectors."""
-    vectors, den = null_numerators(rows, pivots, ncols)
-    return [[Fraction(v, den) if v else _ZERO for v in vector] for vector in vectors]
-
-
-def nullspace(matrix):
-    """Exact nullspace basis vectors of a Fraction matrix."""
-    if not matrix:
-        return []
-    return null_vectors(*integer_rref(matrix), len(matrix[0]))
-
-
-def select_independent(columns):
-    """Indices of a rank-revealing independent subset (first-come pivots).
-
-    ``columns`` is a list of coordinate vectors; deterministic: earlier
-    generators win ties, matching the documented generator ordering.
-    """
-    if not columns:
-        return []
-    return _echelon(_integer_rows(zip(*columns)), len(columns))[1]

@@ -1,8 +1,9 @@
 """Analytic field samples: value/curl/grad-curl/divergence evaluators.
 
 A FieldSample bundles vectorized point evaluators for a smooth field and
-the derived quantities interpolation DOFs and error norms need.  Exact
-polynomial fields wrap into samples with analytically exact derivatives;
+the derived quantities interpolation DOFs and error norms need.  An exact
+polynomial field (:class:`IntegerFields`) wraps into a sample whose
+derivatives are formed exactly on its numerators and rounded once;
 consistency of any sample can be spot-checked against finite differences.
 """
 
@@ -12,17 +13,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .polyalg.poly import Polynomial, VectorField, curl, div, grad, jacobian
+from .polyalg.poincare import _CYCLIC
+from .polyalg.spaces import degree_of_columns, derivative_table
 
 
 @dataclass
 class FieldSample:
     """Evaluable analytic field; ``value`` maps (m,3) points to (m,3) or (m,).
 
-    Every evaluator takes flat (m, 3) points.  A sample may also carry
-    ``modes``: the same fields as per-cell coefficients of a few template
-    functions, for the cells of a congruence class, which are translates of
-    the class's first cell.  ``modes.count`` is the number of templates and
+    Every evaluator takes flat (m, 3) points.  An exact polynomial field
+    enters as :class:`IntegerFields` through :meth:`from_fields`.  A sample
+    may also carry ``modes``: the same fields as per-cell coefficients of a
+    few template functions, for the cells of a congruence class, which are
+    translates of the class's first cell.  ``modes.count`` is the number of templates and
     ``modes.template(points)`` gives them at the first cell's (m, 3) points
     as a (count, m) array.  ``modes.folded(left, shifts, names)`` gives,
     grouped by x shift, the evaluators ``names``' coefficients at cells
@@ -45,47 +48,44 @@ class FieldSample:
     modes: object = None  # e.g. problems.TranslationModes
 
     @classmethod
-    def from_vector_polynomial(cls, u: VectorField):
-        uf = u.to_float()
-        cu = curl(u).to_float()
-        dv = div(u).to_float()
-        ju = [[e.to_float() for e in row] for row in jacobian(u)]
-        jc = [[e.to_float() for e in row] for row in jacobian(curl(u))]
+    def from_fields(cls, fields):
+        """The sample of the first of :class:`IntegerFields` fields, whose four pieces agree.
 
-        def table(entries, pts):
-            pts = np.asarray(pts, float)
-            out = np.zeros((len(pts), 3, 3))
-            for i in range(3):
-                for j in range(3):
-                    out[:, i, j] = entries[i][j].eval_many(pts)
-            return out
+        A scalar field gives ``value`` and ``gradient``; a vector field
+        ``value``, ``curl``, ``grad_curl``, ``div`` and ``jacobian``.  Each
+        derivative is formed on the integer numerators with
+        :func:`derivative_table`, its coefficients rounded once, and every
+        evaluator runs through the monomial table of the class quadrature
+        (``elements._monomials``).
+        """
+        from .elements import _monomials
 
-        def value(pts):
-            return uf.eval_many(np.asarray(pts, float))
+        nums, den = fields.nums[0, 0], fields.den  # (components, monomials)
 
-        def curl_eval(pts):
-            return cu.eval_many(np.asarray(pts, float))
+        def partials(u):
+            """The derivatives of numerators (..., monomials), stacked at axis -2: one degree lower."""
+            tables = derivative_table(degree_of_columns(u.shape[-1]))
+            return np.stack([u @ table.T for table in tables], axis=-2)
 
-        def div_eval(pts):
-            return dv.eval_many(np.asarray(pts, float))
+        def evaluator(u):
+            coef = (u / den).astype(float)
+            degree = degree_of_columns(u.shape[-1])
+            return lambda pts: _monomials(np.asarray(pts, float), degree) @ coef.T
+
+        if len(nums) == 1:
+            return cls(evaluator(nums[0]), gradient=evaluator(partials(nums[0])), scalar=True)
+        jacobian = partials(nums)  # [i, j] = d u_i / d x_j
+        curl = np.stack([jacobian[k, j] - jacobian[j, k] for _, j, k in _CYCLIC])
+        divergence = jacobian[0, 0] + jacobian[1, 1] + jacobian[2, 2]
+
+        def matrices(u):  # numerators (3, 3, monomials) -> (m, 3, 3) values
+            flat = evaluator(u.reshape(9, u.shape[-1]))
+            return lambda pts: flat(pts).reshape(-1, 3, 3)
 
         return cls(
-            value, curl_eval, lambda pts: table(jc, pts), div_eval,
-            jacobian=lambda pts: table(ju, pts),
+            evaluator(nums), evaluator(curl), matrices(partials(curl)), evaluator(divergence),
+            jacobian=matrices(jacobian),
         )
-
-    @classmethod
-    def from_scalar_polynomial(cls, p: Polynomial):
-        pf = p.to_float()
-        gf = grad(p).to_float()
-
-        def value(pts):
-            return pf.eval_many(np.asarray(pts, float))
-
-        def gradient(pts):
-            return gf.eval_many(np.asarray(pts, float))
-
-        return cls(value, gradient=gradient, scalar=True)
 
     def gradient_sample(self):
         """The gradient of a scalar sample as a (curl-free) vector sample."""

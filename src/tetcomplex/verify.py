@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 
@@ -20,6 +21,7 @@ from .elements import (
     CellGeometry,
     SPACE_KINDS,
     _coefficients,
+    _derivatives,
     dof_matrix,
     local_element,
     local_exactness_table,
@@ -31,18 +33,18 @@ from .elements import (
 )
 from .mesh import build_structured_cube, random_rational_cell
 from .polyalg import (
+    PARENT_FACE_VERTICES,
+    REF_VERTICES,
     IntegerFields,
-    Polynomial,
-    VectorField,
-    as_piecewise,
-    curl,
-    div,
-    grad,
+    dim_poly,
+    flux_potential,
     monomial_exponents,
-    poincare1,
-    poincare2,
-    poincare3,
+    pullback_table,
+    scalar_potential,
+    vector_potential,
 )
+from .polyalg.poincare import _CYCLIC
+from .polyalg.spaces import degree_of_columns, integer_matrix
 from .quadrature import QuadratureRule
 from .problems import ManufacturedSolution, get_spaces, interpolation_study
 from .sampling import FieldSample
@@ -119,17 +121,68 @@ def check_dimension_fingerprint():
     ]
 
 
+# ---------------------------------------------------------------------------
+# exact reference-coordinate calculus on integer numerators (..., monomials)
+
+
+def _grad(nums):
+    """The gradients of scalar numerators: (..., 3, monomials of one degree lower)."""
+    return _derivatives(nums, axis=-2)
+
+
+def _curl(nums):
+    """The curls of vector numerators (..., 3, monomials): one degree lower."""
+    d = _derivatives(nums, axis=-2)  # [..., component, axis, :]
+    return np.stack([d[..., k, j, :] - d[..., j, k, :] for _, j, k in _CYCLIC], axis=-2)
+
+
+def _div(nums):
+    """The divergences of vector numerators (..., 3, monomials): one degree lower."""
+    d = _derivatives(nums, axis=-2)
+    return d[..., 0, 0, :] + d[..., 1, 1, :] + d[..., 2, 2, :]
+
+
+def _lifted(nums, width):
+    """Numerators on the first ``width`` monomials: zero columns appended."""
+    pad = np.zeros((*nums.shape[:-1], width - nums.shape[-1]), dtype=object)
+    return np.concatenate([nums, pad], axis=-1)
+
+
+def _is_sum(target, *terms):
+    """Whether the ``(numerators, den)`` terms sum exactly to ``target``, another such pair."""
+    width = max(nums.shape[-1] for nums, _ in (target, *terms))
+    den = lcm(*(d for _, d in (target, *terms)))
+    total = sum(_lifted(nums, width) * (den // d) for nums, d in terms)
+    return not (total - _lifted(target[0], width) * (den // target[1])).any()
+
+
+def _vanishes_on_boundary(nums):
+    """Whether piecewise numerators (fields, pieces, components, monomials) vanish on the
+    boundary: piece ``i`` on parent face ``i``, by the face's integer pull-back table."""
+    degree = degree_of_columns(nums.shape[-1])
+    return not any(
+        (nums[:, i] @ pullback_table(degree, tuple(REF_VERTICES[v] for v in face))[1].T).any()
+        for i, face in enumerate(PARENT_FACE_VERTICES)
+    )
+
+
 def check_bubbles():
+    """The bubble identities on the integer numerators the elements are built from.
+
+    On the reference cell the physical divergence is the reference one.
+    """
     out = []
     worst_trace = True
     worst_div = True
     cell = reference_cell()
     for i in range(4):
         beta, raw, div_value = physical_face_bubble(cell, i)
-        dv = beta.div()
-        if not (dv.is_single() and dv.pieces[0] == Polynomial.constant(div_value)):
+        dv = _div(beta.nums[0])  # (pieces, monomials) over beta.den
+        constant = dv[:, 0].tolist()
+        if dv[:, 1:].any() or any(v * div_value.denominator != div_value.numerator * beta.den for v in constant):
             worst_div = False
-        if not (beta - as_piecewise(raw)).vanishes_on_boundary():
+        width = max(beta.nums.shape[-1], raw.nums.shape[-1])
+        if not _vanishes_on_boundary(_lifted(beta.nums, width) * raw.den - _lifted(raw.nums, width) * beta.den):
             worst_trace = False
     out.append(
         ClaimResult(
@@ -152,9 +205,10 @@ def check_bubbles():
     ok_int = True
     for k in (1, 2):
         for ib in interior_bubbles(k):
-            if not (ib.field.div() - as_piecewise(ib.target)).is_zero():
+            bubble, target = ib.numerators, ib.target
+            if not _is_sum((target.nums[:, :, 0], target.den), (_div(bubble.nums), bubble.den)):
                 ok_int = False
-            if not ib.field.vanishes_on_boundary():
+            if not _vanishes_on_boundary(bubble.nums):
                 ok_int = False
     out.append(
         ClaimResult(
@@ -169,22 +223,37 @@ def check_bubbles():
 
 
 def _random_rational_polynomial(rng, degree):
-    table = {}
-    for e in monomial_exponents(degree):
-        if rng.random() < 0.7:
-            table[e] = Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 7)))
-    return Polynomial(table)
+    """Coefficients on the monomials of degree <= ``degree``: each nonzero with probability 0.7, in {-9..9} / {1..6}."""
+    return [
+        Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 7))) if rng.random() < 0.7 else 0
+        for _ in monomial_exponents(degree)
+    ]
 
 
 def _random_dense_polynomial(rng, degree):
     """Every monomial of degree <= ``degree``, with a coefficient in {-3..3} / {1, 2}."""
-    return Polynomial({
-        e: Fraction(int(rng.integers(-3, 4)), int(rng.integers(1, 3)))
-        for e in monomial_exponents(degree)
-    })
+    return [Fraction(int(rng.integers(-3, 4)), int(rng.integers(1, 3))) for _ in monomial_exponents(degree)]
+
+
+def _numerators(rows):
+    """Rational coefficient rows as integer numerators (rows, monomials) and their denominator."""
+    nums, den = integer_matrix(rows)
+    return np.array(nums, dtype=object).reshape(len(rows), -1), den
+
+
+def _single(rows):
+    """Rational coefficient rows, one per component, as one field of :class:`IntegerFields` on every piece."""
+    nums, den = _numerators(rows)
+    return IntegerFields(np.tile(nums, (1, 4, 1, 1)), den, ["single"])
 
 
 def check_poincare(count=100, max_degree=5, seed=20240):
+    """The Poincare identities of :mod:`polyalg.poincare` on random rational polynomials.
+
+    The operators and derivatives run on integer numerators, the kernels
+    the element construction uses, and every identity is an exact integer
+    equality.
+    """
     rng = np.random.default_rng(seed)
     base = (0, 0, 0)
     null_ok = True
@@ -192,17 +261,22 @@ def check_poincare(count=100, max_degree=5, seed=20240):
     per_degree = max(1, count // (max_degree + 1))
     for degree in range(max_degree + 1):
         for _ in range(per_degree):
-            u = VectorField(tuple(_random_rational_polynomial(rng, degree) for _ in range(3)))
-            q = _random_rational_polynomial(rng, degree)
-            if grad(poincare1(u, base)) + poincare2(curl(u), base) != u:
+            u, u_den = _numerators([_random_rational_polynomial(rng, degree) for _ in range(3)])
+            (q,), q_den = _numerators([_random_rational_polynomial(rng, degree)])
+            # one degree up, so that derivatives keep a monomial
+            u1 = _lifted(u, dim_poly(degree + 1))
+            p1_u, p1_den = scalar_potential(u, u_den, base)
+            p2_u, p2_den = vector_potential(u, u_den, base)
+            p3_q, p3_den = flux_potential(q, q_den, base)
+            if not _is_sum((u, u_den), (_grad(p1_u), p1_den), vector_potential(_curl(u1), u_den, base)):
                 null_ok = False
-            if curl(poincare2(u, base)) + poincare3(div(u), base) != u:
+            if not _is_sum((u, u_den), (_curl(p2_u), p2_den), flux_potential(_div(u1), u_den, base)):
                 null_ok = False
-            if div(poincare3(q, base)) != q:
+            if not _is_sum((q, q_den), (_div(p3_q), p3_den)):
                 null_ok = False
-            if not poincare1(poincare2(u, base), base).is_zero():
+            if scalar_potential(p2_u, p2_den, base)[0].any():
                 complex_ok = False
-            if not poincare2(poincare3(q, base), base).is_zero():
+            if vector_potential(p3_q, p3_den, base)[0].any():
                 complex_ok = False
     return [
         ClaimResult(
@@ -353,19 +427,16 @@ def check_commuting(r=1, k=1, n=2, fields=10, tol=1e-10, seed=3, quad_degree=20)
 
     worst = 0.0
     for _ in range(fields):
-        p = _random_dense_polynomial(rng, max(r, 2))
-        ps = FieldSample.from_scalar_polynomial(p)
-        u = VectorField(tuple(_random_dense_polynomial(rng, max(k + 1, 2)) for _ in range(3)))
-        us = FieldSample.from_vector_polynomial(u)
+        ps = FieldSample.from_fields(_single([_random_dense_polynomial(rng, max(r, 2))]))
+        us = FieldSample.from_fields(_single([_random_dense_polynomial(rng, max(k + 1, 2)) for _ in range(3)]))
         lhs = dg.matrix @ lag.interpolate(ps, quad)
         rhs = gc.interpolate(ps.gradient_sample(), quad)
         worst = max(worst, float(np.abs(lhs - rhs).max() / max(1, np.abs(rhs).max())))
         lhs = dc.matrix @ gc.interpolate(us, quad)
-        rhs = vel.interpolate(FieldSample.from_vector_polynomial(curl(u)), quad)
+        rhs = vel.interpolate(FieldSample(value=us.curl), quad)
         worst = max(worst, float(np.abs(lhs - rhs).max() / max(1, np.abs(rhs).max())))
         lhs = dd.matrix @ vel.interpolate(us, quad)
-        dv = div(u).to_float()
-        rhs = pre.interpolate(FieldSample(value=lambda pts, d=dv: d.eval_many(pts)), quad)
+        rhs = pre.interpolate(FieldSample(value=us.div), quad)
         worst = max(worst, float(np.abs(lhs - rhs).max() / max(1, np.abs(rhs).max())))
 
     ms = ManufacturedSolution()
@@ -419,15 +490,15 @@ def check_dof_mapping(r=1, k=1, seed=11, tol=1e-10):
         verts = random_rational_cell(rng)
         cell = CellGeometry.standalone(verts)
         el = local_element("gradcurl", r, k, cell)
-        u = VectorField(tuple(_random_dense_polynomial(rng, 2) for _ in range(3)))
-        sample = FieldSample.from_vector_polynomial(u)
+        sample = FieldSample.from_fields(_single([_random_dense_polynomial(rng, 2) for _ in range(3)]))
         quad = QuadratureRule(12)
         coeffs = np.array([d.apply_sample(sample, quad, cell) for d in el.dofs])
-        combo = None
-        for c, b in zip(el.nodal @ coeffs, el.basis):
-            term = b * float(c)
-            combo = term if combo is None else combo + term
-        fields = IntegerFields.from_fields([combo])
+        # the interpolant, its float coefficients read as the exact dyadic rationals they hold
+        weights = [c.as_integer_ratio() for c in (el.nodal @ coeffs).tolist()]
+        den = lcm(*(d for _, d in weights))
+        basis = el.numerators["value"]
+        combo = np.array([n * (den // d) for n, d in weights], dtype=object) @ basis.nums.reshape(len(basis), -1)
+        fields = IntegerFields(combo.reshape(1, *basis.nums.shape[1:]), basis.den * den, ["L2"])
         tensors = (_coefficients(f, fields.degree) for f in (fields, phys_curl(cell, fields)))
         got = dof_matrix(el.dofs, *tensors)[:, 0]
         worst = max(worst, float(np.max(np.abs(got - coeffs) / np.maximum(1.0, np.abs(coeffs)))))

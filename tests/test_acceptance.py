@@ -34,17 +34,27 @@ def test_criterion_01_dimension_fingerprints():
 
 
 def test_criterion_02_exact_bubble_identities():
+    # on the integer numerators of the bubbles: the divergence of each piece
+    # by the integer derivative table (the physical one on the reference
+    # cell), the trace on each parent face by its integer pull-back table
     from tetcomplex.elements import physical_face_bubble, reference_cell
-    from tetcomplex.polyalg import Polynomial, as_piecewise
+    from tetcomplex.polyalg import PARENT_FACE_VERTICES, REF_VERTICES, derivative_table, pullback_table
 
     ok = True
     values = []
     cell = reference_cell()
     for i in range(4):
         beta, raw, div_value = physical_face_bubble(cell, i)
-        dv = beta.div()
-        const = dv.is_single() and dv.pieces[0] == Polynomial.constant(div_value)
-        trace = (beta - as_piecewise(raw)).vanishes_on_boundary()
+        nums, den = beta.nums[0], beta.den  # (pieces, components, monomials of degree <= 3)
+        dv = sum(nums[:, c] @ table.T for c, table in enumerate(derivative_table(3)))
+        const = not dv[:, 1:].any() and all(
+            v * div_value.denominator == div_value.numerator * den for v in dv[:, 0].tolist()
+        )
+        difference = nums * raw.den - raw.nums[0] * den
+        trace = not any(
+            (difference[f] @ pullback_table(3, tuple(REF_VERTICES[v] for v in face))[1].T).any()
+            for f, face in enumerate(PARENT_FACE_VERTICES)
+        )
         ok = ok and const and trace
         values.append(str(div_value))
     _line(2, ok, f"face bubble divergences {values}, exact trace match, zero tolerance")

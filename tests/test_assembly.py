@@ -5,13 +5,15 @@ import functools
 import gc
 import logging
 import weakref
-from fractions import Fraction as F
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import sympy
 from hypothesis import given, settings, strategies as st
+
+from exact_reference import X, evaluate, physical_derivative, single_field
 
 from tetcomplex import assembly as assembly_module
 from tetcomplex import elements as _elements
@@ -39,7 +41,7 @@ from tetcomplex.mesh import (
     MeshTopology,
     build_structured_cube,
 )
-from tetcomplex.polyalg import IntegerFields, Polynomial, VectorField, curl, div, grad, monomial_exponents
+from tetcomplex.polyalg import IntegerFields, monomial_exponents
 from tetcomplex.problems import ManufacturedSolution, TranslationModes, get_spaces
 from tetcomplex.quadrature import QuadratureRule, alfeld_composite
 from tetcomplex.sampling import FieldSample
@@ -214,8 +216,8 @@ class TestForms:
         # for u_h = grad(phi_h), curl u_h = 0, so the grad-curl energy is mass-only
         quad = QuadratureRule(10)
         dg = discrete_d("grad", spaces1["lagrange"], spaces1["gradcurl"])
-        p = Polynomial({(1, 0, 0): F(1), (0, 1, 1): F(2)})
-        coeffs = spaces1["lagrange"].interpolate(FieldSample.from_scalar_polynomial(p), quad)
+        x, y, z = X
+        coeffs = spaces1["lagrange"].interpolate(FieldSample.from_fields(single_field([x + 2 * y * z], 3)), quad)
         u = dg.matrix @ coeffs
         a = assemble("gradcurl_stiffness", spaces1["gradcurl"]).matrix
         m = assemble("mass", spaces1["gradcurl"]).matrix
@@ -237,7 +239,7 @@ class TestForms:
 
 
 def _eval_many_tables(space, cell_id, degree, raw_cache=None):
-    """Reference for ClassTables: every raw field evaluated per subtet with eval_many.
+    """Reference for ClassTables: every exact raw field evaluated per subtet, term by term about the origin.
 
     Returns the tables by attribute name (values, and curl and grad_curl or
     grad).  ``raw_cache`` keeps the evaluations of an element shared by
@@ -246,26 +248,22 @@ def _eval_many_tables(space, cell_id, degree, raw_cache=None):
     el, geom = space.elements[cell_id], space.cells_geom[cell_id]
     blocks = np.split(alfeld_composite(degree)[0], 4)
 
-    def evaluate(fields, jac):
-        raw = []
-        for pw in fields:
-            parts = []
-            for piece, pts in zip(pw.to_float().pieces, blocks):
-                if not jac:
-                    parts.append(piece.eval_many(pts))
-                    continue
-                comps = getattr(piece, "comps", None)
-                partials = [c.derivative(b) for c in comps or (piece,) for b in range(3)]
-                d = np.stack([p.eval_many(pts) for p in partials], axis=-1)
-                parts.append(d.reshape(len(pts), 3, 3) if comps else d)
-            raw.append(np.concatenate(parts))
-        return np.stack(raw)
+    def evaluate_fields(fields, jac):
+        nums = fields.nums
+        if jac:  # [.., component, axis, :]: the partial derivatives, one degree lower
+            from tetcomplex.polyalg import derivative_table
+            from tetcomplex.polyalg.spaces import degree_of_columns
+
+            nums = np.stack([nums @ t.T for t in derivative_table(degree_of_columns(nums.shape[-1]))], axis=-2)
+        parts = [np.moveaxis(evaluate(nums[:, p], fields.den, pts), -1, 1) for p, pts in enumerate(blocks)]
+        raw = np.concatenate(parts, axis=1)  # (fields, points, components[, axes])
+        return raw[:, :, 0] if raw.shape[2] == 1 else raw
 
     def table(use, jac=False):
         key = (el, use, degree, jac)
         cache = {} if raw_cache is None else raw_cache
         if key not in cache:
-            cache[key] = evaluate(el.basis if use == "value" else el.curls, jac)
+            cache[key] = evaluate_fields(el.numerators[use], jac)
         raw = cache[key]
         if jac:
             raw = raw @ geom.amap.inverse_f
@@ -428,28 +426,9 @@ def _translated(mesh, shift):
     return MeshTopology(vertices, mesh.cells)
 
 
-def _transpose(matrix):
-    return [[matrix[j][i] for j in range(3)] for i in range(3)]
-
-
-def _reference_curl(geom, field):
-    """``B curl(B^T u) / det B`` of a reference-expressed field, on Fraction polynomials."""
-    matrix = geom.amap.matrix
-    return field.map(lambda p: curl(p.matmul(_transpose(matrix))).matmul(matrix) * (1 / geom.amap.det))
-
-
-# ``grad``, ``curl`` and ``div`` of reference-expressed fields on Fraction
-# polynomials, piece by piece: a reference that shares no code with the
-# numerator operators of ``discrete_d``
-_REFERENCE_D = {
-    "grad": lambda geom, f: f.map(lambda p: grad(p).matmul(_transpose(geom.amap.inverse))),
-    "curl": _reference_curl,
-    "div": lambda geom, f: f.map(lambda p: div(p.matmul(geom.amap.inverse))),
-}
-
-
 def _per_entry_discrete_d(which, source, target):
-    """Reference for discrete_d: exact Fraction derivatives, assembled cell by cell."""
+    """Reference for discrete_d: exact derivatives through Fraction matrices
+    (:func:`physical_derivative`), assembled cell by cell."""
     locals_by_class = {}
     out = np.zeros((target.dim, source.dim))
     for ci in range(source.mesh.n_cells):
@@ -458,10 +437,10 @@ def _per_entry_discrete_d(which, source, target):
         el_t = local_element(target.kind, target.r, target.k, geom)
         sig = geom.signature()
         if sig not in locals_by_class:
-            images = IntegerFields.from_fields([_REFERENCE_D[which](geom, b) for b in el_s.basis])
+            images = physical_derivative(which, geom.amap.matrix, el_s.numerators["value"])
             curls = None
             if target.kind == "gradcurl":
-                curls = _coefficients(IntegerFields.from_fields([_reference_curl(geom, f) for f in images]), images.degree)
+                curls = _coefficients(physical_derivative("curl", geom.amap.matrix, images), images.degree)
             locals_by_class[sig] = dof_matrix(el_t.dofs, _coefficients(images, images.degree), curls) @ el_s.nodal
         local = locals_by_class[sig]
         index = np.ix_(target.local_to_global[ci], source.local_to_global[ci])
@@ -593,13 +572,11 @@ class TestConformity:
                     local = coeffs[space.local_to_global[ci]]
                     ref = (pts_phys - geom.amap.shift_f) @ geom.amap.inverse_f.T
                     el = local_element(kind, space.r, space.k, geom)
-                    fields = el.basis
+                    fields = el.numerators["value"]
+                    if probe == "curl":
+                        fields = physical_derivative("curl", geom.amap.matrix, fields)
                     raw = el.nodal @ local
-                    acc = np.zeros(3)
-                    for cj, b in zip(raw, fields):
-                        fld = _reference_curl(geom, b) if probe == "curl" else b
-                        acc = acc + cj * fld.to_float().pieces[piece].eval_many(ref)[0]
-                    vals.append(acc)
+                    vals.append(raw @ evaluate(fields.nums[:, piece], fields.den, ref)[:, :, 0])
                 jump = np.abs(vals[0] - vals[1]).max()
                 scale = max(1.0, np.abs(vals[0]).max())
                 assert jump < 1e-9 * scale, (kind, fi, jump)
@@ -633,9 +610,8 @@ class TestConformity:
                 el = local_element(space.kind, space.r, space.k, geom)
                 ref = (pts - geom.amap.shift_f) @ geom.amap.inverse_f.T
                 raw = el.nodal @ coeffs[space.local_to_global[ci]]
-                vals.append(sum(
-                    c * b.to_float().pieces[piece].eval_many(ref) for c, b in zip(raw, el.basis)
-                ))
+                fields = el.numerators["value"]
+                vals.append(np.einsum("j,jcq->qc", raw, evaluate(fields.nums[:, piece], fields.den, ref)))
             jump = vals[0] - vals[1]
             tangential = jump - np.outer(jump @ normal, normal)
             worst = max(worst, np.abs(tangential).max() / max(1.0, np.abs(vals[0]).max()))
@@ -645,10 +621,7 @@ class TestConformity:
 class TestInterpolationAndNorms:
     def test_polynomial_reproduced(self, spaces1):
         quad = QuadratureRule(10)
-        u = VectorField(
-            (Polynomial.constant(1), Polynomial.constant(-2), Polynomial.constant(F(1, 2)))
-        )
-        sample = FieldSample.from_vector_polynomial(u)
+        sample = FieldSample.from_fields(single_field([1, -2, sympy.Rational(1, 2)], 0))
         coeffs = spaces1["gradcurl"].interpolate(sample, quad)
         errs = error_norms(spaces1["gradcurl"], coeffs, sample, 8)
         assert max(errs) < 1e-10
@@ -657,17 +630,13 @@ class TestInterpolationAndNorms:
         quad = QuadratureRule(8)
         rng = np.random.default_rng(2)
 
-        def poly(deg):
-            return Polynomial(
-                {e: F(int(rng.integers(-3, 4)), 2) for e in monomial_exponents(deg)}
-            )
-
-        u = VectorField((poly(2), poly(2), poly(2)))
-        sample = FieldSample.from_vector_polynomial(u)
+        nums = rng.integers(-3, 4, size=(3, len(monomial_exponents(2)))).astype(object)
+        u = IntegerFields(np.tile(nums, (1, 4, 1, 1)), 2, ["single"])
+        sample = FieldSample.from_fields(u)
         coeffs = spaces1["gradcurl"].interpolate(sample, quad)
         base = error_norms(spaces1["gradcurl"], coeffs, sample, 8)
 
-        scaled = FieldSample.from_vector_polynomial(u * 3)
+        scaled = FieldSample.from_fields(IntegerFields(u.nums * 3, u.den, u.continuity))
         errs = error_norms(spaces1["gradcurl"], 3 * coeffs, scaled, 8)
         for a, b in zip(errs, base):
             assert a == pytest.approx(3 * b, rel=1e-10, abs=1e-13)
@@ -681,15 +650,11 @@ class TestInterpolationAndNorms:
         ms = ManufacturedSolution()
         manufactured = ms.pressure_sample() if scalar else ms.solution_sample()
         rng = np.random.default_rng(8)
-        polys = [
-            Polynomial({e: F(int(rng.integers(-4, 5)), 3) for e in monomial_exponents(3)})
-            for _ in range(1 if scalar else 3)
-        ]
-        random_poly = (
-            FieldSample.from_scalar_polynomial(polys[0])
-            if scalar
-            else FieldSample.from_vector_polynomial(VectorField(tuple(polys)))
+        nums = np.array(
+            [[int(rng.integers(-4, 5)) for _ in monomial_exponents(3)] for _ in range(1 if scalar else 3)],
+            dtype=object,
         )
+        random_poly = FieldSample.from_fields(IntegerFields(np.tile(nums, (1, 4, 1, 1)), 3, ["single"]))
         quad = QuadratureRule(8)
         for m, sample in (
             (mesh, manufactured),
@@ -745,9 +710,8 @@ class TestInterpolationAndNorms:
 
     def test_velocity_h1_error_of_linear_interpolant(self):
         # u(x, y, z) = (1 + 2y - z, x - 3z, 2x + y + z): a non-symmetric constant Jacobian
-        x, y, z = (Polynomial.variable(i, 3) for i in range(3))
-        u = VectorField((1 + 2 * y - z, x - 3 * z, 2 * x + y + z))
-        sample = FieldSample.from_vector_polynomial(u)
+        x, y, z = X
+        sample = FieldSample.from_fields(single_field([1 + 2 * y - z, x - 3 * z, 2 * x + y + z], 1))
         space = GlobalSpace(build_structured_cube(2), "velocity", 1, 1)
         coeffs = space.interpolate(sample, QuadratureRule(8))
         errs = error_norms(space, coeffs, sample, 8)
@@ -816,13 +780,8 @@ class TestInterpolationAndNorms:
         for cells, tab in zip(space.classes, space.class_tables(8)):
             el, geom = space.elements[cells[0]], space.cells_geom[cells[0]]
             blocks = np.split(tab.ref_points, 4)
-            raw = np.stack([
-                np.concatenate([
-                    piece.eval_many(pts)
-                    for piece, pts in zip(_REFERENCE_D["div"](geom, b).to_float().pieces, blocks)
-                ])
-                for b in el.basis
-            ])
+            divs = physical_derivative("div", geom.amap.matrix, el.numerators["value"])
+            raw = np.concatenate([evaluate(divs.nums[:, p, 0], divs.den, pts) for p, pts in enumerate(blocks)], axis=1)
             exact = np.einsum("jq,jm->mq", raw, el.nodal)
             np.testing.assert_allclose(tab.table("div"), exact, rtol=0, atol=1e-12 * np.abs(exact).max())
 
@@ -1060,16 +1019,6 @@ class TestInputChecks:
         with pytest.raises(ValueError, match="scalar sample with a gradient"):
             FieldSample(lambda p: np.zeros(len(p)), scalar=True).gradient_sample()
 
-    def test_field_constructors_check_their_length(self):
-        from tetcomplex.polyalg.poly import Polynomial, VectorField
-        from tetcomplex.polyalg.split import PiecewiseField
-
-        x = Polynomial.variable(0)
-        with pytest.raises(ValueError, match="3 components, not 2"):
-            VectorField((x, x))
-        with pytest.raises(ValueError, match="4 pieces, one per subtet, not 3"):
-            PiecewiseField((x, x, x))
-
     def test_checks_survive_optimized_mode(self):
         import subprocess
         import sys
@@ -1080,8 +1029,6 @@ class TestInputChecks:
             "import numpy as np\n"
             "from tetcomplex.assembly import GlobalSpace, divergence_norm\n"
             "from tetcomplex.mesh import AffineMap, build_structured_cube\n"
-            "from tetcomplex.polyalg.poly import Polynomial, VectorField\n"
-            "from tetcomplex.polyalg.split import PiecewiseField\n"
             "from tetcomplex.sampling import FieldSample\n"
             "space = GlobalSpace(build_structured_cube(1), 'gradcurl', 1, 1)\n"
             "flip = ((F(1), F(0), F(0)), (F(0), F(1), F(0)), (F(0), F(0), F(-1)))\n"
@@ -1089,8 +1036,6 @@ class TestInputChecks:
             "    lambda: divergence_norm(space, np.zeros(space.dim)),\n"
             "    lambda: AffineMap(flip, (F(0),) * 3, (0, 1, 2, 3)),\n"
             "    lambda: FieldSample(lambda p: p).gradient_sample(),\n"
-            "    lambda: VectorField((Polynomial.variable(0),) * 2),\n"
-            "    lambda: PiecewiseField((Polynomial.variable(0),) * 3),\n"
             ")\n"
             "for check in checks:\n"
             "    try:\n"
@@ -1103,4 +1048,4 @@ class TestInputChecks:
             [sys.executable, "-O", "-c", script], capture_output=True, text=True, timeout=120,
             env={"PYTHONPATH": str(src), "PATH": ""},
         )
-        assert run.stdout.splitlines() == ["ValueError"] * 5, run.stderr
+        assert run.stdout.splitlines() == ["ValueError"] * 3, run.stderr

@@ -1,46 +1,92 @@
-"""Bubble constructions: split spaces, divergence solver, face/interior bubbles."""
+"""Bubble constructions: split spaces, divergence solver, face/interior bubbles.
+
+The integer constructions are checked against exact sympy references
+(:mod:`exact_reference`): continuity and traces by substitution into the
+faces of the split, divergences by differentiation, integrals monomial by
+monomial.
+"""
 
 import re
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
+from sympy import QQ
 
+from exact_reference import (
+    X,
+    div,
+    field,
+    fields_of,
+    grad,
+    is_continuous,
+    matvec,
+    poly,
+    simplex_integral,
+    split_integral,
+    vanishes_on_boundary,
+)
 from tetcomplex.bubbles import (
     _div_solver,
     _h1_gram,
     build_split_space,
     div_coefficients,
     interior_bubbles,
+    layered_targets,
+    scalar_face_bubble,
     solve_div,
 )
 from tetcomplex.elements import CellGeometry, physical_face_bubble, reference_cell
 from tetcomplex.mesh import random_rational_cell
-from tetcomplex.polyalg import (
-    IntegerFields,
-    PiecewiseField,
-    Polynomial,
-    VectorField,
-    as_piecewise,
-    div,
-    grad,
-    integrate_unit_simplex,
-    layered_mean_zero_basis,
-    rank,
-)
-from tetcomplex.polyalg.poly import _det3
-from tetcomplex.polyalg.split import SUBTET_VERTICES
+from tetcomplex.polyalg import IntegerFields, monomial_exponents, rank
 
 
-def _target(p, degree=None):
-    """An exact (piecewise) polynomial as a divergence target on numerators."""
-    return IntegerFields.from_fields([as_piecewise(p)], degree)
+def _target(values, degree=0):
+    """A scalar divergence target: the piece constants ``values`` over 1, on the monomials of degree <= ``degree``."""
+    from tetcomplex.polyalg import dim_poly
+
+    nums = np.zeros((1, 4, 1, dim_poly(degree)), dtype=object)
+    nums[0, :, 0, 0] = values
+    return IntegerFields(nums, 1, ["single" if len(set(values)) == 1 else "L2"])
 
 
-def _solve(p, k):
-    """:func:`solve_div` of an exact (piecewise) polynomial, as an exact field."""
-    return solve_div(_target(p), k)[0]
+def _scalar(pieces, degree):
+    """One scalar divergence target from a ``Poly`` per piece."""
+    return fields_of([[[p] for p in pieces]], degree, ["L2"])
+
+
+def _divergences(fields, i=0):
+    """The divergence of field ``i`` on each piece, as ``Poly``."""
+    return [div(piece) for piece in field(fields, i)]
+
+
+def _space_members(space):
+    """The scalar basis of a split space: per member, four pieces of one ``Poly`` each."""
+    nums, den = space.coefficients
+    return [[[poly(row, den)] for row in member] for member in nums.tolist()]
+
+
+def _vector_fields(space, vectors, den=1):
+    """Fields with coordinates ``vectors`` in the component-wise basis (field ``3 a + c``:
+    scalar ``a`` in component ``c``), as four pieces of three ``Poly`` components."""
+    basis, b_den = space.coefficients
+    out = []
+    for v in vectors:
+        weights = np.array(v, dtype=object).reshape(-1, 3).T  # (components, scalars)
+        nums = (weights @ basis.reshape(len(basis), -1)).reshape(3, 4, -1).transpose(1, 0, 2)
+        out.append([[poly(c, b_den * den) for c in piece] for piece in nums.tolist()])
+    return out
+
+
+def _h1_inner(u, v):
+    """The H1-seminorm inner product of two piecewise vector fields (four pieces of three ``Poly``)."""
+    pieces = [
+        sum((a.diff(x) * b.diff(x) for a, b in zip(pu, pv) for x in X), sympy.Poly(0, *X, domain=QQ))
+        for pu, pv in zip(u, v)
+    ]
+    return split_integral(pieces)
 
 
 def _dot(u, v):
@@ -63,9 +109,7 @@ def _solve_square(matrix, rhs):
 
 class TestSplitSpaces:
     def test_linear_dimension(self):
-        space = build_split_space(1)
-        assert space.dimension == 5  # nodal values at the five split vertices
-        assert len(space.vector_basis()) == 15
+        assert build_split_space(1).dimension == 5  # nodal values at the five split vertices
 
     def test_linear_zero_trace(self):
         space = build_split_space(1, zero_trace=True)
@@ -76,16 +120,16 @@ class TestSplitSpaces:
         assert build_split_space(m, zero_trace=True).dimension == expected
 
     def test_members_continuous(self):
-        # the polynomial-level check, independent of the build's integer one
+        # the sympy check, independent of the build's integer one
         for m in (1, 2, 3):
             for zero_trace in (False, True):
-                for b in build_split_space(m, zero_trace=zero_trace).scalar_basis:
-                    assert b.check_c0()
+                for member in _space_members(build_split_space(m, zero_trace=zero_trace)):
+                    assert is_continuous(member)
 
     def test_zero_trace_members_vanish(self):
         for m in (1, 2, 3):
-            for b in build_split_space(m, zero_trace=True).scalar_basis:
-                assert b.vanishes_on_boundary()
+            for member in _space_members(build_split_space(m, zero_trace=True)):
+                assert vanishes_on_boundary(member)
 
     @pytest.mark.parametrize("zero_trace", [False, True])
     def test_trace_postcondition_catches_a_broken_basis(self, zero_trace, monkeypatch):
@@ -104,22 +148,18 @@ class TestSplitSpaces:
 
     def test_basis_independent(self):
         space = build_split_space(2)
-        coords = IntegerFields.from_fields(space.scalar_basis).nums.reshape(space.dimension, -1)
+        coords = space.coefficients[0].reshape(space.dimension, -1)
         assert rank(coords.T.tolist()) == space.dimension
 
 
 class TestSolveDiv:
     def test_zero_gives_zero(self):
-        v = _solve(Polynomial.zero(), 2)
-        assert v.is_zero()
+        assert not solve_div(_target([0, 0, 0, 0]), 2).nums.any()
 
     def test_piecewise_constant_pattern(self):
-        p = PiecewiseField(
-            tuple(Polynomial.constant(c) for c in (1, -1, 1, -1)), "L2"
-        )
-        v = _solve(p, 1)
-        assert (v.div() - p).is_zero()
-        assert v.vanishes_on_boundary()
+        v = solve_div(_target([1, -1, 1, -1]), 1)
+        assert _divergences(v) == [sympy.Poly(c, *X, domain=QQ) for c in (1, -1, 1, -1)]
+        assert vanishes_on_boundary(field(v)) and is_continuous(field(v))
 
     def test_divergence_postcondition_catches_a_wrong_solution(self, monkeypatch):
         from tetcomplex import bubbles
@@ -131,9 +171,8 @@ class TestSolveDiv:
             return [2 * v for v in z], den
 
         monkeypatch.setattr(bubbles, "div_coefficients", doubled)
-        target = PiecewiseField(tuple(Polynomial.constant(c) for c in (2, -1, 0, -1)), "L2")
         with pytest.raises(ArithmeticError, match="exact divergence postcondition"):
-            _solve(target, 2)
+            solve_div(_target([2, -1, 0, -1]), 2)
 
     def test_postconditions_survive_optimized_mode(self):
         # both checks are exceptions, not asserts that ``python -O`` strips
@@ -142,8 +181,9 @@ class TestSolveDiv:
         from pathlib import Path
 
         script = (
+            "import numpy as np\n"
             "from tetcomplex import bubbles\n"
-            "from tetcomplex.polyalg import IntegerFields, PiecewiseField, Polynomial\n"
+            "from tetcomplex.polyalg import IntegerFields\n"
             "solve = bubbles.null_numerators\n"
             "def broken(*args):\n"
             "    (first, *rest), den = solve(*args)\n"
@@ -159,10 +199,9 @@ class TestSolveDiv:
             "    z, den = coefficients(target, k)\n"
             "    return [2 * v for v in z], den\n"
             "bubbles.div_coefficients = doubled\n"
-            "pieces = tuple(Polynomial.constant(c) for c in (2, -1, 0, -1))\n"
-            "target = IntegerFields.from_fields([PiecewiseField(pieces, 'L2')])\n"
+            "nums = np.array([2, -1, 0, -1], dtype=object).reshape(1, 4, 1, 1)\n"
             "try:\n"
-            "    bubbles.solve_div(target, 2)\n"
+            "    bubbles.solve_div(IntegerFields(nums, 1, ['L2']), 2)\n"
             "except ArithmeticError as exc:\n"
             "    print(exc)\n"
         )
@@ -178,42 +217,31 @@ class TestSolveDiv:
 
     def test_mean_zero_required(self):
         with pytest.raises(ValueError):
-            _solve(Polynomial.constant(1), 2)
+            solve_div(_target([1, 1, 1, 1]), 2)
 
     def test_degree_guard(self):
-        x = Polynomial.variable(0)
+        x = sympy.Poly(X[0], *X, domain=QQ)
         with pytest.raises(ValueError):
-            _solve(x * x - Polynomial.constant(F(1, 20) * 2), 2)
+            solve_div(_scalar([x * x - QQ(1, 10)] * 4, 2), 2)
 
     def test_idempotent_divergence(self):
         # resolving the divergence of a solution reproduces that divergence
-        p = PiecewiseField(
-            tuple(Polynomial.constant(c) for c in (2, -1, 0, -1)), "L2"
-        )
-        v = _solve(p, 2)
-        again = _solve(v.div(), 2)
-        assert (again.div() - v.div()).is_zero()
+        v = solve_div(_target([2, -1, 0, -1]), 2)
+        again = solve_div(_scalar(_divergences(v), 1), 2)
+        assert _divergences(again) == _divergences(v)
 
     def test_stability_bound(self):
         # H1 norms stay bounded by a single constant over random unit targets
         rng = np.random.default_rng(2)
         worst = 0.0
         for _ in range(20):
-            vals = rng.integers(-4, 5, size=4)
-            consts = [F(int(v)) for v in vals]
-            mean = sum(consts) / 4
-            consts = [c - mean for c in consts]
-            p = PiecewiseField(tuple(Polynomial.constant(c) for c in consts), "L2")
-            norm_p = float(p.map(lambda q: q * q, continuity="L2").integrate()) ** 0.5
+            vals = [int(v) for v in rng.integers(-4, 5, size=4)]
+            consts = [4 * c - sum(vals) for c in vals]  # 4 times the mean-free constants
+            norm_p = float(split_integral([sympy.Poly(c * c, *X, domain=QQ) for c in consts])) ** 0.5
             if norm_p == 0:
                 continue
-            v = _solve(p, 1)
-            h1 = 0.0
-            for c in range(3):
-                comp = v.map(lambda u, c=c: u.comps[c], continuity="L2")
-                gsq = comp.map(lambda q: grad(q).dot(grad(q)), continuity="L2")
-                sq = comp.map(lambda q: q * q, continuity="L2")
-                h1 += float(gsq.integrate()) + float(sq.integrate())
+            v = field(solve_div(_target(consts), 1))
+            h1 = float(_h1_inner(v, v)) + float(split_integral([sum((c * c for c in piece), sympy.Poly(0, *X, domain=QQ)) for piece in v]))
             worst = max(worst, h1**0.5 / norm_p)
         assert worst < 50.0  # single constant across all targets
 
@@ -224,37 +252,13 @@ class TestSolveDiv:
         k = 3
         ds = _div_solver(k)
         assert ds.null
-        zero = PiecewiseField.from_single(VectorField.zero())
-        null_fields = [sum((f * c for c, f in zip(n, ds.vec_basis) if c), zero) for n in ds.null]
-
-        def h1_inner(u, v):
-            pieces = [
-                sum(
-                    (grad(a).dot(grad(b)) for a, b in zip(pu.comps, pv.comps)),
-                    Polynomial.zero(),
-                )
-                for pu, pv in zip(u.pieces, v.pieces)
-            ]
-            return PiecewiseField(pieces, "L2").integrate()
-
-        for g in layered_mean_zero_basis(k - 1):
-            z, _ = div_coefficients(_target(g), k)
+        null_fields = _vector_fields(ds.space, ds.null)
+        targets = layered_targets(k - 1)
+        for i in range(len(targets)):
+            z, _ = div_coefficients(targets.take([i]), k)
             assert all(_dot(gn, z) == 0 for gn in ds.gram_null)
-            u = _solve(g, k)
-            assert all(h1_inner(u, nf) == 0 for nf in null_fields)
-
-
-def _polynomial_product_gram(space):
-    """Reference H1-seminorm Gram matrix: gradient products pulled back to the unit simplex."""
-    grads = [phi.map(grad) for phi in space.scalar_basis]
-    pulled = []
-    for piece, (p0, *others) in enumerate(SUBTET_VERTICES):
-        matrix = [[v[i] - p0[i] for v in others] for i in range(3)]  # columns: the edges from p0
-        pulled.append(([g.pieces[piece].compose_affine(matrix, list(p0)) for g in grads], abs(_det3(matrix))))
-    return [
-        [sum((integrate_unit_simplex(c[a].dot(c[b])) * det for c, det in pulled), F(0)) for b in range(len(grads))]
-        for a in range(len(grads))
-    ]
+            u = field(solve_div(targets.take([i]), k))
+            assert all(_h1_inner(u, nf) == 0 for nf in null_fields)
 
 
 class TestIntegerKernels:
@@ -262,33 +266,42 @@ class TestIntegerKernels:
     def test_gram_matches_polynomial_products(self, k):
         space = build_split_space(k, zero_trace=True)
         total, den = _h1_gram(space)
-        assert [[F(int(v), den) for v in row] for row in total] == _polynomial_product_gram(space)
+        members = _space_members(space)
+        grads = [[grad(piece[0]) for piece in member] for member in members]
+        want = [
+            [split_integral([sum((a * b for a, b in zip(ga[p], gb[p])), sympy.Poly(0, *X, domain=QQ)) for p in range(4)])
+             for gb in grads]
+            for ga in grads
+        ]
+        assert [[QQ(int(v), den) for v in row] for row in total] == want
 
     def test_solution_matches_polynomial_reference(self):
         # reference: z0 + sum q_i n_i with (N^T G N) q = -(G N)^T z0, and the
-        # field as a sum of Fraction polynomials
+        # field as the sum of the component-wise basis in sympy
         k = 3
         ds = _div_solver(k)
         reduced = [[_dot(gn, n) for n in ds.null] for gn in ds.gram_null]
-        zero = PiecewiseField.from_single(VectorField.zero())
-        for g in layered_mean_zero_basis(k - 1):
-            target = _target(g, k - 1)
+        targets = layered_targets(k - 1)
+        for i in range(len(targets)):
+            target = targets.take([i])
             nums, den = ds.solver.solve(target.nums[0, :, 0].ravel().tolist(), target.den)
             z0 = [F(v, den) for v in nums]
             q = _solve_square(reduced, [-_dot(gn, z0) for gn in ds.gram_null])
             expected = [zz + sum(qi * n[j] for qi, n in zip(q, ds.null)) for j, zz in enumerate(z0)]
             nums, den = div_coefficients(target, k)
             assert [F(v, den) for v in nums] == expected
-            field = sum((f * c for c, f in zip(expected, ds.vec_basis) if c), zero)
-            assert solve_div(target, k)[0] == field
+            common = sympy.ilcm(1, *(e.denominator for e in expected))
+            (want,) = _vector_fields(ds.space, [[int(e * common) for e in expected]], int(common))
+            assert field(solve_div(target, k)) == want
 
     @given(st.lists(st.integers(-3, 3), min_size=9, max_size=9))
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=15, deadline=None)
     def test_random_targets_exact_and_minimal(self, weights):
-        basis = layered_mean_zero_basis(2)
-        target = as_piecewise(sum((g * w for g, w in zip(basis, weights)), Polynomial.zero()))
-        assert (_solve(target, 3).div() - target).is_zero()
-        z, _ = div_coefficients(_target(target), 3)
+        basis = layered_targets(2)
+        nums = np.array(weights, dtype=object) @ basis.nums.reshape(len(basis), -1)
+        target = IntegerFields(nums.reshape(1, *basis.nums.shape[1:]), basis.den, ["single"])
+        assert _divergences(solve_div(target, 3)) == [poly(row[0], target.den) for row in target.nums[0].tolist()]
+        z, _ = div_coefficients(target, 3)
         assert all(_dot(gn, z) == 0 for gn in _div_solver(3).gram_null)
 
 
@@ -298,28 +311,34 @@ def _reference_bubble(i):
 
 
 class TestFaceBubbles:
+    def test_scalar_bubbles_are_barycentric_products(self):
+        x, y, z = X
+        lam = (1 - x - y - z, x, y, z)
+        for i in range(4):
+            want = sympy.Poly(sympy.prod([lam[j] for j in range(4) if j != i]), *X, domain=QQ)
+            assert poly(scalar_face_bubble(i)) == want
+
     @pytest.mark.parametrize("i", range(4))
     def test_constant_divergence_exact(self, i):
         beta, _, div_value = _reference_bubble(i)
-        dv = beta.div()
-        assert dv.is_single()
-        assert dv.pieces[0] == Polynomial.constant(div_value)
+        assert _divergences(beta) == [sympy.Poly(sympy.Rational(div_value.numerator, div_value.denominator), *X, domain=QQ)] * 4
 
     @pytest.mark.parametrize("i", range(4))
     def test_trace_matches_raw(self, i):
         beta, raw, _ = _reference_bubble(i)
-        assert (beta - as_piecewise(raw)).vanishes_on_boundary()
+        difference = [[a - b for a, b in zip(p, q)] for p, q in zip(field(beta), field(raw))]
+        assert vanishes_on_boundary(difference) and is_continuous(field(beta))
 
     @pytest.mark.parametrize("i", range(4))
     def test_genuinely_piecewise(self, i):
         # documents why single polynomials cannot carry the correction
-        assert not _reference_bubble(i)[0].is_single()
+        assert not _reference_bubble(i)[0].single_pieces()[0]
 
     def test_divergence_value_via_flux(self):
         # the constant equals the boundary flux divided by the volume
         _, raw, div_value = _reference_bubble(0)
-        flux = as_piecewise(raw).div().integrate()
-        assert div_value == flux * 6
+        flux = simplex_integral(div(field(raw)[0]))
+        assert div_value == F(int(flux.numerator), int(flux.denominator)) * 6
 
     def test_reference_divergences(self):
         values = [_reference_bubble(i)[2] for i in range(4)]
@@ -331,10 +350,10 @@ class TestFaceBubbles:
         cell = CellGeometry.standalone(random_rational_cell(np.random.default_rng(5)))
         for i in range(4):
             beta, raw, div_value = physical_face_bubble(cell, i)
-            dv = beta.map(lambda p: div(p.matmul(cell.amap.inverse)))
-            assert dv.is_single()
-            assert dv.pieces[0] == Polynomial.constant(div_value)
-            assert (beta - as_piecewise(raw)).vanishes_on_boundary()
+            value = sympy.Poly(sympy.Rational(div_value.numerator, div_value.denominator), *X, domain=QQ)
+            assert [div(matvec(cell.amap.inverse, piece)) for piece in field(beta)] == [value] * 4
+            difference = [[a - b for a, b in zip(p, q)] for p, q in zip(field(beta), field(raw))]
+            assert vanishes_on_boundary(difference)
 
 
 class TestInteriorBubbles:
@@ -342,44 +361,44 @@ class TestInteriorBubbles:
         assert len(interior_bubbles(1)) == 3
         assert len(interior_bubbles(2)) == 9
 
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_targets_are_mean_free_layers(self, k):
+        # S_k: the monomials of degree k and, from k = 2, k - 1, each less its mean over the cell
+        targets = layered_targets(k)
+        degrees = (k, k - 1) if k >= 2 else (k,)
+        exps = [e for d in degrees for e in monomial_exponents(k) if sum(e) == d]
+        assert len(targets) == len(exps) and targets.continuity == ("single",) * len(exps)
+        for i, e in enumerate(exps):
+            mono = sympy.Poly.from_dict({e: 1}, *X, domain=QQ)
+            mean = simplex_integral(mono) * 6
+            assert field(targets, i) == [[mono - mean]] * 4
+
     @pytest.mark.parametrize("k", [1, 2])
     def test_exact_divergence_and_trace(self, k):
         for ib in interior_bubbles(k):
-            assert (ib.field.div() - as_piecewise(ib.target)).is_zero()
-            assert ib.field.vanishes_on_boundary()
+            assert _divergences(ib.numerators) == [piece[0] for piece in field(ib.target)]
+            assert vanishes_on_boundary(field(ib.numerators))
             assert ib.order == k + 1
 
     def test_dof_gram_invertible(self):
         # integration against gradients of the divergence targets is unisolvent
         for k in (1, 2):
-            qs = layered_mean_zero_basis(k)
+            targets = layered_targets(k)
+            gradients = [grad(field(targets, j)[0][0]) for j in range(len(targets))]
             gram = []
             for ib in interior_bubbles(k):
-                gram.append(
-                    [
-                        ib.field.map(lambda v, q=q: v.dot(grad(q)), continuity="L2").integrate()
-                        for q in qs
-                    ]
-                )
-            assert rank(gram) == len(qs)
+                pieces = field(ib.numerators)
+                gram.append([
+                    split_integral([sum((a * b for a, b in zip(piece, g)), sympy.Poly(0, *X, domain=QQ)) for piece in pieces])
+                    for g in gradients
+                ])
+            assert sympy.Matrix(gram).rank() == len(targets)
 
 
-class TestGoldenDumps:
-    def test_polynomial_dump_sorted_lines(self):
-        from tetcomplex.polyalg import Polynomial
-
-        p = Polynomial({(1, 1, 0): F(2), (0, 0, 1): F(1, 3)})
-        assert p.dump() == ["1/3 * z^1", "2 * x^1 y^1"]
-
-    def test_face_bubble_divergence_dump(self):
-        # frozen golden line: the constant-divergence value of bubble 0
-        dv = _reference_bubble(0)[0].div()
-        assert dv.pieces[0].dump() == ["3/20 * 1"]
-
-    def test_bubble_dump_has_four_pieces(self):
-        lines = _reference_bubble(1)[0].dump()
-        assert sum(1 for ln in lines if ln.startswith("[piece")) == 4
-        assert any("*" in ln for ln in lines)
+class TestGoldenValues:
+    def test_face_bubble_divergence(self):
+        # frozen golden value: the constant divergence of bubble 0, on every piece
+        assert [str(d.as_expr()) for d in _divergences(_reference_bubble(0)[0])] == ["3/20"] * 4
 
 
 class TestBuildRecords:

@@ -14,9 +14,9 @@ from tetcomplex.mesh import (
     REF_FACE_VERTICES,
     MeshTopology,
     build_structured_cube,
+    _det3,
     random_rational_cell,
 )
-from tetcomplex.polyalg.poly import _det3
 from tetcomplex.polyalg.split import REF_VERTICES
 
 REF = [(F(0), F(0), F(0)), (F(1), F(0), F(0)), (F(0), F(1), F(0)), (F(0), F(0), F(1))]

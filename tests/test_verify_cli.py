@@ -6,6 +6,8 @@ from collections import defaultdict
 import subprocess
 import sys
 
+import pytest
+
 from tetcomplex import cli
 from tetcomplex.cli import main
 from tetcomplex.verify import (
@@ -196,6 +198,31 @@ class TestCli:
         assert seen["tol"] == 1e-10 and seen["quad_degree"] == 6
         assert main(argv) == 0
         assert seen["tol"] == 1e-3
+
+    def test_unknown_config_keys_are_rejected(self, capsys, tmp_path, monkeypatch):
+        # misspelt keys must not fall back to the defaults in silence
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("tool=1e-3\nquad_degre=99\n")
+        monkeypatch.setattr(cli, "cmd_solve", lambda args: pytest.fail("solved with unknown config keys"))
+        assert main(["--config", str(cfg), "solve", "quadcurl", "--N", "1", "--k", "1"]) == 3
+        assert "unknown config keys: quad_degre, tool" in capsys.readouterr().err
+
+    def test_config_keys_of_another_subcommand_are_accepted(self, tmp_path, monkeypatch):
+        # the defaults map is shared: ``levels`` belongs to convergence, ``out`` to several
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("levels=2,4\ntol=1e-3\n")
+        seen = {}
+        monkeypatch.setattr(cli, "cmd_solve", lambda args: seen.update(vars(args)) or 0)
+        assert main(["--config", str(cfg), "solve", "quadcurl", "--N", "1", "--k", "1"]) == 0
+        assert seen["tol"] == 1e-3
+
+    @pytest.mark.parametrize("flag,missing", [("--r", "--k"), ("--k", "--r")])
+    def test_verify_needs_both_r_and_k(self, capsys, monkeypatch, flag, missing):
+        from tetcomplex import verify
+
+        monkeypatch.setattr(verify, "verify_all", lambda *a, **kw: pytest.fail("verified every configuration"))
+        assert main(["verify", "exactness", flag, "2"]) == 3
+        assert f"{missing} is missing" in capsys.readouterr().err
 
     def test_threads_override_inherited_environment(self, capsys, monkeypatch):
         names = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
