@@ -893,6 +893,52 @@ def test_exact_numerators_match_the_pinned_digest(seed):
     assert _run(_DIGEST_SCRIPT, PYTHONHASHSEED=seed).strip() == NUMERATOR_DIGEST
 
 
+# The SHA-256 of the exact numerators (as for ``NUMERATOR_DIGEST``), the DOF
+# and nodal matrices' bytes and the float geometry (map, edges, faces) of
+# every element for the ``DEFAULT_CONFIGS`` pairs and the four kinds, on
+# seeded random rational cells and a translate of one: their maps mix
+# denominators, so a non-canonical exact map would show here.
+CELL_MAP_DIGEST = "9e41aeb34a7a0a6b719dee42521c02167db51eb8f43a8c0eef3818ff981ef06a"
+
+_CELL_MAP_DIGEST_SCRIPT = """
+import hashlib
+from fractions import Fraction
+
+import numpy as np
+
+from tetcomplex.elements import CellGeometry, SPACE_KINDS, local_element
+from tetcomplex.mesh import random_rational_cell
+from tetcomplex.verify import DEFAULT_CONFIGS
+
+vertices = [random_rational_cell(np.random.default_rng(seed), denominator=den) for seed, den in ((3, 8), (4, 6), (11, 12))]
+offset = (Fraction(1, 16), Fraction(-3, 32), Fraction(1, 5))
+vertices.append([tuple(c + o for c, o in zip(v, offset)) for v in vertices[0]])
+cells = [CellGeometry.standalone(v) for v in vertices]
+digest = hashlib.sha256()
+for cell in cells:
+    amap = cell.amap
+    digest.update(b"".join(np.asarray(a, float).tobytes() for a in (amap.matrix_f, amap.inverse_f, amap.shift_f, amap.det_f)))
+    for edge in cell.edges:
+        digest.update(edge["tangent"].tobytes() + np.float64(edge["length"]).tobytes())
+    for face in cell.faces:
+        digest.update(b"".join(np.asarray(face[key], float).tobytes() for key in ("tau1", "tau2", "normal", "area")))
+for r, k in DEFAULT_CONFIGS:
+    for kind in SPACE_KINDS:
+        for cell in cells:
+            element = local_element(kind, r, k, cell)
+            for use in sorted(element.numerators):
+                fields = element.numerators[use]
+                digest.update(repr((kind, r, k, use, fields.nums.tolist(), fields.den)).encode())
+            digest.update(element.dof_matrix.tobytes() + element.nodal.tobytes())
+print(digest.hexdigest())
+"""
+
+
+@pytest.mark.parametrize("seed", ["0", "1"])
+def test_cell_maps_match_the_pinned_digest(seed):
+    assert _run(_CELL_MAP_DIGEST_SCRIPT, PYTHONHASHSEED=seed).strip() == CELL_MAP_DIGEST
+
+
 _FRACTION_COUNT_SCRIPT = """
 import json
 import sys
