@@ -70,6 +70,7 @@ from .elements import (  # noqa: F401
     phys_grad,
     validate_family,
 )
+from .polyalg.spaces import derivative_gathers
 from .quadrature import alfeld_composite
 
 _log = logging.getLogger("tetcomplex.assembly")
@@ -308,7 +309,7 @@ def _vandermonde(quad_degree, basis_degree):
     values = _elements._monomials(points, basis_degree)
     lower = _elements._monomials(points, basis_degree - 1)
     partials = np.zeros((3, *values.shape))
-    for partial, (columns, factors) in zip(partials, _elements._derivative_gathers(basis_degree)):
+    for partial, (columns, factors) in zip(partials, derivative_gathers(basis_degree)):
         partial[:, columns] = lower * factors.astype(float)  # d/dx_a x^e = e_a x^(e - unit_a)
     values = values.reshape(4, -1, values.shape[1])
     partials = partials.reshape(3, *values.shape)

@@ -28,7 +28,7 @@ import numpy as np
 
 from .polyalg.spaces import (
     IntegerFields,
-    derivative_table,
+    derivatives,
     integer_rref,
     monomial_exponents,
     null_numerators,
@@ -228,7 +228,7 @@ def _h1_gram(space):
     """The H1-seminorm Gram matrix of the scalar basis of a split space, on integers.
 
     Per subtet ``p`` and component ``c`` the gradient numerators of the
-    basis are its numerators times the integer derivative table, scaled to
+    basis are the derivatives of its numerators, scaled to
     coprime integers with their denominator, one integer matrix ``C``
     (basis x monomials of degree <= m - 1); with ``M`` the subtet's integer
     moment table of the products, the Gram matrix is ``sum_pc C M C^T`` over
@@ -237,12 +237,12 @@ def _h1_gram(space):
     exps = monomial_exponents(space.degree - 1, 3)
     den_m, moments = subtet_moment_table(2 * (space.degree - 1))
     nums, den = space.coefficients
-    deriv = derivative_table(space.degree)
+    partials = derivatives(nums, axis=2)  # (basis, pieces, axes, monomials)
     terms = []
     for p in range(4):
         moment = _object_matrix([[moments[p][tuple(map(add, e, f))] for f in exps] for e in exps])
         for c in range(3):
-            coef = nums[:, p] @ deriv[c].T
+            coef = partials[:, p, c]
             g = gcd(den, *coef.ravel())
             coef = coef // g
             terms.append(((den // g) ** 2, coef @ moment @ coef.T))
@@ -287,8 +287,7 @@ def _div_solver(k):
     # the divergence of field 3a + c is the x_c derivative of scalar a:
     # rows piece by piece, then by monomial, over the basis denominator
     nums, den = space.coefficients
-    deriv = derivative_table(k)
-    div = np.stack([nums @ deriv[c].T for c in range(3)], axis=-1)  # (a, pieces, monomials, c)
+    div = derivatives(nums, axis=-1)  # (a, pieces, monomials, c)
     solver = _ExactLinearSolver(div.transpose(1, 2, 0, 3).reshape(-1, 3 * len(nums)).tolist(), den)
     # applied to a null vector n the Gram matrix gives (G n)[3b + c]
     null = solver.null_basis
@@ -347,8 +346,8 @@ def solve_div(target, k):
     nums = (weights @ basis.reshape(len(basis), -1)).reshape(3, 4, -1).transpose(1, 0, 2)
     den *= z_den
     # the divergence on each piece, over den, against the target's numerators over its den
-    deriv = derivative_table(k)
-    div = sum(nums[:, c] @ deriv[c].T for c in range(3))
+    partials = derivatives(nums, axis=1)  # (pieces, axes, components, monomials)
+    div = partials[:, 0, 0] + partials[:, 1, 1] + partials[:, 2, 2]
     if (div * target.den - t_nums * den).any():
         raise ArithmeticError("exact divergence postcondition violated")
     return IntegerFields(nums[None], den, ["C0"]).reduced()

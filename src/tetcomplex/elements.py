@@ -12,8 +12,11 @@ Four local spaces per (r, k) with r in {k, k+1, k+2}:
 All local fields are stored in reference coordinates of their cell; the
 physical value at ``x = B xhat + b`` is the stored field evaluated at
 ``xhat``.  Entity DOFs are defined from globally oriented entity data
-(ascending-vertex tangents, frames, rational face directions), so every
+(ascending-vertex tangents, frames, exact face directions), so every
 cell incident to a shared entity evaluates the identical functional.
+Every exact quantity of a cell is read from its map's integer rows over
+one denominator (:class:`~tetcomplex.mesh.AffineMap`); the fields are
+integer numerators (:class:`IntegerFields`).
 """
 
 from __future__ import annotations
@@ -33,14 +36,14 @@ from operator import mul
 import numpy as np
 
 from .bubbles import interior_bubbles, layered_targets, scalar_face_bubble, solve_div
-from .mesh import REF_EDGE_VERTICES, REF_FACE_VERTICES, AffineMap, MeshTopology, _adj3, _det3
+from .mesh import REF_EDGE_VERTICES, REF_FACE_VERTICES, AffineMap, MeshTopology, _rounded
 from .polyalg.poincare import _CYCLIC
 from .polyalg.spaces import (
     IntegerFields,
     degree_of_columns,
-    derivative_table,
+    derivative_gathers,
+    derivatives,
     dim_poly,
-    integer_matrix,
     integer_rref,
     monomial_exponents,
     rank as exact_rank,
@@ -80,25 +83,28 @@ class CellGeometry:
     The map ``x = B xhat + b`` is all it reads.  A cell's vertex tuple is
     ascending, so an edge's or face's vertices in ascending global order
     are its reference vertices in the order of ``amap.vertex_order``.  Edge
-    tangents and lengths, face frames and exact face directions are ``B``
-    times reference differences, each exact difference rounded once.
-    Entity points stay in reference coordinates (the reference ends of an
-    edge and anchors of a face, in ascending global order), so of the float
-    data only the map's shift depends on where the cell sits: the geometry
-    of a class map (zero shift) serves every cell of its class, on any mesh.
+    tangents and lengths and face frames are ``B`` times reference
+    differences, each exact difference rounded once; a face's
+    ``"direction"``, the cross product of its two edges from the lowest
+    vertex, is coprime integers over ``"direction_den"``.  Entity points
+    stay in reference coordinates (the reference ends of an edge and
+    anchors of a face, in ascending global order), so of the float data
+    only the map's shift depends on where the cell sits: the geometry of a
+    class map (zero shift) serves every cell of its class, on any mesh.
     """
 
     def __init__(self, amap: AffineMap):
         self.amap = amap
-        # the exact vertices, less vertex 0: 0 and the columns of B
-        corners = np.array([(0, 0, 0), *zip(*amap.matrix)], dtype=object)
+        den = amap.den
+        # the vertices less vertex 0, as integer numerators over den: 0 and the columns of B
+        corners = np.array([(0, 0, 0), *zip(*amap.rows)], dtype=object)
 
         def ascending(ref):
             return sorted(ref, key=amap.vertex_order.__getitem__)
 
         self.edges = []
         for lo, hi in map(ascending, REF_EDGE_VERTICES):
-            d = (corners[hi] - corners[lo]).astype(float)
+            d = _rounded(corners[hi] - corners[lo], den)
             length = float(np.linalg.norm(d))
             self.edges.append(
                 {
@@ -112,10 +118,11 @@ class CellGeometry:
         self.faces = []
         for anchors in map(ascending, REF_FACE_VERTICES):
             e1, e2 = corners[anchors[1:]] - corners[anchors[0]]
-            # the rational area-weighted normal: both incident cells share it
-            direction = np.cross(e1, e2)
-            t1 = e1.astype(float)
-            normal2 = np.cross(t1, e2.astype(float))  # length = 2 * area
+            # the exact area-weighted normal, over den^2: both incident cells share it
+            cross = np.cross(e1, e2).tolist()
+            g = gcd(den * den, *cross)
+            t1 = _rounded(e1, den)
+            normal2 = np.cross(t1, _rounded(e2, den))  # length = 2 * area
             area = float(np.linalg.norm(normal2)) / 2.0
             n = normal2 / (2.0 * area)
             tau1 = t1 / np.linalg.norm(t1)
@@ -126,18 +133,17 @@ class CellGeometry:
                     "tau2": np.cross(n, tau1),
                     "normal": n,
                     "area": area,
-                    "direction": tuple(Fraction(c) for c in direction),
+                    "direction": tuple(c // g for c in cross),
+                    "direction_den": den * den // g,
                 }
             )
-
-        inv = self.amap.inverse
-        self.b_invT = tuple(tuple(inv[j][i] for j in range(3)) for i in range(3))
 
     @classmethod
     def standalone(cls, vertices):
         """The geometry of one cell on ``vertices``, its map shifted to vertex 0."""
         mesh = MeshTopology(vertices, [(0, 1, 2, 3)])
-        return cls(replace(mesh.class_maps[0], shift=mesh.vertex_exact(mesh.cell_vertices[0, 0])))
+        origin = tuple(mesh.lattice[mesh.cell_vertices[0, 0]].tolist())
+        return cls(replace(mesh.class_maps[0], shift=origin, shift_den=mesh.denominator))
 
     def signature(self):
         """Cache key: the congruence class of the cell's affine map."""
@@ -145,14 +151,12 @@ class CellGeometry:
 
     @property
     def scale(self):
-        """Largest absolute matrix entry: the mesh size h on a Kuhn mesh."""
-        return max(abs(v) for row in self.amap.matrix for v in row)
+        """Largest absolute matrix entry, the mesh size h on a Kuhn mesh: ``(numerator, denominator)``."""
+        return max(abs(v) for row in self.amap.rows for v in row), self.amap.den
 
     def shape(self):
         """The matrix as coprime integers, which a homothety leaves unchanged."""
-        matrix = self.amap.matrix
-        den = lcm(*(v.denominator for row in matrix for v in row))
-        rows = [[v.numerator * (den // v.denominator) for v in row] for row in matrix]
+        rows = self.amap.rows
         g = gcd(*(v for row in rows for v in row))
         return tuple(tuple(v // g for v in row) for row in rows)
 
@@ -201,42 +205,14 @@ def reference_cell() -> CellGeometry:
 # physical grad, curl and div of reference-expressed fields, on integer numerators
 
 
-@lru_cache(maxsize=None)
-def _derivative_gathers(degree):
-    """:func:`derivative_table` as gathers: per axis, the source column and factor of each lower monomial.
-
-    Each monomial of degree <= ``degree - 1`` is the derivative of exactly one
-    monomial of degree <= ``degree``, so ``d/dx_c`` of numerators ``u`` is
-    ``u[..., columns] * factors``.
-    """
-    out = []
-    for table in derivative_table(degree):
-        rows, columns = np.nonzero(table)
-        out.append((columns, table[rows, columns]))
-    return tuple(out)
-
-
-def _derivatives(nums, axis):
-    """The three partial derivatives of numerators (..., monomials), stacked at ``axis``: one degree lower."""
-    gathers = _derivative_gathers(degree_of_columns(nums.shape[-1]))
-    return np.stack([nums[..., columns] * factors for columns, factors in gathers], axis=axis)
-
-
-def _oriented(matrix):
-    """A cell matrix as integer rows over a positive denominator ``b``, with its
-    determinant's numerator: ``(rows, b, det)``, ``B = rows / b`` and ``det B = det / b^3``."""
-    rows, b = integer_matrix(matrix)
-    return rows, b, _det3(rows)
-
-
 def _physical(fields, nums, det):
-    """Images of ``fields`` with numerators ``nums`` over ``|det|`` times their denominator.
+    """Images of ``fields`` with numerators ``nums`` over ``det`` times their denominator.
 
     A field labelled ``"single"`` keeps its label; every other image is
     ``"L2"``: a derivative of a continuous field need not be continuous.
     """
     labels = ["single" if c == "single" else "L2" for c in fields.continuity]
-    return IntegerFields(nums, abs(det) * fields.den, labels).reduced()
+    return IntegerFields(nums, det * fields.den, labels).reduced()
 
 
 def phys_grad(cell: CellGeometry, fields):
@@ -245,10 +221,10 @@ def phys_grad(cell: CellGeometry, fields):
     With ``B^-1 = b adj(R) / det`` component ``i`` is
     ``(b / det) sum_c adj[c][i] d_c p``; the derivatives are gathers.
     """
-    rows, b, det = _oriented(cell.amap.matrix)
-    adjugate_t = np.array(_adj3(rows), dtype=object).T
-    grads = adjugate_t @ _derivatives(fields.nums[:, :, 0], axis=2) * (b if det > 0 else -b)
-    return _physical(fields, grads, det)
+    amap = cell.amap
+    adjugate_t = np.array(amap.adjugate, dtype=object).T
+    grads = adjugate_t @ derivatives(fields.nums[:, :, 0], axis=2) * amap.den
+    return _physical(fields, grads, amap.det)
 
 
 def phys_curl(cell: CellGeometry, fields):
@@ -259,7 +235,7 @@ def phys_curl(cell: CellGeometry, fields):
     ``K[a, j, m] = sum_ik R[a][i] eps_ijk R[m][k]`` is an integer 3 x 3 x 3
     contraction and the derivatives are gathers.
     """
-    rows, b, det = _oriented(cell.amap.matrix)
+    rows = cell.amap.rows
     cross = np.zeros((3, 3, 3), dtype=object)
     for i, j, k in _CYCLIC:
         for a in range(3):
@@ -267,23 +243,23 @@ def phys_curl(cell: CellGeometry, fields):
                 cross[a, j, m] += rows[a][i] * rows[m][k]
                 cross[a, k, m] -= rows[a][i] * rows[m][j]
     nums = fields.nums
-    derivs = _derivatives(nums, axis=2)
+    derivs = derivatives(nums, axis=2)
     count, lower = nums.shape[0] * nums.shape[1], derivs.shape[-1]
-    curls = cross.reshape(3, 9) @ derivs.reshape(count, 9, lower) * (b if det > 0 else -b)
-    return _physical(fields, curls.reshape(*nums.shape[:3], lower), det)
+    curls = cross.reshape(3, 9) @ derivs.reshape(count, 9, lower) * cell.amap.den
+    return _physical(fields, curls.reshape(*nums.shape[:3], lower), cell.amap.det)
 
 
 def phys_div(cell: CellGeometry, fields):
     """``div(B^-1 u)`` of reference-expressed vector fields, on numerators (:class:`IntegerFields`): ``(b / det) div(adj(R) u)``."""
-    rows, b, det = _oriented(cell.amap.matrix)
-    divs = _divergence(np.array(_adj3(rows), dtype=object), fields.nums) * (b if det > 0 else -b)
-    return _physical(fields, divs[:, :, None], det)
+    amap = cell.amap
+    divs = _divergence(np.array(amap.adjugate, dtype=object), fields.nums) * amap.den
+    return _physical(fields, divs[:, :, None], amap.det)
 
 
 def _divergence(adjugate, nums):
     """Numerators of ``div(adj u)`` for vector numerators ``u`` (..., 3, monomials): one degree lower."""
     inner = adjugate @ nums
-    gathers = _derivative_gathers(degree_of_columns(nums.shape[-1]))
+    gathers = derivative_gathers(degree_of_columns(nums.shape[-1]))
     return sum(inner[..., c, columns] * factors for c, (columns, factors) in enumerate(gathers))
 
 
@@ -336,14 +312,14 @@ def _face_bubble(cell: CellGeometry, local_face: int):
     divergence on every piece, checked on its numerators; otherwise
     ``ArithmeticError``.
     """
-    rows, b, det = _oriented(cell.amap.matrix)
-    sign = 1 if det > 0 else -1
-    adjugate = np.array(_adj3(rows), dtype=object)  # B^-1 = b adj / det
+    amap = cell.amap
+    rows, b, det = amap.rows, amap.den, amap.det
+    adjugate = np.array(amap.adjugate, dtype=object)  # B^-1 = b adj / det
     raw, d_den = _raw_face_bubble(cell, local_face)
-    # div(B^-1 raw) = grad S . (B^-1 d), over |det| d_den, and its mean over
+    # div(B^-1 raw) = grad S . (B^-1 d), over det d_den, and its mean over
     # the cell, 6 times its integral from the moments of the four subtets: mean / mean_den
-    g = _divergence(adjugate, raw) * (sign * b)
-    g_den = abs(det) * d_den
+    g = _divergence(adjugate, raw) * b
+    g_den = det * d_den
     m_den, moments = subtet_moment_table(2)
     mean = 6 * sum(v * sum(m[e] for m in moments) for e, v in zip(monomial_exponents(2, 3), g.tolist()))
     mean_den = m_den * g_den
@@ -353,13 +329,13 @@ def _face_bubble(cell: CellGeometry, local_face: int):
     target = IntegerFields(np.tile(target * det, (1, 4, 1, 1)), g_den * m_den * b**3, ["single"])
     w_hat = solve_div(target, 3)
     # beta = raw - B w / det = raw - b^2 R w / det
-    c_den = abs(det) * w_hat.den
+    c_den = det * w_hat.den
     den = lcm(d_den, c_den)
-    correction = np.array(rows, dtype=object) @ w_hat.nums[0] * (sign * b * b)
+    correction = np.array(rows, dtype=object) @ w_hat.nums[0] * (b * b)
     beta = raw * (den // d_den) - correction * (den // c_den)
     # div(B^-1 beta) is b / det times div(adj beta): on each piece the mean, constant
-    dv = _divergence(adjugate, beta) * (sign * b)
-    dv_den = abs(det) * den
+    dv = _divergence(adjugate, beta) * b
+    dv_den = det * den
     if dv[:, 1:].any() or any(v * mean_den != mean * dv_den for v in dv[:, 0].tolist()):
         raise ArithmeticError(
             f"face bubble {local_face}: corrected divergence is not the constant {mean}/{mean_den} on every piece"
@@ -369,8 +345,8 @@ def _face_bubble(cell: CellGeometry, local_face: int):
 
 def _raw_face_bubble(cell: CellGeometry, local_face: int):
     """The integer scalar face bubble times the face direction ``d``: numerators (3, monomials of degree <= 3) over ``d``'s denominator."""
-    (direction,), d_den = integer_matrix([cell.faces[local_face]["direction"]])
-    return np.outer(np.array(direction, dtype=object), scalar_face_bubble(local_face)), d_den
+    info = cell.faces[local_face]
+    return np.outer(np.array(info["direction"], dtype=object), scalar_face_bubble(local_face)), info["direction_den"]
 
 
 def physical_face_bubble(cell: CellGeometry, local_face: int):
@@ -415,10 +391,10 @@ def velocity_raw(cell: CellGeometry, k):
     order = k - 1 if k >= 3 else (1 if k == 2 else None)
     if order is not None:
         # B field / det B = b^2 R field / det
-        rows, b, det = _oriented(cell.amap.matrix)
+        amap = cell.amap
         interior = IntegerFields.concatenate([ib.numerators for ib in interior_bubbles(order)])
-        nums = np.array(rows, dtype=object) @ interior.nums * (b * b if det > 0 else -b * b)
-        parts.append(IntegerFields(nums, abs(det) * interior.den, interior.continuity))
+        nums = np.array(amap.rows, dtype=object) @ interior.nums * amap.den**2
+        parts.append(IntegerFields(nums, amap.det * interior.den, interior.continuity))
         powers += [INTERIOR_BUBBLE_POWER] * len(interior)
     is_bubble = [False] * len(parts[0]) + [True] * (len(powers) - len(parts[0]))
     return IntegerFields.concatenate(parts), is_bubble, powers
@@ -470,7 +446,7 @@ def gradcurl_raw(cell: CellGeometry, r, k):
         for bubble, base in ((False, (0, 0, 0)), (True, REF_CENTER)):
             group = [i for i, b in enumerate(is_bubble) if b == bubble]
             if group:
-                parts.append(piecewise_poincare2(velocity.take(group), base, matrix=cell.amap.matrix))
+                parts.append(piecewise_poincare2(velocity.take(group), base, matrix=(cell.amap.rows, cell.amap.den)))
                 powers += [vel_powers[i] + 1 for i in group]
     generators = IntegerFields.concatenate(parts)
 
@@ -566,11 +542,16 @@ def _moment(use, pts, measure, rule_pts, weight, direction):
     return use, pts, wts
 
 
-def _mapped(matrix, nums, den):
-    """``matrix`` (exact 3 x 3) times vector weight numerators (3, monomials) over ``den``,
-    each exact coefficient rounded once to float64."""
-    rows, m_den = integer_matrix(matrix)
-    return (np.array(rows, dtype=object) @ nums / (den * m_den)).astype(float)
+def _mapped(rows, den, nums, nums_den):
+    """The exact 3 x 3 matrix ``rows / den`` times vector weight numerators (3, monomials) over
+    ``nums_den``, each exact coefficient rounded once to float64."""
+    return _rounded(np.array(rows, dtype=object) @ nums, den * nums_den)
+
+
+def _inverse_transpose(cell):
+    """``B^-T = den adj^T / det`` as integer rows and their denominator."""
+    amap = cell.amap
+    return np.array(amap.adjugate, dtype=object).T * amap.den, amap.det
 
 
 def _vertex(v, direction=None, use="value"):
@@ -622,7 +603,7 @@ def lagrange_dofs(cell: CellGeometry, r):
 def pressure_dofs(cell: CellGeometry, k):
     # mean-value moments (1/|K|) \int p q dV: the order-zero nodal basis is
     # then the cell indicator and mass row sums are cell volumes
-    inv_vol = 1.0 / float(cell.amap.det * Fraction(1, 6))
+    inv_vol = 1.0 / (cell.amap.det / (6 * cell.amap.den**3))
     return _numbered((("cell", 0), _cell(cell, exp, scale=inv_vol)) for exp in monomial_exponents(k - 1, 3))
 
 
@@ -639,8 +620,9 @@ def velocity_dofs(cell: CellGeometry, k):
     functionals += [(("cell", 0), _cell(cell, exp, _UNIT[c])) for exp in exps for c in range(3)]
     if k >= 2:  # the gradients of the mean-zero two-layer space, B^-T grad v_hat
         targets = layered_targets(k - 1)
-        grads = _derivatives(targets.nums[:, 0, 0], axis=1)
-        functionals += [(("cell", 0), _cell(cell, _mapped(cell.b_invT, g, targets.den))) for g in grads]
+        grads = derivatives(targets.nums[:, 0, 0], axis=1)
+        inverse_t = _inverse_transpose(cell)
+        functionals += [(("cell", 0), _cell(cell, _mapped(*inverse_t, g, targets.den))) for g in grads]
     return _numbered(functionals)
 
 
@@ -691,11 +673,13 @@ def gradcurl_dofs(cell: CellGeometry, r, k):
         # tangential-position moments of the field itself
         offsets = _tangential_offsets(cell, info)
         functionals += [(("face", f), _face(info, e, offsets, measured=False)) for e in monomial_exponents(r - 3, 2)]
-    cross = (_mapped(cell.b_invT, q_hat, 1) for q_hat in _cross_position_basis(k))
+    inverse_t = _inverse_transpose(cell)
+    cross = (_mapped(*inverse_t, q_hat, 1) for q_hat in _cross_position_basis(k))
     functionals += [(("cell", 0), _cell(cell, w, use="curl")) for w in cross]
     # (1/det) B q_hat with q_hat = xhat x^e, times det from dV
-    moments = (_mapped(cell.amap.matrix, _position_times(exp), 1) for exp in monomial_exponents(r - 4, 3))
-    functionals += [(("cell", 0), _cell(cell, w, scale=1.0 / cell.amap.det_f)) for w in moments]
+    amap = cell.amap
+    moments = (_mapped(amap.rows, amap.den, _position_times(exp), 1) for exp in monomial_exponents(r - 4, 3))
+    functionals += [(("cell", 0), _cell(cell, w, scale=1.0 / amap.det_f)) for w in moments]
     return _numbered(functionals)
 
 
@@ -1034,7 +1018,8 @@ def similarity_between(cell0, cell):
     ``cell``, the first in ``_SIMILARITIES`` order.
     """
     match = (_images(cell0.shape()) == np.ravel(cell.shape())).all(axis=1)
-    return cell.scale / cell0.scale, _SIMILARITIES[np.flatnonzero(match)[0]]
+    (p, q), (p0, q0) = cell.scale, cell0.scale
+    return Fraction(p * q0, p0 * q), _SIMILARITIES[np.flatnonzero(match)[0]]
 
 
 @contextmanager

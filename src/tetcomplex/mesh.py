@@ -6,8 +6,9 @@ conforming across subcubes.  Exact coordinates are an int64 lattice over
 one common denominator.  Entities (edges, faces) are rows of ascending
 global vertex ids, so every cell incident to an entity sees the same
 tangent/frame data.  The mesh partitions its cells into congruence
-classes and holds one exact rational affine map per class, with positive
-determinant; a cell's map is its class map moved by the cell's shift.
+classes and holds one exact affine map per class, with positive
+determinant, as integer rows over one denominator; a cell's map is its
+class map moved by the cell's shift.
 """
 
 from __future__ import annotations
@@ -43,46 +44,51 @@ def _adj3(m):
     ]
 
 
-def _inv3(m, det=None):
-    """The exact inverse of a 3x3 matrix of Fractions or ints, in Fractions."""
-    if det is None:
-        det = _det3(m)
-    inv_det = 1 / Fraction(det)
-    return [[v * inv_det for v in row] for row in _adj3(m)]
-
-
 # Largest lattice entry: cell determinants, sums of six triple products of
 # coordinate differences (at most 2**20 each), then stay inside int64.
 LATTICE_BOUND = 2**19
 _INT64_MAX = np.iinfo(np.int64).max
 
 
+def _rounded(nums, den):
+    """Integer numerators over a positive ``den`` as float64, each exact quotient rounded once."""
+    return (np.array(nums, dtype=object) / den).astype(float)
+
+
 @dataclass
 class AffineMap:
-    """x = B xhat + b mapping the reference tet onto a cell, det B > 0."""
+    """x = B xhat + b mapping the reference tet onto a cell, det B > 0.
 
-    matrix: tuple  # 3x3 Fractions (rows)
-    shift: tuple  # 3 Fractions
+    ``B = rows / den``: integer rows over the least positive denominator,
+    to which the construction reduces any integer rows and denominator
+    given, so equal matrices have equal ``(rows, den)``.  ``b = shift /
+    shift_den``.  ``det`` is the integer numerator of ``det B = det /
+    den^3`` and ``adjugate`` that of ``rows``, so ``B^-1 = den adjugate /
+    det``.  The floats ``matrix_f``, ``inverse_f``, ``det_f`` and
+    ``shift_f`` are these rationals, each rounded once.
+    """
+
+    rows: tuple  # 3x3 ints
+    den: int
     vertex_order: tuple  # cell vertex slots (into the sorted tuple) hit by ref vertices
+    shift: tuple = (0, 0, 0)  # 3 ints over shift_den
+    shift_den: int = 1
 
     def __post_init__(self):
-        self.det = _det3(self.matrix)
+        g = math.gcd(self.den, *(v for row in self.rows for v in row))
+        self.rows = tuple(tuple(v // g for v in row) for row in self.rows)
+        self.den //= g
+        self.det = _det3(self.rows)
         if self.det <= 0:
-            raise ValueError(f"affine map determinant {self.det} is not positive")
-        self.inverse = _inv3(self.matrix, self.det)
-        self.matrix_f = np.array(self.matrix, dtype=float)
-        self.inverse_f = np.array(self.inverse, dtype=float)
-        self.shift_f = np.array(self.shift, dtype=float)
-        self.det_f = float(self.det)
+            raise ValueError(f"affine map determinant {self.det}/{self.den**3} is not positive")
+        self.adjugate = _adj3(self.rows)
+        self.matrix_f = _rounded(self.rows, self.den)
+        self.inverse_f = _rounded([[self.den * v for v in row] for row in self.adjugate], self.det)
+        self.shift_f = _rounded(self.shift, self.shift_den)
+        self.det_f = self.det / self.den**3
 
     def apply(self, ref_points):
         return np.asarray(ref_points, float) @ self.matrix_f.T + self.shift_f
-
-    def apply_exact(self, ref_point):
-        return tuple(
-            sum(self.matrix[i][j] * ref_point[j] for j in range(3)) + self.shift[i]
-            for i in range(3)
-        )
 
     def signature(self):
         """Congruence-class key: the matrix and the vertex order (translations factored out).
@@ -90,7 +96,7 @@ class AffineMap:
         Cell tuples are sorted, so the vertex order fixes which reference
         vertex is the lower-id end of every edge and face.
         """
-        return tuple(tuple(row) for row in self.matrix), self.vertex_order
+        return self.rows, self.den, self.vertex_order
 
 
 def _lattice(vertices):
@@ -176,16 +182,11 @@ class MeshTopology:
         by_class = np.argsort(self.cell_class, kind="stable")
         self.classes = np.split(by_class, np.cumsum(np.bincount(self.cell_class))[:-1])
 
-        zero = (Fraction(0),) * 3
-        self.class_maps = []
-        for c in firsts:
-            matrix = tuple(
-                tuple(Fraction(int(spans[c, j, i]), self.denominator) for j in range(3))
-                for i in range(3)
-            )
-            self.class_maps.append(
-                AffineMap(matrix, zero, (0, 1, 3, 2) if swap[c] else (0, 1, 2, 3))
-            )
+        # B's columns are the spans over the lattice denominator
+        self.class_maps = [
+            AffineMap(spans[c].T.tolist(), self.denominator, (0, 1, 3, 2) if swap[c] else (0, 1, 2, 3))
+            for c in firsts
+        ]
 
     def _entities(self, ref_entities):
         """Unique entities of the cells, each cell's entity ids, and incidence counts.
@@ -253,9 +254,6 @@ class MeshTopology:
         flags = (self.vertex_boundary, self.edge_boundary, self.face_boundary)
         return tuple(int(f.sum()) for f in flags)
 
-    def cell_volume(self, ci):
-        return self.class_maps[self.cell_class[ci]].det * Fraction(1, 6)
-
     def info(self):
         nv_b, ne_b, nf_b = self.boundary_counts()
         return {
@@ -273,7 +271,7 @@ class MeshTopology:
             "boundary_identity_ok": (-nv_b + ne_b - nf_b) == -2,
         }
 
-    # -- plain-text exchange ----------------------------------------------
+    # -- plain-text export ----------------------------------------------
 
     def export_text(self, path):
         with open(path, "w") as fh:
@@ -283,21 +281,6 @@ class MeshTopology:
             fh.write(f"{self.n_cells}\n")
             for c in self.cells.tolist():
                 fh.write(" ".join(str(i) for i in c) + "\n")
-
-    @classmethod
-    def import_text(cls, path):
-        with open(path) as fh:
-            tokens = fh.read().split("\n")
-        idx = 0
-        nv = int(tokens[idx]); idx += 1
-        verts = []
-        for _ in range(nv):
-            verts.append(tuple(Fraction(t) for t in tokens[idx].split())); idx += 1
-        nc = int(tokens[idx]); idx += 1
-        cells = []
-        for _ in range(nc):
-            cells.append(tuple(int(t) for t in tokens[idx].split())); idx += 1
-        return cls(verts, cells)
 
 
 # The six tets of the unit subcube: corner paths from (0, 0, 0) to (1, 1, 1),

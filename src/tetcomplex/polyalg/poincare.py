@@ -23,7 +23,7 @@ from math import lcm
 
 import numpy as np
 
-from .spaces import degree_of_columns, integer_matrix, monomial_exponents
+from .spaces import degree_of_columns, monomial_exponents
 from .split import _mul_tables
 
 
@@ -93,9 +93,10 @@ def scalar_potential(nums, den, base=(0, 0, 0)):
 def vector_potential(nums, den, base=(0, 0, 0), matrix=None):
     """``p2`` on integer numerators, with the offset ``t M (x - W)``.
 
-    ``matrix`` generalizes the offset to ``t M (x - W)``, which is what the
-    operator looks like for a physical cell written in reference
-    coordinates.  ``nums`` holds vector fields as an object array of Python
+    ``matrix``, integer rows over a positive denominator ``(rows, den)``,
+    generalizes the offset to ``t M (x - W)`` with ``M = rows / den``,
+    which is what the operator looks like for a physical cell written in
+    reference coordinates.  ``nums`` holds vector fields as an object array of Python
     ints (..., 3 components, monomials of degree <= D in
     ``monomial_exponents`` order) over ``den``.  Component ``i`` of the
     potential is ``sum_jl C[i, j, l] P_l u_j`` with ``P_l`` the power-1
@@ -106,10 +107,7 @@ def vector_potential(nums, den, base=(0, 0, 0), matrix=None):
     """
     width = nums.shape[-1]
     t_den, table = potential_table(degree_of_columns(width), tuple(base))
-    if matrix is None:
-        rows, m_den = [[int(i == j) for j in range(3)] for i in range(3)], 1
-    else:
-        rows, m_den = integer_matrix(matrix)
+    rows, m_den = ([[int(i == j) for j in range(3)] for i in range(3)], 1) if matrix is None else matrix
     cross = np.zeros((3, 3, 3), dtype=object)
     for i, j, k in _CYCLIC:
         for l in range(3):

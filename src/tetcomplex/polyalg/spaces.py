@@ -55,6 +55,31 @@ def derivative_table(degree):
     return table
 
 
+@lru_cache(maxsize=None)
+def derivative_gathers(degree):
+    """:func:`derivative_table` as gathers: per axis, the source column and factor of each lower monomial.
+
+    Each monomial of degree <= ``degree - 1`` is the derivative of exactly one
+    monomial of degree <= ``degree``, so ``d/dx_c`` of numerators ``u`` is
+    ``u[..., columns] * factors``.
+    """
+    out = []
+    for table in derivative_table(degree):
+        rows, columns = np.nonzero(table)
+        out.append((columns, table[rows, columns]))
+    return tuple(out)
+
+
+def derivatives(nums, axis):
+    """The three partial derivatives of numerators (..., monomials), stacked at ``axis``: one degree lower.
+
+    The one exact derivative kernel: every derivative of numerators in the
+    package is these gathers.
+    """
+    gathers = derivative_gathers(degree_of_columns(nums.shape[-1]))
+    return np.stack([nums[..., columns] * factors for columns, factors in gathers], axis=axis)
+
+
 def dim_poly(degree, dim=3):
     """Dimension of polynomials of total degree <= degree in ``dim`` variables."""
     if degree < 0:

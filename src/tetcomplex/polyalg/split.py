@@ -169,7 +169,7 @@ def piecewise_poincare2(fields, base=None, matrix=None):
     pieces agree accept any base point (the origin by default).
 
     The potentials are formed by :func:`vector_potential` on the integer
-    numerators, on the first piece alone when every field's pieces agree,
+    numerators (``matrix`` as there, integer rows over a denominator), on the first piece alone when every field's pieces agree,
     and come as :class:`IntegerFields` too.
     """
     from .poincare import vector_potential  # poincare imports this module

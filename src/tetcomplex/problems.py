@@ -331,58 +331,6 @@ class ManufacturedSolution:
             modes=TranslationModes({"value": t["pressure"], "gradient": t["pressure_gradient"]}),
         )
 
-    # -- validation -----------------------------------------------------------
-
-    def validate(self, rng=None, n=40):
-        """Divergence, boundary traces, and a finite-difference forcing check."""
-        rng = rng or np.random.default_rng(123)
-        pts = rng.random((n, 3))
-        report = {}
-        report["div"] = float(np.abs(self.divergence(pts)).max())
-
-        edge = rng.random((n, 3))
-        for axis in range(3):
-            for val in (0.0, 1.0):
-                q = edge.copy()
-                q[:, axis] = val
-                report.setdefault("boundary_value", 0.0)
-                report.setdefault("boundary_curl", 0.0)
-                report["boundary_value"] = max(
-                    report["boundary_value"], float(np.abs(self.value(q)).max())
-                )
-                report["boundary_curl"] = max(
-                    report["boundary_curl"], float(np.abs(self.curl(q)).max())
-                )
-
-        # Richardson-extrapolated curl of the analytic third-derivative field
-        interior = rng.random((n, 3)) * 0.9 + 0.05
-        fd = _richardson_curl(self.lap_curl, interior, h=1e-3)
-        f_ref = -fd + self.value(interior)
-        f_an = self.forcing(interior)
-        scale = max(1.0, float(np.abs(f_an).max()))
-        report["forcing_fd"] = float(np.abs(f_an - f_ref).max() / scale)
-        report["ok"] = (
-            report["div"] < 1e-10
-            and report["boundary_value"] < 1e-12
-            and report["boundary_curl"] < 1e-12
-            and report["forcing_fd"] < 1e-8
-        )
-        return report
-
-
-def _richardson_curl(f, pts, h):
-    def curl_at(hh):
-        eye = np.eye(3)
-        d = [(f(pts + hh * eye[j]) - f(pts - hh * eye[j])) / (2 * hh) for j in range(3)]
-        return np.stack(
-            [d[1][:, 2] - d[2][:, 1], d[2][:, 0] - d[0][:, 2], d[0][:, 1] - d[1][:, 0]],
-            axis=1,
-        )
-
-    c1 = curl_at(h)
-    c2 = curl_at(h / 2)
-    return (4 * c2 - c1) / 3
-
 
 # ---------------------------------------------------------------------------
 # problem definitions
@@ -878,10 +826,18 @@ class ConvergenceReport:
         return rates[-1] if level_pair == "last" else rates
 
 
+def _check_levels(levels):
+    """A study's levels must differ: a repeated level gives a 0/0 rate."""
+    repeated = sorted({n for n in levels if levels.count(n) > 1})
+    if repeated:
+        raise ConfigError(f"mesh levels repeat: {', '.join(map(str, repeated))}")
+
+
 def run_convergence(problem, levels, r, k, tol=1e-10, quad_degree=None):
     """Solve at each level and tabulate errors with consecutive-level rates."""
     if problem != "quadcurl":
         raise ConfigError(f"convergence studies support the quadcurl problem, not {problem!r}")
+    _check_levels(levels)
     rows = []
     for n in levels:
         prob = QuadCurlProblem(n=n, r=r, k=k, tol=tol, quad_degree=quad_degree)
@@ -894,6 +850,7 @@ def run_convergence(problem, levels, r, k, tol=1e-10, quad_degree=None):
 
 def interpolation_study(levels, r, k, quad_degree=None):
     """Interpolation errors of the manufactured field per level, with rates."""
+    _check_levels(levels)
     ms = ManufacturedSolution()
     sample = ms.solution_sample()
     rows = []

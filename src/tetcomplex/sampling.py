@@ -3,8 +3,7 @@
 A FieldSample bundles vectorized point evaluators for a smooth field and
 the derived quantities interpolation DOFs and error norms need.  An exact
 polynomial field (:class:`IntegerFields`) wraps into a sample whose
-derivatives are formed exactly on its numerators and rounded once;
-consistency of any sample can be spot-checked against finite differences.
+derivatives are formed exactly on its numerators and rounded once.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .polyalg.poincare import _CYCLIC
-from .polyalg.spaces import degree_of_columns, derivative_table
+from .polyalg.spaces import degree_of_columns, derivatives
 
 
 @dataclass
@@ -53,8 +52,8 @@ class FieldSample:
 
         A scalar field gives ``value`` and ``gradient``; a vector field
         ``value``, ``curl``, ``grad_curl``, ``div`` and ``jacobian``.  Each
-        derivative is formed on the integer numerators with
-        :func:`derivative_table`, its coefficients rounded once, and every
+        derivative is formed on the integer numerators by
+        :func:`derivatives`, its coefficients rounded once, and every
         evaluator runs through the monomial table of the class quadrature
         (``elements._monomials``).
         """
@@ -62,19 +61,14 @@ class FieldSample:
 
         nums, den = fields.nums[0, 0], fields.den  # (components, monomials)
 
-        def partials(u):
-            """The derivatives of numerators (..., monomials), stacked at axis -2: one degree lower."""
-            tables = derivative_table(degree_of_columns(u.shape[-1]))
-            return np.stack([u @ table.T for table in tables], axis=-2)
-
         def evaluator(u):
             coef = (u / den).astype(float)
             degree = degree_of_columns(u.shape[-1])
             return lambda pts: _monomials(np.asarray(pts, float), degree) @ coef.T
 
         if len(nums) == 1:
-            return cls(evaluator(nums[0]), gradient=evaluator(partials(nums[0])), scalar=True)
-        jacobian = partials(nums)  # [i, j] = d u_i / d x_j
+            return cls(evaluator(nums[0]), gradient=evaluator(derivatives(nums[0], axis=-2)), scalar=True)
+        jacobian = derivatives(nums, axis=-2)  # [i, j] = d u_i / d x_j
         curl = np.stack([jacobian[k, j] - jacobian[j, k] for _, j, k in _CYCLIC])
         divergence = jacobian[0, 0] + jacobian[1, 1] + jacobian[2, 2]
 
@@ -83,7 +77,7 @@ class FieldSample:
             return lambda pts: flat(pts).reshape(-1, 3, 3)
 
         return cls(
-            evaluator(nums), evaluator(curl), matrices(partials(curl)), evaluator(divergence),
+            evaluator(nums), evaluator(curl), matrices(derivatives(curl, axis=-2)), evaluator(divergence),
             jacobian=matrices(jacobian),
         )
 
@@ -99,33 +93,3 @@ class FieldSample:
             return np.zeros((len(np.asarray(pts)), 3, 3))
 
         return FieldSample(self.gradient, zero3, zero33, None)
-
-    def fd_check(self, pts, step=1e-6, tol=1e-4):
-        """Relative agreement of curl/div/Jacobian/grad-curl/gradient with central differences."""
-        pts = np.asarray(pts, float)
-        report = {}
-        eye = np.eye(3)
-
-        def dpart(f, j):
-            return (f(pts + step * eye[j]) - f(pts - step * eye[j])) / (2 * step)
-
-        def compare(key, fd, ref):
-            report[key] = float(np.abs(fd - ref).max() / max(1.0, np.abs(ref).max()))
-
-        d = [dpart(self.value, j) for j in range(3)]  # d value / d x_j
-        if self.curl is not None:
-            fd_curl = np.stack(
-                [d[1][:, 2] - d[2][:, 1], d[2][:, 0] - d[0][:, 2], d[0][:, 1] - d[1][:, 0]],
-                axis=1,
-            )
-            compare("curl", fd_curl, self.curl(pts))
-        if self.div is not None:
-            compare("div", d[0][:, 0] + d[1][:, 1] + d[2][:, 2], self.div(pts))
-        if self.jacobian is not None:
-            compare("jacobian", np.stack(d, axis=2), self.jacobian(pts))
-        if self.gradient is not None:
-            compare("gradient", np.stack(d, axis=1), self.gradient(pts))
-        if self.grad_curl is not None and self.curl is not None:
-            compare("grad_curl", np.stack([dpart(self.curl, j) for j in range(3)], axis=2), self.grad_curl(pts))
-        report["ok"] = all(v <= tol for k, v in report.items() if k != "ok")
-        return report

@@ -21,7 +21,6 @@ from .elements import (
     CellGeometry,
     SPACE_KINDS,
     _coefficients,
-    _derivatives,
     dof_matrix,
     local_element,
     local_exactness_table,
@@ -44,7 +43,7 @@ from .polyalg import (
     vector_potential,
 )
 from .polyalg.poincare import _CYCLIC
-from .polyalg.spaces import degree_of_columns, integer_matrix
+from .polyalg.spaces import degree_of_columns, derivatives, integer_matrix
 from .quadrature import QuadratureRule
 from .problems import ManufacturedSolution, get_spaces, interpolation_study
 from .sampling import FieldSample
@@ -127,18 +126,18 @@ def check_dimension_fingerprint():
 
 def _grad(nums):
     """The gradients of scalar numerators: (..., 3, monomials of one degree lower)."""
-    return _derivatives(nums, axis=-2)
+    return derivatives(nums, axis=-2)
 
 
 def _curl(nums):
     """The curls of vector numerators (..., 3, monomials): one degree lower."""
-    d = _derivatives(nums, axis=-2)  # [..., component, axis, :]
+    d = derivatives(nums, axis=-2)  # [..., component, axis, :]
     return np.stack([d[..., k, j, :] - d[..., j, k, :] for _, j, k in _CYCLIC], axis=-2)
 
 
 def _div(nums):
     """The divergences of vector numerators (..., 3, monomials): one degree lower."""
-    d = _derivatives(nums, axis=-2)
+    d = derivatives(nums, axis=-2)
     return d[..., 0, 0, :] + d[..., 1, 1, :] + d[..., 2, 2, :]
 
 

@@ -5,7 +5,9 @@ order) over a denominator reads as a sympy ``Poly`` over the rationals;
 every comparison against the integer kernels is an exact equality.
 """
 
+from fractions import Fraction
 from functools import lru_cache
+from types import SimpleNamespace
 
 import numpy as np
 import sympy
@@ -200,6 +202,27 @@ def evaluate(nums, den, points):
     return (nums / den).astype(float) @ monomials.T
 
 
+def exact_matrix(amap):
+    """The matrix ``B`` of an affine map as Fraction rows."""
+    return [[Fraction(v, amap.den) for v in row] for row in amap.rows]
+
+
+def inverse(matrix):
+    """The exact inverse of a 3 x 3 Fraction (or int) matrix: its adjugate over its determinant."""
+    from tetcomplex.mesh import _adj3, _det3
+
+    det = Fraction(_det3(matrix))
+    return [[v / det for v in row] for row in _adj3(matrix)]
+
+
+def cell_on(matrix):
+    """A stand-in cell whose affine map has the Fraction ``matrix``, of positive determinant."""
+    from tetcomplex.mesh import AffineMap
+    from tetcomplex.polyalg.spaces import integer_matrix
+
+    return SimpleNamespace(amap=AffineMap(*integer_matrix(matrix), (0, 1, 2, 3)))
+
+
 def physical_derivative(which, matrix, fields):
     """``B^-T grad``, ``B curl(B^T .) / det B`` or ``div(B^-1 .)`` of reference-expressed
     :class:`IntegerFields`: the integer derivative tables contracted with ``B`` or its
@@ -208,7 +231,7 @@ def physical_derivative(which, matrix, fields):
 
     The images are :class:`IntegerFields` on the monomials of the fields' own degree.
     """
-    from tetcomplex.mesh import _det3, _inv3
+    from tetcomplex.mesh import _det3
     from tetcomplex.polyalg import derivative_table
     from tetcomplex.polyalg.spaces import integer_matrix
 
@@ -217,17 +240,17 @@ def physical_derivative(which, matrix, fields):
     d = [np.concatenate([nums @ t.T, np.zeros((*nums.shape[:-1], width - t.shape[0]), dtype=object)], axis=-1)
          for t in derivative_table(degree_of_columns(width))]
     if which in ("grad", "div"):
-        inverse, den = integer_matrix(_inv3(matrix))
+        inv, den = integer_matrix(inverse(matrix))
         if which == "grad":
-            out = np.stack([sum(inverse[c][i] * d[c][:, :, 0] for c in range(3)) for i in range(3)], axis=2)
+            out = np.stack([sum(inv[c][i] * d[c][:, :, 0] for c in range(3)) for i in range(3)], axis=2)
         else:
-            out = sum(inverse[j][a] * d[j][:, :, a] for j in range(3) for a in range(3))[:, :, None]
+            out = sum(inv[j][a] * d[j][:, :, a] for j in range(3) for a in range(3))[:, :, None]
     else:
         # v = B^T u has d_j v_m = sum_a B[a][m] d_j u_a; curl v, then B curl v / det B
         rows, b = integer_matrix(matrix)
         dv = [[sum(rows[a][m] * d[j][:, :, a] for a in range(3)) for m in range(3)] for j in range(3)]
         cv = [dv[1][2] - dv[2][1], dv[2][0] - dv[0][2], dv[0][1] - dv[1][0]]
-        det = _det3(matrix)
+        det = Fraction(_det3(matrix))
         sign = 1 if det > 0 else -1
         out = np.stack([sum(rows[i][m] * cv[m] for m in range(3)) * (sign * det.denominator) for i in range(3)], axis=2)
         den = b * b * abs(det.numerator)

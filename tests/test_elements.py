@@ -1,5 +1,6 @@
 """Local elements: dimensions, unisolvence, exactness, polynomial reproduction."""
 
+from fractions import Fraction
 from math import comb
 from types import SimpleNamespace
 
@@ -9,7 +10,18 @@ import sympy
 from hypothesis import given, settings, strategies as st
 from sympy import QQ
 
-from exact_reference import curl, div, field, grad, integer_fields, matvec, physical_derivative
+from exact_reference import (
+    cell_on,
+    curl,
+    div,
+    exact_matrix,
+    field,
+    grad,
+    integer_fields,
+    inverse,
+    matvec,
+    physical_derivative,
+)
 from tetcomplex.elements import (
     CellGeometry,
     SPACE_KINDS,
@@ -27,7 +39,7 @@ from tetcomplex.elements import (
     space_dimension,
     validate_family,
 )
-from tetcomplex.mesh import _det3, _inv3, random_rational_cell
+from tetcomplex.mesh import _det3, random_rational_cell
 from tetcomplex.polyalg import IntegerFields
 from tetcomplex.polyalg.spaces import degree_of_columns, rank as exact_rank
 
@@ -61,26 +73,26 @@ def _transpose(matrix):
 
 def _reference_grad(matrix, pieces):
     """``B^-T grad p``."""
-    inverse_t = _transpose(_inv3(matrix))
+    inverse_t = _transpose(inverse(matrix))
     return [matvec(inverse_t, grad(p[0])) for p in pieces]
 
 
 def _reference_curl(matrix, pieces):
     """``B curl(B^T u) / det B``."""
-    det = _det3(matrix)
+    det = Fraction(_det3(matrix))
     return [[c * QQ(det.denominator, det.numerator) for c in matvec(matrix, curl(matvec(_transpose(matrix), u)))] for u in pieces]
 
 
 def _reference_div(matrix, pieces):
     """``div(B^-1 u)``."""
-    inverse = _inv3(matrix)
-    return [[div(matvec(inverse, u))] for u in pieces]
+    return [[div(matvec(inverse(matrix), u))] for u in pieces]
 
 
-def _images(which, matrix, fields):
-    """The reference images of every field of :class:`IntegerFields`, as :class:`IntegerFields`
-    on the monomials of the fields' degree: Fraction matrices against the derivative tables."""
-    return physical_derivative(which, matrix, fields)
+def _images(which, cell, fields):
+    """The reference images of every field of :class:`IntegerFields` on ``cell``, as
+    :class:`IntegerFields` on the monomials of the fields' degree: Fraction matrices against
+    the derivative tables."""
+    return physical_derivative(which, exact_matrix(cell.amap), fields)
 
 
 _REFERENCES = {"grad": _reference_grad, "curl": _reference_curl, "div": _reference_div}
@@ -212,7 +224,7 @@ class TestConformity:
         cell = CellGeometry.standalone(random_rational_cell(np.random.default_rng(r + 7 * k)))
         gc, _ = build_raw_basis("gradcurl", cell, r, k)
         vel, _ = build_raw_basis("velocity", cell, r, k)
-        assert _in_span(vel, _images("curl", cell.amap.matrix, gc))
+        assert _in_span(vel, _images("curl", cell, gc))
 
     def test_gradients_inside_gradcurl(self):
         # every Lagrange gradient, formed apart from the numerator operators, lies in the grad-curl span
@@ -221,7 +233,7 @@ class TestConformity:
         for r, k in CONFIGS:
             cell = reference_cell()
             gc, _ = build_raw_basis("gradcurl", cell, r, k)
-            assert _in_span(gc, _images("grad", cell.amap.matrix, lagrange_raw(r)))
+            assert _in_span(gc, _images("grad", cell, lagrange_raw(r)))
 
     @pytest.mark.parametrize("r,k", CONFIGS)
     def test_local_complex_matches_fraction_reference(self, r, k):
@@ -233,7 +245,7 @@ class TestConformity:
         cell = reference_cell()
         bases = {kind: build_raw_basis(kind, cell, r, k)[0] for kind in SPACE_KINDS}
         for (which, source, target), matrix in zip(_COMPLEX, local_complex_matrices(r, k)):
-            images = _images(which, cell.amap.matrix, bases[source])
+            images = _images(which, cell, bases[source])
             basis = bases[target].resized(degree_of_columns(images.nums.shape[-1]))
             rows, den = integer_matrix([list(column) for column in zip(*matrix)])
             combos = np.array(rows, dtype=object) @ basis.nums.reshape(len(basis), -1)
@@ -321,7 +333,7 @@ def _assert_same_element(derived, direct):
     assert exact_rank(_coords(ours)) == exact_rank(_coords(theirs)) == exact_rank(_coords(ours, theirs)) == direct.dimension
     pairs = [(ours, theirs)]
     if "curl" in direct.numerators:
-        assert _same_values(derived.numerators["curl"], _images("curl", derived.cell.amap.matrix, ours))
+        assert _same_values(derived.numerators["curl"], _images("curl", derived.cell, ours))
         pairs.append((derived.numerators["curl"], direct.numerators["curl"]))
     for ours_f, theirs_f in pairs:
         got = _nodal_at_quadrature(ours_f, derived.nodal)
@@ -451,8 +463,8 @@ class TestSimilarityImages:
         from tetcomplex.elements import _SIMILARITIES, similarity_between
 
         image = _similar(shape, _SIMILARITIES[pick])
-        cell0 = SimpleNamespace(shape=lambda: shape, scale=2)
-        cell = SimpleNamespace(shape=lambda: image, scale=1)
+        cell0 = SimpleNamespace(shape=lambda: shape, scale=(2, 1))
+        cell = SimpleNamespace(shape=lambda: image, scale=(1, 1))
         t, similarity = similarity_between(cell0, cell)
         assert t == 0.5
         assert similarity == next(s for s in _SIMILARITIES if _similar(shape, s) == image)
@@ -715,7 +727,9 @@ class TestIntegerKernels:
 
         matrix = [entries[3 * i:3 * i + 3] for i in range(3)]
         assume(_det3(matrix) != 0)
-        cell = SimpleNamespace(amap=SimpleNamespace(matrix=matrix))
+        if _det3(matrix) < 0:  # a cell map has a positive determinant
+            matrix = [[-v for v in row] for row in matrix]
+        cell = cell_on(matrix)
         curls = phys_curl(cell, fields)
         for a, label in enumerate(fields.continuity):
             assert field(curls, a) == _reference_curl(matrix, field(fields, a))
@@ -728,7 +742,9 @@ class TestIntegerKernels:
 
         matrix = [entries[3 * i:3 * i + 3] for i in range(3)]
         assume(_det3(matrix) != 0)
-        cell = SimpleNamespace(amap=SimpleNamespace(matrix=matrix))
+        if _det3(matrix) < 0:  # a cell map has a positive determinant
+            matrix = [[-v for v in row] for row in matrix]
+        cell = cell_on(matrix)
         for which, fields in (("grad", scalars), ("div", vectors)):
             images = _OPERATORS[which](cell, fields)
             for a, label in enumerate(fields.continuity):
@@ -946,7 +962,7 @@ from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
-from tetcomplex import problems
+from tetcomplex import elements, problems
 
 package = str(Path(problems.__file__).resolve().parent) + "/"
 construct = Fraction.__new__
@@ -956,24 +972,32 @@ def counting(cls, *args, **kwargs):
     frame = sys._getframe(1)
     while frame is not None and not frame.f_code.co_filename.startswith(package):
         frame = frame.f_back
-    counts[frame.f_code.co_filename[len(package):] if frame else "outside"] += 1
+    if frame is None:
+        counts["outside"] += 1
+    else:
+        function = frame.f_code.co_qualname.split(".<locals>")[0]
+        counts[frame.f_code.co_filename[len(package):] + ":" + function] += 1
     return construct(cls, *args, **kwargs)
 
 Fraction.__new__ = counting
 problems.solve_quadcurl(problems.QuadCurlProblem(n=4, r=1, k=1))
 Fraction.__new__ = construct
-print(json.dumps(counts))
+print(json.dumps({"counts": counts, "derived": elements._element_cache.derived}))
 """
 
 
-def test_cold_solve_forms_no_fraction_in_polyalg():
-    # each Fraction is charged to the nearest frame of the package: the exact
-    # algebra runs on integer numerators, the rational cell maps stay in ``mesh``
+def test_cold_solve_forms_fractions_only_from_coordinates_and_scale_ratios():
+    # each Fraction is charged to the nearest function of the package: the
+    # exact algebra and the cell maps run on integers, so Fractions come only
+    # from the input coordinates and one scale ratio per derived element
     import json
 
-    counts = json.loads(_run(_FRACTION_COUNT_SCRIPT))
-    assert sum(counts.values()) > 0  # the count sees the cell maps' Fractions
-    assert {module: n for module, n in counts.items() if module.startswith("polyalg/")} == {}
+    report = json.loads(_run(_FRACTION_COUNT_SCRIPT))
+    counts, derived = report["counts"], report["derived"]
+    assert sum(counts.values()) > 0 and derived > 0
+    assert [site for site in counts if site.startswith("polyalg/")] == []
+    assert set(counts) <= {"mesh.py:build_structured_cube", "mesh.py:_lattice", "elements.py:similarity_between"}
+    assert counts.get("elements.py:similarity_between", 0) <= derived
 
 
 class TestPolynomialWeights:

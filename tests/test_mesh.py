@@ -2,10 +2,12 @@
 
 from fractions import Fraction as F
 from itertools import combinations
+from math import gcd
 
 import numpy as np
 import pytest
 
+from exact_reference import exact_matrix, inverse
 from tetcomplex.elements import CellGeometry
 from tetcomplex.mesh import (
     LATTICE_BOUND,
@@ -24,6 +26,14 @@ REF = [(F(0), F(0), F(0)), (F(1), F(0), F(0)), (F(0), F(1), F(0)), (F(0), F(0), 
 
 def _vertices(mesh):
     return [mesh.vertex_exact(v) for v in range(mesh.n_vertices)]
+
+
+def _apply_exact(amap, ref_point):
+    """``B xhat + b`` in Fractions."""
+    return tuple(
+        sum(b * x for b, x in zip(row, ref_point)) + F(s, amap.shift_den)
+        for row, s in zip(exact_matrix(amap), amap.shift)
+    )
 
 
 class TestStructuredCube:
@@ -74,7 +84,7 @@ class TestOrientation:
                 for key in ("tau1", "tau2", "normal"):
                     assert abs(np.linalg.norm(g[key]) - 1) < 1e-14
                 # the frame depends only on global ids, so both incident cells see it
-                frame = tuple(tuple(g[key]) for key in ("tau1", "tau2", "normal", "direction"))
+                frame = tuple(tuple(g[key]) for key in ("tau1", "tau2", "normal", "direction")) + (g["direction_den"],)
                 assert frames.setdefault(int(f), frame) == frame
         assert len(frames) == m.n_faces
 
@@ -97,18 +107,37 @@ class TestAffineMaps:
             origin = m.vertex_exact(cell[amap.vertex_order[0]])
             assert amap.det > 0 and amap.shift == (0, 0, 0)
             for r in range(4):
-                moved = tuple(x + o for x, o in zip(amap.apply_exact(REF[r]), origin))
+                moved = tuple(x + o for x, o in zip(_apply_exact(amap, REF[r]), origin))
                 assert moved == m.vertex_exact(cell[amap.vertex_order[r]])
 
     def test_volumes_sum_to_one(self):
         m = build_structured_cube(2)
-        assert sum(m.cell_volume(c) for c in range(m.n_cells)) == 1
+        maps = [m.class_maps[c] for c in m.cell_class]
+        assert sum(F(amap.det, 6 * amap.den**3) for amap in maps) == 1
 
     @pytest.mark.parametrize("last", [-1, 0])
     def test_non_positive_determinant_rejected(self, last):
-        matrix = ((F(1), F(0), F(0)), (F(0), F(1), F(0)), (F(0), F(0), F(last)))
         with pytest.raises(ValueError, match="not positive"):
-            AffineMap(matrix, (F(0),) * 3, (0, 1, 2, 3))
+            AffineMap(((1, 0, 0), (0, 1, 0), (0, 0, last)), 1, (0, 1, 2, 3))
+
+    def test_rows_reduced_over_least_denominator(self):
+        amap = AffineMap(((4, 0, 2), (0, 6, 0), (0, 0, 8)), 12, (0, 1, 2, 3))
+        assert (amap.rows, amap.den) == (((2, 0, 1), (0, 3, 0), (0, 0, 4)), 6)
+        assert amap.det == 24 and amap.det_f == 24 / 216
+        # every float is the exact rational rounded once
+        assert np.array_equal(amap.matrix_f, np.array(exact_matrix(amap), dtype=float))
+        assert np.array_equal(amap.inverse_f, np.array(inverse(exact_matrix(amap)), dtype=float))
+
+
+def _import_text(path):
+    """The vertices (Fractions) and cells (ints) of a text export, line by line."""
+    lines = path.read_text().split("\n")
+    nv = int(lines[0])
+    vertices = [tuple(F(t) for t in line.split()) for line in lines[1:nv + 1]]
+    nc = int(lines[nv + 1])
+    cells = [tuple(int(t) for t in line.split()) for line in lines[nv + 2:nv + 2 + nc]]
+    assert lines[nv + 2 + nc:] == [""]
+    return vertices, cells
 
 
 class TestExchange:
@@ -116,7 +145,9 @@ class TestExchange:
         m = build_structured_cube(1)
         path = tmp_path / "mesh.txt"
         m.export_text(path)
-        m2 = MeshTopology.import_text(path)
+        vertices, cells = _import_text(path)
+        assert vertices == _vertices(m)
+        m2 = MeshTopology(vertices, cells)
         assert np.array_equal(m2.lattice, m.lattice) and m2.denominator == m.denominator
         assert np.array_equal(m2.cells, m.cells)
         assert m2.info() == m.info()
@@ -235,12 +266,12 @@ def test_arrays_match_set_based_reference(numbering_meshes):
                 assert np.array_equal(getattr(mesh, key), expected), (label, key)
         for ci, (cols, origin) in enumerate(ref["maps"]):
             amap = mesh.class_maps[mesh.cell_class[ci]]
-            assert amap.matrix == cols, (label, ci)
+            assert tuple(map(tuple, exact_matrix(amap))) == cols, (label, ci)
             assert mesh.vertex_exact(mesh.cell_vertices[ci, 0]) == origin, (label, ci)
             assert np.array_equal(mesh.cell_shifts[ci], np.array(origin, dtype=float)), (label, ci)
             for r in range(4):
                 vertex = mesh.vertex_exact(mesh.cell_vertices[ci, r])
-                moved = tuple(x + o for x, o in zip(amap.apply_exact(REF[r]), origin))
+                moved = tuple(x + o for x, o in zip(_apply_exact(amap, REF[r]), origin))
                 assert moved == vertex, (label, ci)
 
 
@@ -273,6 +304,8 @@ def _array_entity_data(mesh, ci):
     faces = []
     for f in mesh.cell_faces[ci]:
         q0, q1, q2 = lattice[mesh.faces[f]]
+        cross = np.cross(q1 - q0, q2 - q0).tolist()
+        g = gcd(den * den, *cross)
         t1 = (q1 - q0) / den
         normal2 = np.cross(t1, (q2 - q0) / den)
         area = float(np.linalg.norm(normal2)) / 2
@@ -284,7 +317,8 @@ def _array_entity_data(mesh, ci):
             "tau2": np.cross(n, tau1),
             "normal": n,
             "area": area,
-            "direction": tuple(F(int(c), den * den) for c in np.cross(q1 - q0, q2 - q0)),
+            "direction": tuple(c // g for c in cross),
+            "direction_den": den * den // g,
         })
     return edges, faces
 

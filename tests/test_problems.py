@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from finite_differences import fd_check, richardson_curl
 from tetcomplex.assembly import (
     DOF_POINT_SCALE,
     GlobalSpace,
@@ -48,16 +49,27 @@ def manufactured():
 
 class TestManufactured:
     def test_validation(self, manufactured):
-        rep = manufactured.validate()
-        assert rep["div"] < 1e-10
-        assert rep["boundary_value"] < 1e-12 and rep["boundary_curl"] < 1e-12
-        assert rep["forcing_fd"] < 1e-8
-        assert rep["ok"]
+        # divergence-free, zero value and curl on the boundary, and the forcing
+        # against the Richardson-extrapolated curl of the third-derivative field
+        rng = np.random.default_rng(123)
+        pts = rng.random((40, 3))
+        assert np.abs(manufactured.divergence(pts)).max() < 1e-10
+        edge = rng.random((40, 3))
+        for axis in range(3):
+            for val in (0.0, 1.0):
+                q = edge.copy()
+                q[:, axis] = val
+                assert np.abs(manufactured.value(q)).max() < 1e-12
+                assert np.abs(manufactured.curl(q)).max() < 1e-12
+        interior = rng.random((40, 3)) * 0.9 + 0.05
+        f_ref = -richardson_curl(manufactured.lap_curl, interior, h=1e-3) + manufactured.value(interior)
+        f_an = manufactured.forcing(interior)
+        assert np.abs(f_an - f_ref).max() / max(1.0, np.abs(f_an).max()) < 1e-8
 
     def test_sample_fd_consistency(self, manufactured):
         rng = np.random.default_rng(1)
         pts = rng.random((15, 3)) * 0.8 + 0.1
-        rep = manufactured.solution_sample().fd_check(pts)
+        rep = fd_check(manufactured.solution_sample(), pts)
         assert rep["ok"], rep
 
     def test_fields_match_closed_form(self, manufactured):
@@ -74,10 +86,10 @@ class TestManufactured:
     def test_pressure_gradient_fd_consistency(self, manufactured):
         pts = np.random.default_rng(7).random((15, 3)) * 0.8 + 0.1
         sample = manufactured.pressure_sample()
-        rep = sample.fd_check(pts)
+        rep = fd_check(sample, pts)
         assert rep["ok"] and rep["gradient"] < 1e-8, rep
         wrong = dataclasses.replace(sample, gradient=lambda p: 1.01 * manufactured.pressure_gradient(p))
-        rep = wrong.fd_check(pts)
+        rep = fd_check(wrong, pts)
         assert not rep["ok"] and rep["gradient"] > 1e-3, rep
 
     def test_forcing_is_divergence_free(self, manufactured):
@@ -577,6 +589,20 @@ class TestConvergenceHarness:
     def test_unknown_problem_rejected(self):
         with pytest.raises(ConfigError):
             run_convergence("heat", [1], 1, 1)
+
+    def test_repeated_level_rejected(self, monkeypatch):
+        # a repeated level would give 0/0 rates; it is refused before any level is solved
+        from tetcomplex import problems
+
+        def unexpected(*args, **kwargs):
+            raise AssertionError("a level was solved")
+
+        monkeypatch.setattr(problems, "solve_quadcurl", unexpected)
+        monkeypatch.setattr(problems, "get_spaces", unexpected)
+        with pytest.raises(ConfigError, match="levels repeat: 1"):
+            run_convergence("quadcurl", [1, 2, 1], 1, 1)
+        with pytest.raises(ConfigError, match="levels repeat: 1"):
+            interpolation_study([1, 1], 1, 1)
 
     def test_interpolation_study_runs(self):
         rep = interpolation_study([1, 2], 1, 1)

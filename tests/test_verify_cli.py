@@ -173,6 +173,14 @@ class TestCli:
         assert main(["convergence", "--levels", "0,2", "--r", "1", "--k", "1"]) == 3
         capsys.readouterr()
 
+    @pytest.mark.parametrize("problem", ["interpolation", "quadcurl"])
+    def test_convergence_repeated_level(self, capsys, problem):
+        # a repeated level has no rate: refused, with nothing on stdout
+        argv = ["convergence", "--problem", problem, "--levels", "1,1", "--r", "1", "--k", "1"]
+        assert main(argv) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and "levels repeat: 1" in err
+
     def test_solver_flag_rejected(self, capsys):
         # SPD systems have one direct path; there is no solver to choose
         assert main(["solve", "quadcurl", "--N", "1", "--k", "1", "--solver", "cg"]) == 3
