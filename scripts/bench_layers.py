@@ -6,11 +6,15 @@ with BLAS on one thread and an address-space limit (``LIMIT_GB``) that
 the child sets on itself, so a row that runs out of memory fails alone
 instead of taking the machine with it.  A row times, one after another:
 the structured mesh, the grad-curl space, its class tables, the stiffness
-assembly, the load of the manufactured forcing, and the error norms of a
-zero field (the same work as for a solved field) twice.  The load
-(``load``) builds the per-class factors that load and error norms share,
-and both error-norm passes (``errors``, ``errors_again``) reuse them, so
-they time the per-cell work alone.  A
+assembly, the load of the manufactured forcing, the error norms of a
+zero field (the same work as for a solved field) twice, and the factor
+input (``factor_input``): the boundary restriction of the stiffness, the
+full matrix dropped, and the dissection-ordered CSC matrix that
+``problems._factor_spd`` hands to SuperLU, from the helper it calls
+(``problems._dissection_csc``; a source without it has no such layer).
+The load (``load``) builds the per-class factors that load and error
+norms share, and both error-norm passes (``errors``, ``errors_again``)
+reuse them, so they time the per-cell work alone.  A
 flat record holds each layer's seconds (``<layer>_s``) and the process's
 peak RSS when the layer ended (``<layer>_peak_rss_mb``) as the median
 over the processes, with ``<key>_min`` and ``<key>_max`` beside it; the
@@ -135,12 +139,14 @@ def row(n, src, save_matrix=None):
     enter_row(src)
     import numpy as np
 
+    from tetcomplex import problems
     from tetcomplex.assembly import (
         GlobalSpace,
         assemble,
         assemble_load,
         default_quadrature_degree,
         error_norms,
+        restrict_operator,
     )
     from tetcomplex.mesh import build_structured_cube
     from tetcomplex.problems import ManufacturedSolution
@@ -160,16 +166,16 @@ def row(n, src, save_matrix=None):
     space = layer("space", lambda: GlobalSpace(mesh, "gradcurl", r, k))
     degree = max(default_quadrature_degree(r, k, space.basis_degree), 2 * space.basis_degree)
     layer("class_tables", lambda: space.class_tables(degree))
-    matrix = layer("assemble", lambda: assemble("gradcurl_stiffness", space, degree).matrix)
+    held = [layer("assemble", lambda: assemble("gradcurl_stiffness", space, degree))]
     layer("load", lambda: assemble_load(space, ms.forcing_sample(), degree))
     layer("errors", lambda: error_norms(space, np.zeros(space.dim), ms.solution_sample(), degree))
     layer("errors_again", lambda: error_norms(space, np.zeros(space.dim), ms.solution_sample(), degree))
+    matrix = held[0].matrix
     pattern = hashlib.sha256(matrix.indptr.astype(np.int64).tobytes())
     pattern.update(matrix.indices.astype(np.int64).tobytes())
     if save_matrix:
         np.savez(save_matrix, indptr=matrix.indptr, indices=matrix.indices, data=matrix.data)
-    return {
-        **record,
+    record.update({
         "quad_degree": degree,
         "cells": int(mesh.n_cells),
         "dofs": int(space.dim),
@@ -177,8 +183,20 @@ def row(n, src, save_matrix=None):
         "nnz": int(matrix.nnz),
         "pattern_sha256": pattern.hexdigest()[:16],
         "frobenius": float(np.sqrt(np.vdot(matrix.data, matrix.data))),
-        "peak_rss_mb": peak_rss_mb(),
-    }
+    })
+    del matrix
+
+    def factor_input():
+        """The restriction, as the solve forms it, then the CSC handed to SuperLU."""
+        mask = space.boundary_mask
+        op = held.pop()
+        restricted = restrict_operator(op, mask, mask)
+        del op  # the solve keeps only the restriction
+        return problems._dissection_csc(restricted, space.dof_points()[~mask])[0]
+
+    if hasattr(problems, "_dissection_csc"):
+        record["factor_input_nnz"] = int(layer("factor_input", factor_input).nnz)
+    return {**record, "peak_rss_mb": peak_rss_mb()}
 
 
 def main():

@@ -18,9 +18,12 @@ Per class everything float is a dense product:
   monomial moment matrices, shared like the Vandermonde tables and
   contracted with the coefficient tensors and the cell map (a reference
   tensor times a geometry tensor, as in Kirby and Logg, ACM TOMS 32,
-  2006), turns it into one CSR matrix of the class's cells and merges the
-  classes on the union of their patterns, so explicit zeros stay and no
-  global triplet array exists;
+  2006), and builds the CSR matrix in row blocks: the (cell, local row)
+  pairs of all classes sorted by global row once, then about
+  ``_BLOCK_TRIPLETS`` triplets at a time turned into whole rows, their
+  duplicates summed within the block, so explicit zeros stay and no
+  global triplet array exists; its symmetry check compares each entry
+  with its mirror, without forming the transpose;
 - the load and the error norms of a sample with ``modes`` (see
   ``FieldSample``) share one kernel: templates and point tables reduce to
   small triangular factors that the class tables keep for every later
@@ -88,8 +91,12 @@ DOF_POINT_SCALE = 12
 # one chunk of a class evaluates at once (bounds memory).
 _POINT_CHUNK = 200_000
 
+# Triplets (cell, local row, local column) that ``assemble`` turns into rows of
+# its CSR matrix at a time: a block's keys, sort order and values take a few MB.
+_BLOCK_TRIPLETS = 2**17
 
-def _log_layer(layer, space, start, path, modes=0, status=None):
+
+def _log_layer(layer, space, start, path, modes=0, status=None, blocks=None):
     """One DEBUG record of a layer over all classes of ``space``, begun at ``start``.
 
     ``path`` names how the layer evaluated (the class tables' coefficient
@@ -115,12 +122,16 @@ def _log_layer(layer, space, start, path, modes=0, status=None):
         "factors": factors,
         "factor_builds": status["built"],
         "factor_shared": status["shared"],
+        "blocks": None if blocks is None else blocks[0],
+        "block_triplets": None if blocks is None else blocks[1],
         "seconds": time.perf_counter() - start,
     }
     details = ", factors %(factors)s (%(factor_builds)d built, %(factor_shared)d shared)"
+    sizes = ", %(blocks)d row blocks, largest %(block_triplets)d triplets"
     _log.debug(
         "%(layer)s: %(classes)d classes, %(cells)d cells, %(path)s path, "
-        "%(modes)d modes, %(seconds).3f s" + ("" if factors is None else details),
+        "%(modes)d modes, %(seconds).3f s" + ("" if factors is None else details)
+        + ("" if blocks is None else sizes),
         fields, extra=fields,
     )
 
@@ -276,9 +287,24 @@ class SparseOperator:
         return self.matrix.shape
 
     def check_symmetry(self, tol=1e-13):
-        d = self.matrix - self.matrix.T
-        scale = max(1.0, abs(self.matrix).max())
-        return abs(d).max() <= tol * scale
+        """Whether max|A - A^T| <= tol * max(1, max|A|).
+
+        A canonical CSR matrix whose pattern is symmetric is compared with
+        its transpose entry by entry, a chunk at a time, through the
+        position of each entry's mirror (:func:`_mirror_positions`);
+        neither A^T nor A - A^T is formed.  Any other matrix takes the
+        difference.
+        """
+        m = self.matrix
+        mirror = _mirror_positions(m)
+        if mirror is None:
+            return abs(m - m.T).max() <= tol * max(1.0, abs(m).max())
+        largest = difference = 0.0
+        for lo in range(0, m.nnz, _POINT_CHUNK):
+            data = m.data[lo:lo + _POINT_CHUNK]
+            largest = max(largest, np.abs(data).max())
+            difference = max(difference, np.abs(data - m.data[mirror[lo:lo + _POINT_CHUNK]]).max())
+        return difference <= tol * max(1.0, largest)
 
     def export_text(self, path):
         coo = self.matrix.tocoo()
@@ -286,6 +312,24 @@ class SparseOperator:
             fh.write(f"{coo.shape[0]} {coo.shape[1]} {coo.nnz}\n")
             for i, j, v in zip(coo.row, coo.col, coo.data):
                 fh.write(f"{i} {j} {v:.17e}\n")
+
+
+def _mirror_positions(m):
+    """Position in ``m.data`` of the mirror (j, i) of each entry (i, j), or None.
+
+    The CSC of an int32 payload of the entries' positions, read as a CSR
+    matrix, is A^T with each entry's position in A as its value: for a
+    canonical square CSR matrix with a symmetric pattern its pattern is
+    that of A, and its payload the mirror of each entry.  None for any
+    other matrix.
+    """
+    if m.format != "csr" or m.shape[0] != m.shape[1] or not m.has_canonical_format:
+        return None
+    payload = np.arange(m.nnz, dtype=np.int32 if m.nnz < 2**31 else np.int64)
+    mirrored = sp.csr_matrix((payload, m.indices, m.indptr), shape=m.shape).tocsc()
+    if np.array_equal(mirrored.indptr, m.indptr) and np.array_equal(mirrored.indices, m.indices):
+        return mirrored.data
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -562,31 +606,33 @@ def assemble(form, space, quad_degree=None, pressure_space=None):
     shape = (row_space.dim, space.dim)
     mass, stiffness, mixed = _moments(quad_degree, max(space.basis_degree, row_space.basis_degree))
 
-    def parts():
-        for cells, tab, rtab in zip(
-            space.classes, space.class_tables(quad_degree), row_space.class_tables(quad_degree)
-        ):
-            value = tab.coefficients["value"]
-            if form == "div_pressure":
-                pressure = rtab.coefficients["value"]
-                mp, mv = pressure.shape[-1], value.shape[-1]
-                # sum_i (B^-1)_ic w m_a d_i m_b: the pressure's monomial a against the velocity's (c, b)
-                div = np.tensordot(mixed[:, :, :mp, :mv], tab.inverse, axes=(1, 0)).transpose(0, 1, 3, 2)
-                local = _local_matrix(pressure, div.reshape(4, mp, -1), value)
-            else:
-                local = 0.0 if form == "h1" else _gram(value, mass)
-                if form != "mass":
-                    metric = tab.inverse @ tab.inverse.T  # B^-1 B^-T
-                    coef = tab.coefficients["curl" if form == "gradcurl_stiffness" else "value"]
-                    local = local + _gram(coef, np.tensordot(metric, stiffness, axes=([0, 1], [1, 2])))
-            yield _class_matrix(
-                row_space.local_to_global[cells], space.local_to_global[cells], local * tab.det, shape
-            )
-
-    op = SparseOperator(_merge(parts()))
+    locals_ = []
+    class_of = np.empty(space.mesh.n_cells, dtype=np.intp)
+    for c, (cells, tab, rtab) in enumerate(zip(
+        space.classes, space.class_tables(quad_degree), row_space.class_tables(quad_degree)
+    )):
+        class_of[cells] = c
+        value = tab.coefficients["value"]
+        if form == "div_pressure":
+            pressure = rtab.coefficients["value"]
+            mp, mv = pressure.shape[-1], value.shape[-1]
+            # sum_i (B^-1)_ic w m_a d_i m_b: the pressure's monomial a against the velocity's (c, b)
+            div = np.tensordot(mixed[:, :, :mp, :mv], tab.inverse, axes=(1, 0)).transpose(0, 1, 3, 2)
+            local = _local_matrix(pressure, div.reshape(4, mp, -1), value)
+        else:
+            local = 0.0 if form == "h1" else _gram(value, mass)
+            if form != "mass":
+                metric = tab.inverse @ tab.inverse.T  # B^-1 B^-T
+                coef = tab.coefficients["curl" if form == "gradcurl_stiffness" else "value"]
+                local = local + _gram(coef, np.tensordot(metric, stiffness, axes=([0, 1], [1, 2])))
+        locals_.append(local * tab.det)
+    matrix, blocks, largest = _row_blocks(
+        row_space.local_to_global, space.local_to_global, np.stack(locals_), class_of, shape
+    )
+    op = SparseOperator(matrix)
     if form != "div_pressure" and not op.check_symmetry():
         raise ArithmeticError(f"assembled {form} operator lost symmetry")
-    _log_layer(f"assemble {form}", space, start, "moments")
+    _log_layer(f"assemble {form}", space, start, "moments", blocks=(blocks, largest))
     return op
 
 
@@ -607,60 +653,84 @@ def _local_matrix(a, moments, b):
 def _gram(coef, moments):
     """:func:`_local_matrix` of a coefficient tensor against itself, on moments (subtets, m, m) per component.
 
-    Returned exactly symmetric, so the assembled matrix differs from its
-    transpose only where sums of shared entries ran in another order: the
-    symmetry check's difference then holds a few entries, not one at most
-    coupled pairs (60 MB more peak RSS for quadcurl (1,1) at N = 32).
+    Returned exactly symmetric: :func:`_row_blocks` sums an entry and its
+    mirror over the same cells in the same order, so the assembled matrix
+    equals its transpose bit for bit, and a solver may read its CSR arrays
+    as its CSC ones.
     """
     nm = coef.shape[-1]
     local = _local_matrix(coef, moments[:, :nm, :nm], coef)
     return (local + local.T) / 2
 
 
-def _class_matrix(rows, cols, local, shape):
-    """CSR of one class: ``local`` at every cell's (rows, cols), repeats summed, zeros kept."""
-    index = np.int32 if max(shape) < 2**31 else np.int64
-    full = (len(rows),) + local.shape
-    return sp.coo_matrix(
-        (
-            np.broadcast_to(local, full).ravel(),
-            (np.broadcast_to(rows.astype(index)[:, :, None], full).ravel(),
-             np.broadcast_to(cols.astype(index)[:, None, :], full).ravel()),
-        ),
-        shape=shape,
-    ).tocsr()
+def _row_blocks(rows, cols, local, class_of, shape):
+    """CSR of every cell's local matrix at its (rows, cols): duplicates summed, zeros kept.
 
-
-def _merge(parts):
-    """Sum of canonical CSR matrices on the union of their patterns.
-
-    A sum of the values drops every entry that is zero, from a cancellation
-    or as an explicit zero of one part.  So the union of the patterns is
-    summed beside it with boolean data, which never vanishes; at the end
-    the entries the value sum kept are marked in the union by one more
-    merge, and the rest of it holds zeros.  Every step is a linear merge
-    of sorted rows, one part at a time.
+    ``rows`` (cells, m) and ``cols`` (cells, n) hold the global row and
+    column of each cell's local DOFs, ``local`` (classes, m, n) the local
+    matrix of each class and ``class_of`` the class of each cell.  The
+    (cell, local row) pairs are sorted by global row once, stably, so the
+    cells that share an entry add in ascending order and a symmetric form
+    stays exactly symmetric.  Runs of whole rows of about
+    ``_BLOCK_TRIPLETS`` triplets at a time become rows of the result:
+    their (row, column) keys sorted stably and equal keys summed, written
+    into the result's arrays, which grow in place by the projected rest.
+    Returns the CSR matrix, the number of blocks and the largest block's
+    triplets.
     """
-    pattern = total = None
-    for part in parts:
-        if total is None:
-            pattern, total = _ones(part, bool), part
-            continue
-        pattern = pattern + _ones(part, bool)
-        total = total + part
-    if total.nnz == pattern.nnz:
-        return total
-    kept = (_ones(pattern, np.int8) + _ones(total, np.int8)).data == 2
-    data = np.zeros(pattern.nnz)
-    data[kept] = total.data
-    return sp.csr_matrix((data, pattern.indices, pattern.indptr), shape=pattern.shape)
+    n_rows, n_cols = shape
+    m, n = local.shape[1:]
+    total = rows.size * n
+    index = np.int32 if max(n_rows, n_cols, total) < 2**31 else np.int64
+    flat = rows.ravel()
+    starts = np.zeros(n_rows + 1, dtype=np.int64)  # first pair of each row in ``order``
+    np.cumsum(np.bincount(flat, minlength=n_rows), out=starts[1:])
+    order = _stable_sort(flat)[1]
+    step = max(1, _BLOCK_TRIPLETS // max(n, 1))  # pairs per block
+    indptr = np.zeros(n_rows + 1, dtype=index)
+    indices, data = np.empty(0, dtype=index), np.empty(0)
+    count = done = blocks = largest = lo = 0
+    while lo < n_rows:
+        hi = max(lo + 1, int(np.searchsorted(starts, starts[lo] + step, side="right")) - 1)
+        pairs = order[starts[lo]:starts[hi]]
+        cell, i = np.divmod(pairs, m)
+        keys, position = _stable_sort(((flat[pairs] - lo)[:, None] * n_cols + cols[cell]).ravel())
+        first = np.flatnonzero(np.diff(keys, prepend=-1))
+        done += len(keys)
+        end = count + len(first)
+        if end > len(data):  # the rest projected at the ratio so far
+            grown = end + int(1.02 * (total - done) * end / done)
+            data.resize(grown, refcheck=False)
+            indices.resize(grown, refcheck=False)
+        np.add.reduceat(local[class_of[cell], i].ravel()[position], first, out=data[count:end])
+        keys = keys[first]
+        indices[count:end] = keys % n_cols
+        indptr[lo + 1:hi + 1] = count + np.cumsum(np.bincount(keys // n_cols, minlength=hi - lo))
+        blocks, largest = blocks + 1, max(largest, len(position))
+        count, lo = end, hi
+    data.resize(count, refcheck=False)
+    indices.resize(count, refcheck=False)
+    matrix = sp.csr_matrix((data, indices, indptr), shape=shape)
+    matrix.has_canonical_format = True  # each row's columns ascend, once each
+    return matrix, blocks, largest
 
 
-def _ones(matrix, dtype):
-    """The pattern of a CSR matrix with unit data of ``dtype``."""
-    return sp.csr_matrix(
-        (np.ones(matrix.nnz, dtype), matrix.indices, matrix.indptr), shape=matrix.shape
-    )
+def _stable_sort(keys):
+    """(sorted keys, their old positions) of non-negative int64 ``keys``, equal keys kept in order.
+
+    Each key carries its position in its low bits, so one sort of unique
+    values orders both.  OverflowError if a key does not leave room for
+    them in int64.
+    """
+    shift = len(keys).bit_length()
+    if len(keys) and int(keys.max()) >= 1 << (63 - shift):
+        raise OverflowError("sort keys leave no room for their positions in int64")
+    packed = keys << shift
+    packed |= np.arange(len(keys))
+    packed.sort()
+    position = packed & ((1 << shift) - 1)
+    packed >>= shift
+    return packed, position
 
 
 def assemble_load(space, sample, quad_degree):

@@ -509,28 +509,54 @@ class SpdFactor:
         return x
 
 
+# Entries whose column labels ``_dissection_csc`` relabels at a time.
+_RELABEL_CHUNK = 1 << 20
+
+
+def _dissection_csc(a, points):
+    """The CSC matrix that ``_factor_spd`` factors: ``a`` ordered by nested dissection of ``points``.
+
+    Returns (P A P^T as CSC, the order, the dissection depth), row and
+    column r of the result being row and column ``order[r]`` of A.  One
+    gather of A's CSR rows in that order (``csr[order]``), a relabel of
+    their columns by rank, a chunk at a time, and a sort within each row,
+    in place, give the CSR of P A P^T with sorted rows, whose arrays are
+    the CSC of its transpose: that of P A P^T itself, as every matrix
+    factored here is symmetric.  No triplets are formed and no duplicates
+    summed.
+    """
+    order, depth = _nested_dissection(points)
+    rows = a.tocsr()[order]
+    indices = rows.indices
+    rank = np.empty(len(order), dtype=indices.dtype)
+    rank[order] = np.arange(len(order))
+    for lo in range(0, len(indices), _RELABEL_CHUNK):
+        indices[lo:lo + _RELABEL_CHUNK] = rank[indices[lo:lo + _RELABEL_CHUNK]]
+    permuted = sp.csc_matrix((rows.data, indices, rows.indptr), shape=a.shape)
+    permuted.sort_indices()
+    return permuted, order, depth
+
+
 def _factor_spd(a, points):
     """SuperLU factor of an SPD matrix, ordered by nested dissection of its DOFs.
 
     ``points`` are the integer DOF points of the matrix's rows
     (``GlobalSpace.dof_points`` restricted like the matrix).  Rows and
-    columns are permuted by ``_nested_dissection`` of those points, and
-    SuperLU keeps that order (``NATURAL``, ``SymmetricMode``) and always
-    takes the diagonal pivot (``diag_pivot_thresh=0``): a Cholesky-shaped
-    LU whose fill is confined to the separators' blocks.  A matrix that is
-    not SPD is not detected here; the callers' residual and curvature
-    checks raise SolverFailure for it.
+    columns are permuted by ``_nested_dissection`` of those points
+    (``_dissection_csc``), and SuperLU keeps that order (``NATURAL``,
+    ``SymmetricMode``) and always takes the diagonal pivot
+    (``diag_pivot_thresh=0``): a Cholesky-shaped LU whose fill is confined
+    to the separators' blocks.  A matrix that is not SPD is not detected
+    here; the callers' residual and curvature checks raise SolverFailure
+    for it.
     """
     start = time.perf_counter()
-    order, depth = _nested_dissection(points)
+    permuted, order, depth = _dissection_csc(a, points)
     ordered = time.perf_counter() - start
-    coo = a.tocoo()
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    permuted = sp.csc_matrix((coo.data, (rank[coo.row], rank[coo.col])), shape=a.shape)
     lu = spla.splu(
         permuted, permc_spec="NATURAL", diag_pivot_thresh=0.0, options={"SymmetricMode": True}
     )
+    del permuted
     seconds = time.perf_counter() - start
     _log.debug(
         "factored SPD matrix n=%d, nnz %d, LU fill %d, dissection depth %d, "
@@ -554,10 +580,11 @@ def solve_quadcurl(problem: QuadCurlProblem):
     quad_degree = problem.quad_degree or default_quadrature_degree(problem.r, problem.k, v.basis_degree)
     with timings.stage("assemble"):
         a = assemble("gradcurl_stiffness", v, quad_degree)
-    with timings.stage("load"):
-        f = assemble_load(v, problem.solution.forcing_sample(), quad_degree)
     mask = v.boundary_mask
     a0 = restrict_operator(a, mask, mask)
+    del a  # the restriction alone is factored and checked
+    with timings.stage("load"):
+        f = assemble_load(v, problem.solution.forcing_sample(), quad_degree)
     f0 = restrict_vector(f, mask)
     with timings.stage("solve"):
         lu = _factor_spd(a0, v.dof_points()[~mask])
@@ -607,10 +634,12 @@ def solve_stokes(problem: StokesProblem):
     with timings.stage("assemble"):
         a = assemble("h1", vel, quad_degree)
         b = assemble("div_pressure", vel, quad_degree, pressure_space=pre)
-        mw = assemble("mass", pre, quad_degree).matrix
+        mw = assemble("mass", pre, quad_degree)
     mask = vel.boundary_mask
-    a0 = restrict_operator(a, mask, mask) * problem.viscosity
+    a0 = restrict_operator(a, mask, mask)
+    a0.data *= problem.viscosity  # in place: the restriction is a copy, and no unscaled one stays
     b0 = b.matrix[:, ~mask]
+    del a, b  # the saddle-point solve needs the restrictions alone
     with timings.stage("load"):
         f = assemble_load(
             vel, problem.solution.stokes_forcing_sample(problem.viscosity), quad_degree
@@ -619,7 +648,8 @@ def solve_stokes(problem: StokesProblem):
 
     with timings.stage("interpolate"):
         q_const = _pressure_constant_coeffs(pre)
-    c_vec = mw @ q_const  # functional q -> integral of q over the domain
+    c_vec = mw.matrix @ q_const  # functional q -> integral of q over the domain
+    del mw
 
     with timings.stage("solve"):
         u0, p, iters, lu = _solve_saddle(

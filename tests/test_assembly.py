@@ -4,6 +4,7 @@ import dataclasses
 import functools
 import gc
 import logging
+import tracemalloc
 import weakref
 from types import SimpleNamespace
 
@@ -351,6 +352,34 @@ def _global_coo(form, space, degree, pressure_space=None):
     ).tocsr()
 
 
+def _variant_spaces(variant, rk, kinds, numbering_meshes, monkeypatch):
+    """Spaces of ``kinds`` on an N = 2 mesh of ``numbering_meshes``, by kind.
+
+    The 30 jittered classes take the Kuhn element of their vertex order
+    (the exact construction takes minutes there): assembly reads only the
+    element's coefficient tensors and the class map, which stays the
+    jittered one.
+    """
+    kuhn = get_spaces(2, *rk, kinds)
+    if variant == "kuhn":
+        return kuhn
+    mesh = numbering_meshes[variant]
+    if variant != "jittered":
+        return {kind: GlobalSpace(mesh, kind, *rk) for kind in kinds}
+    by_order = {
+        kind: {space.cells_geom[c[0]].amap.vertex_order: space.elements[c[0]] for c in space.classes}
+        for kind, space in kuhn.items() if kind in kinds
+    }
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            assembly_module, "local_element",
+            lambda kind, r, k, geom: by_order[kind][geom.amap.vertex_order],
+        )
+        spaces = {kind: GlobalSpace(mesh, kind, *rk) for kind in kinds}
+    assert len(mesh.classes) == 30
+    return spaces
+
+
 class TestPerClassAssembly:
     @pytest.mark.parametrize("rk", [(1, 1), (2, 2), (3, 3)])
     @pytest.mark.parametrize(
@@ -362,18 +391,151 @@ class TestPerClassAssembly:
             ("div_pressure", "velocity", "pressure"),
         ],
     )
-    def test_matches_global_coo(self, rk, form, kind, pressure):
-        spaces = get_spaces(2, *rk, [kind] + ([pressure] if pressure else []))
-        space, other = spaces[kind], spaces.get(pressure)
-        degree = 2 * space.basis_degree
-        got = assemble(form, space, degree, pressure_space=other).matrix
-        expected = _global_coo(form, space, degree, other)
-        # the pattern keeps every coupled pair, exact cancellations included
-        assert np.array_equal(got.indptr, expected.indptr)
-        assert np.array_equal(got.indices, expected.indices)
-        np.testing.assert_allclose(
-            got.data, expected.data, rtol=0, atol=1e-14 * np.abs(expected.data).max()
-        )
+    def test_matches_global_coo(self, rk, form, kind, pressure, numbering_meshes, monkeypatch, caplog):
+        for variant in ("kuhn", "permuted", "jittered"):
+            spaces = _variant_spaces(
+                variant, rk, [kind] + ([pressure] if pressure else []), numbering_meshes, monkeypatch
+            )
+            space, other = spaces[kind], spaces.get(pressure)
+            degree = 2 * space.basis_degree
+            with monkeypatch.context() as patch:
+                inputs = []
+                patch.setattr(assembly_module, "_row_blocks", _recording(assembly_module._row_blocks, inputs))
+                got = assemble(form, space, degree, pressure_space=other).matrix
+            # the point tables' local matrices agree with the moments' to 1e-14 of the largest
+            # entry on the Kuhn cells; the jittered (3,3) div_pressure reads 1.14e-14, so there
+            # the values are checked against every cell's triplets of the same local matrices
+            references = [_triplets_csr(*inputs[0])]
+            if variant != "jittered":
+                references.append(_global_coo(form, space, degree, other))
+            for expected in references:
+                # the pattern keeps every coupled pair, exact cancellations included
+                assert np.array_equal(got.indptr, expected.indptr), variant
+                assert np.array_equal(got.indices, expected.indices), variant
+                np.testing.assert_allclose(
+                    got.data, expected.data, rtol=0, atol=1e-14 * np.abs(expected.data).max(),
+                    err_msg=variant,
+                )
+            if form != "div_pressure":  # an entry and its mirror sum their cells in one order
+                assert (got != got.T).nnz == 0, variant
+            # blocks of a few hundred triplets: each entry sums the same terms in the same order
+            with monkeypatch.context() as patch, caplog.at_level(logging.DEBUG, logger="tetcomplex.assembly"):
+                patch.setattr(assembly_module, "_BLOCK_TRIPLETS", 300)
+                caplog.clear()
+                small = assemble(form, space, degree, pressure_space=other).matrix
+            record = next(r for r in caplog.records if r.layer == f"assemble {form}")
+            rows = (other or space).local_to_global
+            longest_row = np.bincount(rows.ravel()).max() * space.local_to_global.shape[1]
+            assert record.blocks >= rows.size * space.local_to_global.shape[1] // max(300, longest_row)
+            assert record.block_triplets <= max(300, longest_row), variant
+            for name in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(small, name), getattr(got, name)), (variant, name)
+
+
+    @given(keys=st.lists(st.integers(0, 2**40), max_size=300), repeats=st.integers(1, 4))
+    @settings(max_examples=100, deadline=None)
+    def test_stable_sort_matches_argsort(self, keys, repeats):
+        keys = np.repeat(np.array(keys, dtype=np.int64), repeats)
+        np.random.default_rng(len(keys)).shuffle(keys)
+        ordered, position = assembly_module._stable_sort(keys)
+        expected = np.argsort(keys, kind="stable")
+        assert np.array_equal(position, expected) and np.array_equal(ordered, keys[expected])
+
+    def test_stable_sort_refuses_keys_without_room(self):
+        with pytest.raises(OverflowError):
+            assembly_module._stable_sort(np.array([2**62, 0, 1], dtype=np.int64))
+
+
+def _recording(function, calls):
+    """``function``, appending the arguments of each call to ``calls``."""
+
+    def recorded(*args):
+        calls.append(args)
+        return function(*args)
+
+    return recorded
+
+
+def _triplets_csr(rows, cols, local, class_of, shape):
+    """Every cell's local matrix as triplets at its (rows, cols), one coo->csr: the arguments of ``_row_blocks``."""
+    full = (len(rows),) + local.shape[1:]
+    return sp.coo_matrix(
+        (
+            local[class_of].ravel(),
+            (np.broadcast_to(rows[:, :, None], full).ravel(), np.broadcast_to(cols[:, None, :], full).ravel()),
+        ),
+        shape=shape,
+    ).tocsr()
+
+
+class TestSymmetryCheck:
+    """``check_symmetry`` without a transpose gives the verdict of the dense max|A - A^T| definition."""
+
+    TOL = 1e-13
+
+    @staticmethod
+    def _dense_verdict(matrix, tol):
+        d = matrix.toarray()
+        return np.abs(d - d.T).max() <= tol * max(1.0, np.abs(d).max())
+
+    @given(
+        n=st.integers(1, 12),
+        density=st.floats(0.05, 1.0),
+        exponent=st.integers(-3, 8),
+        seed=st.integers(0, 2**32 - 1),
+        case=st.sampled_from(["symmetric", "half_tol", "twice_tol", "unsymmetric", "unsymmetric_tiny"]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_dense_definition(self, n, density, exponent, seed, case):
+        rng = np.random.default_rng(seed)
+        upper = np.triu(rng.random((n, n)) < density)
+        pattern = upper | upper.T
+        rows, cols = np.nonzero(pattern)
+        values = rng.standard_normal((n, n)) * 10.0**exponent
+        values[rng.random((n, n)) < 0.1] = 0.0  # explicit zeros, kept in the pattern
+        values = np.triu(values) + np.triu(values, 1).T
+        data = values[rows, cols]
+        scale = max(1.0, np.abs(data).max(initial=0.0))
+        expected = True
+        off = np.flatnonzero(rows != cols)
+        if case in ("half_tol", "twice_tol") and len(off):
+            data[rng.choice(off)] += (0.5 if case == "half_tol" else 2.0) * self.TOL * scale
+            expected = case == "half_tol"
+        free = np.argwhere(~pattern & ~np.eye(n, dtype=bool))  # entries whose mirror is absent too
+        unsymmetric = case.startswith("unsymmetric") and len(free) > 0
+        if unsymmetric:
+            i, j = free[rng.integers(len(free))]
+            rows, cols = np.append(rows, i), np.append(cols, j)
+            data = np.append(data, 0.5 * self.TOL if case == "unsymmetric_tiny" else scale)
+            expected = case == "unsymmetric_tiny"
+        matrix = sp.csr_matrix((data, (rows, cols)), shape=(n, n))
+        assert matrix.nnz == len(data)
+        assert (assembly_module._mirror_positions(matrix) is None) == unsymmetric
+        verdict = assembly_module.SparseOperator(matrix).check_symmetry(self.TOL)
+        assert verdict == self._dense_verdict(matrix, self.TOL) == expected
+
+    def test_duplicates_take_the_difference(self):
+        # a CSR matrix with a repeated entry is not canonical: the summed difference decides
+        matrix = sp.csr_matrix((np.array([1.0, 2.0, 3.0]), np.array([1, 1, 0]), np.array([0, 2, 3])), shape=(2, 2))
+        assert assembly_module._mirror_positions(matrix) is None
+        assert assembly_module.SparseOperator(matrix).check_symmetry() == self._dense_verdict(matrix, 1e-13)
+        assert assembly_module.SparseOperator(matrix).check_symmetry()
+
+
+class TestAssemblyMemory:
+    @pytest.mark.parametrize("form, kind", [("gradcurl_stiffness", "gradcurl"), ("h1", "velocity")])
+    def test_transient_below_three_and_a_quarter_matrices(self, form, kind):
+        # the parent's per-class matrices and pairwise merges peaked at 4.15 and 4.30 times the result
+        space = get_spaces(8, 1, 1, [kind])[kind]
+        assemble(form, space)  # class tables and moment matrices, kept for later calls
+        tracemalloc.start()
+        try:
+            matrix = assemble(form, space).matrix
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = matrix.data.nbytes + matrix.indices.nbytes + matrix.indptr.nbytes
+        assert peak <= 3.25 * size
 
 
 def _held_arrays(value, name=None):
@@ -927,6 +1089,11 @@ class TestModalMatchesPointwise:
         for r in records:
             assert (r.classes, r.cells) == (6, 48) and r.seconds >= 0
             assert r.getMessage().startswith(f"{r.layer}: 6 classes, 48 cells, {r.path} path")
+        # the 48 cells' triplets fit one row block
+        n_local = space.local_to_global.shape[1]
+        assert (records[2].blocks, records[2].block_triplets) == (1, 48 * n_local**2)
+        assert records[2].getMessage().endswith(f", 1 row blocks, largest {48 * n_local**2} triplets")
+        assert all(r.blocks is None for r in records if r is not records[2])
 
 
 class TestSharedErrorFactors:

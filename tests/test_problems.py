@@ -1,10 +1,12 @@
 """Model problems: manufactured fields, solves, Stokes, convergence machinery."""
 
 import dataclasses
+import weakref
 from itertools import permutations, product
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from finite_differences import fd_check, richardson_curl
@@ -25,6 +27,7 @@ from tetcomplex.problems import (
     QuadCurlProblem,
     SolverFailure,
     StokesProblem,
+    _dissection_csc,
     _factor_spd,
     _nested_dissection,
     _peak_rss_mb,
@@ -516,6 +519,45 @@ class TestFactorSpd:
         _, _, rep = solve_stokes(StokesProblem(n=2, k=1))
         assert rep["lu_nnz"] == _factor_spd(*self._velocity_block(2)).nnz > 0
         assert rep["factor_s"] > 0
+
+    @pytest.mark.parametrize("solve", ["quadcurl", "stokes"])
+    def test_operators_released_before_the_factor(self, solve, monkeypatch):
+        # the full-size operators and their matrices are dropped once restricted
+        from tetcomplex import problems
+
+        refs, dead = [], []
+        assemble_, factor = problems.assemble, problems._factor_spd
+
+        def recorded(*args, **kwargs):
+            op = assemble_(*args, **kwargs)
+            refs.extend([weakref.ref(op), weakref.ref(op.matrix)])
+            return op
+
+        def checked(*args, **kwargs):
+            dead.append([ref() is None for ref in refs])
+            return factor(*args, **kwargs)
+
+        monkeypatch.setattr(problems, "assemble", recorded)
+        monkeypatch.setattr(problems, "_factor_spd", checked)
+        if solve == "quadcurl":
+            solve_quadcurl(QuadCurlProblem(n=2, r=1, k=1))
+        else:
+            solve_stokes(StokesProblem(n=2, k=1))
+        assert len(refs) == (2 if solve == "quadcurl" else 6)
+        assert dead == [[True] * len(refs)]
+
+    def test_dissection_csc_is_the_permuted_matrix(self):
+        # the CSC of P A P^T by triplets, duplicates summed: the same arrays
+        for a, points in (self._quadcurl_block(1, 1, n=3), self._velocity_block(3)):
+            permuted, order, depth = _dissection_csc(a, points)
+            assert np.array_equal(order, _nested_dissection(points)[0]) and depth >= 1
+            coo = a.tocoo()
+            rank = np.empty_like(order)
+            rank[order] = np.arange(len(order))
+            expected = sp.csc_matrix((coo.data, (rank[coo.row], rank[coo.col])), shape=a.shape)
+            assert permuted.format == "csc" and permuted.has_sorted_indices
+            for name in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(permuted, name), getattr(expected, name)), name
 
     def test_each_factorization_is_logged(self, caplog):
         with caplog.at_level("DEBUG", logger="tetcomplex.problems"):
