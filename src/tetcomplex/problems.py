@@ -556,7 +556,6 @@ def _factor_spd(a, points):
     lu = spla.splu(
         permuted, permc_spec="NATURAL", diag_pivot_thresh=0.0, options={"SymmetricMode": True}
     )
-    del permuted
     seconds = time.perf_counter() - start
     _log.debug(
         "factored SPD matrix n=%d, nnz %d, LU fill %d, dissection depth %d, "
