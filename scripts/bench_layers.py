@@ -8,10 +8,10 @@ instead of taking the machine with it.  A row times, one after another:
 the structured mesh, the grad-curl space, its class tables, the stiffness
 assembly, the load of the manufactured forcing, the error norms of a
 zero field (the same work as for a solved field) twice, and the factor
-input (``factor_input``): the boundary restriction of the stiffness, the
-full matrix dropped, and the dissection-ordered CSC matrix that
-``problems._factor_spd`` hands to SuperLU, from the helper it calls
-(``problems._dissection_csc``; a source without it has no such layer).
+input (``factor_input``): ``problems._dissection_csc``'s one gather of the
+stiffness's interior rows into the dissection-ordered CSC of its interior
+block, which ``problems._factor_spd`` hands to SuperLU, and the full
+matrix dropped.
 The load (``load``) builds the per-class factors that load and error
 norms share, and both error-norm passes (``errors``, ``errors_again``)
 reuse them, so they time the per-cell work alone.  A
@@ -25,8 +25,10 @@ has uncommitted changes) and a digest of its ``src/tetcomplex`` files.
 Rows are run at the levels ``LEVELS``.
 
     python3 scripts/bench_layers.py --label change
-    python3 scripts/bench_layers.py --label parent --src ../parent/src --git-sha <sha>
+    python3 ../parent/scripts/bench_layers.py --label parent --out BENCH_assembly.json
 
+A parent's rows come from the parent checkout's own script, which calls
+the parent's API, with ``--out`` pointing at this checkout's BENCH file.
 Rows land in ``BENCH_assembly.json`` at the repository root (``--out``);
 rows of the same label and level are replaced, others are kept.
 """
@@ -146,7 +148,6 @@ def row(n, src, save_matrix=None):
         assemble_load,
         default_quadrature_degree,
         error_norms,
-        restrict_operator,
     )
     from tetcomplex.mesh import build_structured_cube
     from tetcomplex.problems import ManufacturedSolution
@@ -187,15 +188,13 @@ def row(n, src, save_matrix=None):
     del matrix
 
     def factor_input():
-        """The restriction, as the solve forms it, then the CSC handed to SuperLU."""
-        mask = space.boundary_mask
+        """The CSC handed to SuperLU, gathered as the solve gathers it; then the full matrix is dropped."""
         op = held.pop()
-        restricted = restrict_operator(op, mask, mask)
-        del op  # the solve keeps only the restriction
-        return problems._dissection_csc(restricted, space.dof_points()[~mask])[0]
+        permuted = problems._dissection_csc(op.matrix, space).matrix
+        del op  # the solve keeps only the interior block
+        return permuted
 
-    if hasattr(problems, "_dissection_csc"):
-        record["factor_input_nnz"] = int(layer("factor_input", factor_input).nnz)
+    record["factor_input_nnz"] = int(layer("factor_input", factor_input).nnz)
     return {**record, "peak_rss_mb": peak_rss_mb()}
 
 

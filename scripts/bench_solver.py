@@ -1,36 +1,38 @@
 #!/usr/bin/env python3
 """Stored entries, seconds and peak memory of the SPD direct solves, as BENCH rows.
 
-A row factors one restricted SPD matrix with ``problems._factor_spd`` of
-the measured source and solves once, for the matrix's own load:
+A row gathers the interior block of one SPD matrix with
+``problems._dissection_csc``, factors it with ``problems._factor_spd`` and
+solves once, for the matrix's own load:
 
 - ``quadcurl:<N>``: the grad-curl (1,1) stiffness and the quadcurl forcing;
 - ``velocity:<N>``: the Stokes (k=1) velocity block and the Stokes forcing.
 
 Each row runs in its own child process, with BLAS on one thread and the
 address-space limit of ``bench_layers.py``.  A record holds the matrix's
-size and nnz, the ordering, the entries the factor stores
-(``SuperLU.nnz``) and ``L.nnz + U.nnz`` (null when a copy of L or U
-does not fit under the limit), the seconds to order and factor
-and to solve once, the relative residual, and the peak RSS before the
-factor, after it and after the solve.  A source whose ``_factor_spd``
-takes the matrix alone orders by minimum degree; one that also takes the
-DOF points orders by nested dissection.
+size and nnz (of the interior block), the ordering, the entries the
+factor stores (``SuperLU.nnz``) and ``L.nnz + U.nnz`` (null when a copy
+of L or U does not fit under the limit), the seconds to order, gather
+and factor (``SpdFactor.seconds``) and to solve once, the relative
+residual on the interior DOFs, and the peak RSS before the factor, after
+it and after the solve.
 
     python3 scripts/bench_solver.py --label change
-    python3 scripts/bench_solver.py --label parent --src ../parent/src --git-sha <sha>
     python3 scripts/bench_solver.py --label change --rows quadcurl:24
+    python3 ../parent/scripts/bench_solver.py --label parent --out BENCH_solver.json
+
+A parent's rows come from the parent checkout's own script, which calls
+the parent's API, with ``--out`` pointing at this checkout's BENCH file.
 
 Rows land in ``BENCH_solver.json`` at the repository root (``--out``);
 rows of the same label, problem and level are replaced, others are kept.
-``--save-solution DIR`` also writes each row's solution as
-``<label>_<problem>_N<N>.npy``.
+``--save-solution DIR`` also writes each row's solution, in the space's
+numbering, as ``<label>_<problem>_N<N>.npy``.
 """
 
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import time
 from pathlib import Path
@@ -50,8 +52,6 @@ def row(name, src, save_solution=None):
         assemble,
         assemble_load,
         default_quadrature_degree,
-        restrict_operator,
-        restrict_vector,
     )
 
     problem, n = name.split(":")
@@ -73,32 +73,29 @@ def row(name, src, save_solution=None):
         f = assemble_load(space, ms.stokes_forcing_sample(), degree)
     else:
         raise SystemExit(f"unknown row {name!r}: quadcurl:<N> or velocity:<N>")
-    mask = space.boundary_mask
-    a0, f0 = restrict_operator(a, mask, mask), restrict_vector(f, mask)
+    a0 = problems._dissection_csc(a.matrix, space)
     del a
 
-    nested = "points" in inspect.signature(problems._factor_spd).parameters
     record = {
         "problem": problem,
         "N": n,
-        "n": int(a0.shape[0]),
-        "nnz": int(a0.nnz),
-        "ordering": "nested dissection" if nested else "minimum degree",
+        "n": int(a0.matrix.shape[0]),
+        "nnz": int(a0.matrix.nnz),
+        "ordering": "nested dissection",
         "setup_peak_rss_mb": peak_rss_mb(),
     }
-    start = time.perf_counter()
-    lu = problems._factor_spd(a0, space.dof_points()[~mask]) if nested else problems._factor_spd(a0)
-    record["factor_s"] = time.perf_counter() - start
+    lu = problems._factor_spd(a0)
+    record["factor_s"] = lu.seconds
     record["factor_peak_rss_mb"] = peak_rss_mb()
     start = time.perf_counter()
-    x = lu.solve(f0)
+    x = lu.solve(f)
     record["solve_s"] = time.perf_counter() - start
-    record["residual"] = float(np.linalg.norm(a0 @ x - f0) / np.linalg.norm(f0))
+    f0 = f[a0.dofs]
+    record["residual"] = float(np.linalg.norm(a0.matrix @ x[a0.dofs] - f0) / np.linalg.norm(f0))
     record["peak_rss_mb"] = peak_rss_mb()
     record["lu_nnz"] = int(lu.nnz)
-    superlu = lu.lu if nested else lu
     try:  # one triangle at a time: each is a copy of the factor's half
-        record["l_plus_u_nnz"] = int(superlu.L.nnz) + int(superlu.U.nnz)
+        record["l_plus_u_nnz"] = int(lu.lu.L.nnz) + int(lu.lu.U.nnz)
     except MemoryError:  # the copy does not fit under the address-space limit
         record["l_plus_u_nnz"] = None
     if save_solution:

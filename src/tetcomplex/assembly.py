@@ -822,30 +822,6 @@ def discrete_d(which, source, target):
 
 
 # ---------------------------------------------------------------------------
-# boundary restriction
-
-
-def restrict_operator(op: SparseOperator, row_mask=None, col_mask=None):
-    """Drop masked rows/columns (True in the mask = boundary = removed)."""
-    m = op.matrix
-    if row_mask is not None:
-        m = m[~row_mask, :]
-    if col_mask is not None:
-        m = m[:, ~col_mask]
-    return m.tocsr()
-
-
-def restrict_vector(vec, mask):
-    return np.asarray(vec)[~mask]
-
-
-def extend_vector(vec, mask):
-    out = np.zeros(len(mask))
-    out[~mask] = vec
-    return out
-
-
-# ---------------------------------------------------------------------------
 # error norms
 
 

@@ -93,6 +93,8 @@ def _merge_config(args, parser_defaults):
 
 
 def build_parser():
+    from .verify import GROUPS
+
     parser = argparse.ArgumentParser(
         prog="tetcomplex",
         description="Grad-curl conforming tetrahedral elements and discrete Stokes complexes",
@@ -115,10 +117,7 @@ def build_parser():
     el_info.add_argument("--k", type=int, required=True)
 
     verify = sub.add_parser("verify", help="run structural verification claims")
-    verify.add_argument(
-        "group",
-        choices=["all", "bubbles", "exactness", "unisolvence", "commuting", "rates"],
-    )
+    verify.add_argument("group", choices=("all", *GROUPS))
     verify.add_argument("--r", type=int, default=None)
     verify.add_argument("--k", type=int, default=None)
     verify.add_argument("--N", type=int, default=None)

@@ -26,6 +26,7 @@ import resource
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field as dc_field
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -39,9 +40,6 @@ from .assembly import (
     default_quadrature_degree,
     divergence_norm,
     error_norms,
-    extend_vector,
-    restrict_operator,
-    restrict_vector,
 )
 from .mesh import build_structured_cube
 from .quadrature import QuadratureRule
@@ -484,17 +482,33 @@ def _nested_dissection(points):
     return order, depth
 
 
-class SpdFactor:
-    """SuperLU factor of ``A[order][:, order]``; ``solve`` takes and returns the original order.
+class Dissection(NamedTuple):
+    """What ``_factor_spd`` factors: P A0 P^T as CSC, whose row and column r are those of A at ``dofs[r]``.
 
-    Every SPD system here is solved through one: the grad-curl stiffness,
-    the Stokes velocity block and the inf-sup eigenproblem.  ``seconds``
-    is the time to order and factor; ``nnz`` the entries the factor stores.
+    ``dofs``, the interior DOFs in nested-dissection order, is the one link
+    between a space's numbering and the factor; ``seconds`` is the time to
+    order and gather.
     """
 
-    def __init__(self, lu, order, seconds):
+    matrix: sp.csc_matrix
+    dofs: np.ndarray
+    depth: int
+    seconds: float
+
+
+class SpdFactor:
+    """SuperLU factor of a ``Dissection``; ``solve`` takes and returns vectors in the space's numbering.
+
+    Every SPD system here is solved through one: the grad-curl stiffness,
+    the Stokes velocity block and the inf-sup eigenproblem, each with
+    homogeneous boundary conditions.  ``dofs`` are the interior DOFs in
+    the factor's order; ``seconds`` is the time to order, gather and
+    factor; ``nnz`` the entries the factor stores.
+    """
+
+    def __init__(self, lu, dofs, seconds):
         self.lu = lu
-        self.order = order
+        self.dofs = dofs
         self.seconds = seconds
 
     @property
@@ -502,71 +516,84 @@ class SpdFactor:
         return self.lu.nnz
 
     def solve(self, rhs):
-        """Solution for a right-hand side of shape (n,) or (n, m)."""
-        y = self.lu.solve(np.asarray(rhs)[self.order])
-        x = np.empty_like(y)
-        x[self.order] = y
+        """Solution for ``rhs`` of shape (dim,) or (dim, m): its interior entries read, exactly 0 on the boundary."""
+        rhs = np.asarray(rhs)
+        y = self.lu.solve(rhs[self.dofs])
+        x = np.zeros((len(rhs),) + y.shape[1:], dtype=y.dtype)
+        x[self.dofs] = y
         return x
 
 
-# Entries whose column labels ``_dissection_csc`` relabels at a time.
-_RELABEL_CHUNK = 1 << 20
+# Entries that ``_dissection_csc`` gathers and relabels at a time: about
+# 1.5 MB of transients, small beside the interior block from N = 8 on.
+_GATHER_CHUNK = 1 << 15
 
 
-def _dissection_csc(a, points):
-    """The CSC matrix that ``_factor_spd`` factors: ``a`` ordered by nested dissection of ``points``.
+def _dissection_csc(a, space):
+    """The ``Dissection`` of the CSR matrix ``a``, in ``space``'s numbering, for ``_factor_spd``.
 
-    Returns (P A P^T as CSC, the order, the dissection depth), row and
-    column r of the result being row and column ``order[r]`` of A.  One
-    gather of A's CSR rows in that order (``csr[order]``), a relabel of
-    their columns by rank, a chunk at a time, and a sort within each row,
-    in place, give the CSR of P A P^T with sorted rows, whose arrays are
-    the CSC of its transpose: that of P A P^T itself, as every matrix
-    factored here is symmetric.  No triplets are formed and no duplicates
-    summed.
-    """
-    order, depth = _nested_dissection(points)
-    rows = a.tocsr()[order]
-    indices = rows.indices
-    rank = np.empty(len(order), dtype=indices.dtype)
-    rank[order] = np.arange(len(order))
-    for lo in range(0, len(indices), _RELABEL_CHUNK):
-        indices[lo:lo + _RELABEL_CHUNK] = rank[indices[lo:lo + _RELABEL_CHUNK]]
-    permuted = sp.csc_matrix((rows.data, indices, rows.indptr), shape=a.shape)
-    permuted.sort_indices()
-    return permuted, order, depth
-
-
-def _factor_spd(a, points):
-    """SuperLU factor of an SPD matrix, ordered by nested dissection of its DOFs.
-
-    ``points`` are the integer DOF points of the matrix's rows
-    (``GlobalSpace.dof_points`` restricted like the matrix).  Rows and
-    columns are permuted by ``_nested_dissection`` of those points
-    (``_dissection_csc``), and SuperLU keeps that order (``NATURAL``,
-    ``SymmetricMode``) and always takes the diagonal pivot
-    (``diag_pivot_thresh=0``): a Cholesky-shaped LU whose fill is confined
-    to the separators' blocks.  A matrix that is not SPD is not detected
-    here; the callers' residual and curvature checks raise SolverFailure
-    for it.
+    The interior DOFs (not in ``space.boundary_mask``) are ordered by
+    ``_nested_dissection`` of their points.  One pass over their rows, in
+    that order and a chunk of entries at a time, copies them into one
+    buffer, relabels each column by its rank and drops the boundary
+    columns (rank -1); the buffer is then shrunk in place.  A sort within
+    each row gives the CSR of P A0 P^T, whose arrays are the CSC of its
+    transpose: that of P A0 P^T itself, as every matrix factored here is
+    symmetric.  No triplets are formed and no duplicates summed.
     """
     start = time.perf_counter()
-    permuted, order, depth = _dissection_csc(a, points)
-    ordered = time.perf_counter() - start
-    lu = spla.splu(
-        permuted, permc_spec="NATURAL", diag_pivot_thresh=0.0, options={"SymmetricMode": True}
-    )
-    seconds = time.perf_counter() - start
+    interior = np.flatnonzero(~space.boundary_mask)
+    order, depth = _nested_dissection(space.dof_points()[interior])
+    dofs = interior[order]
+    rank = np.full(a.shape[0], -1, dtype=a.indices.dtype)
+    rank[dofs] = np.arange(len(dofs))
+    first = a.indptr[dofs]
+    lengths = a.indptr[dofs + 1] - first
+    indices = np.empty(int(lengths.sum()), dtype=a.indices.dtype)
+    data = np.empty(len(indices), dtype=a.data.dtype)
+    indptr = np.zeros(len(dofs) + 1, dtype=a.indptr.dtype)
+    step = max(1, _GATHER_CHUNK // int(lengths.max(initial=1)))
+    for lo in range(0, len(dofs), step):
+        n = lengths[lo:lo + step]
+        ends, hi = np.cumsum(n), lo + len(n)
+        at = np.repeat(first[lo:hi] - (ends - n), n) + np.arange(ends[-1])
+        columns = rank[a.indices[at]]
+        inside = columns >= 0
+        within = np.concatenate(([0], np.cumsum(inside)))  # entries kept before each position
+        indptr[lo + 1:hi + 1] = indptr[lo] + within[ends]
+        indices[indptr[lo]:indptr[hi]] = columns[inside]
+        data[indptr[lo]:indptr[hi]] = a.data[at[inside]]
+    indices.resize(indptr[-1], refcheck=False)
+    data.resize(indptr[-1], refcheck=False)
+    permuted = sp.csc_matrix((data, indices, indptr), shape=(len(dofs), len(dofs)))
+    permuted.sort_indices()
+    return Dissection(permuted, dofs, depth, time.perf_counter() - start)
+
+
+def _factor_spd(dissection):
+    """SuperLU factor of the SPD matrix of a ``Dissection`` (``_dissection_csc``).
+
+    SuperLU keeps the dissection's order (``NATURAL``, ``SymmetricMode``)
+    and always takes the diagonal pivot (``diag_pivot_thresh=0``): a
+    Cholesky-shaped LU whose fill is confined to the separators' blocks.
+    A matrix that is not SPD is not detected here; the callers' residual
+    and curvature checks raise SolverFailure for it.  The factor's
+    ``seconds`` add the dissection's own.
+    """
+    start = time.perf_counter()
+    a0 = dissection.matrix
+    lu = spla.splu(a0, permc_spec="NATURAL", diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+    seconds = dissection.seconds + time.perf_counter() - start
     _log.debug(
         "factored SPD matrix n=%d, nnz %d, LU fill %d, dissection depth %d, "
         "ordering %.4f s, in %.3f s",
-        a.shape[0], a.nnz, lu.nnz, depth, ordered, seconds,
+        a0.shape[0], a0.nnz, lu.nnz, dissection.depth, dissection.seconds, seconds,
     )
-    return SpdFactor(lu, order, seconds)
+    return SpdFactor(lu, dissection.dofs, seconds)
 
 
 def solve_quadcurl(problem: QuadCurlProblem):
-    """Solve the restricted fourth-order system; returns (coeffs, report row).
+    """Solve the fourth-order system on the interior DOFs; returns (coeffs, report row).
 
     The system is solved by one ``_factor_spd`` factor, so the row's
     ``iterations`` is 1; ``lu_nnz`` and ``factor_s`` are the factor's fill
@@ -579,22 +606,21 @@ def solve_quadcurl(problem: QuadCurlProblem):
     quad_degree = problem.quad_degree or default_quadrature_degree(problem.r, problem.k, v.basis_degree)
     with timings.stage("assemble"):
         a = assemble("gradcurl_stiffness", v, quad_degree)
-    mask = v.boundary_mask
-    a0 = restrict_operator(a, mask, mask)
-    del a  # the restriction alone is factored and checked
+    with timings.stage("solve"):
+        a0 = _dissection_csc(a.matrix, v)
+    del a  # the interior block alone is factored and checked
     with timings.stage("load"):
         f = assemble_load(v, problem.solution.forcing_sample(), quad_degree)
-    f0 = restrict_vector(f, mask)
     with timings.stage("solve"):
-        lu = _factor_spd(a0, v.dof_points()[~mask])
-        x = lu.solve(f0)
+        lu = _factor_spd(a0)
+        coeffs = lu.solve(f)
+    f0 = f[a0.dofs]
     rhs_norm = float(np.linalg.norm(f0)) or 1.0
-    residual = float(np.linalg.norm(a0 @ x - f0)) / rhs_norm
+    residual = float(np.linalg.norm(a0.matrix @ coeffs[a0.dofs] - f0)) / rhs_norm
     if residual > problem.tol * 10:
         raise SolverFailure(f"linear solve residual {residual:.3e} above tolerance", 1, residual)
-    coeffs = extend_vector(x, mask)
     lu_nnz, factor_s = lu.nnz, lu.seconds
-    del lu  # so that the error norms' transients do not stack on the factor
+    del lu, a0  # so that the error norms' transients do not stack on the factor
     with timings.stage("errors"):
         errs = error_norms(v, coeffs, problem.solution.solution_sample(), quad_degree)
     row = {
@@ -634,16 +660,15 @@ def solve_stokes(problem: StokesProblem):
         a = assemble("h1", vel, quad_degree)
         b = assemble("div_pressure", vel, quad_degree, pressure_space=pre)
         mw = assemble("mass", pre, quad_degree)
-    mask = vel.boundary_mask
-    a0 = restrict_operator(a, mask, mask)
-    a0.data *= problem.viscosity  # in place: the restriction is a copy, and no unscaled one stays
-    b0 = b.matrix[:, ~mask]
-    del a, b  # the saddle-point solve needs the restrictions alone
+    with timings.stage("solve"):
+        a0 = _dissection_csc(a.matrix, vel)
+        b_t = b.matrix.T.tocsr()  # B^T, built once: every CG iteration applies it and B
+    a0.matrix.data *= problem.viscosity  # in place: the gather is a copy, and no unscaled one stays
+    del a, b  # the saddle-point solve needs the interior block and B^T alone
     with timings.stage("load"):
         f = assemble_load(
             vel, problem.solution.stokes_forcing_sample(problem.viscosity), quad_degree
         )
-    f0 = restrict_vector(f, mask)
 
     with timings.stage("interpolate"):
         q_const = _pressure_constant_coeffs(pre)
@@ -651,12 +676,9 @@ def solve_stokes(problem: StokesProblem):
     del mw
 
     with timings.stage("solve"):
-        u0, p, iters, lu = _solve_saddle(
-            a0, b0, f0, q_const, c_vec, problem.tol, vel.dof_points()[~mask]
-        )
-    coeffs = extend_vector(u0, mask)
+        coeffs, p, iters, lu = _solve_saddle(a0, b_t, f, q_const, c_vec, problem.tol)
     lu_nnz, factor_s = lu.nnz, lu.seconds
-    del lu  # released before the error norms, as in solve_quadcurl
+    del lu, a0, b_t  # released before the error norms, as in solve_quadcurl
 
     with timings.stage("errors"):
         div_norm = divergence_norm(vel, coeffs, quad_degree)
@@ -679,29 +701,30 @@ def solve_stokes(problem: StokesProblem):
     return coeffs, p, report
 
 
-def _solve_saddle(a0, b0, f0, q_const, c_vec, tol, points):
+def _solve_saddle(a0, b_t, f, q_const, c_vec, tol):
     """Velocity and pressure of the saddle-point system A u - B^T p = f, B u = 0.
 
     Pressures are taken modulo the constant ``q_const`` and projected onto
     ``c_vec . q = 0`` (``c_vec`` maps a pressure to its integral).  One
-    factor of the SPD velocity block A, ordered by the velocity DOF
-    ``points``, serves the projected Schur-complement CG and the velocity
-    back-solve.  Returns (u0, p, CG iterations, SpdFactor).
+    factor of the ``Dissection`` ``a0`` of the SPD velocity block A serves
+    the projected Schur-complement CG and the velocity back-solve, whose
+    zeros on the boundary DOFs meet B's (``b_t`` is B^T as CSR) boundary
+    columns.  Returns (u, p, CG iterations, SpdFactor).
     """
-    lu = _factor_spd(a0, points)
-    b0_t = b0.T.tocsr()  # built once: every CG iteration applies it
+    lu = _factor_spd(a0)
+    b = b_t.T  # a CSC view of B, no copy
 
     def project(q):
         return q - q_const * (c_vec @ q)
 
     def schur(q):
-        return project(b0 @ lu.solve(b0_t @ project(q)))
+        return project(b @ lu.solve(b_t @ project(q)))
 
-    rhs = project(-(b0 @ lu.solve(f0)))
+    rhs = project(-(b @ lu.solve(f)))
     p, iters = _cg_operator(schur, rhs, tol=tol)
     p = project(p)
-    u0 = lu.solve(f0 + b0_t @ p)
-    return u0, p, iters, lu
+    u = lu.solve(f + b_t @ p)
+    return u, p, iters, lu
 
 
 def _pressure_error(space, coeffs, exact, quad_degree):
@@ -760,19 +783,12 @@ def inf_sup_constant(n, k):
     spaces = get_spaces(n, k, k, ["velocity", "pressure"])
     vel, pre = spaces["velocity"], spaces["pressure"]
     quad_degree = default_quadrature_degree(k, k, vel.basis_degree)
-    a1 = (
-        assemble("h1", vel, quad_degree).matrix
-        + assemble("mass", vel, quad_degree).matrix
-    )
-    b = assemble("div_pressure", vel, quad_degree, pressure_space=pre)
-    mask = vel.boundary_mask
-    a0 = a1[:, ~mask][~mask, :]
-    b0 = b.matrix[:, ~mask]
+    a1 = assemble("h1", vel, quad_degree).matrix + assemble("mass", vel, quad_degree).matrix
+    b = assemble("div_pressure", vel, quad_degree, pressure_space=pre).matrix.toarray()
     mw = assemble("mass", pre, quad_degree).matrix.todense()
 
-    lu = _factor_spd(a0, vel.dof_points()[~mask])
-    bt = np.asarray(b0.todense()).T
-    s = np.asarray(b0.todense()) @ lu.solve(bt)
+    lu = _factor_spd(_dissection_csc(a1, vel))
+    s = b @ lu.solve(b.T)
 
     q_const = _pressure_constant_coeffs(pre)
     c = np.asarray(mw @ q_const).ravel()

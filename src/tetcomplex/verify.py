@@ -619,18 +619,23 @@ def check_dimension_formulas(levels=(1, 2, 3), configs=((1, 1), (2, 2), (3, 3)))
     return out
 
 
+# the claim groups of ``verify_all``, in the order it runs them
+GROUPS = ("dims", "poincare", "bubbles", "exactness", "unisolvence", "commuting", "inclusion", "stokes", "rates")
+
+
 def verify_all(groups=None, configs=None, levels=None):
-    """Run claim groups (default: all) and assemble a report.
+    """Run claim groups (default: all of ``GROUPS``; another raises ValueError) and assemble a report.
 
     ``configs``, a sequence of (r, k) pairs, narrows every check that runs
     per configuration (the exactness, unisolvence and inclusion groups);
     None runs each at its own default configurations.  The commuting,
     stokes and rates claims hold for fixed configurations.
     """
+    selected = groups or GROUPS
+    if unknown := [g for g in selected if g not in GROUPS]:
+        raise ValueError(f"unknown claim groups: {', '.join(unknown)} (known: {', '.join(GROUPS)})")
     per_config = {} if configs is None else {"configs": configs}
     results = []
-    selected = groups or ["dims", "poincare", "bubbles", "exactness", "unisolvence",
-                          "commuting", "inclusion", "stokes", "rates"]
     if "dims" in selected:
         results += check_dimension_fingerprint()
     if "poincare" in selected:

@@ -26,7 +26,6 @@ from tetcomplex.assembly import (
     discrete_d,
     divergence_norm,
     error_norms,
-    restrict_operator,
 )
 from tetcomplex.elements import (
     SPACE_KINDS,
@@ -205,8 +204,8 @@ class TestForms:
     def test_stiffness_spd_after_restriction(self, spaces1):
         a = assemble("gradcurl_stiffness", spaces1["gradcurl"])
         assert a.check_symmetry()
-        mask = spaces1["gradcurl"].boundary_mask
-        a0 = np.asarray(restrict_operator(a, mask, mask).todense())
+        interior = ~spaces1["gradcurl"].boundary_mask
+        a0 = a.matrix.toarray()[np.ix_(interior, interior)]
         rng = np.random.default_rng(0)
         for _ in range(20):
             x = rng.standard_normal(a0.shape[0])

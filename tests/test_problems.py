@@ -1,6 +1,7 @@
 """Model problems: manufactured fields, solves, Stokes, convergence machinery."""
 
 import dataclasses
+import tracemalloc
 import weakref
 from itertools import permutations, product
 
@@ -16,8 +17,6 @@ from tetcomplex.assembly import (
     assemble,
     default_quadrature_degree,
     discrete_d,
-    restrict_operator,
-    restrict_vector,
 )
 from tetcomplex.problems import (
     DERIVATIVE,
@@ -221,11 +220,8 @@ class TestQuadCurlSolve:
         spaces = get_spaces(2, 1, 1, ["gradcurl"])
         v = spaces["gradcurl"]
         a = assemble("gradcurl_stiffness", v, 8)
-        mask = v.boundary_mask
-        a0 = restrict_operator(a, mask, mask)
-        f0 = np.zeros(a0.shape[0])
-        x = _factor_spd(a0, v.dof_points()[~mask]).solve(f0)
-        assert np.abs(x).max() == 0.0
+        x = _factor_spd(_dissection_csc(a.matrix, v)).solve(np.zeros(v.dim))
+        assert x.shape == (v.dim,) and np.abs(x).max() == 0.0
 
     def test_errors_decrease(self):
         rows = []
@@ -250,10 +246,8 @@ class TestQuadCurlSolve:
         qd = 2 * v.basis_degree
         a = assemble("gradcurl_stiffness", v, qd)
         f = assemble_load(v, ManufacturedSolution().forcing_sample(), qd)
-        mask = v.boundary_mask
-        resid = restrict_vector(f, mask) - restrict_operator(a, mask, mask) @ restrict_vector(
-            coeffs, mask
-        )
+        # the coefficients vanish on the boundary DOFs, so these rows are those of the interior system
+        resid = (f - a.matrix @ coeffs)[~v.boundary_mask]
         assert np.abs(resid).max() < 1e-9 * max(1.0, np.abs(f).max())
 
     def test_discrete_curl_is_divergence_free(self):
@@ -292,17 +286,15 @@ class TestStokes:
         vel, pre = spaces["velocity"], spaces["pressure"]
         a = assemble("h1", vel, qd)
         b = assemble("div_pressure", vel, qd, pressure_space=pre)
-        mask = vel.boundary_mask
         qc = _pressure_constant_coeffs(pre)
         cvec = assemble("mass", pre, qd).matrix @ qc
-        return vel, restrict_operator(a, mask, mask), b.matrix[:, ~mask], qc, cvec
+        return vel, _dissection_csc(a.matrix, vel), b.matrix.T.tocsr(), qc, cvec
 
     def test_zero_forcing(self):
-        vel, a0, b0, qc, cvec = self._saddle_blocks(10)
-        points = vel.dof_points()[~vel.boundary_mask]
-        u0, p, its, _ = _solve_saddle(a0, b0, np.zeros(a0.shape[0]), qc, cvec, 1e-12, points)
+        vel, a0, b_t, qc, cvec = self._saddle_blocks(10)
+        u, p, its, _ = _solve_saddle(a0, b_t, np.zeros(vel.dim), qc, cvec, 1e-12)
         assert its == 0
-        assert np.abs(u0).max() == 0.0 and np.abs(p).max() == 0.0
+        assert np.abs(u).max() == 0.0 and np.abs(p).max() == 0.0
 
     def test_gradient_forcing_gives_zero_velocity(self):
         # pressure-gradient forcing is invisible to the div-free velocity space
@@ -310,14 +302,10 @@ class TestStokes:
 
         ms = ManufacturedSolution()
         qd = 12
-        vel, a0, b0, qc, cvec = self._saddle_blocks(qd)
-        f0 = restrict_vector(
-            assemble_load(vel, FieldSample(lambda pts: ms.pressure_gradient(pts)), qd),
-            vel.boundary_mask,
-        )
-        points = vel.dof_points()[~vel.boundary_mask]
-        u0, _, _, _ = _solve_saddle(a0, b0, f0, qc, cvec, 1e-12, points)
-        assert np.abs(u0).max() < 1e-10
+        vel, a0, b_t, qc, cvec = self._saddle_blocks(qd)
+        f = assemble_load(vel, FieldSample(lambda pts: ms.pressure_gradient(pts)), qd)
+        u, _, _, _ = _solve_saddle(a0, b_t, f, qc, cvec, 1e-12)
+        assert np.abs(u).max() < 1e-10
 
     def test_n4_iterations_and_velocity_error_pinned(self):
         # the values before the symmetric minimum-degree factorization
@@ -428,13 +416,16 @@ class TestFactorSpd:
 
     @staticmethod
     def _block(space):
-        """Restricted SPD matrix of a velocity (h1) or grad-curl space, and its DOF points."""
+        """The SPD matrix of a velocity (h1) or grad-curl space, in the space's numbering, and the space."""
         if space.kind == "velocity":
-            a = assemble("h1", space, 10)
-        else:
-            a = assemble("gradcurl_stiffness", space, 2 * space.basis_degree)
-        mask = space.boundary_mask
-        return restrict_operator(a, mask, mask), space.dof_points()[~mask]
+            return assemble("h1", space, 10).matrix, space
+        return assemble("gradcurl_stiffness", space, 2 * space.basis_degree).matrix, space
+
+    @staticmethod
+    def _interior(a, space):
+        """The reference restriction: ``a`` indexed to the interior rows and columns, and those DOFs."""
+        interior = np.flatnonzero(~space.boundary_mask)
+        return a[interior][:, interior], interior
 
     def _quadcurl_block(self, r, k, n=2):
         return self._block(get_spaces(n, r, k, ["gradcurl"])["gradcurl"])
@@ -465,13 +456,16 @@ class TestFactorSpd:
             space = get_spaces(mesh, *rk, [kind])[kind]
         else:
             space = GlobalSpace(numbering_meshes[mesh], kind, *rk)
-        a, points = self._block(space)
-        lu, ref = _factor_spd(a, points), spla.splu(a.tocsc())
-        rhs = np.random.default_rng(7).standard_normal((a.shape[0], 3))
+        # right-hand sides and solutions in the space's numbering, exactly 0 on its boundary
+        a, _ = self._block(space)
+        a0, interior = self._interior(a, space)
+        lu, ref = _factor_spd(_dissection_csc(a, space)), spla.splu(a0.tocsc())
+        rhs = np.random.default_rng(7).standard_normal((space.dim, 3))
         for b in (rhs[:, 0], rhs):
-            x, expected = lu.solve(b), ref.solve(b)
+            x, expected = lu.solve(b), ref.solve(b[interior])
             assert x.shape == b.shape
-            assert np.linalg.norm(x - expected) <= 1e-10 * np.linalg.norm(expected)
+            assert np.all(x[space.boundary_mask] == 0)
+            assert np.linalg.norm(x[interior] - expected) <= 1e-10 * np.linalg.norm(expected)
 
     @pytest.mark.parametrize("kind", ["velocity", "gradcurl"])
     @pytest.mark.parametrize("n", [3, 4])
@@ -495,18 +489,19 @@ class TestFactorSpd:
     def test_store_below_minimum_degree_at_n8(self):
         import scipy.sparse.linalg as spla
 
-        for a, points in (self._quadcurl_block(1, 1, n=8), self._velocity_block(8)):
+        for a, space in (self._quadcurl_block(1, 1, n=8), self._velocity_block(8)):
             mmd = spla.splu(
-                a.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                self._interior(a, space)[0].tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                 options={"SymmetricMode": True},
             )
-            assert _factor_spd(a, points).nnz < mmd.nnz
+            assert _factor_spd(_dissection_csc(a, space)).nnz < mmd.nnz
 
     def test_fill_below_default_at_n4(self):
         import scipy.sparse.linalg as spla
 
-        a, points = self._velocity_block(4)
-        fill, default_fill = _factor_spd(a, points).nnz, spla.splu(a.tocsc()).nnz
+        a, space = self._velocity_block(4)
+        fill = _factor_spd(_dissection_csc(a, space)).nnz
+        default_fill = spla.splu(self._interior(a, space)[0].tocsc()).nnz
         assert fill < default_fill
         # nested dissection: 46954 against COLAMD's 111091 (minimum degree on A + A^T: 48990)
         assert 2 * fill <= default_fill
@@ -514,10 +509,10 @@ class TestFactorSpd:
     def test_reports_carry_lu_fill(self):
         # the fill depends on the sparsity pattern alone, not on the quadrature
         _, row = solve_quadcurl(QuadCurlProblem(n=2, r=1, k=1))
-        assert row["lu_nnz"] == _factor_spd(*self._quadcurl_block(1, 1)).nnz > 0
+        assert row["lu_nnz"] == _factor_spd(_dissection_csc(*self._quadcurl_block(1, 1))).nnz > 0
         assert row["factor_s"] > 0
         _, _, rep = solve_stokes(StokesProblem(n=2, k=1))
-        assert rep["lu_nnz"] == _factor_spd(*self._velocity_block(2)).nnz > 0
+        assert rep["lu_nnz"] == _factor_spd(_dissection_csc(*self._velocity_block(2))).nnz > 0
         assert rep["factor_s"] > 0
 
     @pytest.mark.parametrize("solve", ["quadcurl", "stokes"])
@@ -546,18 +541,46 @@ class TestFactorSpd:
         assert len(refs) == (2 if solve == "quadcurl" else 6)
         assert dead == [[True] * len(refs)]
 
-    def test_dissection_csc_is_the_permuted_matrix(self):
-        # the CSC of P A P^T by triplets, duplicates summed: the same arrays
-        for a, points in (self._quadcurl_block(1, 1, n=3), self._velocity_block(3)):
-            permuted, order, depth = _dissection_csc(a, points)
-            assert np.array_equal(order, _nested_dissection(points)[0]) and depth >= 1
-            coo = a.tocoo()
+    def test_dissection_csc_is_the_permuted_matrix(self, numbering_meshes, monkeypatch):
+        # against two passes: the full matrix indexed to the interior rows and columns, then
+        # the CSC of P A0 P^T by triplets, duplicates summed; the same arrays and dtypes, also
+        # when each chunk of the gather holds a single row
+        from tetcomplex import problems
+
+        blocks = [self._quadcurl_block(1, 1, n=3), self._velocity_block(3)]
+        blocks += [
+            self._block(GlobalSpace(numbering_meshes[mesh], kind, 1, 1))
+            for mesh in ("permuted", "jittered") for kind in ("gradcurl", "velocity")
+        ]
+        for a, space in blocks:
+            a0, interior = self._interior(a, space)
+            order, depth = _nested_dissection(space.dof_points()[interior])
+            coo = a0.tocoo()
             rank = np.empty_like(order)
             rank[order] = np.arange(len(order))
-            expected = sp.csc_matrix((coo.data, (rank[coo.row], rank[coo.col])), shape=a.shape)
-            assert permuted.format == "csc" and permuted.has_sorted_indices
-            for name in ("indptr", "indices", "data"):
-                assert np.array_equal(getattr(permuted, name), getattr(expected, name)), name
+            expected = sp.csc_matrix((coo.data, (rank[coo.row], rank[coo.col])), shape=a0.shape)
+            for chunk in (problems._GATHER_CHUNK, 1):
+                monkeypatch.setattr(problems, "_GATHER_CHUNK", chunk)
+                permuted, dofs, got_depth, seconds = _dissection_csc(a, space)
+                assert np.array_equal(dofs, interior[order]) and got_depth == depth >= 1 and seconds > 0
+                assert permuted.format == "csc" and permuted.has_sorted_indices
+                for name in ("indptr", "indices", "data"):
+                    got, want = getattr(permuted, name), getattr(expected, name)
+                    assert got.dtype == want.dtype and np.array_equal(got, want), name
+
+    @pytest.mark.parametrize("kind", ["gradcurl", "velocity"])
+    def test_gather_below_twice_the_interior_block(self, kind):
+        # the restriction by two fancy-index passes and a gather of its rows peaked at 2.44
+        # (grad-curl) and 2.47 (velocity) times the CSC it gave
+        space = get_spaces(8, 1, 1, [kind])[kind]
+        a, _ = self._block(space)
+        tracemalloc.start()
+        try:
+            permuted = _dissection_csc(a, space).matrix
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * (permuted.data.nbytes + permuted.indices.nbytes + permuted.indptr.nbytes)
 
     def test_each_factorization_is_logged(self, caplog):
         with caplog.at_level("DEBUG", logger="tetcomplex.problems"):
@@ -566,7 +589,7 @@ class TestFactorSpd:
             rec.getMessage() for rec in caplog.records if rec.name == "tetcomplex.problems"
         ]
         assert len(messages) == 1
-        a, _ = self._velocity_block(2)
+        a, _ = self._interior(*self._velocity_block(2))
         head = f"factored SPD matrix n={a.shape[0]}, nnz {a.nnz}, LU fill "
         assert messages[0].startswith(head)
         assert float(messages[0].split(" in ")[1].removesuffix(" s")) >= 0

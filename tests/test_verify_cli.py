@@ -11,6 +11,7 @@ import pytest
 from tetcomplex import cli
 from tetcomplex.cli import main
 from tetcomplex.verify import (
+    GROUPS,
     check_bubbles,
     check_commuting,
     check_dimension_fingerprint,
@@ -238,6 +239,33 @@ class TestCli:
             monkeypatch.setenv(name, "7")
         assert main(["--threads", "2", "mesh", "info", "--N", "1"]) == 0
         assert [os.environ[name] for name in names] == ["2", "2", "2"]
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("group", ("all", *GROUPS))
+    def test_every_group_parses(self, group, capsys, monkeypatch):
+        from tetcomplex import verify
+
+        seen = []
+
+        def recorded(groups, configs, levels=None):
+            seen.append((groups, configs))
+            return VerificationReport([])
+
+        monkeypatch.setattr(verify, "verify_all", recorded)
+        assert main(["verify", group, "--r", "1", "--k", "1"]) == 0
+        assert seen == [(None if group == "all" else [group], ((1, 1),))]
+        capsys.readouterr()
+
+    def test_verify_dims_end_to_end(self, capsys):
+        assert main(["verify", "dims"]) == 0
+        out = capsys.readouterr().out
+        assert "PASS  dims-lowest-order" in out and out.rstrip().endswith("OVERALL PASS")
+
+    def test_unknown_group_raises(self, capsys):
+        # an empty report would print OVERALL PASS
+        with pytest.raises(ValueError, match="unknown claim groups: nope"):
+            verify_all(["dims", "nope"])
+        assert main(["verify", "nope"]) == 3
         capsys.readouterr()
 
     def test_verify_single_group(self, capsys, tmp_path):
