@@ -172,8 +172,12 @@ def row(n, src, save_matrix=None):
     layer("errors", lambda: error_norms(space, np.zeros(space.dim), ms.solution_sample(), degree))
     layer("errors_again", lambda: error_norms(space, np.zeros(space.dim), ms.solution_sample(), degree))
     matrix = held[0].matrix
-    pattern = hashlib.sha256(matrix.indptr.astype(np.int64).tobytes())
-    pattern.update(matrix.indices.astype(np.int64).tobytes())
+    # the int64 bytes of indptr then indices, hashed a slice at a time: two whole int64
+    # copies of the pattern at once would set the peak RSS of the layer that follows
+    pattern = hashlib.sha256()
+    for array in (matrix.indptr, matrix.indices):
+        for lo in range(0, len(array), 1 << 20):
+            pattern.update(array[lo:lo + (1 << 20)].astype(np.int64).tobytes())
     if save_matrix:
         np.savez(save_matrix, indptr=matrix.indptr, indices=matrix.indices, data=matrix.data)
     record.update({

@@ -547,22 +547,20 @@ def _dissection_csc(a, space):
     dofs = interior[order]
     rank = np.full(a.shape[0], -1, dtype=a.indices.dtype)
     rank[dofs] = np.arange(len(dofs))
-    first = a.indptr[dofs]
-    lengths = a.indptr[dofs + 1] - first
+    lengths = a.indptr[dofs + 1] - a.indptr[dofs]
     indices = np.empty(int(lengths.sum()), dtype=a.indices.dtype)
     data = np.empty(len(indices), dtype=a.data.dtype)
     indptr = np.zeros(len(dofs) + 1, dtype=a.indptr.dtype)
     step = max(1, _GATHER_CHUNK // int(lengths.max(initial=1)))
     for lo in range(0, len(dofs), step):
-        n = lengths[lo:lo + step]
-        ends, hi = np.cumsum(n), lo + len(n)
-        at = np.repeat(first[lo:hi] - (ends - n), n) + np.arange(ends[-1])
-        columns = rank[a.indices[at]]
+        rows = a[dofs[lo:lo + step]]
+        hi = lo + rows.shape[0]
+        columns = rank[rows.indices]
         inside = columns >= 0
         within = np.concatenate(([0], np.cumsum(inside)))  # entries kept before each position
-        indptr[lo + 1:hi + 1] = indptr[lo] + within[ends]
+        indptr[lo + 1:hi + 1] = indptr[lo] + within[rows.indptr[1:]]
         indices[indptr[lo]:indptr[hi]] = columns[inside]
-        data[indptr[lo]:indptr[hi]] = a.data[at[inside]]
+        data[indptr[lo]:indptr[hi]] = rows.data[inside]
     indices.resize(indptr[-1], refcheck=False)
     data.resize(indptr[-1], refcheck=False)
     permuted = sp.csc_matrix((data, indices, indptr), shape=(len(dofs), len(dofs)))
