@@ -557,8 +557,8 @@ def _dissection_csc(a, space):
         hi = lo + rows.shape[0]
         columns = rank[rows.indices]
         inside = columns >= 0
-        within = np.concatenate(([0], np.cumsum(inside)))  # entries kept before each position
-        indptr[lo + 1:hi + 1] = indptr[lo] + within[rows.indptr[1:]]
+        kept = np.add.reduceat(inside, rows.indptr[:-1], dtype=np.int32)  # no row is empty: each holds its diagonal
+        indptr[lo + 1:hi + 1] = indptr[lo] + np.cumsum(kept)
         indices[indptr[lo]:indptr[hi]] = columns[inside]
         data[indptr[lo]:indptr[hi]] = rows.data[inside]
     indices.resize(indptr[-1], refcheck=False)
