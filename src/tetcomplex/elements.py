@@ -37,8 +37,8 @@ import numpy as np
 
 from .bubbles import interior_bubbles, layered_targets, scalar_face_bubble, solve_div
 from .mesh import REF_EDGE_VERTICES, REF_FACE_VERTICES, AffineMap, MeshTopology, _rounded
-from .polyalg.poincare import _CYCLIC
 from .polyalg.spaces import (
+    _CYCLIC,
     IntegerFields,
     degree_of_columns,
     derivative_gathers,

@@ -23,7 +23,7 @@ from math import lcm
 
 import numpy as np
 
-from .spaces import degree_of_columns, monomial_exponents
+from .spaces import _CYCLIC, degree_of_columns, monomial_exponents
 from .split import _mul_tables
 
 
@@ -73,10 +73,6 @@ def potential_table(degree, base, power=1):
                 table[l, rows[key[:3]], col] += v * scale * (top // (key[3] + 1))
     table.flags.writeable = False
     return s ** (degree + 1) * top, table
-
-
-# (i, j, k) with Levi-Civita symbol +1; (i, k, j) has -1
-_CYCLIC = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
 
 
 def scalar_potential(nums, den, base=(0, 0, 0)):

@@ -80,6 +80,22 @@ def derivatives(nums, axis):
     return np.stack([nums[..., columns] * factors for columns, factors in gathers], axis=axis)
 
 
+# (i, j, k) with Levi-Civita symbol +1; (i, k, j) has -1
+_CYCLIC = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+
+
+def curl(nums):
+    """The curls of vector numerators (..., 3 components, monomials): one degree lower."""
+    d = derivatives(nums, axis=-2)  # [..., component, axis, :]
+    return np.stack([d[..., k, j, :] - d[..., j, k, :] for _, j, k in _CYCLIC], axis=-2)
+
+
+def divergence(nums):
+    """The divergences of vector numerators (..., 3 components, monomials): one degree lower."""
+    d = derivatives(nums, axis=-2)
+    return d[..., 0, 0, :] + d[..., 1, 1, :] + d[..., 2, 2, :]
+
+
 def dim_poly(degree, dim=3):
     """Dimension of polynomials of total degree <= degree in ``dim`` variables."""
     if degree < 0:

@@ -12,8 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .polyalg.poincare import _CYCLIC
-from .polyalg.spaces import degree_of_columns, derivatives
+from .polyalg.spaces import curl, degree_of_columns, derivatives, divergence
 
 
 @dataclass
@@ -53,7 +52,8 @@ class FieldSample:
         A scalar field gives ``value`` and ``gradient``; a vector field
         ``value``, ``curl``, ``grad_curl``, ``div`` and ``jacobian``.  Each
         derivative is formed on the integer numerators by
-        :func:`derivatives`, its coefficients rounded once, and every
+        :func:`derivatives`, :func:`curl` or :func:`divergence`, its
+        coefficients rounded once, and every
         evaluator runs through the monomial table of the class quadrature
         (``elements._monomials``).
         """
@@ -68,17 +68,14 @@ class FieldSample:
 
         if len(nums) == 1:
             return cls(evaluator(nums[0]), gradient=evaluator(derivatives(nums[0], axis=-2)), scalar=True)
-        jacobian = derivatives(nums, axis=-2)  # [i, j] = d u_i / d x_j
-        curl = np.stack([jacobian[k, j] - jacobian[j, k] for _, j, k in _CYCLIC])
-        divergence = jacobian[0, 0] + jacobian[1, 1] + jacobian[2, 2]
-
         def matrices(u):  # numerators (3, 3, monomials) -> (m, 3, 3) values
             flat = evaluator(u.reshape(9, u.shape[-1]))
             return lambda pts: flat(pts).reshape(-1, 3, 3)
 
+        curls = curl(nums)
         return cls(
-            evaluator(nums), evaluator(curl), matrices(derivatives(curl, axis=-2)), evaluator(divergence),
-            jacobian=matrices(jacobian),
+            evaluator(nums), evaluator(curls), matrices(derivatives(curls, axis=-2)),
+            evaluator(divergence(nums)), jacobian=matrices(derivatives(nums, axis=-2)),  # [i, j] = d u_i / d x_j
         )
 
     def gradient_sample(self):

@@ -42,8 +42,7 @@ from .polyalg import (
     scalar_potential,
     vector_potential,
 )
-from .polyalg.poincare import _CYCLIC
-from .polyalg.spaces import degree_of_columns, derivatives, integer_matrix
+from .polyalg.spaces import curl, degree_of_columns, derivatives, divergence, integer_matrix
 from .quadrature import QuadratureRule
 from .problems import ManufacturedSolution, get_spaces, interpolation_study
 from .sampling import FieldSample
@@ -124,23 +123,6 @@ def check_dimension_fingerprint():
 # exact reference-coordinate calculus on integer numerators (..., monomials)
 
 
-def _grad(nums):
-    """The gradients of scalar numerators: (..., 3, monomials of one degree lower)."""
-    return derivatives(nums, axis=-2)
-
-
-def _curl(nums):
-    """The curls of vector numerators (..., 3, monomials): one degree lower."""
-    d = derivatives(nums, axis=-2)  # [..., component, axis, :]
-    return np.stack([d[..., k, j, :] - d[..., j, k, :] for _, j, k in _CYCLIC], axis=-2)
-
-
-def _div(nums):
-    """The divergences of vector numerators (..., 3, monomials): one degree lower."""
-    d = derivatives(nums, axis=-2)
-    return d[..., 0, 0, :] + d[..., 1, 1, :] + d[..., 2, 2, :]
-
-
 def _lifted(nums, width):
     """Numerators on the first ``width`` monomials: zero columns appended."""
     pad = np.zeros((*nums.shape[:-1], width - nums.shape[-1]), dtype=object)
@@ -176,7 +158,7 @@ def check_bubbles():
     cell = reference_cell()
     for i in range(4):
         beta, raw, div_value = physical_face_bubble(cell, i)
-        dv = _div(beta.nums[0])  # (pieces, monomials) over beta.den
+        dv = divergence(beta.nums[0])  # (pieces, monomials) over beta.den
         constant = dv[:, 0].tolist()
         if dv[:, 1:].any() or any(v * div_value.denominator != div_value.numerator * beta.den for v in constant):
             worst_div = False
@@ -205,7 +187,7 @@ def check_bubbles():
     for k in (1, 2):
         for ib in interior_bubbles(k):
             bubble, target = ib.numerators, ib.target
-            if not _is_sum((target.nums[:, :, 0], target.den), (_div(bubble.nums), bubble.den)):
+            if not _is_sum((target.nums[:, :, 0], target.den), (divergence(bubble.nums), bubble.den)):
                 ok_int = False
             if not _vanishes_on_boundary(bubble.nums):
                 ok_int = False
@@ -267,11 +249,12 @@ def check_poincare(count=100, max_degree=5, seed=20240):
             p1_u, p1_den = scalar_potential(u, u_den, base)
             p2_u, p2_den = vector_potential(u, u_den, base)
             p3_q, p3_den = flux_potential(q, q_den, base)
-            if not _is_sum((u, u_den), (_grad(p1_u), p1_den), vector_potential(_curl(u1), u_den, base)):
+            grad = derivatives(p1_u, axis=-2)
+            if not _is_sum((u, u_den), (grad, p1_den), vector_potential(curl(u1), u_den, base)):
                 null_ok = False
-            if not _is_sum((u, u_den), (_curl(p2_u), p2_den), flux_potential(_div(u1), u_den, base)):
+            if not _is_sum((u, u_den), (curl(p2_u), p2_den), flux_potential(divergence(u1), u_den, base)):
                 null_ok = False
-            if not _is_sum((q, q_den), (_div(p3_q), p3_den)):
+            if not _is_sum((q, q_den), (divergence(p3_q), p3_den)):
                 null_ok = False
             if scalar_potential(p2_u, p2_den, base)[0].any():
                 complex_ok = False

@@ -56,9 +56,14 @@ from tetcomplex.polyalg import (
     subtet_moment_table,
     vector_potential,
 )
-from tetcomplex.polyalg.spaces import integer_matrix, null_numerators
+from tetcomplex.polyalg.spaces import curl as _curl, derivatives, divergence as _div, integer_matrix, null_numerators
 from tetcomplex.polyalg.split import _mul_tables
-from tetcomplex.verify import _curl, _div, _grad, _lifted
+from tetcomplex.verify import _lifted
+
+
+def _grad(nums):
+    """The gradients of scalar numerators (..., monomials): (..., 3, monomials of one degree lower)."""
+    return derivatives(nums, axis=-2)
 
 
 @st.composite
