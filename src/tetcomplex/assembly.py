@@ -22,8 +22,10 @@ Per class everything float is a dense product:
   pairs of all classes sorted by global row once, then about
   ``_BLOCK_TRIPLETS`` triplets at a time turned into whole rows, their
   duplicates summed within the block, so explicit zeros stay and no
-  global triplet array exists; its symmetry check compares each entry
-  with its mirror, without forming the transpose;
+  global triplet array exists; given DOFs, it numbers rows and columns
+  by their position among them and never forms the others' entries (a
+  solver's interior block, in its order); its symmetry check compares
+  each entry with its mirror, without forming the transpose;
 - the load and the error norms of a sample with ``modes`` (see
   ``FieldSample``) share one kernel: templates and point tables reduce to
   small triangular factors that the class tables keep for every later
@@ -583,15 +585,18 @@ def _required_degree(form, space, other):
     raise ValueError(f"unknown form {form!r}")
 
 
-def assemble(form, space, quad_degree=None, pressure_space=None):
+def assemble(form, space, quad_degree=None, pressure_space=None, dofs=None):
     """Assemble a bilinear form into a SparseOperator.
 
     Forms: ``mass`` (any space), ``gradcurl_stiffness`` (the grad-curl
     energy (grad curl u, grad curl v) + (u, v)), ``h1`` (vector gradient
     Gram), ``div_pressure`` ((div u, q) coupling; needs ``pressure_space``).
+    With ``dofs`` (DOF ids of ``space``) a form on ``space`` alone gives the
+    block of those rows and columns, row and column r being DOF ``dofs[r]``;
+    the other DOFs' entries are never formed.
     """
-    if form == "div_pressure" and pressure_space is None:
-        raise ValueError("the div_pressure form needs a pressure_space")
+    if form == "div_pressure" and (pressure_space is None or dofs is not None):
+        raise ValueError("the div_pressure form needs a pressure_space and takes no dofs")
     needed = _required_degree(form, space, pressure_space)
     if quad_degree is None:
         quad_degree = max(
@@ -603,7 +608,13 @@ def assemble(form, space, quad_degree=None, pressure_space=None):
         )
     start = time.perf_counter()
     row_space = pressure_space if form == "div_pressure" else space
+    rows, cols = row_space.local_to_global, space.local_to_global
     shape = (row_space.dim, space.dim)
+    if dofs is not None:
+        label = np.full(space.dim, -1, dtype=np.int64)
+        label[dofs] = np.arange(len(dofs))
+        rows = cols = label[cols]
+        shape = (len(dofs), len(dofs))
     mass, stiffness, mixed = _moments(quad_degree, max(space.basis_degree, row_space.basis_degree))
 
     locals_ = []
@@ -626,9 +637,7 @@ def assemble(form, space, quad_degree=None, pressure_space=None):
                 coef = tab.coefficients["curl" if form == "gradcurl_stiffness" else "value"]
                 local = local + _gram(coef, np.tensordot(metric, stiffness, axes=([0, 1], [1, 2])))
         locals_.append(local * tab.det)
-    matrix, blocks, largest = _row_blocks(
-        row_space.local_to_global, space.local_to_global, np.stack(locals_), class_of, shape
-    )
+    matrix, blocks, largest = _row_blocks(rows, cols, np.stack(locals_), class_of, shape)
     op = SparseOperator(matrix)
     if form != "div_pressure" and not op.check_symmetry():
         raise ArithmeticError(f"assembled {form} operator lost symmetry")
@@ -667,11 +676,13 @@ def _row_blocks(rows, cols, local, class_of, shape):
     """CSR of every cell's local matrix at its (rows, cols): duplicates summed, zeros kept.
 
     ``rows`` (cells, m) and ``cols`` (cells, n) hold the global row and
-    column of each cell's local DOFs, ``local`` (classes, m, n) the local
-    matrix of each class and ``class_of`` the class of each cell.  The
-    (cell, local row) pairs are sorted by global row once, stably, so the
-    cells that share an entry add in ascending order and a symmetric form
-    stays exactly symmetric.  Runs of whole rows of about
+    column of each cell's local DOFs, -1 for one outside ``shape``, whose
+    entries are dropped; ``local`` (classes, m, n) the local matrix of each
+    class and ``class_of`` the class of each cell.  The (cell, local row)
+    pairs are sorted by global row once, stably, so the cells that share an
+    entry add in ascending order and a symmetric form stays exactly
+    symmetric, also when rows and columns are relabelled alike (a
+    symmetric permutation of a block).  Runs of whole rows of about
     ``_BLOCK_TRIPLETS`` triplets at a time become rows of the result:
     their (row, column) keys sorted stably and equal keys summed, written
     into the result's arrays, which grow in place by the projected rest.
@@ -680,12 +691,12 @@ def _row_blocks(rows, cols, local, class_of, shape):
     """
     n_rows, n_cols = shape
     m, n = local.shape[1:]
-    total = rows.size * n
+    total = int((rows >= 0).sum(axis=1) @ (cols >= 0).sum(axis=1))  # triplets kept
     index = np.int32 if max(n_rows, n_cols, total) < 2**31 else np.int64
     flat = rows.ravel()
-    starts = np.zeros(n_rows + 1, dtype=np.int64)  # first pair of each row in ``order``
-    np.cumsum(np.bincount(flat, minlength=n_rows), out=starts[1:])
-    order = _stable_sort(flat)[1]
+    # first pair of each row in ``order``, after the dropped rows' pairs (label -1)
+    starts = np.cumsum(np.bincount(flat + 1, minlength=n_rows + 1))
+    order = _stable_sort(flat + 1)[1]
     step = max(1, _BLOCK_TRIPLETS // max(n, 1))  # pairs per block
     indptr = np.zeros(n_rows + 1, dtype=index)
     indices, data = np.empty(0, dtype=index), np.empty(0)
@@ -694,7 +705,13 @@ def _row_blocks(rows, cols, local, class_of, shape):
         hi = max(lo + 1, int(np.searchsorted(starts, starts[lo] + step, side="right")) - 1)
         pairs = order[starts[lo]:starts[hi]]
         cell, i = np.divmod(pairs, m)
-        keys, position = _stable_sort(((flat[pairs] - lo)[:, None] * n_cols + cols[cell]).ravel())
+        columns = cols[cell]
+        keys = ((flat[pairs] - lo)[:, None] * n_cols + columns).ravel()
+        values = local[class_of[cell], i].ravel()
+        if columns.min() < 0:  # only the blocks that meet a dropped column compress
+            kept = columns.ravel() >= 0
+            keys, values = keys[kept], values[kept]
+        keys, position = _stable_sort(keys)
         first = np.flatnonzero(np.diff(keys, prepend=-1))
         done += len(keys)
         end = count + len(first)
@@ -702,7 +719,7 @@ def _row_blocks(rows, cols, local, class_of, shape):
             grown = end + int(1.02 * (total - done) * end / done)
             data.resize(grown, refcheck=False)
             indices.resize(grown, refcheck=False)
-        np.add.reduceat(local[class_of[cell], i].ravel()[position], first, out=data[count:end])
+        np.add.reduceat(values[position], first, out=data[count:end])
         keys = keys[first]
         indices[count:end] = keys % n_cols
         indptr[lo + 1:hi + 1] = count + np.cumsum(np.bincount(keys // n_cols, minlength=hi - lo))

@@ -16,6 +16,12 @@ representation, and load and error norms need no evaluation per point and
 cell.  Interpolation evaluates at its few stencil points per cell, which
 costs less than moving the mode coefficients there; a point value sums
 the tensor's nonzero modes.
+
+Every SPD system (the grad-curl stiffness, the Stokes velocity block and
+the inf-sup Gram) has homogeneous boundary conditions.  Its interior DOFs
+are put in nested-dissection order first, and ``assemble`` writes the
+block of those rows and columns in that order (``_dissection``): no solve
+forms a full-size matrix of the form it factors.
 """
 
 from __future__ import annotations
@@ -487,7 +493,7 @@ class Dissection(NamedTuple):
 
     ``dofs``, the interior DOFs in nested-dissection order, is the one link
     between a space's numbering and the factor; ``seconds`` is the time to
-    order and gather.
+    order.
     """
 
     matrix: sp.csc_matrix
@@ -502,8 +508,8 @@ class SpdFactor:
     Every SPD system here is solved through one: the grad-curl stiffness,
     the Stokes velocity block and the inf-sup eigenproblem, each with
     homogeneous boundary conditions.  ``dofs`` are the interior DOFs in
-    the factor's order; ``seconds`` is the time to order, gather and
-    factor; ``nnz`` the entries the factor stores.
+    the factor's order; ``seconds`` is the time to order and factor;
+    ``nnz`` the entries the factor stores.
     """
 
     def __init__(self, lu, dofs, seconds):
@@ -524,52 +530,26 @@ class SpdFactor:
         return x
 
 
-# Entries that ``_dissection_csc`` gathers and relabels at a time: under 1 MB
-# of transients (29 bytes an entry), small beside the interior block from N = 8 on.
-_GATHER_CHUNK = 1 << 15
-
-
-def _dissection_csc(a, space):
-    """The ``Dissection`` of the CSR matrix ``a``, in ``space``'s numbering, for ``_factor_spd``.
+def _dissection(space, quad_degree, *forms):
+    """The ``Dissection`` of the sum of ``forms`` on ``space``, for ``_factor_spd``.
 
     The interior DOFs (not in ``space.boundary_mask``) are ordered by
-    ``_nested_dissection`` of their points.  One pass over their rows, in
-    that order and a chunk of entries at a time, copies them into one
-    buffer, relabels each column by its rank and drops the boundary
-    columns (rank -1); the buffer is then shrunk in place.  A sort within
-    each row gives the CSR of P A0 P^T, whose arrays are the CSC of its
-    transpose: that of P A0 P^T itself, as every matrix factored here is
-    symmetric.  No triplets are formed and no duplicates summed.
+    ``_nested_dissection`` of their points, and each form is assembled on
+    them in that order (``assemble``'s ``dofs``): P A0 P^T as CSR, whose
+    rows are canonical and which is exactly symmetric, so its arrays are
+    read as its CSC, with no copy.  ``seconds`` is the ordering's time.
     """
     start = time.perf_counter()
     interior = np.flatnonzero(~space.boundary_mask)
     order, depth = _nested_dissection(space.dof_points()[interior])
     dofs = interior[order]
-    rank = np.full(a.shape[0], -1, dtype=a.indices.dtype)
-    rank[dofs] = np.arange(len(dofs))
-    lengths = a.indptr[dofs + 1] - a.indptr[dofs]
-    indices = np.empty(int(lengths.sum()), dtype=a.indices.dtype)
-    data = np.empty(len(indices), dtype=a.data.dtype)
-    indptr = np.zeros(len(dofs) + 1, dtype=a.indptr.dtype)
-    step = max(1, _GATHER_CHUNK // int(lengths.max(initial=1)))
-    for lo in range(0, len(dofs), step):
-        rows = a[dofs[lo:lo + step]]
-        hi = lo + rows.shape[0]
-        columns = rank[rows.indices]
-        inside = columns >= 0
-        kept = np.add.reduceat(inside, rows.indptr[:-1], dtype=np.int32)  # no row is empty: each holds its diagonal
-        indptr[lo + 1:hi + 1] = indptr[lo] + np.cumsum(kept)
-        indices[indptr[lo]:indptr[hi]] = columns[inside]
-        data[indptr[lo]:indptr[hi]] = rows.data[inside]
-    indices.resize(indptr[-1], refcheck=False)
-    data.resize(indptr[-1], refcheck=False)
-    permuted = sp.csc_matrix((data, indices, indptr), shape=(len(dofs), len(dofs)))
-    permuted.sort_indices()
-    return Dissection(permuted, dofs, depth, time.perf_counter() - start)
+    seconds = time.perf_counter() - start
+    blocks = [assemble(form, space, quad_degree, dofs=dofs).matrix for form in forms]
+    return Dissection(sum(blocks[1:], blocks[0]).T, dofs, depth, seconds)
 
 
 def _factor_spd(dissection):
-    """SuperLU factor of the SPD matrix of a ``Dissection`` (``_dissection_csc``).
+    """SuperLU factor of the SPD matrix of a ``Dissection`` (``_dissection``).
 
     SuperLU keeps the dissection's order (``NATURAL``, ``SymmetricMode``)
     and always takes the diagonal pivot (``diag_pivot_thresh=0``): a
@@ -603,10 +583,7 @@ def solve_quadcurl(problem: QuadCurlProblem):
     v = spaces["gradcurl"]
     quad_degree = problem.quad_degree or default_quadrature_degree(problem.r, problem.k, v.basis_degree)
     with timings.stage("assemble"):
-        a = assemble("gradcurl_stiffness", v, quad_degree)
-    with timings.stage("solve"):
-        a0 = _dissection_csc(a.matrix, v)
-    del a  # the interior block alone is factored and checked
+        a0 = _dissection(v, quad_degree, "gradcurl_stiffness")
     with timings.stage("load"):
         f = assemble_load(v, problem.solution.forcing_sample(), quad_degree)
     with timings.stage("solve"):
@@ -655,14 +632,11 @@ def solve_stokes(problem: StokesProblem):
     vel, pre = spaces["velocity"], spaces["pressure"]
     quad_degree = problem.quad_degree or default_quadrature_degree(problem.k, problem.k, vel.basis_degree)
     with timings.stage("assemble"):
-        a = assemble("h1", vel, quad_degree)
-        b = assemble("div_pressure", vel, quad_degree, pressure_space=pre)
+        a0 = _dissection(vel, quad_degree, "h1")
+        # B^T, built once: every CG iteration applies it and B
+        b_t = assemble("div_pressure", vel, quad_degree, pressure_space=pre).matrix.T.tocsr()
         mw = assemble("mass", pre, quad_degree)
-    with timings.stage("solve"):
-        a0 = _dissection_csc(a.matrix, vel)
-        b_t = b.matrix.T.tocsr()  # B^T, built once: every CG iteration applies it and B
-    a0.matrix.data *= problem.viscosity  # in place: the gather is a copy, and no unscaled one stays
-    del a, b  # the saddle-point solve needs the interior block and B^T alone
+    a0.matrix.data *= problem.viscosity  # in place: no unscaled block stays
     with timings.stage("load"):
         f = assemble_load(
             vel, problem.solution.stokes_forcing_sample(problem.viscosity), quad_degree
@@ -781,11 +755,10 @@ def inf_sup_constant(n, k):
     spaces = get_spaces(n, k, k, ["velocity", "pressure"])
     vel, pre = spaces["velocity"], spaces["pressure"]
     quad_degree = default_quadrature_degree(k, k, vel.basis_degree)
-    a1 = assemble("h1", vel, quad_degree).matrix + assemble("mass", vel, quad_degree).matrix
     b = assemble("div_pressure", vel, quad_degree, pressure_space=pre).matrix.toarray()
     mw = assemble("mass", pre, quad_degree).matrix.todense()
 
-    lu = _factor_spd(_dissection_csc(a1, vel))
+    lu = _factor_spd(_dissection(vel, quad_degree, "h1", "mass"))
     s = b @ lu.solve(b.T)
 
     q_const = _pressure_constant_coeffs(pre)

@@ -431,6 +431,30 @@ class TestPerClassAssembly:
                 assert np.array_equal(getattr(small, name), getattr(got, name)), (variant, name)
 
 
+    @pytest.mark.parametrize("form, kind", [("mass", "gradcurl"), ("gradcurl_stiffness", "gradcurl"), ("h1", "velocity")])
+    def test_dofs_give_the_block_in_their_order(self, form, kind, numbering_meshes, monkeypatch):
+        # half the DOFs, boundary ones among them, in a random order: the block of the full
+        # matrix bit for bit, also in blocks of a few hundred triplets
+        for variant in ("kuhn", "permuted", "jittered"):
+            space = _variant_spaces(variant, (1, 1), [kind], numbering_meshes, monkeypatch)[kind]
+            degree = 2 * space.basis_degree
+            dofs = np.random.default_rng(3).permutation(space.dim)[: space.dim // 2]
+            assert space.boundary_mask[dofs].any() and not space.boundary_mask[dofs].all()
+            expected = assemble(form, space, degree).matrix[dofs][:, dofs]
+            expected.sort_indices()
+            for triplets in (assembly_module._BLOCK_TRIPLETS, 300):
+                with monkeypatch.context() as patch:
+                    patch.setattr(assembly_module, "_BLOCK_TRIPLETS", triplets)
+                    got = assemble(form, space, degree, dofs=dofs).matrix
+                assert got.shape == (len(dofs), len(dofs))
+                for name in ("indptr", "indices", "data"):
+                    want = getattr(expected, name)
+                    assert np.array_equal(getattr(got, name), want), (variant, triplets, name)
+        if kind == "velocity":
+            kuhn = get_spaces(2, 1, 1, ["velocity", "pressure"])
+            with pytest.raises(ValueError, match="takes no dofs"):
+                assemble("div_pressure", kuhn["velocity"], pressure_space=kuhn["pressure"], dofs=dofs)
+
     @given(keys=st.lists(st.integers(0, 2**40), max_size=300), repeats=st.integers(1, 4))
     @settings(max_examples=100, deadline=None)
     def test_stable_sort_matches_argsort(self, keys, repeats):

@@ -26,7 +26,7 @@ from tetcomplex.problems import (
     QuadCurlProblem,
     SolverFailure,
     StokesProblem,
-    _dissection_csc,
+    _dissection,
     _factor_spd,
     _nested_dissection,
     _peak_rss_mb,
@@ -219,8 +219,7 @@ class TestQuadCurlSolve:
     def test_zero_forcing_zero_solution(self):
         spaces = get_spaces(2, 1, 1, ["gradcurl"])
         v = spaces["gradcurl"]
-        a = assemble("gradcurl_stiffness", v, 8)
-        x = _factor_spd(_dissection_csc(a.matrix, v)).solve(np.zeros(v.dim))
+        x = _factor_spd(_dissection(v, 8, "gradcurl_stiffness")).solve(np.zeros(v.dim))
         assert x.shape == (v.dim,) and np.abs(x).max() == 0.0
 
     def test_errors_decrease(self):
@@ -284,11 +283,10 @@ class TestStokes:
     def _saddle_blocks(qd):
         spaces = get_spaces(2, 1, 1, ["velocity", "pressure"])
         vel, pre = spaces["velocity"], spaces["pressure"]
-        a = assemble("h1", vel, qd)
         b = assemble("div_pressure", vel, qd, pressure_space=pre)
         qc = _pressure_constant_coeffs(pre)
         cvec = assemble("mass", pre, qd).matrix @ qc
-        return vel, _dissection_csc(a.matrix, vel), b.matrix.T.tocsr(), qc, cvec
+        return vel, _dissection(vel, qd, "h1"), b.matrix.T.tocsr(), qc, cvec
 
     def test_zero_forcing(self):
         vel, a0, b_t, qc, cvec = self._saddle_blocks(10)
@@ -415,11 +413,21 @@ class TestFactorSpd:
     """The one SPD factorization: nested dissection of the DOF points, SuperLU in symmetric mode."""
 
     @staticmethod
-    def _block(space):
-        """The SPD matrix of a velocity (h1) or grad-curl space, in the space's numbering, and the space."""
+    def _form(space):
+        """The SPD form of a velocity (h1) or grad-curl space, and its quadrature degree."""
         if space.kind == "velocity":
-            return assemble("h1", space, 10).matrix, space
-        return assemble("gradcurl_stiffness", space, 2 * space.basis_degree).matrix, space
+            return "h1", 10
+        return "gradcurl_stiffness", 2 * space.basis_degree
+
+    def _block(self, space):
+        """The SPD matrix of a velocity or grad-curl space, in the space's numbering, and the space."""
+        form, degree = self._form(space)
+        return assemble(form, space, degree).matrix, space
+
+    def _ordered(self, space):
+        """The ``Dissection`` of the SPD form of a velocity or grad-curl space."""
+        form, degree = self._form(space)
+        return _dissection(space, degree, form)
 
     @staticmethod
     def _interior(a, space):
@@ -459,7 +467,7 @@ class TestFactorSpd:
         # right-hand sides and solutions in the space's numbering, exactly 0 on its boundary
         a, _ = self._block(space)
         a0, interior = self._interior(a, space)
-        lu, ref = _factor_spd(_dissection_csc(a, space)), spla.splu(a0.tocsc())
+        lu, ref = _factor_spd(self._ordered(space)), spla.splu(a0.tocsc())
         rhs = np.random.default_rng(7).standard_normal((space.dim, 3))
         for b in (rhs[:, 0], rhs):
             x, expected = lu.solve(b), ref.solve(b[interior])
@@ -494,13 +502,13 @@ class TestFactorSpd:
                 self._interior(a, space)[0].tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                 options={"SymmetricMode": True},
             )
-            assert _factor_spd(_dissection_csc(a, space)).nnz < mmd.nnz
+            assert _factor_spd(self._ordered(space)).nnz < mmd.nnz
 
     def test_fill_below_default_at_n4(self):
         import scipy.sparse.linalg as spla
 
         a, space = self._velocity_block(4)
-        fill = _factor_spd(_dissection_csc(a, space)).nnz
+        fill = _factor_spd(self._ordered(space)).nnz
         default_fill = spla.splu(self._interior(a, space)[0].tocsc()).nnz
         assert fill < default_fill
         # nested dissection: 46954 against COLAMD's 111091 (minimum degree on A + A^T: 48990)
@@ -509,23 +517,25 @@ class TestFactorSpd:
     def test_reports_carry_lu_fill(self):
         # the fill depends on the sparsity pattern alone, not on the quadrature
         _, row = solve_quadcurl(QuadCurlProblem(n=2, r=1, k=1))
-        assert row["lu_nnz"] == _factor_spd(_dissection_csc(*self._quadcurl_block(1, 1))).nnz > 0
+        assert row["lu_nnz"] == _factor_spd(self._ordered(self._quadcurl_block(1, 1)[1])).nnz > 0
         assert row["factor_s"] > 0
         _, _, rep = solve_stokes(StokesProblem(n=2, k=1))
-        assert rep["lu_nnz"] == _factor_spd(_dissection_csc(*self._velocity_block(2))).nnz > 0
+        assert rep["lu_nnz"] == _factor_spd(self._ordered(self._velocity_block(2)[1])).nnz > 0
         assert rep["factor_s"] > 0
 
     @pytest.mark.parametrize("solve", ["quadcurl", "stokes"])
     def test_operators_released_before_the_factor(self, solve, monkeypatch):
-        # the full-size operators and their matrices are dropped once restricted
+        # every operator and matrix that ``assemble`` returns is dropped before the factor;
+        # quadcurl assembles its interior block alone, never the full-size stiffness
         from tetcomplex import problems
 
-        refs, dead = [], []
+        refs, shapes, dead = [], [], []
         assemble_, factor = problems.assemble, problems._factor_spd
 
         def recorded(*args, **kwargs):
             op = assemble_(*args, **kwargs)
             refs.extend([weakref.ref(op), weakref.ref(op.matrix)])
+            shapes.append(op.shape)
             return op
 
         def checked(*args, **kwargs):
@@ -536,51 +546,51 @@ class TestFactorSpd:
         monkeypatch.setattr(problems, "_factor_spd", checked)
         if solve == "quadcurl":
             solve_quadcurl(QuadCurlProblem(n=2, r=1, k=1))
+            interior = get_spaces(2, 1, 1, ["gradcurl"])["gradcurl"].interior_dim
+            assert shapes == [(interior, interior)]
         else:
             solve_stokes(StokesProblem(n=2, k=1))
         assert len(refs) == (2 if solve == "quadcurl" else 6)
         assert dead == [[True] * len(refs)]
 
-    def test_dissection_csc_is_the_permuted_matrix(self, numbering_meshes, monkeypatch):
-        # against two passes: the full matrix indexed to the interior rows and columns, then
-        # the CSC of P A0 P^T by triplets, duplicates summed; the same arrays and dtypes, also
-        # when each chunk of the gather holds a single row
-        from tetcomplex import problems
-
-        blocks = [self._quadcurl_block(1, 1, n=3), self._velocity_block(3)]
-        blocks += [
-            self._block(GlobalSpace(numbering_meshes[mesh], kind, 1, 1))
+    def test_dissection_csc_is_the_permuted_matrix(self, numbering_meshes):
+        # the block assembled in dissection order against two passes: the full matrix indexed
+        # to the interior rows and columns, then the CSC of P A0 P^T by triplets, duplicates
+        # summed; the same arrays and dtypes
+        spaces = [self._quadcurl_block(1, 1, n=3)[1], self._velocity_block(3)[1]]
+        spaces += [
+            GlobalSpace(numbering_meshes[mesh], kind, 1, 1)
             for mesh in ("permuted", "jittered") for kind in ("gradcurl", "velocity")
         ]
-        for a, space in blocks:
-            a0, interior = self._interior(a, space)
+        for space in spaces:
+            a0, interior = self._interior(self._block(space)[0], space)
             order, depth = _nested_dissection(space.dof_points()[interior])
             coo = a0.tocoo()
             rank = np.empty_like(order)
             rank[order] = np.arange(len(order))
             expected = sp.csc_matrix((coo.data, (rank[coo.row], rank[coo.col])), shape=a0.shape)
-            for chunk in (problems._GATHER_CHUNK, 1):
-                monkeypatch.setattr(problems, "_GATHER_CHUNK", chunk)
-                permuted, dofs, got_depth, seconds = _dissection_csc(a, space)
-                assert np.array_equal(dofs, interior[order]) and got_depth == depth >= 1 and seconds > 0
-                assert permuted.format == "csc" and permuted.has_sorted_indices
-                for name in ("indptr", "indices", "data"):
-                    got, want = getattr(permuted, name), getattr(expected, name)
-                    assert got.dtype == want.dtype and np.array_equal(got, want), name
+            permuted, dofs, got_depth, seconds = self._ordered(space)
+            assert np.array_equal(dofs, interior[order]) and got_depth == depth >= 1 and seconds > 0
+            assert permuted.format == "csc" and permuted.has_sorted_indices
+            for name in ("indptr", "indices", "data"):
+                got, want = getattr(permuted, name), getattr(expected, name)
+                assert got.dtype == want.dtype and np.array_equal(got, want), name
 
     @pytest.mark.parametrize("kind", ["gradcurl", "velocity"])
-    def test_gather_below_twice_the_interior_block(self, kind):
-        # the restriction by two fancy-index passes and a gather of its rows peaked at 2.44
-        # (grad-curl) and 2.47 (velocity) times the CSC it gave
+    def test_block_assembly_peaks_below_the_full_matrix(self, kind):
+        # ordering the interior and assembling its block allocates no more at its peak than
+        # assembling the full matrix; the class tables are built before either is traced
         space = get_spaces(8, 1, 1, [kind])[kind]
-        a, _ = self._block(space)
-        tracemalloc.start()
-        try:
-            permuted = _dissection_csc(a, space).matrix
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 2 * (permuted.data.nbytes + permuted.indices.nbytes + permuted.indptr.nbytes)
+        self._block(space)
+        peaks = []
+        for build in (lambda: self._block(space), lambda: self._ordered(space)):
+            tracemalloc.start()
+            try:
+                build()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0]
 
     def test_each_factorization_is_logged(self, caplog):
         with caplog.at_level("DEBUG", logger="tetcomplex.problems"):
