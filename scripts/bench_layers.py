@@ -5,21 +5,22 @@ Each row runs ``REPEATS`` times, each time in its own cold child process,
 with BLAS on one thread and an address-space limit (``LIMIT_GB``) that
 the child sets on itself, so a row that runs out of memory fails alone
 instead of taking the machine with it.  A row times, one after another:
-the structured mesh, the grad-curl space, its class tables, the stiffness
-assembly, the load of the manufactured forcing, the error norms of a
-zero field (the same work as for a solved field) twice, and the factor
-input (``factor_input``): ``problems._dissection_csc``'s one gather of the
-stiffness's interior rows into the dissection-ordered CSC of its interior
-block, which ``problems._factor_spd`` hands to SuperLU, and the full
-matrix dropped.
+the structured mesh, the grad-curl space, its class tables, the factor
+input (``factor_input``) as the solve forms it, ``problems._dissection``:
+the interior DOFs put in nested-dissection order and the stiffness's
+interior block assembled in that order, which ``problems._factor_spd``
+hands to SuperLU; it runs before any full-size matrix exists and is
+dropped after, so its peak RSS is its own.  Then the full stiffness
+assembly, the load of the manufactured forcing, and the error norms of a
+zero field (the same work as for a solved field) twice.
 The load (``load``) builds the per-class factors that load and error
 norms share, and both error-norm passes (``errors``, ``errors_again``)
 reuse them, so they time the per-cell work alone.  A
 flat record holds each layer's seconds (``<layer>_s``) and the process's
 peak RSS when the layer ended (``<layer>_peak_rss_mb``) as the median
 over the processes, with ``<key>_min`` and ``<key>_max`` beside it; the
-dofs, the matrix's nnz, pattern digest and Frobenius norm, which every
-process must repeat;
+dofs, the full matrix's nnz, pattern digest and Frobenius norm and the
+factor input's nnz, which every process must repeat;
 and the source it ran: the git SHA of the checkout (null when the source
 has uncommitted changes) and a digest of its ``src/tetcomplex`` files.
 Rows are run at the levels ``LEVELS``.
@@ -167,13 +168,15 @@ def row(n, src, save_matrix=None):
     space = layer("space", lambda: GlobalSpace(mesh, "gradcurl", r, k))
     degree = max(default_quadrature_degree(r, k, space.basis_degree), 2 * space.basis_degree)
     layer("class_tables", lambda: space.class_tables(degree))
-    held = [layer("assemble", lambda: assemble("gradcurl_stiffness", space, degree))]
+    permuted = layer("factor_input", lambda: problems._dissection(space, degree, "gradcurl_stiffness").matrix)
+    record["factor_input_nnz"] = int(permuted.nnz)
+    del permuted
+    matrix = layer("assemble", lambda: assemble("gradcurl_stiffness", space, degree)).matrix
     layer("load", lambda: assemble_load(space, ms.forcing_sample(), degree))
     layer("errors", lambda: error_norms(space, np.zeros(space.dim), ms.solution_sample(), degree))
     layer("errors_again", lambda: error_norms(space, np.zeros(space.dim), ms.solution_sample(), degree))
-    matrix = held[0].matrix
     # the int64 bytes of indptr then indices, hashed a slice at a time: two whole int64
-    # copies of the pattern at once would set the peak RSS of the layer that follows
+    # copies of the pattern at once would set the row's peak RSS
     pattern = hashlib.sha256()
     for array in (matrix.indptr, matrix.indices):
         for lo in range(0, len(array), 1 << 20):
@@ -189,16 +192,6 @@ def row(n, src, save_matrix=None):
         "pattern_sha256": pattern.hexdigest()[:16],
         "frobenius": float(np.sqrt(np.vdot(matrix.data, matrix.data))),
     })
-    del matrix
-
-    def factor_input():
-        """The CSC handed to SuperLU, gathered as the solve gathers it; then the full matrix is dropped."""
-        op = held.pop()
-        permuted = problems._dissection_csc(op.matrix, space).matrix
-        del op  # the solve keeps only the interior block
-        return permuted
-
-    record["factor_input_nnz"] = int(layer("factor_input", factor_input).nnz)
     return {**record, "peak_rss_mb": peak_rss_mb()}
 
 

@@ -1,21 +1,23 @@
 #!/usr/bin/env python3
 """Stored entries, seconds and peak memory of the SPD direct solves, as BENCH rows.
 
-A row gathers the interior block of one SPD matrix with
-``problems._dissection_csc``, factors it with ``problems._factor_spd`` and
-solves once, for the matrix's own load:
+A row assembles the interior block of one SPD matrix in nested-dissection
+order with ``problems._dissection``, as the solves do, factors it with
+``problems._factor_spd`` and solves once, for the matrix's own load:
 
 - ``quadcurl:<N>``: the grad-curl (1,1) stiffness and the quadcurl forcing;
 - ``velocity:<N>``: the Stokes (k=1) velocity block and the Stokes forcing.
 
-Each row runs in its own child process, with BLAS on one thread and the
-address-space limit of ``bench_layers.py``.  A record holds the matrix's
-size and nnz (of the interior block), the ordering, the entries the
-factor stores (``SuperLU.nnz``) and ``L.nnz + U.nnz`` (null when a copy
-of L or U does not fit under the limit), the seconds to order, gather
-and factor (``SpdFactor.seconds``) and to solve once, the relative
-residual on the interior DOFs, and the peak RSS before the factor, after
-it and after the solve.
+Each row runs ``REPEATS`` times, each time in its own cold child process,
+with BLAS on one thread and the address-space limit of
+``bench_layers.py``; seconds and peak RSS are the median over the
+processes, with min and max beside them (``bench_layers.summarize``).  A
+record holds the matrix's size and nnz (of the interior block), the
+ordering, the entries the factor stores (``SuperLU.nnz``) and
+``L.nnz + U.nnz`` (null when a copy of L or U does not fit under the
+limit), the seconds to order and factor (``SpdFactor.seconds``) and to
+solve once, the relative residual on the interior DOFs, and the peak RSS
+before the factor, after it and after the solve.
 
     python3 scripts/bench_solver.py --label change
     python3 scripts/bench_solver.py --label change --rows quadcurl:24
@@ -37,7 +39,7 @@ import json
 import time
 from pathlib import Path
 
-from bench_layers import ROOT, collect, enter_row, peak_rss_mb
+from bench_layers import REPEATS, ROOT, collect, enter_row, peak_rss_mb
 
 ROWS = ("quadcurl:16", "velocity:16")
 
@@ -48,11 +50,7 @@ def row(name, src, save_solution=None):
     import numpy as np
 
     from tetcomplex import problems
-    from tetcomplex.assembly import (
-        assemble,
-        assemble_load,
-        default_quadrature_degree,
-    )
+    from tetcomplex.assembly import assemble_load, default_quadrature_degree
 
     problem, n = name.split(":")
     n = int(n)
@@ -60,7 +58,7 @@ def row(name, src, save_solution=None):
     if problem == "quadcurl":
         space = problems.get_spaces(n, 1, 1, ["gradcurl"])["gradcurl"]
         degree = max(default_quadrature_degree(1, 1, space.basis_degree), 2 * space.basis_degree)
-        a = assemble("gradcurl_stiffness", space, degree)
+        form = "gradcurl_stiffness"
         f = assemble_load(space, ms.forcing_sample(), degree)
     elif problem == "velocity":
         spaces = problems.get_spaces(n, 1, 1, ["velocity", "pressure"])
@@ -69,12 +67,11 @@ def row(name, src, save_solution=None):
             default_quadrature_degree(1, 1, space.basis_degree),
             space.basis_degree + pressure.basis_degree,
         )
-        a = assemble("h1", space, degree)
+        form = "h1"
         f = assemble_load(space, ms.stokes_forcing_sample(), degree)
     else:
         raise SystemExit(f"unknown row {name!r}: quadcurl:<N> or velocity:<N>")
-    a0 = problems._dissection_csc(a.matrix, space)
-    del a
+    a0 = problems._dissection(space, degree, form)
 
     record = {
         "problem": problem,
@@ -121,7 +118,7 @@ def main():
         return
     extra = ["--save-solution", args.save_solution] if args.save_solution else []
     names = [name for name in args.rows.split(",") if name]
-    collect(__file__, args, names, lambda rec: (rec["label"], rec["problem"], rec["N"]), extra)
+    collect(__file__, args, names, lambda rec: (rec["label"], rec["problem"], rec["N"]), extra, REPEATS)
 
 
 if __name__ == "__main__":
