@@ -638,6 +638,7 @@ def assemble(form, space, quad_degree=None, pressure_space=None, dofs=None):
                 local = local + _gram(coef, np.tensordot(metric, stiffness, axes=([0, 1], [1, 2])))
         locals_.append(local * tab.det)
     matrix, blocks, largest = _row_blocks(rows, cols, np.stack(locals_), class_of, shape)
+    del rows, cols  # a relabelled copy is as large as the numbering
     op = SparseOperator(matrix)
     if form != "div_pressure" and not op.check_symmetry():
         raise ArithmeticError(f"assembled {form} operator lost symmetry")
