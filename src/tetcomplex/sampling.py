@@ -53,9 +53,8 @@ class FieldSample:
         ``value``, ``curl``, ``grad_curl``, ``div`` and ``jacobian``.  Each
         derivative is formed on the integer numerators by
         :func:`derivatives`, :func:`curl` or :func:`divergence`, its
-        coefficients rounded once, and every
-        evaluator runs through the monomial table of the class quadrature
-        (``elements._monomials``).
+        coefficients rounded once, and every evaluator runs through the
+        monomial table of the class quadrature (``elements._monomials``).
         """
         from .elements import _monomials
 
@@ -68,14 +67,16 @@ class FieldSample:
 
         if len(nums) == 1:
             return cls(evaluator(nums[0]), gradient=evaluator(derivatives(nums[0], axis=-2)), scalar=True)
+
         def matrices(u):  # numerators (3, 3, monomials) -> (m, 3, 3) values
             flat = evaluator(u.reshape(9, u.shape[-1]))
             return lambda pts: flat(pts).reshape(-1, 3, 3)
 
         curls = curl(nums)
+        jacobian = derivatives(nums, axis=-2)  # [i, j] = d u_i / d x_j
         return cls(
             evaluator(nums), evaluator(curls), matrices(derivatives(curls, axis=-2)),
-            evaluator(divergence(nums)), jacobian=matrices(derivatives(nums, axis=-2)),  # [i, j] = d u_i / d x_j
+            evaluator(divergence(nums)), jacobian=matrices(jacobian),
         )
 
     def gradient_sample(self):
