@@ -10,7 +10,11 @@ input (``factor_input``) as the solve forms it, ``problems._dissection``:
 the interior DOFs put in nested-dissection order and the stiffness's
 interior block assembled in that order, which ``problems._factor_spd``
 hands to SuperLU; it runs before any full-size matrix exists and is
-dropped after, so its peak RSS is its own.  Then the full stiffness
+dropped after, so its peak RSS is its own.  The factor input is then
+formed once more under ``tracemalloc``, untimed: its traced peak
+(``factor_input_traced_peak_mb``), the bytes of the CSR arrays it returns
+(``factor_input_block_mb``) and their ratio (``factor_input_traced_ratio``)
+give its transient apart from the process's heap.  Then the full stiffness
 assembly, the load of the manufactured forcing, and the error norms of a
 zero field (the same work as for a solved field) twice.
 The load (``load``) builds the per-class factors that load and error
@@ -18,7 +22,8 @@ norms share, and both error-norm passes (``errors``, ``errors_again``)
 reuse them, so they time the per-cell work alone.  A
 flat record holds each layer's seconds (``<layer>_s``) and the process's
 peak RSS when the layer ended (``<layer>_peak_rss_mb``) as the median
-over the processes, with ``<key>_min`` and ``<key>_max`` beside it; the
+over the processes, with ``<key>_min`` and ``<key>_max`` beside it (so
+are the traced figures); the
 dofs, the full matrix's nnz, pattern digest and Frobenius norm and the
 factor input's nnz, which every process must repeat;
 and the source it ran: the git SHA of the checkout (null when the source
@@ -29,7 +34,9 @@ Rows are run at the levels ``LEVELS``.
     python3 ../parent/scripts/bench_layers.py --label parent --out BENCH_assembly.json
 
 A parent's rows come from the parent checkout's own script, which calls
-the parent's API, with ``--out`` pointing at this checkout's BENCH file.
+the parent's API, with ``--out`` pointing at this checkout's BENCH file;
+where the parent has every function a row calls, this script with
+``--src`` at the parent's ``src`` and ``--git-sha`` at its commit will do.
 Rows land in ``BENCH_assembly.json`` at the repository root (``--out``);
 rows of the same label and level are replaced, others are kept.
 """
@@ -45,6 +52,7 @@ import statistics
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -87,14 +95,14 @@ def enter_row(src):
 def summarize(records):
     """One record from those of repeated processes of a row.
 
-    Seconds and peak-RSS figures (keys ending in ``_s`` or ``_mb``) become
-    the median over the processes, with ``<key>_min`` and ``<key>_max``
+    Seconds, memory figures and ratios (keys ending in ``_s``, ``_mb`` or
+    ``_ratio``) become the median over the processes, with ``<key>_min`` and ``<key>_max``
     beside it; every other value must be the same in all of them.
     """
     out = {"processes": len(records)}
     for key, value in records[0].items():
         values = [rec[key] for rec in records]
-        if key.endswith(("_s", "_mb")):
+        if key.endswith(("_s", "_mb", "_ratio")):
             out[key] = statistics.median(values)
             out[f"{key}_min"], out[f"{key}_max"] = min(values), max(values)
         elif any(v != value for v in values):
@@ -170,7 +178,17 @@ def row(n, src, save_matrix=None):
     layer("class_tables", lambda: space.class_tables(degree))
     permuted = layer("factor_input", lambda: problems._dissection(space, degree, "gradcurl_stiffness").matrix)
     record["factor_input_nnz"] = int(permuted.nnz)
+    block = permuted.data.nbytes + permuted.indices.nbytes + permuted.indptr.nbytes
     del permuted
+    tracemalloc.start()
+    try:
+        problems._dissection(space, degree, "gradcurl_stiffness")
+        traced = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    record["factor_input_block_mb"] = block / 2**20
+    record["factor_input_traced_peak_mb"] = traced / 2**20
+    record["factor_input_traced_ratio"] = traced / block
     matrix = layer("assemble", lambda: assemble("gradcurl_stiffness", space, degree)).matrix
     layer("load", lambda: assemble_load(space, ms.forcing_sample(), degree))
     layer("errors", lambda: error_norms(space, np.zeros(space.dim), ms.solution_sample(), degree))

@@ -8,6 +8,13 @@ order with ``problems._dissection``, as the solves do, factors it with
 - ``quadcurl:<N>``: the grad-curl (1,1) stiffness and the quadcurl forcing;
 - ``velocity:<N>``: the Stokes (k=1) velocity block and the Stokes forcing.
 
+A ``study:<N>,<N>,...`` row instead runs the quadcurl (1,1) convergence
+study ``problems.run_convergence`` over those levels in the process: its
+record holds the study's seconds (``study_s``), the process's peak RSS
+after it, and ``N``, ``dofs`` and ``lu_nnz`` as lists, one entry per level.
+Next to ``quadcurl:<N>`` at the finest level it shows what the coarser
+levels add to the study's peak.
+
 Each row runs ``REPEATS`` times, each time in its own cold child process,
 with BLAS on one thread and the address-space limit of
 ``bench_layers.py``; seconds and peak RSS are the median over the
@@ -20,14 +27,17 @@ solve once, the relative residual on the interior DOFs, and the peak RSS
 before the factor, after it and after the solve.
 
     python3 scripts/bench_solver.py --label change
-    python3 scripts/bench_solver.py --label change --rows quadcurl:24
+    python3 scripts/bench_solver.py --label change --rows quadcurl:24,study:4,8,12,16
     python3 ../parent/scripts/bench_solver.py --label parent --out BENCH_solver.json
 
 A parent's rows come from the parent checkout's own script, which calls
-the parent's API, with ``--out`` pointing at this checkout's BENCH file.
+the parent's API, with ``--out`` pointing at this checkout's BENCH file;
+where the parent has every function a row calls, this script with
+``--src`` at the parent's ``src`` and ``--git-sha`` at its commit will do.
 
 Rows land in ``BENCH_solver.json`` at the repository root (``--out``);
-rows of the same label, problem and level are replaced, others are kept.
+rows of the same label, problem and level (or levels) are replaced,
+others are kept.
 ``--save-solution DIR`` also writes each row's solution, in the space's
 numbering, as ``<label>_<problem>_N<N>.npy``.
 """
@@ -36,16 +46,34 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import time
 from pathlib import Path
 
 from bench_layers import REPEATS, ROOT, collect, enter_row, peak_rss_mb
 
-ROWS = ("quadcurl:16", "velocity:16")
+ROWS = ("quadcurl:16", "velocity:16", "study:4,8,12,16")
+
+
+def row_names(text):
+    """The names in a comma-separated ``--rows``; a comma starts a name only before a letter."""
+    return [name for name in re.split(r",(?=[a-z])", text) if name]
+
+
+def study(levels, problems):
+    """The record of a quadcurl (1,1) ``run_convergence`` over ``levels``."""
+    start = time.perf_counter()
+    rows = problems.run_convergence("quadcurl", levels, 1, 1).rows
+    return {
+        "problem": "study",
+        "study_s": time.perf_counter() - start,
+        "peak_rss_mb": peak_rss_mb(),
+        **{key: [row[key] for row in rows] for key in ("N", "dofs", "lu_nnz")},
+    }
 
 
 def row(name, src, save_solution=None):
-    """One row, in this process: factor and solve the SPD matrix ``name`` names."""
+    """One row, in this process: factor and solve the SPD matrix ``name`` names, or run its study."""
     enter_row(src)
     import numpy as np
 
@@ -53,6 +81,8 @@ def row(name, src, save_solution=None):
     from tetcomplex.assembly import assemble_load, default_quadrature_degree
 
     problem, n = name.split(":")
+    if problem == "study":
+        return study([int(level) for level in n.split(",")], problems)
     n = int(n)
     ms = problems.ManufacturedSolution()
     if problem == "quadcurl":
@@ -70,7 +100,7 @@ def row(name, src, save_solution=None):
         form = "h1"
         f = assemble_load(space, ms.stokes_forcing_sample(), degree)
     else:
-        raise SystemExit(f"unknown row {name!r}: quadcurl:<N> or velocity:<N>")
+        raise SystemExit(f"unknown row {name!r}: quadcurl:<N>, velocity:<N> or study:<N>,<N>,...")
     a0 = problems._dissection(space, degree, form)
 
     record = {
@@ -106,7 +136,9 @@ def main():
     parser.add_argument("--src", default=str(ROOT / "src"), help="directory holding tetcomplex/")
     parser.add_argument("--git-sha", help="SHA of the source when --src is not in a git checkout")
     parser.add_argument("--out", default=str(ROOT / "BENCH_solver.json"))
-    parser.add_argument("--rows", default=",".join(ROWS), help="comma-separated quadcurl:<N> / velocity:<N>")
+    parser.add_argument(
+        "--rows", default=",".join(ROWS), help="comma-separated quadcurl:<N> / velocity:<N> / study:<N>,<N>,..."
+    )
     parser.add_argument("--save-solution", help="directory for each row's solution (.npy)")
     parser.add_argument("--row", help=argparse.SUPPRESS)  # one row in this process
     args = parser.parse_args()
@@ -117,7 +149,7 @@ def main():
         print(json.dumps(row(args.row, Path(args.src).resolve(), save)))
         return
     extra = ["--save-solution", args.save_solution] if args.save_solution else []
-    names = [name for name in args.rows.split(",") if name]
+    names = row_names(args.rows)
     collect(__file__, args, names, lambda rec: (rec["label"], rec["problem"], rec["N"]), extra, REPEATS)
 
 

@@ -24,8 +24,10 @@ Per class everything float is a dense product:
   duplicates summed within the block, so explicit zeros stay and no
   global triplet array exists; given DOFs, it numbers rows and columns
   by their position among them and never forms the others' entries (a
-  solver's interior block, in its order); its symmetry check compares
-  each entry with its mirror, without forming the transpose;
+  solver's interior block, in its order); a symmetric form is checked
+  before its CSR matrix exists: each class's local matrix must equal its
+  transpose and rows and columns share one labelling, which makes the
+  matrix equal its transpose bit for bit;
 - the load and the error norms of a sample with ``modes`` (see
   ``FieldSample``) share one kernel: templates and point tables reduce to
   small triangular factors that the class tables keep for every later
@@ -85,7 +87,7 @@ def default_quadrature_degree(r, k, basis_degree):
     return max(2 * max(r, k + 1) + 2, 2 * basis_degree)
 
 
-# ``GlobalSpace.dof_points`` scale: a multiple of 1, 2, 3 and 4 vertices, so the
+# ``GlobalSpace.interior_points`` scale: a multiple of 1, 2, 3 and 4 vertices, so the
 # centroid of every entity is an integer point.
 DOF_POINT_SCALE = 12
 
@@ -177,14 +179,8 @@ class GlobalSpace:
         )
         self.local_to_global = self._numbering()
         self._tables = {}
-        boundary = {
-            "vertex": mesh.vertex_boundary,
-            "edge": mesh.edge_boundary,
-            "face": mesh.face_boundary,
-            "cell": np.zeros(nc, dtype=bool),
-        }
         self.boundary_mask = np.concatenate(
-            [np.repeat(flags, counts[e]) for e, flags in boundary.items()]
+            [np.repeat(flags, counts[e]) for e, (_, flags) in self._entities().items()]
         )
         self.basis_degree = max(el.degree for el in self.elements.values())
         _log.debug(
@@ -216,23 +212,29 @@ class GlobalSpace:
     def interior_dim(self):
         return int((~self.boundary_mask).sum())
 
-    def dof_points(self):
-        """(dim, 3) int64: each DOF's entity centroid on the lattice, times ``DOF_POINT_SCALE``.
-
-        The centroid of an entity's k vertices is ``DOF_POINT_SCALE // k``
-        times their lattice sum, an integer for k = 1..4; the lattice planes
-        through the vertices are the multiples of ``DOF_POINT_SCALE``.
-        """
+    def _entities(self):
+        """Per entity kind, in DOF-block order: its vertex ids (entities, k) and boundary flags."""
         mesh = self.mesh
-        vertices = {
-            "vertex": np.arange(mesh.n_vertices)[:, None],
-            "edge": mesh.edges,
-            "face": mesh.faces,
-            "cell": mesh.cells,
+        return {
+            "vertex": (np.arange(mesh.n_vertices)[:, None], mesh.vertex_boundary),
+            "edge": (mesh.edges, mesh.edge_boundary),
+            "face": (mesh.faces, mesh.face_boundary),
+            "cell": (mesh.cells, np.zeros(mesh.n_cells, dtype=bool)),
         }
+
+    def interior_points(self):
+        """(interior_dim, 3) int64: each interior DOF's entity centroid on the lattice, times ``DOF_POINT_SCALE``.
+
+        Rows follow ``np.flatnonzero(~boundary_mask)``; no boundary DOF's
+        point is formed.  The centroid of an entity's k vertices is
+        ``DOF_POINT_SCALE // k`` times their lattice sum, an integer for
+        k = 1..4; the lattice planes through the vertices are the multiples
+        of ``DOF_POINT_SCALE``.
+        """
+        lattice = self.mesh.lattice
         return np.concatenate([
-            np.repeat(DOF_POINT_SCALE // len(v[0]) * mesh.lattice[v].sum(axis=1), self.counts[e], 0)
-            for e, v in vertices.items()
+            np.repeat(DOF_POINT_SCALE // v.shape[1] * lattice[v[~flags]].sum(axis=1), self.counts[e], 0)
+            for e, (v, flags) in self._entities().items()
         ])
 
     # -- per-congruence-class evaluation --------------------------------
@@ -289,24 +291,9 @@ class SparseOperator:
         return self.matrix.shape
 
     def check_symmetry(self, tol=1e-13):
-        """Whether max|A - A^T| <= tol * max(1, max|A|).
-
-        A canonical CSR matrix whose pattern is symmetric is compared with
-        its transpose entry by entry, a chunk at a time, through the
-        position of each entry's mirror (:func:`_mirror_positions`);
-        neither A^T nor A - A^T is formed.  Any other matrix takes the
-        difference.
-        """
+        """Whether max|A - A^T| <= tol * max(1, max|A|)."""
         m = self.matrix
-        mirror = _mirror_positions(m)
-        if mirror is None:
-            return abs(m - m.T).max() <= tol * max(1.0, abs(m).max())
-        largest = difference = 0.0
-        for lo in range(0, m.nnz, _POINT_CHUNK):
-            data = m.data[lo:lo + _POINT_CHUNK]
-            largest = max(largest, np.abs(data).max())
-            difference = max(difference, np.abs(data - m.data[mirror[lo:lo + _POINT_CHUNK]]).max())
-        return difference <= tol * max(1.0, largest)
+        return abs(m - m.T).max() <= tol * max(1.0, abs(m).max())
 
     def export_text(self, path):
         coo = self.matrix.tocoo()
@@ -314,24 +301,6 @@ class SparseOperator:
             fh.write(f"{coo.shape[0]} {coo.shape[1]} {coo.nnz}\n")
             for i, j, v in zip(coo.row, coo.col, coo.data):
                 fh.write(f"{i} {j} {v:.17e}\n")
-
-
-def _mirror_positions(m):
-    """Position in ``m.data`` of the mirror (j, i) of each entry (i, j), or None.
-
-    The CSC of an int32 payload of the entries' positions, read as a CSR
-    matrix, is A^T with each entry's position in A as its value: for a
-    canonical square CSR matrix with a symmetric pattern its pattern is
-    that of A, and its payload the mirror of each entry.  None for any
-    other matrix.
-    """
-    if m.format != "csr" or m.shape[0] != m.shape[1] or not m.has_canonical_format:
-        return None
-    payload = np.arange(m.nnz, dtype=np.int32 if m.nnz < 2**31 else np.int64)
-    mirrored = sp.csr_matrix((payload, m.indices, m.indptr), shape=m.shape).tocsc()
-    if np.array_equal(mirrored.indptr, m.indptr) and np.array_equal(mirrored.indices, m.indices):
-        return mirrored.data
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -637,13 +606,15 @@ def assemble(form, space, quad_degree=None, pressure_space=None, dofs=None):
                 coef = tab.coefficients["curl" if form == "gradcurl_stiffness" else "value"]
                 local = local + _gram(coef, np.tensordot(metric, stiffness, axes=([0, 1], [1, 2])))
         locals_.append(local * tab.det)
-    matrix, blocks, largest = _row_blocks(rows, cols, np.stack(locals_), class_of, shape)
-    del rows, cols  # a relabelled copy is as large as the numbering
-    op = SparseOperator(matrix)
-    if form != "div_pressure" and not op.check_symmetry():
+    stacked = np.stack(locals_)
+    # the two facts that make a symmetric form's output equal its transpose
+    # bit for bit (see _gram); the output itself is not compared
+    if form != "div_pressure" and not (rows is cols and np.array_equal(stacked, stacked.transpose(0, 2, 1))):
         raise ArithmeticError(f"assembled {form} operator lost symmetry")
+    matrix, blocks, largest = _row_blocks(rows, cols, stacked, class_of, shape)
+    del rows, cols  # a relabelled copy is as large as the numbering
     _log_layer(f"assemble {form}", space, start, "moments", blocks=(blocks, largest))
-    return op
+    return SparseOperator(matrix)
 
 
 def _local_matrix(a, moments, b):
@@ -663,10 +634,11 @@ def _local_matrix(a, moments, b):
 def _gram(coef, moments):
     """:func:`_local_matrix` of a coefficient tensor against itself, on moments (subtets, m, m) per component.
 
-    Returned exactly symmetric: :func:`_row_blocks` sums an entry and its
-    mirror over the same cells in the same order, so the assembled matrix
-    equals its transpose bit for bit, and a solver may read its CSR arrays
-    as its CSC ones.
+    Returned exactly symmetric: with rows and columns labelled alike,
+    :func:`_row_blocks` sums an entry and its mirror over the same cells in
+    the same order, so the assembled matrix equals its transpose bit for
+    bit, and a solver may read its CSR arrays as its CSC ones.  ``assemble``
+    checks both facts.
     """
     nm = coef.shape[-1]
     local = _local_matrix(coef, moments[:, :nm, :nm], coef)

@@ -540,9 +540,8 @@ def _dissection(space, quad_degree, *forms):
     read as its CSC, with no copy.  ``seconds`` is the ordering's time.
     """
     start = time.perf_counter()
-    interior = np.flatnonzero(~space.boundary_mask)
-    order, depth = _nested_dissection(space.dof_points()[interior])
-    dofs = interior[order]
+    order, depth = _nested_dissection(space.interior_points())
+    dofs = np.flatnonzero(~space.boundary_mask)[order]
     seconds = time.perf_counter() - start
     blocks = [assemble(form, space, quad_degree, dofs=dofs).matrix for form in forms]
     return Dissection(sum(blocks[1:], blocks[0]).T, dofs, depth, seconds)
@@ -780,6 +779,15 @@ def inf_sup_constant(n, k):
 
 @dataclass
 class ConvergenceReport:
+    """A study's rows, one per level in the caller's order, with consecutive-level rates.
+
+    Each row holds the level ``N``, its ``dofs``, error norms, stage
+    ``timings``, ``seconds`` and ``peak_rss_mb``: the process's peak RSS
+    when the row finished.  The studies run their levels finest first
+    (``_finest_first``), so in one study every row's ``peak_rss_mb`` reads
+    the study's peak; a level's own peak takes a process of its own.
+    """
+
     problem: str
     r: int
     k: int
@@ -849,28 +857,49 @@ def _check_levels(levels):
         raise ConfigError(f"mesh levels repeat: {', '.join(map(str, repeated))}")
 
 
+def _finest_first(levels, run):
+    """``run(n)`` for each of ``levels``, the largest n first; the results in the order of ``levels``.
+
+    A level's solve, class tables and error norms do not depend on the
+    other levels, so the order changes no number.  It changes the memory:
+    run after the finest level, the coarser levels' cached tables and the
+    heap that their transients leave behind never sit under the finest
+    level's factor, so a study peaks at its finest solve's own peak.
+    """
+    results = {n: run(n) for n in sorted(levels, reverse=True)}
+    return [results[n] for n in levels]
+
+
 def run_convergence(problem, levels, r, k, tol=1e-10, quad_degree=None):
-    """Solve at each level and tabulate errors with consecutive-level rates."""
+    """Solve at each level and tabulate errors with consecutive-level rates.
+
+    The levels are solved finest first (``_finest_first``); the rows come
+    back in the order of ``levels``, and each rate compares a row with the
+    one before it.
+    """
     if problem != "quadcurl":
         raise ConfigError(f"convergence studies support the quadcurl problem, not {problem!r}")
     _check_levels(levels)
-    rows = []
-    for n in levels:
-        prob = QuadCurlProblem(n=n, r=r, k=k, tol=tol, quad_degree=quad_degree)
-        _, row = solve_quadcurl(prob)
-        rows.append(row)
-    report = ConvergenceReport(problem, r, k, rows)
+
+    def level(n):
+        return solve_quadcurl(QuadCurlProblem(n=n, r=r, k=k, tol=tol, quad_degree=quad_degree))[1]
+
+    report = ConvergenceReport(problem, r, k, _finest_first(levels, level))
     report.compute_rates()
     return report
 
 
 def interpolation_study(levels, r, k, quad_degree=None):
-    """Interpolation errors of the manufactured field per level, with rates."""
+    """Interpolation errors of the manufactured field per level, with rates.
+
+    As in ``run_convergence``, the levels run finest first and the rows
+    come back in the order of ``levels``.
+    """
     _check_levels(levels)
     ms = ManufacturedSolution()
     sample = ms.solution_sample()
-    rows = []
-    for n in levels:
+
+    def level(n):
         t0 = time.perf_counter()
         timings = StageTimings()
         spaces = get_spaces(n, r, k, ["gradcurl"])
@@ -880,18 +909,17 @@ def interpolation_study(levels, r, k, quad_degree=None):
             coeffs = v.interpolate(sample, QuadratureRule(qd))
         with timings.stage("errors"):
             errs = error_norms(v, coeffs, sample, qd)
-        rows.append(
-            {
-                "N": n,
-                "dofs": int(v.dim),
-                "l2": errs[0],
-                "hcurl": errs[1],
-                "gradcurl": errs[2],
-                "timings": dict(timings),
-                "seconds": time.perf_counter() - t0,
-                "peak_rss_mb": _peak_rss_mb(),
-            }
-        )
-    report = ConvergenceReport("interpolation", r, k, rows)
+        return {
+            "N": n,
+            "dofs": int(v.dim),
+            "l2": errs[0],
+            "hcurl": errs[1],
+            "gradcurl": errs[2],
+            "timings": dict(timings),
+            "seconds": time.perf_counter() - t0,
+            "peak_rss_mb": _peak_rss_mb(),
+        }
+
+    report = ConvergenceReport("interpolation", r, k, _finest_first(levels, level))
     report.compute_rates()
     return report

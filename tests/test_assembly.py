@@ -492,7 +492,7 @@ def _triplets_csr(rows, cols, local, class_of, shape):
 
 
 class TestSymmetryCheck:
-    """``check_symmetry`` without a transpose gives the verdict of the dense max|A - A^T| definition."""
+    """``check_symmetry`` gives the verdict of the dense max|A - A^T| definition; ``assemble`` checks its inputs."""
 
     TOL = 1e-13
 
@@ -533,16 +533,33 @@ class TestSymmetryCheck:
             expected = case == "unsymmetric_tiny"
         matrix = sp.csr_matrix((data, (rows, cols)), shape=(n, n))
         assert matrix.nnz == len(data)
-        assert (assembly_module._mirror_positions(matrix) is None) == unsymmetric
         verdict = assembly_module.SparseOperator(matrix).check_symmetry(self.TOL)
         assert verdict == self._dense_verdict(matrix, self.TOL) == expected
 
     def test_duplicates_take_the_difference(self):
         # a CSR matrix with a repeated entry is not canonical: the summed difference decides
         matrix = sp.csr_matrix((np.array([1.0, 2.0, 3.0]), np.array([1, 1, 0]), np.array([0, 2, 3])), shape=(2, 2))
-        assert assembly_module._mirror_positions(matrix) is None
         assert assembly_module.SparseOperator(matrix).check_symmetry() == self._dense_verdict(matrix, 1e-13)
         assert assembly_module.SparseOperator(matrix).check_symmetry()
+
+    @pytest.mark.parametrize("form, kind", [
+        ("mass", "gradcurl"), ("gradcurl_stiffness", "gradcurl"), ("h1", "velocity"), ("mass", "velocity"),
+    ])
+    def test_asymmetric_local_matrix_raises(self, form, kind, monkeypatch):
+        # one entry of every local Gram off its mirror: the whole matrix, and the block of
+        # some of the DOFs, must both be refused
+        space = get_spaces(1, 1, 1, [kind])[kind]
+        gram = assembly_module._gram
+
+        def skewed(coef, moments):
+            local = gram(coef, moments)
+            local[0, -1] += 1e-10 * np.abs(local).max()
+            return local
+
+        monkeypatch.setattr(assembly_module, "_gram", skewed)
+        for dofs in (None, np.arange(space.dim)[::2]):
+            with pytest.raises(ArithmeticError, match=f"assembled {form} operator lost symmetry"):
+                assemble(form, space, dofs=dofs)
 
 
 class TestAssemblyMemory:
