@@ -96,8 +96,9 @@ def summarize(records):
     """One record from those of repeated processes of a row.
 
     Seconds, memory figures and ratios (keys ending in ``_s``, ``_mb`` or
-    ``_ratio``) become the median over the processes, with ``<key>_min`` and ``<key>_max``
-    beside it; every other value must be the same in all of them.
+    ``_ratio``) become the median over the processes, with ``<key>_min``
+    and ``<key>_max`` beside it; every other value must be the same in all
+    of them.
     """
     out = {"processes": len(records)}
     for key, value in records[0].items():
